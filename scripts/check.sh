@@ -19,6 +19,11 @@ run_suite() {
   cmake -B "$dir" -S . "$@"
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure
+  # Hash suites: SHA-256 known answers at every padding boundary, SHA-NI
+  # against the portable compression, tx ids, and pool-sealed blocks whose
+  # reused ids must match a fresh seal.
+  ctest --test-dir "$dir" -R 'Sha256|TxBlocks|TxPool|TransactionTest|BlockTest' \
+    --output-on-failure
   # Fault suite, called out explicitly: crash/recover failover, censorship,
   # and same-seed determinism under an active FaultPlan must never rot.
   ctest --test-dir "$dir" -R FaultInjection --output-on-failure
@@ -65,14 +70,16 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # TSan leg: the pool fan-outs (shard execution, batch crypto, compaction,
   # bloom builds) must be race-free with workers actually running, so force
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
-  # suites. TSan is incompatible with ASan, hence the third build tree.
+  # suites; Sha256 checks the once-initialised compression choice that
+  # VerifyBatch's pool threads read. TSan is incompatible with ASan, hence
+  # the third build tree.
   echo "== thread sanitized build + runtime/system ctest =="
   cmake -B build-tsan -S . -DPORYGON_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)"
   PORYGON_THREADS=4 \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination'
+      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256'
 fi
 
 echo "check.sh: all suites passed"

@@ -600,13 +600,15 @@ void StatelessNodeActor::WitnessBody(tx::TransactionBlock block,
   // Data availability check (Witness Phase, §IV-C1(a)): a header whose body
   // we cannot download, or whose body does not match, is never witnessed.
   if (block.transactions.size() != block.header.tx_count) return;
-  if (!block.BodyMatchesHeader()) return;
+  std::vector<tx::TxId> tx_ids;
+  if (!block.BodyMatchesHeader(&tx_ids)) return;
 
   std::string key = IdKey(block.header.Id());
   if (held_blocks_.count(key) == 0) {
     HeldBlock held;
     held.header = block.header;
-    held.txs = block.transactions;
+    held.txs = std::move(block.transactions);
+    held.tx_ids = std::move(tx_ids);
     held.witnessed_round = round;
     held_blocks_[key] = std::move(held);
   }
@@ -914,8 +916,12 @@ void StatelessNodeActor::RunExecution() {
     for (const auto& id : req.block_ids) {
       auto held = held_blocks_.find(IdKey(id));
       if (held == held_blocks_.end()) continue;
-      for (const auto& t : held->second.txs) {
-        if (discarded.count(IdKey(t.Id())) > 0) continue;
+      const HeldBlock& hb = held->second;
+      for (size_t i = 0; i < hb.txs.size(); ++i) {
+        const tx::Transaction& t = hb.txs[i];
+        if (!discarded.empty() && discarded.count(IdKey(hb.tx_ids[i])) > 0) {
+          continue;
+        }
         if (t.IsCrossShard(system_->params().shard_bits)) {
           input.cross_shard.push_back(t);
         } else {

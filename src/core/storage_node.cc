@@ -248,18 +248,18 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   for (int shard = 0; shard < p.shard_count(); ++shard) {
     for (size_t b = 0; b < quota; ++b) {
       if (pool_.PendingInShard(shard) == 0) break;
-      tx::TransactionBlock block = pool_.PackBlock(
-          shard, p.block_tx_limit, static_cast<uint32_t>(index_), round);
+      std::vector<tx::TxId> tx_ids;
+      tx::TransactionBlock block =
+          pool_.PackBlock(shard, p.block_tx_limit,
+                          static_cast<uint32_t>(index_), round, &tx_ids);
       if (block.transactions.empty()) break;
-      system_->block_store_[IdKey(block.header.Id())] =
-          PorygonSystem::StoredBlock{block, round};
-      unlisted_blocks_[IdKey(block.header.Id())] = round;
       if (tracing) {
         // Sampled transactions close their "submit" (mempool wait) span.
-        for (const auto& t : block.transactions) {
-          system_->TraceTxPackaged(t, TraceName());
-        }
+        for (const auto& id : tx_ids) system_->TraceTxPackaged(id, TraceName());
       }
+      system_->block_store_[IdKey(block.header.Id())] =
+          PorygonSystem::StoredBlock{block, round, std::move(tx_ids)};
+      unlisted_blocks_[IdKey(block.header.Id())] = round;
       fresh.push_back(std::move(block));
     }
   }
@@ -363,6 +363,20 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   }
 
   // --- Push the witnessed bundle of batch round-1 to OC members we serve.
+  // Access lists carry the ids hashed at admission (StoredBlock::tx_ids).
+  auto witnessed_block = [](const PorygonSystem::StoredBlock& sb,
+                            const WitnessState& ws) {
+    WitnessedBlock wb;
+    wb.header = sb.block.header;
+    for (const auto& [pk, proof] : ws.proofs) wb.proofs.push_back(proof);
+    wb.accesses.reserve(sb.block.transactions.size());
+    for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
+      const tx::Transaction& t = sb.block.transactions[i];
+      wb.accesses.push_back(TxAccess{sb.tx_ids[i], t.from, t.to, t.amount,
+                                     t.nonce, t.submitted_at});
+    }
+    return wb;
+  };
   if (round >= 1) {
     WitnessBundle bundle;
     bundle.batch_round = round - 1;
@@ -375,16 +389,8 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
             wstate == witness_state_.end()) {
           continue;
         }
-        WitnessedBlock wb;
-        wb.header = stored->second.block.header;
-        for (const auto& [pk, proof] : wstate->second.proofs) {
-          wb.proofs.push_back(proof);
-        }
-        for (const auto& t : stored->second.block.transactions) {
-          wb.accesses.push_back(TxAccess{t.Id(), t.from, t.to, t.amount,
-                                         t.nonce, t.submitted_at});
-        }
-        bundle.blocks.push_back(std::move(wb));
+        bundle.blocks.push_back(
+            witnessed_block(stored->second, wstate->second));
       }
     }
     // Orphan recovery: our packaged blocks that reached Tw in an earlier
@@ -403,16 +409,8 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
               static_cast<size_t>(p.witness_threshold)) {
         continue;
       }
-      WitnessedBlock wb;
-      wb.header = stored->second.block.header;
-      for (const auto& [pk, proof] : wstate->second.proofs) {
-        wb.proofs.push_back(proof);
-      }
-      for (const auto& t : stored->second.block.transactions) {
-        wb.accesses.push_back(TxAccess{t.Id(), t.from, t.to, t.amount,
-                                       t.nonce, t.submitted_at});
-      }
-      bundle.blocks.push_back(std::move(wb));
+      bundle.blocks.push_back(
+          witnessed_block(stored->second, wstate->second));
       last_push = round - 1;  // Joins batch round-1's listing window.
     }
     // Tree mode: hand the bundle to per-shard aggregation relays instead
@@ -797,8 +795,9 @@ void StorageNodeActor::OnRejoin(uint64_t round) {
       continue;
     }
     uint64_t requeued = 0;
-    for (const auto& t : stored->second.block.transactions) {
-      if (pool_.Add(t)) ++requeued;
+    const PorygonSystem::StoredBlock& sb = stored->second;
+    for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
+      if (pool_.Add(sb.block.transactions[i], sb.tx_ids[i])) ++requeued;
     }
     if (requeued > 0) system_->obs_.failover_requeued_txs->Add(requeued);
     system_->block_store_.erase(stored);

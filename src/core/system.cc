@@ -560,8 +560,9 @@ Status PorygonSystem::AdmitStamped(const tx::Transaction& t) {
   // directly (client-side bandwidth is out of the model). A crashed home is
   // skipped the way a real client would retry the next endpoint: advance
   // deterministically until a live node is found.
+  const tx::TxId id = t.Id();
   const int n = static_cast<int>(storage_nodes_.size());
-  int home = static_cast<int>(crypto::HashPrefixU64(t.Id()) % n);
+  int home = static_cast<int>(crypto::HashPrefixU64(id) % n);
   int probed = 0;
   while (probed < n &&
          network_->IsCrashed(storage_nodes_[home]->net_id())) {
@@ -571,10 +572,10 @@ Status PorygonSystem::AdmitStamped(const tx::Transaction& t) {
   if (probed == n) {
     return Status::Unavailable("all storage nodes are down");
   }
-  if (!storage_nodes_[home]->pool_.Add(t)) {
+  if (!storage_nodes_[home]->pool_.Add(t, id)) {
     return Status::AlreadyExists("duplicate transaction");
   }
-  if (tracer_.enabled()) TraceSubmit(t);
+  if (tracer_.enabled()) TraceSubmit(id);
   return Status::Ok();
 }
 
@@ -675,8 +676,12 @@ ExecutionInput PorygonSystem::BuildExecutionInput(
     for (const auto& id : based_on.shard_tx_blocks[shard]) {
       auto stored = block_store_.find(IdKey(id));
       if (stored == block_store_.end()) continue;
-      for (const auto& t : stored->second.block.transactions) {
-        if (discarded.count(IdKey(t.Id())) > 0) continue;
+      const StoredBlock& sb = stored->second;
+      for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
+        const tx::Transaction& t = sb.block.transactions[i];
+        if (!discarded.empty() && discarded.count(IdKey(sb.tx_ids[i])) > 0) {
+          continue;
+        }
         if (t.IsCrossShard(options_.params.shard_bits)) {
           input.cross_shard.push_back(t);
         } else {
@@ -1098,17 +1103,25 @@ void PorygonSystem::AccountCommittedBatch(const tx::ProposalBlock& block) {
     for (const auto& id : listing.discarded) discarded.insert(IdKey(id));
     const std::set<std::string>* failed = nullptr;
     auto cached = exec_cache_.find(exec_round);
-    if (cached != exec_cache_.end()) failed = &cached->second.failed_ids;
+    if (cached != exec_cache_.end() && !cached->second.failed_ids.empty()) {
+      failed = &cached->second.failed_ids;
+    }
+    // Ids are only looked up when some set could match or a trace needs
+    // them; the common no-discard, no-failure round skips them entirely.
+    const bool need_ids = !discarded.empty() || failed != nullptr || tracing;
 
     for (const auto& shard_list : listing.shard_tx_blocks) {
       for (const auto& block_id : shard_list) {
         auto stored = block_store_.find(IdKey(block_id));
         if (stored == block_store_.end()) continue;
-        for (const auto& t : stored->second.block.transactions) {
+        const StoredBlock& sb = stored->second;
+        for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
+          const tx::Transaction& t = sb.block.transactions[i];
           if (t.IsCrossShard(options_.params.shard_bits) != want_cross) {
             continue;
           }
-          std::string tid = IdKey(t.Id());
+          std::string tid;
+          if (need_ids) tid = IdKey(sb.tx_ids[i]);
           if (discarded.count(tid) > 0) continue;
           if (failed != nullptr && failed->count(tid) > 0) {
             obs_.failed_txs->Increment();
@@ -1124,8 +1137,7 @@ void PorygonSystem::AccountCommittedBatch(const tx::ProposalBlock& block) {
           obs_.user_latency->Observe(
               now_s - net::ToSeconds(static_cast<net::SimTime>(
                           t.submitted_at)));
-          auto ws = round_start_times_.find(
-              stored->second.block.header.round_created);
+          auto ws = round_start_times_.find(sb.block.header.round_created);
           if (ws != round_start_times_.end()) {
             obs_.commit_latency->Observe(now_s - net::ToSeconds(ws->second));
           }
@@ -1225,6 +1237,20 @@ size_t PorygonSystem::RegisteredEcMembers(uint64_t round) const {
 size_t PorygonSystem::RegisteredOcMembers(uint64_t round) const {
   auto it = registry_.find(round);
   return it == registry_.end() ? 0 : it->second.oc_members.size();
+}
+
+PorygonSystem::TxIdAudit PorygonSystem::AuditStoredTxIds() const {
+  TxIdAudit audit;
+  for (const auto& [key, sb] : block_store_) {
+    ++audit.blocks;
+    const auto& txs = sb.block.transactions;
+    bool stale = sb.tx_ids.size() != txs.size();
+    for (size_t i = 0; !stale && i < txs.size(); ++i) {
+      stale = sb.tx_ids[i] != txs[i].Id();
+    }
+    if (stale) ++audit.stale;
+  }
+  return audit;
 }
 
 std::vector<obs::LinkWindow> PorygonSystem::LinkWindowsSince(
@@ -1352,19 +1378,19 @@ obs::TraceContext PorygonSystem::RoundLane(uint64_t round) {
   return lane;
 }
 
-void PorygonSystem::TraceSubmit(const tx::Transaction& t) {
+void PorygonSystem::TraceSubmit(const tx::TxId& id) {
   obs::TraceContext ctx = tracer_.NewTransactionTrace();
   if (!ctx.active()) return;  // Sampling budget exhausted.
   TxTraceState st;
   st.ctx = ctx;
   st.root_span = tracer_.BeginSpan(ctx, "tx", "client");
   st.prev_end = events_.now();
-  traced_txs_[IdKey(t.Id())] = std::move(st);
+  traced_txs_[IdKey(id)] = std::move(st);
 }
 
-void PorygonSystem::TraceTxPackaged(const tx::Transaction& t,
+void PorygonSystem::TraceTxPackaged(const tx::TxId& id,
                                     const std::string& node) {
-  auto it = traced_txs_.find(IdKey(t.Id()));
+  auto it = traced_txs_.find(IdKey(id));
   if (it == traced_txs_.end() || it->second.stage != 0) return;
   TxTraceState& st = it->second;
   const net::SimTime now = events_.now();
@@ -1380,8 +1406,8 @@ void PorygonSystem::TraceBlockWitnessed(const tx::BlockId& block_id,
   auto stored = block_store_.find(IdKey(block_id));
   if (stored == block_store_.end()) return;
   const net::SimTime now = events_.now();
-  for (const auto& t : stored->second.block.transactions) {
-    auto it = traced_txs_.find(IdKey(t.Id()));
+  for (const auto& id : stored->second.tx_ids) {
+    auto it = traced_txs_.find(IdKey(id));
     if (it == traced_txs_.end() || it->second.stage != 1) continue;
     TxTraceState& st = it->second;
     tracer_.RecordSpan(obs::Tracer::ChildOf(st.ctx, st.root_span), "witness",

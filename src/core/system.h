@@ -494,6 +494,7 @@ class StatelessNodeActor {
   struct HeldBlock {
     tx::TransactionBlockHeader header;
     std::vector<tx::Transaction> txs;
+    std::vector<tx::TxId> tx_ids;  // Hashed when the body was verified.
     uint64_t witnessed_round = 0;
   };
   std::map<std::string, HeldBlock> held_blocks_;
@@ -699,14 +700,27 @@ class PorygonSystem {
   /// (diagnostics; non-zero only at epoch boundaries).
   size_t RegisteredOcMembers(uint64_t round) const;
 
+  /// Re-hashes every stored block body and counts the blocks whose cached
+  /// tx ids differ from their bodies' ids (diagnostics; `stale` is 0 unless
+  /// the hash-once reuse has gone wrong).
+  struct TxIdAudit {
+    size_t blocks = 0;
+    size_t stale = 0;
+  };
+  TxIdAudit AuditStoredTxIds() const;
+
  private:
   friend class StorageNodeActor;
   friend class StatelessNodeActor;
 
   // --- Shared infrastructure accessed by actors --------------------------
+  // `tx_ids[i]` is `block.transactions[i].Id()`, computed once at admission
+  // and reused by every host-side reader (bundles, execution inputs, commit
+  // accounting) instead of re-hashing the body.
   struct StoredBlock {
     tx::TransactionBlock block;
     uint64_t batch_round;
+    std::vector<tx::TxId> tx_ids;
   };
 
   // Block store shared by honest storage nodes (replication elided).
@@ -774,8 +788,8 @@ class PorygonSystem {
   /// Admission core shared by SubmitTransaction/SubmitBatch: `t` is already
   /// stamped; touches no counters (callers aggregate per call/batch).
   Status AdmitStamped(const tx::Transaction& t);
-  void TraceSubmit(const tx::Transaction& t);
-  void TraceTxPackaged(const tx::Transaction& t, const std::string& node);
+  void TraceSubmit(const tx::TxId& id);
+  void TraceTxPackaged(const tx::TxId& id, const std::string& node);
   void TraceBlockWitnessed(const tx::BlockId& block_id,
                            const std::string& node);
   void TraceTxOrdered(const tx::TxId& id, uint64_t listing_round,

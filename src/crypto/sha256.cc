@@ -1,6 +1,12 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace porygon::crypto {
 
@@ -19,7 +25,134 @@ constexpr uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+// The compression function, picked once from CPUID: the platform alone
+// decides, and every path produces the same digest.
+internal::CompressFn Compressor() {
+  static const internal::CompressFn kCompress =
+      internal::HasShaNi() ? internal::CompressShaNi
+                           : internal::CompressPortable;
+  return kCompress;
+}
 }  // namespace
+
+namespace internal {
+
+void CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                      size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    const uint8_t* block = blocks;
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = LoadBigEndian32(block + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+bool HasShaNi() {
+  unsigned eax, ebx, ecx, edx;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && sse41 && ssse3;
+}
+
+// Intel SHA extensions. The state lives in two registers as (ABEF, CDGH);
+// each group of four rounds adds K to four schedule words and runs two
+// sha256rnds2 steps, and sha256msg1/msg2 extend the schedule four words at
+// a time (w0..w3 hold W[i-16..i-1] in groups of four).
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t* blocks, size_t count) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w0 = _mm_setzero_si128(), w1 = w0, w2 = w0, w3 = w0;
+    for (int i = 0; i < 16; ++i) {
+      __m128i w;
+      if (i < 4) {
+        w = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+            kByteSwap);
+      } else {
+        w = _mm_sha256msg1_epu32(w0, w1);
+        w = _mm_add_epi32(w, _mm_alignr_epi8(w3, w2, 4));
+        w = _mm_sha256msg2_epu32(w, w3);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      w0 = w1;
+      w1 = w2;
+      w2 = w3;
+      w3 = w;
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+#else  // !defined(__x86_64__)
+
+bool HasShaNi() { return false; }
+
+void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t count) {
+  CompressPortable(state, blocks, count);
+}
+
+#endif
+
+}  // namespace internal
 
 Sha256::Sha256() {
   state_[0] = 0x6a09e667;
@@ -32,43 +165,8 @@ Sha256::Sha256() {
   state_[7] = 0x5be0cd19;
 }
 
-void Sha256::Compress(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = LoadBigEndian32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(ByteView data) {
+  const internal::CompressFn compress = Compressor();
   length_ += data.size();
   const uint8_t* p = data.data();
   size_t n = data.size();
@@ -79,14 +177,14 @@ void Sha256::Update(ByteView data) {
     p += take;
     n -= take;
     if (buffered_ == sizeof(buffer_)) {
-      Compress(buffer_);
+      compress(state_, buffer_, 1);
       buffered_ = 0;
     }
   }
-  while (n >= 64) {
-    Compress(p);
-    p += 64;
-    n -= 64;
+  if (n >= 64) {
+    compress(state_, p, n / 64);
+    p += n - n % 64;
+    n %= 64;
   }
   if (n > 0) {
     std::memcpy(buffer_, p, n);
@@ -95,14 +193,18 @@ void Sha256::Update(ByteView data) {
 }
 
 Hash256 Sha256::Finish() {
-  uint64_t bit_length = length_ * 8;
-  uint8_t pad = 0x80;
-  Update(ByteView(&pad, 1));
-  const uint8_t zero = 0;
-  while (buffered_ != 56) Update(ByteView(&zero, 1));
-  uint8_t len_be[8];
-  StoreBigEndian64(len_be, bit_length);
-  Update(ByteView(len_be, 8));
+  // Pads in one step: 0x80, zeros up to the length field, the big-endian
+  // bit length. A tail with no room left for the length takes two blocks.
+  const internal::CompressFn compress = Compressor();
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_ + buffered_, 0, sizeof(buffer_) - buffered_);
+    compress(state_, buffer_, 1);
+    buffered_ = 0;
+  }
+  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
+  StoreBigEndian64(buffer_ + 56, length_ * 8);
+  compress(state_, buffer_, 1);
   Hash256 out;
   for (int i = 0; i < 8; ++i) StoreBigEndian32(out.data() + 4 * i, state_[i]);
   return out;

@@ -2,6 +2,7 @@
 #define PORYGON_CRYPTO_SHA256_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -12,7 +13,9 @@ namespace porygon::crypto {
 /// VRF outputs.
 using Hash256 = std::array<uint8_t, 32>;
 
-/// Incremental SHA-256 (FIPS 180-4).
+/// Incremental SHA-256 (FIPS 180-4). Blocks are compressed with the x86-64
+/// SHA extensions when the CPU has them and in portable C++ otherwise; the
+/// choice is made once, from CPUID, and digests are identical either way.
 class Sha256 {
  public:
   Sha256();
@@ -30,13 +33,30 @@ class Sha256 {
   static Hash256 HashPair(ByteView a, ByteView b);
 
  private:
-  void Compress(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t length_ = 0;  // Total bytes absorbed.
   uint8_t buffer_[64];
   size_t buffered_ = 0;
 };
+
+namespace internal {
+
+/// Compresses `count` consecutive 64-byte blocks into `state`.
+using CompressFn = void (*)(uint32_t state[8], const uint8_t* blocks,
+                            size_t count);
+
+/// Portable FIPS 180-4 compression: the fallback on CPUs and architectures
+/// without SHA-NI, and the reference the SHA-NI path is tested against.
+void CompressPortable(uint32_t state[8], const uint8_t* blocks, size_t count);
+
+/// True iff this CPU has the x86-64 SHA extensions (plus SSE4.1 and SSSE3).
+bool HasShaNi();
+
+/// SHA-NI compression; only valid when HasShaNi() (elsewhere it forwards to
+/// CompressPortable).
+void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t count);
+
+}  // namespace internal
 
 /// Lexicographic comparison/formatting helpers for digests.
 std::string HashToHex(const Hash256& h);

@@ -74,20 +74,31 @@ BlockId TransactionBlockHeader::Id() const {
   return crypto::Sha256::Hash(Encode());
 }
 
-void TransactionBlock::SealHeader() {
-  std::vector<Hash256> ids;
+namespace {
+std::vector<TxId> IdsOf(const std::vector<Transaction>& transactions) {
+  std::vector<TxId> ids;
   ids.reserve(transactions.size());
   for (const auto& t : transactions) ids.push_back(t.Id());
-  header.tx_root = crypto::ComputeMerkleRoot(ids);
+  return ids;
+}
+}  // namespace
+
+void TransactionBlock::SealHeader() { SealHeader(IdsOf(transactions)); }
+
+void TransactionBlock::SealHeader(const std::vector<TxId>& tx_ids) {
+  header.tx_root = crypto::ComputeMerkleRoot(tx_ids);
   header.tx_count = static_cast<uint32_t>(transactions.size());
 }
 
 bool TransactionBlock::BodyMatchesHeader() const {
+  std::vector<TxId> ids;
+  return BodyMatchesHeader(&ids);
+}
+
+bool TransactionBlock::BodyMatchesHeader(std::vector<TxId>* tx_ids) const {
   if (transactions.size() != header.tx_count) return false;
-  std::vector<Hash256> ids;
-  ids.reserve(transactions.size());
-  for (const auto& t : transactions) ids.push_back(t.Id());
-  return crypto::ComputeMerkleRoot(ids) == header.tx_root;
+  *tx_ids = IdsOf(transactions);
+  return crypto::ComputeMerkleRoot(*tx_ids) == header.tx_root;
 }
 
 Bytes TransactionBlock::Encode() const {

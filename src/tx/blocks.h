@@ -41,8 +41,14 @@ struct TransactionBlock {
 
   /// Recomputes header.tx_root and header.tx_count from `transactions`.
   void SealHeader();
+  /// Same, from ids the caller already holds: tx_ids[i] must be
+  /// transactions[i].Id().
+  void SealHeader(const std::vector<TxId>& tx_ids);
   /// True iff the body matches the sealed header.
   bool BodyMatchesHeader() const;
+  /// Same, and leaves the body's tx ids (the Merkle leaves it just hashed)
+  /// in `tx_ids` when the counts agree.
+  bool BodyMatchesHeader(std::vector<TxId>* tx_ids) const;
 
   size_t WireSize() const {
     return header.WireSize() + transactions.size() * Transaction::kWireSize;

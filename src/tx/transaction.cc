@@ -5,24 +5,26 @@
 namespace porygon::tx {
 
 namespace {
-Bytes EncodeBody(const Transaction& t) {
-  Encoder enc;
-  enc.PutU64(t.from);
-  enc.PutU64(t.to);
-  enc.PutU64(t.amount);
-  enc.PutU64(t.nonce);
-  enc.PutU64(t.submitted_at);
-  return enc.TakeBuffer();
+// The body encoding: five little-endian u64s, as Encoder::PutU64 writes them.
+void WriteBody(const Transaction& t, uint8_t out[Transaction::kBodySize]) {
+  StoreLittleEndian64(out, t.from);
+  StoreLittleEndian64(out + 8, t.to);
+  StoreLittleEndian64(out + 16, t.amount);
+  StoreLittleEndian64(out + 24, t.nonce);
+  StoreLittleEndian64(out + 32, t.submitted_at);
 }
 }  // namespace
 
 TxId Transaction::Id() const {
-  return crypto::Sha256::Hash(EncodeBody(*this));
+  uint8_t body[kBodySize];
+  WriteBody(*this, body);
+  return crypto::Sha256::Hash(ByteView(body, sizeof(body)));
 }
 
 Bytes Transaction::Encode() const {
-  Bytes out = EncodeBody(*this);
-  out.insert(out.end(), signature.begin(), signature.end());
+  Bytes out(kBodySize + signature.size());
+  WriteBody(*this, out.data());
+  std::memcpy(out.data() + kBodySize, signature.data(), signature.size());
   return out;
 }
 

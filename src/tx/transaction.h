@@ -28,7 +28,8 @@ struct Transaction {
   uint64_t submitted_at = 0;
   crypto::Signature signature{};
 
-  /// Hash of the body (everything but the signature).
+  /// Hash of the body (everything but the signature): SHA-256 of the first
+  /// kBodySize bytes of Encode().
   TxId Id() const;
 
   /// Declared read/write set, the paper's "accessed states ... pre-recorded
@@ -40,6 +41,9 @@ struct Transaction {
     return state::ShardOfAccount(from, shard_bits) !=
            state::ShardOfAccount(to, shard_bits);
   }
+
+  /// Encoded body: five little-endian u64 fields.
+  static constexpr size_t kBodySize = 5 * 8;
 
   /// Wire footprint charged by the bandwidth model.
   static constexpr size_t kWireSize = 112;

@@ -1,5 +1,6 @@
 #include "tx/txpool.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace porygon::tx {
@@ -14,25 +15,35 @@ TxPool::TxPool(int shard_bits)
     : shard_bits_(shard_bits), queues_(size_t{1} << shard_bits) {}
 
 bool TxPool::Add(const Transaction& transaction) {
-  TxId id = transaction.Id();
+  return Add(transaction, transaction.Id());
+}
+
+bool TxPool::Add(const Transaction& transaction, const TxId& id) {
   if (!seen_.insert(id).second) return false;
   uint32_t shard = state::ShardOfAccount(transaction.from, shard_bits_);
-  queues_[shard].push_back(transaction);
+  queues_[shard].push_back(Pooled{transaction, id});
   return true;
 }
 
 TransactionBlock TxPool::PackBlock(uint32_t shard, size_t max_count,
-                                   uint32_t creator, uint64_t round) {
+                                   uint32_t creator, uint64_t round,
+                                   std::vector<TxId>* tx_ids) {
   TransactionBlock block;
   block.header.creator_storage_node = creator;
   block.header.round_created = round;
   block.header.shard = shard;
   auto& queue = queues_[shard];
-  while (!queue.empty() && block.transactions.size() < max_count) {
-    block.transactions.push_back(std::move(queue.front()));
+  const size_t take = std::min(max_count, queue.size());
+  block.transactions.reserve(take);
+  std::vector<TxId> ids;
+  ids.reserve(take);
+  while (block.transactions.size() < take) {
+    block.transactions.push_back(std::move(queue.front().tx));
+    ids.push_back(queue.front().id);
     queue.pop_front();
   }
-  block.SealHeader();
+  block.SealHeader(ids);
+  if (tx_ids != nullptr) *tx_ids = std::move(ids);
   return block;
 }
 

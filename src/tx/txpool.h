@@ -21,11 +21,16 @@ class TxPool {
   /// Adds a transaction; duplicates (same id) are ignored. Returns whether
   /// it was admitted.
   bool Add(const Transaction& transaction);
+  /// Same, with the id the caller already computed (id == transaction.Id()).
+  bool Add(const Transaction& transaction, const TxId& id);
 
   /// Drains up to `max_count` transactions of `shard` into a block. Returns
-  /// a sealed block (possibly with fewer transactions, or zero).
+  /// a sealed block (possibly with fewer transactions, or zero), sealed from
+  /// the ids computed at admission. If `tx_ids` is set it receives them,
+  /// tx_ids[i] == block.transactions[i].Id().
   TransactionBlock PackBlock(uint32_t shard, size_t max_count,
-                             uint32_t creator, uint64_t round);
+                             uint32_t creator, uint64_t round,
+                             std::vector<TxId>* tx_ids = nullptr);
 
   size_t PendingInShard(uint32_t shard) const {
     return queues_[shard].size();
@@ -37,8 +42,13 @@ class TxPool {
     size_t operator()(const TxId& id) const;
   };
 
+  struct Pooled {
+    Transaction tx;
+    TxId id;
+  };
+
   int shard_bits_;
-  std::vector<std::deque<Transaction>> queues_;
+  std::vector<std::deque<Pooled>> queues_;
   std::unordered_set<TxId, IdHash> seen_;
 };
 

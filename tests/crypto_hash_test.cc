@@ -1,12 +1,18 @@
-// Tests for SHA-256 and SHA-512 against FIPS 180-4 / NIST example vectors.
+// Tests for SHA-256 and SHA-512 against FIPS 180-4 / NIST example vectors,
+// the SHA-NI compression against the portable reference, and the tx id.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
+#include "tx/transaction.h"
 
 namespace porygon::crypto {
 namespace {
@@ -34,6 +40,83 @@ TEST(Sha256Test, MillionA) {
   for (int i = 0; i < 1000; ++i) h.Update(ByteView(std::string_view(chunk)));
   EXPECT_EQ(HashToHex(h.Finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// One-shot padding at every boundary: a tail of 55 bytes is the longest that
+// still fits 0x80 and the length in one block; 56..63 spill into a second
+// block; 64 and 119/120 repeat the pattern one block later.
+TEST(Sha256Test, PaddingBoundaries) {
+  const struct {
+    size_t length;
+    const char* hex;
+  } kVectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& v : kVectors) {
+    const std::string msg(v.length, 'a');
+    EXPECT_EQ(HashToHex(Sha256::Hash(ByteView(std::string_view(msg)))), v.hex)
+        << v.length << " bytes";
+    // Byte-at-a-time absorption reaches Finish with the same tail.
+    Sha256 h;
+    for (char c : msg) h.Update(ByteView(std::string_view(&c, 1)));
+    EXPECT_EQ(HashToHex(h.Finish()), v.hex) << v.length << " bytes, split";
+  }
+}
+
+TEST(Sha256Test, ShaNiMatchesPortableCompression) {
+  if (!internal::HasShaNi()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t count = 1 + trial % 4;
+    uint8_t blocks[4 * 64];
+    for (size_t i = 0; i < count * 64; ++i) {
+      blocks[i] = static_cast<uint8_t>(rng.NextU64());
+    }
+    uint32_t portable[8];
+    for (auto& word : portable) word = static_cast<uint32_t>(rng.NextU64());
+    uint32_t shani[8];
+    std::memcpy(shani, portable, sizeof(shani));
+    internal::CompressPortable(portable, blocks, count);
+    internal::CompressShaNi(shani, blocks, count);
+    ASSERT_EQ(std::memcmp(portable, shani, sizeof(shani)), 0)
+        << "trial " << trial << ", " << count << " blocks";
+  }
+}
+
+// Each test runs in its own process, so these threads race to the first
+// use of the once-initialised compression choice (TSan leg).
+TEST(Sha256Test, ConcurrentFirstUseAgrees) {
+  const std::string msg(1000, 'a');
+  std::vector<Hash256> digests(4);
+  std::vector<std::thread> threads;
+  for (auto& d : digests) {
+    threads.emplace_back(
+        [&d, &msg] { d = Sha256::Hash(ByteView(std::string_view(msg))); });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& d : digests) {
+    EXPECT_EQ(HashToHex(d),
+              "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3");
+  }
+}
+
+TEST(Sha256Test, TransactionIdHashesTheEncodedBody) {
+  tx::Transaction t;
+  t.from = 0x0102030405060708ULL;
+  t.to = 42;
+  t.amount = ~0ULL;
+  t.nonce = 7;
+  t.submitted_at = 123456789;
+  t.signature.fill(0xAB);
+  const Bytes encoded = t.Encode();
+  ASSERT_GE(encoded.size(), tx::Transaction::kBodySize);
+  EXPECT_EQ(t.Id(), Sha256::Hash(ByteView(encoded.data(),
+                                          tx::Transaction::kBodySize)));
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {

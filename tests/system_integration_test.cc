@@ -115,6 +115,31 @@ TEST(SystemIntegrationTest, MixedWorkloadConservesTotalBalance) {
   EXPECT_EQ(total, 60u * 1'000u);  // Transfers conserve balance.
 }
 
+// Host-side readers reuse the ids hashed at admission (StoredBlock::tx_ids);
+// after several rounds of mixed traffic, every stored block's ids must still
+// be the ids of its body.
+TEST(SystemIntegrationTest, StoredTxIdsMatchTheirBodies) {
+  PorygonSystem sys(SmallOptions());
+  sys.CreateAccounts(60, 1'000);
+  Rng rng(5);
+  std::map<uint64_t, uint64_t> nonces;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 60; ++i) {
+      uint64_t from = 1 + rng.NextBelow(60);
+      uint64_t to = 1 + rng.NextBelow(60);
+      if (from == to) continue;
+      if (sys.SubmitTransaction(Transfer(from, to, 1, nonces[from])).ok()) {
+        ++nonces[from];
+      }
+    }
+    sys.Run(3);
+    const PorygonSystem::TxIdAudit audit = sys.AuditStoredTxIds();
+    EXPECT_GT(audit.blocks, 0u) << "after segment " << round;
+    EXPECT_EQ(audit.stale, 0u) << "after segment " << round;
+  }
+  EXPECT_GT(sys.metrics().committed_intra_txs(), 0u);
+}
+
 TEST(SystemIntegrationTest, LatenciesFollowThePipelineSchedule) {
   SystemOptions opt = SmallOptions();
   PorygonSystem sys(opt);

@@ -127,6 +127,40 @@ TEST(TxPoolTest, PackBlockDrainsFifoUpToLimit) {
   EXPECT_EQ(pool.PendingTotal(), 6u);
 }
 
+// PackBlock seals from the ids computed at admission; they must give the
+// same root as re-hashing the body, and the ids it hands back must be the
+// bodies' ids in block order.
+TEST(TxBlocksTest, PackedBlockSealMatchesFreshSeal) {
+  TxPool pool(1);
+  for (int i = 0; i < 12; ++i) {
+    Transaction t = Make(2 * i + 2, 2 * i + 4, 10 + i, i);
+    if (i % 3 == 0) {
+      ASSERT_TRUE(pool.Add(t, t.Id()));
+    } else {
+      ASSERT_TRUE(pool.Add(t));
+    }
+  }
+  std::vector<TxId> ids;
+  TransactionBlock packed = pool.PackBlock(0, 8, /*creator=*/1, /*round=*/2,
+                                           &ids);
+  ASSERT_EQ(packed.transactions.size(), 8u);
+  ASSERT_EQ(ids.size(), 8u);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], packed.transactions[i].Id()) << "tx " << i;
+  }
+  TransactionBlock fresh = packed;
+  fresh.header.tx_root = crypto::ZeroHash();
+  fresh.header.tx_count = 0;
+  fresh.SealHeader();
+  EXPECT_EQ(packed.header.tx_root, fresh.header.tx_root);
+  EXPECT_EQ(packed.header.tx_count, fresh.header.tx_count);
+  EXPECT_TRUE(packed.BodyMatchesHeader());
+
+  std::vector<TxId> verified;
+  EXPECT_TRUE(packed.BodyMatchesHeader(&verified));
+  EXPECT_EQ(verified, ids);
+}
+
 }  // namespace
 }  // namespace porygon::tx
 
