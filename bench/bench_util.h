@@ -6,12 +6,14 @@
 // the same series, labelled with the paper's reported values where
 // available so the shape comparison is immediate.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/clause.h"
 #include "core/system.h"
 #include "net/dissemination.h"
 #include "net/fault.h"
@@ -30,14 +32,26 @@ namespace porygon::bench {
 ///   --dissemination=<spec>  net::DisseminationSpec::Parse clause grammar
 ///   --trace-out=<file>      enable tracing, export Chrome JSON after run
 ///
-/// Per-binary flags are declared with Declare("--rounds=") before Parse and
-/// read back with Value(). Specs are validated eagerly, so a typo fails at
-/// the command line instead of silently running the default scenario; any
+/// Per-binary flags are declared with Declare("--rounds=", kind) before
+/// Parse and read back with Value(), Int() or Real(). Specs and numeric
+/// flags are validated eagerly (common/clause.h), so a typo fails at the
+/// command line instead of silently running the default scenario; any
 /// undeclared `--flag` is an error instead of a silent ignore.
 class Args {
  public:
-  Args& Declare(const std::string& prefix) {
-    declared_.emplace_back(prefix, "");
+  /// What a declared flag's value must be: free text, a non-negative
+  /// integer, or a finite real.
+  enum class Kind { kText, kInt, kReal };
+
+  Args() {
+    for (const char* spec : {"--workload=", "--faults=", "--adversary=",
+                             "--dissemination=", "--trace-out="}) {
+      Declare(spec);
+    }
+  }
+
+  Args& Declare(const std::string& prefix, Kind kind = Kind::kText) {
+    if (Find(prefix) == nullptr) flags_.push_back({prefix, kind, {}});
     return *this;
   }
 
@@ -45,22 +59,37 @@ class Args {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) continue;  // Positional args pass through.
-      std::string value;
-      if (Match(arg, "--workload=", &value)) {
-        PORYGON_ASSIGN_OR_RETURN(workload_, workload::Spec::Parse(value));
-      } else if (Match(arg, "--faults=", &value)) {
-        PORYGON_ASSIGN_OR_RETURN(faults_, net::FaultPlan::Parse(value));
-      } else if (Match(arg, "--adversary=", &value)) {
-        PORYGON_ASSIGN_OR_RETURN(adversary_,
-                                 core::AdversarySpec::Parse(value));
-      } else if (Match(arg, "--dissemination=", &value)) {
-        PORYGON_ASSIGN_OR_RETURN(dissemination_,
-                                 net::DisseminationSpec::Parse(value));
-      } else if (Match(arg, "--trace-out=", &value)) {
-        trace_out_ = value;
-      } else if (!MatchDeclared(arg)) {
+      auto flag = std::find_if(flags_.begin(), flags_.end(), [&](auto& f) {
+        return arg.rfind(f.prefix, 0) == 0;
+      });
+      if (flag == flags_.end()) {
         return Status::InvalidArgument("unknown flag: " + arg);
       }
+      flag->value = arg.substr(flag->prefix.size());
+      const std::string& v = *flag->value;
+      int n = 0;
+      double x = 0;
+      if ((flag->kind == Kind::kInt && !clause::ParseInt(v, &n, 0)) ||
+          (flag->kind == Kind::kReal && !clause::ParseReal(v, &x))) {
+        return Status::InvalidArgument("bad number in flag: " + arg);
+      }
+    }
+    if (Has("--workload=")) {
+      PORYGON_ASSIGN_OR_RETURN(workload_,
+                               workload::Spec::Parse(Value("--workload=")));
+    }
+    if (Has("--faults=")) {
+      PORYGON_ASSIGN_OR_RETURN(faults_,
+                               net::FaultPlan::Parse(Value("--faults=")));
+    }
+    if (Has("--adversary=")) {
+      PORYGON_ASSIGN_OR_RETURN(
+          adversary_, core::AdversarySpec::Parse(Value("--adversary=")));
+    }
+    if (Has("--dissemination=")) {
+      PORYGON_ASSIGN_OR_RETURN(
+          dissemination_,
+          net::DisseminationSpec::Parse(Value("--dissemination=")));
     }
     return Status::Ok();
   }
@@ -77,21 +106,33 @@ class Args {
   net::DisseminationSpec Dissemination() const {
     return dissemination_.value_or(net::DisseminationSpec{});
   }
-  const std::string& trace_out() const { return trace_out_; }
+  std::string trace_out() const { return Value("--trace-out="); }
 
-  /// Value of a declared per-binary flag; empty when absent.
+  /// Whether a flag (declared or cross-cutting) was given.
+  bool Has(const std::string& prefix) const {
+    const Flag* f = Find(prefix);
+    return f != nullptr && f->value.has_value();
+  }
+  /// Text of a flag as given, specs included; empty when absent.
   std::string Value(const std::string& prefix) const {
-    for (const auto& [p, v] : declared_) {
-      if (p == prefix) return v;
-    }
-    return "";
+    const Flag* f = Find(prefix);
+    return f == nullptr ? "" : f->value.value_or("");
+  }
+  /// Value of a declared kInt / kReal flag, or `fallback` when absent.
+  int Int(const std::string& prefix, int fallback) const {
+    clause::ParseInt(Value(prefix), &fallback, 0);
+    return fallback;
+  }
+  double Real(const std::string& prefix, double fallback) const {
+    clause::ParseReal(Value(prefix), &fallback);
+    return fallback;
   }
 
   /// Folds --adversary and --trace-out into `options` and re-validates, so
   /// a spec that is well-formed but infeasible for this deployment (e.g.
   /// corruption above the committee threshold) fails before construction.
   Status ApplyOptions(core::SystemOptions* options) const {
-    if (!trace_out_.empty()) options->trace.enabled = true;
+    if (!trace_out().empty()) options->trace.enabled = true;
     if (dissemination_.has_value()) {
       options->dissemination = *dissemination_;
       PORYGON_RETURN_IF_ERROR(options->Validate());
@@ -110,30 +151,24 @@ class Args {
   }
 
  private:
-  static bool Match(const std::string& arg, const char* prefix,
-                    std::string* value) {
-    const std::string p(prefix);
-    if (arg.rfind(p, 0) != 0) return false;
-    *value = arg.substr(p.size());
-    return true;
-  }
+  struct Flag {
+    std::string prefix;
+    Kind kind;
+    std::optional<std::string> value;  ///< Absent until given.
+  };
 
-  bool MatchDeclared(const std::string& arg) {
-    for (auto& [prefix, value] : declared_) {
-      if (arg.rfind(prefix, 0) == 0) {
-        value = arg.substr(prefix.size());
-        return true;
-      }
+  const Flag* Find(const std::string& prefix) const {
+    for (const Flag& f : flags_) {
+      if (f.prefix == prefix) return &f;
     }
-    return false;
+    return nullptr;
   }
 
-  std::vector<std::pair<std::string, std::string>> declared_;
+  std::vector<Flag> flags_;
   std::optional<workload::Spec> workload_;
   std::optional<net::FaultPlan> faults_;
   std::optional<core::AdversarySpec> adversary_;
   std::optional<net::DisseminationSpec> dissemination_;
-  std::string trace_out_;
 };
 
 /// The standard scaled deployment every figure driver was hand-rolling:

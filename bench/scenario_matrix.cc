@@ -24,35 +24,25 @@
 int main(int argc, char** argv) {
   using namespace porygon;
   bench::Args args;
-  args.Declare("--out=").Declare("--rounds=").Declare("--tps=");
+  args.Declare("--out=")
+      .Declare("--rounds=", bench::Args::Kind::kInt)
+      .Declare("--tps=", bench::Args::Kind::kReal);
   if (Status parsed = args.Parse(argc, argv); !parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
     return 2;
   }
 
   workload::ScenarioOptions opt;
-  if (const std::string v = args.Value("--rounds="); !v.empty()) {
-    opt.rounds = std::atoi(v.c_str());
-  }
-  if (const std::string v = args.Value("--tps="); !v.empty()) {
-    opt.offered_tps = std::atof(v.c_str());
-  }
+  opt.rounds = args.Int("--rounds=", opt.rounds);
+  opt.offered_tps = args.Real("--tps=", opt.offered_tps);
   std::string out_path = args.Value("--out=");
   if (out_path.empty()) out_path = "scenario_matrix.json";
 
   std::vector<workload::ScenarioCell> cells;
   if (args.has_workload()) {
-    workload::ScenarioCell cell;
-    cell.workload = args.WorkloadOr({}).ToString();
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--faults=", 0) == 0) cell.faults = arg.substr(9);
-      if (arg.rfind("--adversary=", 0) == 0) cell.adversary = arg.substr(12);
-      if (arg.rfind("--dissemination=", 0) == 0) {
-        cell.dissemination = arg.substr(16);
-      }
-    }
-    cells.push_back(cell);
+    cells.push_back({args.WorkloadOr({}).ToString(), args.Value("--faults="),
+                     args.Value("--adversary="),
+                     args.Value("--dissemination=")});
   } else {
     cells = workload::DefaultScenarioMatrix();
   }

@@ -8,21 +8,25 @@
 // deterministically reproduces the failing run.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 
+#include "bench_util.h"
 #include "common/status.h"
 #include "workload/soak.h"
 
 namespace {
 
-bool MatchFlag(const char* arg, const char* prefix, std::string* value) {
-  const size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  *value = arg + n;
-  return true;
-}
+/// Flags that each forward their value verbatim as one SoakSpec clause.
+constexpr std::pair<const char*, const char*> kClauseFlags[] = {
+    {"--rounds=", "rounds"},       {"--epoch-length=", "epoch"},
+    {"--seed=", "seed"},           {"--nodes=", "nodes"},
+    {"--storages=", "storages"},   {"--oc=", "oc"},
+    {"--shard-bits=", "shardbits"}, {"--tps=", "tps"},
+    {"--gap=", "gap"},             {"--workload=", "workload"},
+    {"--faults=", "faults"},       {"--adversary=", "adversary"},
+    {"--dissemination=", "dissemination"}, {"--inject=", "inject"},
+};
 
 void Usage(const char* prog) {
   std::fprintf(
@@ -56,55 +60,28 @@ void Usage(const char* prog) {
 int main(int argc, char** argv) {
   using namespace porygon;
 
-  std::string clauses;
-  std::string replay;
-  std::string out_path;
-  int threads = 0;
-  const auto add = [&clauses](const char* key, const std::string& value) {
-    if (!clauses.empty()) clauses += ';';
-    clauses += std::string(key) + ":" + value;
-  };
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (MatchFlag(argv[i], "--replay=", &v)) {
-      replay = v;
-    } else if (MatchFlag(argv[i], "--rounds=", &v)) {
-      add("rounds", v);
-    } else if (MatchFlag(argv[i], "--epoch-length=", &v)) {
-      add("epoch", v);
-    } else if (MatchFlag(argv[i], "--seed=", &v)) {
-      add("seed", v);
-    } else if (MatchFlag(argv[i], "--nodes=", &v)) {
-      add("nodes", v);
-    } else if (MatchFlag(argv[i], "--storages=", &v)) {
-      add("storages", v);
-    } else if (MatchFlag(argv[i], "--oc=", &v)) {
-      add("oc", v);
-    } else if (MatchFlag(argv[i], "--shard-bits=", &v)) {
-      add("shardbits", v);
-    } else if (MatchFlag(argv[i], "--tps=", &v)) {
-      add("tps", v);
-    } else if (MatchFlag(argv[i], "--gap=", &v)) {
-      add("gap", v);
-    } else if (MatchFlag(argv[i], "--workload=", &v)) {
-      add("workload", v);
-    } else if (MatchFlag(argv[i], "--faults=", &v)) {
-      add("faults", v);
-    } else if (MatchFlag(argv[i], "--adversary=", &v)) {
-      add("adversary", v);
-    } else if (MatchFlag(argv[i], "--dissemination=", &v)) {
-      add("dissemination", v);
-    } else if (MatchFlag(argv[i], "--inject=", &v)) {
-      add("inject", v);
-    } else if (MatchFlag(argv[i], "--threads=", &v)) {
-      threads = std::atoi(v.c_str());
-    } else if (MatchFlag(argv[i], "--out=", &v)) {
-      out_path = v;
-    } else {
-      Usage(argv[0]);
-      return 2;
-    }
+  bench::Args args;
+  args.Declare("--replay=").Declare("--out=").Declare(
+      "--threads=", bench::Args::Kind::kInt);
+  for (const auto& [flag, key] : kClauseFlags) args.Declare(flag);
+  Status flags = args.Parse(argc, argv);
+  if (flags.ok() && args.Has("--trace-out=")) {
+    flags = Status::InvalidArgument("soak does not trace: --trace-out");
   }
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    Usage(argv[0]);
+    return 2;
+  }
+  std::string clauses;
+  for (const auto& [flag, key] : kClauseFlags) {
+    if (!args.Has(flag)) continue;
+    if (!clauses.empty()) clauses += ';';
+    clauses += std::string(key) + ":" + args.Value(flag);
+  }
+  const std::string replay = args.Value("--replay=");
+  const std::string out_path = args.Value("--out=");
+  const int threads = args.Int("--threads=", 0);
 
   // --replay carries the complete failing configuration; every other spec
   // flag is ignored when it is present so the reproduction is exact.

@@ -6,10 +6,10 @@
 //   ./example_payment_network [offered_tps] [--workload=<spec>]
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "bench_util.h"
+#include "common/clause.h"
 #include "core/system.h"
 #include "workload/generator.h"
 
@@ -23,7 +23,10 @@ int main(int argc, char** argv) {
   double offered_tps = 2000.0;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind("--", 0) != 0) {
-      offered_tps = std::atof(argv[i]);
+      if (!clause::ParseReal(argv[i], &offered_tps)) {
+        std::fprintf(stderr, "offered_tps must be a number: %s\n", argv[i]);
+        return 2;
+      }
       break;
     }
   }

@@ -24,9 +24,12 @@ run_suite() {
   # reused ids must match a fresh seal.
   ctest --test-dir "$dir" -R 'Sha256|TxBlocks|TxPool|TransactionTest|BlockTest' \
     --output-on-failure
-  # Fault suite, called out explicitly: crash/recover failover, censorship,
-  # and same-seed determinism under an active FaultPlan must never rot.
-  ctest --test-dir "$dir" -R FaultInjection --output-on-failure
+  # Fault suite and spec grammars, called out explicitly: crash/recover
+  # failover, censorship, same-seed determinism under an active FaultPlan,
+  # and the shared clause grammar (strict numbers, every spec's rejection
+  # table, pinned canonical strings) must never rot.
+  ctest --test-dir "$dir" -R 'Clause|SpecTest|FaultInjection' \
+    --output-on-failure
   # Adversary suite, likewise: chain identity and evidence collection under
   # every Byzantine strategy at the paper's alpha/beta bounds.
   ctest --test-dir "$dir" -R Adversary --output-on-failure

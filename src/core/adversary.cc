@@ -1,82 +1,31 @@
 #include "core/adversary.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
+
+#include "common/clause.h"
 
 namespace porygon::core {
 
 namespace {
 
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(s.substr(start));
-      break;
-    }
-    parts.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool StatelessStrategyFromName(const std::string& name, AdvStrategy* out) {
-  if (name == "silent") *out = AdvStrategy::kSilent;
-  else if (name == "equivocate") *out = AdvStrategy::kEquivocate;
-  else if (name == "forge-witness") *out = AdvStrategy::kForgeWitness;
-  else if (name == "tamper-exec") *out = AdvStrategy::kTamperExec;
-  else return false;
-  return true;
-}
-
-bool StorageStrategyFromName(const std::string& name, AdvStrategy* out) {
-  if (name == "withhold") *out = AdvStrategy::kWithhold;
-  else if (name == "censor") *out = AdvStrategy::kCensor;
-  else if (name == "tamper-state") *out = AdvStrategy::kTamperState;
-  else if (name == "stale-reply") *out = AdvStrategy::kStaleReply;
-  else return false;
-  return true;
-}
-
-std::string FormatFraction(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
+constexpr clause::Named<AdvStrategy> kStrategies[] = {
+    {AdvStrategy::kHonest, "honest"},
+    {AdvStrategy::kSilent, "silent"},
+    {AdvStrategy::kEquivocate, "equivocate"},
+    {AdvStrategy::kForgeWitness, "forge-witness"},
+    {AdvStrategy::kTamperExec, "tamper-exec"},
+    {AdvStrategy::kWithhold, "withhold"},
+    {AdvStrategy::kCensor, "censor"},
+    {AdvStrategy::kTamperState, "tamper-state"},
+    {AdvStrategy::kStaleReply, "stale-reply"},
+};
 
 }  // namespace
 
 const char* AdvStrategyName(AdvStrategy s) {
-  switch (s) {
-    case AdvStrategy::kHonest: return "honest";
-    case AdvStrategy::kSilent: return "silent";
-    case AdvStrategy::kEquivocate: return "equivocate";
-    case AdvStrategy::kForgeWitness: return "forge-witness";
-    case AdvStrategy::kTamperExec: return "tamper-exec";
-    case AdvStrategy::kWithhold: return "withhold";
-    case AdvStrategy::kCensor: return "censor";
-    case AdvStrategy::kTamperState: return "tamper-state";
-    case AdvStrategy::kStaleReply: return "stale-reply";
-  }
-  return "honest";
+  return clause::NameOf(kStrategies, s);
 }
 
 bool IsStatelessStrategy(AdvStrategy s) {
@@ -93,32 +42,24 @@ Result<AdversarySpec> AdversarySpec::Parse(const std::string& spec) {
   AdversarySpec out;
   bool have_alpha = false;
   bool have_beta = false;
-  for (const std::string& clause : SplitOn(spec, ',')) {
-    if (clause.empty()) continue;
-    std::vector<std::string> f = SplitOn(clause, ':');
-    const std::string& key = f[0];
-    auto bad = [&] {
-      return Status::InvalidArgument("bad adversary clause: " + clause);
-    };
-    if (key == "stateless" && f.size() == 2) {
-      if (!StatelessStrategyFromName(f[1], &out.stateless)) return bad();
-    } else if (key == "storage" && f.size() == 2) {
-      if (!StorageStrategyFromName(f[1], &out.storage)) return bad();
-    } else if (key == "alpha" && f.size() == 2) {
-      if (!ParseDouble(f[1], &out.alpha) || out.alpha < 0 || out.alpha > 1) {
-        return bad();
-      }
+  for (const clause::Clause& c : clause::Split(spec)) {
+    bool ok = false;
+    if (c.key == "stateless") {
+      ok = clause::FromName(kStrategies, c.value, &out.stateless) &&
+           IsStatelessStrategy(out.stateless);
+    } else if (c.key == "storage") {
+      ok = clause::FromName(kStrategies, c.value, &out.storage) &&
+           IsStorageStrategy(out.storage);
+    } else if (c.key == "alpha") {
+      ok = clause::ParseReal(c.value, &out.alpha, 0, 1);
       have_alpha = true;
-    } else if (key == "beta" && f.size() == 2) {
-      if (!ParseDouble(f[1], &out.beta) || out.beta < 0 || out.beta > 1) {
-        return bad();
-      }
+    } else if (c.key == "beta") {
+      ok = clause::ParseReal(c.value, &out.beta, 0, 1);
       have_beta = true;
-    } else if (key == "seed" && f.size() == 2) {
-      if (!ParseU64(f[1], &out.seed)) return bad();
-    } else {
-      return bad();
+    } else if (c.key == "seed") {
+      ok = clause::ParseU64(c.value, &out.seed);
     }
+    if (!ok) return clause::Bad("adversary", c.text);
   }
   // A strategy clause without an explicit fraction runs at the paper's
   // corruption bound (§III-B): α = 1/4, β = 1/2.
@@ -135,11 +76,11 @@ std::string AdversarySpec::ToString() const {
   };
   if (stateless != AdvStrategy::kHonest) {
     append(std::string("stateless:") + AdvStrategyName(stateless));
-    append("alpha:" + FormatFraction(alpha));
+    append("alpha:" + clause::FormatG(alpha));
   }
   if (storage != AdvStrategy::kHonest) {
     append(std::string("storage:") + AdvStrategyName(storage));
-    append("beta:" + FormatFraction(beta));
+    append("beta:" + clause::FormatG(beta));
   }
   append("seed:" + std::to_string(seed));
   return s;

@@ -100,11 +100,11 @@ Status SystemOptions::Validate() const {
     return Status::InvalidArgument(
         "adversary.storage is not a storage strategy");
   }
-  if (adversary.alpha < 0 || adversary.alpha > 0.25) {
+  if (!(adversary.alpha >= 0 && adversary.alpha <= 0.25)) {
     return Status::InvalidArgument(
         "adversary.alpha outside the paper's bound [0,1/4]");
   }
-  if (adversary.beta < 0 || adversary.beta > 0.5) {
+  if (!(adversary.beta >= 0 && adversary.beta <= 0.5)) {
     return Status::InvalidArgument(
         "adversary.beta outside the paper's bound [0,1/2]");
   }
@@ -114,7 +114,7 @@ Status SystemOptions::Validate() const {
         "adversary spec and legacy malicious fractions are mutually "
         "exclusive");
   }
-  if (mean_session_s < 0) {
+  if (!(mean_session_s >= 0)) {
     return Status::InvalidArgument("mean_session_s must be >= 0");
   }
   if (worker_threads < 0) {

@@ -1,83 +1,48 @@
 #include "net/dissemination.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "common/clause.h"
 #include "common/erasure.h"
 
 namespace porygon::net {
 
 namespace {
 
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(s.substr(start));
-      break;
-    }
-    parts.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
+constexpr clause::Named<DisseminationMode> kModes[] = {
+    {DisseminationMode::kDirect, "direct"},
+    {DisseminationMode::kTree, "tree"},
+};
 
 }  // namespace
 
 const char* DisseminationModeName(DisseminationMode mode) {
-  switch (mode) {
-    case DisseminationMode::kDirect: return "direct";
-    case DisseminationMode::kTree: return "tree";
-  }
-  return "direct";
+  return clause::NameOf(kModes, mode);
 }
 
 Result<DisseminationSpec> DisseminationSpec::Parse(const std::string& spec) {
+  const std::vector<clause::Clause> clauses = clause::Split(spec);
   DisseminationSpec out;
-  bool saw_mode = false;
-  for (const std::string& clause : SplitOn(spec, ',')) {
-    if (clause.empty()) continue;
-    auto bad = [&] {
-      return Status::InvalidArgument("bad dissemination clause: " + clause);
-    };
-    if (!saw_mode) {
-      // The first clause names the mode, like the workload grammar's model
-      // head clause.
-      if (clause == "direct") out.mode = DisseminationMode::kDirect;
-      else if (clause == "tree") out.mode = DisseminationMode::kTree;
-      else return bad();
-      saw_mode = true;
-      continue;
-    }
-    if (!out.tree()) return bad();
-    std::vector<std::string> f = SplitOn(clause, ':');
-    const std::string& key = f[0];
-    if (key == "chunks" && f.size() == 2) {
-      std::vector<std::string> kn = SplitOn(f[1], '/');
-      if (kn.size() != 2 || !ParseInt(kn[0], &out.chunk_k) ||
-          !ParseInt(kn[1], &out.chunk_n)) {
-        return bad();
-      }
-    } else if (key == "strikes" && f.size() == 2) {
-      if (!ParseInt(f[1], &out.relay_strikes)) return bad();
-    } else {
-      return bad();
-    }
-  }
-  if (!saw_mode) {
+  // The first clause names the mode, like the workload grammar's model head
+  // clause; only tree takes parameter clauses.
+  if (clauses.empty()) {
     return Status::InvalidArgument(
         "dissemination spec needs a mode head clause (direct|tree)");
+  }
+  if (!clause::FromName(kModes, clauses[0].text, &out.mode)) {
+    return clause::Bad("dissemination", clauses[0].text);
+  }
+  for (size_t i = 1; i < clauses.size(); ++i) {
+    const clause::Clause& c = clauses[i];
+    bool ok = false;
+    if (out.tree() && c.key == "chunks") {
+      const clause::Clause kn = clause::Cut(c.value, '/');
+      ok = clause::ParseInt(kn.key, &out.chunk_k) &&
+           clause::ParseInt(kn.value, &out.chunk_n);
+    } else if (out.tree() && c.key == "strikes") {
+      ok = clause::ParseInt(c.value, &out.relay_strikes);
+    }
+    if (!ok) return clause::Bad("dissemination", c.text);
   }
   PORYGON_RETURN_IF_ERROR(out.Validate());
   return out;
@@ -86,10 +51,8 @@ Result<DisseminationSpec> DisseminationSpec::Parse(const std::string& spec) {
 std::string DisseminationSpec::ToString() const {
   std::string s = DisseminationModeName(mode);
   if (tree()) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ",chunks:%d/%d,strikes:%d", chunk_k,
-                  chunk_n, relay_strikes);
-    s += buf;
+    s += ",chunks:" + std::to_string(chunk_k) + "/" + std::to_string(chunk_n) +
+         ",strikes:" + std::to_string(relay_strikes);
   }
   return s;
 }

@@ -1,81 +1,38 @@
 #include "net/fault.h"
 
-#include <cstdlib>
+#include "common/clause.h"
 
 namespace porygon::net {
-
-namespace {
-
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(s.substr(start));
-      break;
-    }
-    parts.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-}  // namespace
 
 Result<FaultPlan> FaultPlan::Parse(const std::string& spec) {
   FaultPlan plan;
   // A single wildcard link fault accumulates the loss/dup/jitter clauses.
   LinkFault all;
   bool have_all = false;
-  for (const std::string& clause : SplitOn(spec, ',')) {
-    if (clause.empty()) continue;
-    std::vector<std::string> f = SplitOn(clause, ':');
-    const std::string& key = f[0];
-    auto bad = [&] {
-      return Status::InvalidArgument("bad fault clause: " + clause);
-    };
-    if (key == "loss" && f.size() == 2) {
-      if (!ParseDouble(f[1], &all.loss)) return bad();
+  for (const clause::Clause& c : clause::Split(spec)) {
+    bool ok = false;
+    if (c.key == "loss" || c.key == "dup") {
+      ok = clause::ParseReal(
+          c.value, c.key == "loss" ? &all.loss : &all.duplicate, 0, 1);
       have_all = true;
-    } else if (key == "dup" && f.size() == 2) {
-      if (!ParseDouble(f[1], &all.duplicate)) return bad();
-      have_all = true;
-    } else if (key == "jitter" && f.size() == 2) {
+    } else if (c.key == "jitter") {
       uint64_t us = 0;
-      if (!ParseU64(f[1], &us)) return bad();
+      ok = clause::ParseU64(c.value, &us) &&
+           us < static_cast<uint64_t>(kSimTimeNever);
       all.extra_delay_max = static_cast<SimTime>(us);
       have_all = true;
-    } else if ((key == "crash" || key == "recover") && f.size() == 3) {
+    } else if (c.key == "crash" || c.key == "recover") {
+      const clause::Clause at = clause::Cut(c.value);
       uint64_t node = 0;
       double at_s = 0;
-      if (!ParseU64(f[1], &node) || !ParseDouble(f[2], &at_s) || at_s < 0) {
-        return bad();
-      }
-      CrashEvent ev;
-      ev.node = static_cast<NodeId>(node);
-      ev.at = FromSeconds(at_s);
-      ev.recover = key == "recover";
-      plan.crashes.push_back(ev);
-    } else if (key == "seed" && f.size() == 2) {
-      if (!ParseU64(f[1], &plan.seed)) return bad();
-    } else {
-      return bad();
+      ok = clause::ParseU64(at.key, &node) && node < kInvalidNode &&
+           clause::ParseReal(at.value, &at_s, 0);
+      plan.crashes.push_back(
+          {static_cast<NodeId>(node), FromSeconds(at_s), c.key == "recover"});
+    } else if (c.key == "seed") {
+      ok = clause::ParseU64(c.value, &plan.seed);
     }
+    if (!ok) return clause::Bad("fault", c.text);
   }
   if (have_all) plan.link_faults.push_back(all);
   return plan;

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "common/clause.h"
+
 namespace porygon::runtime {
 
 TaskPool::TaskPool(int threads) {
@@ -95,14 +97,9 @@ void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
 int TaskPool::ResolveThreads(int requested) {
   if (requested < 0) requested = 0;
   const char* env = std::getenv("PORYGON_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v >= 0 && v <= 1024) {
-      return static_cast<int>(v);
-    }
-  }
-  return requested;
+  int threads = requested;
+  if (env != nullptr) clause::ParseInt(env, &threads, 0, 1024);
+  return threads;
 }
 
 }  // namespace porygon::runtime

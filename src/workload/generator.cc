@@ -1,6 +1,6 @@
 #include "workload/generator.h"
 
-#include <cstdio>
+#include "common/clause.h"
 
 namespace porygon::workload {
 
@@ -48,17 +48,9 @@ std::string WorkloadGenerator::Describe() const {
   std::string s = "{\"model\":\"uniform\",\"accounts\":" +
                   std::to_string(options_.num_accounts);
   if (options_.cross_shard_ratio >= 0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", options_.cross_shard_ratio);
-    s += ",\"cross\":";
-    s += buf;
+    s += ",\"cross\":" + clause::FormatG(options_.cross_shard_ratio);
   }
-  if (options_.zipf_s > 0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", options_.zipf_s);
-    s += ",\"s\":";
-    s += buf;
-  }
+  if (options_.zipf_s > 0) s += ",\"s\":" + clause::FormatG(options_.zipf_s);
   s += ",\"seed\":" + std::to_string(options_.seed) + "}";
   return s;
 }

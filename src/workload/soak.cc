@@ -1,11 +1,10 @@
 #include "workload/soak.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <utility>
 
+#include "common/clause.h"
 #include "core/system.h"
 #include "net/fault.h"
 #include "state/sharded_state.h"
@@ -15,47 +14,10 @@ namespace porygon::workload {
 
 namespace {
 
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(s.substr(start));
-      break;
-    }
-    parts.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
+using clause::FormatG;
 
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  uint64_t v = 0;
-  if (!ParseU64(s, &v) || v > 1'000'000) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-std::string FormatF(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
+/// Upper bound on the soak's node and committee counts.
+constexpr int kMaxNodes = 1'000'000;
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -152,8 +114,8 @@ Status InvariantChecker::CheckEvidenceOnlyAgainstMalicious(
 Status InvariantChecker::CheckBoundedCommitGap(core::PorygonSystem& sys) {
   const obs::HistogramSummary gaps = sys.metrics().BlockLatency();
   if (gaps.count > 0 && gaps.max > options_.max_commit_gap_s) {
-    return Violation("liveness: max commit gap " + FormatF(gaps.max) +
-                     "s exceeds bound " + FormatF(options_.max_commit_gap_s) +
+    return Violation("liveness: max commit gap " + FormatG(gaps.max) +
+                     "s exceeds bound " + FormatG(options_.max_commit_gap_s) +
                      "s");
   }
   return Pass();
@@ -212,66 +174,51 @@ Status InvariantChecker::ObserveRound(core::PorygonSystem& sys) {
 
 Result<SoakSpec> SoakSpec::Parse(const std::string& spec) {
   SoakSpec out;
-  for (const std::string& clause : SplitOn(spec, ';')) {
-    if (clause.empty()) continue;
-    const size_t colon = clause.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("bad soak clause: " + clause);
-    }
-    const std::string key = clause.substr(0, colon);
-    const std::string value = clause.substr(colon + 1);
-    auto bad = [&] {
-      return Status::InvalidArgument("bad soak clause: " + clause);
-    };
-    if (key == "rounds") {
-      if (!ParseU64(value, &out.rounds) || out.rounds == 0) return bad();
-    } else if (key == "epoch") {
-      if (!ParseU64(value, &out.epoch_length) || out.epoch_length == 1) {
-        return bad();
-      }
-    } else if (key == "seed") {
-      if (!ParseU64(value, &out.seed)) return bad();
-    } else if (key == "nodes") {
-      if (!ParseInt(value, &out.num_stateless) || out.num_stateless < 1) {
-        return bad();
-      }
-    } else if (key == "storages") {
-      if (!ParseInt(value, &out.num_storage) || out.num_storage < 1) {
-        return bad();
-      }
-    } else if (key == "oc") {
-      if (!ParseInt(value, &out.oc_size) || out.oc_size < 1) return bad();
-    } else if (key == "shardbits") {
-      if (!ParseInt(value, &out.shard_bits) || out.shard_bits > 8) {
-        return bad();
-      }
-    } else if (key == "tps") {
-      if (!ParseDouble(value, &out.offered_tps) || out.offered_tps < 0) {
-        return bad();
-      }
-    } else if (key == "gap") {
-      if (!ParseDouble(value, &out.max_commit_gap_s) ||
-          out.max_commit_gap_s <= 0) {
-        return bad();
-      }
-    } else if (key == "workload") {
-      PORYGON_RETURN_IF_ERROR(Spec::Parse(value).status());
-      out.workload = value;
-    } else if (key == "faults") {
-      PORYGON_RETURN_IF_ERROR(net::FaultPlan::Parse(value).status());
-      out.faults = value;
-    } else if (key == "adversary") {
-      PORYGON_RETURN_IF_ERROR(core::AdversarySpec::Parse(value).status());
-      out.adversary = value;
-    } else if (key == "dissemination") {
+  for (const clause::Clause& c : clause::Split(spec, ';')) {
+    if (!c.has_value) return clause::Bad("soak", c.text);
+    const std::string_view v = c.value;
+    bool ok = false;
+    if (c.key == "rounds") {
+      ok = clause::ParseU64(v, &out.rounds) && out.rounds > 0;
+    } else if (c.key == "epoch") {
+      ok = clause::ParseU64(v, &out.epoch_length) && out.epoch_length != 1;
+    } else if (c.key == "seed") {
+      ok = clause::ParseU64(v, &out.seed);
+    } else if (c.key == "nodes") {
+      ok = clause::ParseInt(v, &out.num_stateless, 1, kMaxNodes);
+    } else if (c.key == "storages") {
+      ok = clause::ParseInt(v, &out.num_storage, 1, kMaxNodes);
+    } else if (c.key == "oc") {
+      ok = clause::ParseInt(v, &out.oc_size, 1, kMaxNodes);
+    } else if (c.key == "shardbits") {
+      ok = clause::ParseInt(v, &out.shard_bits, 0, 8);
+    } else if (c.key == "tps") {
+      ok = clause::ParseReal(v, &out.offered_tps, 0);
+    } else if (c.key == "gap") {
+      ok = clause::ParseReal(v, &out.max_commit_gap_s) &&
+           out.max_commit_gap_s > 0;
+    } else if (c.key == "workload") {
+      PORYGON_RETURN_IF_ERROR(Spec::Parse(std::string(v)).status());
+      out.workload = v;
+      ok = true;
+    } else if (c.key == "faults") {
+      PORYGON_RETURN_IF_ERROR(net::FaultPlan::Parse(std::string(v)).status());
+      out.faults = v;
+      ok = true;
+    } else if (c.key == "adversary") {
       PORYGON_RETURN_IF_ERROR(
-          net::DisseminationSpec::Parse(value).status());
-      out.dissemination = value;
-    } else if (key == "inject") {
-      if (!ParseU64(value, &out.inject_divergence_round)) return bad();
-    } else {
-      return bad();
+          core::AdversarySpec::Parse(std::string(v)).status());
+      out.adversary = v;
+      ok = true;
+    } else if (c.key == "dissemination") {
+      PORYGON_RETURN_IF_ERROR(
+          net::DisseminationSpec::Parse(std::string(v)).status());
+      out.dissemination = v;
+      ok = true;
+    } else if (c.key == "inject") {
+      ok = clause::ParseU64(v, &out.inject_divergence_round);
     }
+    if (!ok) return clause::Bad("soak", c.text);
   }
   return out;
 }
@@ -284,8 +231,8 @@ std::string SoakSpec::ToString() const {
   s += ";storages:" + std::to_string(num_storage);
   s += ";oc:" + std::to_string(oc_size);
   s += ";shardbits:" + std::to_string(shard_bits);
-  s += ";tps:" + FormatF(offered_tps);
-  s += ";gap:" + FormatF(max_commit_gap_s);
+  s += ";tps:" + FormatG(offered_tps);
+  s += ";gap:" + FormatG(max_commit_gap_s);
   if (!workload.empty()) s += ";workload:" + workload;
   if (!faults.empty()) s += ";faults:" + faults;
   if (!adversary.empty()) s += ";adversary:" + adversary;
@@ -306,9 +253,9 @@ std::string SoakReport::ToJson() const {
   out += ",\"epochs_completed\":" + std::to_string(epochs_completed);
   out += ",\"invariant_checks\":" + std::to_string(invariant_checks);
   out += ",\"committed_txs\":" + std::to_string(committed_txs);
-  out += ",\"max_commit_gap_s\":" + FormatF(max_commit_gap_s);
-  out += ",\"sim_seconds\":" + FormatF(sim_seconds);
-  out += ",\"tps\":" + FormatF(tps);
+  out += ",\"max_commit_gap_s\":" + FormatG(max_commit_gap_s);
+  out += ",\"sim_seconds\":" + FormatG(sim_seconds);
+  out += ",\"tps\":" + FormatG(tps);
   out += ",\"violations\":[";
   for (size_t i = 0; i < violations.size(); ++i) {
     if (i > 0) out += ',';
@@ -403,7 +350,7 @@ Result<SoakReport> RunSoak(const SoakSpec& spec, int worker_threads) {
       checker.CheckBoundedCommitGap(*chaos);  // Record the gap that stalled.
       checker.Violation("liveness: round " + std::to_string(r) +
                         " did not commit within " +
-                        FormatF(2.0 * spec.max_commit_gap_s) + "s");
+                        FormatG(2.0 * spec.max_commit_gap_s) + "s");
       break;
     }
 

@@ -1,73 +1,31 @@
 #include "workload/traffic.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
+#include "common/clause.h"
 #include "workload/generator.h"
 
 namespace porygon::workload {
 
 namespace {
 
-std::string FmtF(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
+using clause::FormatG;
 
 std::string FmtU(uint64_t v) { return std::to_string(v); }
 
-/// Splits "a,b,c" into clauses; "key:rest" into (key, rest).
-std::vector<std::string> SplitClauses(const std::string& spec) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    if (comma > start) out.push_back(spec.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
+constexpr clause::Named<Spec::Model> kModels[] = {
+    {Spec::Model::kUniform, "uniform"},
+    {Spec::Model::kZipf, "zipf"},
+    {Spec::Model::kFlashCrowd, "flashcrowd"},
+    {Spec::Model::kContract, "contract"},
+};
 
-Status BadClause(const std::string& clause, const char* why) {
-  return Status::InvalidArgument("workload clause '" + clause + "': " + why);
-}
-
-bool ParseF(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-const char* ModelName(Spec::Model m) {
-  switch (m) {
-    case Spec::Model::kUniform: return "uniform";
-    case Spec::Model::kZipf: return "zipf";
-    case Spec::Model::kFlashCrowd: return "flashcrowd";
-    case Spec::Model::kContract: return "contract";
-  }
-  return "uniform";
-}
-
-const char* ArrivalName(Spec::Arrival a) {
-  switch (a) {
-    case Spec::Arrival::kConstant: return "constant";
-    case Spec::Arrival::kBursty: return "bursty";
-    case Spec::Arrival::kDiurnal: return "diurnal";
-    case Spec::Arrival::kFlash: return "flash";
-  }
-  return "constant";
-}
+constexpr clause::Named<Spec::Arrival> kArrivals[] = {
+    {Spec::Arrival::kConstant, "constant"},
+    {Spec::Arrival::kBursty, "bursty"},
+    {Spec::Arrival::kDiurnal, "diurnal"},
+    {Spec::Arrival::kFlash, "flash"},
+};
 
 }  // namespace
 
@@ -95,116 +53,90 @@ size_t ArrivalProcess::CountFor(double t_s, double len_s,
 Result<Spec> Spec::Parse(const std::string& spec) {
   Spec out;
   bool model_named = false;
-  for (const std::string& clause : SplitClauses(spec)) {
-    const size_t colon = clause.find(':');
-    const std::string key = clause.substr(0, colon);
-    const std::string rest =
-        colon == std::string::npos ? "" : clause.substr(colon + 1);
-    auto name_model = [&](Model m) -> Status {
-      if (model_named) return BadClause(clause, "second model clause");
+  for (const clause::Clause& c : clause::Split(spec)) {
+    const std::string_view v = c.value;
+    bool ok = false;
+    const char* why = "unknown clause";
+    Model model = Model::kUniform;
+    if (clause::FromName(kModels, c.key, &model)) {
+      if (model_named) {
+        return clause::Bad("workload", c.text, "second model clause");
+      }
       model_named = true;
-      out.model = m;
-      return Status::Ok();
-    };
-    if (key == "uniform") {
-      PORYGON_RETURN_IF_ERROR(name_model(Model::kUniform));
-      if (!rest.empty()) return BadClause(clause, "uniform takes no value");
-    } else if (key == "zipf") {
-      PORYGON_RETURN_IF_ERROR(name_model(Model::kZipf));
-      out.zipf_s = 0.99;
-      if (!rest.empty() && (!ParseF(rest, &out.zipf_s) || out.zipf_s <= 0)) {
-        return BadClause(clause, "exponent must be a positive number");
-      }
-    } else if (key == "flashcrowd") {
-      PORYGON_RETURN_IF_ERROR(name_model(Model::kFlashCrowd));
-      if (!rest.empty() &&
-          (!ParseU(rest, &out.hot_size) || out.hot_size == 0)) {
-        return BadClause(clause, "hot-set size must be a positive integer");
-      }
-    } else if (key == "contract") {
-      PORYGON_RETURN_IF_ERROR(name_model(Model::kContract));
-      if (out.zipf_s == 0) out.zipf_s = 0.8;  // Popular contracts by default.
-      uint64_t keys = 0;
-      if (!rest.empty()) {
-        if (!ParseU(rest, &keys) || keys < 2 || keys > 64) {
-          return BadClause(clause, "keys per call must be in [2,64]");
+      out.model = model;
+      switch (model) {
+        case Model::kUniform:
+          ok = v.empty();
+          why = "uniform takes no value";
+          break;
+        case Model::kZipf:
+          out.zipf_s = 0.99;
+          ok = v.empty() ||
+               (clause::ParseReal(v, &out.zipf_s) && out.zipf_s > 0);
+          why = "exponent must be a positive number";
+          break;
+        case Model::kFlashCrowd:
+          ok = v.empty() ||
+               (clause::ParseU64(v, &out.hot_size) && out.hot_size > 0);
+          why = "hot-set size must be a positive integer";
+          break;
+        case Model::kContract: {
+          if (out.zipf_s == 0) out.zipf_s = 0.8;  // Popular by default.
+          int keys = static_cast<int>(out.contract_keys);
+          ok = v.empty() || clause::ParseInt(v, &keys, 2, 64);
+          out.contract_keys = static_cast<uint32_t>(keys);
+          why = "keys per call must be in [2,64]";
+          break;
         }
-        out.contract_keys = static_cast<uint32_t>(keys);
       }
-    } else if (key == "accounts") {
-      if (!ParseU(rest, &out.num_accounts) || out.num_accounts < 2) {
-        return BadClause(clause, "expected an integer >= 2");
-      }
-    } else if (key == "cross") {
-      if (!ParseF(rest, &out.cross_shard_ratio) || out.cross_shard_ratio > 1) {
-        return BadClause(clause, "expected a ratio in [0,1] (or negative "
-                                 "for natural)");
-      }
-    } else if (key == "skew") {
-      if (!ParseF(rest, &out.zipf_s) || out.zipf_s < 0) {
-        return BadClause(clause, "expected a non-negative exponent");
-      }
-    } else if (key == "amount") {
-      const size_t colon2 = rest.find(':');
-      if (colon2 == std::string::npos ||
-          !ParseU(rest.substr(0, colon2), &out.amount_min) ||
-          !ParseU(rest.substr(colon2 + 1), &out.amount_max) ||
-          out.amount_min < 1 || out.amount_max < out.amount_min) {
-        return BadClause(clause, "expected amount:<lo>:<hi> with 1<=lo<=hi");
-      }
-    } else if (key == "hot") {
-      if (!ParseF(rest, &out.hot_fraction) || out.hot_fraction < 0 ||
-          out.hot_fraction > 1) {
-        return BadClause(clause, "expected a fraction in [0,1]");
-      }
-    } else if (key == "rotate") {
-      if (!ParseU(rest, &out.rotate_every) || out.rotate_every == 0) {
-        return BadClause(clause, "expected a positive integer");
-      }
-    } else if (key == "contracts") {
-      if (!ParseU(rest, &out.num_contracts) || out.num_contracts == 0) {
-        return BadClause(clause, "expected a positive integer");
-      }
-    } else if (key == "seed") {
-      if (!ParseU(rest, &out.seed)) {
-        return BadClause(clause, "expected an integer");
-      }
-    } else if (key == "arrival") {
-      if (rest == "constant") {
-        out.arrival = Arrival::kConstant;
-      } else if (rest == "bursty") {
-        out.arrival = Arrival::kBursty;
-      } else if (rest == "diurnal") {
-        out.arrival = Arrival::kDiurnal;
-      } else if (rest == "flash") {
-        out.arrival = Arrival::kFlash;
-      } else {
-        return BadClause(clause,
-                         "expected constant, bursty, diurnal, or flash");
-      }
-    } else if (key == "period") {
-      if (!ParseF(rest, &out.period_s) || out.period_s <= 0) {
-        return BadClause(clause, "expected a positive duration (seconds)");
-      }
-    } else if (key == "duty") {
-      if (!ParseF(rest, &out.duty) || out.duty <= 0 || out.duty >= 1) {
-        return BadClause(clause, "expected a fraction in (0,1)");
-      }
-    } else if (key == "peak") {
-      if (!ParseF(rest, &out.peak) || out.peak < 1) {
-        return BadClause(clause, "expected a multiplier >= 1");
-      }
-    } else if (key == "at") {
-      if (!ParseF(rest, &out.at_s) || out.at_s < 0) {
-        return BadClause(clause, "expected a non-negative time (seconds)");
-      }
-    } else if (key == "dur") {
-      if (!ParseF(rest, &out.dur_s) || out.dur_s <= 0) {
-        return BadClause(clause, "expected a positive duration (seconds)");
-      }
-    } else {
-      return BadClause(clause, "unknown clause");
+    } else if (c.key == "accounts") {
+      ok = clause::ParseU64(v, &out.num_accounts) && out.num_accounts >= 2;
+      why = "expected an integer >= 2";
+    } else if (c.key == "cross") {
+      ok = clause::ParseReal(v, &out.cross_shard_ratio) &&
+           out.cross_shard_ratio <= 1;
+      why = "expected a ratio in [0,1] (or negative for natural)";
+    } else if (c.key == "skew") {
+      ok = clause::ParseReal(v, &out.zipf_s, 0);
+      why = "expected a non-negative exponent";
+    } else if (c.key == "amount") {
+      const clause::Clause range = clause::Cut(v);
+      ok = clause::ParseU64(range.key, &out.amount_min) &&
+           clause::ParseU64(range.value, &out.amount_max) &&
+           out.amount_min >= 1 && out.amount_max >= out.amount_min;
+      why = "expected amount:<lo>:<hi> with 1<=lo<=hi";
+    } else if (c.key == "hot") {
+      ok = clause::ParseReal(v, &out.hot_fraction, 0, 1);
+      why = "expected a fraction in [0,1]";
+    } else if (c.key == "rotate") {
+      ok = clause::ParseU64(v, &out.rotate_every) && out.rotate_every > 0;
+      why = "expected a positive integer";
+    } else if (c.key == "contracts") {
+      ok = clause::ParseU64(v, &out.num_contracts) && out.num_contracts > 0;
+      why = "expected a positive integer";
+    } else if (c.key == "seed") {
+      ok = clause::ParseU64(v, &out.seed);
+      why = "expected an integer";
+    } else if (c.key == "arrival") {
+      ok = clause::FromName(kArrivals, v, &out.arrival);
+      why = "expected constant, bursty, diurnal, or flash";
+    } else if (c.key == "period") {
+      ok = clause::ParseReal(v, &out.period_s) && out.period_s > 0;
+      why = "expected a positive duration (seconds)";
+    } else if (c.key == "duty") {
+      ok = clause::ParseReal(v, &out.duty) && out.duty > 0 && out.duty < 1;
+      why = "expected a fraction in (0,1)";
+    } else if (c.key == "peak") {
+      ok = clause::ParseReal(v, &out.peak, 1);
+      why = "expected a multiplier >= 1";
+    } else if (c.key == "at") {
+      ok = clause::ParseReal(v, &out.at_s, 0);
+      why = "expected a non-negative time (seconds)";
+    } else if (c.key == "dur") {
+      ok = clause::ParseReal(v, &out.dur_s) && out.dur_s > 0;
+      why = "expected a positive duration (seconds)";
     }
+    if (!ok) return clause::Bad("workload", c.text, why);
   }
   if (out.model == Model::kContract &&
       out.num_contracts >= out.num_accounts) {
@@ -219,40 +151,41 @@ Result<Spec> Spec::Parse(const std::string& spec) {
 }
 
 std::string Spec::ToString() const {
-  std::string s;
+  std::string s = clause::NameOf(kModels, model);
   switch (model) {
-    case Model::kUniform: s = "uniform"; break;
-    case Model::kZipf: s = "zipf:" + FmtF(zipf_s); break;
-    case Model::kFlashCrowd: s = "flashcrowd:" + FmtU(hot_size); break;
-    case Model::kContract:
-      s = "contract:" + FmtU(contract_keys);
-      break;
+    case Model::kUniform: break;
+    case Model::kZipf: s += ":" + FormatG(zipf_s); break;
+    case Model::kFlashCrowd: s += ":" + FmtU(hot_size); break;
+    case Model::kContract: s += ":" + FmtU(contract_keys); break;
   }
   s += ",accounts:" + FmtU(num_accounts);
   if (model == Model::kUniform && cross_shard_ratio >= 0) {
-    s += ",cross:" + FmtF(cross_shard_ratio);
+    s += ",cross:" + FormatG(cross_shard_ratio);
   }
-  if (model != Model::kZipf && zipf_s > 0) s += ",skew:" + FmtF(zipf_s);
+  if (model != Model::kZipf && zipf_s > 0) s += ",skew:" + FormatG(zipf_s);
   if (amount_min != 1 || amount_max != 100) {
     s += ",amount:" + FmtU(amount_min) + ":" + FmtU(amount_max);
   }
   if (model == Model::kFlashCrowd) {
-    s += ",hot:" + FmtF(hot_fraction) + ",rotate:" + FmtU(rotate_every);
+    s += ",hot:" + FormatG(hot_fraction) + ",rotate:" + FmtU(rotate_every);
   }
   if (model == Model::kContract) s += ",contracts:" + FmtU(num_contracts);
+  if (arrival != Arrival::kConstant) {
+    s += ",arrival:" + std::string(clause::NameOf(kArrivals, arrival));
+  }
   switch (arrival) {
     case Arrival::kConstant:
       break;
     case Arrival::kBursty:
-      s += ",arrival:bursty,period:" + FmtF(period_s) + ",duty:" +
-           FmtF(duty) + ",peak:" + FmtF(peak);
+      s += ",period:" + FormatG(period_s) + ",duty:" + FormatG(duty) +
+           ",peak:" + FormatG(peak);
       break;
     case Arrival::kDiurnal:
-      s += ",arrival:diurnal,period:" + FmtF(period_s) + ",peak:" + FmtF(peak);
+      s += ",period:" + FormatG(period_s) + ",peak:" + FormatG(peak);
       break;
     case Arrival::kFlash:
-      s += ",arrival:flash,at:" + FmtF(at_s) + ",dur:" + FmtF(dur_s) +
-           ",peak:" + FmtF(peak);
+      s += ",at:" + FormatG(at_s) + ",dur:" + FormatG(dur_s) +
+           ",peak:" + FormatG(peak);
       break;
   }
   s += ",seed:" + FmtU(seed);
@@ -321,7 +254,7 @@ tx::Transaction ZipfTrafficModel::Next() {
 }
 
 std::string ZipfTrafficModel::Describe() const {
-  return "{\"model\":\"zipf\",\"s\":" + FmtF(spec_.zipf_s) +
+  return "{\"model\":\"zipf\",\"s\":" + FormatG(spec_.zipf_s) +
          ",\"accounts\":" + FmtU(spec_.num_accounts) +
          ",\"seed\":" + FmtU(spec_.seed) + "}";
 }
@@ -361,7 +294,7 @@ tx::Transaction FlashCrowdTrafficModel::Next() {
 
 std::string FlashCrowdTrafficModel::Describe() const {
   return "{\"model\":\"flashcrowd\",\"hot_size\":" + FmtU(spec_.hot_size) +
-         ",\"hot_fraction\":" + FmtF(spec_.hot_fraction) +
+         ",\"hot_fraction\":" + FormatG(spec_.hot_fraction) +
          ",\"rotate_every\":" + FmtU(spec_.rotate_every) +
          ",\"accounts\":" + FmtU(spec_.num_accounts) +
          ",\"seed\":" + FmtU(spec_.seed) + "}";
@@ -406,7 +339,7 @@ std::string ContractTrafficModel::Describe() const {
   return "{\"model\":\"contract\",\"keys_per_call\":" +
          FmtU(spec_.contract_keys) +
          ",\"contracts\":" + FmtU(spec_.num_contracts) +
-         ",\"contract_skew\":" + FmtF(spec_.zipf_s) +
+         ",\"contract_skew\":" + FormatG(spec_.zipf_s) +
          ",\"accounts\":" + FmtU(spec_.num_accounts) +
          ",\"seed\":" + FmtU(spec_.seed) + "}";
 }
@@ -431,8 +364,8 @@ double BurstyArrival::RateAt(double t_s) const {
 }
 
 std::string BurstyArrival::Describe() const {
-  return "{\"arrival\":\"bursty\",\"period_s\":" + FmtF(period_s_) +
-         ",\"duty\":" + FmtF(duty_) + ",\"peak\":" + FmtF(peak_) + "}";
+  return "{\"arrival\":\"bursty\",\"period_s\":" + FormatG(period_s_) +
+         ",\"duty\":" + FormatG(duty_) + ",\"peak\":" + FormatG(peak_) + "}";
 }
 
 DiurnalArrival::DiurnalArrival(double period_s, double peak)
@@ -445,8 +378,8 @@ double DiurnalArrival::RateAt(double t_s) const {
 }
 
 std::string DiurnalArrival::Describe() const {
-  return "{\"arrival\":\"diurnal\",\"period_s\":" + FmtF(period_s_) +
-         ",\"amplitude\":" + FmtF(amplitude_) + "}";
+  return "{\"arrival\":\"diurnal\",\"period_s\":" + FormatG(period_s_) +
+         ",\"amplitude\":" + FormatG(amplitude_) + "}";
 }
 
 FlashArrival::FlashArrival(double at_s, double dur_s, double peak)
@@ -457,8 +390,8 @@ double FlashArrival::RateAt(double t_s) const {
 }
 
 std::string FlashArrival::Describe() const {
-  return "{\"arrival\":\"flash\",\"at_s\":" + FmtF(at_s_) +
-         ",\"dur_s\":" + FmtF(dur_s_) + ",\"peak\":" + FmtF(peak_) + "}";
+  return "{\"arrival\":\"flash\",\"at_s\":" + FormatG(at_s_) +
+         ",\"dur_s\":" + FormatG(dur_s_) + ",\"peak\":" + FormatG(peak_) + "}";
 }
 
 }  // namespace porygon::workload

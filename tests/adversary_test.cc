@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -151,6 +152,8 @@ TEST(AdversarySpecTest, RejectsMalformedClauses) {
            "seed:xyz",             // Not a number.
            "bogus:1",              // Unknown key.
            "stateless",            // Missing value.
+           "alpha:nan",            // Not a finite fraction.
+           "seed:-1",              // Signed seed.
        }) {
     auto parsed = AdversarySpec::Parse(bad);
     ASSERT_FALSE(parsed.ok()) << bad;
@@ -181,6 +184,13 @@ TEST(AdversaryOptionsTest, ValidateEnforcesPaperBounds) {
     opt.adversary = MustParse("stateless:silent,alpha:0.3");
     EXPECT_TRUE(opt.Validate().IsInvalidArgument());
     opt.adversary = MustParse("storage:censor,beta:0.6");
+    EXPECT_TRUE(opt.Validate().IsInvalidArgument());
+    // A spec built in code skips Parse; NaN must still fail the bound.
+    opt.adversary = MustParse("stateless:silent");
+    opt.adversary.alpha = std::nan("");
+    EXPECT_TRUE(opt.Validate().IsInvalidArgument());
+    opt.adversary = MustParse("storage:censor");
+    opt.adversary.beta = std::nan("");
     EXPECT_TRUE(opt.Validate().IsInvalidArgument());
   }
   {

@@ -1,16 +1,24 @@
 // Tests for the common substrate: Status/Result, byte views, hex, the
-// binary codec, CRC-32C, the deterministic RNG, and Merkle paths.
+// binary codec, CRC-32C, the deterministic RNG, Merkle paths, and the
+// clause grammar every CLI spec is parsed with.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/bytes.h"
+#include "common/clause.h"
 #include "common/codec.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/adversary.h"
 #include "crypto/merkle.h"
+#include "net/dissemination.h"
+#include "workload/soak.h"
+#include "workload/traffic.h"
 
 namespace porygon {
 namespace {
@@ -239,6 +247,158 @@ TEST(MerklePathTest, EmptyAndSingleton) {
   auto leaf = crypto::Sha256::Hash(ToBytes("only"));
   EXPECT_EQ(crypto::ComputeMerkleRoot({leaf}), leaf);
   EXPECT_TRUE(crypto::VerifyMerklePath(leaf, leaf, 0, {}));
+}
+
+TEST(ClauseTest, SplitSkipsEmptyClausesAndKeepsValuesVerbatim) {
+  const std::vector<clause::Clause> cs =
+      clause::Split(",,crash:0:6,,amount:1:100,uniform,zipf:,");
+  ASSERT_EQ(cs.size(), 4u);
+  EXPECT_EQ(cs[0].key, "crash");
+  EXPECT_EQ(cs[0].value, "0:6");  // Only the first ':' cuts.
+  EXPECT_EQ(cs[1].text, "amount:1:100");
+  EXPECT_EQ(cs[2].key, "uniform");
+  EXPECT_FALSE(cs[2].has_value);
+  EXPECT_TRUE(cs[3].has_value);
+  EXPECT_TRUE(cs[3].value.empty());
+
+  // Nested comma-specs ride through a ';'-separated grammar untouched.
+  const std::vector<clause::Clause> soak =
+      clause::Split("rounds:4;faults:loss:0.1,dup:0.2;", ';');
+  ASSERT_EQ(soak.size(), 2u);
+  EXPECT_EQ(soak[1].key, "faults");
+  EXPECT_EQ(soak[1].value, "loss:0.1,dup:0.2");
+
+  const clause::Clause kn = clause::Cut("4/6", '/');
+  EXPECT_EQ(kn.key, "4");
+  EXPECT_EQ(kn.value, "6");
+  EXPECT_TRUE(clause::Split("").empty());
+  EXPECT_TRUE(clause::Split(",,,").empty());
+}
+
+TEST(ClauseTest, UnsignedParserIsStrict) {
+  uint64_t v = 0;
+  EXPECT_TRUE(clause::ParseU64("0", &v));
+  EXPECT_TRUE(clause::ParseU64("007", &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_TRUE(clause::ParseU64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 42;
+  for (const char* bad : {"", "-1", "-0", "+1", " 1", "1 ", "1x", "0x10",
+                          "18446744073709551616", "1e3", "nan"}) {
+    EXPECT_FALSE(clause::ParseU64(bad, &v)) << bad;
+    EXPECT_EQ(v, 42u) << bad;  // Untouched on failure.
+  }
+}
+
+TEST(ClauseTest, IntParserEnforcesItsRange) {
+  int v = 0;
+  EXPECT_TRUE(clause::ParseInt("-3", &v));
+  EXPECT_EQ(v, -3);
+  EXPECT_TRUE(clause::ParseInt("8", &v, 0, 8));
+  EXPECT_EQ(v, 8);
+  v = 5;
+  for (const char* bad : {"9", "-1", "", "+1", " 2", "2 ", "2.0"}) {
+    EXPECT_FALSE(clause::ParseInt(bad, &v, 0, 8)) << bad;
+    EXPECT_EQ(v, 5) << bad;
+  }
+  // Past int's range, never truncated into it.
+  EXPECT_FALSE(clause::ParseInt("4294967297", &v));
+  EXPECT_FALSE(clause::ParseInt("18446744073709551616", &v));
+  EXPECT_EQ(v, 5);
+}
+
+TEST(ClauseTest, RealParserAcceptsFiniteDecimalsOnly) {
+  // Every decimal form strtod reads as a finite value parses to the same
+  // bits.
+  for (const char* good : {"0.25", "1e3", "1E-2", "-0.5", ".5", "5.", "0",
+                           "-0", "25.5", "0.30000000000000004", "1e-310",
+                           "1.7976931348623157e308"}) {
+    double v = 0;
+    ASSERT_TRUE(clause::ParseReal(good, &v)) << good;
+    const double ref = std::strtod(good, nullptr);
+    EXPECT_EQ(std::memcmp(&v, &ref, sizeof(v)), 0) << good;
+  }
+  double v = 7;
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                          "1e999", "1e-400", "", " 1", "1 ", "+1", "0.5x",
+                          "1e", "0x10"}) {
+    EXPECT_FALSE(clause::ParseReal(bad, &v)) << bad;
+    EXPECT_EQ(v, 7.0) << bad;
+  }
+}
+
+TEST(ClauseTest, NameTableRoundTrips) {
+  enum class Color { kRed, kGreen, kBlue };
+  static constexpr clause::Named<Color> kColors[] = {
+      {Color::kRed, "red"}, {Color::kGreen, "green"}, {Color::kBlue, "blue"}};
+  for (Color c : {Color::kRed, Color::kGreen, Color::kBlue}) {
+    Color back = Color::kRed;
+    ASSERT_TRUE(clause::FromName(kColors, clause::NameOf(kColors, c), &back));
+    EXPECT_EQ(back, c);
+  }
+  Color untouched = Color::kBlue;
+  EXPECT_FALSE(clause::FromName(kColors, "Red", &untouched));
+  EXPECT_FALSE(clause::FromName(kColors, "", &untouched));
+  EXPECT_EQ(untouched, Color::kBlue);
+  // A value missing from the table falls back to the first row's name.
+  EXPECT_STREQ(clause::NameOf(kColors, static_cast<Color>(9)), "red");
+
+  EXPECT_STREQ(core::AdvStrategyName(core::AdvStrategy::kStaleReply),
+               "stale-reply");
+  EXPECT_STREQ(net::DisseminationModeName(net::DisseminationMode::kTree),
+               "tree");
+}
+
+TEST(ClauseTest, BadNamesTheGrammarAndTheClause) {
+  Status st = clause::Bad("fault", "loss:2");
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_EQ(st.message(), "bad fault clause 'loss:2'");
+  st = clause::Bad("workload", "hot:2", "expected a fraction in [0,1]");
+  EXPECT_EQ(st.message(),
+            "bad workload clause 'hot:2': expected a fraction in [0,1]");
+  EXPECT_EQ(clause::FormatG(0.25), "0.25");
+  EXPECT_EQ(clause::FormatG(1e-7), "1e-07");
+}
+
+// Canonical spec strings are exported in scenario rows and bench envelopes
+// and printed as soak --replay= commands, so their bytes are pinned here.
+TEST(ClauseTest, CanonicalSpecStringsKeepTheirBytes) {
+  auto adversary = core::AdversarySpec::Parse(
+      "stateless:tamper-exec,alpha:0.2,storage:stale-reply,beta:0.4");
+  ASSERT_TRUE(adversary.ok());
+  EXPECT_EQ(adversary->ToString(),
+            "stateless:tamper-exec,alpha:0.2,storage:stale-reply,beta:0.4,"
+            "seed:2779");
+
+  const std::pair<const char*, const char*> workloads[] = {
+      {"contract:8,accounts:1000,contracts:4,skew:1.2,amount:5:5",
+       "contract:8,accounts:1000,skew:1.2,amount:5:5,contracts:4,seed:1"},
+      {"flashcrowd:64,accounts:100000,hot:0.9,rotate:2000,arrival:bursty,"
+       "period:20,duty:0.25,peak:4,seed:11",
+       "flashcrowd:64,accounts:100000,hot:0.9,rotate:2000,arrival:bursty,"
+       "period:20,duty:0.25,peak:4,seed:11"},
+      {"uniform,arrival:diurnal,period:30,peak:2.5",
+       "uniform,accounts:10000,arrival:diurnal,period:30,peak:2.5,seed:1"},
+      {"uniform,accounts:100,arrival:flash,at:10,dur:5,peak:8,seed:1",
+       "uniform,accounts:100,arrival:flash,at:10,dur:5,peak:8,seed:1"},
+  };
+  for (const auto& [text, canonical] : workloads) {
+    auto spec = workload::Spec::Parse(text);
+    ASSERT_TRUE(spec.ok()) << text;
+    EXPECT_EQ(spec->ToString(), canonical);
+  }
+
+  auto tree = net::DisseminationSpec::Parse("tree,chunks:3/5,strikes:1");
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->ToString(), "tree,chunks:3/5,strikes:1");
+
+  const std::string soak =
+      "rounds:40;epoch:8;seed:9;nodes:30;storages:3;oc:5;shardbits:2;"
+      "tps:25.5;gap:45;workload:accounts:1000,cross:0.2;faults:loss:0.01;"
+      "adversary:stateless:equivocate;inject:7";
+  auto parsed = workload::SoakSpec::Parse(soak);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->ToString(), soak);
 }
 
 }  // namespace

@@ -71,6 +71,7 @@ TEST(DisseminationSpecTest, RejectsMalformedClauses) {
            "tree,chunks:5/5",     // ...k not < n...
            "tree,chunks:4/300",   // ...n past the GF(2^8) cap...
            "tree,strikes:0",      // ...and strikes below 1.
+           "tree,strikes:4294967297",  // Past int, never truncated.
        }) {
     auto parsed = DisseminationSpec::Parse(bad);
     EXPECT_TRUE(parsed.status().IsInvalidArgument()) << bad;

@@ -41,6 +41,49 @@ void ExpectCoreInvariants(PorygonSystem& sys) {
   for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
 }
 
+// --- Plan grammar -----------------------------------------------------------
+
+TEST(FaultInjectionTest, PlanParsesEveryClause) {
+  auto plan = net::FaultPlan::Parse(
+      "loss:0.05,dup:0.01,jitter:300,crash:0:6,recover:0:20,seed:9");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->link_faults.size(), 1u);
+  const net::FaultPlan::LinkFault& all = plan->link_faults[0];
+  EXPECT_EQ(all.from, net::kInvalidNode);  // One wildcard entry.
+  EXPECT_EQ(all.to, net::kInvalidNode);
+  EXPECT_DOUBLE_EQ(all.loss, 0.05);
+  EXPECT_DOUBLE_EQ(all.duplicate, 0.01);
+  EXPECT_EQ(all.extra_delay_max, 300);
+  ASSERT_EQ(plan->crashes.size(), 2u);
+  EXPECT_EQ(plan->crashes[0].node, 0u);
+  EXPECT_EQ(plan->crashes[0].at, net::FromSeconds(6));
+  EXPECT_FALSE(plan->crashes[0].recover);
+  EXPECT_EQ(plan->crashes[1].at, net::FromSeconds(20));
+  EXPECT_TRUE(plan->crashes[1].recover);
+  EXPECT_TRUE(plan->partitions.empty());
+  EXPECT_EQ(plan->seed, 9u);
+}
+
+TEST(FaultInjectionTest, PlanRejectsMalformedClauses) {
+  for (const char* bad : {
+           "loss:nan",      // Non-finite probability.
+           "loss:1.5",      // Probabilities outside [0,1].
+           "dup:-0.3",
+           "jitter:-5",     // Signed delay.
+           "crash:-1:5",    // Signed node id.
+           "crash:0:nan",   // Non-finite crash time.
+           "crash:0",       // Missing time.
+           "seed:-1",       // Signed seed.
+           "seed: 7",       // Whitespace.
+           "bogus:1",       // Unknown key.
+       }) {
+    auto plan = net::FaultPlan::Parse(bad);
+    EXPECT_TRUE(plan.status().IsInvalidArgument()) << bad;
+  }
+}
+
+// --- Injection --------------------------------------------------------------
+
 TEST(FaultInjectionTest, CrashedStatelessNodesDontStallRounds) {
   PorygonSystem sys(Opts());
   sys.CreateAccounts(100, 10'000);

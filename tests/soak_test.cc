@@ -43,6 +43,9 @@ TEST(SoakSpecTest, RejectsMalformedClauses) {
   EXPECT_FALSE(SoakSpec::Parse("rounds").ok());
   EXPECT_FALSE(SoakSpec::Parse("rounds:abc").ok());
   EXPECT_FALSE(SoakSpec::Parse("epoch:1").ok());  // 1 fails Validate().
+  EXPECT_FALSE(SoakSpec::Parse("rounds:-1").ok());  // Signed count.
+  EXPECT_FALSE(SoakSpec::Parse("tps:nan").ok());    // Non-finite reals.
+  EXPECT_FALSE(SoakSpec::Parse("gap:inf").ok());
   // Nested specs are validated eagerly, not at deployment time.
   EXPECT_FALSE(SoakSpec::Parse("adversary:nonsense:strategy").ok());
   EXPECT_FALSE(SoakSpec::Parse("faults:bogus:1").ok());

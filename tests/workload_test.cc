@@ -58,6 +58,9 @@ TEST(WorkloadSpecTest, RejectsBadClauses) {
            "uniform,arrival:nope",  // Unknown arrival.
            "flashcrowd:500,accounts:100",  // Hot set exceeds accounts.
            "contract:4,accounts:10,contracts:10",  // No user ids left.
+           "uniform,cross:nan",     // Non-finite reals...
+           "uniform,arrival:bursty,duty:nan",
+           "uniform,accounts:-5",   // ...and signed counts.
        }) {
     Result<Spec> spec = Spec::Parse(text);
     EXPECT_FALSE(spec.ok()) << text;
