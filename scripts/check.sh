@@ -24,6 +24,11 @@ run_suite() {
   # reused ids must match a fresh seal.
   ctest --test-dir "$dir" -R 'Sha256|TxBlocks|TxPool|TransactionTest|BlockTest' \
     --output-on-failure
+  # Wire codec suites: Writer/Reader primitives and the Count bound, the
+  # golden bytes of every encoded type with the prefix/trailing-byte sweep
+  # (out-of-bounds reads surface under ASan/UBSan), and forged counts that
+  # must be Corruption rather than an allocation failure.
+  ctest --test-dir "$dir" -R 'Codec|Wire|MessagesTest' --output-on-failure
   # Fault suite and spec grammars, called out explicitly: crash/recover
   # failover, censorship, same-seed determinism under an active FaultPlan,
   # and the shared clause grammar (strict numbers, every spec's rejection

@@ -4,153 +4,275 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "common/bytes.h"
-#include "common/codec.h"
 #include "common/status.h"
 
 namespace porygon::wire {
 
-/// Chainable wrapper over Encoder for message structs. Every field kind the
-/// message layer repeats by hand — fixed-width byte arrays (hashes, keys,
-/// signatures), doubles as IEEE-754 bit patterns, varints — is one call:
+/// The binary codec: every message, block, proof, signing payload and LSM
+/// record is built with a Writer and parsed with a Reader. Multi-byte
+/// integers are little-endian; variable-size payloads carry a LEB128 varint
+/// length prefix. Encoded bytes feed chain hashes and ids and encoded sizes
+/// feed the network simulator's bandwidth model, so a layout never changes
+/// (tests/wire_golden_test.cc pins one instance of each).
 ///
 ///   return wire::Writer()
 ///       .U64(round).U8(role).Array(node_key).F64(sortition).Take();
 class Writer {
  public:
-  Writer& U8(uint8_t v) { enc_.PutU8(v); return *this; }
-  Writer& U16(uint16_t v) { enc_.PutU16(v); return *this; }
-  Writer& U32(uint32_t v) { enc_.PutU32(v); return *this; }
-  Writer& U64(uint64_t v) { enc_.PutU64(v); return *this; }
-  Writer& Varint(uint64_t v) { enc_.PutVarint(v); return *this; }
-  Writer& Bool(bool v) { enc_.PutBool(v); return *this; }
-
+  Writer& U8(uint8_t v) {
+    buf_.push_back(v);
+    return *this;
+  }
+  Writer& U16(uint16_t v) {
+    return U8(static_cast<uint8_t>(v)).U8(static_cast<uint8_t>(v >> 8));
+  }
+  Writer& U32(uint32_t v) {
+    StoreLittleEndian32(Grow(4), v);
+    return *this;
+  }
+  Writer& U64(uint64_t v) {
+    StoreLittleEndian64(Grow(8), v);
+    return *this;
+  }
+  /// LEB128 unsigned varint.
+  Writer& Varint(uint64_t v);
+  Writer& Bool(bool v) { return U8(v ? 1 : 0); }
   /// IEEE-754 bits as a little-endian u64 (exact round-trip).
   Writer& F64(double v) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    enc_.PutU64(bits);
-    return *this;
+    return U64(bits);
   }
 
   /// Fixed-width byte array, no length prefix (Hash256, PublicKey, ...).
   template <size_t N>
   Writer& Array(const std::array<uint8_t, N>& a) {
-    enc_.PutFixed(ByteView(a.data(), N));
+    return Raw(a);
+  }
+  /// Length-prefixed byte string.
+  Writer& Blob(ByteView data) { return Varint(data.size()).Raw(data); }
+  Writer& Str(std::string_view s) { return Blob(s); }
+  /// Raw bytes, no length prefix (pre-encoded trailers, tags).
+  Writer& Raw(ByteView data) {
+    if (!data.empty()) std::memcpy(Grow(data.size()), data.data(), data.size());
     return *this;
   }
 
-  /// Length-prefixed byte string.
-  Writer& Blob(ByteView data) { enc_.PutBytes(data); return *this; }
-  Writer& Str(std::string_view s) { enc_.PutString(s); return *this; }
-  /// Raw bytes, no length prefix (pre-encoded trailers).
-  Writer& Raw(ByteView data) { enc_.PutFixed(data); return *this; }
+  /// A nested message as a length-prefixed `x.Encode()`.
+  template <typename T>
+  Writer& Nested(const T& x) {
+    return Blob(x.Encode());
+  }
 
-  Bytes Take() { return enc_.TakeBuffer(); }
-  size_t size() const { return enc_.size(); }
+  /// Varint element count, then each element: u32/u64 little-endian, byte
+  /// arrays raw, Bytes length-prefixed, nested vectors as lists, types with
+  /// `EncodeTo(Writer*)` inline, and any other type Nested().
+  template <typename T>
+  Writer& List(const std::vector<T>& items) {
+    Varint(items.size());
+    for (const T& x : items) Put(x);
+    return *this;
+  }
+
+  /// The bytes written so far (checksums over a partial record).
+  ByteView view() const { return buf_; }
+  Bytes Take() { return std::move(buf_); }
+  size_t size() const { return buf_.size(); }
 
  private:
-  Encoder enc_;
+  // Appends `n` zero bytes and returns where they start.
+  uint8_t* Grow(size_t n);
+
+  void Put(uint32_t v) { U32(v); }
+  void Put(uint64_t v) { U64(v); }
+  void Put(const Bytes& b) { Blob(b); }
+  template <size_t N>
+  void Put(const std::array<uint8_t, N>& a) {
+    Array(a);
+  }
+  template <typename T>
+  void Put(const std::vector<T>& v) {
+    List(v);
+  }
+  template <typename T>
+  void Put(const T& x) {
+    if constexpr (requires { x.EncodeTo(this); }) {
+      x.EncodeTo(this);
+    } else {
+      Nested(x);
+    }
+  }
+
+  Bytes buf_;
 };
 
-/// Chainable wrapper over Decoder. Each accessor fills an out-param; the
-/// first failure is recorded and turns the remaining calls into no-ops, so
-/// a whole struct decodes as one chain with a single check at the end:
+/// Streaming decoder over a borrowed view. Each accessor fills an
+/// out-param; the first failure is recorded and turns the remaining calls
+/// into no-ops, so a whole struct decodes as one chain with a single check
+/// at the end. Fixed-width fields decode straight from the input view:
 ///
 ///   RoleAnnounce a;
 ///   wire::Reader r(data);
 ///   r.U64(&a.round).U8(&a.role).Array(&a.node_key);
 ///   PORYGON_RETURN_IF_ERROR(r.Finish());
 ///
-/// Finish() also rejects trailing bytes, the usual `!dec.Done()` epilogue.
+/// Every element count goes through Count(), so a forged length prefix is
+/// Corruption before anything is allocated for it.
 class Reader {
  public:
-  explicit Reader(ByteView data) : dec_(data) {}
+  explicit Reader(ByteView data) : data_(data) {}
 
-  Reader& U8(uint8_t* out) { return Apply(out, dec_.GetU8()); }
-  Reader& U16(uint16_t* out) { return Apply(out, dec_.GetU16()); }
-  Reader& U32(uint32_t* out) { return Apply(out, dec_.GetU32()); }
-  Reader& U64(uint64_t* out) { return Apply(out, dec_.GetU64()); }
-  Reader& Varint(uint64_t* out) { return Apply(out, dec_.GetVarint()); }
-  Reader& Bool(bool* out) { return Apply(out, dec_.GetBool()); }
-
-  Reader& F64(double* out) {
-    if (!status_.ok()) return *this;
-    auto bits = dec_.GetU64();
-    if (!bits.ok()) {
-      status_ = bits.status();
-      return *this;
+  Reader& U8(uint8_t* out) {
+    if (const uint8_t* p = Take(1)) *out = p[0];
+    return *this;
+  }
+  Reader& U16(uint16_t* out) {
+    if (const uint8_t* p = Take(2)) {
+      *out = static_cast<uint16_t>(p[0] | p[1] << 8);
     }
-    uint64_t v = bits.value();
-    std::memcpy(out, &v, sizeof(v));
+    return *this;
+  }
+  Reader& U32(uint32_t* out) {
+    if (const uint8_t* p = Take(4)) *out = LoadLittleEndian32(p);
+    return *this;
+  }
+  Reader& U64(uint64_t* out) {
+    if (const uint8_t* p = Take(8)) *out = LoadLittleEndian64(p);
+    return *this;
+  }
+  Reader& Varint(uint64_t* out);
+  Reader& Bool(bool* out) {
+    uint8_t v = 0;
+    U8(&v).Require(v <= 1, "invalid bool");
+    if (ok()) *out = v == 1;
+    return *this;
+  }
+  Reader& F64(double* out) {
+    if (const uint8_t* p = Take(8)) {
+      const uint64_t bits = LoadLittleEndian64(p);
+      std::memcpy(out, &bits, sizeof(bits));
+    }
     return *this;
   }
 
   template <size_t N>
   Reader& Array(std::array<uint8_t, N>* out) {
-    if (!status_.ok()) return *this;
-    auto raw = dec_.GetFixed(N);
-    if (!raw.ok()) {
-      status_ = raw.status();
-      return *this;
+    if (const uint8_t* p = Take(N)) std::memcpy(out->data(), p, N);
+    return *this;
+  }
+  Reader& Blob(Bytes* out) {
+    ByteView v;
+    if (BlobView(&v).ok()) out->assign(v.begin(), v.end());
+    return *this;
+  }
+  /// A Nested() message, decoded by `T::Decode` straight from the input
+  /// view, with no intermediate copy.
+  template <typename T>
+  Reader& Nested(T* out) {
+    ByteView raw;
+    if (!BlobView(&raw).ok()) return *this;
+    auto decoded = T::Decode(raw);
+    if (!decoded.ok()) {
+      status_ = decoded.status();
+    } else {
+      *out = std::move(decoded).value();
     }
-    std::memcpy(out->data(), raw.value().data(), N);
     return *this;
   }
 
-  Reader& Blob(Bytes* out) { return Apply(out, dec_.GetBytes()); }
-  Reader& Str(std::string* out) { return Apply(out, dec_.GetString()); }
+  /// Reads a varint element count and fails with Corruption unless the
+  /// remaining input can hold `*n` elements of at least
+  /// `min_element_bytes` (>= 1) each.
+  Reader& Count(uint64_t* n, size_t min_element_bytes);
 
-  /// Borrowed-buffer variant of Blob: the view aliases the Reader's input,
-  /// so nested payloads (relay-forwarded bodies, bundled sub-messages) can
-  /// be decoded or re-hashed without an intermediate copy.
-  Reader& BlobView(ByteView* out) { return Apply(out, dec_.GetBytesView()); }
-
-  /// Borrowed-buffer variant of a fixed-width field (no length prefix).
-  Reader& FixedView(size_t n, ByteView* out) {
-    return Apply(out, dec_.GetFixedView(n));
+  /// A Count()-bounded list in Writer::List's layout.
+  template <typename T>
+  Reader& List(std::vector<T>* out) {
+    uint64_t n = 0;
+    if (!Count(&n, MinWireSize<T>()).ok()) return *this;
+    out->resize(n);
+    for (T& x : *out) Get(&x);
+    return *this;
   }
 
-  /// Consumes every remaining byte (pre-encoded trailers).
-  Reader& Rest(Bytes* out) { return Apply(out, dec_.GetFixed(dec_.remaining())); }
-  /// Borrowed-buffer variant of Rest.
-  Reader& RestView(ByteView* out) {
-    return Apply(out, dec_.GetFixedView(dec_.remaining()));
+  /// Records Corruption(`what`) unless `cond` holds: semantic checks
+  /// (enum ranges, caps) inside a chain.
+  Reader& Require(bool cond, const char* what) {
+    if (ok() && !cond) status_ = Status::Corruption(what);
+    return *this;
   }
-
-  /// Escape hatch to the underlying Decoder for streamed sub-decodes
-  /// (e.g. Transaction::DecodeFrom in block bodies).
-  Decoder* decoder() { return &dec_; }
 
   /// The first decode error, or Corruption when input remains unconsumed.
   /// `what` names the message for the trailing-bytes diagnostic.
-  Status Finish(std::string_view what = "message") {
-    PORYGON_RETURN_IF_ERROR(status_);
-    if (!dec_.Done()) {
-      return Status::Corruption("trailing " + std::string(what) + " bytes");
-    }
-    return Status::Ok();
-  }
+  Status Finish(std::string_view what = "message") const;
 
+  bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
-  size_t remaining() const { return dec_.remaining(); }
+  size_t remaining() const { return data_.size(); }
 
  private:
-  template <typename T, typename R>
-  Reader& Apply(T* out, R&& result) {
-    if (!status_.ok()) return *this;
-    if (!result.ok()) {
-      status_ = result.status();
-    } else {
-      *out = std::move(result).value();
+  // The next `n` input bytes, or nullptr (recording Corruption) when an
+  // earlier read failed or the input is short.
+  const uint8_t* Take(size_t n) {
+    if (!ok()) return nullptr;
+    if (data_.size() < n) {
+      status_ = Status::Corruption("truncated input");
+      return nullptr;
     }
+    const uint8_t* p = data_.data();
+    data_.RemovePrefix(n);
+    return p;
+  }
+  // A length-prefixed field as a view into the input.
+  Reader& BlobView(ByteView* out) {
+    uint64_t n = 0;
+    const uint8_t* p = Varint(&n).Take(n);
+    if (ok()) *out = ByteView(p, n);
     return *this;
   }
 
-  Decoder dec_;
-  Status status_ = Status::Ok();
+  // Smallest encoding of one list element, for Count's bound.
+  template <typename T>
+  static constexpr size_t MinWireSize() {
+    if constexpr (std::is_integral_v<T>) {
+      return sizeof(T);
+    } else if constexpr (requires { T::kMinWireSize; }) {
+      return T::kMinWireSize;
+    } else if constexpr (requires { std::tuple_size<T>::value; }) {
+      return std::tuple_size_v<T>;
+    } else {
+      return 1;  // Blobs and nested lists: at least their varint prefix.
+    }
+  }
+
+  void Get(uint32_t* v) { U32(v); }
+  void Get(uint64_t* v) { U64(v); }
+  void Get(Bytes* b) { Blob(b); }
+  template <size_t N>
+  void Get(std::array<uint8_t, N>* a) {
+    Array(a);
+  }
+  template <typename T>
+  void Get(std::vector<T>* v) {
+    List(v);
+  }
+  template <typename T>
+  void Get(T* x) {
+    if constexpr (requires { x->DecodeFrom(this); }) {
+      x->DecodeFrom(this);
+    } else {
+      Nested(x);
+    }
+  }
+
+  ByteView data_;
+  Status status_;
 };
 
 }  // namespace porygon::wire

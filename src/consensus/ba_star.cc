@@ -4,45 +4,44 @@
 #include <cstring>
 #include <string>
 
-#include "common/codec.h"
-
 namespace porygon::consensus {
 
 Bytes Vote::SigningBytes() const {
-  Encoder enc;
-  enc.PutString("porygon.vote");
-  enc.PutU64(instance);
-  enc.PutU32(step);
-  enc.PutU8(kind);
-  enc.PutFixed(ByteView(value.data(), value.size()));
-  return enc.TakeBuffer();
+  return wire::Writer()
+      .Str("porygon.vote")
+      .U64(instance)
+      .U32(step)
+      .U8(kind)
+      .Array(value)
+      .Take();
+}
+
+void Vote::EncodeTo(wire::Writer* w) const {
+  w->U64(instance).U32(step).U8(kind).Array(value).Array(voter).Array(
+      signature);
+}
+
+void Vote::DecodeFrom(wire::Reader* r) {
+  r->U64(&instance)
+      .U32(&step)
+      .U8(&kind)
+      .Require(kind <= kCert, "bad vote kind")
+      .Array(&value)
+      .Array(&voter)
+      .Array(&signature);
 }
 
 Bytes Vote::Encode() const {
-  Encoder enc;
-  enc.PutU64(instance);
-  enc.PutU32(step);
-  enc.PutU8(kind);
-  enc.PutFixed(ByteView(value.data(), value.size()));
-  enc.PutFixed(ByteView(voter.data(), voter.size()));
-  enc.PutFixed(ByteView(signature.data(), signature.size()));
-  return enc.TakeBuffer();
+  wire::Writer w;
+  EncodeTo(&w);
+  return w.Take();
 }
 
 Result<Vote> Vote::Decode(ByteView data) {
-  Decoder dec(data);
   Vote v;
-  PORYGON_ASSIGN_OR_RETURN(v.instance, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(v.step, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(v.kind, dec.GetU8());
-  if (v.kind > Vote::kCert) return Status::Corruption("bad vote kind");
-  PORYGON_ASSIGN_OR_RETURN(Bytes value, dec.GetFixed(32));
-  std::memcpy(v.value.data(), value.data(), 32);
-  PORYGON_ASSIGN_OR_RETURN(Bytes voter, dec.GetFixed(32));
-  std::memcpy(v.voter.data(), voter.data(), 32);
-  PORYGON_ASSIGN_OR_RETURN(Bytes sig, dec.GetFixed(64));
-  std::memcpy(v.signature.data(), sig.data(), 64);
-  if (!dec.Done()) return Status::Corruption("trailing vote bytes");
+  wire::Reader r(data);
+  v.DecodeFrom(&r);
+  PORYGON_RETURN_IF_ERROR(r.Finish("vote"));
   return v;
 }
 
@@ -51,46 +50,23 @@ size_t DecisionCert::WireSize() const {
   return 8 + 32 + votes.size() * (8 + 4 + 1 + 32 + 32 + 64);
 }
 
+// The vote count is a u32 (not a varint), capped at 4,096 votes.
 Bytes DecisionCert::Encode() const {
-  Encoder enc;
-  enc.PutU64(instance);
-  enc.PutFixed(ByteView(value.data(), value.size()));
-  enc.PutU32(static_cast<uint32_t>(votes.size()));
-  for (const Vote& v : votes) {
-    enc.PutU64(v.instance);
-    enc.PutU32(v.step);
-    enc.PutU8(v.kind);
-    enc.PutFixed(ByteView(v.value.data(), v.value.size()));
-    enc.PutFixed(ByteView(v.voter.data(), v.voter.size()));
-    enc.PutFixed(ByteView(v.signature.data(), v.signature.size()));
-  }
-  return enc.TakeBuffer();
+  wire::Writer w;
+  w.U64(instance).Array(value).U32(static_cast<uint32_t>(votes.size()));
+  for (const Vote& v : votes) v.EncodeTo(&w);
+  return w.Take();
 }
 
 Result<DecisionCert> DecisionCert::Decode(ByteView data) {
-  Decoder dec(data);
   DecisionCert cert;
-  PORYGON_ASSIGN_OR_RETURN(cert.instance, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(Bytes value, dec.GetFixed(32));
-  std::memcpy(cert.value.data(), value.data(), 32);
-  PORYGON_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
-  if (n > 4096) return Status::Corruption("oversized cert");
-  cert.votes.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Vote v;
-    PORYGON_ASSIGN_OR_RETURN(v.instance, dec.GetU64());
-    PORYGON_ASSIGN_OR_RETURN(v.step, dec.GetU32());
-    PORYGON_ASSIGN_OR_RETURN(v.kind, dec.GetU8());
-    if (v.kind > Vote::kCert) return Status::Corruption("bad vote kind");
-    PORYGON_ASSIGN_OR_RETURN(Bytes vv, dec.GetFixed(32));
-    std::memcpy(v.value.data(), vv.data(), 32);
-    PORYGON_ASSIGN_OR_RETURN(Bytes voter, dec.GetFixed(32));
-    std::memcpy(v.voter.data(), voter.data(), 32);
-    PORYGON_ASSIGN_OR_RETURN(Bytes sig, dec.GetFixed(64));
-    std::memcpy(v.signature.data(), sig.data(), 64);
-    cert.votes.push_back(std::move(v));
-  }
-  if (!dec.Done()) return Status::Corruption("trailing cert bytes");
+  wire::Reader r(data);
+  uint32_t n = 0;
+  r.U64(&cert.instance).Array(&cert.value).U32(&n).Require(n <= 4096,
+                                                           "oversized cert");
+  if (r.ok()) cert.votes.resize(n);
+  for (Vote& v : cert.votes) v.DecodeFrom(&r);
+  PORYGON_RETURN_IF_ERROR(r.Finish("cert"));
   return cert;
 }
 

@@ -10,6 +10,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "common/wire.h"
 #include "crypto/provider.h"
 #include "crypto/sha256.h"
 #include "obs/metrics.h"
@@ -35,6 +36,9 @@ struct Vote {
 
   Bytes Encode() const;
   static Result<Vote> Decode(ByteView data);
+  /// Streamed forms, shared with DecisionCert's vote list.
+  void EncodeTo(wire::Writer* w) const;
+  void DecodeFrom(wire::Reader* r);
   /// The signed portion (everything but voter + signature).
   Bytes SigningBytes() const;
 };

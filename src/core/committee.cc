@@ -1,15 +1,15 @@
 #include "core/committee.h"
 
-#include "common/codec.h"
+#include "common/wire.h"
 
 namespace porygon::core {
 
 Bytes Sortition::SeedFor(uint64_t round, const crypto::Hash256& prev_hash) {
-  Encoder enc;
-  enc.PutString("porygon.sortition");
-  enc.PutU64(round);
-  enc.PutFixed(ByteView(prev_hash.data(), prev_hash.size()));
-  return enc.TakeBuffer();
+  return wire::Writer()
+      .Str("porygon.sortition")
+      .U64(round)
+      .Array(prev_hash)
+      .Take();
 }
 
 namespace {

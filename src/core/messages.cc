@@ -1,64 +1,20 @@
 #include "core/messages.h"
 
-#include <cstring>
-
-#include "common/codec.h"
 #include "common/wire.h"
 #include "crypto/sha256.h"
 
 namespace porygon::core {
 
-namespace {
-void PutHash(Encoder* enc, const crypto::Hash256& h) {
-  enc->PutFixed(ByteView(h.data(), h.size()));
+std::string IdKey(const crypto::Hash256& h) {
+  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
 }
-Result<crypto::Hash256> GetHash(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(32));
-  crypto::Hash256 h;
-  std::memcpy(h.data(), raw.data(), 32);
-  return h;
+
+Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header) {
+  return wire::Writer()
+      .Raw(ByteView("porygon.witness"))
+      .Raw(header.Encode())
+      .Take();
 }
-void PutKey(Encoder* enc, const crypto::PublicKey& k) {
-  enc->PutFixed(ByteView(k.data(), k.size()));
-}
-Result<crypto::PublicKey> GetKey(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(32));
-  crypto::PublicKey k;
-  std::memcpy(k.data(), raw.data(), 32);
-  return k;
-}
-void PutSig(Encoder* enc, const crypto::Signature& s) {
-  enc->PutFixed(ByteView(s.data(), s.size()));
-}
-Result<crypto::Signature> GetSig(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(64));
-  crypto::Signature s;
-  std::memcpy(s.data(), raw.data(), 64);
-  return s;
-}
-// State updates are varint-coded: typical entries (20-bit accounts, sub-2^32
-// balances, tiny nonces) cost ~8 bytes instead of 24 — these lists dominate
-// the exec-result fan-in to the OC and the update lists in proposal blocks.
-void PutUpdate(Encoder* enc, const tx::StateUpdate& u) {
-  enc->PutVarint(u.account);
-  enc->PutVarint(u.value.balance);
-  enc->PutVarint(u.value.nonce);
-}
-Result<tx::StateUpdate> GetUpdate(Decoder* dec) {
-  tx::StateUpdate u;
-  PORYGON_ASSIGN_OR_RETURN(u.account, dec->GetVarint());
-  PORYGON_ASSIGN_OR_RETURN(u.value.balance, dec->GetVarint());
-  PORYGON_ASSIGN_OR_RETURN(u.value.nonce, dec->GetVarint());
-  return u;
-}
-// wire::Writer/Reader twins of PutUpdate/GetUpdate for the ported codecs.
-void WriteUpdate(wire::Writer* w, const tx::StateUpdate& u) {
-  w->Varint(u.account).Varint(u.value.balance).Varint(u.value.nonce);
-}
-void ReadUpdate(wire::Reader* r, tx::StateUpdate* u) {
-  r->Varint(&u->account).Varint(&u->value.balance).Varint(&u->value.nonce);
-}
-}  // namespace
 
 int PhaseOfKind(uint16_t kind) {
   switch (kind) {
@@ -164,20 +120,18 @@ Result<ResyncRequest> ResyncRequest::Decode(ByteView data) {
 }
 
 Bytes WitnessUpload::Encode() const {
-  return wire::Writer()
-      .U64(round)
-      .U32(shard)
-      .Raw(proof.Encode())
-      .Take();
+  wire::Writer w;
+  w.U64(round).U32(shard);
+  proof.EncodeTo(&w);
+  return w.Take();
 }
 
 Result<WitnessUpload> WitnessUpload::Decode(ByteView data) {
   WitnessUpload w;
-  ByteView rest;
   wire::Reader r(data);
-  r.U64(&w.round).U32(&w.shard).RestView(&rest);
-  PORYGON_RETURN_IF_ERROR(r.status());
-  PORYGON_ASSIGN_OR_RETURN(w.proof, tx::WitnessProof::Decode(rest));
+  r.U64(&w.round).U32(&w.shard);
+  w.proof.DecodeFrom(&r);
+  PORYGON_RETURN_IF_ERROR(r.Finish("witness-upload"));
   return w;
 }
 
@@ -193,52 +147,23 @@ size_t WitnessedBlock::WireSize() const {
          accesses.size() * 6;
 }
 
+void TxAccess::EncodeTo(wire::Writer* w) const {
+  w->Array(id).U64(from).U64(to).U64(amount).U64(nonce).U64(submitted_at);
+}
+
+void TxAccess::DecodeFrom(wire::Reader* r) {
+  r->Array(&id).U64(&from).U64(&to).U64(&amount).U64(&nonce).U64(
+      &submitted_at);
+}
+
 Bytes WitnessedBlock::Encode() const {
-  wire::Writer w;
-  w.Blob(header.Encode()).Varint(proofs.size());
-  for (const auto& p : proofs) w.Raw(p.Encode());
-  w.Varint(accesses.size());
-  for (const auto& a : accesses) {
-    w.Array(a.id)
-        .U64(a.from)
-        .U64(a.to)
-        .U64(a.amount)
-        .U64(a.nonce)
-        .U64(a.submitted_at);
-  }
-  return w.Take();
+  return wire::Writer().Nested(header).List(proofs).List(accesses).Take();
 }
 
 Result<WitnessedBlock> WitnessedBlock::Decode(ByteView data) {
   WitnessedBlock b;
   wire::Reader r(data);
-  ByteView header_raw;
-  uint64_t n_proofs = 0;
-  r.BlobView(&header_raw).Varint(&n_proofs);
-  PORYGON_RETURN_IF_ERROR(r.status());
-  PORYGON_ASSIGN_OR_RETURN(b.header,
-                           tx::TransactionBlockHeader::Decode(header_raw));
-  b.proofs.reserve(n_proofs);
-  for (uint64_t i = 0; i < n_proofs; ++i) {
-    ByteView raw;
-    r.FixedView(tx::WitnessProof::kWireSize, &raw);
-    PORYGON_RETURN_IF_ERROR(r.status());
-    PORYGON_ASSIGN_OR_RETURN(auto proof, tx::WitnessProof::Decode(raw));
-    b.proofs.push_back(std::move(proof));
-  }
-  uint64_t n_access = 0;
-  r.Varint(&n_access);
-  for (uint64_t i = 0; i < n_access; ++i) {
-    TxAccess a;
-    r.Array(&a.id)
-        .U64(&a.from)
-        .U64(&a.to)
-        .U64(&a.amount)
-        .U64(&a.nonce)
-        .U64(&a.submitted_at);
-    if (!r.status().ok()) break;
-    b.accesses.push_back(a);
-  }
+  r.Nested(&b.header).List(&b.proofs).List(&b.accesses);
   PORYGON_RETURN_IF_ERROR(r.Finish("witnessed-block"));
   return b;
 }
@@ -250,156 +175,99 @@ size_t WitnessBundle::WireSize() const {
 }
 
 Bytes WitnessBundle::Encode() const {
-  wire::Writer w;
-  w.U64(batch_round).Varint(blocks.size());
-  for (const auto& b : blocks) w.Blob(b.Encode());
-  return w.Take();
+  return wire::Writer().U64(batch_round).List(blocks).Take();
 }
 
 Result<WitnessBundle> WitnessBundle::Decode(ByteView data) {
   WitnessBundle w;
   wire::Reader r(data);
-  uint64_t n = 0;
-  r.U64(&w.batch_round).Varint(&n);
-  w.blocks.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ByteView raw;
-    r.BlobView(&raw);
-    PORYGON_RETURN_IF_ERROR(r.status());
-    PORYGON_ASSIGN_OR_RETURN(auto block, WitnessedBlock::Decode(raw));
-    w.blocks.push_back(std::move(block));
-  }
+  r.U64(&w.batch_round).List(&w.blocks);
   PORYGON_RETURN_IF_ERROR(r.Finish("bundle"));
   return w;
 }
 
 Bytes ExecRequest::Encode() const {
-  Encoder enc;
-  enc.PutU64(round);
-  enc.PutU32(shard);
-  enc.PutVarint(block_ids.size());
-  for (const auto& id : block_ids) PutHash(&enc, id);
-  enc.PutVarint(updates.size());
-  for (const auto& u : updates) PutUpdate(&enc, u);
-  enc.PutVarint(discarded.size());
-  for (const auto& id : discarded) PutHash(&enc, id);
-  PutHash(&enc, shard_root);
-  enc.PutVarint(all_roots.size());
-  for (const auto& root : all_roots) PutHash(&enc, root);
-  enc.PutVarint(members.size());
-  for (auto m : members) enc.PutU32(m);
-  return enc.TakeBuffer();
+  return wire::Writer()
+      .U64(round)
+      .U32(shard)
+      .List(block_ids)
+      .List(updates)
+      .List(discarded)
+      .Array(shard_root)
+      .List(all_roots)
+      .List(members)
+      .Take();
 }
 
 Result<ExecRequest> ExecRequest::Decode(ByteView data) {
-  Decoder dec(data);
-  ExecRequest r;
-  PORYGON_ASSIGN_OR_RETURN(r.round, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(r.shard, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_blocks, dec.GetVarint());
-  for (uint64_t i = 0; i < n_blocks; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(auto id, GetHash(&dec));
-    r.block_ids.push_back(id);
-  }
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_updates, dec.GetVarint());
-  for (uint64_t i = 0; i < n_updates; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(auto u, GetUpdate(&dec));
-    r.updates.push_back(u);
-  }
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_disc, dec.GetVarint());
-  for (uint64_t i = 0; i < n_disc; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(auto id, GetHash(&dec));
-    r.discarded.push_back(id);
-  }
-  PORYGON_ASSIGN_OR_RETURN(r.shard_root, GetHash(&dec));
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_roots, dec.GetVarint());
-  r.all_roots.resize(n_roots);
-  for (auto& root : r.all_roots) {
-    PORYGON_ASSIGN_OR_RETURN(root, GetHash(&dec));
-  }
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_members, dec.GetVarint());
-  r.members.resize(n_members);
-  for (auto& m : r.members) {
-    PORYGON_ASSIGN_OR_RETURN(m, dec.GetU32());
-  }
-  if (!dec.Done()) return Status::Corruption("trailing exec-request bytes");
-  return r;
+  ExecRequest req;
+  wire::Reader r(data);
+  r.U64(&req.round)
+      .U32(&req.shard)
+      .List(&req.block_ids)
+      .List(&req.updates)
+      .List(&req.discarded)
+      .Array(&req.shard_root)
+      .List(&req.all_roots)
+      .List(&req.members);
+  PORYGON_RETURN_IF_ERROR(r.Finish("exec-request"));
+  return req;
 }
 
 Bytes StateRequest::Encode() const {
-  Encoder enc;
-  enc.PutU64(round);
-  enc.PutU32(shard);
-  enc.PutVarint(accounts.size());
-  for (auto a : accounts) enc.PutU64(a);
-  return enc.TakeBuffer();
+  return wire::Writer().U64(round).U32(shard).List(accounts).Take();
 }
 
 Result<StateRequest> StateRequest::Decode(ByteView data) {
-  Decoder dec(data);
-  StateRequest r;
-  PORYGON_ASSIGN_OR_RETURN(r.round, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(r.shard, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(uint64_t a, dec.GetU64());
-    r.accounts.push_back(a);
-  }
-  if (!dec.Done()) return Status::Corruption("trailing state-request bytes");
-  return r;
+  StateRequest req;
+  wire::Reader r(data);
+  r.U64(&req.round).U32(&req.shard).List(&req.accounts);
+  PORYGON_RETURN_IF_ERROR(r.Finish("state-request"));
+  return req;
 }
 
 size_t StateResponse::WireSize() const {
   return 12 + entries.size() * 17 + proof_bytes;
 }
 
+void StateResponse::Entry::EncodeTo(wire::Writer* w) const {
+  w->U64(account).Bool(present).U64(value.balance).U64(value.nonce);
+}
+
+void StateResponse::Entry::DecodeFrom(wire::Reader* r) {
+  r->U64(&account).Bool(&present).U64(&value.balance).U64(&value.nonce);
+}
+
 Bytes StateResponse::Encode() const {
-  Encoder enc;
-  enc.PutU64(round);
-  enc.PutU32(shard);
-  enc.PutVarint(entries.size());
-  for (const auto& e : entries) {
-    enc.PutU64(e.account);
-    enc.PutBool(e.present);
-    enc.PutU64(e.value.balance);
-    enc.PutU64(e.value.nonce);
-  }
-  enc.PutU64(proof_bytes);
-  enc.PutVarint(proofs.size());
-  for (const auto& p : proofs) enc.PutBytes(p);
-  return enc.TakeBuffer();
+  return wire::Writer()
+      .U64(round)
+      .U32(shard)
+      .List(entries)
+      .U64(proof_bytes)
+      .List(proofs)
+      .Take();
 }
 
 Result<StateResponse> StateResponse::Decode(ByteView data) {
-  Decoder dec(data);
-  StateResponse r;
-  PORYGON_ASSIGN_OR_RETURN(r.round, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(r.shard, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    Entry e;
-    PORYGON_ASSIGN_OR_RETURN(e.account, dec.GetU64());
-    PORYGON_ASSIGN_OR_RETURN(e.present, dec.GetBool());
-    PORYGON_ASSIGN_OR_RETURN(e.value.balance, dec.GetU64());
-    PORYGON_ASSIGN_OR_RETURN(e.value.nonce, dec.GetU64());
-    r.entries.push_back(e);
-  }
-  PORYGON_ASSIGN_OR_RETURN(r.proof_bytes, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_proofs, dec.GetVarint());
-  for (uint64_t i = 0; i < n_proofs; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(Bytes p, dec.GetBytes());
-    r.proofs.push_back(std::move(p));
-  }
-  if (!dec.Done()) return Status::Corruption("trailing state-response bytes");
-  return r;
+  StateResponse resp;
+  wire::Reader r(data);
+  r.U64(&resp.round)
+      .U32(&resp.shard)
+      .List(&resp.entries)
+      .U64(&resp.proof_bytes)
+      .List(&resp.proofs);
+  PORYGON_RETURN_IF_ERROR(r.Finish("state-response"));
+  return resp;
 }
 
 crypto::Hash256 ExecResultMsg::HashSSet(
     const std::vector<tx::StateUpdate>& s) {
-  Encoder enc;
-  enc.PutVarint(s.size());
-  for (const auto& u : s) PutUpdate(&enc, u);
-  return crypto::Sha256::Hash(enc.buffer());
+  return crypto::Sha256::Hash(wire::Writer().List(s).Take());
+}
+
+std::string ExecResultMsg::ResultKey(const crypto::Hash256& new_root,
+                                     const crypto::Hash256& s_hash) {
+  return IdKey(new_root) + IdKey(s_hash);
 }
 
 Bytes ExecResultMsg::SigningBytes() const {
@@ -416,19 +284,9 @@ Bytes ExecResultMsg::SigningBytes() const {
 
 Bytes ExecResultMsg::Encode() const {
   wire::Writer w;
-  w.U64(exec_round)
-      .U32(shard)
-      .Array(new_root)
-      .Array(s_hash)
-      .Bool(full);
-  if (full) {
-    w.Varint(s_set.size());
-    for (const auto& u : s_set) WriteUpdate(&w, u);
-  }
-  w.U32(intra_applied)
-      .U32(cross_pre_executed)
-      .Array(signer)
-      .Array(signature);
+  w.U64(exec_round).U32(shard).Array(new_root).Array(s_hash).Bool(full);
+  if (full) w.List(s_set);
+  w.U32(intra_applied).U32(cross_pre_executed).Array(signer).Array(signature);
   return w.Take();
 }
 
@@ -440,17 +298,7 @@ Result<ExecResultMsg> ExecResultMsg::Decode(ByteView data) {
       .Array(&m.new_root)
       .Array(&m.s_hash)
       .Bool(&m.full);
-  if (m.full && r.status().ok()) {
-    uint64_t n = 0;
-    r.Varint(&n);
-    m.s_set.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      tx::StateUpdate u;
-      ReadUpdate(&r, &u);
-      if (!r.status().ok()) break;
-      m.s_set.push_back(u);
-    }
-  }
+  if (m.full) r.List(&m.s_set);
   r.U32(&m.intra_applied)
       .U32(&m.cross_pre_executed)
       .Array(&m.signer)
@@ -460,35 +308,26 @@ Result<ExecResultMsg> ExecResultMsg::Decode(ByteView data) {
 }
 
 Bytes Relay::Encode() const {
-  Encoder enc;
-  enc.PutU8(target);
-  enc.PutU64(round);
-  enc.PutU32(shard);
-  enc.PutU32(dest);
-  enc.PutU16(inner_kind);
-  enc.PutBytes(inner);
-  if (trace.trace_id != 0) {
-    enc.PutU64(trace.trace_id);
-    enc.PutU64(trace.parent_span);
-  }
-  return enc.TakeBuffer();
+  wire::Writer w;
+  w.U8(target).U64(round).U32(shard).U32(dest).U16(inner_kind).Blob(inner);
+  if (trace.trace_id != 0) w.U64(trace.trace_id).U64(trace.parent_span);
+  return w.Take();
 }
 
 Result<Relay> Relay::Decode(ByteView data) {
-  Decoder dec(data);
-  Relay r;
-  PORYGON_ASSIGN_OR_RETURN(r.target, dec.GetU8());
-  PORYGON_ASSIGN_OR_RETURN(r.round, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(r.shard, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(r.dest, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(r.inner_kind, dec.GetU16());
-  PORYGON_ASSIGN_OR_RETURN(r.inner, dec.GetBytes());
-  if (!dec.Done()) {
-    PORYGON_ASSIGN_OR_RETURN(r.trace.trace_id, dec.GetU64());
-    PORYGON_ASSIGN_OR_RETURN(r.trace.parent_span, dec.GetU64());
+  Relay relay;
+  wire::Reader r(data);
+  r.U8(&relay.target)
+      .U64(&relay.round)
+      .U32(&relay.shard)
+      .U32(&relay.dest)
+      .U16(&relay.inner_kind)
+      .Blob(&relay.inner);
+  if (r.remaining() > 0) {
+    r.U64(&relay.trace.trace_id).U64(&relay.trace.parent_span);
   }
-  if (!dec.Done()) return Status::Corruption("trailing relay bytes");
-  return r;
+  PORYGON_RETURN_IF_ERROR(r.Finish("relay"));
+  return relay;
 }
 
 size_t BodyChunk::WireSize() const {
@@ -497,37 +336,29 @@ size_t BodyChunk::WireSize() const {
 }
 
 Bytes BodyChunk::Encode() const {
-  wire::Writer w;
-  w.U64(round)
+  return wire::Writer()
+      .U64(round)
       .U32(shard)
-      .Blob(header.Encode())
+      .Nested(header)
       .U16(index)
       .U16(k)
       .U16(n)
-      .Varint(peers.size());
-  for (net::NodeId p : peers) w.U32(p);
-  w.Blob(payload);
-  return w.Take();
+      .List(peers)
+      .Blob(payload)
+      .Take();
 }
 
 Result<BodyChunk> BodyChunk::Decode(ByteView data) {
   BodyChunk c;
   wire::Reader r(data);
-  ByteView header_raw;
-  r.U64(&c.round).U32(&c.shard).BlobView(&header_raw);
-  PORYGON_RETURN_IF_ERROR(r.status());
-  PORYGON_ASSIGN_OR_RETURN(c.header,
-                           tx::TransactionBlockHeader::Decode(header_raw));
-  uint64_t n_peers = 0;
-  r.U16(&c.index).U16(&c.k).U16(&c.n).Varint(&n_peers);
-  if (r.status().ok()) c.peers.reserve(n_peers);
-  for (uint64_t i = 0; i < n_peers; ++i) {
-    net::NodeId p = net::kInvalidNode;
-    r.U32(&p);
-    if (!r.status().ok()) break;
-    c.peers.push_back(p);
-  }
-  r.Blob(&c.payload);
+  r.U64(&c.round)
+      .U32(&c.shard)
+      .Nested(&c.header)
+      .U16(&c.index)
+      .U16(&c.k)
+      .U16(&c.n)
+      .List(&c.peers)
+      .Blob(&c.payload);
   PORYGON_RETURN_IF_ERROR(r.Finish("body-chunk"));
   return c;
 }
@@ -542,25 +373,18 @@ size_t AggregatedWitness::WireSize() const {
 }
 
 Bytes AggregatedWitness::Encode() const {
-  wire::Writer w;
-  w.U64(batch_round).U32(shard).U32(aggregator).Varint(blocks.size());
-  for (const auto& b : blocks) w.Blob(b.Encode());
-  return w.Take();
+  return wire::Writer()
+      .U64(batch_round)
+      .U32(shard)
+      .U32(aggregator)
+      .List(blocks)
+      .Take();
 }
 
 Result<AggregatedWitness> AggregatedWitness::Decode(ByteView data) {
   AggregatedWitness a;
   wire::Reader r(data);
-  uint64_t n = 0;
-  r.U64(&a.batch_round).U32(&a.shard).U32(&a.aggregator).Varint(&n);
-  a.blocks.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ByteView raw;
-    r.BlobView(&raw);
-    PORYGON_RETURN_IF_ERROR(r.status());
-    PORYGON_ASSIGN_OR_RETURN(auto block, WitnessedBlock::Decode(raw));
-    a.blocks.push_back(std::move(block));
-  }
+  r.U64(&a.batch_round).U32(&a.shard).U32(&a.aggregator).List(&a.blocks);
   PORYGON_RETURN_IF_ERROR(r.Finish("agg-witness"));
   return a;
 }
@@ -591,10 +415,8 @@ Bytes AggregatedExecResult::Encode() const {
       .U32(intra_applied)
       .U32(cross_pre_executed)
       .Bool(has_payload);
-  if (has_payload) {
-    w.Varint(s_set.size());
-    for (const auto& u : s_set) WriteUpdate(&w, u);
-  }
+  if (has_payload) w.List(s_set);
+  // Attestations travel as (signer, signature) pairs under one count.
   w.U32(aggregator).Varint(signers.size());
   for (size_t i = 0; i < signers.size(); ++i) {
     w.Array(signers[i]).Array(signatures[i]);
@@ -612,30 +434,15 @@ Result<AggregatedExecResult> AggregatedExecResult::Decode(ByteView data) {
       .U32(&a.intra_applied)
       .U32(&a.cross_pre_executed)
       .Bool(&a.has_payload);
-  if (a.has_payload && r.status().ok()) {
-    uint64_t n = 0;
-    r.Varint(&n);
-    a.s_set.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      tx::StateUpdate u;
-      ReadUpdate(&r, &u);
-      if (!r.status().ok()) break;
-      a.s_set.push_back(u);
-    }
+  if (a.has_payload) r.List(&a.s_set);
+  uint64_t n = 0;
+  r.U32(&a.aggregator).Count(&n, 32 + 64);
+  if (r.ok()) {
+    a.signers.resize(n);
+    a.signatures.resize(n);
   }
-  uint64_t n_signers = 0;
-  r.U32(&a.aggregator).Varint(&n_signers);
-  if (r.status().ok()) {
-    a.signers.reserve(n_signers);
-    a.signatures.reserve(n_signers);
-  }
-  for (uint64_t i = 0; i < n_signers; ++i) {
-    crypto::PublicKey key{};
-    crypto::Signature sig{};
-    r.Array(&key).Array(&sig);
-    if (!r.status().ok()) break;
-    a.signers.push_back(key);
-    a.signatures.push_back(sig);
+  for (uint64_t i = 0; i < a.signers.size(); ++i) {
+    r.Array(&a.signers[i]).Array(&a.signatures[i]);
   }
   PORYGON_RETURN_IF_ERROR(r.Finish("agg-exec-result"));
   return a;
@@ -668,34 +475,25 @@ size_t CompactVoteCert::WireSize() const {
 }
 
 Bytes CompactVoteCert::Encode() const {
-  wire::Writer w;
-  w.U64(instance)
+  return wire::Writer()
+      .U64(instance)
       .U32(step)
       .U8(kind)
       .Array(value)
       .U64(bitmap)
-      .Varint(signatures.size());
-  for (const auto& s : signatures) w.Array(s);
-  return w.Take();
+      .List(signatures)
+      .Take();
 }
 
 Result<CompactVoteCert> CompactVoteCert::Decode(ByteView data) {
   CompactVoteCert c;
   wire::Reader r(data);
-  uint64_t n = 0;
   r.U64(&c.instance)
       .U32(&c.step)
       .U8(&c.kind)
       .Array(&c.value)
       .U64(&c.bitmap)
-      .Varint(&n);
-  if (r.status().ok()) c.signatures.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    crypto::Signature sig{};
-    r.Array(&sig);
-    if (!r.status().ok()) break;
-    c.signatures.push_back(sig);
-  }
+      .List(&c.signatures);
   PORYGON_RETURN_IF_ERROR(r.Finish("vote-cert"));
   return c;
 }

@@ -2,6 +2,7 @@
 #define PORYGON_CORE_MESSAGES_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -59,6 +60,13 @@ const char* MsgKindName(uint16_t kind);
 /// "ordering", "execution", "commit"; -1 maps to "other").
 const char* PhaseLabelName(int phase);
 
+/// The 32 raw bytes of an id (block, tx or proposal hash) as a map key.
+std::string IdKey(const crypto::Hash256& h);
+
+/// What an EC member signs to witness a block: "porygon.witness" followed
+/// by the header encoding (§IV-C1(a)).
+Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header);
+
 /// A stateless node announcing its self-selected role for a round, with the
 /// VRF proof that storage nodes and peers verify (§IV-B3).
 struct RoleAnnounce {
@@ -105,6 +113,10 @@ struct TxAccess {
   uint64_t amount = 0;   ///< Carried so ESC-side reconstruction is possible.
   uint64_t nonce = 0;
   uint64_t submitted_at = 0;
+
+  static constexpr size_t kMinWireSize = 32 + 5 * 8;
+  void EncodeTo(wire::Writer* w) const;
+  void DecodeFrom(wire::Reader* r);
 };
 
 /// One witnessed block as shipped to the OC: header, witness proofs, and
@@ -115,6 +127,8 @@ struct WitnessedBlock {
   std::vector<tx::WitnessProof> proofs;
   std::vector<TxAccess> accesses;
 
+  /// As a bundle element: length prefix, header blob, two empty counts.
+  static constexpr size_t kMinWireSize = 1 + 53 + 2;
   size_t WireSize() const;
   Bytes Encode() const;
   static Result<WitnessedBlock> Decode(ByteView data);
@@ -171,6 +185,10 @@ struct StateResponse {
     state::AccountId account = 0;
     bool present = false;
     state::Account value{};
+
+    static constexpr size_t kMinWireSize = 8 + 1 + 8 + 8;
+    void EncodeTo(wire::Writer* w) const;
+    void DecodeFrom(wire::Reader* r);
   };
   std::vector<Entry> entries;
   uint64_t proof_bytes = 0;
@@ -204,6 +222,12 @@ struct ExecResultMsg {
 
   /// Computes s_hash from s_set.
   static crypto::Hash256 HashSSet(const std::vector<tx::StateUpdate>& s);
+
+  /// Map key for one execution outcome, new_root || s_hash (64 bytes):
+  /// identical execution gives an identical key, and the OC leader reads
+  /// the root back from the first 32 bytes and the S hash from the last.
+  static std::string ResultKey(const crypto::Hash256& new_root,
+                               const crypto::Hash256& s_hash);
 
   /// Bytes covered by the signature.
   Bytes SigningBytes() const;

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/codec.h"
 #include "common/erasure.h"
 #include "common/log.h"
 #include "core/system.h"
@@ -11,17 +10,6 @@
 namespace porygon::core {
 
 namespace {
-std::string IdKey(const crypto::Hash256& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
-Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header) {
-  Bytes out = ToBytes("porygon.witness");
-  Bytes enc = header.Encode();
-  out.insert(out.end(), enc.begin(), enc.end());
-  return out;
-}
-
 tx::Transaction FromAccess(const TxAccess& a) {
   tx::Transaction t;
   t.from = a.from;
@@ -987,11 +975,8 @@ void StatelessNodeActor::RunExecution() {
 // OC member once enough distinct signers agree on a (root, s_hash) key.
 void StatelessNodeActor::CollectExecAttestation(const ExecResultMsg& result) {
   auto& agg = exec_agg_[{result.exec_round, result.shard}];
-  Encoder key_enc;
-  key_enc.PutFixed(ByteView(result.new_root.data(), 32));
-  key_enc.PutFixed(ByteView(result.s_hash.data(), 32));
-  std::string key(reinterpret_cast<const char*>(key_enc.buffer().data()),
-                  key_enc.buffer().size());
+  const std::string key =
+      ExecResultMsg::ResultKey(result.new_root, result.s_hash);
   if (agg.flushed_keys.count(key) > 0) return;
   auto& list = agg.by_key[key];
   for (const auto& r : list) {
@@ -1264,11 +1249,8 @@ void StatelessNodeActor::OnExecResult(const net::Message& msg) {
 
   // Result key: (root, s_hash); identical execution -> identical key. Full
   // payloads (from the shard's lowest-ranked members) carry the S data.
-  Encoder key_enc;
-  key_enc.PutFixed(ByteView(result->new_root.data(), 32));
-  key_enc.PutFixed(ByteView(result->s_hash.data(), 32));
-  std::string key(reinterpret_cast<const char*>(key_enc.buffer().data()),
-                  key_enc.buffer().size());
+  const std::string key =
+      ExecResultMsg::ResultKey(result->new_root, result->s_hash);
   pending.result_votes[key] += 1;
   // s_hash consistency was verified on entry, so every full result can
   // serve as the payload for its key.
@@ -1312,11 +1294,7 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
   const std::vector<uint8_t> ok = system_->provider()->VerifyBatch(jobs);
 
   auto& pending = exec_results_[{agg->exec_round, agg->shard}];
-  Encoder key_enc;
-  key_enc.PutFixed(ByteView(agg->new_root.data(), 32));
-  key_enc.PutFixed(ByteView(agg->s_hash.data(), 32));
-  std::string key(reinterpret_cast<const char*>(key_enc.buffer().data()),
-                  key_enc.buffer().size());
+  const std::string key = ExecResultMsg::ResultKey(agg->new_root, agg->s_hash);
   int accepted = 0;
   for (size_t i = 0; i < agg->signers.size(); ++i) {
     if (ok[i] == 0) {

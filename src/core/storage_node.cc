@@ -1,26 +1,12 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/codec.h"
 #include "common/erasure.h"
 #include "common/log.h"
 #include "core/system.h"
 #include "crypto/sha256.h"
 
 namespace porygon::core {
-
-namespace {
-std::string IdKey(const crypto::Hash256& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
-Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header) {
-  Bytes out = ToBytes("porygon.witness");
-  Bytes enc = header.Encode();
-  out.insert(out.end(), enc.begin(), enc.end());
-  return out;
-}
-}  // namespace
 
 StorageNodeActor::StorageNodeActor(PorygonSystem* system, int index,
                                    net::NodeId net_id, AdvStrategy strategy)
@@ -118,10 +104,7 @@ void StorageNodeActor::OnRoundStart(uint64_t round) {
 void StorageNodeActor::GossipToPeers(uint16_t inner_kind, const Bytes& payload,
                                      size_t wire_size) {
   net::SimNetwork* net = system_->network();
-  Encoder enc;
-  enc.PutU16(inner_kind);
-  enc.PutBytes(payload);
-  Bytes wrapped = enc.TakeBuffer();
+  const Bytes wrapped = wire::Writer().U16(inner_kind).Blob(payload).Take();
   for (const auto& peer : system_->storage_nodes_) {
     if (peer->net_id() == net_id_) continue;
     net::Message m;
@@ -135,18 +118,14 @@ void StorageNodeActor::GossipToPeers(uint16_t inner_kind, const Bytes& payload,
 }
 
 void StorageNodeActor::OnGossip(const net::Message& msg) {
-  Decoder dec(msg.payload);
-  auto kind = dec.GetU16();
-  auto inner = dec.GetBytes();
-  if (!kind.ok() || !inner.ok()) return;
-
   net::Message unwrapped;
+  wire::Reader r(msg.payload);
+  r.U16(&unwrapped.kind).Blob(&unwrapped.payload);
+  if (!r.Finish("gossip").ok()) return;
   unwrapped.from = msg.from;
   unwrapped.to = msg.to;
-  unwrapped.kind = *kind;
-  unwrapped.payload = std::move(*inner);
   unwrapped.wire_size = msg.wire_size;
-  switch (*kind) {
+  switch (unwrapped.kind) {
     case kMsgWitnessUpload:
       OnWitnessUpload(unwrapped, /*from_gossip=*/true);
       break;

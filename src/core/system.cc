@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "common/codec.h"
 #include "common/log.h"
 #include "net/fault.h"
 #include "net/topology.h"
@@ -13,10 +12,6 @@
 namespace porygon::core {
 
 namespace {
-std::string IdKey(const crypto::Hash256& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
 /// Read-only snapshot wrapper: own-shard reads/writes hit the live state,
 /// foreign reads come from a pre-captured snapshot so every shard's
 /// cross-shard pre-execution observes the same pre-round values (each real

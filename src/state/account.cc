@@ -1,35 +1,28 @@
 #include "state/account.h"
 
-#include "common/codec.h"
+#include "common/wire.h"
 
 namespace porygon::state {
 
 Bytes EncodeAccount(const Account& account) {
-  Encoder enc;
-  enc.PutU64(account.balance);
-  enc.PutU64(account.nonce);
-  return enc.TakeBuffer();
+  return wire::Writer().U64(account.balance).U64(account.nonce).Take();
 }
 
 Result<Account> DecodeAccount(ByteView data) {
-  Decoder dec(data);
   Account account;
-  PORYGON_ASSIGN_OR_RETURN(account.balance, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(account.nonce, dec.GetU64());
-  if (!dec.Done()) return Status::Corruption("trailing bytes after account");
+  wire::Reader r(data);
+  r.U64(&account.balance).U64(&account.nonce);
+  PORYGON_RETURN_IF_ERROR(r.Finish("account"));
   return account;
 }
 
-Bytes AccountKey(AccountId id) {
-  Encoder enc;
-  enc.PutU64(id);
-  return enc.TakeBuffer();
-}
+Bytes AccountKey(AccountId id) { return wire::Writer().U64(id).Take(); }
 
 Result<AccountId> DecodeAccountKey(ByteView data) {
-  Decoder dec(data);
-  PORYGON_ASSIGN_OR_RETURN(AccountId id, dec.GetU64());
-  if (!dec.Done()) return Status::Corruption("trailing bytes after key");
+  AccountId id = 0;
+  wire::Reader r(data);
+  r.U64(&id);
+  PORYGON_RETURN_IF_ERROR(r.Finish("account key"));
   return id;
 }
 

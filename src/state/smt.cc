@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/codec.h"
-
 namespace porygon::state {
 
 using crypto::Hash256;
@@ -45,11 +43,11 @@ Result<MerkleProof> MerkleProof::Decode(ByteView data) {
 
 Hash256 SparseMerkleTree::LeafHash(uint64_t key, ByteView value) {
   if (value.empty()) return Defaults()[kDepth];
-  Encoder enc;
-  enc.PutU64(key);
+  uint8_t le_key[8];
+  StoreLittleEndian64(le_key, key);
   Sha256 h;
   h.Update(ByteView(&kLeafTag, 1));
-  h.Update(enc.buffer());
+  h.Update(ByteView(le_key, sizeof(le_key)));
   h.Update(value);
   return h.Finish();
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
 #include "common/log.h"
+#include "common/wire.h"
 #include "runtime/task_pool.h"
 
 namespace porygon::storage {
@@ -85,13 +85,14 @@ Status Db::Recover() {
   // 1. Load the manifest (if any): level + table number per line.
   if (env_->FileExists(ManifestPath())) {
     PORYGON_ASSIGN_OR_RETURN(Bytes manifest, env_->ReadFile(ManifestPath()));
-    Decoder dec(manifest);
-    PORYGON_ASSIGN_OR_RETURN(uint64_t manifest_seq, dec.GetVarint());
+    wire::Reader r(manifest);
+    uint64_t manifest_seq = 0, count = 0;
+    r.Varint(&manifest_seq).Count(&count, 2);  // Two varints per table.
+    PORYGON_RETURN_IF_ERROR(r.status());
     sequence_ = std::max(sequence_, manifest_seq);
-    PORYGON_ASSIGN_OR_RETURN(uint64_t count, dec.GetVarint());
     for (uint64_t i = 0; i < count; ++i) {
-      PORYGON_ASSIGN_OR_RETURN(uint64_t level, dec.GetVarint());
-      PORYGON_ASSIGN_OR_RETURN(uint64_t number, dec.GetVarint());
+      uint64_t level = 0, number = 0;
+      PORYGON_RETURN_IF_ERROR(r.Varint(&level).Varint(&number).status());
       PORYGON_ASSIGN_OR_RETURN(auto reader,
                                SstableReader::Open(env_, TablePath(number)));
       AttachTableMetrics(reader.get());
@@ -127,21 +128,14 @@ Status Db::Recover() {
 }
 
 Status Db::WriteManifest() const {
-  Encoder enc;
-  enc.PutVarint(sequence_);  // Highest sequence covered by tables.
-  uint64_t count = l0_.size() + (l1_ ? 1 : 0);
-  enc.PutVarint(count);
-  for (const auto& t : l0_) {
-    enc.PutVarint(0);
-    enc.PutVarint(t.number);
-  }
-  if (l1_) {
-    enc.PutVarint(1);
-    enc.PutVarint(l1_->number);
-  }
+  wire::Writer w;
+  // Highest sequence covered by tables, then (level, number) per table.
+  w.Varint(sequence_).Varint(l0_.size() + (l1_ ? 1 : 0));
+  for (const auto& t : l0_) w.Varint(0).Varint(t.number);
+  if (l1_) w.Varint(1).Varint(l1_->number);
   const std::string tmp = ManifestPath() + ".tmp";
   PORYGON_ASSIGN_OR_RETURN(auto file, env_->NewWritableFile(tmp));
-  PORYGON_RETURN_IF_ERROR(file->Append(enc.buffer()));
+  PORYGON_RETURN_IF_ERROR(file->Append(w.view()));
   PORYGON_RETURN_IF_ERROR(file->Sync());
   PORYGON_RETURN_IF_ERROR(file->Close());
   return env_->RenameFile(tmp, ManifestPath());

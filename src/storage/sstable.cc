@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
 #include "common/crc32.h"
 
 namespace porygon::storage {
@@ -32,19 +31,15 @@ Status SstableBuilder::Add(ByteView key, uint64_t sequence, ValueType type,
   }
 
   // Sparse index entry at the start of each group.
-  if (entry_count_ % kIndexInterval == 0) {
-    Encoder idx;
-    idx.PutBytes(key);
-    idx.PutU64(offset_);
-    index_.insert(index_.end(), idx.buffer().begin(), idx.buffer().end());
-  }
+  if (entry_count_ % kIndexInterval == 0) index_.Blob(key).U64(offset_);
 
-  Encoder rec;
-  rec.PutBytes(key);
-  rec.PutU8(static_cast<uint8_t>(type));
-  rec.PutU64(sequence);
-  rec.PutBytes(value);
-  PORYGON_RETURN_IF_ERROR(file_->Append(rec.buffer()));
+  const Bytes rec = wire::Writer()
+                        .Blob(key)
+                        .U8(static_cast<uint8_t>(type))
+                        .U64(sequence)
+                        .Blob(value)
+                        .Take();
+  PORYGON_RETURN_IF_ERROR(file_->Append(rec));
   offset_ += rec.size();
 
   bloom_.Add(key);
@@ -56,7 +51,7 @@ Status SstableBuilder::Add(ByteView key, uint64_t sequence, ValueType type,
 Status SstableBuilder::Finish() {
   PORYGON_RETURN_IF_ERROR(open_status_);
   const uint64_t index_off = offset_;
-  PORYGON_RETURN_IF_ERROR(file_->Append(index_));
+  PORYGON_RETURN_IF_ERROR(file_->Append(index_.view()));
   offset_ += index_.size();
 
   Bytes bloom = bloom_.Finish();
@@ -64,15 +59,14 @@ Status SstableBuilder::Finish() {
   PORYGON_RETURN_IF_ERROR(file_->Append(bloom));
   offset_ += bloom.size();
 
-  Encoder footer;
-  footer.PutU64(index_off);
-  footer.PutU64(index_.size());
-  footer.PutU64(bloom_off);
-  footer.PutU64(bloom.size());
-  footer.PutU64(entry_count_);
-  footer.PutU32(Crc32cMask(Crc32c(footer.buffer())));
-  footer.PutU64(kMagic);
-  PORYGON_RETURN_IF_ERROR(file_->Append(footer.buffer()));
+  wire::Writer footer;
+  footer.U64(index_off)
+      .U64(index_.size())
+      .U64(bloom_off)
+      .U64(bloom.size())
+      .U64(entry_count_);
+  footer.U32(Crc32cMask(Crc32c(footer.view()))).U64(kMagic);
+  PORYGON_RETURN_IF_ERROR(file_->Append(footer.view()));
   offset_ += footer.size();
 
   PORYGON_RETURN_IF_ERROR(file_->Sync());
@@ -91,14 +85,18 @@ Result<std::unique_ptr<SstableReader>> SstableReader::Open(
   if (footer_raw.size() != kFooterSize) {
     return Status::Corruption("short footer read");
   }
-  Decoder dec(footer_raw);
-  PORYGON_ASSIGN_OR_RETURN(uint64_t index_off, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t index_len, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t bloom_off, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t bloom_len, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t entry_count, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(uint32_t crc, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t magic, dec.GetU64());
+  uint64_t index_off = 0, index_len = 0, bloom_off = 0, bloom_len = 0;
+  uint64_t entry_count = 0, magic = 0;
+  uint32_t crc = 0;
+  wire::Reader footer(footer_raw);
+  footer.U64(&index_off)
+      .U64(&index_len)
+      .U64(&bloom_off)
+      .U64(&bloom_len)
+      .U64(&entry_count)
+      .U32(&crc)
+      .U64(&magic);
+  PORYGON_RETURN_IF_ERROR(footer.status());
   if (magic != SstableBuilder::kMagic) {
     return Status::Corruption("bad sstable magic");
   }
@@ -115,10 +113,11 @@ Result<std::unique_ptr<SstableReader>> SstableReader::Open(
   if (index_raw.size() != index_len) {
     return Status::Corruption("short index read");
   }
-  Decoder idx(index_raw);
-  while (!idx.Done()) {
-    PORYGON_ASSIGN_OR_RETURN(Bytes key, idx.GetBytes());
-    PORYGON_ASSIGN_OR_RETURN(uint64_t off, idx.GetU64());
+  wire::Reader idx(index_raw);
+  while (idx.remaining() > 0) {
+    Bytes key;
+    uint64_t off = 0;
+    PORYGON_RETURN_IF_ERROR(idx.Blob(&key).U64(&off).status());
     reader->index_entries_.emplace_back(std::move(key), off);
   }
 
@@ -133,15 +132,17 @@ Result<std::unique_ptr<SstableReader>> SstableReader::Open(
 
 Status SstableReader::ParseEntry(const Bytes& data, size_t* offset,
                                  Entry* out) {
-  Decoder dec(ByteView(data.data() + *offset, data.size() - *offset));
-  size_t before = dec.remaining();
-  PORYGON_ASSIGN_OR_RETURN(out->key, dec.GetBytes());
-  PORYGON_ASSIGN_OR_RETURN(uint8_t type, dec.GetU8());
-  if (type > 1) return Status::Corruption("bad value type");
+  wire::Reader r(ByteView(data.data() + *offset, data.size() - *offset));
+  const size_t before = r.remaining();
+  uint8_t type = 0;
+  r.Blob(&out->key)
+      .U8(&type)
+      .Require(type <= 1, "bad value type")
+      .U64(&out->sequence)
+      .Blob(&out->value);
+  PORYGON_RETURN_IF_ERROR(r.status());
   out->type = static_cast<ValueType>(type);
-  PORYGON_ASSIGN_OR_RETURN(out->sequence, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(out->value, dec.GetBytes());
-  *offset += before - dec.remaining();
+  *offset += before - r.remaining();
   return Status::Ok();
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "common/wire.h"
 #include "obs/metrics.h"
 #include "storage/bloom.h"
 #include "storage/env.h"
@@ -55,7 +56,7 @@ class SstableBuilder {
   Status open_status_;
   uint64_t offset_ = 0;
   size_t entry_count_ = 0;
-  Bytes index_;
+  wire::Writer index_;
   BloomFilterBuilder bloom_;
   Bytes last_key_;
 };

@@ -1,7 +1,7 @@
 #include "storage/wal.h"
 
-#include "common/codec.h"
 #include "common/crc32.h"
+#include "common/wire.h"
 
 namespace porygon::storage {
 
@@ -13,40 +13,33 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env,
 
 Status WalWriter::AddRecord(uint64_t sequence, ValueType type, ByteView key,
                             ByteView value) {
-  Encoder payload;
-  payload.PutU64(sequence);
-  payload.PutU8(static_cast<uint8_t>(type));
-  payload.PutBytes(key);
-  payload.PutBytes(value);
-
-  Encoder frame;
-  frame.PutU32(Crc32cMask(Crc32c(payload.buffer())));
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutFixed(payload.buffer());
-  if (bytes_counter_ != nullptr) bytes_counter_->Add(frame.size());
-  if (records_counter_ != nullptr) records_counter_->Increment();
-  return file_->Append(frame.buffer());
+  return AppendFramed(wire::Writer()
+                          .U64(sequence)
+                          .U8(static_cast<uint8_t>(type))
+                          .Blob(key)
+                          .Blob(value)
+                          .Take());
 }
 
 Status WalWriter::AddBatchRecord(uint64_t first_sequence,
                                  const std::vector<Op>& ops) {
-  Encoder payload;
-  payload.PutU64(first_sequence);
-  payload.PutU8(2);  // Batch marker.
-  payload.PutVarint(ops.size());
+  wire::Writer payload;
+  payload.U64(first_sequence).U8(2).Varint(ops.size());  // 2 = batch marker.
   for (const Op& op : ops) {
-    payload.PutU8(static_cast<uint8_t>(op.type));
-    payload.PutBytes(op.key);
-    payload.PutBytes(op.value);
+    payload.U8(static_cast<uint8_t>(op.type)).Blob(op.key).Blob(op.value);
   }
+  return AppendFramed(payload.Take());
+}
 
-  Encoder frame;
-  frame.PutU32(Crc32cMask(Crc32c(payload.buffer())));
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutFixed(payload.buffer());
+Status WalWriter::AppendFramed(ByteView payload) {
+  const Bytes frame = wire::Writer()
+                          .U32(Crc32cMask(Crc32c(payload)))
+                          .U32(static_cast<uint32_t>(payload.size()))
+                          .Raw(payload)
+                          .Take();
   if (bytes_counter_ != nullptr) bytes_counter_->Add(frame.size());
   if (records_counter_ != nullptr) records_counter_->Increment();
-  return file_->Append(frame.buffer());
+  return file_->Append(frame);
 }
 
 Status WalWriter::Sync() { return file_->Sync(); }
@@ -65,34 +58,25 @@ Result<uint64_t> WalReplay(Env* env, const std::string& path,
     ByteView payload(data.data() + off + 8, len);
     if (Crc32cMask(Crc32c(payload)) != crc) break;  // Corrupt: stop replay.
 
-    Decoder dec(payload);
-    auto seq = dec.GetU64();
-    auto type = dec.GetU8();
-    if (!seq.ok() || !type.ok() || *type > 2) break;
+    wire::Reader r(payload);
+    uint64_t seq = 0;
+    uint8_t type = 0;
+    r.U64(&seq).U8(&type);
+    if (!r.ok() || type > 2) break;
 
-    if (*type == 2) {
+    if (type == 2) {
       // Atomic batch: parse every sub-op before emitting any of them.
-      auto count = dec.GetVarint();
-      if (!count.ok()) break;
-      std::vector<WalRecord> batch;
-      bool bad = false;
-      uint64_t next_seq = *seq;
-      for (uint64_t i = 0; i < *count; ++i) {
-        auto op_type = dec.GetU8();
-        auto key = dec.GetBytes();
-        auto value = dec.GetBytes();
-        if (!op_type.ok() || !key.ok() || !value.ok() || *op_type > 1) {
-          bad = true;
-          break;
-        }
-        WalRecord rec;
-        rec.sequence = next_seq++;
-        rec.type = static_cast<ValueType>(*op_type);
-        rec.key = std::move(*key);
-        rec.value = std::move(*value);
-        batch.push_back(std::move(rec));
+      uint64_t count = 0;
+      r.Count(&count, 3);  // Each op: type byte + two length prefixes.
+      std::vector<WalRecord> batch(r.ok() ? count : 0);
+      for (uint64_t i = 0; i < batch.size(); ++i) {
+        uint8_t op_type = 0;
+        r.U8(&op_type).Require(op_type <= 1, "bad op type");
+        r.Blob(&batch[i].key).Blob(&batch[i].value);
+        batch[i].sequence = seq + i;
+        batch[i].type = static_cast<ValueType>(op_type);
       }
-      if (bad) break;
+      if (!r.ok()) break;
       for (const WalRecord& rec : batch) {
         max_sequence = std::max(max_sequence, rec.sequence);
         fn(rec);
@@ -102,13 +86,10 @@ Result<uint64_t> WalReplay(Env* env, const std::string& path,
     }
 
     WalRecord rec;
-    auto key = dec.GetBytes();
-    auto value = dec.GetBytes();
-    if (!key.ok() || !value.ok()) break;
-    rec.sequence = *seq;
-    rec.type = static_cast<ValueType>(*type);
-    rec.key = std::move(*key);
-    rec.value = std::move(*value);
+    r.Blob(&rec.key).Blob(&rec.value);
+    if (!r.ok()) break;
+    rec.sequence = seq;
+    rec.type = static_cast<ValueType>(type);
     max_sequence = std::max(max_sequence, rec.sequence);
     fn(rec);
     off += 8 + len;

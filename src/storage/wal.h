@@ -53,6 +53,9 @@ class WalWriter {
  private:
   explicit WalWriter(std::unique_ptr<WritableFile> file)
       : file_(std::move(file)) {}
+  // Frames `payload` (masked crc, length) and appends it.
+  Status AppendFramed(ByteView payload);
+
   std::unique_ptr<WritableFile> file_;
   obs::Counter* bytes_counter_ = nullptr;
   obs::Counter* records_counter_ = nullptr;

@@ -66,9 +66,12 @@ struct WitnessProof {
   crypto::Signature signature{};
 
   static constexpr size_t kWireSize = 32 + 32 + 64;
+  static constexpr size_t kMinWireSize = kWireSize;
 
   Bytes Encode() const;
   static Result<WitnessProof> Decode(ByteView data);
+  void EncodeTo(wire::Writer* w) const;
+  void DecodeFrom(wire::Reader* r);
 };
 
 /// Per-shard list of state updates distributed by the OC during
@@ -76,6 +79,13 @@ struct WitnessProof {
 struct StateUpdate {
   state::AccountId account = 0;
   state::Account value{};
+
+  /// Three varints: typical entries (20-bit accounts, sub-2^32 balances,
+  /// tiny nonces) cost ~8 bytes instead of 24. These lists are the bulk of
+  /// the exec-result fan-in to the OC and of a proposal block's U lists.
+  static constexpr size_t kMinWireSize = 3;
+  void EncodeTo(wire::Writer* w) const;
+  void DecodeFrom(wire::Reader* r);
 
   bool operator==(const StateUpdate&) const = default;
 };

@@ -2,10 +2,13 @@
 
 #include <cstring>
 
+#include "common/wire.h"
+
 namespace porygon::tx {
 
 namespace {
-// The body encoding: five little-endian u64s, as Encoder::PutU64 writes them.
+// The body encoding: five little-endian u64s, as wire::Writer::U64 writes
+// them.
 void WriteBody(const Transaction& t, uint8_t out[Transaction::kBodySize]) {
   StoreLittleEndian64(out, t.from);
   StoreLittleEndian64(out + 8, t.to);
@@ -21,31 +24,29 @@ TxId Transaction::Id() const {
   return crypto::Sha256::Hash(ByteView(body, sizeof(body)));
 }
 
+void Transaction::EncodeTo(wire::Writer* w) const {
+  uint8_t out[kMinWireSize];
+  WriteBody(*this, out);
+  std::memcpy(out + kBodySize, signature.data(), signature.size());
+  w->Raw(ByteView(out, sizeof(out)));
+}
+
 Bytes Transaction::Encode() const {
-  Bytes out(kBodySize + signature.size());
-  WriteBody(*this, out.data());
-  std::memcpy(out.data() + kBodySize, signature.data(), signature.size());
-  return out;
+  wire::Writer w;
+  EncodeTo(&w);
+  return w.Take();
+}
+
+void Transaction::DecodeFrom(wire::Reader* r) {
+  r->U64(&from).U64(&to).U64(&amount).U64(&nonce).U64(&submitted_at).Array(
+      &signature);
 }
 
 Result<Transaction> Transaction::Decode(ByteView data) {
-  Decoder dec(data);
-  PORYGON_ASSIGN_OR_RETURN(Transaction t, [&]() -> Result<Transaction> {
-    return DecodeFrom(&dec);
-  }());
-  if (!dec.Done()) return Status::Corruption("trailing bytes after tx");
-  return t;
-}
-
-Result<Transaction> Transaction::DecodeFrom(Decoder* dec) {
   Transaction t;
-  PORYGON_ASSIGN_OR_RETURN(t.from, dec->GetU64());
-  PORYGON_ASSIGN_OR_RETURN(t.to, dec->GetU64());
-  PORYGON_ASSIGN_OR_RETURN(t.amount, dec->GetU64());
-  PORYGON_ASSIGN_OR_RETURN(t.nonce, dec->GetU64());
-  PORYGON_ASSIGN_OR_RETURN(t.submitted_at, dec->GetU64());
-  PORYGON_ASSIGN_OR_RETURN(Bytes sig, dec->GetFixed(t.signature.size()));
-  std::memcpy(t.signature.data(), sig.data(), t.signature.size());
+  wire::Reader r(data);
+  t.DecodeFrom(&r);
+  PORYGON_RETURN_IF_ERROR(r.Finish("tx"));
   return t;
 }
 

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/codec.h"
 #include "common/status.h"
+#include "common/wire.h"
 #include "crypto/ed25519.h"
 #include "crypto/sha256.h"
 #include "state/account.h"
@@ -44,14 +44,18 @@ struct Transaction {
 
   /// Encoded body: five little-endian u64 fields.
   static constexpr size_t kBodySize = 5 * 8;
+  /// Body plus signature: the whole encoding, and its size as a list
+  /// element of a block body.
+  static constexpr size_t kMinWireSize = kBodySize + sizeof(crypto::Signature);
 
   /// Wire footprint charged by the bandwidth model.
   static constexpr size_t kWireSize = 112;
 
   Bytes Encode() const;
   static Result<Transaction> Decode(ByteView data);
-  /// Decodes from a Decoder positioned at a transaction (for block bodies).
-  static Result<Transaction> DecodeFrom(Decoder* dec);
+  /// Streamed forms of Encode/Decode, for block bodies.
+  void EncodeTo(wire::Writer* w) const;
+  void DecodeFrom(wire::Reader* r);
 
   bool operator==(const Transaction& other) const;
 };

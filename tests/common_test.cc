@@ -4,16 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/clause.h"
-#include "common/codec.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/wire.h"
 #include "core/adversary.h"
 #include "crypto/merkle.h"
 #include "net/dissemination.h"
@@ -112,52 +116,150 @@ TEST(BytesTest, HexRoundTrip) {
 }
 
 TEST(CodecTest, RoundTripAllTypes) {
-  Encoder enc;
-  enc.PutU8(7);
-  enc.PutU16(512);
-  enc.PutU32(70000);
-  enc.PutU64(1ULL << 40);
-  enc.PutVarint(300);
-  enc.PutBytes(ToBytes("payload"));
-  enc.PutString("text");
-  enc.PutBool(true);
+  const std::array<uint8_t, 4> arr = {1, 2, 3, 4};
+  const Bytes data = wire::Writer()
+                         .U8(7)
+                         .U16(512)
+                         .U32(70000)
+                         .U64(1ULL << 40)
+                         .Varint(300)
+                         .Blob(ToBytes("payload"))
+                         .Str("text")
+                         .Bool(true)
+                         .F64(-0.1)
+                         .Array(arr)
+                         .Raw(ToBytes("tail"))
+                         .Take();
 
-  Decoder dec(enc.buffer());
-  EXPECT_EQ(*dec.GetU8(), 7);
-  EXPECT_EQ(*dec.GetU16(), 512);
-  EXPECT_EQ(*dec.GetU32(), 70000u);
-  EXPECT_EQ(*dec.GetU64(), 1ULL << 40);
-  EXPECT_EQ(*dec.GetVarint(), 300u);
-  EXPECT_EQ(*dec.GetBytes(), ToBytes("payload"));
-  EXPECT_EQ(*dec.GetString(), "text");
-  EXPECT_EQ(*dec.GetBool(), true);
-  EXPECT_TRUE(dec.Done());
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0, varint = 0;
+  Bytes blob, str;
+  bool flag = false;
+  double real = 0;
+  std::array<uint8_t, 4> arr_out{};
+  std::array<uint8_t, 4> tail{};
+  wire::Reader r(data);
+  r.U8(&u8)
+      .U16(&u16)
+      .U32(&u32)
+      .U64(&u64)
+      .Varint(&varint)
+      .Blob(&blob)
+      .Blob(&str)  // Str is a Blob of the characters.
+      .Bool(&flag)
+      .F64(&real)
+      .Array(&arr_out)
+      .Array(&tail);
+  ASSERT_TRUE(r.Finish().ok());
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u16, 512);
+  EXPECT_EQ(u32, 70000u);
+  EXPECT_EQ(u64, 1ULL << 40);
+  EXPECT_EQ(varint, 300u);
+  EXPECT_EQ(blob, ToBytes("payload"));
+  EXPECT_EQ(str, ToBytes("text"));
+  EXPECT_TRUE(flag);
+  EXPECT_EQ(real, -0.1);
+  EXPECT_EQ(arr_out, arr);
+  EXPECT_EQ(ByteView(tail), ByteView("tail"));
 }
 
 TEST(CodecTest, TruncationDetected) {
-  Encoder enc;
-  enc.PutU64(1234);
-  Bytes data = enc.TakeBuffer();
+  Bytes data = wire::Writer().U64(1234).Take();
   data.resize(4);
-  Decoder dec(data);
-  EXPECT_FALSE(dec.GetU64().ok());
+  uint64_t v = 0;
+  wire::Reader r(data);
+  EXPECT_TRUE(r.U64(&v).status().IsCorruption());
+  // The first failure sticks: later reads leave their outputs untouched.
+  uint8_t b = 0xAA;
+  EXPECT_FALSE(r.U8(&b).ok());
+  EXPECT_EQ(b, 0xAA);
+  EXPECT_FALSE(r.Finish().ok());
 }
 
 TEST(CodecTest, VarintBoundaries) {
-  for (uint64_t v : {0ULL, 127ULL, 128ULL, 16383ULL, 16384ULL,
-                     ~0ULL}) {
-    Encoder enc;
-    enc.PutVarint(v);
-    EXPECT_EQ(enc.size(), VarintLength(v));
-    Decoder dec(enc.buffer());
-    EXPECT_EQ(*dec.GetVarint(), v) << v;
+  const std::pair<uint64_t, size_t> cases[] = {
+      {0, 1}, {127, 1}, {128, 2}, {16383, 2}, {16384, 3}, {~0ULL, 10}};
+  for (const auto& [v, len] : cases) {
+    const Bytes enc = wire::Writer().Varint(v).Take();
+    EXPECT_EQ(enc.size(), len) << v;
+    uint64_t out = 0;
+    wire::Reader r(enc);
+    EXPECT_TRUE(r.Varint(&out).Finish().ok()) << v;
+    EXPECT_EQ(out, v) << v;
   }
 }
 
 TEST(CodecTest, MalformedVarintRejected) {
-  Bytes overlong(11, 0x80);  // Never terminates within 64 bits.
-  Decoder dec(overlong);
-  EXPECT_FALSE(dec.GetVarint().ok());
+  uint64_t v = 0;
+  const Bytes overlong(11, 0x80);  // Never terminates within 64 bits.
+  EXPECT_FALSE(wire::Reader(overlong).Varint(&v).ok());
+  Bytes too_big(9, 0xFF);  // 2^64: a second bit in the tenth byte.
+  too_big.push_back(0x02);
+  EXPECT_FALSE(wire::Reader(too_big).Varint(&v).ok());
+  const Bytes bad_bool = {2};
+  bool flag = false;
+  EXPECT_FALSE(wire::Reader(bad_bool).Bool(&flag).ok());
+}
+
+TEST(CodecTest, FinishRejectsTrailingBytes) {
+  const Bytes data = {1, 2};
+  uint8_t b = 0;
+  wire::Reader r(data);
+  const Status st = r.U8(&b).Finish("probe");
+  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_EQ(st.message(), "trailing probe bytes");
+}
+
+TEST(CodecTest, CountIsBoundedByTheRemainingInput) {
+  // Three 4-byte elements fit in 12 bytes; a fourth does not.
+  const Bytes fits = wire::Writer().Varint(3).Raw(Bytes(12, 0)).Take();
+  const Bytes forged = wire::Writer().Varint(4).Raw(Bytes(12, 0)).Take();
+  uint64_t n = 0;
+  EXPECT_TRUE(wire::Reader(fits).Count(&n, 4).ok());
+  EXPECT_EQ(n, 3u);
+  n = 0;
+  EXPECT_TRUE(wire::Reader(forged).Count(&n, 4).status().IsCorruption());
+  EXPECT_EQ(n, 0u);
+  const Bytes huge = wire::Writer().Varint(uint64_t{1} << 60).Take();
+  EXPECT_TRUE(wire::Reader(huge).Count(&n, 1).status().IsCorruption());
+}
+
+TEST(CodecTest, ListsRoundTripEveryElementKind) {
+  const std::vector<uint32_t> u32s = {1, 70000};
+  const std::vector<uint64_t> u64s = {uint64_t{1} << 40};
+  const std::vector<std::array<uint8_t, 2>> arrays = {{1, 2}, {3, 4}};
+  const std::vector<Bytes> blobs = {ToBytes("a"), {}, ToBytes("bcd")};
+  const std::vector<std::vector<uint32_t>> nested = {{5}, {}, {6, 7}};
+  const Bytes data = wire::Writer()
+                         .List(u32s)
+                         .List(u64s)
+                         .List(arrays)
+                         .List(blobs)
+                         .List(nested)
+                         .Take();
+  // Element layouts match the scalar calls they stand for.
+  EXPECT_EQ(HexEncode(wire::Writer().List(u32s).Take()), "020100000070110100");
+  EXPECT_EQ(HexEncode(wire::Writer().List(blobs).Take()), "0301610003626364");
+  std::vector<uint32_t> u32s_out;
+  std::vector<uint64_t> u64s_out;
+  std::vector<std::array<uint8_t, 2>> arrays_out;
+  std::vector<Bytes> blobs_out;
+  std::vector<std::vector<uint32_t>> nested_out;
+  wire::Reader r(data);
+  r.List(&u32s_out)
+      .List(&u64s_out)
+      .List(&arrays_out)
+      .List(&blobs_out)
+      .List(&nested_out);
+  ASSERT_TRUE(r.Finish().ok());
+  EXPECT_EQ(u32s_out, u32s);
+  EXPECT_EQ(u64s_out, u64s);
+  EXPECT_EQ(arrays_out, arrays);
+  EXPECT_EQ(blobs_out, blobs);
+  EXPECT_EQ(nested_out, nested);
 }
 
 TEST(Crc32Test, KnownVector) {

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "common/wire.h"
 #include "core/messages.h"
 #include "crypto/provider.h"
 
@@ -191,6 +196,81 @@ TEST(MessagesTest, CorruptInputsRejected) {
   EXPECT_FALSE(ExecRequest::Decode(ToBytes("")).ok());
   EXPECT_FALSE(ExecResultMsg::Decode(ToBytes("??")).ok());
   EXPECT_FALSE(Relay::Decode(ToBytes("")).ok());
+}
+
+// A forged element count must be Corruption before anything is allocated
+// for it. Each row writes a valid prefix up to one decoder's count field,
+// then the forged count and a little padding.
+TEST(MessagesTest, OversizedCountsAreCorruption) {
+  using Prefix = std::function<void(wire::Writer*)>;
+  const Bytes header = tx::TransactionBlockHeader().Encode();
+  const crypto::Hash256 h{};
+  struct Row {
+    std::string name;
+    Prefix prefix;
+    std::function<Status(ByteView)> decode;
+  };
+  const std::vector<Row> rows = {
+      {"ProposalBlock",
+       [&](wire::Writer* w) { w->U64(1).Array(h).U64(2).Array(h); },
+       [](ByteView v) { return tx::ProposalBlock::Decode(v).status(); }},
+      {"TransactionBlock", [&](wire::Writer* w) { w->Blob(header); },
+       [](ByteView v) { return tx::TransactionBlock::Decode(v).status(); }},
+      {"ExecRequest",
+       [&](wire::Writer* w) {
+         w->U64(1).U32(0).Varint(0).Varint(0).Varint(0).Array(h);
+       },
+       [](ByteView v) { return ExecRequest::Decode(v).status(); }},
+      {"WitnessBundle", [](wire::Writer* w) { w->U64(1); },
+       [](ByteView v) { return WitnessBundle::Decode(v).status(); }},
+      {"WitnessedBlock", [&](wire::Writer* w) { w->Blob(header); },
+       [](ByteView v) { return WitnessedBlock::Decode(v).status(); }},
+      {"AggregatedWitness", [](wire::Writer* w) { w->U64(1).U32(0).U32(2); },
+       [](ByteView v) { return AggregatedWitness::Decode(v).status(); }},
+      {"ExecResultMsg",
+       [&](wire::Writer* w) { w->U64(1).U32(0).Array(h).Array(h).Bool(true); },
+       [](ByteView v) { return ExecResultMsg::Decode(v).status(); }},
+      {"AggregatedExecResult",
+       [&](wire::Writer* w) {
+         w->U64(1).U32(0).Array(h).Array(h).U32(3).U32(4).Bool(false).U32(5);
+       },
+       [](ByteView v) { return AggregatedExecResult::Decode(v).status(); }},
+      {"CompactVoteCert",
+       [&](wire::Writer* w) { w->U64(1).U32(0).U8(0).Array(h).U64(7); },
+       [](ByteView v) { return CompactVoteCert::Decode(v).status(); }},
+      {"BodyChunk",
+       [&](wire::Writer* w) {
+         w->U64(1).U32(0).Blob(header).U16(0).U16(1).U16(2);
+       },
+       [](ByteView v) { return BodyChunk::Decode(v).status(); }},
+  };
+  for (const Row& row : rows) {
+    for (uint64_t count : {uint64_t{1} << 26, uint64_t{1} << 60}) {
+      wire::Writer w;
+      row.prefix(&w);
+      const Bytes forged = w.Varint(count).Raw(Bytes(64, 0)).Take();
+      Status st = Status::Ok();
+      EXPECT_NO_THROW(st = row.decode(forged)) << row.name << " " << count;
+      EXPECT_TRUE(st.IsCorruption()) << row.name << " " << count;
+    }
+  }
+}
+
+TEST(MessagesTest, SharedKeysAndSigningBytesKeepTheirLayout) {
+  tx::TransactionBlockHeader header;
+  header.shard = 3;
+  header.tx_count = 9;
+  const Bytes enc = header.Encode();
+  Bytes expected = ToBytes("porygon.witness");
+  expected.insert(expected.end(), enc.begin(), enc.end());
+  EXPECT_EQ(WitnessSigningBytes(header), expected);
+
+  const crypto::Hash256 root = H(1), s_hash = H(2);
+  EXPECT_EQ(IdKey(root), std::string(root.begin(), root.end()));
+  // The OC leader reads the root from the first half, the S hash from the
+  // second.
+  EXPECT_EQ(ExecResultMsg::ResultKey(root, s_hash),
+            IdKey(root) + IdKey(s_hash));
 }
 
 }  // namespace
