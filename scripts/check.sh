@@ -38,6 +38,11 @@ run_suite() {
   # Adversary suite, likewise: chain identity and evidence collection under
   # every Byzantine strategy at the paper's alpha/beta bounds.
   ctest --test-dir "$dir" -R Adversary --output-on-failure
+  # State suites: roots against a from-scratch reference over keys spread
+  # across all 64 bits, account values against their proofs, stateless
+  # views rebuilt from proofs, and the flat uint64_t map under churn.
+  ctest --test-dir "$dir" -R 'Smt|ShardedState|PartialState|U64Map' \
+    --output-on-failure
   # Workload suite: traffic-model determinism, Zipf sanity, scenario rows.
   ctest --test-dir "$dir" -R Workload --output-on-failure
   # Critical-path suite: bandwidth-ledger queue/busy accounting, dominant
@@ -79,15 +84,16 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # bloom builds) must be race-free with workers actually running, so force
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
   # suites; Sha256 checks the once-initialised compression choice that
-  # VerifyBatch's pool threads read. TSan is incompatible with ASan, hence
-  # the third build tree.
+  # VerifyBatch's pool threads read; Smt and ShardedState because per-shard
+  # PutBatch runs on pool threads. TSan is incompatible with ASan, hence the
+  # third build tree.
   echo "== thread sanitized build + runtime/system ctest =="
   cmake -B build-tsan -S . -DPORYGON_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)"
   PORYGON_THREADS=4 \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256'
+      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256|Smt|ShardedState'
 fi
 
 echo "check.sh: all suites passed"

@@ -64,7 +64,6 @@ void StorageNodeActor::OnSubmitTx(const net::Message& msg) {
 }
 
 void StorageNodeActor::OnRoundStart(uint64_t round) {
-  const Params& p = system_->params();
   net::SimNetwork* net = system_->network();
 
   // 1. Tell our primary stateless nodes the round has started, attaching

@@ -9,42 +9,49 @@ ShardedState::ShardedState(int shard_bits)
     : shard_bits_(shard_bits), shards_(size_t{1} << shard_bits) {}
 
 void ShardedState::PutAccount(AccountId id, const Account& account) {
-  shards_[ShardOf(id)].Put(id, EncodeAccount(account));
+  Subtree& s = shards_[ShardOf(id)];
+  s.accounts[id] = account;
+  s.tree.Put(id, EncodeAccount(account));
 }
 
 void ShardedState::PutAccountBatch(
     uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
+  Subtree& s = shards_[shard];
   std::vector<std::pair<uint64_t, Bytes>> writes;
   writes.reserve(ws.size());
   for (const auto& [id, account] : ws) {
     if (ShardOf(id) != shard) continue;
+    s.accounts[id] = account;  // In order, so the last write wins here too.
     writes.emplace_back(id, EncodeAccount(account));
   }
-  shards_[shard].PutBatch(writes);
+  s.tree.PutBatch(writes);
 }
 
 void ShardedState::DeleteAccount(AccountId id) {
-  shards_[ShardOf(id)].Delete(id);
+  Subtree& s = shards_[ShardOf(id)];
+  s.accounts.Erase(id);
+  s.tree.Delete(id);
 }
 
 Result<Account> ShardedState::GetAccount(AccountId id) const {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, shards_[ShardOf(id)].Get(id));
-  return DecodeAccount(raw);
+  const Account* account = shards_[ShardOf(id)].accounts.Find(id);
+  if (account == nullptr) return Status::NotFound("no such account");
+  return *account;
 }
 
 Account ShardedState::GetOrDefault(AccountId id) const {
-  auto r = GetAccount(id);
-  return r.ok() ? *r : DefaultFor(id);
+  const Account* account = shards_[ShardOf(id)].accounts.Find(id);
+  return account != nullptr ? *account : DefaultFor(id);
 }
 
 Hash256 ShardedState::ShardRoot(uint32_t shard) const {
-  return shards_[shard].Root();
+  return shards_[shard].tree.Root();
 }
 
 Hash256 ShardedState::GlobalRoot() const {
   std::vector<Hash256> roots;
   roots.reserve(shards_.size());
-  for (const auto& shard : shards_) roots.push_back(shard.Root());
+  for (const auto& shard : shards_) roots.push_back(shard.tree.Root());
   return AggregateRoots(roots);
 }
 
@@ -71,7 +78,7 @@ Hash256 ShardedState::AggregateRoots(const std::vector<Hash256>& shard_roots) {
 }
 
 MerkleProof ShardedState::ProveAccount(AccountId id) const {
-  return shards_[ShardOf(id)].Prove(id);
+  return shards_[ShardOf(id)].tree.Prove(id);
 }
 
 bool ShardedState::VerifyAccount(const Hash256& shard_root, AccountId id,
@@ -87,12 +94,12 @@ bool ShardedState::VerifyAbsence(const Hash256& shard_root, AccountId id,
 }
 
 size_t ShardedState::ShardAccountCount(uint32_t shard) const {
-  return shards_[shard].LeafCount();
+  return shards_[shard].accounts.size();
 }
 
 size_t ShardedState::TotalAccountCount() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard.LeafCount();
+  for (const auto& shard : shards_) total += shard.accounts.size();
   return total;
 }
 

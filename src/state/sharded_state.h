@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "common/u64_map.h"
 #include "state/account.h"
 #include "state/smt.h"
 #include "state/view.h"
@@ -16,6 +17,9 @@ namespace porygon::state {
 /// owns a Merkle subtree, and the on-chain state root is the Merkle
 /// aggregation of the shard subtree roots (the OC "aggregates these states,
 /// calculates the latest state tree root", §IV-D2).
+///
+/// Each shard keeps its accounts as typed 16-byte values in a flat table
+/// beside its hash-only subtree, so reads never touch the tree.
 class ShardedState : public StateView {
  public:
   explicit ShardedState(int shard_bits);
@@ -63,14 +67,14 @@ class ShardedState : public StateView {
   size_t ShardAccountCount(uint32_t shard) const;
   size_t TotalAccountCount() const;
 
-  /// Direct subtree access (ESCs operate on one shard's subtree).
-  const SparseMerkleTree& Shard(uint32_t shard) const {
-    return shards_[shard];
-  }
-
  private:
+  struct Subtree {
+    SparseMerkleTree tree;
+    U64Map<Account> accounts;  // Exactly the tree's live leaves.
+  };
+
   int shard_bits_;
-  std::vector<SparseMerkleTree> shards_;
+  std::vector<Subtree> shards_;
 };
 
 }  // namespace porygon::state

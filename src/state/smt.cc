@@ -1,5 +1,6 @@
 #include "state/smt.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace porygon::state {
@@ -67,81 +68,71 @@ SparseMerkleTree::Defaults() {
 
 SparseMerkleTree::SparseMerkleTree() : nodes_(kDepth + 1) {}
 
-Hash256 SparseMerkleTree::NodeAt(int level, uint64_t prefix) const {
-  auto it = nodes_[level].find(prefix);
-  if (it != nodes_[level].end()) return it->second;
-  return Defaults()[level];
+const Hash256& SparseMerkleTree::NodeAt(int level, uint64_t prefix) const {
+  const Hash256* hash = nodes_[level].Find(prefix);
+  return hash != nullptr ? *hash : Defaults()[level];
+}
+
+void SparseMerkleTree::SetNode(int level, uint64_t prefix,
+                               const Hash256& hash) {
+  if (hash == Defaults()[level]) {
+    nodes_[level].Erase(prefix);
+  } else {
+    nodes_[level][prefix] = hash;
+  }
 }
 
 void SparseMerkleTree::Put(uint64_t key, ByteView value) {
-  if (value.empty()) {
-    leaves_.erase(key);
-  } else {
-    leaves_[key] = value.ToBytes();
-  }
-
-  Hash256 hash = LeafHash(key, value);
-  uint64_t prefix = key;
-  for (int level = kDepth; level >= 0; --level) {
-    if (hash == Defaults()[level]) {
-      nodes_[level].erase(prefix);
-    } else {
-      nodes_[level][prefix] = hash;
-    }
-    if (level == 0) break;
-    uint64_t sibling = prefix ^ 1;
-    Hash256 sibling_hash = NodeAt(level, sibling);
-    hash = (prefix & 1) ? InnerHash(sibling_hash, hash)
-                        : InnerHash(hash, sibling_hash);
-    prefix >>= 1;
-  }
+  Rehash({{key, LeafHash(key, value)}});
 }
 
 void SparseMerkleTree::PutBatch(
     const std::vector<std::pair<uint64_t, Bytes>>& writes) {
-  if (writes.empty()) return;
-  // Apply leaves; collect the dirty frontier.
-  std::unordered_map<uint64_t, Hash256> dirty;
-  for (const auto& [key, value] : writes) {
-    if (value.empty()) {
-      leaves_.erase(key);
-    } else {
-      leaves_[key] = value;
-    }
-    dirty[key] = LeafHash(key, value);
+  // Sort by key, ties by position, so the last write to a key ends its run;
+  // only that write is hashed.
+  std::vector<std::pair<uint64_t, size_t>> order;
+  order.reserve(writes.size());
+  for (size_t i = 0; i < writes.size(); ++i) {
+    order.emplace_back(writes[i].first, i);
   }
-  // Rehash level by level toward the root; each dirty node pulls its
-  // sibling from the dirty set first, then the stored tree.
+  std::sort(order.begin(), order.end());
+  Frontier frontier;
+  frontier.reserve(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i + 1 < order.size() && order[i + 1].first == order[i].first) continue;
+    const auto& [key, value] = writes[order[i].second];
+    frontier.emplace_back(key, LeafHash(key, value));
+  }
+  Rehash(std::move(frontier));
+}
+
+void SparseMerkleTree::Rehash(Frontier frontier) {
+  if (frontier.empty()) return;
+  // Walk toward the root one level at a time. The frontier stays sorted, so
+  // a dirty sibling is always the next entry; any other sibling is one table
+  // lookup. Parents overwrite the frontier in place (they never outrun it).
   for (int level = kDepth; level >= 1; --level) {
-    std::unordered_map<uint64_t, Hash256> parent_dirty;
-    for (const auto& [prefix, hash] : dirty) {
-      if (hash == Defaults()[level]) {
-        nodes_[level].erase(prefix);
+    size_t parents = 0;
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const auto& [prefix, hash] = frontier[i];
+      SetNode(level, prefix, hash);
+      Hash256 parent;
+      if ((prefix & 1) == 0 && i + 1 < frontier.size() &&
+          frontier[i + 1].first == prefix + 1) {
+        SetNode(level, prefix + 1, frontier[i + 1].second);
+        parent = InnerHash(hash, frontier[i + 1].second);
+        ++i;
+      } else if (prefix & 1) {
+        parent = InnerHash(NodeAt(level, prefix - 1), hash);
       } else {
-        nodes_[level][prefix] = hash;
+        parent = InnerHash(hash, NodeAt(level, prefix + 1));
       }
+      frontier[parents++] = {prefix >> 1, parent};
     }
-    for (const auto& [prefix, hash] : dirty) {
-      uint64_t parent = prefix >> 1;
-      if (parent_dirty.count(parent) > 0) continue;  // Sibling handled it.
-      uint64_t sibling = prefix ^ 1;
-      auto sib_it = dirty.find(sibling);
-      Hash256 sibling_hash =
-          sib_it != dirty.end() ? sib_it->second : NodeAt(level, sibling);
-      parent_dirty[parent] = (prefix & 1)
-                                 ? InnerHash(sibling_hash, hash)
-                                 : InnerHash(hash, sibling_hash);
-    }
-    dirty = std::move(parent_dirty);
+    frontier.resize(parents);
   }
-  // dirty now holds the root (level 0).
-  for (const auto& [prefix, hash] : dirty) {
-    if (hash == Defaults()[0]) {
-      nodes_[0].erase(prefix);
-    } else {
-      nodes_[0][prefix] = hash;
-    }
-  }
+  // One root remains.
+  SetNode(0, 0, frontier[0].second);
 }
 
 Status SparseMerkleTree::InjectProof(uint64_t key, ByteView value,
@@ -154,26 +145,17 @@ Status SparseMerkleTree::InjectProof(uint64_t key, ByteView value,
   if (!Verify(expected_root, key, value, proof)) {
     return Status::PermissionDenied("proof does not match root");
   }
-  if (!value.empty()) {
-    leaves_[key] = value.ToBytes();
-  }
   Hash256 hash = LeafHash(key, value);
   uint64_t prefix = key;
   for (int level = kDepth; level >= 1; --level) {
-    if (hash != Defaults()[level]) nodes_[level][prefix] = hash;
+    SetNode(level, prefix, hash);
     const Hash256& sibling = proof.siblings[level - 1];
-    if (sibling != Defaults()[level]) nodes_[level][prefix ^ 1] = sibling;
+    SetNode(level, prefix ^ 1, sibling);
     hash = (prefix & 1) ? InnerHash(sibling, hash) : InnerHash(hash, sibling);
     prefix >>= 1;
   }
-  nodes_[0][0] = hash;
+  SetNode(0, 0, hash);
   return Status::Ok();
-}
-
-Result<Bytes> SparseMerkleTree::Get(uint64_t key) const {
-  auto it = leaves_.find(key);
-  if (it == leaves_.end()) return Status::NotFound("no such leaf");
-  return it->second;
 }
 
 Hash256 SparseMerkleTree::Root() const { return NodeAt(0, 0); }
@@ -201,11 +183,6 @@ bool SparseMerkleTree::Verify(const Hash256& root, uint64_t key,
     prefix >>= 1;
   }
   return hash == root;
-}
-
-void SparseMerkleTree::ForEach(
-    const std::function<void(uint64_t, ByteView)>& fn) const {
-  for (const auto& [key, value] : leaves_) fn(key, value);
 }
 
 }  // namespace porygon::state

@@ -3,12 +3,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "common/u64_map.h"
 #include "crypto/sha256.h"
 
 namespace porygon::state {
@@ -30,9 +30,9 @@ struct MerkleProof {
 /// inner = H(left || right).
 ///
 /// This is the authenticated index over accounts that storage nodes maintain
-/// and stateless nodes verify: Get/Update with Merkle paths, root
-/// computation, and per-update incremental rehashing (depth hashes per
-/// write).
+/// and stateless nodes verify: updates with Merkle paths, root computation,
+/// and incremental rehashing of the written paths. The tree stores hashes
+/// only; callers keep the values themselves (ShardedState, PartialState).
 class SparseMerkleTree {
  public:
   static constexpr int kDepth = 64;
@@ -47,11 +47,8 @@ class SparseMerkleTree {
   /// level by level. For a block of k updates this costs
   /// O(k + distinct-path-nodes) hashes instead of O(k * depth) — the
   /// difference between microseconds and milliseconds per committed block
-  /// (see bench/micro_merkle). Last write wins for duplicate keys.
+  /// (see bench/micro_state). Last write wins for duplicate keys.
   void PutBatch(const std::vector<std::pair<uint64_t, Bytes>>& writes);
-
-  /// Returns the value (NotFound if absent).
-  Result<Bytes> Get(uint64_t key) const;
 
   /// Current root hash.
   crypto::Hash256 Root() const;
@@ -66,31 +63,35 @@ class SparseMerkleTree {
                      const MerkleProof& proof);
 
   /// Builds a *partial* tree from a proof: verifies (key, value, proof)
-  /// against `expected_root`, then stores the leaf, every node on its path,
-  /// and every sibling hash. After injecting proofs for all accounts a
+  /// against `expected_root`, then stores the leaf hash, every node on its
+  /// path, and every sibling hash. After injecting proofs for all accounts a
   /// block touches, a stateless node can PutBatch updated values and read
   /// the correct new Root() without ever holding the full state — this is
   /// the Execution Phase of a stateless ESC member (§IV-C1(c)).
   Status InjectProof(uint64_t key, ByteView value, const MerkleProof& proof,
                      const crypto::Hash256& expected_root);
 
-  /// Number of live leaves.
-  size_t LeafCount() const { return leaves_.size(); }
-
-  /// Iterates live (key, value) pairs in unspecified order.
-  void ForEach(const std::function<void(uint64_t, ByteView)>& fn) const;
+  /// Number of non-default leaf hashes: the live leaves of a full tree (a
+  /// partial tree also counts the sibling leaves its proofs carried).
+  size_t LeafCount() const { return nodes_[kDepth].size(); }
 
  private:
+  // (prefix, hash) at one level, sorted by prefix with no repeats.
+  using Frontier = std::vector<std::pair<uint64_t, crypto::Hash256>>;
+
   static crypto::Hash256 LeafHash(uint64_t key, ByteView value);
   static const std::array<crypto::Hash256, kDepth + 1>& Defaults();
 
   // Node hash at (level, prefix); falls back to the level default.
-  crypto::Hash256 NodeAt(int level, uint64_t prefix) const;
+  const crypto::Hash256& NodeAt(int level, uint64_t prefix) const;
+  // Stores (or, for the level default, drops) one node hash.
+  void SetNode(int level, uint64_t prefix, const crypto::Hash256& hash);
+  // Stores the leaf-level frontier and rehashes it up to the root.
+  void Rehash(Frontier frontier);
 
   // nodes_[level] maps prefix -> hash for non-default nodes. Level 0 is the
   // root (prefix 0), level kDepth are leaves (prefix == key).
-  std::vector<std::unordered_map<uint64_t, crypto::Hash256>> nodes_;
-  std::unordered_map<uint64_t, Bytes> leaves_;
+  std::vector<U64Map<crypto::Hash256>> nodes_;
 };
 
 }  // namespace porygon::state

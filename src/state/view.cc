@@ -15,6 +15,7 @@ Status PartialState::AddOwnAccount(AccountId id, bool present,
   Bytes encoded = present ? EncodeAccount(value) : Bytes();
   PORYGON_RETURN_IF_ERROR(
       partial_.InjectProof(id, encoded, proof, own_root_));
+  if (present) own_values_[id] = value;
   any_injected_ = true;
   return Status::Ok();
 }
@@ -37,15 +38,11 @@ uint32_t PartialState::ShardOf(AccountId id) const {
 
 Account PartialState::GetOrDefault(AccountId id) const {
   if (ShardOf(id) == own_shard_) {
-    auto ov = own_overlay_.find(id);
-    if (ov != own_overlay_.end()) return ov->second;
-    auto raw = partial_.Get(id);
-    if (!raw.ok()) return DefaultFor(id);
-    auto decoded = DecodeAccount(*raw);
-    return decoded.ok() ? *decoded : DefaultFor(id);
+    const Account* own = own_values_.Find(id);
+    return own != nullptr ? *own : DefaultFor(id);
   }
-  auto it = foreign_.find(id);
-  return it != foreign_.end() ? it->second : DefaultFor(id);
+  const Account* foreign = foreign_.Find(id);
+  return foreign != nullptr ? *foreign : DefaultFor(id);
 }
 
 void PartialState::PutAccountBatch(
@@ -56,7 +53,7 @@ void PartialState::PutAccountBatch(
   for (const auto& [id, account] : ws) {
     if (ShardOf(id) != own_shard_) continue;
     writes.emplace_back(id, EncodeAccount(account));
-    own_overlay_[id] = account;
+    own_values_[id] = account;
   }
   partial_.PutBatch(writes);
 }

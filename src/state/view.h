@@ -1,9 +1,9 @@
 #ifndef PORYGON_STATE_VIEW_H_
 #define PORYGON_STATE_VIEW_H_
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/u64_map.h"
 #include "state/account.h"
 #include "state/smt.h"
 
@@ -88,8 +88,9 @@ class PartialState : public StateView {
   crypto::Hash256 own_root_;
   SparseMerkleTree partial_;
   bool any_injected_ = false;
-  std::unordered_map<AccountId, Account> foreign_;
-  std::unordered_map<AccountId, Account> own_overlay_;  // Post-write values.
+  U64Map<Account> foreign_;
+  // Own-shard values: proven at injection, then overwritten by writes.
+  U64Map<Account> own_values_;
 };
 
 }  // namespace porygon::state

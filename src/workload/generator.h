@@ -2,10 +2,10 @@
 #define PORYGON_WORKLOAD_GENERATOR_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/u64_map.h"
 #include "state/account.h"
 #include "tx/transaction.h"
 #include "workload/traffic.h"
@@ -53,7 +53,7 @@ class WorkloadGenerator : public TrafficModel {
 
   WorkloadOptions options_;
   Rng rng_;
-  std::unordered_map<state::AccountId, uint64_t> nonces_;
+  U64Map<uint64_t> nonces_;  // Next nonce per sender.
 };
 
 }  // namespace porygon::workload

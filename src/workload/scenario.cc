@@ -148,9 +148,9 @@ std::vector<ScenarioCell> DefaultScenarioMatrix() {
   const std::string adversary = "stateless:equivocate,alpha:0.2,seed:9";
   std::vector<ScenarioCell> cells;
   for (const std::string& w : {uniform, zipf, flash, contract}) {
-    cells.push_back({w, "", ""});
-    cells.push_back({w, faults, ""});
-    cells.push_back({w, "", adversary});
+    cells.push_back({w, "", "", ""});
+    cells.push_back({w, faults, "", ""});
+    cells.push_back({w, "", adversary, ""});
   }
   // Tree dissemination rides the matrix too: the aggregation-relay
   // strategy under the two headline workloads, clean and adversarial, so

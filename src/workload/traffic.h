@@ -4,11 +4,11 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/u64_map.h"
 #include "state/account.h"
 #include "tx/transaction.h"
 
@@ -159,7 +159,7 @@ class ZipfTrafficModel : public TrafficModel {
  private:
   Spec spec_;
   Rng rng_;
-  std::unordered_map<state::AccountId, uint64_t> nonces_;
+  U64Map<uint64_t> nonces_;  // Next nonce per sender.
 };
 
 /// Flash-crowd workload: a rotating hot set of `hot_size` accounts absorbs
@@ -181,7 +181,7 @@ class FlashCrowdTrafficModel : public TrafficModel {
   Spec spec_;
   Rng rng_;
   uint64_t emitted_ = 0;
-  std::unordered_map<state::AccountId, uint64_t> nonces_;
+  U64Map<uint64_t> nonces_;  // Next nonce per sender.
 };
 
 /// Contract-like workload: each "call" touches one Zipf-popular contract
@@ -205,7 +205,7 @@ class ContractTrafficModel : public TrafficModel {
   Spec spec_;
   Rng rng_;
   std::deque<tx::Transaction> queue_;  ///< Remaining transfers of the call.
-  std::unordered_map<state::AccountId, uint64_t> nonces_;
+  U64Map<uint64_t> nonces_;  // Next nonce per sender.
 };
 
 /// Constant-rate arrival: multiplier 1 everywhere.

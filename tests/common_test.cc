@@ -1,6 +1,6 @@
 // Tests for the common substrate: Status/Result, byte views, hex, the
-// binary codec, CRC-32C, the deterministic RNG, Merkle paths, and the
-// clause grammar every CLI spec is parsed with.
+// binary codec, CRC-32C, the deterministic RNG, Merkle paths, the clause
+// grammar every CLI spec is parsed with, and the flat uint64_t map.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/u64_map.h"
 #include "common/wire.h"
 #include "core/adversary.h"
 #include "crypto/merkle.h"
@@ -501,6 +503,65 @@ TEST(ClauseTest, CanonicalSpecStringsKeepTheirBytes) {
   auto parsed = workload::SoakSpec::Parse(soak);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->ToString(), soak);
+}
+
+
+// Random insert, overwrite and erase against std::unordered_map. The small
+// key pools keep the table at 8-32 slots, where probe chains wrap past the
+// end of the slot array and backward-shift erase moves entries across the
+// wrap; the large pool grows the table through many doublings. Every pool
+// holds key 0 and key ~0 (the empty-slot marker, stored out of line), and
+// every phase ends by erasing down to empty and reusing the table.
+TEST(U64MapTest, MatchesUnorderedMapUnderChurn) {
+  Rng rng(1234);
+  for (size_t pool_size : {2, 5, 9, 20, 3000}) {
+    std::vector<uint64_t> pool{0, ~uint64_t{0}};
+    while (pool.size() < pool_size) pool.push_back(rng.NextU64());
+    U64Map<uint64_t> map;
+    std::unordered_map<uint64_t, uint64_t> reference;
+    auto agree = [&] {
+      ASSERT_EQ(map.size(), reference.size());
+      for (uint64_t key : pool) {
+        const uint64_t* found = map.Find(key);
+        auto it = reference.find(key);
+        ASSERT_EQ(found != nullptr, it != reference.end()) << key;
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second) << key;
+        }
+      }
+    };
+
+    const bool small = pool_size < 100;
+    for (int phase = 0; phase < 3; ++phase) {
+      // Phase 0 mostly inserts (growth), phase 1 churns, phase 2 mostly
+      // erases.
+      const double insert_share = phase == 0 ? 0.8 : phase == 1 ? 0.5 : 0.2;
+      const size_t ops = 4 * pool_size + 400;
+      for (size_t op = 0; op < ops; ++op) {
+        const uint64_t key = pool[rng.NextBelow(pool.size())];
+        const double r = rng.NextDouble();
+        if (r < insert_share / 2) {
+          const uint64_t value = rng.NextU64();
+          map[key] = value;
+          reference[key] = value;
+        } else if (r < insert_share) {
+          // Value-initialising increment, as the nonce trackers use it.
+          const uint64_t got = map[key]++;
+          ASSERT_EQ(got, reference[key]++) << key;
+        } else {
+          ASSERT_EQ(map.Erase(key), reference.erase(key) == 1) << key;
+        }
+        if (small || op % 256 == 0) agree();
+      }
+      agree();
+      for (uint64_t key : pool) {
+        ASSERT_EQ(map.Erase(key), reference.erase(key) == 1) << key;
+      }
+      agree();
+      EXPECT_EQ(map.size(), 0u);
+      EXPECT_FALSE(map.Erase(pool.back()));
+    }
+  }
 }
 
 }  // namespace

@@ -1,19 +1,83 @@
 // Sparse Merkle tree and sharded-state tests: proofs, roots, determinism,
-// shard routing, and the OC's stateless root aggregation.
+// shard routing, and the OC's stateless root aggregation. The naive
+// reference below pins the tree's definition independently of its storage.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
 #include "state/account.h"
 #include "state/sharded_state.h"
 #include "state/smt.h"
+#include "state/view.h"
 
 namespace porygon::state {
 namespace {
 
 using crypto::Hash256;
+using crypto::Sha256;
+
+// The tree's definition written from scratch: leaf = H(0x00 || key_le ||
+// value), empty leaf = H(0x02), inner = H(0x01 || left || right), and an
+// empty subtree at any level is the inner hash of two empty children. The
+// root is computed by recursion over the live leaves alone.
+class NaiveSmt {
+ public:
+  using Leaves = std::map<uint64_t, Bytes>;
+
+  NaiveSmt() {
+    const uint8_t empty_tag = 0x02;
+    empty_[64] = Sha256::Hash(ByteView(&empty_tag, 1));
+    for (int level = 63; level >= 0; --level) {
+      empty_[level] = Inner(empty_[level + 1], empty_[level + 1]);
+    }
+  }
+
+  Hash256 Root(const Leaves& leaves) const {
+    return Node(0, 0, leaves.begin(), leaves.end());
+  }
+
+ private:
+  static Hash256 Inner(const Hash256& left, const Hash256& right) {
+    const uint8_t tag = 0x01;
+    Sha256 h;
+    h.Update(ByteView(&tag, 1));
+    h.Update(left);
+    h.Update(right);
+    return h.Finish();
+  }
+
+  static Hash256 Leaf(uint64_t key, const Bytes& value) {
+    const uint8_t tag = 0x00;
+    uint8_t le_key[8];
+    for (int i = 0; i < 8; ++i) {
+      le_key[i] = static_cast<uint8_t>(key >> (8 * i));
+    }
+    Sha256 h;
+    h.Update(ByteView(&tag, 1));
+    h.Update(ByteView(le_key, 8));
+    h.Update(value);
+    return h.Finish();
+  }
+
+  // Hash of the subtree at `level` whose first key is `lo`; [first, last)
+  // are exactly the live leaves under it.
+  Hash256 Node(int level, uint64_t lo, Leaves::const_iterator first,
+               Leaves::const_iterator last) const {
+    if (first == last) return empty_[level];
+    if (level == 64) return Leaf(first->first, first->second);
+    const uint64_t mid = lo + (uint64_t{1} << (63 - level));
+    auto split = std::partition_point(
+        first, last, [&](const auto& leaf) { return leaf.first < mid; });
+    return Inner(Node(level + 1, lo, first, split),
+                 Node(level + 1, mid, split, last));
+  }
+
+  Hash256 empty_[65];
+};
 
 TEST(AccountTest, EncodeDecodeRoundTrip) {
   Account a{12345, 67};
@@ -48,15 +112,6 @@ TEST(SmtTest, PutChangesRootDeleteRestoresIt) {
   tree.Delete(42);
   EXPECT_EQ(tree.Root(), empty_root);
   EXPECT_EQ(tree.LeafCount(), 0u);
-}
-
-TEST(SmtTest, GetReturnsStoredValue) {
-  SparseMerkleTree tree;
-  tree.Put(7, ToBytes("seven"));
-  auto v = tree.Get(7);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, ToBytes("seven"));
-  EXPECT_FALSE(tree.Get(8).ok());
 }
 
 TEST(SmtTest, RootIsOrderIndependent) {
@@ -122,32 +177,46 @@ class SmtRandomTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SmtRandomTest, MatchesReferenceAndProofsHold) {
   Rng rng(GetParam());
   SparseMerkleTree tree;
-  std::map<uint64_t, std::string> reference;
+  // The same writes as accounts: the values the state reads back must be
+  // the ones the tree proves.
+  ShardedState state(0);
+  std::map<uint64_t, Account> reference;
 
   for (int op = 0; op < 500; ++op) {
     uint64_t key = rng.NextU64() % 1000;
     if (rng.NextBernoulli(0.3)) {
       tree.Delete(key);
+      state.DeleteAccount(key);
       reference.erase(key);
     } else {
-      std::string value = "v" + std::to_string(rng.NextU64() % 10000);
-      tree.Put(key, ToBytes(value));
+      Account value{rng.NextU64() % 10000, rng.NextU64() % 100};
+      tree.Put(key, EncodeAccount(value));
+      state.PutAccount(key, value);
       reference[key] = value;
     }
   }
 
   EXPECT_EQ(tree.LeafCount(), reference.size());
+  EXPECT_EQ(state.TotalAccountCount(), reference.size());
   Hash256 root = tree.Root();
-  for (const auto& [key, value] : reference) {
-    auto stored = tree.Get(key);
-    ASSERT_TRUE(stored.ok());
-    EXPECT_EQ(*stored, ToBytes(value));
-    EXPECT_TRUE(
-        SparseMerkleTree::Verify(root, key, ToBytes(value), tree.Prove(key)));
+  EXPECT_EQ(state.ShardRoot(0), root);
+  for (uint64_t key = 0; key < 1000; ++key) {
+    auto stored = state.GetAccount(key);
+    auto it = reference.find(key);
+    if (it == reference.end()) {
+      EXPECT_TRUE(stored.status().IsNotFound()) << key;
+      continue;
+    }
+    ASSERT_TRUE(stored.ok()) << key;
+    EXPECT_EQ(*stored, it->second);
+    EXPECT_TRUE(SparseMerkleTree::Verify(root, key, EncodeAccount(it->second),
+                                         tree.Prove(key)));
   }
   // A rebuilt tree from the reference has the same root.
   SparseMerkleTree rebuilt;
-  for (const auto& [key, value] : reference) rebuilt.Put(key, ToBytes(value));
+  for (const auto& [key, value] : reference) {
+    rebuilt.Put(key, EncodeAccount(value));
+  }
   EXPECT_EQ(rebuilt.Root(), root);
 }
 
@@ -182,6 +251,104 @@ TEST_P(SmtBatchTest, PutBatchMatchesSequentialPuts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SmtBatchTest, ::testing::Values(41, 42, 43));
 
+TEST(SmtTest, MatchesNaiveReferenceRoot) {
+  Rng rng(31337);
+  // Keys spread over all 64 bits, so every level branches: random keys,
+  // each with its sibling leaf and a key that diverges from it at a random
+  // level, plus the extreme keys.
+  std::vector<uint64_t> keys{0, 1, ~uint64_t{0}, ~uint64_t{0} - 1,
+                             uint64_t{1} << 63};
+  while (keys.size() < 200) {
+    const uint64_t base = rng.NextU64();
+    keys.push_back(base);
+    keys.push_back(base ^ 1);
+    keys.push_back(base ^ (uint64_t{1} << rng.NextBelow(64)));
+  }
+  auto pick = [&] { return keys[rng.NextBelow(keys.size())]; };
+  auto account = [&] {
+    return Account{rng.NextU64() % 1'000'000, rng.NextU64() % 100};
+  };
+
+  const NaiveSmt naive;
+  NaiveSmt::Leaves reference;
+  SparseMerkleTree by_put, by_batch;
+  ASSERT_EQ(by_put.Root(), naive.Root(reference));
+
+  // Applies `writes` (empty value = delete) to the reference and both
+  // trees, then checks all three agree.
+  auto apply = [&](const std::vector<std::pair<uint64_t, Bytes>>& writes) {
+    for (const auto& [key, value] : writes) {
+      by_put.Put(key, value);
+      if (value.empty()) {
+        reference.erase(key);
+      } else {
+        reference[key] = value;
+      }
+    }
+    by_batch.PutBatch(writes);
+    const Hash256 expected = naive.Root(reference);
+    EXPECT_EQ(by_put.Root(), expected);
+    EXPECT_EQ(by_batch.Root(), expected);
+    EXPECT_EQ(by_put.LeafCount(), reference.size());
+    EXPECT_EQ(by_batch.LeafCount(), reference.size());
+  };
+
+  for (int round = 0; round < 12; ++round) {
+    std::vector<std::pair<uint64_t, Bytes>> writes;
+    for (int i = 0; i < 60; ++i) {
+      writes.emplace_back(pick(), rng.NextBernoulli(0.25)
+                                      ? Bytes()
+                                      : EncodeAccount(account()));
+    }
+    // Duplicate keys in one batch: the last write wins, delete or not.
+    for (int i = 0; i < 6; ++i) {
+      const uint64_t key = writes[rng.NextBelow(writes.size())].first;
+      writes.emplace_back(key, Bytes());
+      writes.emplace_back(key, EncodeAccount(account()));
+      if (i % 2 == 0) writes.emplace_back(key, Bytes());
+    }
+    apply(writes);
+  }
+  ASSERT_FALSE(reference.empty());
+
+  // A stateless view rebuilt from proofs of present and absent keys, then
+  // written (repeated ids included), lands on the same root.
+  std::vector<uint64_t> touched;
+  for (int i = 0; i < 40; ++i) touched.push_back(pick());
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  PartialState partial(/*shard_bits=*/0, /*own_shard=*/0, by_batch.Root());
+  for (uint64_t key : touched) {
+    auto it = reference.find(key);
+    const bool present = it != reference.end();
+    const Account value = present ? *DecodeAccount(it->second) : Account{};
+    ASSERT_TRUE(
+        partial.AddOwnAccount(key, present, value, by_batch.Prove(key)).ok());
+  }
+  ASSERT_EQ(partial.ShardRoot(0), by_batch.Root());
+  std::vector<std::pair<AccountId, Account>> account_writes;
+  for (uint64_t key : touched) account_writes.emplace_back(key, account());
+  account_writes.emplace_back(touched.front(), account());
+  partial.PutAccountBatch(0, account_writes);
+  std::vector<std::pair<uint64_t, Bytes>> writes;
+  for (const auto& [key, value] : account_writes) {
+    writes.emplace_back(key, EncodeAccount(value));
+  }
+  apply(writes);
+  EXPECT_EQ(partial.ShardRoot(0), naive.Root(reference));
+  for (uint64_t key : touched) {
+    EXPECT_EQ(partial.GetOrDefault(key), *DecodeAccount(reference.at(key)));
+  }
+
+  // Delete every leaf, one at a time and in one batch: back to the empty
+  // root.
+  writes.clear();
+  for (const auto& [key, value] : reference) writes.emplace_back(key, Bytes());
+  apply(writes);
+  EXPECT_TRUE(reference.empty());
+  EXPECT_EQ(by_batch.Root(), SparseMerkleTree().Root());
+}
+
 TEST(ShardedStateTest, AccountsRouteToTheirShard) {
   ShardedState st(2);  // 4 shards.
   st.PutAccount(0b100, {10, 0});  // Shard 0.
@@ -194,6 +361,82 @@ TEST(ShardedStateTest, AccountsRouteToTheirShard) {
   EXPECT_EQ(st.TotalAccountCount(), 3u);
   EXPECT_EQ(st.GetOrDefault(0b101).balance, 20u);
   EXPECT_EQ(st.GetOrDefault(0xdead00).balance, 0u);  // Default.
+}
+
+TEST(ShardedStateTest, GetAccountReturnsStoredValue) {
+  ShardedState st(1);
+  st.PutAccount(7, {70, 1});
+  auto v = st.GetAccount(7);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, (Account{70, 1}));
+  EXPECT_TRUE(st.GetAccount(8).status().IsNotFound());  // Other shard.
+  EXPECT_TRUE(st.GetAccount(9).status().IsNotFound());  // Same shard.
+  st.DeleteAccount(7);
+  EXPECT_TRUE(st.GetAccount(7).status().IsNotFound());
+}
+
+TEST(ShardedStateTest, ValuesAndProofsAgree) {
+  Rng rng(2718);
+  ShardedState st(2);
+  std::vector<AccountId> ids{0, 1, ~AccountId{0}};
+  while (ids.size() < 400) ids.push_back(rng.NextU64());
+  auto pick = [&] { return ids[rng.NextBelow(ids.size())]; };
+  auto account = [&] { return Account{rng.NextU64(), rng.NextU64() % 1000}; };
+  std::map<AccountId, Account> reference;
+
+  for (int op = 0; op < 1500; ++op) {
+    const double r = rng.NextDouble();
+    if (r < 0.4) {
+      const AccountId id = pick();
+      const Account a = account();
+      st.PutAccount(id, a);
+      reference[id] = a;
+    } else if (r < 0.6) {
+      const AccountId id = pick();
+      st.DeleteAccount(id);
+      reference.erase(id);
+    } else {
+      // One shard's batch: ids of other shards are skipped, and a repeated
+      // id takes its last write.
+      const uint32_t shard = static_cast<uint32_t>(rng.NextBelow(4));
+      std::vector<std::pair<AccountId, Account>> ws;
+      for (int i = 0; i < 12; ++i) ws.emplace_back(pick(), account());
+      ws.emplace_back(ws[rng.NextBelow(ws.size())].first, account());
+      st.PutAccountBatch(shard, ws);
+      for (const auto& [id, a] : ws) {
+        if (st.ShardOf(id) == shard) reference[id] = a;
+      }
+    }
+  }
+
+  std::vector<size_t> per_shard(4, 0);
+  for (AccountId id : ids) {
+    const Hash256 root = st.ShardRoot(st.ShardOf(id));
+    const MerkleProof proof = st.ProveAccount(id);
+    auto stored = st.GetAccount(id);
+    auto it = reference.find(id);
+    if (it == reference.end()) {
+      EXPECT_TRUE(stored.status().IsNotFound()) << id;
+      EXPECT_TRUE(ShardedState::VerifyAbsence(root, id, proof)) << id;
+      EXPECT_EQ(st.GetOrDefault(id), Account{}) << id;
+      continue;
+    }
+    ASSERT_TRUE(stored.ok()) << id;
+    EXPECT_EQ(*stored, it->second);
+    EXPECT_EQ(st.GetOrDefault(id), it->second);
+    EXPECT_TRUE(ShardedState::VerifyAccount(root, id, *stored, proof)) << id;
+    EXPECT_FALSE(ShardedState::VerifyAbsence(root, id, proof)) << id;
+  }
+  for (const auto& [id, a] : reference) ++per_shard[st.ShardOf(id)];
+  for (uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(st.ShardAccountCount(s), per_shard[s]) << s;
+  }
+  EXPECT_EQ(st.TotalAccountCount(), reference.size());
+
+  // The same accounts written once each, in key order, give the same root.
+  ShardedState rebuilt(2);
+  for (const auto& [id, a] : reference) rebuilt.PutAccount(id, a);
+  EXPECT_EQ(rebuilt.GlobalRoot(), st.GlobalRoot());
 }
 
 TEST(ShardedStateTest, GlobalRootMatchesAggregatedShardRoots) {
