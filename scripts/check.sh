@@ -43,6 +43,10 @@ run_suite() {
   # views rebuilt from proofs, and the flat uint64_t map under churn.
   ctest --test-dir "$dir" -R 'Smt|ShardedState|PartialState|U64Map' \
     --output-on-failure
+  # Parallel runtime: fork-join and launched pool batches, and byte-identical
+  # exports at 0, 1 and 4 threads, including the pipelined canonical
+  # execution under faithful proofs and a storage crash/rejoin.
+  ctest --test-dir "$dir" -R 'TaskPool|ThreadInvariance' --output-on-failure
   # Workload suite: traffic-model determinism, Zipf sanity, scenario rows.
   ctest --test-dir "$dir" -R Workload --output-on-failure
   # Critical-path suite: bandwidth-ledger queue/busy accounting, dominant
@@ -85,15 +89,17 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
   # suites; Sha256 checks the once-initialised compression choice that
   # VerifyBatch's pool threads read; Smt and ShardedState because per-shard
-  # PutBatch runs on pool threads. TSan is incompatible with ASan, hence the
-  # third build tree.
+  # PutBatch runs on pool threads; Epoch, FaultInjection and Soak because the
+  # launched shard execution must settle before every state read across
+  # epoch hand-offs and storage crash/recover. TSan is incompatible with
+  # ASan, hence the third build tree.
   echo "== thread sanitized build + runtime/system ctest =="
   cmake -B build-tsan -S . -DPORYGON_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)"
   PORYGON_THREADS=4 \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256|Smt|ShardedState'
+      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256|Smt|ShardedState|Epoch|FaultInjection|Soak'
 fi
 
 echo "check.sh: all suites passed"

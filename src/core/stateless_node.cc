@@ -857,17 +857,16 @@ void StatelessNodeActor::RunExecution() {
   if (!faithful) {
     // Fast path: adopt the deterministic result computed once for this
     // (round, shard) — identical to what local execution would produce.
-    auto cached = system_->exec_cache_.find(req.round);
-    if (cached != system_->exec_cache_.end() &&
-        req.shard < cached->second.roots.size()) {
-      result.new_root = cached->second.roots[req.shard];
-      result.s_set = cached->second.s_sets[req.shard];
-      result.intra_applied = cached->second.intra_applied[req.shard];
-      result.cross_pre_executed = cached->second.cross_pre[req.shard];
+    const PorygonSystem::CachedExec* cached = system_->SettledExec(req.round);
+    if (cached != nullptr && req.shard < cached->roots.size()) {
+      result.new_root = cached->roots[req.shard];
+      result.s_set = cached->s_sets[req.shard];
+      result.intra_applied = cached->intra_applied[req.shard];
+      result.cross_pre_executed = cached->cross_pre[req.shard];
       computed = true;
-      system_->obs_.exec_cache_hits->Increment();
+      system_->obs_.cached_exec_hits->Increment();
     } else {
-      system_->obs_.exec_cache_misses->Increment();
+      system_->obs_.cached_exec_misses->Increment();
     }
   }
 
@@ -879,8 +878,9 @@ void StatelessNodeActor::RunExecution() {
     // Implicit (lazily funded) accounts are genesis config every node
     // knows; mirroring the declaration keeps faithful execution
     // byte-identical to the canonical fast path.
-    partial.SetImplicitAccounts(system_->canonical_state().implicit_max_id(),
-                                system_->canonical_state().implicit_balance());
+    const state::ShardedState& canonical = system_->SettledState();
+    partial.SetImplicitAccounts(canonical.implicit_max_id(),
+                                canonical.implicit_balance());
     if (exec_task_->state.has_value()) {
       const StateResponse& sr = *exec_task_->state;
       for (size_t i = 0; i < sr.entries.size(); ++i) {

@@ -154,7 +154,7 @@ void StorageNodeActor::OnRoleAnnounce(const net::Message& msg,
   // thresholds with no shard bits.
   const bool ordering = static_cast<Role>(a->role) == Role::kOrdering;
   if (!Sortition::Verify(system_->provider(), a->node_key, a->round,
-                         system_->chain().back().Hash(),
+                         system_->tip_hash(),
                          ordering ? 1.0 : 0.0, ordering ? 0.0 : 1.0,
                          ordering ? 0 : system_->params().shard_bits,
                          claimed)) {
@@ -663,7 +663,7 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
   StateResponse resp;
   resp.round = req->round;
   resp.shard = req->shard;
-  const state::ShardedState& st = system_->canonical_state();
+  const state::ShardedState& st = system_->SettledState();
   for (state::AccountId id : req->accounts) {
     StateResponse::Entry e;
     e.account = id;

@@ -15,23 +15,22 @@ namespace {
 /// Read-only snapshot wrapper: own-shard reads/writes hit the live state,
 /// foreign reads come from a pre-captured snapshot so every shard's
 /// cross-shard pre-execution observes the same pre-round values (each real
-/// ESC downloads the same committed snapshot).
+/// ESC downloads the same committed snapshot). Every shard's view shares
+/// the one snapshot, which outlives them.
 class SnapshotForeignView : public state::StateView {
  public:
-  SnapshotForeignView(state::ShardedState* base, uint32_t own_shard,
-                      std::unordered_map<state::AccountId, state::Account>
-                          foreign_snapshot)
-      : base_(base),
-        own_shard_(own_shard),
-        foreign_(std::move(foreign_snapshot)) {}
+  SnapshotForeignView(
+      state::ShardedState* base, uint32_t own_shard,
+      const std::unordered_map<state::AccountId, state::Account>* foreign)
+      : base_(base), own_shard_(own_shard), foreign_(foreign) {}
 
   uint32_t ShardOf(state::AccountId id) const override {
     return base_->ShardOf(id);
   }
   state::Account GetOrDefault(state::AccountId id) const override {
     if (base_->ShardOf(id) == own_shard_) return base_->GetOrDefault(id);
-    auto it = foreign_.find(id);
-    return it != foreign_.end() ? it->second : state::Account{};
+    auto it = foreign_->find(id);
+    return it != foreign_->end() ? it->second : state::Account{};
   }
   void PutAccountBatch(
       uint32_t shard,
@@ -46,7 +45,7 @@ class SnapshotForeignView : public state::StateView {
  private:
   state::ShardedState* base_;
   uint32_t own_shard_;
-  std::unordered_map<state::AccountId, state::Account> foreign_;
+  const std::unordered_map<state::AccountId, state::Account>* foreign_;
 };
 }  // namespace
 
@@ -255,8 +254,8 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
       metrics_registry_.GetCounter("porygon.replay_mismatches");
   obs_.gossip_dedup_hits =
       metrics_registry_.GetCounter("core.gossip_dedup_hits");
-  obs_.exec_cache_hits = metrics_registry_.GetCounter("core.exec_cache_hits");
-  obs_.exec_cache_misses =
+  obs_.cached_exec_hits = metrics_registry_.GetCounter("core.exec_cache_hits");
+  obs_.cached_exec_misses =
       metrics_registry_.GetCounter("core.exec_cache_misses");
   obs_.block_latency = metrics_registry_.GetHistogram(
       "porygon.latency_seconds", {{"kind", "block"}});
@@ -496,6 +495,8 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
 }
 
 PorygonSystem::~PorygonSystem() {
+  // No pool thread may outlive the state and job it writes.
+  SettleExecState();
   // Executions still in flight at teardown never completed; do not record
   // their partial durations.
   for (auto& [round, timer] : exec_timers_) timer.Cancel();
@@ -658,16 +659,21 @@ const PorygonSystem::RoundRegistry* PorygonSystem::RegistryFor(
   return it == registry_.end() ? nullptr : &it->second;
 }
 
-ExecutionInput PorygonSystem::BuildExecutionInput(
-    const tx::ProposalBlock& based_on, uint32_t shard) const {
-  ExecutionInput input;
-  input.shard = shard;
-  if (shard < based_on.shard_updates.size()) {
-    input.updates = based_on.shard_updates[shard];
-  }
+std::vector<ExecutionInput> PorygonSystem::BuildExecutionInputs(
+    const tx::ProposalBlock& based_on) const {
+  const int shards = options_.params.shard_count();
   std::set<std::string> discarded;
   for (const auto& id : based_on.discarded) discarded.insert(IdKey(id));
-  if (shard < based_on.shard_tx_blocks.size()) {
+  std::vector<ExecutionInput> inputs(static_cast<size_t>(shards));
+  for (int shard = 0; shard < shards; ++shard) {
+    ExecutionInput& input = inputs[shard];
+    input.shard = static_cast<uint32_t>(shard);
+    if (static_cast<size_t>(shard) < based_on.shard_updates.size()) {
+      input.updates = based_on.shard_updates[shard];
+    }
+    if (static_cast<size_t>(shard) >= based_on.shard_tx_blocks.size()) {
+      continue;
+    }
     for (const auto& id : based_on.shard_tx_blocks[shard]) {
       auto stored = block_store_.find(IdKey(id));
       if (stored == block_store_.end()) continue;
@@ -685,54 +691,68 @@ ExecutionInput PorygonSystem::BuildExecutionInput(
       }
     }
   }
-  return input;
+  return inputs;
 }
 
 void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   // Applies the inputs of proposal block B_{exec_round} to the canonical
   // state, recording per-shard results. This equals what every honest ESC
-  // computes for that proposal (determinism, Lemma 3).
+  // computes for that proposal (determinism, Lemma 3). The previous launch
+  // settles first: its writes precede this round's snapshot.
+  SettleExecState();
   if (exec_round < 1 || exec_round >= chain_.size()) return;
   if (exec_cache_.count(exec_round) > 0) return;
-  const tx::ProposalBlock& basis = chain_[exec_round];
-  const int shards = options_.params.shard_count();
+  const auto wall_start = runtime::WallClock::now();
+  const size_t shards = static_cast<size_t>(options_.params.shard_count());
 
-  // Pre-capture foreign-account values for cross-shard pre-execution so all
-  // shards observe the same snapshot.
-  std::vector<ExecutionInput> inputs;
-  std::unordered_map<state::AccountId, state::Account> snapshot;
-  for (int d = 0; d < shards; ++d) {
-    inputs.push_back(BuildExecutionInput(basis, d));
-    for (const auto& t : inputs.back().cross_shard) {
-      snapshot[t.from] = exec_state_->GetOrDefault(t.from);
-      snapshot[t.to] = exec_state_->GetOrDefault(t.to);
+  // Inputs and the foreign-account snapshot are built here on the loop
+  // thread, which goes on mutating block_store_ and chain_ while the bodies
+  // run; the snapshot gives every shard's cross-shard pre-execution the same
+  // pre-round foreign values.
+  exec_job_ = std::make_unique<ExecJob>();
+  ExecJob* job = exec_job_.get();
+  job->exec_round = exec_round;
+  job->inputs = BuildExecutionInputs(chain_[exec_round]);
+  for (const ExecutionInput& input : job->inputs) {
+    for (const auto& t : input.cross_shard) {
+      job->snapshot[t.from] = exec_state_->GetOrDefault(t.from);
+      job->snapshot[t.to] = exec_state_->GetOrDefault(t.to);
     }
   }
+  job->results.resize(shards);
 
-  // Fan the per-shard executions out on the compute pool: each body writes
-  // only its own shard's subtree (SnapshotForeignView confines writes, and
-  // foreign reads come from the per-body snapshot copy), and each result
-  // lands in its own slot. The cross-shard merge below runs on the caller
-  // in index order, so the cache is identical for any thread count.
-  std::vector<ExecutionResult> results(shards);
-  const uint64_t wall_before = pool_->wall_us();
-  pool_->ParallelFor(static_cast<size_t>(shards), [&](size_t d) {
+  // Launch the per-shard executions on the compute pool and return: each
+  // body writes only its own shard's subtree (SnapshotForeignView confines
+  // writes, and foreign reads come from the job's snapshot) and its own
+  // result slot. Nothing reads either until SettleExecState, which every
+  // reader of exec_state_ / exec_cache_ goes through.
+  pool_->Launch(shards, [this, job](size_t d) {
     SnapshotForeignView view(exec_state_.get(), static_cast<uint32_t>(d),
-                             snapshot);
-    results[d] = ShardExecutor::Execute(&view, inputs[d]);
+                             &job->snapshot);
+    job->results[d] = ShardExecutor::Execute(&view, job->inputs[d]);
   });
   obs_.runtime_exec_tasks->Add(static_cast<uint64_t>(shards));
   obs_.runtime_exec_wall_us->Add(
-      static_cast<double>(pool_->wall_us() - wall_before));
+      static_cast<double>(runtime::WallMicrosSince(wall_start)));
+}
 
+void PorygonSystem::SettleExecState() {
+  if (exec_job_ == nullptr) return;
+  const auto wall_start = runtime::WallClock::now();
+  pool_->Join();
+  const std::unique_ptr<ExecJob> job = std::move(exec_job_);
+
+  // The cross-shard merge runs here in shard order, so the cache is
+  // identical for any thread count.
+  const size_t shards = job->results.size();
   CachedExec cache;
   cache.roots.resize(shards);
   cache.s_sets.resize(shards);
   cache.intra_applied.resize(shards);
   cache.cross_pre.resize(shards);
   cache.failed.resize(shards);
-  for (int d = 0; d < shards; ++d) {
-    ExecutionResult& r = results[d];
+  for (size_t d = 0; d < shards; ++d) {
+    ExecutionResult& r = job->results[d];
     cache.roots[d] = r.shard_root;
     cache.s_sets[d] = std::move(r.cross_updates);
     cache.intra_applied[d] = r.intra_applied;
@@ -742,12 +762,27 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
       cache.failed_ids.insert(IdKey(f.id));
     }
   }
+  const uint64_t exec_round = job->exec_round;
   exec_cache_[exec_round] = std::move(cache);
   // Bound memory.
   while (!exec_cache_.empty() &&
          exec_cache_.begin()->first + 8 < exec_round) {
     exec_cache_.erase(exec_cache_.begin());
   }
+  obs_.runtime_exec_wall_us->Add(
+      static_cast<double>(runtime::WallMicrosSince(wall_start)));
+}
+
+const state::ShardedState& PorygonSystem::SettledState() {
+  SettleExecState();
+  return *exec_state_;
+}
+
+const PorygonSystem::CachedExec* PorygonSystem::SettledExec(
+    uint64_t exec_round) {
+  SettleExecState();
+  auto it = exec_cache_.find(exec_round);
+  return it == exec_cache_.end() ? nullptr : &it->second;
 }
 
 void PorygonSystem::ReconfigureEpoch(uint64_t round) {
@@ -755,7 +790,7 @@ void PorygonSystem::ReconfigureEpoch(uint64_t round) {
   // re-formation. Pure function of (tip hash, node keys, adversary spec):
   // nothing is drawn from rng_, so enabling epochs perturbs no other
   // randomness and exports stay byte-identical across thread counts.
-  const crypto::Hash256 tip = chain_.back().Hash();
+  const crypto::Hash256& tip = tip_hash_;
   const size_t n = stateless_nodes_.size();
   std::vector<Assignment> draws(n);
   std::vector<int> order(n);
@@ -922,7 +957,9 @@ void PorygonSystem::StartRound(uint64_t round) {
   }
   // Advance the canonical state. Fast mode leads by one round (results are
   // pre-computed for adopting ESCs); faithful mode lags so state requests
-  // during this round serve the snapshot the executing ESC must see.
+  // during this round serve the snapshot the executing ESC must see. The
+  // execution runs on the pool behind this round's event-loop work and
+  // settles at the first read (SettleExecState).
   if (options_.faithful_execution) {
     if (round >= 2) AdvanceExecState(round - 2);
   } else {
@@ -974,6 +1011,7 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
     return;
   }
   chain_.push_back(block);
+  tip_hash_ = block.Hash();
   ++committed_rounds_;
   obs_.committed_blocks->Increment();
 
@@ -1033,17 +1071,16 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
   // Replay verification: committed roots must match the canonical replay
   // of the inputs that produced them (exec round = block.round - 2).
   if (block.round >= 2) {
-    auto cached = exec_cache_.find(block.round - 2);
-    if (cached != exec_cache_.end()) {
+    if (const CachedExec* cached = SettledExec(block.round - 2)) {
       for (size_t d = 0; d < block.shard_roots.size() &&
-                         d < cached->second.roots.size();
+                         d < cached->roots.size();
            ++d) {
         // A shard without accepted results keeps its previous root, which
         // is also consistent; only flag mismatches on changed roots.
         const auto& prev_roots = chain_[block.round - 1].shard_roots;
         bool unchanged = d < prev_roots.size() &&
                          block.shard_roots[d] == prev_roots[d];
-        if (!unchanged && block.shard_roots[d] != cached->second.roots[d]) {
+        if (!unchanged && block.shard_roots[d] != cached->roots[d]) {
           obs_.replay_mismatches->Increment();
         }
       }
@@ -1097,9 +1134,9 @@ void PorygonSystem::AccountCommittedBatch(const tx::ProposalBlock& block) {
     std::set<std::string> discarded;
     for (const auto& id : listing.discarded) discarded.insert(IdKey(id));
     const std::set<std::string>* failed = nullptr;
-    auto cached = exec_cache_.find(exec_round);
-    if (cached != exec_cache_.end() && !cached->second.failed_ids.empty()) {
-      failed = &cached->second.failed_ids;
+    const CachedExec* cached = SettledExec(exec_round);
+    if (cached != nullptr && !cached->failed_ids.empty()) {
+      failed = &cached->failed_ids;
     }
     // Ids are only looked up when some set could match or a trace needs
     // them; the common no-discard, no-failure round skips them entirely.
@@ -1166,6 +1203,7 @@ void PorygonSystem::Run(int rounds, net::SimTime max_sim_time) {
     genesis_.ordering_threshold = options_.params.ordering_fraction;
     genesis_.execution_threshold = options_.params.execution_fraction;
     chain_.push_back(genesis_);
+    tip_hash_ = genesis_.Hash();
     commit_times_[0] = events_.now();
     round_scheduled_ = true;
     events_.ScheduleAfter(options_.params.reconfig_interval_us, [this] {
@@ -1180,6 +1218,9 @@ void PorygonSystem::Run(int rounds, net::SimTime max_sim_time) {
          events_.now() <= max_sim_time) {
     if (!events_.RunNext()) break;  // Queue drained: the protocol stalled.
   }
+  // No launched execution outlives Run(): canonical_state() is safe to
+  // read between calls.
+  SettleExecState();
 }
 
 Status PorygonSystem::InjectFaults(const net::FaultPlan& plan) {

@@ -655,6 +655,10 @@ class PorygonSystem {
     return critical_path_;
   }
   const std::vector<tx::ProposalBlock>& chain() const { return chain_; }
+  /// Hash of chain().back(), computed once when the block is appended.
+  const crypto::Hash256& tip_hash() const { return tip_hash_; }
+  /// The canonical state between Run() calls: Run() settles the launched
+  /// execution before it returns, so no pool thread is writing it then.
   const state::ShardedState& canonical_state() const { return *exec_state_; }
   net::SimNetwork* network() { return network_.get(); }
   net::EventQueue* events() { return &events_; }
@@ -728,10 +732,12 @@ class PorygonSystem {
 
   // Canonical execution state (honest storage nodes replicate identically;
   // kept once). Advanced each round by applying proposal-block inputs.
+  // Read it only through SettledState() while Run() is active.
   std::unique_ptr<state::ShardedState> exec_state_;
 
   // Execution-result cache per exec round: per-shard results, computed once
   // when the state advances (fast mode) or verified against (faithful).
+  // Read it only through SettledExec().
   struct CachedExec {
     std::vector<crypto::Hash256> roots;
     std::vector<std::vector<tx::StateUpdate>> s_sets;
@@ -741,6 +747,26 @@ class PorygonSystem {
     std::set<std::string> failed_ids;
   };
   std::map<uint64_t, CachedExec> exec_cache_;
+
+  // One exec round's canonical execution, launched on the pool by
+  // AdvanceExecState and published into exec_cache_ by SettleExecState.
+  // The job owns everything its bodies read besides their own shard's
+  // subtree: the per-shard inputs and the foreign-account snapshot, both
+  // built on the loop thread at launch, plus one result slot per shard.
+  struct ExecJob {
+    uint64_t exec_round = 0;
+    std::vector<ExecutionInput> inputs;
+    std::unordered_map<state::AccountId, state::Account> snapshot;
+    std::vector<ExecutionResult> results;
+  };
+  std::unique_ptr<ExecJob> exec_job_;  // Null when nothing is launched.
+
+  /// The settling accessors: each joins the launched execution and
+  /// publishes its results first, so no reader can see the canonical state
+  /// or the cache while pool threads are still writing them.
+  const state::ShardedState& SettledState();
+  /// exec_cache_'s entry for `exec_round`, or nullptr.
+  const CachedExec* SettledExec(uint64_t exec_round);
 
   // Committee registry (as known to storage nodes via announcements; kept
   // centrally because honest storage nodes converge on it within a hop).
@@ -812,8 +838,8 @@ class PorygonSystem {
     obs::Counter* empty_rounds = nullptr;
     obs::Counter* replay_mismatches = nullptr;
     obs::Counter* gossip_dedup_hits = nullptr;
-    obs::Counter* exec_cache_hits = nullptr;
-    obs::Counter* exec_cache_misses = nullptr;
+    obs::Counter* cached_exec_hits = nullptr;
+    obs::Counter* cached_exec_misses = nullptr;
     obs::Counter* rejected_unavailable = nullptr;
     // Protocol-side hardening: reason-labelled `core.rejected{reason}`
     // rejections of forged / tampered / stale inputs. All zero in honest
@@ -845,7 +871,9 @@ class PorygonSystem {
     obs::Counter* runtime_exec_tasks = nullptr;
     obs::Counter* runtime_accounts_tasks = nullptr;
     obs::Counter* runtime_verify_tasks = nullptr;
-    // Volatile (never exported), one per phase.
+    // Volatile (never exported), one per phase. The exec phase counts only
+    // event-loop time in the launch and the settle: the exposed cost, not
+    // the pool time that overlaps the loop.
     obs::Gauge* runtime_exec_wall_us = nullptr;
     obs::Gauge* runtime_accounts_wall_us = nullptr;
     obs::Gauge* runtime_verify_wall_us = nullptr;
@@ -885,13 +913,21 @@ class PorygonSystem {
   void ReconfigureEpoch(uint64_t round);
   void MaybeScheduleNextRound();
   void OnBlockCommitted(const tx::ProposalBlock& block, net::SimTime when);
+  /// Launches the canonical execution of B_{exec_round}'s inputs on the
+  /// pool (settling the previous launch first) and returns; the results
+  /// land in exec_cache_ at the next SettleExecState.
   void AdvanceExecState(uint64_t exec_round);
-  ExecutionInput BuildExecutionInput(const tx::ProposalBlock& based_on,
-                                     uint32_t shard) const;
+  /// Joins the launched execution, merges its results into exec_cache_ in
+  /// shard order and prunes the cache. A no-op when nothing is launched.
+  void SettleExecState();
+  /// Every shard's execution input for `based_on`, in shard order.
+  std::vector<ExecutionInput> BuildExecutionInputs(
+      const tx::ProposalBlock& based_on) const;
   void AccountCommittedBatch(const tx::ProposalBlock& committed);
 
   tx::ProposalBlock genesis_;
   std::vector<tx::ProposalBlock> chain_;
+  crypto::Hash256 tip_hash_{};  // chain_.back().Hash(), set per append.
   std::map<uint64_t, net::SimTime> round_start_times_;
   std::map<uint64_t, net::SimTime> commit_times_;
   uint64_t committed_rounds_ = 0;

@@ -1,5 +1,6 @@
 #include "net/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace porygon::net {
@@ -27,7 +28,8 @@ void EventQueue::ResetDepthHighWatermark() {
 
 void EventQueue::ScheduleAt(SimTime t, std::function<void()> fn) {
   if (t < now_) t = now_;
-  queue_.push(Event{t, next_sequence_++, std::move(fn)});
+  queue_.push_back(Event{t, next_sequence_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   if (queue_.size() > depth_hwm_) {
     depth_hwm_ = queue_.size();
     if (depth_hwm_gauge_ != nullptr) {
@@ -45,10 +47,9 @@ void EventQueue::ScheduleAfter(SimTime delay, std::function<void()> fn) {
 
 bool EventQueue::RunNext() {
   if (queue_.empty()) return false;
-  // priority_queue::top() is const; moving the closure out requires a copy
-  // here, which is acceptable for simulation workloads.
-  Event ev = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   now_ = ev.time;
   if (drained_counter_ != nullptr) {
     drained_counter_->Increment();
@@ -60,7 +61,7 @@ bool EventQueue::RunNext() {
 
 size_t EventQueue::RunUntil(SimTime deadline) {
   size_t executed = 0;
-  while (!queue_.empty() && queue_.top().time <= deadline) {
+  while (!queue_.empty() && queue_.front().time <= deadline) {
     RunNext();
     ++executed;
   }

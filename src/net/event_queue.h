@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "net/sim_time.h"
@@ -71,7 +70,9 @@ class EventQueue {
   SimTime now_ = 0;
   uint64_t next_sequence_ = 0;
   size_t depth_hwm_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary min-heap on (time, sequence) under std::push_heap/pop_heap, so
+  // RunNext can move the earliest event out instead of copying its closure.
+  std::vector<Event> queue_;
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Gauge* depth_hwm_gauge_ = nullptr;
   obs::Counter* drained_counter_ = nullptr;

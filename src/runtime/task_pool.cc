@@ -1,11 +1,18 @@
 #include "runtime/task_pool.h"
 
-#include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "common/clause.h"
 
 namespace porygon::runtime {
+
+uint64_t WallMicrosSince(WallClock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          WallClock::now() - start)
+          .count());
+}
 
 TaskPool::TaskPool(int threads) {
   if (threads < 0) threads = 0;
@@ -16,6 +23,7 @@ TaskPool::TaskPool(int threads) {
 }
 
 TaskPool::~TaskPool() {
+  Join();
   {
     std::unique_lock<std::mutex> lock(mu_);
     stop_ = true;
@@ -51,7 +59,7 @@ void TaskPool::WorkerLoop() {
     {
       // Exit under the lock so the caller's completion wait cannot miss the
       // notification; once active drops to 0 with all indices done, the
-      // caller may destroy the (stack-allocated) batch.
+      // caller may destroy the batch.
       std::unique_lock<std::mutex> lock(mu_);
       batch->active.fetch_sub(1, std::memory_order_acq_rel);
     }
@@ -59,39 +67,68 @@ void TaskPool::WorkerLoop() {
   }
 }
 
+void TaskPool::Post(Batch* batch) {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    batch_ = batch;
+    ++batch_seq_;
+  }
+  work_cv_.notify_all();
+}
+
+void TaskPool::Finish(Batch* batch) {
+  RunIndices(batch);
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] {
+    return batch->done.load(std::memory_order_acquire) == batch->n &&
+           batch->active.load(std::memory_order_acquire) == 0;
+  });
+  batch_ = nullptr;
+}
+
 void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  if (workers_.empty()) {
-    // Serial fallback: same per-index body, caller thread, index order.
+  const auto start = WallClock::now();
+  if (workers_.empty() || launched_ != nullptr) {
+    // Serial on the caller thread, index order: no workers, or they belong
+    // to the launched batch (which must not be joined here).
     for (size_t i = 0; i < n; ++i) body(i);
   } else {
     Batch batch;
     batch.n = n;
     batch.body = &body;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      batch_ = &batch;
-      ++batch_seq_;
-    }
-    work_cv_.notify_all();
-    // The caller participates too, then blocks until every index has
-    // finished and every worker has stepped out of the batch.
-    RunIndices(&batch);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [&] {
-        return batch.done.load(std::memory_order_acquire) == batch.n &&
-               batch.active.load(std::memory_order_acquire) == 0;
-      });
-      batch_ = nullptr;
-    }
+    Post(&batch);
+    // The caller participates too, then blocks until the batch is done.
+    Finish(&batch);
   }
   tasks_run_ += n;
-  wall_us_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  wall_us_ += WallMicrosSince(start);
+}
+
+void TaskPool::Launch(size_t n, std::function<void(size_t)> body) {
+  Join();
+  if (n == 0) return;
+  const auto start = WallClock::now();
+  if (workers_.empty()) {
+    for (size_t i = 0; i < n; ++i) body(i);
+  } else {
+    launched_body_ = std::move(body);
+    launched_ = std::make_unique<Batch>();
+    launched_->n = n;
+    launched_->body = &launched_body_;
+    Post(launched_.get());
+  }
+  tasks_run_ += n;
+  wall_us_ += WallMicrosSince(start);
+}
+
+void TaskPool::Join() {
+  if (launched_ == nullptr) return;
+  const auto start = WallClock::now();
+  Finish(launched_.get());
+  launched_.reset();
+  launched_body_ = nullptr;
+  wall_us_ += WallMicrosSince(start);
 }
 
 int TaskPool::ResolveThreads(int requested) {

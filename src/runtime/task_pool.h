@@ -2,36 +2,54 @@
 #define PORYGON_RUNTIME_TASK_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace porygon::runtime {
 
-// A small fork-join worker pool for fanning deterministic compute out of the
-// single-threaded event loop. The pool never runs free-floating tasks: every
-// ParallelFor call blocks the caller until all indices have completed, so
-// from the event loop's point of view the work is synchronous and the sim
-// clock is untouched. Determinism contract for submitted bodies:
+using WallClock = std::chrono::steady_clock;
+
+// Wall microseconds since `start`. Wall time is inherently nondeterministic:
+// it feeds volatile gauges only, never a deterministic export.
+uint64_t WallMicrosSince(WallClock::time_point start);
+
+// A small worker pool for fanning deterministic compute out of the
+// single-threaded event loop. It runs two kinds of batch:
+//
+//   * ParallelFor: fork-join. The caller blocks until every index has
+//     completed, so from the event loop's point of view the work is
+//     synchronous and the sim clock is untouched.
+//   * Launch/Join: at most one launched batch runs on the workers while the
+//     caller returns to the event loop; Join (or the next Launch, or the
+//     destructor) completes it. The caller owns the ordering: it must Join
+//     before it reads anything the launched bodies write, and must not write
+//     anything they read until then. The sim clock never sees the overlap.
+//
+// Determinism contract for every body, launched or not:
 //
 //   * a body for index i may only read shared inputs and write state that is
 //     disjoint per index (e.g. out[i], a per-shard subtree);
 //   * bodies must not touch the RNG, the sim clock, the event queue, the
 //     Logger, or the Tracer;
 //   * any cross-index merge happens on the caller thread afterwards, in
-//     index order.
+//     index order (after Join, for a launched batch).
 //
 // Under this contract the observable result is byte-identical whether the
-// pool has 0 workers (serial fallback on the caller thread) or N.
+// pool has 0 workers (serial on the caller thread) or N, and whether a
+// launched batch finishes early or at its Join.
 class TaskPool {
  public:
   // Creates a pool with `threads` workers. 0 means no workers: ParallelFor
-  // degenerates to a plain serial loop on the caller thread, running the
-  // exact same per-index body.
+  // degenerates to a plain serial loop on the caller thread and Launch runs
+  // its body inline, both running the exact same per-index body.
   explicit TaskPool(int threads = 0);
+  // Joins any launched batch, then stops the workers.
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
@@ -43,12 +61,27 @@ class TaskPool {
   // Indices are claimed dynamically, so bodies may run in any order and on
   // any thread — the body must be safe under the contract above. Exceptions
   // thrown by bodies are not supported (the codebase is exception-free).
+  // While a launched batch is outstanding the workers belong to it: the
+  // body then runs serially on the caller, in index order, and the launched
+  // batch is left running.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
+
+  // Starts body(i) for every i in [0, n) on the workers and returns without
+  // waiting. Joins the previously launched batch first, so at most one is
+  // outstanding. With 0 workers the body runs inline, in index order, before
+  // Launch returns. The pool owns `body` until the batch is joined.
+  void Launch(size_t n, std::function<void(size_t)> body);
+
+  // Completes the launched batch: runs any index no worker has claimed on
+  // the caller, then waits for the rest. A no-op when nothing is launched.
+  void Join();
 
   // Cumulative bookkeeping, maintained by the calling thread (reading it is
   // only meaningful from the event-loop thread). tasks_run counts indices
-  // executed; wall_us is real elapsed time inside ParallelFor. Wall time is
-  // inherently nondeterministic and must never reach a deterministic export.
+  // executed or launched; wall_us is real elapsed caller-thread time inside
+  // ParallelFor, Launch and Join (not the workers' time behind a launched
+  // batch). Wall time is inherently nondeterministic and must never reach a
+  // deterministic export.
   uint64_t tasks_run() const { return tasks_run_; }
   uint64_t wall_us() const { return wall_us_; }
 
@@ -68,14 +101,24 @@ class TaskPool {
 
   void WorkerLoop();
   static void RunIndices(Batch* batch);
+  // Hands `batch` to the workers.
+  void Post(Batch* batch);
+  // Runs the batch's unclaimed indices on the caller, then waits until every
+  // index has finished and every worker has stepped out of it.
+  void Finish(Batch* batch);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   Batch* batch_ = nullptr;  // Guarded by mu_; non-null while a batch runs.
-  uint64_t batch_seq_ = 0;  // Guarded by mu_; bumped per ParallelFor.
+  uint64_t batch_seq_ = 0;  // Guarded by mu_; bumped per posted batch.
   bool stop_ = false;       // Guarded by mu_.
+
+  // The outstanding launched batch and the body it runs (caller-thread
+  // only; null when nothing is launched).
+  std::unique_ptr<Batch> launched_;
+  std::function<void(size_t)> launched_body_;
 
   uint64_t tasks_run_ = 0;  // Caller-thread only.
   uint64_t wall_us_ = 0;    // Caller-thread only.

@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/system.h"
 #include "crypto/provider.h"
+#include "net/fault.h"
 #include "net/network.h"
 #include "runtime/task_pool.h"
 
@@ -70,6 +74,105 @@ TEST(TaskPoolTest, ParallelMapMergesInIndexOrder) {
   std::vector<int> out =
       runtime::ParallelMap<int>(nullptr, 3, [](size_t i) { return (int)i; });
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(TaskPoolTest, LaunchThenJoinRunsEveryIndexExactlyOnce) {
+  for (int threads : {2, 4}) {
+    runtime::TaskPool pool(threads);
+    constexpr size_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    pool.Launch(kN, [&](size_t i) { hits[i].fetch_add(1); });
+    pool.Join();
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << i << " @ " << threads << " threads";
+    }
+    EXPECT_EQ(pool.tasks_run(), kN);
+  }
+}
+
+TEST(TaskPoolTest, JoinWithNothingLaunchedIsANoOp) {
+  runtime::TaskPool pool(2);
+  pool.Join();
+  pool.Launch(0, [&](size_t) { FAIL() << "body must not run"; });
+  pool.Join();
+  EXPECT_EQ(pool.tasks_run(), 0u);
+}
+
+TEST(TaskPoolTest, LaunchWithoutWorkersRunsInlineInIndexOrder) {
+  runtime::TaskPool pool(0);
+  std::vector<size_t> order;
+  pool.Launch(5, [&](size_t i) { order.push_back(i); });
+  // Already complete before Join: one code path at every thread count.
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  pool.Join();
+  EXPECT_EQ(order.size(), 5u);
+  EXPECT_EQ(pool.tasks_run(), 5u);
+}
+
+TEST(TaskPoolTest, ParallelForDuringLaunchRunsOnCallerWithoutJoining) {
+  runtime::TaskPool pool(2);
+  constexpr size_t kLaunched = 8;
+  std::atomic<bool> release{false};
+  std::atomic<size_t> launched_done{0};
+  // Launched bodies hold until released (bounded, so a broken pool fails
+  // instead of hanging): none can finish before ParallelFor returns unless
+  // ParallelFor joined the batch.
+  pool.Launch(kLaunched, [&](size_t) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    launched_done.fetch_add(1);
+  });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool all_on_caller = true;
+  pool.ParallelFor(6, [&](size_t i) {
+    order.push_back(i);
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(all_on_caller);
+  EXPECT_EQ(launched_done.load(), 0u);
+  release.store(true);
+  pool.Join();
+  EXPECT_EQ(launched_done.load(), kLaunched);
+  EXPECT_EQ(pool.tasks_run(), kLaunched + 6);
+  // The workers serve fork-join batches again once the launch is joined.
+  std::vector<std::atomic<int>> hits(64);
+  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(TaskPoolTest, SecondLaunchJoinsTheFirst) {
+  runtime::TaskPool pool(2);
+  constexpr size_t kN = 64;
+  std::vector<std::atomic<int>> first(kN);
+  std::vector<std::atomic<int>> second(kN);
+  pool.Launch(kN, [&](size_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    first[i].fetch_add(1);
+  });
+  pool.Launch(kN, [&](size_t i) { second[i].fetch_add(1); });
+  // The second Launch returned, so the first batch is complete.
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(first[i].load(), 1) << i;
+  pool.Join();
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(second[i].load(), 1) << i;
+  EXPECT_EQ(pool.tasks_run(), 2 * kN);
+}
+
+TEST(TaskPoolTest, DestructorJoinsAnOutstandingBatch) {
+  constexpr size_t kN = 32;
+  std::atomic<size_t> done{0};
+  {
+    runtime::TaskPool pool(2);
+    pool.Launch(kN, [&](size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      done.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(done.load(), kN);
 }
 
 TEST(TaskPoolTest, ResolveThreadsPrefersEnvOverRequested) {
@@ -169,10 +272,13 @@ struct RunArtifacts {
   std::string metrics_csv;
   std::string trace_json;
   crypto::Hash256 global_root{};
+  crypto::Hash256 chain_tip{};
+  size_t chain_length = 0;
+  uint64_t storage_rejoins = 0;
   double sim_seconds = 0;
 };
 
-RunArtifacts RunScenario(int worker_threads) {
+core::SystemOptions ScenarioOptions(int worker_threads) {
   // fig8c-style open workload: mixed intra- and cross-shard transfers over
   // a 2-shard deployment, tracing enabled.
   core::SystemOptions opt;
@@ -189,31 +295,57 @@ RunArtifacts RunScenario(int worker_threads) {
   opt.trace.enabled = true;
   opt.trace.sample_transactions = 8;
   opt.worker_threads = worker_threads;
+  return opt;
+}
 
+// `steady_traffic` adds a few transfers every 400 ms of sim time on top of
+// the opening burst, so every exec round writes accounts that the next
+// round's state requests read.
+RunArtifacts RunScenario(const core::SystemOptions& opt,
+                         const net::FaultPlan& plan = {},
+                         bool steady_traffic = false) {
   core::PorygonSystem sys(opt);
   sys.CreateAccounts(60, 10'000);
   Rng rng(99);
   std::map<uint64_t, uint64_t> nonces;
-  for (int i = 0; i < 80; ++i) {
-    uint64_t from = 1 + rng.NextBelow(60);
-    uint64_t to = 1 + rng.NextBelow(60);
-    if (from == to) continue;
-    tx::Transaction t;
-    t.from = from;
-    t.to = to;
-    t.amount = 1;
-    t.nonce = nonces[from];
-    if (sys.SubmitTransaction(t).ok()) ++nonces[from];
-  }
-  sys.Run(10);
+  auto submit = [&](int attempts) {
+    for (int i = 0; i < attempts; ++i) {
+      uint64_t from = 1 + rng.NextBelow(60);
+      uint64_t to = 1 + rng.NextBelow(60);
+      if (from == to) continue;
+      tx::Transaction t;
+      t.from = from;
+      t.to = to;
+      t.amount = 1;
+      t.nonce = nonces[from];
+      if (sys.SubmitTransaction(t).ok()) ++nonces[from];
+    }
+  };
+  submit(80);
+  std::function<void()> tick = [&] {
+    submit(6);
+    sys.events()->ScheduleAfter(net::FromMillis(400), tick);
+  };
+  if (steady_traffic) sys.events()->ScheduleAfter(net::FromMillis(400), tick);
+  if (!plan.empty()) EXPECT_TRUE(sys.InjectFaults(plan).ok());
+  sys.Run(10, net::FromSeconds(600));
 
   RunArtifacts out;
   out.metrics_json = sys.metrics().ToJson();
   out.metrics_csv = sys.metrics().ToCsv();
   out.trace_json = sys.tracer()->ExportChromeJson();
   out.global_root = sys.canonical_state().GlobalRoot();
+  out.chain_tip = sys.chain().back().Hash();
+  EXPECT_EQ(sys.tip_hash(), out.chain_tip);
+  out.chain_length = sys.chain().size();
+  out.storage_rejoins =
+      sys.metrics_registry()->FindCounter("core.storage_rejoins", {})->value();
   out.sim_seconds = sys.sim_seconds();
   return out;
+}
+
+RunArtifacts RunScenario(int worker_threads) {
+  return RunScenario(ScenarioOptions(worker_threads));
 }
 
 TEST(ThreadInvarianceTest, ExportsAreByteIdenticalForAnyThreadCount) {
@@ -233,7 +365,43 @@ TEST(ThreadInvarianceTest, ExportsAreByteIdenticalForAnyThreadCount) {
     EXPECT_EQ(run.metrics_csv, serial.metrics_csv) << threads << " threads";
     EXPECT_EQ(run.trace_json, serial.trace_json) << threads << " threads";
     EXPECT_EQ(run.global_root, serial.global_root) << threads << " threads";
+    EXPECT_EQ(run.chain_tip, serial.chain_tip) << threads << " threads";
     EXPECT_EQ(run.sim_seconds, serial.sim_seconds) << threads << " threads";
+  }
+}
+
+TEST(ThreadInvarianceTest, PipelinedExecutionMatchesSerial) {
+  // Canonical execution runs on the pool behind the event loop and settles
+  // at the first state read. Faithful ESCs check every state proof against
+  // the committed roots, so a read that raced ahead of the settle (or a
+  // settle missed across a storage crash and rejoin) would change what they
+  // execute, and with it every export; under TSan it is a reported race.
+  unsetenv("PORYGON_THREADS");
+  net::FaultPlan plan;
+  plan.crashes.push_back({0, net::FromSeconds(5), false});
+  plan.crashes.push_back({0, net::FromSeconds(12), true});
+  auto run = [&](int threads) {
+    core::SystemOptions opt = ScenarioOptions(threads);
+    opt.faithful_execution = true;
+    opt.num_storage_nodes = 3;
+    return RunScenario(opt, plan, /*steady_traffic=*/true);
+  };
+  const RunArtifacts serial = run(0);
+  ASSERT_FALSE(serial.metrics_json.empty());
+  // Every round committed, and storage node 0 went down and came back.
+  EXPECT_EQ(serial.chain_length, 11u);
+  EXPECT_EQ(serial.storage_rejoins, 1u);
+  for (int threads : {1, 4}) {
+    const RunArtifacts pooled = run(threads);
+    EXPECT_EQ(pooled.metrics_json, serial.metrics_json)
+        << threads << " threads";
+    EXPECT_EQ(pooled.metrics_csv, serial.metrics_csv) << threads << " threads";
+    EXPECT_EQ(pooled.trace_json, serial.trace_json) << threads << " threads";
+    EXPECT_EQ(pooled.global_root, serial.global_root)
+        << threads << " threads";
+    EXPECT_EQ(pooled.chain_tip, serial.chain_tip) << threads << " threads";
+    EXPECT_EQ(pooled.sim_seconds, serial.sim_seconds)
+        << threads << " threads";
   }
 }
 
