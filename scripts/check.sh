@@ -45,7 +45,9 @@ run_suite() {
     --output-on-failure
   # Parallel runtime: fork-join and launched pool batches, and byte-identical
   # exports at 0, 1 and 4 threads, including the pipelined canonical
-  # execution under faithful proofs and a storage crash/rejoin.
+  # execution under faithful proofs and a storage crash/rejoin. The serial
+  # run's chain tip, GlobalRoot and metrics-JSON digest are pinned here and
+  # in DisseminationTest.TreeExportsAreThreadInvariant, in every leg.
   ctest --test-dir "$dir" -R 'TaskPool|ThreadInvariance' --output-on-failure
   # Workload suite: traffic-model determinism, Zipf sanity, scenario rows.
   ctest --test-dir "$dir" -R Workload --output-on-failure

@@ -1,14 +1,25 @@
 #!/usr/bin/env bash
-# Host wall-time profile of one benchmark workload with gprof. Builds
-# benchmark/ (and the library from src/) with -pg into build/profile/, runs
-# porygon_bench once, then prints the top-20 flat profile plus the call
-# counts and callers of the SHA-256 compression functions and
-# Transaction::Id, and Transaction::Id calls per submitted transaction.
+# Host wall-time profile of one benchmark workload, in two parts.
+#
+# 1. gprof: builds benchmark/ (and the library from src/) with -pg into
+#    build/profile/, runs porygon_bench once, then prints the top-20 flat
+#    profile plus the call counts and callers of the SHA-256 compression
+#    functions and Transaction::Id, and Transaction::Id calls per submitted
+#    transaction.
+# 2. Event-loop wall time per handler: builds benchmark/ again with -g (no
+#    -pg) into build/profile/wall/, and the wall-clock stack sampler in
+#    scripts/wall_sampler.c, then runs porygon_bench once more with the
+#    sampler preloaded. It samples the main thread every millisecond of
+#    wall time, waits included, symbolises the stacks with addr2line, and
+#    prints where that thread's time went: under PorygonSystem::Run by
+#    handler frame (StatelessNodeActor::On*, StorageNodeActor::On*,
+#    PorygonSystem::SettleExecState), and under SubmitBatch.
 #
 #   scripts/profile.sh [--workload W] [--seed N] [--seconds S]
 #
 # Defaults: --workload uniform_8shard --seed 1 --seconds 12. The full gprof
-# outputs stay in build/profile/ (flat.txt, callgraph.txt) next to gmon.out.
+# outputs stay in build/profile/ (flat.txt, callgraph.txt) next to gmon.out;
+# the raw samples in build/profile/wall/wallprof.out.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -79,4 +90,93 @@ for pattern in (r"crypto::internal::Compress", r"tx::Transaction::Id\(\) const")
 if admitted:
     print(f"\nTransaction::Id calls per submitted tx: {id_calls / admitted:.2f} "
           f"({id_calls} calls, {admitted} submissions)")
+EOF
+
+# --- Event-loop wall time per handler -------------------------------------
+wall="$build/wall"
+cmake -S "$root/benchmark" -B "$wall" -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS="-g" >&2
+cmake --build "$wall" -j 4 --target porygon_bench >&2
+cc -O2 -shared -fPIC -o "$wall/wall_sampler.so" "$root/scripts/wall_sampler.c"
+
+cd "$wall"
+rm -f wallprof.out
+LD_PRELOAD="$wall/wall_sampler.so" ./porygon_bench --workload="$workload" \
+  --seed="$seed" --seconds="$seconds" > bench.out
+
+python3 - ./porygon_bench wallprof.out <<'EOF'
+import collections, re, subprocess, sys
+
+exe, samples_path = sys.argv[1], sys.argv[2]
+# One line per sample, innermost frame first; "-" = outside the program.
+# Return addresses point after the call: symbolise the byte before.
+stacks = [[int(f, 16) - 1 if f != "-" else None for f in line.split()]
+          for line in open(samples_path)]
+if not stacks:
+    sys.exit("profile.sh: the wall sampler recorded no samples")
+pcs = sorted({pc for s in stacks for pc in s if pc is not None})
+# addr2line -a -f -i: each address, then (function, file:line) pairs from
+# the innermost inlined function out to the function that contains them.
+out = subprocess.run(["addr2line", "-e", exe, "-a", "-f", "-i", "-C"],
+                     input="\n".join(hex(pc) for pc in pcs), text=True,
+                     capture_output=True, check=True).stdout.splitlines()
+names, pc, i = {}, None, 0
+while i < len(out):
+    if out[i].startswith("0x"):
+        pc = int(out[i], 16)
+        names[pc] = []
+        i += 1
+    else:
+        # Drop argument lists; a lambda keeps a marker so it never names a
+        # handler.
+        fn = out[i].replace("porygon::", "").replace("core::", "")
+        names[pc].append(re.sub(r"\(.*", "", fn) +
+                         (" (lambda)" if "{lambda" in fn else ""))
+        i += 2
+
+HANDLER = re.compile(r"^(StatelessNodeActor|StorageNodeActor)::On\w+$")
+METHOD = re.compile(
+    r"^(StatelessNodeActor|StorageNodeActor|PorygonSystem)::\w+$")
+
+def label(frames):
+    """Names the handler of one stack below Run (outermost frame first)."""
+    if "PorygonSystem::SettleExecState" in frames:
+        return "PorygonSystem::SettleExecState"
+    for fn in frames:
+        if HANDLER.match(fn):
+            return fn
+    # No On* frame: the first other actor or system method (a scheduled
+    # step such as DistributeRoundWork), else the work a HandleMessage
+    # does inline, named by its first callee.
+    for fn in frames:
+        if METHOD.match(fn) and not fn.endswith("::HandleMessage"):
+            return fn
+    for k, fn in enumerate(frames):
+        if fn.endswith("::HandleMessage"):
+            inner = [f for f in frames[k + 1:] if not f.startswith("std::")]
+            return fn + (" > " + inner[0] if inner else "")
+    return "(event queue and network)"
+
+handlers = collections.Counter()
+in_run = in_submit = 0
+for stack in stacks:
+    frames = [fn for pc in reversed(stack) if pc is not None
+              for fn in reversed(names.get(pc, []))]
+    if "PorygonSystem::Run" in frames:
+        in_run += 1
+        handlers[label(frames[frames.index("PorygonSystem::Run") + 1:])] += 1
+    elif "PorygonSystem::SubmitBatch" in frames:
+        in_submit += 1
+
+total = len(stacks)
+def share(n):
+    return f"{100.0 * n / total:5.1f}%"
+print(f"\n== event-loop thread: {total} wall samples, 1 ms apart ==")
+print(f"{share(in_run)}  PorygonSystem::Run")
+print(f"{share(in_submit)}  PorygonSystem::SubmitBatch")
+print(f"{share(total - in_run - in_submit)}  elsewhere (set-up, generation, "
+      "replay probes)")
+print("\n== top 20 frames under PorygonSystem::Run, share of all samples ==")
+for name, n in handlers.most_common(20):
+    print(f"{share(n)} {n:7d}  {name}")
 EOF

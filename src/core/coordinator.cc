@@ -1,7 +1,5 @@
 #include "core/coordinator.h"
 
-#include <unordered_set>
-
 namespace porygon::core {
 
 using state::AccountId;
@@ -25,11 +23,13 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
   // transaction could modify an account that a concurrent cross-shard
   // transaction pre-executed against, and the later Multi-Shard Update
   // would clobber the intra effect (a lost update).
-  std::unordered_set<AccountId> round_claims;
+  U64Map<uint8_t> round_claims;
 
   auto is_blocked = [&](const Transaction& t) {
     for (AccountId a : t.AccessedAccounts()) {
-      if (locks_.count(a) > 0 || round_claims.count(a) > 0) return true;
+      if (locks_.Find(a) != nullptr || round_claims.Find(a) != nullptr) {
+        return true;
+      }
     }
     return false;
   };
@@ -40,7 +40,7 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
       result.discarded.push_back(t.Id());
       continue;
     }
-    for (AccountId a : t.AccessedAccounts()) round_claims.insert(a);
+    for (AccountId a : t.AccessedAccounts()) round_claims[a] = 1;
     result.accepted_cross.push_back(t);
   }
   for (const Transaction& t : txs) {
@@ -61,9 +61,9 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
     batch.shard_done.assign(shard_count(), false);
     for (const Transaction& t : result.accepted_cross) {
       for (AccountId a : t.AccessedAccounts()) {
-        if (locks_.emplace(a, round).second) {
-          batch.locked_accounts.push_back(a);
-        }
+        if (locks_.Find(a) != nullptr) continue;
+        locks_[a] = round;
+        batch.locked_accounts.push_back(a);
       }
     }
     if (tracing()) {
@@ -86,14 +86,13 @@ std::vector<std::vector<StateUpdate>> CrossShardCoordinator::BuildUpdateList(
   // no batch was locked at all — is a forged or replayed write aimed at
   // the Multi-Shard Update path; drop it before it can reach a proposal.
   // Defense in depth behind the exec-result vote threshold.
-  std::unordered_set<AccountId> locked;
+  U64Map<uint8_t> locked;
   if (it != in_flight_.end()) {
-    locked.insert(it->second.locked_accounts.begin(),
-                  it->second.locked_accounts.end());
+    for (AccountId a : it->second.locked_accounts) locked[a] = 1;
   }
   for (const auto& shard_set : s_sets) {
     for (const StateUpdate& u : shard_set) {
-      if (locked.count(u.account) == 0) {
+      if (locked.Find(u.account) == nullptr) {
         if (rejected_unlocked_ != nullptr) rejected_unlocked_->Increment();
         continue;
       }
@@ -186,7 +185,7 @@ std::vector<StateUpdate> CrossShardCoordinator::PendingUpdatesFor(
 }
 
 void CrossShardCoordinator::ReleaseLocks(const InFlightBatch& batch) {
-  for (AccountId a : batch.locked_accounts) locks_.erase(a);
+  for (AccountId a : batch.locked_accounts) locks_.Erase(a);
 }
 
 }  // namespace porygon::core

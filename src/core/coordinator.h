@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/u64_map.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/account.h"
@@ -65,7 +65,7 @@ class CrossShardCoordinator {
 
   /// Is this account currently locked by an in-flight cross-shard batch?
   bool IsLocked(state::AccountId account) const {
-    return locks_.count(account) > 0;
+    return locks_.Find(account) != nullptr;
   }
   size_t LockedCount() const { return locks_.size(); }
 
@@ -124,7 +124,7 @@ class CrossShardCoordinator {
   obs::Tracer* tracer_ = nullptr;
   std::string trace_node_;
   /// account -> round of the batch locking it.
-  std::unordered_map<state::AccountId, uint64_t> locks_;
+  U64Map<uint64_t> locks_;
   /// batch round -> in-flight state.
   std::map<uint64_t, InFlightBatch> in_flight_;
 };

@@ -119,6 +119,39 @@ Result<ResyncRequest> ResyncRequest::Decode(ByteView data) {
   return req;
 }
 
+TipHeader TipHeader::Of(const tx::ProposalBlock& block) {
+  const Bytes enc = block.Encode();
+  TipHeader h;
+  h.height = block.height;
+  h.round = block.round;
+  h.hash = crypto::Sha256::Hash(enc);
+  h.shard_roots = block.shard_roots;
+  h.encoded_size = enc.size();
+  return h;
+}
+
+Bytes TipHeader::Encode() const {
+  return wire::Writer()
+      .U64(height)
+      .U64(round)
+      .Array(hash)
+      .List(shard_roots)
+      .U64(encoded_size)
+      .Take();
+}
+
+Result<TipHeader> TipHeader::Decode(ByteView data) {
+  TipHeader h;
+  wire::Reader r(data);
+  r.U64(&h.height)
+      .U64(&h.round)
+      .Array(&h.hash)
+      .List(&h.shard_roots)
+      .U64(&h.encoded_size);
+  PORYGON_RETURN_IF_ERROR(r.Finish("tip-header"));
+  return h;
+}
+
 Bytes WitnessUpload::Encode() const {
   wire::Writer w;
   w.U64(round).U32(shard);

@@ -84,13 +84,40 @@ struct RoleAnnounce {
 
 /// Chain-tip catch-up request (stateless -> storage): sent by the failover
 /// watchdog after rotating primaries, and by recovery probes. The storage
-/// node answers with a kMsgNewRound carrying its committed tip; the
-/// receiver's stale-round check makes the reply idempotent.
+/// node answers with a kMsgNewRound carrying its committed tip's header;
+/// the receiver's stale-round check makes the reply idempotent.
 struct ResyncRequest {
   uint64_t round = 0;  ///< The requester's current round (diagnostics).
 
   Bytes Encode() const;
   static Result<ResyncRequest> Decode(ByteView data);
+};
+
+/// The committed tip as a stateless node keeps it (storage -> stateless,
+/// kMsgNewRound): the verification material of the last proposal block,
+/// never its lists (§VI, Fig 9a). Every receiver gets this one layout.
+struct TipHeader {
+  /// tx::ProposalBlock{}.WireSize(): a node that never heard a round start
+  /// keeps an empty block's footprint.
+  static constexpr uint64_t kEmptyBlockSize = 132;
+
+  uint64_t height = 0;  ///< OC members propose height + 1.
+  uint64_t round = 0;   ///< The next round is round + 1 (stale-round check).
+  /// SHA-256 of the block's encoding: the sortition seed and the next
+  /// proposal's prev_hash.
+  crypto::Hash256 hash{};
+  /// T: the block's shard roots, which OC members carry into the next
+  /// proposal.
+  std::vector<crypto::Hash256> shard_roots;
+  /// The block's encoded size: what a direct-mode OC member is billed for
+  /// the round start, and the block term of StorageFootprintBytes.
+  uint64_t encoded_size = kEmptyBlockSize;
+
+  /// The header of `block`, hashed and sized from one encoding.
+  static TipHeader Of(const tx::ProposalBlock& block);
+
+  Bytes Encode() const;
+  static Result<TipHeader> Decode(ByteView data);
 };
 
 /// Witness proof upload (EC member -> storage node).

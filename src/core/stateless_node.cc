@@ -3,6 +3,7 @@
 
 #include "common/erasure.h"
 #include "common/log.h"
+#include "common/u64_map.h"
 #include "core/system.h"
 #include "crypto/sha256.h"
 #include "state/view.h"
@@ -55,8 +56,9 @@ StatelessNodeActor::StatelessNodeActor(PorygonSystem* system, int index,
 
 uint64_t StatelessNodeActor::StorageFootprintBytes() const {
   // Latest proposal block + committee public keys + transiently-held
-  // witnessed blocks (pruned after their execution round).
-  uint64_t bytes = last_block_.WireSize();
+  // witnessed blocks (pruned after their execution round). The block is
+  // counted at its encoded size, which its header carries.
+  uint64_t bytes = tip_.encoded_size;
   bytes += system_->oc_keys_.size() * 32;
   bytes += 32 * system_->num_stateless_nodes();  // Identity registry.
   for (const auto& [key, held] : held_blocks_) {
@@ -324,8 +326,8 @@ void StatelessNodeActor::HandleMessage(const net::Message& msg) {
   if (!pending_reqs_.empty()) NoteEcho(msg);
   switch (msg.kind) {
     case kMsgNewRound: {
-      auto block = tx::ProposalBlock::Decode(msg.payload);
-      if (block.ok()) OnNewRound(*block, block->round + 1);
+      auto tip = TipHeader::Decode(msg.payload);
+      if (tip.ok()) OnNewRound(std::move(tip).value());
       break;
     }
     case kMsgTxBlock:
@@ -372,8 +374,8 @@ void StatelessNodeActor::HandleMessage(const net::Message& msg) {
   }
 }
 
-void StatelessNodeActor::OnNewRound(const tx::ProposalBlock& prev_block,
-                                    uint64_t round) {
+void StatelessNodeActor::OnNewRound(TipHeader tip) {
+  const uint64_t round = tip.round + 1;
   if (round < current_round_) {
     // Strictly behind our tip: a stale (or deliberately stale) reply —
     // e.g. a stale-replying storage node answering a resync with genesis.
@@ -382,8 +384,9 @@ void StatelessNodeActor::OnNewRound(const tx::ProposalBlock& prev_block,
   }
   if (round == current_round_) return;  // Duplicate delivery.
   current_round_ = round;
-  last_block_ = prev_block;
-  prev_hash_ = prev_block.Hash();
+  // The tip's hash is the storage node's word: no certificate is checked,
+  // and the stale-round check above is what rejects a replayed old tip.
+  tip_ = std::move(tip);
 
   // Round watchdog: a fresh round refills the resync budget and pushes the
   // stall deadline out; the (single) watchdog chain is armed lazily here.
@@ -490,7 +493,7 @@ void StatelessNodeActor::OnNewRound(const tx::ProposalBlock& prev_block,
   // Execution-committee sortition for this round, with the shard drawn
   // from the VRF output (§IV-B3).
   assignment_ = Sortition::Assign(system_->provider(), keys_.private_key,
-                                  round, prev_hash_, 0.0, 1.0,
+                                  round, tip_.hash, 0.0, 1.0,
                                   system_->params().shard_bits);
   RoleAnnounce announce;
   announce.round = round;
@@ -1333,8 +1336,8 @@ void StatelessNodeActor::MaybePropose() {
   const uint64_t r = current_round_;
 
   tx::ProposalBlock proposal;
-  proposal.height = last_block_.height + 1;
-  proposal.prev_hash = prev_hash_;
+  proposal.height = tip_.height + 1;
+  proposal.prev_hash = tip_.hash;
   proposal.round = r;
   proposal.leader = keys_.public_key;
   proposal.shard_tx_blocks.assign(p.shard_count(), {});
@@ -1409,15 +1412,9 @@ void StatelessNodeActor::MaybePropose() {
   }
 
   // --- Aggregate execution results of exec round r-2 (T and S).
-  proposal.shard_roots = last_block_.shard_roots;
-  if (proposal.shard_roots.empty()) {
-    proposal.shard_roots.assign(p.shard_count(), crypto::ZeroHash());
-    for (int d = 0; d < p.shard_count(); ++d) {
-      proposal.shard_roots[d] = last_block_.shard_roots.empty()
-                                    ? system_->genesis_.shard_roots[d]
-                                    : last_block_.shard_roots[d];
-    }
-  }
+  proposal.shard_roots = tip_.shard_roots.empty()
+                             ? system_->genesis_.shard_roots
+                             : tip_.shard_roots;
   std::vector<std::vector<tx::StateUpdate>> s_sets;
   std::vector<tx::StateUpdate> old_values;
   for (int d = 0; d < p.shard_count(); ++d) {
@@ -1486,34 +1483,38 @@ void StatelessNodeActor::MaybePropose() {
       }
     }
   }
-  // Re-send still-pending updates from earlier rounds until success.
+  // Re-send still-pending updates from earlier rounds until success, each
+  // account at most once per shard list (first listing wins).
   for (int d = 0; d < p.shard_count(); ++d) {
-    for (const auto& u : coordinator_->PendingUpdatesFor(d, r)) {
-      bool already = false;
-      for (const auto& existing : proposal.shard_updates[d]) {
-        if (existing.account == u.account) {
-          already = true;
-          break;
-        }
-      }
-      if (!already) proposal.shard_updates[d].push_back(u);
+    const std::vector<tx::StateUpdate> pending =
+        coordinator_->PendingUpdatesFor(d, r);
+    if (pending.empty()) continue;
+    std::vector<tx::StateUpdate>& list = proposal.shard_updates[d];
+    U64Map<uint8_t> listed;
+    for (const auto& u : list) listed[u.account] = 1;
+    for (const auto& u : pending) {
+      uint8_t& seen = listed[u.account];
+      if (seen != 0) continue;
+      seen = 1;
+      list.push_back(u);
     }
   }
 
   proposal.state_root =
       state::ShardedState::AggregateRoots(proposal.shard_roots);
 
+  // One encoding serves the broadcast and the hash.
+  const Bytes enc = proposal.Encode();
+  const crypto::Hash256 hash = crypto::Sha256::Hash(enc);
   pending_proposal_ = proposal;
-  Bytes enc = proposal.Encode();
-  proposals_seen_[IdKey(proposal.Hash())] = proposal;
+  proposals_seen_[IdKey(hash)] = std::move(proposal);
   obs::TraceContext lane;
   if (system_->tracer()->enabled()) lane = system_->tracer()->RoundContext(r);
   BroadcastToOc(kMsgProposal, enc, lane);
-  StartConsensus(proposal);
+  StartConsensus(hash);
 }
 
-void StatelessNodeActor::StartConsensus(const tx::ProposalBlock& proposal) {
-  crypto::Hash256 hash = proposal.Hash();
+void StatelessNodeActor::StartConsensus(const crypto::Hash256& proposal_hash) {
   if (!ba_) {
     ba_ = std::make_unique<consensus::BaStar>(
         system_->provider(), keys_, system_->oc_keys_,
@@ -1559,7 +1560,7 @@ void StatelessNodeActor::StartConsensus(const tx::ProposalBlock& proposal) {
                      system_->tracer()->RoundContext(current_round_),
                      TraceName());
     }
-    ba_->Propose(current_round_, hash);
+    ba_->Propose(current_round_, proposal_hash);
     // Replay buffered early votes as one batch (signatures verify on the
     // pool; counting order is the buffer order, as before).
     ba_->OnVotes(pending_votes_);
@@ -1617,10 +1618,13 @@ void StatelessNodeActor::OnProposal(const net::Message& msg) {
   if (!proposal.ok()) return;
   if (proposal->round != current_round_) return;
   // Structural validation; leader must extend our tip.
-  if (proposal->prev_hash != prev_hash_) return;
-  if (proposal->height != last_block_.height + 1) return;
-  proposals_seen_[IdKey(proposal->Hash())] = *proposal;
-  StartConsensus(*proposal);
+  if (proposal->prev_hash != tip_.hash) return;
+  if (proposal->height != tip_.height + 1) return;
+  // Hash the decoded block, never the received bytes: a varint may arrive
+  // in an overlong, non-canonical encoding.
+  const crypto::Hash256 hash = proposal->Hash();
+  proposals_seen_[IdKey(hash)] = std::move(proposal).value();
+  StartConsensus(hash);
 }
 
 void StatelessNodeActor::OnVote(const net::Message& msg) {

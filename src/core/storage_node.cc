@@ -67,9 +67,12 @@ void StorageNodeActor::OnRoundStart(uint64_t round) {
   net::SimNetwork* net = system_->network();
 
   // 1. Tell our primary stateless nodes the round has started, attaching
-  // the committed proposal block B_{r-1}.
-  const tx::ProposalBlock& prev = system_->chain().back();
-  Bytes prev_enc = prev.Encode();
+  // the header of the committed proposal block B_{r-1}: its hash seeds
+  // sortition, and OC members extend its height and shard roots. Execution
+  // inputs arrive separately as per-shard ExecRequests ("both the list and
+  // the state tree are not completely sent to each shard", §IV-D2).
+  const TipHeader& tip = system_->tip();
+  const Bytes tip_enc = tip.Encode();
   const bool tracing = system_->tracer()->enabled();
   for (const auto& node : system_->stateless_nodes_) {
     if (node->primary_storage() != net_id_) continue;
@@ -78,17 +81,13 @@ void StorageNodeActor::OnRoundStart(uint64_t round) {
     m.to = node->net_id();
     m.kind = kMsgNewRound;
     if (tracing) m.trace = system_->tracer()->RoundContext(round);
-    m.payload = prev_enc;
-    // OC members track the full proposal block; everyone else only needs
-    // the compact header (hash, round, thresholds) to run sortition —
-    // execution inputs arrive separately as per-shard ExecRequests ("both
-    // the list and the state tree are not completely sent to each shard",
-    // §IV-D2). The payload stays complete for implementation convenience;
-    // the bandwidth model charges what the node actually downloads. Tree
-    // mode charges the compact header for OC members too: they already
-    // hold the decided block from consensus, so the round-start push only
-    // needs the digest confirming which tip the storage node committed.
-    m.wire_size = node->in_oc() && !system_->tree_mode() ? prev_enc.size()
+    m.payload = tip_enc;
+    // Direct-mode OC members are billed the full proposal block (the model
+    // has them download it); everyone else the 256 B compact header. Tree
+    // mode bills the compact header for OC members too: they already hold
+    // the decided block from consensus, so the round-start push only needs
+    // the digest confirming which tip the storage node committed.
+    m.wire_size = node->in_oc() && !system_->tree_mode() ? tip.encoded_size
                                                          : 256;
     net->Send(std::move(m));
   }
@@ -707,27 +706,28 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
 void StorageNodeActor::OnResync(const net::Message& msg) {
   auto req = ResyncRequest::Decode(msg.payload);
   if (!req.ok()) return;
-  // Reply with our committed tip as a NewRound. The receiver's stale-round
-  // check makes this idempotent; a node that fell behind catches up. Like
-  // state serving, this answers even on malicious nodes (withholding the
-  // tip would be instantly detectable; the modeled attacks are on bodies or
-  // on freshness: a stale-replying node always answers with genesis, which
-  // the receiver's stale-round check rejects and counts).
+  // Reply with our committed tip's header as a NewRound. The receiver's
+  // stale-round check makes this idempotent; a node that fell behind
+  // catches up. Like state serving, this answers even on malicious nodes
+  // (withholding the tip would be instantly detectable; the modeled attacks
+  // are on bodies or on freshness: a stale-replying node always answers
+  // with the genesis header, which the receiver's stale-round check rejects
+  // and counts).
   if (stale_replies()) {
     system_->adversary()->NoteAction(strategy_, "stale_reply", TraceName());
   }
-  const tx::ProposalBlock& tip =
-      stale_replies() ? system_->chain().front() : system_->chain().back();
-  Bytes enc = tip.Encode();
+  const TipHeader tip = stale_replies()
+                            ? TipHeader::Of(system_->chain().front())
+                            : system_->tip();
   net::Message m;
   m.from = net_id_;
   m.to = msg.from;
   m.kind = kMsgNewRound;
   const StatelessNodeActor* node = system_->StatelessByNetId(msg.from);
   m.wire_size = node != nullptr && node->in_oc() && !system_->tree_mode()
-                    ? enc.size()
+                    ? tip.encoded_size
                     : 256;
-  m.payload = std::move(enc);
+  m.payload = tip.Encode();
   system_->network()->Send(std::move(m));
 }
 

@@ -790,7 +790,7 @@ void PorygonSystem::ReconfigureEpoch(uint64_t round) {
   // re-formation. Pure function of (tip hash, node keys, adversary spec):
   // nothing is drawn from rng_, so enabling epochs perturbs no other
   // randomness and exports stay byte-identical across thread counts.
-  const crypto::Hash256& tip = tip_hash_;
+  const crypto::Hash256& tip = tip_.hash;
   const size_t n = stateless_nodes_.size();
   std::vector<Assignment> draws(n);
   std::vector<int> order(n);
@@ -1011,7 +1011,7 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
     return;
   }
   chain_.push_back(block);
-  tip_hash_ = block.Hash();
+  tip_ = TipHeader::Of(block);
   ++committed_rounds_;
   obs_.committed_blocks->Increment();
 
@@ -1203,7 +1203,7 @@ void PorygonSystem::Run(int rounds, net::SimTime max_sim_time) {
     genesis_.ordering_threshold = options_.params.ordering_fraction;
     genesis_.execution_threshold = options_.params.execution_fraction;
     chain_.push_back(genesis_);
-    tip_hash_ = genesis_.Hash();
+    tip_ = TipHeader::Of(genesis_);
     commit_times_[0] = events_.now();
     round_scheduled_ = true;
     events_.ScheduleAfter(options_.params.reconfig_interval_us, [this] {

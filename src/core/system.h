@@ -289,8 +289,9 @@ class StatelessNodeActor {
                      AdvStrategy strategy, bool in_oc);
 
   void HandleMessage(const net::Message& msg);
-  /// Storage primary told us a new round started (B_{r-1} attached).
-  void OnNewRound(const tx::ProposalBlock& prev_block, uint64_t round);
+  /// Storage primary told us round tip.round + 1 started; `tip` is the
+  /// header of B_{r-1}.
+  void OnNewRound(TipHeader tip);
 
   int index() const { return index_; }
   net::NodeId net_id() const { return net_id_; }
@@ -310,8 +311,9 @@ class StatelessNodeActor {
   /// must be judged against the whole history, not the current strategy.
   bool ever_malicious() const { return ever_malicious_; }
   AdvStrategy strategy() const { return strategy_; }
-  /// Modeled storage footprint in bytes (Fig 9a): latest proposal block,
-  /// committee public keys, and transiently-held witnessed block bodies.
+  /// Modeled storage footprint in bytes (Fig 9a): latest proposal block (at
+  /// its encoded size), committee public keys, and transiently-held
+  /// witnessed block bodies.
   uint64_t StorageFootprintBytes() const;
   /// Diagnostics: merged witnessed blocks this OC member holds for batch r.
   size_t BundleSizeFor(uint64_t round) const {
@@ -377,7 +379,7 @@ class StatelessNodeActor {
   void MaybePropose();
   void BroadcastToOc(uint16_t kind, const Bytes& payload,
                      obs::TraceContext trace = {});
-  void StartConsensus(const tx::ProposalBlock& proposal);
+  void StartConsensus(const crypto::Hash256& proposal_hash);
   void OnDecision(const consensus::DecisionCert& cert);
   /// (Re)broadcasts the stored decision cert to the committee; the leader
   /// also (re)publishes the committed block to storage. Called on first
@@ -485,8 +487,7 @@ class StatelessNodeActor {
   bool probe_chain_active_ = false;
   bool probe_inflight_ = false;  ///< Readopt only on a probe answer.
   int probes_left_ = 0;
-  crypto::Hash256 prev_hash_{};
-  tx::ProposalBlock last_block_;
+  TipHeader tip_;  // Header of B_{r-1}, from the latest round start.
   std::optional<Assignment> assignment_;  // EC role for current round.
 
   // Witnessed blocks held between Witness and Execution phases, keyed by
@@ -655,8 +656,11 @@ class PorygonSystem {
     return critical_path_;
   }
   const std::vector<tx::ProposalBlock>& chain() const { return chain_; }
-  /// Hash of chain().back(), computed once when the block is appended.
-  const crypto::Hash256& tip_hash() const { return tip_hash_; }
+  /// Header of chain().back(), built once when the block is appended: what
+  /// storage nodes send stateless nodes at each round start.
+  const TipHeader& tip() const { return tip_; }
+  /// Hash of chain().back() (tip().hash).
+  const crypto::Hash256& tip_hash() const { return tip_.hash; }
   /// The canonical state between Run() calls: Run() settles the launched
   /// execution before it returns, so no pool thread is writing it then.
   const state::ShardedState& canonical_state() const { return *exec_state_; }
@@ -927,7 +931,7 @@ class PorygonSystem {
 
   tx::ProposalBlock genesis_;
   std::vector<tx::ProposalBlock> chain_;
-  crypto::Hash256 tip_hash_{};  // chain_.back().Hash(), set per append.
+  TipHeader tip_;  // TipHeader::Of(chain_.back()), set per append.
   std::map<uint64_t, net::SimTime> round_start_times_;
   std::map<uint64_t, net::SimTime> commit_times_;
   uint64_t committed_rounds_ = 0;

@@ -22,14 +22,16 @@ using NodeId = uint32_t;
 constexpr NodeId kInvalidNode = UINT32_MAX;
 
 /// A protocol message in flight. `wire_size` is what the bandwidth model
-/// charges; it may exceed payload.size() when the simulation elides content
-/// (e.g. a 2,000-transaction block whose bytes we do not materialize).
+/// charges. It may exceed payload.size() when the simulation elides content
+/// (e.g. a 2,000-transaction block whose bytes we do not materialize), or
+/// fall short of it when the payload is an uncompressed in-memory form of a
+/// smaller wire encoding.
 struct Message {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
   uint16_t kind = 0;        ///< Protocol message type (per-protocol enum).
   Bytes payload;            ///< Decoded by the receiving actor.
-  size_t wire_size = 0;     ///< Bytes charged to links (>= payload size).
+  size_t wire_size = 0;     ///< Bytes charged to links (0: payload size).
   /// Distributed-tracing context carried with the message (the simulated
   /// analogue of a trace header). Not charged to the bandwidth model — the
   /// Relay wire tail that materializes it on storage hops is subtracted

@@ -177,6 +177,35 @@ TEST(MessagesTest, RelayRoundTrip) {
   EXPECT_EQ(d->inner, ToBytes("inner-bytes"));
 }
 
+TEST(MessagesTest, TipHeaderSummarizesItsBlock) {
+  tx::ProposalBlock block;
+  block.height = 6;
+  block.prev_hash = H(1);
+  block.round = 9;
+  block.shard_tx_blocks = {{H(2)}, {}};
+  block.shard_updates = {{}, {}};
+  block.discarded = {H(3), H(4)};
+  block.shard_roots = {H(5), H(6)};
+  block.state_root = H(7);
+  const TipHeader tip = TipHeader::Of(block);
+  EXPECT_EQ(tip.height, 6u);
+  EXPECT_EQ(tip.round, 9u);
+  EXPECT_EQ(tip.hash, block.Hash());
+  EXPECT_EQ(tip.shard_roots, block.shard_roots);
+  EXPECT_EQ(tip.encoded_size, block.WireSize());
+
+  auto d = TipHeader::Decode(tip.Encode());
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->height, tip.height);
+  EXPECT_EQ(d->round, tip.round);
+  EXPECT_EQ(d->hash, tip.hash);
+  EXPECT_EQ(d->shard_roots, tip.shard_roots);
+  EXPECT_EQ(d->encoded_size, tip.encoded_size);
+
+  // A node that never heard a round start counts an empty block.
+  EXPECT_EQ(TipHeader().encoded_size, tx::ProposalBlock().WireSize());
+}
+
 TEST(MessagesTest, PhaseMapCoversProtocolKinds) {
   EXPECT_EQ(PhaseOfKind(kMsgTxBlock), 0);
   EXPECT_EQ(PhaseOfKind(kMsgWitnessUpload), 0);
@@ -214,6 +243,8 @@ TEST(MessagesTest, OversizedCountsAreCorruption) {
       {"ProposalBlock",
        [&](wire::Writer* w) { w->U64(1).Array(h).U64(2).Array(h); },
        [](ByteView v) { return tx::ProposalBlock::Decode(v).status(); }},
+      {"TipHeader", [&](wire::Writer* w) { w->U64(1).U64(2).Array(h); },
+       [](ByteView v) { return TipHeader::Decode(v).status(); }},
       {"TransactionBlock", [&](wire::Writer* w) { w->Blob(header); },
        [](ByteView v) { return tx::TransactionBlock::Decode(v).status(); }},
       {"ExecRequest",

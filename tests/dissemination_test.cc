@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/adversary.h"
 #include "core/system.h"
+#include "crypto/sha256.h"
 #include "net/dissemination.h"
 #include "net/fault.h"
 #include "net/network.h"
@@ -228,6 +230,14 @@ TEST(DisseminationTest, TreeExportsAreThreadInvariant) {
   auto serial = RunWith("tree");
   const std::string metrics = serial->metrics().ToJson();
   const std::string reports = serial->critical_path().ReportsJson();
+  // End-to-end digests of the serial run, pinned: a change that moves a
+  // sim number, the chain or the state must re-pin them and say why.
+  EXPECT_EQ(HexEncode(serial->chain().back().Hash()),
+            "2f170a5e6cb3afc03884145ba731d708808e310d875a10715b19e09eed0fa415");
+  EXPECT_EQ(HexEncode(serial->canonical_state().GlobalRoot()),
+            "36f412263b3a25ee820a27ea81dd0bacc9b250b2fd340d0ec07a3d5e698c2266");
+  EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(metrics))),
+            "db6b3eca62b1828d4e17e8fb1ac8fb6ad143d7c9c4df9ea3f095ae880335745a");
   for (int threads : {1, 4}) {
     auto run = RunWith("tree", "", "", threads);
     EXPECT_EQ(run->metrics().ToJson(), metrics) << threads << " threads";

@@ -14,8 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/system.h"
 #include "crypto/provider.h"
+#include "crypto/sha256.h"
 #include "net/fault.h"
 #include "net/network.h"
 #include "runtime/task_pool.h"
@@ -327,7 +329,9 @@ RunArtifacts RunScenario(const core::SystemOptions& opt,
     sys.events()->ScheduleAfter(net::FromMillis(400), tick);
   };
   if (steady_traffic) sys.events()->ScheduleAfter(net::FromMillis(400), tick);
-  if (!plan.empty()) EXPECT_TRUE(sys.InjectFaults(plan).ok());
+  if (!plan.empty()) {
+    EXPECT_TRUE(sys.InjectFaults(plan).ok());
+  }
   sys.Run(10, net::FromSeconds(600));
 
   RunArtifacts out;
@@ -358,6 +362,15 @@ TEST(ThreadInvarianceTest, ExportsAreByteIdenticalForAnyThreadCount) {
   // Volatile wall-clock gauges must NOT leak into exports.
   EXPECT_EQ(serial.metrics_json.find("runtime.wall_us"), std::string::npos);
   EXPECT_EQ(serial.metrics_csv.find("runtime.wall_us"), std::string::npos);
+
+  // End-to-end digests of the serial run, pinned: a change that moves a
+  // sim number, the chain or the state must re-pin them and say why.
+  EXPECT_EQ(HexEncode(serial.chain_tip),
+            "6627a27cfdf92be7989085ab91b06aa0a315e37dcafc13bda0805a7c3d898235");
+  EXPECT_EQ(HexEncode(serial.global_root),
+            "f798ee9c4abaca68dfc0bf4d2aa09d3ecb82ee0d7fac98e6a20f992a2cd91aa0");
+  EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(serial.metrics_json))),
+            "ebf5178f7a7c950fa2d63bd0d79ccaf5c6403b9027ddfb8527fa5d19eefda87a");
 
   for (int threads : {1, 4}) {
     const RunArtifacts run = RunScenario(threads);

@@ -275,6 +275,19 @@ TEST(SystemIntegrationTest, StatelessFootprintStaysFlat) {
   for (int i = 0; i < sys.num_stateless_nodes(); ++i) {
     EXPECT_LT(sys.stateless_node(i)->StorageFootprintBytes(), 6u << 20);
   }
+  // Without epochs an OC member holds no bodies: its footprint is the tip
+  // block at its encoded size plus the committee and identity keys.
+  const uint64_t keys =
+      32u * (SmallOptions().oc_size + SmallOptions().num_stateless_nodes);
+  int oc_members = 0;
+  for (int i = 0; i < sys.num_stateless_nodes(); ++i) {
+    const StatelessNodeActor* node = sys.stateless_node(i);
+    if (!node->in_oc()) continue;
+    ++oc_members;
+    EXPECT_EQ(node->StorageFootprintBytes(),
+              sys.chain().back().WireSize() + keys);
+  }
+  EXPECT_EQ(oc_members, SmallOptions().oc_size);
 }
 
 TEST(SystemIntegrationTest, SubmitTransactionReportsRejections) {

@@ -251,6 +251,11 @@ const std::pair<const char*, const char*> kPinned[] = {
      "afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b11000000"},
     {"ResyncRequest",
      "8967452301000000"},
+    {"TipHeader",
+     "29000000000000002c00000000000000484f565d646b727980878e959ca3aab1"
+     "b8bfc6cdd4dbe2e9f0f7fe050c131a2102454c535a61686f767d848b9299a0a7"
+     "aeb5bcc3cad1d8dfe6edf4fb020910171e464d545b626970777e858c939aa1a8"
+     "afb6bdc4cbd2d9e0e7eef5fc030a11181f0102000000000000"},
     {"WitnessUpload",
      "050000000000000002000000636a71787f868d949ba2a9b0b7bec5ccd3dae1e8"
      "eff6fd040b121920272e353c646b727980878e959ca3aab1b8bfc6cdd4dbe2e9"
@@ -470,6 +475,13 @@ std::vector<Row> BuildRows() {
   add("RoleAnnounce", a.Encode(), DecodeWith<RoleAnnounce>());
   add("ResyncRequest", ResyncRequest{0x0123456789}.Encode(),
       DecodeWith<ResyncRequest>());
+  TipHeader tip;
+  tip.height = 41;
+  tip.round = 44;
+  tip.hash = H(0x48);
+  tip.shard_roots = {H(0x45), H(0x46)};
+  tip.encoded_size = 0x201;
+  add("TipHeader", tip.Encode(), DecodeWith<TipHeader>());
   add("WitnessUpload", WitnessUpload{5, 2, Proof(0x63)}.Encode(),
       DecodeWith<WitnessUpload>());
   add("WitnessedBlock", Witnessed(0x64).Encode(),
