@@ -75,6 +75,15 @@ run_suite() {
     --adversary='stateless:equivocate,storage:withhold' \
     --out="$dir"/soak_smoke.json | grep -q 'OK: zero invariant violations'
   grep -q '"violations":\[\]' "$dir"/soak_smoke.json
+  # The same chaos soak over relay trees: witness, exec-attestation and
+  # vote relays, erasure-coded bodies and their degradation paths under the
+  # same faults, equivocation and committee reconfigurations.
+  "$dir"/bench/soak --rounds=200 --epoch-length=25 --seed=1 --tps=2 \
+    --faults='loss:0.02,dup:0.02,jitter:300' \
+    --adversary='stateless:equivocate,storage:withhold' \
+    --dissemination=tree \
+    --out="$dir"/soak_tree_smoke.json | grep -q 'OK: zero invariant violations'
+  grep -q '"violations":\[\]' "$dir"/soak_tree_smoke.json
 }
 
 echo "== plain build + ctest =="

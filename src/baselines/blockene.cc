@@ -137,16 +137,12 @@ void BlockeneSystem::PhaseDownload() {
   size_t wire = current_block_.WireSize();
   for (int i : committee_) {
     if (nodes_[i].session_end <= events_.now()) continue;
-    net::Message m;
-    m.from = storage_ids_[i % storage_ids_.size()];
-    m.to = nodes_[i].net_id;
-    m.kind = kBkTxBlock;
-    m.wire_size = wire;
     ++downloads_pending_;
     network_->SetHandler(nodes_[i].net_id, [this](const net::Message&) {
       if (downloads_pending_ > 0 && --downloads_pending_ == 0) PhaseOrder();
     });
-    network_->Send(std::move(m));
+    network_->Send(storage_ids_[i % storage_ids_.size()], nodes_[i].net_id,
+                   kBkTxBlock, {}, wire);
   }
   if (downloads_pending_ == 0) FinishRound(true);
 }
@@ -160,18 +156,11 @@ void BlockeneSystem::PhaseOrder() {
     if (nodes_[i].session_end <= events_.now()) continue;
     for (int j : committee_) {
       if (i == j) continue;
-      net::Message up;
-      up.from = nodes_[i].net_id;
-      up.to = storage_ids_[0];
-      up.kind = kBkVote;
-      up.wire_size = 2 * vote_wire;  // Soft + cert.
-      network_->Send(std::move(up));
-      net::Message down;
-      down.from = storage_ids_[0];
-      down.to = nodes_[j].net_id;
-      down.kind = kBkVote;
-      down.wire_size = 2 * vote_wire;
-      network_->Send(std::move(down));
+      // Soft + cert votes, up to storage and down to the member.
+      network_->Send(nodes_[i].net_id, storage_ids_[0], kBkVote, {},
+                     2 * vote_wire);
+      network_->Send(storage_ids_[0], nodes_[j].net_id, kBkVote, {},
+                     2 * vote_wire);
     }
   }
   (void)members;
@@ -192,20 +181,12 @@ void BlockeneSystem::PhaseExecuteAndCommit() {
       accounts.size() * (17 + options_.state_proof_bytes_per_account);
   for (int i : committee_) {
     if (nodes_[i].session_end <= events_.now()) continue;
-    net::Message m;
-    m.from = storage_ids_[i % storage_ids_.size()];
-    m.to = nodes_[i].net_id;
-    m.kind = kBkState;
-    m.wire_size = state_wire;
     network_->SetHandler(nodes_[i].net_id, [](const net::Message&) {});
-    network_->Send(std::move(m));
+    network_->Send(storage_ids_[i % storage_ids_.size()], nodes_[i].net_id,
+                   kBkState, {}, state_wire);
     // Signed root to all other members (via storage).
-    net::Message root;
-    root.from = nodes_[i].net_id;
-    root.to = storage_ids_[0];
-    root.kind = kBkRoot;
-    root.wire_size = 96 * committee_.size();
-    network_->Send(std::move(root));
+    network_->Send(nodes_[i].net_id, storage_ids_[0], kBkRoot, {},
+                   96 * committee_.size());
   }
 
   // Execute once (all honest members produce the identical result).

@@ -86,20 +86,11 @@ void ByshardSystem::StartShardRound(uint32_t d) {
   // must hold complete block contents), then two vote rounds.
   size_t wire = block.WireSize();
   for (size_t i = 1; i < shard.members.size(); ++i) {
-    net::Message m;
-    m.from = shard.members[0];
-    m.to = shard.members[i];
-    m.kind = kBsBlock;
-    m.wire_size = wire;
-    network_->Send(std::move(m));
+    network_->Send(shard.members[0], shard.members[i], kBsBlock, {}, wire);
     // Prevote + precommit from each member to each member (charged once
     // per pair-direction with both rounds folded in).
-    net::Message v;
-    v.from = shard.members[i];
-    v.to = shard.members[0];
-    v.kind = kBsVote;
-    v.wire_size = 300 * shard.members.size();
-    network_->Send(std::move(v));
+    network_->Send(shard.members[i], shard.members[0], kBsVote, {},
+                   300 * shard.members.size());
   }
 
   // Consensus + execution take the phase budget; then commit.
@@ -175,12 +166,8 @@ void ByshardSystem::CommitShardBlock(uint32_t d, tx::TransactionBlock block) {
 
       // Coordinator shard members forward the sub-transaction to the
       // remote shard (prepare + commit messages).
-      net::Message m;
-      m.from = shard.members[0];
-      m.to = shards_[to_shard].members[0];
-      m.kind = kBsCrossMsg;
-      m.wire_size = 2 * (tx::Transaction::kWireSize + 96);
-      network_->Send(std::move(m));
+      network_->Send(shard.members[0], shards_[to_shard].members[0],
+                     kBsCrossMsg, {}, 2 * (tx::Transaction::kWireSize + 96));
     }
     if (!debits.empty()) state_->PutAccountBatch(d, debits);
   }

@@ -262,7 +262,12 @@ struct ExecResultMsg {
   static Result<ExecResultMsg> Decode(ByteView data);
 };
 
-/// Relay envelope for stateless-to-stateless routing via storage nodes.
+/// Relay envelope for a stateless node's broadcast to the ordering
+/// committee via a storage node. Storage forwards only target
+/// kToOrderingCommittee with one of the kinds stateless nodes broadcast
+/// there (proposal, vote, exec result, decision cert) and drops the rest.
+/// The other targets and the `shard` / `dest` fields are never routed;
+/// they stay because they are part of the billed wire layout.
 struct Relay {
   /// 0 = single destination (dest), 1 = all OC members of `round`,
   /// 2 = all EC members of (`round`, `shard`).

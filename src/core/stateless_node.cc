@@ -20,6 +20,24 @@ tx::Transaction FromAccess(const TxAccess& a) {
   t.submitted_at = a.submitted_at;
   return t;
 }
+
+// Merges `block` into `merged` by block id. A block already held gains the
+// proofs of witnesses it lacks: cross-batch witnesses may arrive via
+// different storage nodes or relays.
+void MergeWitnessed(std::map<std::string, WitnessedBlock>* merged,
+                    WitnessedBlock block) {
+  std::string key = IdKey(block.header.Id());
+  auto it = merged->find(key);
+  if (it == merged->end()) {
+    merged->emplace(std::move(key), std::move(block));
+    return;
+  }
+  std::set<crypto::PublicKey> witnesses;
+  for (const auto& p : it->second.proofs) witnesses.insert(p.witness);
+  for (const auto& p : block.proofs) {
+    if (witnesses.insert(p.witness).second) it->second.proofs.push_back(p);
+  }
+}
 }  // namespace
 
 StatelessNodeActor::StatelessNodeActor(PorygonSystem* system, int index,
@@ -44,14 +62,7 @@ StatelessNodeActor::StatelessNodeActor(PorygonSystem* system, int index,
   watchdog_armed_ = true;
   system_->events()->ScheduleAfter(system_->params().storage_watchdog_us,
                                    [this] { OnWatchdog(); });
-  if (in_oc_) {
-    coordinator_ = std::make_unique<CrossShardCoordinator>(
-        system_->params().shard_bits,
-        system_->params().cross_shard_retry_rounds);
-    coordinator_->EnableTracing(system_->tracer(), TraceName());
-    coordinator_->set_rejected_counter(
-        system_->obs_.rejected_unlocked_update);
-  }
+  if (in_oc_) AdoptCoordinator(nullptr);
 }
 
 uint64_t StatelessNodeActor::StorageFootprintBytes() const {
@@ -78,14 +89,8 @@ void StatelessNodeActor::SendToPrimary(uint16_t kind, Bytes payload,
   if (kind == kMsgRelay || kind == kMsgStateRequest) {
     TrackRequest(kind, payload, wire, trace);
   }
-  net::Message m;
-  m.from = net_id_;
-  m.to = storages_[primary_idx_];
-  m.kind = kind;
-  m.trace = trace;
-  m.wire_size = wire;
-  m.payload = std::move(payload);
-  system_->network()->Send(std::move(m));
+  system_->network()->Send(net_id_, storages_[primary_idx_], kind,
+                           std::move(payload), wire, trace);
 }
 
 // --------------------------------------------------------------------------
@@ -151,14 +156,8 @@ void StatelessNodeActor::OnRequestDeadline(uint64_t req_id) {
   system_->obs_.failover_retransmits->Increment();
   req.target_idx = (req.target_idx + 1) % storages_.size();
   req.sent_at = now;
-  net::Message m;
-  m.from = net_id_;
-  m.to = storages_[req.target_idx];
-  m.kind = req.kind;
-  m.trace = req.trace;
-  m.wire_size = req.wire_size;
-  m.payload = req.payload;
-  system_->network()->Send(std::move(m));
+  system_->network()->Send(net_id_, storages_[req.target_idx], req.kind,
+                           req.payload, req.wire_size, req.trace);
   const int shift = req.attempts > 6 ? 6 : req.attempts;
   const int64_t delay = std::min<int64_t>(p.storage_timeout_us << shift,
                                           p.storage_backoff_cap_us);
@@ -216,13 +215,7 @@ void StatelessNodeActor::SendProbe() {
 void StatelessNodeActor::SendResync(net::NodeId target) {
   ResyncRequest req;
   req.round = current_round_;
-  net::Message m;
-  m.from = net_id_;
-  m.to = target;
-  m.kind = kMsgResync;
-  m.payload = req.Encode();
-  m.wire_size = m.payload.size();
-  system_->network()->Send(std::move(m));
+  system_->network()->Send(net_id_, target, kMsgResync, req.Encode());
 }
 
 void StatelessNodeActor::NoteHeardFrom(net::NodeId from) {
@@ -286,14 +279,7 @@ void StatelessNodeActor::SendToAllStorages(uint16_t kind, const Bytes& payload,
                                            size_t wire_size,
                                            obs::TraceContext trace) {
   for (net::NodeId sid : storages_) {
-    net::Message m;
-    m.from = net_id_;
-    m.to = sid;
-    m.kind = kind;
-    m.trace = trace;
-    m.payload = payload;
-    m.wire_size = wire_size != 0 ? wire_size : payload.size();
-    system_->network()->Send(std::move(m));
+    system_->network()->Send(net_id_, sid, kind, payload, wire_size, trace);
   }
 }
 
@@ -326,6 +312,12 @@ void StatelessNodeActor::HandleMessage(const net::Message& msg) {
   if (!pending_reqs_.empty()) NoteEcho(msg);
   switch (msg.kind) {
     case kMsgNewRound: {
+      // Round starts come from our storage connections only: anyone else
+      // could move this node's round with a forged tip.
+      if (std::find(storages_.begin(), storages_.end(), msg.from) ==
+          storages_.end()) {
+        break;
+      }
       auto tip = TipHeader::Decode(msg.payload);
       if (tip.ok()) OnNewRound(std::move(tip).value());
       break;
@@ -426,14 +418,10 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
   }
 
   if (in_oc_) {
-    // Fresh consensus instance; the coordinator persists (the OC outlives
-    // ECs, §IV-C2).
-    ba_.reset();
-    pending_votes_.clear();
-    proposed_this_round_ = false;
-    decided_hash_.reset();
-    decided_cert_.reset();
-    proposals_seen_.clear();
+    // Fresh consensus instance (a new round re-elects the vote relay, so
+    // the degradation latch resets too); the coordinator persists (the OC
+    // outlives ECs, §IV-C2).
+    ResetInstance();
     // Bound memory: bundles/results older than the pipeline depth are dead.
     while (!bundles_.empty() && bundles_.begin()->first + 4 < round) {
       bundles_.erase(bundles_.begin());
@@ -442,10 +430,7 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
            exec_results_.begin()->first.first + 4 < round) {
       exec_results_.erase(exec_results_.begin());
     }
-    // Tree mode: a new round re-elects the vote relay, so the degradation
-    // latch resets; leader-side relay bookkeeping ages out with the
-    // pipeline depth.
-    vote_relay_direct_ = false;
+    // Relay bookkeeping ages out with the pipeline depth.
     while (!vote_agg_.empty() &&
            std::get<0>(vote_agg_.begin()->first) + 4 < round) {
       vote_agg_.erase(vote_agg_.begin());
@@ -510,22 +495,39 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
 // Epoch reconfiguration (called by PorygonSystem::ReconfigureEpoch)
 // --------------------------------------------------------------------------
 
+void StatelessNodeActor::ResetInstance() {
+  ba_.reset();
+  pending_votes_.clear();
+  proposed_this_round_ = false;
+  proposals_seen_.clear();
+  decided_hash_.reset();
+  decided_cert_.reset();
+  vote_relay_direct_ = false;
+}
+
+void StatelessNodeActor::AdoptCoordinator(
+    std::unique_ptr<CrossShardCoordinator> coordinator) {
+  coordinator_ = coordinator != nullptr
+                     ? std::move(coordinator)
+                     : std::make_unique<CrossShardCoordinator>(
+                           system_->params().shard_bits,
+                           system_->params().cross_shard_retry_rounds);
+  // Bind observability to this owner (a handed-off coordinator still traces
+  // under the outgoing leader's name otherwise).
+  coordinator_->EnableTracing(system_->tracer(), TraceName());
+  coordinator_->set_rejected_counter(system_->obs_.rejected_unlocked_update);
+}
+
 void StatelessNodeActor::RetireFromOc() {
   // Every OC message handler guards on in_oc_, so in-flight committee
   // traffic addressed to this node is shed harmlessly after the flip.
   in_oc_ = false;
-  ba_.reset();
-  pending_votes_.clear();
-  proposed_this_round_ = false;
+  ResetInstance();
   pending_proposal_ = tx::ProposalBlock{};
-  proposals_seen_.clear();
-  decided_hash_.reset();
-  decided_cert_.reset();
   bundles_.clear();
   exec_results_.clear();
   vote_agg_.clear();
   agg_seen_.clear();
-  vote_relay_direct_ = false;
   coordinator_.reset();
   // EC-side state (held_blocks_, exec_task_, assignment_) survives: a
   // drafted-out member may still owe an earlier cohort its execution.
@@ -534,25 +536,9 @@ void StatelessNodeActor::RetireFromOc() {
 void StatelessNodeActor::JoinOc(
     std::unique_ptr<CrossShardCoordinator> handoff) {
   in_oc_ = true;
-  ba_.reset();
-  pending_votes_.clear();
-  proposed_this_round_ = false;
+  ResetInstance();
   pending_proposal_ = tx::ProposalBlock{};
-  proposals_seen_.clear();
-  decided_hash_.reset();
-  decided_cert_.reset();
-  vote_relay_direct_ = false;
-  if (handoff != nullptr) {
-    coordinator_ = std::move(handoff);
-  } else {
-    coordinator_ = std::make_unique<CrossShardCoordinator>(
-        system_->params().shard_bits,
-        system_->params().cross_shard_retry_rounds);
-  }
-  // Re-bind observability to this owner (a handed-off coordinator still
-  // traces under the outgoing leader's name otherwise).
-  coordinator_->EnableTracing(system_->tracer(), TraceName());
-  coordinator_->set_rejected_counter(system_->obs_.rejected_unlocked_update);
+  AdoptCoordinator(std::move(handoff));
 }
 
 void StatelessNodeActor::AdoptOcHandoff(
@@ -654,7 +640,8 @@ void StatelessNodeActor::WitnessBody(tx::TransactionBlock block,
 }
 
 void StatelessNodeActor::OnBodyChunk(const net::Message& msg) {
-  if (!system_->tree_mode()) return;
+  // Tree-only kind: a direct deployment never sends it.
+  if (!system_->dissemination().tree()) return;
   auto chunk = BodyChunk::Decode(msg.payload);
   if (!chunk.ok() || !assignment_.has_value()) return;
   if (chunk->shard != assignment_->shard) return;
@@ -691,14 +678,8 @@ void StatelessNodeActor::OnBodyChunk(const net::Message& msg) {
       net::NodeId peer =
           chunk->peers[(chunk->index + i) % chunk->peers.size()];
       if (peer == net_id_) continue;
-      net::Message m;
-      m.from = net_id_;
-      m.to = peer;
-      m.kind = kMsgBodyChunk;
-      m.trace = msg.trace;
-      m.payload = enc;
-      m.wire_size = wire;
-      system_->network()->Send(std::move(m));
+      system_->network()->Send(net_id_, peer, kMsgBodyChunk, enc, wire,
+                               msg.trace);
     }
   }
 
@@ -754,7 +735,6 @@ void StatelessNodeActor::OnExecRequest(const net::Message& msg) {
   sreq.round = exec_task_->request.round;
   sreq.shard = exec_task_->request.shard;
   sreq.accounts = std::move(accounts);
-  exec_task_->state_requested = true;
   exec_task_->state_accounts = sreq.accounts;
   SendToPrimary(kMsgStateRequest, sreq.Encode(), 0, msg.trace);
 }
@@ -773,7 +753,12 @@ void StatelessNodeActor::OnStateResponse(const net::Message& msg) {
   }
   if (!exec_task_.has_value()) return;
   if (resp->round != exec_task_->request.round) return;
-  if (system_->options().faithful_execution && !VerifyStateResponse(*resp)) {
+  if (!system_->options().faithful_execution) {
+    RunExecution();  // The reply carries no proofs to build a state from.
+    return;
+  }
+  exec_task_->state = ProveStateResponse(*resp);
+  if (!exec_task_->state.has_value()) {
     // Storage-reply cross-check failed: some entry's value does not match
     // its Merkle proof against the committed roots. Never execute on a
     // tampered snapshot — count it, and re-request from the next
@@ -793,46 +778,43 @@ void StatelessNodeActor::OnStateResponse(const net::Message& msg) {
     sreq.round = exec_task_->request.round;
     sreq.shard = exec_task_->request.shard;
     sreq.accounts = exec_task_->state_accounts;
-    net::Message m;
-    m.from = net_id_;
-    m.to = storages_[(primary_idx_ + exec_task_->state_retries) %
-                     storages_.size()];
-    m.kind = kMsgStateRequest;
-    m.payload = sreq.Encode();
-    m.wire_size = m.payload.size();
-    system_->network()->Send(std::move(m));
+    system_->network()->Send(
+        net_id_,
+        storages_[(primary_idx_ + exec_task_->state_retries) %
+                  storages_.size()],
+        kMsgStateRequest, sreq.Encode());
     return;
   }
-  exec_task_->state = std::move(*resp);
   RunExecution();
 }
 
-bool StatelessNodeActor::VerifyStateResponse(const StateResponse& resp) const {
+std::optional<state::PartialState> StatelessNodeActor::ProveStateResponse(
+    const StateResponse& resp) const {
   const ExecRequest& req = exec_task_->request;
-  if (resp.proofs.size() < resp.entries.size()) return false;
-  // Throwaway PartialState: AddOwnAccount/AddForeignAccount fail iff the
-  // claimed (present, value) does not verify against the committed root
-  // for the account's shard — exactly the tamper check we need.
-  state::PartialState check(system_->params().shard_bits, req.shard,
-                            req.shard_root);
+  if (resp.proofs.size() < resp.entries.size()) return std::nullopt;
+  // AddOwnAccount/AddForeignAccount fail iff the claimed (present, value)
+  // does not verify against the committed root for the account's shard —
+  // exactly the tamper check we need.
+  state::PartialState proven(system_->params().shard_bits, req.shard,
+                             req.shard_root);
   for (size_t i = 0; i < resp.entries.size(); ++i) {
     const auto& e = resp.entries[i];
     auto proof = state::MerkleProof::Decode(resp.proofs[i]);
-    if (!proof.ok()) return false;
+    if (!proof.ok()) return std::nullopt;
     const uint32_t shard_of =
         state::ShardOfAccount(e.account, system_->params().shard_bits);
     Status st;
     if (shard_of == req.shard) {
-      st = check.AddOwnAccount(e.account, e.present, e.value, *proof);
+      st = proven.AddOwnAccount(e.account, e.present, e.value, *proof);
     } else if (shard_of < req.all_roots.size()) {
-      st = check.AddForeignAccount(e.account, e.present, e.value, *proof,
-                                   req.all_roots[shard_of]);
+      st = proven.AddForeignAccount(e.account, e.present, e.value, *proof,
+                                    req.all_roots[shard_of]);
     } else {
-      return false;
+      return std::nullopt;
     }
-    if (!st.ok()) return false;
+    if (!st.ok()) return std::nullopt;
   }
-  return true;
+  return proven;
 }
 
 void StatelessNodeActor::RunExecution() {
@@ -842,17 +824,15 @@ void StatelessNodeActor::RunExecution() {
   ExecResultMsg result;
   result.exec_round = req.round;
   result.shard = req.shard;
-  // Rank within the shard's ESC decides who ships the full S set; two full
-  // senders give redundancy while attestations keep the OC downlink flat.
-  // Tree mode leans on the aggregation relay for attestation redundancy, so
-  // a single full sender suffices there.
+  // Rank within the shard's ESC decides who ships the full S set, while
+  // attestations keep the OC downlink flat.
+  const net::Dissemination& diss = system_->dissemination();
   int rank = 0;
   for (net::NodeId m : req.members) {
     if (m == net_id_) break;
     ++rank;
   }
-  const bool tree = system_->tree_mode();
-  result.full = tree ? rank == 0 : rank < 2;
+  result.full = rank < diss.FullResultSenders();
 
   const bool faithful = system_->options().faithful_execution;
   bool computed = false;
@@ -874,33 +854,20 @@ void StatelessNodeActor::RunExecution() {
   }
 
   if (!computed) {
-    // Faithful path: rebuild a partial shard subtree from proofs, verify,
-    // and execute locally (true stateless execution).
-    state::PartialState partial(system_->params().shard_bits, req.shard,
+    // Faithful path: execute locally on the partial shard subtree proven
+    // from the state reply (true stateless execution). A fast-mode cache
+    // miss, or a batch with nothing to download, runs on an empty one.
+    if (!exec_task_->state.has_value()) {
+      exec_task_->state.emplace(system_->params().shard_bits, req.shard,
                                 req.shard_root);
+    }
+    state::PartialState& partial = *exec_task_->state;
     // Implicit (lazily funded) accounts are genesis config every node
     // knows; mirroring the declaration keeps faithful execution
     // byte-identical to the canonical fast path.
     const state::ShardedState& canonical = system_->SettledState();
     partial.SetImplicitAccounts(canonical.implicit_max_id(),
                                 canonical.implicit_balance());
-    if (exec_task_->state.has_value()) {
-      const StateResponse& sr = *exec_task_->state;
-      for (size_t i = 0; i < sr.entries.size(); ++i) {
-        const auto& e = sr.entries[i];
-        if (i >= sr.proofs.size()) break;
-        auto proof = state::MerkleProof::Decode(sr.proofs[i]);
-        if (!proof.ok()) continue;
-        uint32_t shard_of =
-            state::ShardOfAccount(e.account, system_->params().shard_bits);
-        if (shard_of == req.shard) {
-          (void)partial.AddOwnAccount(e.account, e.present, e.value, *proof);
-        } else if (shard_of < req.all_roots.size()) {
-          (void)partial.AddForeignAccount(e.account, e.present, e.value,
-                                          *proof, req.all_roots[shard_of]);
-        }
-      }
-    }
 
     ExecutionInput input;
     input.shard = req.shard;
@@ -950,29 +917,20 @@ void StatelessNodeActor::RunExecution() {
     lane = system_->tracer()->RoundContext(req.round);
     system_->tracer()->EndSpan(exec_task_->trace_span);
   }
-  if (!tree || result.full) {
+  // Attestations ride the relay tree: one elected ESC member merges the
+  // sibling signatures into a single compact message for the whole OC.
+  // Full results, and every result with no live relay (always, in direct
+  // mode), are broadcast.
+  const net::NodeId relay =
+      result.full ? net::kInvalidNode : diss.ExecRelay(req.members, req.round);
+  if (relay == net_id_) {
+    CollectExecAttestation(result);
+  } else if (relay == net::kInvalidNode ||
+             system_->network()->IsCrashed(relay)) {
     BroadcastToOc(kMsgExecResult, result.Encode(), lane);
   } else {
-    // Attestations ride the relay tree: one elected ESC member merges the
-    // sibling signatures into a single compact message for the whole OC.
-    net::NodeId relay =
-        net::Dissemination::AggregatorFor(req.members, req.round, 1);
-    if (relay == net_id_) {
-      CollectExecAttestation(result);
-    } else if (relay == net::kInvalidNode ||
-               system_->network()->IsCrashed(relay)) {
-      // No viable relay: degrade to the legacy direct broadcast.
-      BroadcastToOc(kMsgExecResult, result.Encode(), lane);
-    } else {
-      net::Message m;
-      m.from = net_id_;
-      m.to = relay;
-      m.kind = kMsgExecResult;
-      m.trace = lane;
-      m.payload = result.Encode();
-      m.wire_size = m.payload.size();
-      system_->network()->Send(std::move(m));
-    }
+    system_->network()->Send(net_id_, relay, kMsgExecResult, result.Encode(),
+                             0, lane);
   }
   exec_task_.reset();
 }
@@ -1008,20 +966,12 @@ void StatelessNodeActor::CollectExecAttestation(const ExecResultMsg& result) {
     out.signers.push_back(r.signer);
     out.signatures.push_back(r.signature);
   }
-  Bytes enc = out.Encode();
-  obs::TraceContext lane;
-  if (system_->tracer()->enabled()) {
-    lane = system_->tracer()->RoundContext(result.exec_round);
-  }
+  const Bytes enc = out.Encode();
+  const obs::TraceContext lane =
+      system_->tracer()->RoundContext(result.exec_round);
   for (net::NodeId oc : system_->oc_net_ids_) {
-    net::Message m;
-    m.from = net_id_;
-    m.to = oc;
-    m.kind = kMsgAggExecResult;
-    m.trace = lane;
-    m.payload = enc;
-    m.wire_size = out.WireSize();
-    system_->network()->Send(std::move(m));
+    system_->network()->Send(net_id_, oc, kMsgAggExecResult, enc,
+                             out.WireSize(), lane);
   }
 }
 
@@ -1040,19 +990,7 @@ void StatelessNodeActor::OnWitnessBundle(const net::Message& msg) {
       system_->obs_.rejected_bad_shard->Increment();
       continue;  // Out-of-range shard would index OOB downstream.
     }
-    std::string key = IdKey(block.header.Id());
-    auto it = merged.find(key);
-    if (it == merged.end()) {
-      merged[key] = std::move(block);
-    } else {
-      // Union the proofs (cross-batch witnesses may arrive via different
-      // storage nodes).
-      std::set<crypto::PublicKey> seen;
-      for (const auto& p : it->second.proofs) seen.insert(p.witness);
-      for (const auto& p : block.proofs) {
-        if (seen.insert(p.witness).second) it->second.proofs.push_back(p);
-      }
-    }
+    MergeWitnessed(&merged, std::move(block));
   }
   // The leader proposes as soon as last round's witnessed blocks are in
   // hand (its primary ships the converged set once per round).
@@ -1063,7 +1001,8 @@ void StatelessNodeActor::OnWitnessBundle(const net::Message& msg) {
 }
 
 void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
-  if (!system_->tree_mode()) return;
+  // Tree-only kind: a direct deployment never sends it.
+  if (!system_->dissemination().tree()) return;
   auto agg = AggregatedWitness::Decode(msg.payload);
   if (!agg.ok()) return;
   if (agg->shard >=
@@ -1095,19 +1034,7 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
         system_->obs_.rejected_bad_shard->Increment();
         continue;  // A relay must not smuggle foreign-shard blocks.
       }
-      std::string id = IdKey(block.header.Id());
-      auto it = merged.find(id);
-      if (it == merged.end()) {
-        merged[id] = std::move(block);
-      } else {
-        std::set<crypto::PublicKey> witnesses;
-        for (const auto& p : it->second.proofs) witnesses.insert(p.witness);
-        for (const auto& p : block.proofs) {
-          if (witnesses.insert(p.witness).second) {
-            it->second.proofs.push_back(p);
-          }
-        }
-      }
+      MergeWitnessed(&merged, std::move(block));
     }
     // Per-shard aggregates arrive independently; propose once every shard
     // reported. (The round-start fallback deadline covers missing shards.)
@@ -1140,19 +1067,7 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
       system_->obs_.rejected_bad_shard->Increment();
       continue;
     }
-    std::string id = IdKey(block.header.Id());
-    auto it = wa.blocks.find(id);
-    if (it == wa.blocks.end()) {
-      wa.blocks[id] = std::move(block);
-    } else {
-      std::set<crypto::PublicKey> witnesses;
-      for (const auto& p : it->second.proofs) witnesses.insert(p.witness);
-      for (const auto& p : block.proofs) {
-        if (witnesses.insert(p.witness).second) {
-          it->second.proofs.push_back(p);
-        }
-      }
-    }
+    MergeWitnessed(&wa.blocks, std::move(block));
   }
   if (!wa.deadline_armed) {
     wa.deadline_armed = true;
@@ -1178,19 +1093,10 @@ void StatelessNodeActor::FlushWitnessAgg(uint64_t batch_round,
   out.shard = shard;
   out.aggregator = net_id_;
   for (auto& [id, wb] : it->second.blocks) out.blocks.push_back(wb);
-  obs::TraceContext lane;
-  if (system_->tracer()->enabled()) {
-    lane = system_->tracer()->RoundContext(batch_round);
-  }
+  const obs::TraceContext lane = system_->tracer()->RoundContext(batch_round);
   auto ship = [&](const AggregatedWitness& aw) {
-    net::Message m;
-    m.from = net_id_;
-    m.to = system_->leader_net_id_;
-    m.kind = kMsgAggWitness;
-    m.trace = lane;
-    m.payload = aw.Encode();
-    m.wire_size = aw.WireSize();
-    system_->network()->Send(std::move(m));
+    system_->network()->Send(net_id_, system_->leader_net_id_, kMsgAggWitness,
+                             aw.Encode(), aw.WireSize(), lane);
   };
   ship(out);
   if (strategy_ == AdvStrategy::kEquivocate && out.blocks.size() > 1) {
@@ -1209,7 +1115,7 @@ void StatelessNodeActor::FlushWitnessAgg(uint64_t batch_round,
 void StatelessNodeActor::OnExecResult(const net::Message& msg) {
   // In tree mode the elected ESC relay — a non-OC node — receives its
   // siblings' attestations here and pools them instead of voting.
-  const bool relay_collect = system_->tree_mode() && !in_oc_;
+  const bool relay_collect = system_->dissemination().tree() && !in_oc_;
   if (!in_oc_ && !relay_collect) return;
   auto result = ExecResultMsg::Decode(msg.payload);
   if (!result.ok()) return;
@@ -1264,7 +1170,8 @@ void StatelessNodeActor::OnExecResult(const net::Message& msg) {
 }
 
 void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
-  if (!in_oc_ || !system_->tree_mode()) return;
+  // Tree-only kind: a direct deployment never sends it.
+  if (!in_oc_ || !system_->dissemination().tree()) return;
   auto agg = AggregatedExecResult::Decode(msg.payload);
   if (!agg.ok()) return;
   if (agg->shard >=
@@ -1508,9 +1415,7 @@ void StatelessNodeActor::MaybePropose() {
   const crypto::Hash256 hash = crypto::Sha256::Hash(enc);
   pending_proposal_ = proposal;
   proposals_seen_[IdKey(hash)] = std::move(proposal);
-  obs::TraceContext lane;
-  if (system_->tracer()->enabled()) lane = system_->tracer()->RoundContext(r);
-  BroadcastToOc(kMsgProposal, enc, lane);
+  BroadcastToOc(kMsgProposal, enc, system_->tracer()->RoundContext(r));
   StartConsensus(hash);
 }
 
@@ -1520,11 +1425,8 @@ void StatelessNodeActor::StartConsensus(const crypto::Hash256& proposal_hash) {
         system_->provider(), keys_, system_->oc_keys_,
         [this](const consensus::Vote& v) {
           obs::Tracer* tracer = system_->tracer();
-          obs::TraceContext lane;
-          if (tracer->enabled()) {
-            lane = tracer->RoundContext(v.instance);
-            tracer->Instant(lane, "vote", TraceName());
-          }
+          const obs::TraceContext lane = tracer->RoundContext(v.instance);
+          if (tracer->enabled()) tracer->Instant(lane, "vote", TraceName());
           RouteVote(v, lane);
           if (strategy_ == AdvStrategy::kEquivocate) {
             // Classic equivocation: a second, conflicting, *properly
@@ -1591,17 +1493,13 @@ void StatelessNodeActor::StartConsensus(const crypto::Hash256& proposal_hash) {
             if (ba_->decided()) {
               PublishDecision();
             } else {
-              // A firing timeout in tree mode means the vote relay is not
+              // A firing timeout means the vote relay (if any) is not
               // delivering quorums: latch back to direct broadcast for the
               // rest of the instance.
-              if (system_->tree_mode()) vote_relay_direct_ = true;
+              vote_relay_direct_ = true;
               if (net_id_ == system_->leader_net_id_) {
-                obs::TraceContext lane;
-                if (system_->tracer()->enabled()) {
-                  lane = system_->tracer()->RoundContext(round);
-                }
                 BroadcastToOc(kMsgProposal, pending_proposal_.Encode(),
-                              lane);
+                              system_->tracer()->RoundContext(round));
               }
               ba_->OnTimeout();
             }
@@ -1631,7 +1529,9 @@ void StatelessNodeActor::OnVote(const net::Message& msg) {
   if (!in_oc_) return;
   auto vote = consensus::Vote::Decode(msg.payload);
   if (!vote.ok()) return;
-  if (system_->tree_mode() && VoteRelayFor(vote->instance) == net_id_) {
+  if (system_->dissemination().VoteRelay(system_->oc_net_ids_,
+                                         system_->leader_net_id_,
+                                         vote->instance) == net_id_) {
     // Relay duty rides alongside normal counting: pool the vote toward a
     // compact certificate for the rest of the committee.
     CollectVote(*vote);
@@ -1654,44 +1554,25 @@ void StatelessNodeActor::OnDecisionCert(const net::Message& msg) {
   ba_->AdoptCert(*cert);
 }
 
-// Tree-mode vote transport. Every OC member sends its votes to one elected
-// relay (rotating per instance, never the leader), which answers with a
-// CompactVoteCert carrying a whole quorum at once — collapsing the O(n^2)
-// vote mesh into O(n). Any sign of a dead relay degrades to the legacy
-// direct broadcast.
-net::NodeId StatelessNodeActor::VoteRelayFor(uint64_t instance) const {
-  const auto& oc = system_->oc_net_ids_;
-  if (oc.size() < 3) return net::kInvalidNode;
-  const size_t idx = static_cast<size_t>(instance % oc.size());
-  net::NodeId relay = oc[idx];
-  if (relay == system_->leader_net_id_) relay = oc[(idx + 1) % oc.size()];
-  return relay;
-}
-
+// Vote transport. Every OC member sends its votes to the instance's
+// elected relay (rotating per instance, never the leader), which answers
+// with a CompactVoteCert carrying a whole quorum at once — collapsing the
+// O(n^2) vote mesh into O(n). With no relay elected (always, in direct
+// mode), or any sign of a dead one, votes are broadcast.
 void StatelessNodeActor::RouteVote(const consensus::Vote& v,
                                    obs::TraceContext lane) {
-  Bytes enc = v.Encode();
-  if (!system_->tree_mode() || vote_relay_direct_) {
-    BroadcastToOc(kMsgVote, enc, lane);
-    return;
-  }
-  net::NodeId relay = VoteRelayFor(v.instance);
+  const net::NodeId relay =
+      vote_relay_direct_
+          ? net::kInvalidNode
+          : system_->dissemination().VoteRelay(
+                system_->oc_net_ids_, system_->leader_net_id_, v.instance);
   if (relay == net::kInvalidNode || system_->network()->IsCrashed(relay)) {
-    BroadcastToOc(kMsgVote, enc, lane);
-    return;
-  }
-  if (relay == net_id_) {
+    BroadcastToOc(kMsgVote, v.Encode(), lane);
+  } else if (relay == net_id_) {
     CollectVote(v);  // Self-elected: pool locally, nothing on the wire.
-    return;
+  } else {
+    system_->network()->Send(net_id_, relay, kMsgVote, v.Encode(), 0, lane);
   }
-  net::Message m;
-  m.from = net_id_;
-  m.to = relay;
-  m.kind = kMsgVote;
-  m.trace = lane;
-  m.wire_size = enc.size();
-  m.payload = std::move(enc);
-  system_->network()->Send(std::move(m));
 }
 
 void StatelessNodeActor::CollectVote(const consensus::Vote& v) {
@@ -1728,28 +1609,20 @@ void StatelessNodeActor::CollectVote(const consensus::Vote& v) {
     cert.bitmap |= uint64_t{1} << bit;
     cert.signatures.push_back(sig);
   }
-  Bytes enc = cert.Encode();
-  obs::TraceContext lane;
-  if (system_->tracer()->enabled()) {
-    lane = system_->tracer()->RoundContext(v.instance);
-  }
+  const Bytes enc = cert.Encode();
+  const obs::TraceContext lane = system_->tracer()->RoundContext(v.instance);
   // The relay received (and already counted) every individual vote, so the
   // cert only goes out — never back into our own BA* instance.
   for (net::NodeId oc : system_->oc_net_ids_) {
     if (oc == net_id_) continue;
-    net::Message m;
-    m.from = net_id_;
-    m.to = oc;
-    m.kind = kMsgVoteCert;
-    m.trace = lane;
-    m.payload = enc;
-    m.wire_size = cert.WireSize();
-    system_->network()->Send(std::move(m));
+    system_->network()->Send(net_id_, oc, kMsgVoteCert, enc, cert.WireSize(),
+                             lane);
   }
 }
 
 void StatelessNodeActor::OnVoteCert(const net::Message& msg) {
-  if (!in_oc_ || !system_->tree_mode()) return;
+  // Tree-only kind: a direct deployment never sends it.
+  if (!in_oc_ || !system_->dissemination().tree()) return;
   auto cert = CompactVoteCert::Decode(msg.payload);
   if (!cert.ok()) return;
   std::vector<consensus::Vote> votes = cert->ToVotes(system_->oc_keys_);
@@ -1801,40 +1674,21 @@ void StatelessNodeActor::PublishDecision() {
   // slot and could never re-assemble the quorum vote-by-vote. The timeout
   // driver calls back in here while the round stays open, so the hand-off
   // (and the leader's commit below) survives any one loss.
-  {
-    obs::TraceContext lane;
-    if (system_->tracer()->enabled()) {
-      lane = system_->tracer()->RoundContext(cert.instance);
-    }
-    BroadcastToOc(kMsgDecisionCert, cert.Encode(), lane);
-  }
+  const obs::TraceContext lane =
+      system_->tracer()->RoundContext(cert.instance);
+  BroadcastToOc(kMsgDecisionCert, cert.Encode(), lane);
   // The leader publishes the committed block (with its certificate) to its
-  // connected storage nodes; gossip spreads it.
+  // first CommitFanout connected storage nodes; gossip spreads it (OnCommit
+  // forwards to peers).
   if (net_id_ != system_->leader_net_id_) return;
   auto it = proposals_seen_.find(IdKey(cert.value));
   if (it == proposals_seen_.end()) return;
-  Bytes enc = it->second.Encode();
-  obs::TraceContext lane;
-  if (system_->tracer()->enabled()) {
-    lane = system_->tracer()->RoundContext(cert.instance);
-  }
-  if (system_->tree_mode()) {
-    // Storage gossip converges from any live entry point (OnCommit
-    // forwards to peers); two distinct connections give crash redundancy
-    // at a fraction of the m-way fan-out.
-    const size_t fanout = std::min<size_t>(2, storages_.size());
-    for (size_t i = 0; i < fanout; ++i) {
-      net::Message m;
-      m.from = net_id_;
-      m.to = storages_[i];
-      m.kind = kMsgCommit;
-      m.trace = lane;
-      m.payload = enc;
-      m.wire_size = enc.size() + cert.WireSize();
-      system_->network()->Send(std::move(m));
-    }
-  } else {
-    SendToAllStorages(kMsgCommit, enc, enc.size() + cert.WireSize(), lane);
+  const Bytes enc = it->second.Encode();
+  const size_t fanout =
+      system_->dissemination().CommitFanout(storages_.size());
+  for (size_t i = 0; i < fanout; ++i) {
+    system_->network()->Send(net_id_, storages_[i], kMsgCommit, enc,
+                             enc.size() + cert.WireSize(), lane);
   }
 }
 

@@ -24,8 +24,6 @@ StorageNodeActor::StorageNodeActor(PorygonSystem* system, int index,
   db_ = std::move(db).value();
 }
 
-uint64_t StorageNodeActor::db_bytes() const { return env_->TotalBytes(); }
-
 void StorageNodeActor::HandleMessage(const net::Message& msg) {
   switch (msg.kind) {
     case kMsgSubmitTx:
@@ -73,23 +71,12 @@ void StorageNodeActor::OnRoundStart(uint64_t round) {
   // the state tree are not completely sent to each shard", §IV-D2).
   const TipHeader& tip = system_->tip();
   const Bytes tip_enc = tip.Encode();
-  const bool tracing = system_->tracer()->enabled();
+  const obs::TraceContext lane = system_->tracer()->RoundContext(round);
+  const net::Dissemination& diss = system_->dissemination();
   for (const auto& node : system_->stateless_nodes_) {
     if (node->primary_storage() != net_id_) continue;
-    net::Message m;
-    m.from = net_id_;
-    m.to = node->net_id();
-    m.kind = kMsgNewRound;
-    if (tracing) m.trace = system_->tracer()->RoundContext(round);
-    m.payload = tip_enc;
-    // Direct-mode OC members are billed the full proposal block (the model
-    // has them download it); everyone else the 256 B compact header. Tree
-    // mode bills the compact header for OC members too: they already hold
-    // the decided block from consensus, so the round-start push only needs
-    // the digest confirming which tip the storage node committed.
-    m.wire_size = node->in_oc() && !system_->tree_mode() ? tip.encoded_size
-                                                         : 256;
-    net->Send(std::move(m));
+    net->Send(net_id_, node->net_id(), kMsgNewRound, tip_enc,
+              diss.RoundStartBytes(node->in_oc(), tip.encoded_size), lane);
   }
 
   // 2. After a short grace period (role announcements propagate), package
@@ -105,13 +92,7 @@ void StorageNodeActor::GossipToPeers(uint16_t inner_kind, const Bytes& payload,
   const Bytes wrapped = wire::Writer().U16(inner_kind).Blob(payload).Take();
   for (const auto& peer : system_->storage_nodes_) {
     if (peer->net_id() == net_id_) continue;
-    net::Message m;
-    m.from = net_id_;
-    m.to = peer->net_id();
-    m.kind = kMsgGossip;
-    m.payload = wrapped;
-    m.wire_size = wire_size + 8;
-    net->Send(std::move(m));
+    net->Send(net_id_, peer->net_id(), kMsgGossip, wrapped, wire_size + 8);
   }
 }
 
@@ -172,19 +153,10 @@ void StorageNodeActor::OnRoleAnnounce(const net::Message& msg,
       for (const auto& block_id : it->second) {
         auto stored = system_->block_store_.find(block_id);
         if (stored == system_->block_store_.end()) continue;
-        tx::TransactionBlock outgoing;
-        outgoing.header = stored->second.block.header;
-        outgoing.transactions = stored->second.block.transactions;
-        net::Message m;
-        m.from = net_id_;
-        m.to = a->node_id;
-        m.kind = kMsgTxBlock;
-        if (system_->tracer()->enabled()) {
-          m.trace = system_->tracer()->RoundContext(a->round);
-        }
-        m.payload = outgoing.Encode();
-        m.wire_size = outgoing.WireSize();
-        system_->network()->Send(std::move(m));
+        const tx::TransactionBlock& outgoing = stored->second.block;
+        system_->network()->Send(net_id_, a->node_id, kMsgTxBlock,
+                                 outgoing.Encode(), outgoing.WireSize(),
+                                 system_->tracer()->RoundContext(a->round));
       }
     }
   }
@@ -209,8 +181,10 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   const SystemOptions& opt = system_->options();
   net::SimNetwork* net = system_->network();
   const auto* reg = system_->RegistryFor(round);
+  const net::Dissemination& diss = system_->dissemination();
   obs::Tracer* tracer = system_->tracer();
   const bool tracing = tracer->enabled();
+  const obs::TraceContext lane = tracer->RoundContext(round);
 
   // --- Package new transaction blocks for batch `round` ------------------
   size_t quota = opt.blocks_per_shard_round / system_->num_storage_nodes();
@@ -267,7 +241,6 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
         IdKey(block->header.Id()));
   }
   if (reg != nullptr) {
-    const net::DisseminationSpec& diss = system_->dissemination();
     for (const tx::TransactionBlock* block : to_offer) {
       uint32_t shard = block->header.shard;
       auto it = reg->ec_by_shard.find(shard);
@@ -277,12 +250,9 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
       // |EC| full copies. One chunk per member (n = |EC|, any chunk_k
       // reconstruct); each member forwards its seed chunk to the next
       // chunk_k peers, so our uplink carries |EC|/k bodies instead of
-      // |EC|. Small committees (no headroom over k) keep the direct ship.
-      const size_t min_members = static_cast<size_t>(
-          std::max(diss.chunk_n, diss.chunk_k + 2));
-      if (diss.tree() && members.size() >= min_members &&
-          members.size() <= erasure::kMaxChunks) {
-        const int k = diss.chunk_k;
+      // |EC|. Small committees (no headroom over k) keep the full ship.
+      if (diss.ChunksBodies(members.size())) {
+        const int k = diss.spec().chunk_k;
         const int n = static_cast<int>(members.size());
         std::vector<Bytes> chunks;
         if (withholds_bodies()) {
@@ -304,14 +274,8 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
           c.n = static_cast<uint16_t>(n);
           c.peers = members;
           if (!chunks.empty()) c.payload = chunks[j];
-          net::Message m;
-          m.from = net_id_;
-          m.to = members[j];
-          m.kind = kMsgBodyChunk;
-          if (tracing) m.trace = tracer->RoundContext(round);
-          m.wire_size = c.WireSize();
-          m.payload = c.Encode();
-          net->Send(std::move(m));
+          net->Send(net_id_, members[j], kMsgBodyChunk, c.Encode(),
+                    c.WireSize(), lane);
         }
         continue;
       }
@@ -325,16 +289,10 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
       } else {
         outgoing.transactions = block->transactions;
       }
-      Bytes enc = outgoing.Encode();
+      const Bytes enc = outgoing.Encode();
       for (net::NodeId member : members) {
-        net::Message m;
-        m.from = net_id_;
-        m.to = member;
-        m.kind = kMsgTxBlock;
-        if (tracing) m.trace = tracer->RoundContext(round);
-        m.payload = enc;
-        m.wire_size = outgoing.WireSize();
-        net->Send(std::move(m));
+        net->Send(net_id_, member, kMsgTxBlock, enc, outgoing.WireSize(),
+                  lane);
       }
     }
   }
@@ -390,95 +348,63 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
           witnessed_block(stored->second, wstate->second));
       last_push = round - 1;  // Joins batch round-1's listing window.
     }
-    // Tree mode: hand the bundle to per-shard aggregation relays instead
-    // of pushing a full copy onto every served OC member's downlink. The
-    // election is the same arithmetic every honest node runs
-    // (Dissemination::AggregatorFor over the batch's EC), refined with a
-    // skip-scan past crashed and struck relays; if any shard has no viable
-    // relay left, the whole bundle degrades to the legacy direct push.
-    bool tree_routed = false;
-    if (system_->tree_mode() && !bundle.blocks.empty()) {
-      const int strike_limit = system_->dissemination().relay_strikes;
-      const auto* batch_reg = system_->RegistryFor(round - 1);
-      auto elect = [&](const std::vector<net::NodeId>& members)
-          -> net::NodeId {
-        if (members.size() < 2) return net::kInvalidNode;
-        int base = net::Dissemination::AggregatorIndex(members.size(),
-                                                       round - 1, 0);
-        if (base < 0) return net::kInvalidNode;
-        for (size_t off = 0; off < members.size(); ++off) {
-          net::NodeId cand =
-              members[(static_cast<size_t>(base) + off) % members.size()];
-          auto struck = relay_strikes_.find(cand);
-          if (struck != relay_strikes_.end() &&
-              struck->second >= strike_limit) {
-            continue;
-          }
-          if (net->IsCrashed(cand)) continue;
-          return cand;
-        }
-        return net::kInvalidNode;
-      };
-      if (batch_reg != nullptr) {
-        std::map<uint32_t, std::vector<WitnessedBlock>> by_shard;
-        for (const auto& wb : bundle.blocks) {
-          by_shard[wb.header.shard].push_back(wb);
-        }
-        std::map<uint32_t, net::NodeId> relays;
-        tree_routed = true;
-        for (const auto& [shard, blocks] : by_shard) {
-          auto mem = batch_reg->ec_by_shard.find(shard);
-          net::NodeId relay = mem == batch_reg->ec_by_shard.end()
-                                  ? net::kInvalidNode
-                                  : elect(mem->second);
-          if (relay == net::kInvalidNode) {
-            tree_routed = false;
-            break;
-          }
-          relays[shard] = relay;
-        }
-        if (tree_routed) {
-          for (auto& [shard, blocks] : by_shard) {
-            AggregatedWitness sub;
-            sub.batch_round = round - 1;
-            sub.shard = shard;
-            sub.aggregator = net_id_;
-            sub.blocks = std::move(blocks);
-            RelayAudit audit;
-            audit.listing_round = round;
-            audit.relay = relays[shard];
-            for (const auto& wb : sub.blocks) {
-              audit.block_ids.push_back(IdKey(wb.header.Id()));
-            }
-            pending_relay_audit_.push_back(std::move(audit));
-            net::Message m;
-            m.from = net_id_;
-            m.to = relays[shard];
-            m.kind = kMsgAggWitness;
-            if (tracing) m.trace = tracer->RoundContext(round - 1);
-            m.wire_size = sub.WireSize();
-            m.payload = sub.Encode();
-            net->Send(std::move(m));
-          }
-        }
-      }
+    // Hand the bundle to per-shard aggregation relays instead of pushing a
+    // full copy onto every served OC member's downlink. The election is the
+    // same arithmetic every honest node runs over the batch's EC, refined
+    // with a skip-scan past struck and crashed relays. If any shard has no
+    // relay (always, in direct mode), the whole bundle takes the direct
+    // push to the OC members we serve.
+    const obs::TraceContext batch_lane = tracer->RoundContext(round - 1);
+    const auto* batch_reg = system_->RegistryFor(round - 1);
+    const int strike_limit = diss.spec().relay_strikes;
+    auto skip = [&](net::NodeId cand) {
+      auto struck = relay_strikes_.find(cand);
+      return (struck != relay_strikes_.end() &&
+              struck->second >= strike_limit) ||
+             net->IsCrashed(cand);
+    };
+    std::map<uint32_t, net::NodeId> relays;  // By shard.
+    bool tree_routed = !bundle.blocks.empty() && batch_reg != nullptr;
+    for (size_t i = 0; tree_routed && i < bundle.blocks.size(); ++i) {
+      const uint32_t shard = bundle.blocks[i].header.shard;
+      if (relays.count(shard) > 0) continue;
+      auto mem = batch_reg->ec_by_shard.find(shard);
+      const net::NodeId relay =
+          mem == batch_reg->ec_by_shard.end()
+              ? net::kInvalidNode
+              : diss.WitnessRelay(mem->second, round - 1, skip);
+      tree_routed = relay != net::kInvalidNode;
+      relays[shard] = relay;
     }
-    if (!tree_routed) {
-      Bytes enc = bundle.Encode();
+    if (tree_routed) {
+      std::map<uint32_t, AggregatedWitness> subs;  // By shard.
+      for (WitnessedBlock& wb : bundle.blocks) {
+        subs[wb.header.shard].blocks.push_back(std::move(wb));
+      }
+      for (auto& [shard, sub] : subs) {
+        sub.batch_round = round - 1;
+        sub.shard = shard;
+        sub.aggregator = net_id_;
+        RelayAudit audit;
+        audit.listing_round = round;
+        audit.relay = relays[shard];
+        for (const auto& wb : sub.blocks) {
+          audit.block_ids.push_back(IdKey(wb.header.Id()));
+        }
+        pending_relay_audit_.push_back(std::move(audit));
+        net->Send(net_id_, relays[shard], kMsgAggWitness, sub.Encode(),
+                  sub.WireSize(), batch_lane);
+      }
+    } else {
+      const Bytes enc = bundle.Encode();
       for (net::NodeId oc : system_->oc_net_ids_) {
         // Only the member's primary storage node ships the bundle.
         const auto* member = system_->StatelessByNetId(oc);
         if (member == nullptr || member->primary_storage() != net_id_) {
           continue;
         }
-        net::Message m;
-        m.from = net_id_;
-        m.to = oc;
-        m.kind = kMsgWitnessBundle;
-        if (tracing) m.trace = tracer->RoundContext(round - 1);
-        m.payload = enc;
-        m.wire_size = bundle.WireSize();
-        net->Send(std::move(m));
+        net->Send(net_id_, oc, kMsgWitnessBundle, enc, bundle.WireSize(),
+                  batch_lane);
       }
     }
   }
@@ -509,18 +435,12 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
         auto it = exec_reg->ec_by_shard.find(shard);
         if (it == exec_reg->ec_by_shard.end()) continue;
         req.members = it->second;
-        Bytes enc = req.Encode();
+        const Bytes enc = req.Encode();
         for (net::NodeId member : it->second) {
           const auto* node = system_->StatelessByNetId(member);
           if (node == nullptr || node->primary_storage() != net_id_) continue;
-          net::Message m;
-          m.from = net_id_;
-          m.to = member;
-          m.kind = kMsgExecRequest;
-          if (tracing) m.trace = tracer->RoundContext(req.round);
-          m.payload = enc;
-          m.wire_size = enc.size();
-          net->Send(std::move(m));
+          net->Send(net_id_, member, kMsgExecRequest, enc, 0,
+                    tracer->RoundContext(req.round));
           exec_requests_sent = true;
         }
       }
@@ -587,6 +507,19 @@ void StorageNodeActor::OnWitnessUpload(const net::Message& msg,
 void StorageNodeActor::OnRelay(const net::Message& msg) {
   auto relay = Relay::Decode(msg.payload);
   if (!relay.ok()) return;
+  // Storage forwards only what stateless nodes broadcast to the committee:
+  // a relay naming any other target or inner kind (say, a forged round
+  // start that would move the committee's round) is dropped unforwarded.
+  if (relay->target != Relay::kToOrderingCommittee) return;
+  switch (relay->inner_kind) {
+    case kMsgProposal:
+    case kMsgVote:
+    case kMsgExecResult:
+    case kMsgDecisionCert:
+      break;
+    default:
+      return;
+  }
   if (drops_relays()) {
     // Withholding and censoring storage both drop routed traffic; the
     // sender's failover layer retries through its other connections.
@@ -595,59 +528,24 @@ void StorageNodeActor::OnRelay(const net::Message& msg) {
     return;
   }
   net::SimNetwork* net = system_->network();
-
-  auto forward = [&](net::NodeId dest) {
-    net::Message m;
-    m.from = net_id_;
-    m.to = dest;
-    m.kind = relay->inner_kind;
-    m.trace = relay->trace;  // The sender's trace survives the storage hop.
-    m.payload = relay->inner;
-    m.wire_size = relay->inner.size();
-    net->Send(std::move(m));
-  };
-
-  switch (relay->target) {
-    case Relay::kToNode:
-      if (relay->dest != net::kInvalidNode) forward(relay->dest);
-      break;
-    case Relay::kToOrderingCommittee: {
-      // Tree mode: an in-committee sender does not need its own broadcast
-      // echoed back as a full copy — suppress it and answer with a 40-byte
-      // digest ack instead, which the failover layer accepts as the same
-      // proof of delivery.
-      const bool ack_sender =
-          system_->tree_mode() &&
-          std::find(system_->oc_net_ids_.begin(), system_->oc_net_ids_.end(),
-                    msg.from) != system_->oc_net_ids_.end();
-      for (net::NodeId oc : system_->oc_net_ids_) {
-        if (ack_sender && oc == msg.from) continue;
-        forward(oc);
-      }
-      if (ack_sender) {
-        RelayAck ack;
-        ack.round = relay->round;
-        ack.digest = crypto::Sha256::Hash(msg.payload);
-        net::Message m;
-        m.from = net_id_;
-        m.to = msg.from;
-        m.kind = kMsgRelayAck;
-        m.wire_size = 40;
-        m.payload = ack.Encode();
-        net->Send(std::move(m));
-      }
-      break;
-    }
-    case Relay::kToShardCommittee: {
-      const auto* reg = system_->RegistryFor(relay->round);
-      if (reg == nullptr) break;
-      auto it = reg->ec_by_shard.find(relay->shard);
-      if (it == reg->ec_by_shard.end()) break;
-      for (net::NodeId member : it->second) forward(member);
-      break;
-    }
-    default:
-      break;
+  // Tree mode: an in-committee sender does not need its own broadcast
+  // echoed back as a full copy — suppress it and answer with a 40-byte
+  // digest ack instead, which the failover layer accepts as the same proof
+  // of delivery.
+  const std::vector<net::NodeId>& oc_ids = system_->oc_net_ids_;
+  const bool ack_sender =
+      system_->dissemination().AcksOcRelays() &&
+      std::find(oc_ids.begin(), oc_ids.end(), msg.from) != oc_ids.end();
+  for (net::NodeId oc : oc_ids) {
+    if (ack_sender && oc == msg.from) continue;
+    // The sender's trace survives the storage hop.
+    net->Send(net_id_, oc, relay->inner_kind, relay->inner, 0, relay->trace);
+  }
+  if (ack_sender) {
+    RelayAck ack;
+    ack.round = relay->round;
+    ack.digest = crypto::Sha256::Hash(msg.payload);
+    net->Send(net_id_, msg.from, kMsgRelayAck, ack.Encode(), 40);
   }
 }
 
@@ -680,7 +578,7 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
     if (tampers_state()) {
       // Doctor the entry *after* proving: the proof commits to the true
       // value, so the mismatch is exactly what the stateless node's
-      // cross-check (VerifyStateResponse) catches. The perturbation is a
+      // cross-check (ProveStateResponse) catches. The perturbation is a
       // pure hash of (round, account) — deterministic and non-zero.
       StateResponse::Entry& doctored = resp.entries.back();
       doctored.value.balance +=
@@ -694,13 +592,8 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
     system_->adversary()->NoteAction(strategy_, "tamper_state", TraceName());
   }
 
-  net::Message m;
-  m.from = net_id_;
-  m.to = msg.from;
-  m.kind = kMsgStateResponse;
-  m.payload = resp.Encode();
-  m.wire_size = resp.WireSize();
-  system_->network()->Send(std::move(m));
+  system_->network()->Send(net_id_, msg.from, kMsgStateResponse,
+                           resp.Encode(), resp.WireSize());
 }
 
 void StorageNodeActor::OnResync(const net::Message& msg) {
@@ -719,16 +612,11 @@ void StorageNodeActor::OnResync(const net::Message& msg) {
   const TipHeader tip = stale_replies()
                             ? TipHeader::Of(system_->chain().front())
                             : system_->tip();
-  net::Message m;
-  m.from = net_id_;
-  m.to = msg.from;
-  m.kind = kMsgNewRound;
   const StatelessNodeActor* node = system_->StatelessByNetId(msg.from);
-  m.wire_size = node != nullptr && node->in_oc() && !system_->tree_mode()
-                    ? tip.encoded_size
-                    : 256;
-  m.payload = tip.Encode();
-  system_->network()->Send(std::move(m));
+  system_->network()->Send(
+      net_id_, msg.from, kMsgNewRound, tip.Encode(),
+      system_->dissemination().RoundStartBytes(
+          node != nullptr && node->in_oc(), tip.encoded_size));
 }
 
 void StorageNodeActor::OnRejoin(uint64_t round) {
@@ -810,12 +698,13 @@ void StorageNodeActor::OnCommit(const net::Message& msg, bool from_gossip) {
     for (const auto& id : shard_list) unlisted_blocks_.erase(IdKey(id));
   }
 
-  // Tree mode: settle witness-relay audits against this listing. A relay
-  // whose aggregate dropped any of the blocks we offered it collects a
-  // strike (enough strikes and the election skips it); a clean listing
-  // resets. Audits whose window passed during an outage are dropped
-  // unjudged — we cannot tell a withholding relay from our own absence.
-  if (system_->tree_mode() && !pending_relay_audit_.empty()) {
+  // Settle witness-relay audits against this listing (there are none in
+  // direct mode). A relay whose aggregate dropped any of the blocks we
+  // offered it collects a strike (enough strikes and the election skips
+  // it); a clean listing resets. Audits whose window passed during an
+  // outage are dropped unjudged — we cannot tell a withholding relay from
+  // our own absence.
+  if (!pending_relay_audit_.empty()) {
     std::unordered_set<std::string> listed;
     for (const auto& shard_list : block->shard_tx_blocks) {
       for (const auto& id : shard_list) listed.insert(IdKey(id));

@@ -228,7 +228,9 @@ std::string SystemMetrics::ToCsv() const {
 }
 
 PorygonSystem::PorygonSystem(const SystemOptions& options)
-    : options_(options), rng_(options.seed) {
+    : options_(options),
+      dissemination_(options.dissemination),
+      rng_(options.seed) {
   if (Status valid = options_.Validate(); !valid.ok()) {
     PORYGON_LOG(kError) << "invalid SystemOptions: " << valid.ToString();
     std::abort();
@@ -868,24 +870,14 @@ void PorygonSystem::ReconfigureEpoch(uint64_t round) {
   if (handoff != nullptr) {
     // The incoming leader was already an OC member: swap the hand-off
     // coordinator in for its own (the locked S-sets live only there).
-    new_leader->coordinator_ = std::move(handoff);
-    new_leader->coordinator_->EnableTracing(&tracer_,
-                                            new_leader->TraceName());
-    new_leader->coordinator_->set_rejected_counter(
-        obs_.rejected_unlocked_update);
+    new_leader->AdoptCoordinator(std::move(handoff));
   }
   if (leader_changed) {
     new_leader->AdoptOcHandoff(handoff_bundles, handoff_results);
     if (old_leader->in_oc_ && old_leader->coordinator_ == nullptr) {
       // The demoted leader stays a plain member: restore the
       // every-member-owns-a-coordinator construction invariant.
-      old_leader->coordinator_ = std::make_unique<CrossShardCoordinator>(
-          options_.params.shard_bits,
-          options_.params.cross_shard_retry_rounds);
-      old_leader->coordinator_->EnableTracing(&tracer_,
-                                              old_leader->TraceName());
-      old_leader->coordinator_->set_rejected_counter(
-          obs_.rejected_unlocked_update);
+      old_leader->AdoptCoordinator(nullptr);
     }
   }
 
@@ -965,32 +957,30 @@ void PorygonSystem::StartRound(uint64_t round) {
   } else {
     AdvanceExecState(round - 1);
   }
-  // Tree mode: label this round's base witness-relay election "relay" so
-  // the bandwidth ledger and critical-path reports attribute their links
+  // Label this round's base witness-relay election "relay" so the
+  // bandwidth ledger and critical-path reports attribute their links
   // separately (observability only — senders re-run the election with
   // strike/crash skips, so a degraded round may route past these nodes).
-  if (tree_mode()) {
-    for (net::NodeId prev : labeled_relays_) {
-      // An epoch boundary may have just promoted last round's relay into
-      // the OC; only reset nodes still wearing the relay label.
-      if (network_->RoleName(prev) == "relay") {
-        network_->SetNodeRole(prev, "stateless");
-      }
+  // Direct mode elects no relay and labels nothing.
+  for (net::NodeId prev : labeled_relays_) {
+    // An epoch boundary may have just promoted last round's relay into the
+    // OC; only reset nodes still wearing the relay label.
+    if (network_->RoleName(prev) == "relay") {
+      network_->SetNodeRole(prev, "stateless");
     }
-    labeled_relays_.clear();
-    if (const RoundRegistry* reg = RegistryFor(round - 1)) {
-      for (const auto& [shard, members] : reg->ec_by_shard) {
-        net::NodeId relay =
-            net::Dissemination::AggregatorFor(members, round - 1, 0);
-        // Never clobber the OC labels — an OC member moonlighting as a
-        // relay keeps its (rarer, more load-bearing) committee role.
-        if (relay == net::kInvalidNode ||
-            network_->RoleName(relay) != "stateless") {
-          continue;
-        }
-        network_->SetNodeRole(relay, "relay");
-        labeled_relays_.push_back(relay);
+  }
+  labeled_relays_.clear();
+  if (const RoundRegistry* reg = RegistryFor(round - 1)) {
+    for (const auto& [shard, members] : reg->ec_by_shard) {
+      net::NodeId relay = dissemination_.WitnessRelay(members, round - 1);
+      // Never clobber the OC labels — an OC member moonlighting as a relay
+      // keeps its (rarer, more load-bearing) committee role.
+      if (relay == net::kInvalidNode ||
+          network_->RoleName(relay) != "stateless") {
+        continue;
       }
+      network_->SetNodeRole(relay, "relay");
+      labeled_relays_.push_back(relay);
     }
   }
   for (auto& storage : storage_nodes_) {
@@ -1258,16 +1248,6 @@ void PorygonSystem::RecoverNode(net::NodeId node) {
     storage->OnRejoin(tip + 1);
     break;
   }
-}
-
-size_t PorygonSystem::RegisteredEcMembers(uint64_t round) const {
-  auto it = registry_.find(round);
-  if (it == registry_.end()) return 0;
-  size_t n = 0;
-  for (const auto& [shard, members] : it->second.ec_by_shard) {
-    n += members.size();
-  }
-  return n;
 }
 
 size_t PorygonSystem::RegisteredOcMembers(uint64_t round) const {

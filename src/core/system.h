@@ -28,6 +28,7 @@
 #include "obs/metrics.h"
 #include "runtime/task_pool.h"
 #include "state/sharded_state.h"
+#include "state/view.h"
 #include "storage/db.h"
 #include "storage/env.h"
 #include "tx/blocks.h"
@@ -193,12 +194,6 @@ class StorageNodeActor {
   net::NodeId net_id() const { return net_id_; }
   bool malicious() const { return strategy_ != AdvStrategy::kHonest; }
   AdvStrategy strategy() const { return strategy_; }
-  uint64_t db_bytes() const;
-  /// Diagnostics: blocks that reached Tw in batch `round`.
-  size_t WitnessedInBatch(uint64_t round) const {
-    auto it = witnessed_by_batch_.find(round);
-    return it == witnessed_by_batch_.end() ? 0 : it->second.size();
-  }
   size_t pool_pending() const { return pool_.PendingTotal(); }
 
  private:
@@ -302,8 +297,6 @@ class StatelessNodeActor {
   net::NodeId primary_storage() const {
     return storages_.empty() ? net::kInvalidNode : storages_[primary_idx_];
   }
-  /// Diagnostics: index into the connection list currently used as primary.
-  size_t primary_index() const { return primary_idx_; }
   bool in_oc() const { return in_oc_; }
   bool malicious() const { return strategy_ != AdvStrategy::kHonest; }
   /// True if any epoch's placement ever corrupted this node. Evidence
@@ -315,11 +308,6 @@ class StatelessNodeActor {
   /// its encoded size), committee public keys, and transiently-held
   /// witnessed block bodies.
   uint64_t StorageFootprintBytes() const;
-  /// Diagnostics: merged witnessed blocks this OC member holds for batch r.
-  size_t BundleSizeFor(uint64_t round) const {
-    auto it = bundles_.find(round);
-    return it == bundles_.end() ? 0 : it->second.size();
-  }
   uint64_t current_round() const { return current_round_; }
 
  private:
@@ -329,14 +317,16 @@ class StatelessNodeActor {
   void OnTxBlock(const net::Message& msg);
   void OnExecRequest(const net::Message& msg);
   void OnStateResponse(const net::Message& msg);
-  /// Faithful-mode cross-check of a storage state reply: every entry's
-  /// Merkle proof must verify against the committed roots the exec
-  /// request carried. A tampering storage node fails this (proofs attest
-  /// the true values), triggering a re-request from another connection.
-  bool VerifyStateResponse(const StateResponse& resp) const;
+  /// Faithful-mode cross-check of a storage state reply: the PartialState
+  /// proven from it, or nullopt when some entry's Merkle proof does not
+  /// verify against the committed roots the exec request carried. A
+  /// tampering storage node fails this (proofs attest the true values),
+  /// triggering a re-request from another connection.
+  std::optional<state::PartialState> ProveStateResponse(
+      const StateResponse& resp) const;
   void RunExecution();
 
-  // --- Tree-dissemination paths (net::DisseminationMode::kTree only) -----
+  // --- Relay paths (net::Dissemination elects no relay in direct mode) ----
   /// Erasure-coded body chunk: store, forward our seed chunk to the next k
   /// mesh peers, and reconstruct + witness once k+1 chunks arrived.
   void OnBodyChunk(const net::Message& msg);
@@ -347,11 +337,8 @@ class StatelessNodeActor {
   /// Relay-side attestation pool: flushed as one AggregatedExecResult to
   /// every OC member once enough distinct signers agree on one key.
   void CollectExecAttestation(const ExecResultMsg& result);
-  /// Elected vote relay for a BA* instance (rotates; never the leader;
-  /// kInvalidNode for committees too small to benefit).
-  net::NodeId VoteRelayFor(uint64_t instance) const;
-  /// Sends a vote to the elected relay (tree mode) or broadcasts it
-  /// (direct mode, degraded relay, or relay self-election).
+  /// Sends a vote to the elected relay, pools it when self-elected, or
+  /// broadcasts it (no relay elected, a crashed relay, or the latch set).
   void RouteVote(const consensus::Vote& v, obs::TraceContext lane);
   /// Vote-relay pool: emits one CompactVoteCert per (instance, step, kind,
   /// value) the moment it reaches quorum.
@@ -393,6 +380,13 @@ class StatelessNodeActor {
 
   // --- Epoch reconfiguration (driven by PorygonSystem::ReconfigureEpoch) --
   struct PendingExec;  // Defined in the OC-state section below.
+  /// Clears the per-instance consensus scratch (BA* instance, early votes,
+  /// proposals seen, the decision, the vote-relay latch). The leader's
+  /// pending_proposal_ is left alone: MaybePropose overwrites it.
+  void ResetInstance();
+  /// Installs `coordinator` (a fresh one when null) and binds its tracing
+  /// and rejected-update counter to this node.
+  void AdoptCoordinator(std::unique_ptr<CrossShardCoordinator> coordinator);
   /// Drops out of the ordering committee: clears every piece of OC scratch
   /// (consensus instance, vote buffers, bundles, exec-result pools, relay
   /// aggregation state) and releases the coordinator. EC-side state
@@ -504,8 +498,10 @@ class StatelessNodeActor {
   struct ExecTask {
     ExecRequest request;
     uint64_t started_round = 0;
-    bool state_requested = false;
-    std::optional<StateResponse> state;
+    /// Faithful mode: the partial state proven from the accepted state
+    /// reply. Absent in fast mode, where a cache miss executes on an empty
+    /// partial.
+    std::optional<state::PartialState> state;
     uint64_t trace_span = 0;  ///< Open "exec" span (0 = untraced).
     /// Accounts the state request asked for (re-requests after a failed
     /// proof cross-check reuse the same set).
@@ -536,7 +532,7 @@ class StatelessNodeActor {
   // commit), so lost hand-offs cannot strand a partially-decided committee.
   std::optional<consensus::DecisionCert> decided_cert_;
 
-  // --- Tree dissemination state (kTree only; empty in direct runs) --------
+  // --- Relay state (empty in direct runs, which elect no relay) -----------
   // EC-side chunk reassembly, by block id: chunks received so far plus the
   // header to validate the reconstruction against. Pruned on round change.
   struct ChunkState {
@@ -580,8 +576,9 @@ class StatelessNodeActor {
   };
   std::map<std::tuple<uint64_t, uint32_t, uint8_t, std::string>, VoteAgg>
       vote_agg_;
-  // Degradation latch: a BA* step timeout firing in tree mode means the
-  // vote relay may be eating votes — this node's later votes go direct.
+  // Degradation latch: a BA* step timeout firing means the vote relay may
+  // be eating votes — this node's later votes go direct. (No effect in
+  // direct mode, which elects no vote relay.)
   bool vote_relay_direct_ = false;
 };
 
@@ -702,8 +699,6 @@ class PorygonSystem {
   /// Draws the end time of a fresh node session (churn model).
   net::SimTime DrawSessionEnd();
 
-  /// Registered EC members for `round` (diagnostics).
-  size_t RegisteredEcMembers(uint64_t round) const;
   /// OC members whose epoch re-announce registered for `round`
   /// (diagnostics; non-zero only at epoch boundaries).
   size_t RegisteredOcMembers(uint64_t round) const;
@@ -940,6 +935,7 @@ class PorygonSystem {
   bool round_scheduled_ = false;
 
   SystemOptions options_;
+  net::Dissemination dissemination_;
   Rng rng_;
   // Declared before the network and actors: they cache pointers into the
   // registry and must be destroyed first.
@@ -983,18 +979,16 @@ class PorygonSystem {
   net::NodeId leader_net_id_ = net::kInvalidNode;
   std::vector<crypto::PublicKey> oc_keys_;
   std::vector<net::NodeId> oc_net_ids_;
-  // Tree mode: nodes currently labeled "relay" for critical-path / link
-  // attribution (base witness-relay election for the round; observability
-  // only — senders re-run the election with strike/crash skips).
+  // Nodes currently labeled "relay" for critical-path / link attribution
+  // (base witness-relay election for the round; observability only —
+  // senders re-run the election with strike/crash skips). Empty in direct
+  // mode.
   std::vector<net::NodeId> labeled_relays_;
   uint64_t next_account_hint_ = 1;
 
  public:
-  /// True when the run disseminates via aggregation relay trees.
-  bool tree_mode() const { return options_.dissemination.tree(); }
-  const net::DisseminationSpec& dissemination() const {
-    return options_.dissemination;
-  }
+  /// The run's flow shape: every relay election and per-mode fact.
+  const net::Dissemination& dissemination() const { return dissemination_; }
 };
 
 }  // namespace porygon::core

@@ -86,4 +86,37 @@ NodeId Dissemination::AggregatorFor(const std::vector<NodeId>& members,
   return idx < 0 ? kInvalidNode : members[static_cast<size_t>(idx)];
 }
 
+NodeId Dissemination::VoteRelay(const std::vector<NodeId>& oc, NodeId leader,
+                                uint64_t instance) const {
+  if (!tree() || oc.size() < 3) return kInvalidNode;
+  const size_t idx = static_cast<size_t>(instance % oc.size());
+  return oc[idx] == leader ? oc[(idx + 1) % oc.size()] : oc[idx];
+}
+
+NodeId Dissemination::ExecRelay(const std::vector<NodeId>& members,
+                                uint64_t round) const {
+  return tree() ? AggregatorFor(members, round, 1) : kInvalidNode;
+}
+
+NodeId Dissemination::WitnessRelay(
+    const std::vector<NodeId>& members, uint64_t batch,
+    const std::function<bool(NodeId)>& skip) const {
+  if (!tree()) return kInvalidNode;
+  const int base = AggregatorIndex(members.size(), batch, 0);
+  if (base < 0) return kInvalidNode;
+  for (size_t off = 0; off < members.size(); ++off) {
+    const NodeId cand =
+        members[(static_cast<size_t>(base) + off) % members.size()];
+    if (!skip || !skip(cand)) return cand;
+  }
+  return kInvalidNode;
+}
+
+bool Dissemination::ChunksBodies(size_t members) const {
+  const size_t min_members =
+      static_cast<size_t>(std::max(spec_.chunk_n, spec_.chunk_k + 2));
+  return tree() && members >= min_members &&
+         members <= static_cast<size_t>(erasure::kMaxChunks);
+}
+
 }  // namespace porygon::net

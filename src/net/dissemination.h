@@ -1,7 +1,9 @@
 #ifndef PORYGON_NET_DISSEMINATION_H_
 #define PORYGON_NET_DISSEMINATION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -71,11 +73,14 @@ inline bool operator!=(const DisseminationSpec& a, const DisseminationSpec& b) {
   return !(a == b);
 }
 
-/// Strategy object handed to the actors. Stateless aside from the spec:
-/// every election is a pure function of (committee, round, stripe), so any
-/// two honest nodes with the same round registry agree on the relay set
-/// without extra messages, and rotation-by-round bounds how long a
-/// Byzantine relay can sit on a path even before strikes kick in.
+/// The one owner of the run's flow shape: every direct-or-tree choice an
+/// actor makes is a named answer of this object. Direct mode is the mode in
+/// which no relay is ever elected, so each sender's no-relay fallback is the
+/// direct flow. Stateless aside from the spec: every election is a pure
+/// function of (committee, round, stripe), so any two honest nodes with the
+/// same round registry agree on the relay set without extra messages, and
+/// rotation-by-round bounds how long a Byzantine relay can sit on a path
+/// even before strikes kick in.
 class Dissemination {
  public:
   explicit Dissemination(DisseminationSpec spec) : spec_(spec) {}
@@ -92,6 +97,57 @@ class Dissemination {
   /// Convenience: the elected relay NodeId, or kInvalidNode.
   static NodeId AggregatorFor(const std::vector<NodeId>& members,
                               uint64_t round, uint64_t stripe);
+
+  // --- Elections (kInvalidNode: no relay; the sender broadcasts) ----------
+
+  /// BA* vote relay of the ordering committee `oc` for `instance`: rotates
+  /// per instance and is never `leader`. None in direct mode or for
+  /// committees of fewer than 3.
+  NodeId VoteRelay(const std::vector<NodeId>& oc, NodeId leader,
+                   uint64_t instance) const;
+
+  /// Exec-attestation relay of an ESC for exec round `round` (stripe 1).
+  /// A crashed relay is the sender's to detect: it falls back to the
+  /// broadcast, with no scan for another member.
+  NodeId ExecRelay(const std::vector<NodeId>& members, uint64_t round) const;
+
+  /// Witness relay of batch `batch`'s EC (stripe 0): from the base election,
+  /// the first member that `skip` (when set) does not reject — storage
+  /// nodes skip struck and crashed relays. None in direct mode or when
+  /// every member is skipped.
+  NodeId WitnessRelay(const std::vector<NodeId>& members, uint64_t batch,
+                      const std::function<bool(NodeId)>& skip = {}) const;
+
+  // --- Per-mode facts ------------------------------------------------------
+
+  /// ESC members, by rank, that ship the full S set with their result: two
+  /// in direct mode for redundancy, one in tree mode, where the attestation
+  /// relay provides it.
+  int FullResultSenders() const { return tree() ? 1 : 2; }
+
+  /// Whether a block body for an EC of `members` is erasure-coded across
+  /// it: tree mode only, and only with headroom over k (at least
+  /// max(chunk_n, chunk_k + 2) members) and at most kMaxChunks members.
+  bool ChunksBodies(size_t members) const;
+
+  /// Storage connections, of `m`, the leader publishes a commit to: all of
+  /// them in direct mode; in tree mode min(2, m), since storage gossip
+  /// converges from any live entry point.
+  size_t CommitFanout(size_t m) const {
+    return tree() ? std::min<size_t>(2, m) : m;
+  }
+
+  /// Whether a storage node answers an OC member's own committee relay
+  /// with a digest ack instead of echoing the full copy back (tree mode).
+  bool AcksOcRelays() const { return tree(); }
+
+  /// Bytes billed for a round start carrying a tip of `encoded_size`: a
+  /// direct-mode OC member downloads the full block; everyone else, and
+  /// every tree-mode member (it already holds the decided block), gets the
+  /// 256 B compact header.
+  size_t RoundStartBytes(bool in_oc, uint64_t encoded_size) const {
+    return in_oc && !tree() ? encoded_size : 256;
+  }
 
  private:
   DisseminationSpec spec_;

@@ -160,6 +160,12 @@ class SimNetwork {
 
   /// Sends `msg` (from/to filled by caller); timing per the class comment.
   void Send(Message msg);
+  /// Builds and sends one message; a `wire_size` of 0 bills the payload
+  /// size.
+  void Send(NodeId from, NodeId to, uint16_t kind, Bytes payload,
+            size_t wire_size = 0, obs::TraceContext trace = {}) {
+    Send(Message{from, to, kind, std::move(payload), wire_size, trace});
+  }
 
   /// Marks a node offline (drops traffic both ways) — churn experiments.
   void SetCrashed(NodeId node, bool crashed);

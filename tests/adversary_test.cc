@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -345,6 +346,74 @@ TEST(AdversaryTest, StaleResyncRepliesAreRejectedWithoutStalling) {
   EXPECT_GT(Rejected(sys, "stale_round"), 0u);
   EXPECT_GT(sys.adversary()->actions(), 0u);
   EXPECT_EQ(sys.metrics().replay_mismatches(), 0u);
+}
+
+// --- Forged round starts ---------------------------------------------------
+
+/// Runs the deployment for 3 rounds, has `inject` deliver a round start
+/// forged by a non-OC stateless node (the committed tip, 50 rounds ahead),
+/// then requires the next 5 rounds to commit with no OC member's round
+/// moved past the chain.
+void ExpectForgedRoundStartIgnored(
+    const std::function<void(PorygonSystem&, const StatelessNodeActor&,
+                             const Bytes&)>& inject) {
+  PorygonSystem sys(Opts());
+  sys.CreateAccounts(120, 10'000);
+  for (uint64_t f = 1; f <= 12; ++f) {
+    sys.SubmitTransaction(Transfer(f, f + 20, 1, 0));
+  }
+  sys.Run(3, net::FromSeconds(600));
+  ASSERT_EQ(sys.metrics().committed_blocks(), 3u);
+
+  const StatelessNodeActor* forger = nullptr;
+  for (int i = 0; i < sys.num_stateless_nodes() && forger == nullptr; ++i) {
+    if (!sys.stateless_node(i)->in_oc()) forger = sys.stateless_node(i);
+  }
+  ASSERT_NE(forger, nullptr);
+  TipHeader forged = sys.tip();
+  forged.round += 50;
+  inject(sys, *forger, forged.Encode());
+
+  sys.Run(5, sys.events()->now() + net::FromSeconds(120));
+  EXPECT_EQ(sys.metrics().committed_blocks(), 8u);
+  const uint64_t next_round = sys.chain().back().round + 1;
+  for (int i = 0; i < sys.num_stateless_nodes(); ++i) {
+    const StatelessNodeActor* node = sys.stateless_node(i);
+    if (node->in_oc()) {
+      EXPECT_LE(node->current_round(), next_round) << i;
+    }
+  }
+}
+
+TEST(AdversaryTest, StorageRelaysDropForgedRoundStarts) {
+  // Relayed to the committee through the forger's own primary: storage
+  // forwards only the kinds stateless nodes broadcast to the OC.
+  ExpectForgedRoundStartIgnored([](PorygonSystem& sys,
+                                   const StatelessNodeActor& forger,
+                                   const Bytes& tip) {
+    Relay relay;
+    relay.target = Relay::kToOrderingCommittee;
+    relay.round = forger.current_round();
+    relay.inner_kind = kMsgNewRound;
+    relay.inner = tip;
+    sys.network()->Send(forger.net_id(), forger.primary_storage(), kMsgRelay,
+                        relay.Encode());
+  });
+}
+
+TEST(AdversaryTest, RoundStartsFromNonStorageSendersAreIgnored) {
+  // Sent straight to every committee member: only a node's storage
+  // connections may start its rounds.
+  ExpectForgedRoundStartIgnored([](PorygonSystem& sys,
+                                   const StatelessNodeActor& forger,
+                                   const Bytes& tip) {
+    for (int i = 0; i < sys.num_stateless_nodes(); ++i) {
+      const StatelessNodeActor* member = sys.stateless_node(i);
+      if (!member->in_oc()) continue;
+      sys.network()->Send(forger.net_id(), member->net_id(), kMsgNewRound,
+                          tip);
+    }
+  });
 }
 
 // --- Cross-shard update hardening -----------------------------------------

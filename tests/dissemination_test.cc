@@ -105,6 +105,106 @@ TEST(DisseminationSpecTest, RelayElectionIsDeterministicArithmetic) {
   EXPECT_EQ(net::Dissemination::AggregatorFor({}, 4, 0), net::kInvalidNode);
 }
 
+/// Committees of 0..7 members with ids 100, 101, ...
+std::vector<std::vector<net::NodeId>> Committees() {
+  std::vector<std::vector<net::NodeId>> out;
+  for (net::NodeId size = 0; size <= 7; ++size) {
+    std::vector<net::NodeId> members;
+    for (net::NodeId i = 0; i < size; ++i) members.push_back(100 + i);
+    out.push_back(members);
+  }
+  return out;
+}
+
+// Direct mode is the mode that elects no relay: every sender's no-relay
+// fallback is the direct flow.
+TEST(DisseminationSpecTest, DirectModeElectsNoRelayAndKeepsTheStar) {
+  const net::Dissemination direct(MustParse("direct"));
+  EXPECT_FALSE(direct.tree());
+  auto skip_none = [](net::NodeId) { return false; };
+  for (const auto& members : Committees()) {
+    SCOPED_TRACE(members.size());
+    for (uint64_t round = 0; round < 8; ++round) {
+      const net::NodeId leader = members.empty() ? 0 : members[0];
+      EXPECT_EQ(direct.VoteRelay(members, leader, round), net::kInvalidNode);
+      EXPECT_EQ(direct.ExecRelay(members, round), net::kInvalidNode);
+      EXPECT_EQ(direct.WitnessRelay(members, round), net::kInvalidNode);
+      EXPECT_EQ(direct.WitnessRelay(members, round, skip_none),
+                net::kInvalidNode);
+    }
+  }
+  EXPECT_EQ(direct.FullResultSenders(), 2);
+  for (size_t n : {0, 1, 6, 17, 255, 256}) {
+    EXPECT_FALSE(direct.ChunksBodies(n)) << n;
+  }
+  for (size_t m : {0, 1, 2, 3, 8}) EXPECT_EQ(direct.CommitFanout(m), m);
+  EXPECT_FALSE(direct.AcksOcRelays());
+  // OC members download the full block; everyone else the compact header.
+  EXPECT_EQ(direct.RoundStartBytes(true, 5'000), 5'000u);
+  EXPECT_EQ(direct.RoundStartBytes(false, 5'000), 256u);
+}
+
+TEST(DisseminationSpecTest, TreeModeAnswersFollowTheElectionArithmetic) {
+  const net::Dissemination tree(MustParse("tree"));
+  for (const auto& members : Committees()) {
+    SCOPED_TRACE(members.size());
+    for (uint64_t round = 0; round < 8; ++round) {
+      // Exec and witness relays: stripes 1 and 0 of the rotation.
+      EXPECT_EQ(tree.ExecRelay(members, round),
+                net::Dissemination::AggregatorFor(members, round, 1));
+      EXPECT_EQ(tree.WitnessRelay(members, round),
+                net::Dissemination::AggregatorFor(members, round, 0));
+      // Vote relay: instance-rotated over the OC, stepping past the
+      // leader; committees below 3 elect none.
+      for (const net::NodeId leader : members) {
+        const net::NodeId relay = tree.VoteRelay(members, leader, round);
+        if (members.size() < 3) {
+          EXPECT_EQ(relay, net::kInvalidNode);
+          continue;
+        }
+        const size_t idx = round % members.size();
+        const net::NodeId expected = members[idx] == leader
+                                         ? members[(idx + 1) % members.size()]
+                                         : members[idx];
+        EXPECT_EQ(relay, expected);
+        EXPECT_NE(relay, leader);
+      }
+    }
+  }
+  // The witness skip-scan walks the ring from the base election, in order.
+  const std::vector<net::NodeId> ring = {100, 101, 102, 103, 104};
+  ASSERT_EQ(tree.WitnessRelay(ring, 3), 103u);
+  EXPECT_EQ(tree.WitnessRelay(ring, 3,
+                              [](net::NodeId n) { return n == 103; }),
+            104u);
+  EXPECT_EQ(tree.WitnessRelay(
+                ring, 3, [](net::NodeId n) { return n == 103 || n == 104; }),
+            100u);
+  EXPECT_EQ(tree.WitnessRelay(ring, 3,
+                              [](net::NodeId n) { return n != 102; }),
+            102u);
+  // A fully skipped committee gets no relay.
+  EXPECT_EQ(tree.WitnessRelay(ring, 3, [](net::NodeId) { return true; }),
+            net::kInvalidNode);
+
+  EXPECT_EQ(tree.FullResultSenders(), 1);
+  // Chunking needs max(n, k + 2) members and at most kMaxChunks.
+  EXPECT_FALSE(tree.ChunksBodies(5));
+  EXPECT_TRUE(tree.ChunksBodies(6));
+  EXPECT_TRUE(tree.ChunksBodies(255));
+  EXPECT_FALSE(tree.ChunksBodies(256));
+  const net::Dissemination wide_k(MustParse("tree,chunks:5/6"));
+  EXPECT_FALSE(wide_k.ChunksBodies(6));
+  EXPECT_TRUE(wide_k.ChunksBodies(7));
+  for (size_t m : {0, 1, 2, 3, 8}) {
+    EXPECT_EQ(tree.CommitFanout(m), std::min<size_t>(2, m)) << m;
+  }
+  EXPECT_TRUE(tree.AcksOcRelays());
+  // Members already hold the decided block: everyone gets the header.
+  EXPECT_EQ(tree.RoundStartBytes(true, 5'000), 256u);
+  EXPECT_EQ(tree.RoundStartBytes(false, 5'000), 256u);
+}
+
 // --- System-level ---------------------------------------------------------
 
 SystemOptions Opts() {
@@ -190,6 +290,12 @@ uint64_t Evidence(const PorygonSystem& sys, const char* type) {
   return c == nullptr ? 0 : c->value();
 }
 
+/// SHA-256 of the run's metrics JSON: pins every sim number of a degraded
+/// tree run, so a refactor of the relay paths cannot move one unnoticed.
+std::string MetricsDigest(const PorygonSystem& sys) {
+  return HexEncode(crypto::Sha256::Hash(ToBytes(sys.metrics().ToJson())));
+}
+
 // The tentpole's safety bar: routing witness bundles, bodies, exec
 // attestations, and votes through relays must not change WHAT commits —
 // same seed, same chain, same final GlobalRoot as the direct star.
@@ -269,6 +375,8 @@ TEST(DisseminationTest, EquivocatingRelayLeavesEvidenceWithoutBreakingSafety) {
   EXPECT_EQ(adv->canonical_state().GlobalRoot(),
             clean->canonical_state().GlobalRoot());
   EXPECT_EQ(adv->metrics().replay_mismatches(), 0u);
+  EXPECT_EQ(MetricsDigest(*adv),
+            "b1e4fe5157756b8bf8666d870f820944d4182894cf62e102e262a8807ccc9417");
 }
 
 // Withholding relays (silent strategy drops every message, including relay
@@ -285,6 +393,8 @@ TEST(DisseminationTest, SilentRelaysDegradeToDirectWithoutStalling) {
   EXPECT_EQ(tree->canonical_state().GlobalRoot(),
             direct->canonical_state().GlobalRoot());
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
+  EXPECT_EQ(MetricsDigest(*tree),
+            "9fa8a568d9ea00139d15f2154b018f3d84528e919033ac4cba8f78c213686821");
 }
 
 // Crashed stateless nodes (which may hold relay elections for their shard)
@@ -295,6 +405,8 @@ TEST(DisseminationTest, CrashedRelayFallsBackToDirectPaths) {
   EXPECT_GT(tree->metrics().committed_blocks(), 0u);
   EXPECT_GT(tree->metrics().committed_txs(), 0u);
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
+  EXPECT_EQ(MetricsDigest(*tree),
+            "2e4695af1e9c0b1e4710c47ea99040b1d5b72c26935d9b866124219651dc444b");
 }
 
 }  // namespace

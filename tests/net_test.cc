@@ -140,7 +140,7 @@ TEST_F(NetFixture, CrashedReceiverDropsTraffic) {
   EXPECT_EQ(network_.messages_dropped(), 1u);
 
   network_.SetCrashed(b, false);
-  network_.Send(Message{a, b, 0, ToBytes("y"), 0});
+  network_.Send(a, b, 0, ToBytes("y"));
   events_.RunUntilIdle();
   EXPECT_EQ(received, 1);
 }
@@ -152,8 +152,8 @@ TEST_F(NetFixture, DropFilterCensorsSelectedKinds) {
   network_.SetHandler(b, [&](const Message&) { ++received; });
   network_.SetDropFilter([](const Message& m) { return m.kind == 13; });
 
-  network_.Send(Message{a, b, 13, ToBytes("censored"), 0});
-  network_.Send(Message{a, b, 14, ToBytes("allowed"), 0});
+  network_.Send(a, b, 13, ToBytes("censored"));
+  network_.Send(a, b, 14, ToBytes("allowed"));
   events_.RunUntilIdle();
   EXPECT_EQ(received, 1);
 }
@@ -163,15 +163,40 @@ TEST_F(NetFixture, TrafficAccountingByKind) {
   NodeId b = network_.AddNode({1e6, 1e6});
   network_.SetHandler(b, [](const Message&) {});
 
-  network_.Send(Message{a, b, 1, {}, 500});
-  network_.Send(Message{a, b, 2, {}, 300});
-  network_.Send(Message{a, b, 1, {}, 200});
+  network_.Send(a, b, 1, {}, 500);
+  network_.Send(a, b, 2, {}, 300);
+  network_.Send(a, b, 1, {}, 200);
   events_.RunUntilIdle();
 
   EXPECT_EQ(network_.StatsFor(a).bytes_sent, 1000u);
   EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(1), 700u);
   EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(2), 300u);
   EXPECT_EQ(network_.StatsFor(b).bytes_received, 1000u);
+}
+
+TEST_F(NetFixture, SendOverloadBillsThePayloadAndCarriesTheTrace) {
+  NodeId a = network_.AddNode({1e6, 1e6});
+  NodeId b = network_.AddNode({1e6, 1e6});
+  std::vector<Message> received;
+  network_.SetHandler(b, [&](const Message& m) { received.push_back(m); });
+
+  const obs::TraceContext trace{7, 3};
+  network_.Send(a, b, 4, ToBytes("payload"), 0, trace);  // Bills 7 bytes.
+  network_.Send(a, b, 5, ToBytes("xy"), 90);
+  events_.RunUntilIdle();
+
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(received[0].from, a);
+  EXPECT_EQ(received[0].to, b);
+  EXPECT_EQ(received[0].kind, 4);
+  EXPECT_EQ(received[0].payload, ToBytes("payload"));
+  EXPECT_EQ(received[0].wire_size, 7u);
+  EXPECT_EQ(received[0].trace.trace_id, 7u);
+  EXPECT_EQ(received[0].trace.parent_span, 3u);
+  EXPECT_EQ(received[1].wire_size, 90u);
+  EXPECT_FALSE(received[1].trace.active());
+  EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(4), 7u);
+  EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(5), 90u);
 }
 
 }  // namespace
