@@ -20,9 +20,12 @@ run_suite() {
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure
   # Hash suites: SHA-256 known answers at every padding boundary, SHA-NI
-  # against the portable compression, tx ids, and pool-sealed blocks whose
-  # reused ids must match a fresh seal.
-  ctest --test-dir "$dir" -R 'Sha256|TxBlocks|TxPool|TransactionTest|BlockTest' \
+  # against the portable compression, the one-shot path and the node forms
+  # against streaming, Merkle roots and paths on the node form, tx ids, the
+  # pool's flat admission set, and pool-sealed blocks whose reused ids must
+  # match a fresh seal.
+  ctest --test-dir "$dir" \
+    -R 'Sha256|Merkle|TxBlocks|TxPool|TransactionTest|BlockTest' \
     --output-on-failure
   # Wire codec suites: Writer/Reader primitives and the Count bound, the
   # golden bytes of every encoded type with the prefix/trailing-byte sweep
@@ -98,9 +101,9 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # TSan leg: the pool fan-outs (shard execution, batch crypto, compaction,
   # bloom builds) must be race-free with workers actually running, so force
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
-  # suites; Sha256 checks the once-initialised compression choice that
-  # VerifyBatch's pool threads read; Smt and ShardedState because per-shard
-  # PutBatch runs on pool threads; Epoch, FaultInjection and Soak because the
+  # suites; Sha256 checks the once-initialised kernel choice that the pool
+  # threads of VerifyBatch and of the SMT rehash read; Smt and ShardedState
+  # because per-shard PutBatch runs on pool threads; Epoch, FaultInjection and Soak because the
   # launched shard execution must settle before every state read across
   # epoch hand-offs and storage crash/recover. TSan is incompatible with
   # ASan, hence the third build tree.

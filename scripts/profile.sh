@@ -13,7 +13,10 @@
 #    wall time, waits included, symbolises the stacks with addr2line, and
 #    prints where that thread's time went: under PorygonSystem::Run by
 #    handler frame (StatelessNodeActor::On*, StorageNodeActor::On*,
-#    PorygonSystem::SettleExecState), and under SubmitBatch.
+#    PorygonSystem::SettleExecState), and under SubmitBatch. It then prints
+#    the share under SHA-256 (frames in crypto/sha256.{h,cc}) outside
+#    SettleExecState, split by the two frames that called the hash and
+#    their handler.
 #
 #   scripts/profile.sh [--workload W] [--seed N] [--seconds S]
 #
@@ -120,18 +123,22 @@ pcs = sorted({pc for s in stacks for pc in s if pc is not None})
 out = subprocess.run(["addr2line", "-e", exe, "-a", "-f", "-i", "-C"],
                      input="\n".join(hex(pc) for pc in pcs), text=True,
                      capture_output=True, check=True).stdout.splitlines()
-names, pc, i = {}, None, 0
+names, sha, pc, i = {}, {}, None, 0
 while i < len(out):
     if out[i].startswith("0x"):
         pc = int(out[i], 16)
-        names[pc] = []
+        names[pc], sha[pc] = [], []
         i += 1
     else:
         # Drop argument lists; a lambda keeps a marker so it never names a
-        # handler.
-        fn = out[i].replace("porygon::", "").replace("core::", "")
+        # handler. The next line is the frame's file: SHA-256 frames are
+        # the ones in crypto/sha256.{h,cc}.
+        fn = (out[i].replace("porygon::", "").replace("core::", "")
+              .replace("(anonymous namespace)::", ""))
         names[pc].append(re.sub(r"\(.*", "", fn) +
                          (" (lambda)" if "{lambda" in fn else ""))
+        sha[pc].append(re.search(r"crypto/sha256\.(h|cc):", out[i + 1])
+                       is not None)
         i += 2
 
 HANDLER = re.compile(r"^(StatelessNodeActor|StorageNodeActor)::On\w+$")
@@ -158,15 +165,29 @@ def label(frames):
     return "(event queue and network)"
 
 handlers = collections.Counter()
+hash_callers = collections.Counter()
 in_run = in_submit = 0
 for stack in stacks:
     frames = [fn for pc in reversed(stack) if pc is not None
               for fn in reversed(names.get(pc, []))]
+    in_sha = [s for pc in reversed(stack) if pc is not None
+              for s in reversed(sha.get(pc, []))]
+    handler = None
     if "PorygonSystem::Run" in frames:
         in_run += 1
-        handlers[label(frames[frames.index("PorygonSystem::Run") + 1:])] += 1
+        handler = label(frames[frames.index("PorygonSystem::Run") + 1:])
+        handlers[handler] += 1
     elif "PorygonSystem::SubmitBatch" in frames:
         in_submit += 1
+        handler = "PorygonSystem::SubmitBatch"
+    # SHA-256 on the loop's own path, named by the two frames that called
+    # into it; the settle's share is the wait for (and help with) the
+    # launched execution, reported as a whole above.
+    if (True in in_sha and handler is not None and
+            handler != "PorygonSystem::SettleExecState"):
+        k = in_sha.index(True)
+        caller = " > ".join(frames[max(k - 2, 0):k]) or "?"
+        hash_callers[f"{caller}  [{handler}]"] += 1
 
 total = len(stacks)
 def share(n):
@@ -178,5 +199,10 @@ print(f"{share(total - in_run - in_submit)}  elsewhere (set-up, generation, "
       "replay probes)")
 print("\n== top 20 frames under PorygonSystem::Run, share of all samples ==")
 for name, n in handlers.most_common(20):
+    print(f"{share(n)} {n:7d}  {name}")
+print(f"\n== SHA-256 under Run and SubmitBatch, outside SettleExecState: "
+      f"{share(sum(hash_callers.values())).strip()} of all samples; "
+      "by calling frames [handler] ==")
+for name, n in hash_callers.most_common(15):
     print(f"{share(n)} {n:7d}  {name}")
 EOF

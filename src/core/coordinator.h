@@ -6,7 +6,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/account.h"

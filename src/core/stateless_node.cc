@@ -3,7 +3,7 @@
 
 #include "common/erasure.h"
 #include "common/log.h"
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "core/system.h"
 #include "crypto/sha256.h"
 #include "state/view.h"

@@ -1,27 +1,29 @@
 #include "crypto/merkle.h"
 
+#include <algorithm>
+
 namespace porygon::crypto {
 
 namespace {
-Hash256 Pair(const Hash256& a, const Hash256& b) {
-  return Sha256::HashPair(ByteView(a.data(), a.size()),
-                          ByteView(b.data(), b.size()));
+// Hashes the `n` nodes of one level into its (n + 1) / 2 parents; an odd
+// last node pairs with itself. `parents` may be `level` itself: parent i/2
+// is written only after nodes i and i + 1 are read.
+void FoldLevel(const Hash256* level, size_t n, Hash256* parents) {
+  for (size_t i = 0; i < n; i += 2) {
+    parents[i / 2] = Sha256::HashNodes(level[i], level[std::min(i + 1, n - 1)]);
+  }
 }
 }  // namespace
 
+// Both folds use one buffer: the first level reads the leaves, and every
+// later level folds the buffer in place.
 Hash256 ComputeMerkleRoot(const std::vector<Hash256>& leaves) {
   if (leaves.empty()) return ZeroHash();
-  std::vector<Hash256> level = leaves;
-  while (level.size() > 1) {
-    std::vector<Hash256> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(Pair(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 == 1) {
-      next.push_back(Pair(level.back(), level.back()));
-    }
-    level = std::move(next);
+  std::vector<Hash256> buffer((leaves.size() + 1) / 2);
+  const Hash256* level = leaves.data();
+  for (size_t n = leaves.size(); n > 1; n = (n + 1) / 2) {
+    FoldLevel(level, n, buffer.data());
+    level = buffer.data();
   }
   return level[0];
 }
@@ -29,24 +31,15 @@ Hash256 ComputeMerkleRoot(const std::vector<Hash256>& leaves) {
 std::vector<Hash256> ComputeMerklePath(const std::vector<Hash256>& leaves,
                                        size_t index) {
   std::vector<Hash256> path;
-  if (leaves.empty() || index >= leaves.size()) return path;
-  std::vector<Hash256> level = leaves;
-  size_t pos = index;
-  while (level.size() > 1) {
-    size_t sibling = (pos % 2 == 0) ? pos + 1 : pos - 1;
-    if (sibling >= level.size()) sibling = pos;  // Odd self-pairing.
-    path.push_back(level[sibling]);
-
-    std::vector<Hash256> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(Pair(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 == 1) {
-      next.push_back(Pair(level.back(), level.back()));
-    }
-    level = std::move(next);
-    pos /= 2;
+  if (index >= leaves.size()) return path;
+  std::vector<Hash256> buffer((leaves.size() + 1) / 2);
+  const Hash256* level = leaves.data();
+  for (size_t n = leaves.size(), pos = index; n > 1;
+       n = (n + 1) / 2, pos /= 2) {
+    // The sibling, or the node itself when it is an odd last node.
+    path.push_back(level[std::min(pos ^ 1, n - 1)]);
+    FoldLevel(level, n, buffer.data());
+    level = buffer.data();
   }
   return path;
 }
@@ -56,7 +49,8 @@ bool VerifyMerklePath(const Hash256& root, const Hash256& leaf, size_t index,
   Hash256 hash = leaf;
   size_t pos = index;
   for (const Hash256& sibling : path) {
-    hash = (pos % 2 == 0) ? Pair(hash, sibling) : Pair(sibling, hash);
+    hash = (pos % 2 == 0) ? Sha256::HashNodes(hash, sibling)
+                          : Sha256::HashNodes(sibling, hash);
     pos /= 2;
   }
   return hash == root;

@@ -72,19 +72,13 @@ size_t FastProvider::KeyHash::operator()(const PublicKey& k) const {
 
 namespace {
 Signature FastTag(const PrivateKey& priv, ByteView message) {
-  Sha256 h;
-  h.Update(ByteView(priv.data(), priv.size()));
-  h.Update(message);
-  Hash256 tag = h.Finish();
+  const Hash256 tag = Sha256::Hash(priv, message);
   Signature sig;
   std::memcpy(sig.data(), tag.data(), 32);
   // Second half binds the tag again under a tweaked prefix so that the
   // signature is 64 bytes like Ed25519 (sizes drive the bandwidth model).
-  Sha256 h2;
   const uint8_t tweak = 0x5a;
-  h2.Update(ByteView(&tweak, 1));
-  h2.Update(ByteView(tag.data(), tag.size()));
-  Hash256 tag2 = h2.Finish();
+  const Hash256 tag2 = Sha256::Hash(ByteView(&tweak, 1), tag);
   std::memcpy(sig.data() + 32, tag2.data(), 32);
   return sig;
 }

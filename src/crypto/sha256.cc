@@ -24,15 +24,43 @@ constexpr uint32_t kK[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+// The initial state, a..h.
+constexpr uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                               0xa54ff53a, 0x510e527f, 0x9b05688c,
+                               0x1f83d9ab, 0x5be0cd19};
+
+constexpr size_t kBlock = 64;
+
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-// The compression function, picked once from CPUID: the platform alone
-// decides, and every path produces the same digest.
+// Whether the SHA-NI kernels run, decided once from CPUID (a function-local
+// constant, so pool threads read it race-free): the platform alone decides,
+// and every path produces the same digest.
+bool UseShaNi() {
+  static const bool kShaNi = internal::HasShaNi();
+  return kShaNi;
+}
+
 internal::CompressFn Compressor() {
-  static const internal::CompressFn kCompress =
-      internal::HasShaNi() ? internal::CompressShaNi
-                           : internal::CompressPortable;
-  return kCompress;
+  return UseShaNi() ? internal::CompressShaNi : internal::CompressPortable;
+}
+
+// Pads the `tail` message bytes at the front of `buf` (room for two blocks)
+// in one step: 0x80, zeros, then the big-endian bit length of the whole
+// `total`-byte message. Returns the block count: one, or two when the tail
+// leaves no room for the length.
+size_t Pad(uint8_t* buf, size_t tail, uint64_t total) {
+  const size_t blocks = tail < 56 ? 1 : 2;
+  buf[tail] = 0x80;
+  std::memset(buf + tail + 1, 0, blocks * kBlock - 9 - tail);
+  StoreBigEndian64(buf + blocks * kBlock - 8, total * 8);
+  return blocks;
+}
+
+Hash256 Digest(const uint32_t state[8]) {
+  Hash256 out;
+  for (int i = 0; i < 8; ++i) StoreBigEndian32(out.data() + 4 * i, state[i]);
+  return out;
 }
 }  // namespace
 
@@ -40,7 +68,7 @@ namespace internal {
 
 void CompressPortable(uint32_t state[8], const uint8_t* blocks,
                       size_t count) {
-  for (; count > 0; --count, blocks += 64) {
+  for (; count > 0; --count, blocks += kBlock) {
     const uint8_t* block = blocks;
     uint32_t w[64];
     for (int i = 0; i < 16; ++i) w[i] = LoadBigEndian32(block + 4 * i);
@@ -78,6 +106,21 @@ void CompressPortable(uint32_t state[8], const uint8_t* blocks,
   }
 }
 
+Hash256 HashPaddedPortable(const uint8_t* blocks, size_t count) {
+  uint32_t state[8];
+  std::memcpy(state, kInit, sizeof(state));
+  CompressPortable(state, blocks, count);
+  return Digest(state);
+}
+
+Hash256 OneShot(ByteView a, ByteView b, HashPaddedFn hash_padded) {
+  uint8_t buf[2 * kBlock];
+  std::copy(a.begin(), a.end(), buf);
+  std::copy(b.begin(), b.end(), buf + a.size());
+  const size_t n = a.size() + b.size();
+  return hash_padded(buf, Pad(buf, n, n));
+}
+
 #if defined(__x86_64__)
 
 bool HasShaNi() {
@@ -90,49 +133,68 @@ bool HasShaNi() {
   return sha && sse41 && ssse3;
 }
 
-// Intel SHA extensions. The state lives in two registers as (ABEF, CDGH);
-// each group of four rounds adds K to four schedule words and runs two
-// sha256rnds2 steps, and sha256msg1/msg2 extend the schedule four words at
-// a time (w0..w3 hold W[i-16..i-1] in groups of four).
-__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
-    uint32_t state[8], const uint8_t* blocks, size_t count) {
+// Intel SHA extensions. Every function below carries the target attribute
+// itself, so no global -m flag is needed.
+#define PORYGON_SHA_NI __attribute__((target("sha,sse4.1,ssse3")))
+#define PORYGON_SHA_NI_INLINE \
+  __attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline
+
+namespace {
+
+PORYGON_SHA_NI_INLINE __m128i Load(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// The 64 rounds of one block, shared by both SHA-NI entries. The state lives
+// in two registers as (ABEF, CDGH); w0..w3 hold the block's sixteen message
+// words in schedule order, four per register. Each group of four rounds adds
+// K to the next four schedule words and runs two sha256rnds2 steps;
+// sha256msg1/msg2 extend the schedule four words at a time from the last
+// sixteen.
+PORYGON_SHA_NI_INLINE void Rounds(__m128i& abef, __m128i& cdgh,
+                                  const uint8_t* block) {
+  // Big-endian words, one per lane.
   const __m128i kByteSwap =
       _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
-  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i w0 = _mm_shuffle_epi8(Load(block), kByteSwap);
+  __m128i w1 = _mm_shuffle_epi8(Load(block + 16), kByteSwap);
+  __m128i w2 = _mm_shuffle_epi8(Load(block + 32), kByteSwap);
+  __m128i w3 = _mm_shuffle_epi8(Load(block + 48), kByteSwap);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) {
+    const __m128i wk = _mm_add_epi32(
+        w0, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    __m128i next = w0;  // The last four groups need no further words.
+    if (i < 12) {
+      next = _mm_sha256msg1_epu32(w0, w1);
+      next = _mm_add_epi32(next, _mm_alignr_epi8(w3, w2, 4));
+      next = _mm_sha256msg2_epu32(next, w3);
+    }
+    w0 = w1;
+    w1 = w2;
+    w2 = w3;
+    w3 = next;
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+}
+
+}  // namespace
+
+PORYGON_SHA_NI void CompressShaNi(uint32_t state[8], const uint8_t* blocks,
+                                  size_t count) {
+  __m128i dcba = Load(reinterpret_cast<const uint8_t*>(state));
+  __m128i hgfe = Load(reinterpret_cast<const uint8_t*>(state + 4));
   const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
   const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
   __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
   __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
 
-  for (; count > 0; --count, blocks += 64) {
-    const __m128i abef_in = abef;
-    const __m128i cdgh_in = cdgh;
-    __m128i w0 = _mm_setzero_si128(), w1 = w0, w2 = w0, w3 = w0;
-    for (int i = 0; i < 16; ++i) {
-      __m128i w;
-      if (i < 4) {
-        w = _mm_shuffle_epi8(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(blocks + 16 * i)),
-            kByteSwap);
-      } else {
-        w = _mm_sha256msg1_epu32(w0, w1);
-        w = _mm_add_epi32(w, _mm_alignr_epi8(w3, w2, 4));
-        w = _mm_sha256msg2_epu32(w, w3);
-      }
-      const __m128i wk = _mm_add_epi32(
-          w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
-      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
-      w0 = w1;
-      w1 = w2;
-      w2 = w3;
-      w3 = w;
-    }
-    abef = _mm_add_epi32(abef, abef_in);
-    cdgh = _mm_add_epi32(cdgh, cdgh_in);
-  }
+  for (; count > 0; --count, blocks += kBlock) Rounds(abef, cdgh, blocks);
 
   const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
   const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
@@ -142,6 +204,34 @@ __attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
 }
 
+// The constant-state entry: the initial state is built in register layout,
+// never loaded or stored, and the digest leaves in two stores.
+PORYGON_SHA_NI Hash256 HashPaddedShaNi(const uint8_t* blocks, size_t count) {
+  __m128i abef =
+      _mm_set_epi32(static_cast<int>(kInit[0]), static_cast<int>(kInit[1]),
+                    static_cast<int>(kInit[4]), static_cast<int>(kInit[5]));
+  __m128i cdgh =
+      _mm_set_epi32(static_cast<int>(kInit[2]), static_cast<int>(kInit[3]),
+                    static_cast<int>(kInit[6]), static_cast<int>(kInit[7]));
+
+  for (; count > 0; --count, blocks += kBlock) Rounds(abef, cdgh, blocks);
+
+  // The digest a..h, big-endian. The high halves of (CDGH, ABEF) hold d, c,
+  // b, a and the low halves h, g, f, e, so each half of the digest is one
+  // byte reversal of one 64-bit unpack.
+  const __m128i kReverse =
+      _mm_set_epi64x(0x0001020304050607ULL, 0x08090a0b0c0d0e0fULL);
+  Hash256 out;
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()),
+                   _mm_shuffle_epi8(_mm_unpackhi_epi64(cdgh, abef), kReverse));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + 16),
+                   _mm_shuffle_epi8(_mm_unpacklo_epi64(cdgh, abef), kReverse));
+  return out;
+}
+
+#undef PORYGON_SHA_NI_INLINE
+#undef PORYGON_SHA_NI
+
 #else  // !defined(__x86_64__)
 
 bool HasShaNi() { return false; }
@@ -150,41 +240,38 @@ void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t count) {
   CompressPortable(state, blocks, count);
 }
 
+Hash256 HashPaddedShaNi(const uint8_t* blocks, size_t count) {
+  return HashPaddedPortable(blocks, count);
+}
+
 #endif
 
 }  // namespace internal
 
-Sha256::Sha256() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-}
+Sha256::Sha256() { std::memcpy(state_, kInit, sizeof(state_)); }
 
 void Sha256::Update(ByteView data) {
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   const internal::CompressFn compress = Compressor();
   length_ += data.size();
   const uint8_t* p = data.data();
   size_t n = data.size();
   if (buffered_ > 0) {
-    size_t take = std::min(n, sizeof(buffer_) - buffered_);
+    size_t take = std::min(n, kBlock - buffered_);
     std::memcpy(buffer_ + buffered_, p, take);
     buffered_ += take;
     p += take;
     n -= take;
-    if (buffered_ == sizeof(buffer_)) {
+    if (buffered_ == kBlock) {
       compress(state_, buffer_, 1);
       buffered_ = 0;
     }
   }
-  if (n >= 64) {
-    compress(state_, p, n / 64);
-    p += n - n % 64;
-    n %= 64;
+  if (n >= kBlock) {
+    compress(state_, p, n / kBlock);
+    p += n - n % kBlock;
+    n %= kBlock;
   }
   if (n > 0) {
     std::memcpy(buffer_, p, n);
@@ -193,34 +280,34 @@ void Sha256::Update(ByteView data) {
 }
 
 Hash256 Sha256::Finish() {
-  // Pads in one step: 0x80, zeros up to the length field, the big-endian
-  // bit length. A tail with no room left for the length takes two blocks.
-  const internal::CompressFn compress = Compressor();
-  buffer_[buffered_++] = 0x80;
-  if (buffered_ > 56) {
-    std::memset(buffer_ + buffered_, 0, sizeof(buffer_) - buffered_);
-    compress(state_, buffer_, 1);
-    buffered_ = 0;
+  // The buffered tail pads in place, as a one-shot message does on the
+  // stack, and its one or two blocks compress in one call.
+  Compressor()(state_, buffer_, Pad(buffer_, buffered_, length_));
+  return Digest(state_);
+}
+
+Hash256 Sha256::Hash(ByteView a, ByteView b) {
+  if (a.size() + b.size() <= kMaxOneShot) {
+    return internal::OneShot(a, b,
+                             UseShaNi() ? internal::HashPaddedShaNi
+                                        : internal::HashPaddedPortable);
   }
-  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
-  StoreBigEndian64(buffer_ + 56, length_ * 8);
-  compress(state_, buffer_, 1);
-  Hash256 out;
-  for (int i = 0; i < 8; ++i) StoreBigEndian32(out.data() + 4 * i, state_[i]);
-  return out;
-}
-
-Hash256 Sha256::Hash(ByteView data) {
-  Sha256 h;
-  h.Update(data);
-  return h.Finish();
-}
-
-Hash256 Sha256::HashPair(ByteView a, ByteView b) {
   Sha256 h;
   h.Update(a);
   h.Update(b);
   return h.Finish();
+}
+
+Hash256 Sha256::HashNodes(const Hash256& l, const Hash256& r) {
+  return Hash(l, r);
+}
+
+Hash256 Sha256::HashTaggedNodes(uint8_t tag, const Hash256& l,
+                                const Hash256& r) {
+  uint8_t tagged[1 + sizeof(Hash256)];
+  tagged[0] = tag;
+  std::memcpy(tagged + 1, l.data(), l.size());
+  return Hash(ByteView(tagged, sizeof(tagged)), r);
 }
 
 std::string HashToHex(const Hash256& h) {

@@ -13,11 +13,19 @@ namespace porygon::crypto {
 /// VRF outputs.
 using Hash256 = std::array<uint8_t, 32>;
 
-/// Incremental SHA-256 (FIPS 180-4). Blocks are compressed with the x86-64
-/// SHA extensions when the CPU has them and in portable C++ otherwise; the
+/// SHA-256 (FIPS 180-4). Blocks are compressed with the x86-64 SHA
+/// extensions when the CPU has them and in portable C++ otherwise; the
 /// choice is made once, from CPUID, and digests are identical either way.
+///
+/// Node-sized messages skip the streaming object: Hash pads a message of at
+/// most kMaxOneShot bytes on the stack and compresses it from the initial
+/// state, and HashNodes/HashTaggedNodes are that path for two 32-byte nodes.
+/// Longer messages stream through Update/Finish.
 class Sha256 {
  public:
+  /// Longest message that pads into two blocks.
+  static constexpr size_t kMaxOneShot = 119;
+
   Sha256();
 
   /// Absorbs more input; may be called repeatedly.
@@ -26,16 +34,21 @@ class Sha256 {
   /// Produces the digest. The object must not be used after Finish().
   Hash256 Finish();
 
-  /// One-shot convenience.
-  static Hash256 Hash(ByteView data);
+  /// Digest of the concatenation a ‖ b (of `a` alone by default).
+  static Hash256 Hash(ByteView a, ByteView b = ByteView());
 
-  /// Hash of the concatenation of two inputs (Merkle inner nodes).
-  static Hash256 HashPair(ByteView a, ByteView b);
+  /// H(l ‖ r): binary Merkle inner nodes (tx roots and paths, shard-root
+  /// aggregation).
+  static Hash256 HashNodes(const Hash256& l, const Hash256& r);
+  /// H(tag ‖ l ‖ r): the sparse Merkle tree's domain-tagged inner nodes.
+  static Hash256 HashTaggedNodes(uint8_t tag, const Hash256& l,
+                                 const Hash256& r);
 
  private:
   uint32_t state_[8];
   uint64_t length_ = 0;  // Total bytes absorbed.
-  uint8_t buffer_[64];
+  // One block of pending input, plus room for Finish to pad a second.
+  uint8_t buffer_[128];
   size_t buffered_ = 0;
 };
 
@@ -44,17 +57,26 @@ namespace internal {
 /// Compresses `count` consecutive 64-byte blocks into `state`.
 using CompressFn = void (*)(uint32_t state[8], const uint8_t* blocks,
                             size_t count);
+/// Digest of `count` padded blocks compressed from the initial state.
+using HashPaddedFn = Hash256 (*)(const uint8_t* blocks, size_t count);
 
 /// Portable FIPS 180-4 compression: the fallback on CPUs and architectures
 /// without SHA-NI, and the reference the SHA-NI path is tested against.
 void CompressPortable(uint32_t state[8], const uint8_t* blocks, size_t count);
+Hash256 HashPaddedPortable(const uint8_t* blocks, size_t count);
 
 /// True iff this CPU has the x86-64 SHA extensions (plus SSE4.1 and SSSE3).
 bool HasShaNi();
 
-/// SHA-NI compression; only valid when HasShaNi() (elsewhere it forwards to
-/// CompressPortable).
+/// The SHA-NI entries, one per path: CompressShaNi for the streaming class,
+/// HashPaddedShaNi for the one-shot path. Only valid when HasShaNi()
+/// (elsewhere they forward to the portable code).
 void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t count);
+Hash256 HashPaddedShaNi(const uint8_t* blocks, size_t count);
+
+/// The one-shot path: pads a ‖ b (at most Sha256::kMaxOneShot bytes in all)
+/// in a stack buffer and hashes it with `hash_padded`.
+Hash256 OneShot(ByteView a, ByteView b, HashPaddedFn hash_padded);
 
 }  // namespace internal
 

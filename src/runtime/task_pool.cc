@@ -89,9 +89,10 @@ void TaskPool::Finish(Batch* batch) {
 void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   if (n == 0) return;
   const auto start = WallClock::now();
-  if (workers_.empty() || launched_ != nullptr) {
-    // Serial on the caller thread, index order: no workers, or they belong
-    // to the launched batch (which must not be joined here).
+  if (workers_.empty() || launched_ != nullptr || n == 1) {
+    // Serial on the caller thread, index order: no workers, they belong to
+    // the launched batch (which must not be joined here), or one index
+    // leaves them nothing to do but wake up and check out.
     for (size_t i = 0; i < n; ++i) body(i);
   } else {
     Batch batch;

@@ -63,7 +63,7 @@ class TaskPool {
   // thrown by bodies are not supported (the codebase is exception-free).
   // While a launched batch is outstanding the workers belong to it: the
   // body then runs serially on the caller, in index order, and the launched
-  // batch is left running.
+  // batch is left running. A single index always runs on the caller.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   // Starts body(i) for every i in [0, n) on the workers and returns without

@@ -1,9 +1,10 @@
 #include "state/sharded_state.h"
 
+#include "crypto/merkle.h"
+
 namespace porygon::state {
 
 using crypto::Hash256;
-using crypto::Sha256;
 
 ShardedState::ShardedState(int shard_bits)
     : shard_bits_(shard_bits), shards_(size_t{1} << shard_bits) {}
@@ -56,25 +57,7 @@ Hash256 ShardedState::GlobalRoot() const {
 }
 
 Hash256 ShardedState::AggregateRoots(const std::vector<Hash256>& shard_roots) {
-  if (shard_roots.empty()) return crypto::ZeroHash();
-  std::vector<Hash256> level = shard_roots;
-  while (level.size() > 1) {
-    std::vector<Hash256> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(Sha256::HashPair(
-          ByteView(level[i].data(), level[i].size()),
-          ByteView(level[i + 1].data(), level[i + 1].size())));
-    }
-    if (level.size() % 2 == 1) {
-      // Odd node promotes by pairing with itself.
-      const Hash256& last = level.back();
-      next.push_back(Sha256::HashPair(ByteView(last.data(), last.size()),
-                                      ByteView(last.data(), last.size())));
-    }
-    level = std::move(next);
-  }
-  return level[0];
+  return crypto::ComputeMerkleRoot(shard_roots);
 }
 
 MerkleProof ShardedState::ProveAccount(AccountId id) const {

@@ -5,7 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "state/account.h"
 #include "state/smt.h"
 #include "state/view.h"
@@ -50,7 +50,8 @@ class ShardedState : public StateView {
   /// Global root over all shard roots (binary Merkle over 2^N leaves).
   crypto::Hash256 GlobalRoot() const;
   /// Recomputes the global root from externally supplied shard roots — what
-  /// the OC does with roots signed by ESCs, without holding any state.
+  /// the OC does with roots signed by ESCs, without holding any state. The
+  /// fold is crypto::ComputeMerkleRoot's.
   static crypto::Hash256 AggregateRoots(
       const std::vector<crypto::Hash256>& shard_roots);
 

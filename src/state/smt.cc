@@ -15,11 +15,7 @@ constexpr uint8_t kInnerTag = 0x01;
 constexpr uint8_t kEmptyTag = 0x02;
 
 Hash256 InnerHash(const Hash256& left, const Hash256& right) {
-  Sha256 h;
-  h.Update(ByteView(&kInnerTag, 1));
-  h.Update(ByteView(left.data(), left.size()));
-  h.Update(ByteView(right.data(), right.size()));
-  return h.Finish();
+  return Sha256::HashTaggedNodes(kInnerTag, left, right);
 }
 }  // namespace
 
@@ -44,13 +40,10 @@ Result<MerkleProof> MerkleProof::Decode(ByteView data) {
 
 Hash256 SparseMerkleTree::LeafHash(uint64_t key, ByteView value) {
   if (value.empty()) return Defaults()[kDepth];
-  uint8_t le_key[8];
-  StoreLittleEndian64(le_key, key);
-  Sha256 h;
-  h.Update(ByteView(&kLeafTag, 1));
-  h.Update(ByteView(le_key, sizeof(le_key)));
-  h.Update(value);
-  return h.Finish();
+  uint8_t prefix[1 + 8];
+  prefix[0] = kLeafTag;
+  StoreLittleEndian64(prefix + 1, key);
+  return Sha256::Hash(ByteView(prefix, sizeof(prefix)), value);
 }
 
 const std::array<Hash256, SparseMerkleTree::kDepth + 1>&

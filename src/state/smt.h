@@ -8,7 +8,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "crypto/sha256.h"
 
 namespace porygon::state {
@@ -26,8 +26,8 @@ struct MerkleProof {
 
 /// Sparse Merkle tree of fixed depth over 64-bit keys. Absent keys hash to a
 /// per-level default, so the tree is O(occupied keys) in memory while proofs
-/// behave as if all 2^64 leaves existed. Leaf hash = H(key_le || value);
-/// inner = H(left || right).
+/// behave as if all 2^64 leaves existed. Leaf hash = H(0x00 || key_le ||
+/// value); inner = H(0x01 || left || right); the empty leaf is H(0x02).
 ///
 /// This is the authenticated index over accounts that storage nodes maintain
 /// and stateless nodes verify: updates with Merkle paths, root computation,

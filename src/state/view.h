@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "state/account.h"
 #include "state/smt.h"
 

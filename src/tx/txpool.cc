@@ -1,15 +1,8 @@
 #include "tx/txpool.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace porygon::tx {
-
-size_t TxPool::IdHash::operator()(const TxId& id) const {
-  size_t v;
-  std::memcpy(&v, id.data(), sizeof(v));
-  return v;
-}
 
 TxPool::TxPool(int shard_bits)
     : shard_bits_(shard_bits), queues_(size_t{1} << shard_bits) {}
@@ -19,7 +12,7 @@ bool TxPool::Add(const Transaction& transaction) {
 }
 
 bool TxPool::Add(const Transaction& transaction, const TxId& id) {
-  if (!seen_.insert(id).second) return false;
+  if (!seen_.Insert(id)) return false;
   uint32_t shard = state::ShardOfAccount(transaction.from, shard_bits_);
   queues_[shard].push_back(Pooled{transaction, id});
   return true;

@@ -2,9 +2,9 @@
 #define PORYGON_TX_TXPOOL_H_
 
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "tx/blocks.h"
 #include "tx/transaction.h"
 
@@ -38,8 +38,15 @@ class TxPool {
   size_t PendingTotal() const;
 
  private:
-  struct IdHash {
-    size_t operator()(const TxId& id) const;
+  // Ids are SHA-256 digests, so any eight bytes of one spread evenly. The
+  // all-zero id marks empty slots (a real one is kept out of line), and a
+  // match compares all 32 bytes.
+  struct IdKey {
+    using Type = TxId;
+    static constexpr TxId kEmpty{};
+    static uint64_t Bits(const TxId& id) {
+      return LoadLittleEndian64(id.data());
+    }
   };
 
   struct Pooled {
@@ -49,7 +56,7 @@ class TxPool {
 
   int shard_bits_;
   std::vector<std::deque<Pooled>> queues_;
-  std::unordered_set<TxId, IdHash> seen_;
+  FlatSet<IdKey> seen_;  // Every id ever admitted.
 };
 
 }  // namespace porygon::tx

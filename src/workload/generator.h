@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "state/account.h"
 #include "tx/transaction.h"
 #include "workload/traffic.h"

@@ -8,7 +8,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "state/account.h"
 #include "tx/transaction.h"
 

@@ -18,7 +18,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/u64_map.h"
+#include "common/flat_map.h"
 #include "common/wire.h"
 #include "core/adversary.h"
 #include "crypto/merkle.h"

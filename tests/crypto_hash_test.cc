@@ -1,11 +1,14 @@
 // Tests for SHA-256 and SHA-512 against FIPS 180-4 / NIST example vectors,
-// the SHA-NI compression against the portable reference, and the tx id.
+// the SHA-NI compression against the portable reference, the one-shot and
+// node-sized paths against streaming, and the tx id.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -88,20 +91,115 @@ TEST(Sha256Test, ShaNiMatchesPortableCompression) {
   }
 }
 
+Hash256 Streamed(std::initializer_list<ByteView> parts) {
+  Sha256 h;
+  for (ByteView part : parts) h.Update(part);
+  return h.Finish();
+}
+
+Hash256 RandomDigest(Rng* rng) {
+  Hash256 h;
+  for (auto& byte : h) byte = static_cast<uint8_t>(rng->NextU64());
+  return h;
+}
+
+// Every length through both one-shot limits (55 bytes: one block; 119: two)
+// and past them onto the streaming path, with the two-part form split at
+// every point. The portable and SHA-NI one-shot entries are called
+// explicitly as well as through the CPUID choice.
+TEST(Sha256Test, OneShotMatchesStreamingAtEveryLength) {
+  Rng rng(21);
+  for (size_t length = 0; length <= 130; ++length) {
+    Bytes msg(length);
+    for (auto& byte : msg) byte = static_cast<uint8_t>(rng.NextU64());
+    const Hash256 want = Streamed({msg});
+    EXPECT_EQ(Sha256::Hash(msg), want) << length << " bytes";
+    for (size_t split = 0; split <= length; ++split) {
+      const ByteView a(msg.data(), split);
+      const ByteView b(msg.data() + split, length - split);
+      ASSERT_EQ(Sha256::Hash(a, b), want) << length << " bytes at " << split;
+      if (length > Sha256::kMaxOneShot) continue;
+      ASSERT_EQ(internal::OneShot(a, b, internal::HashPaddedPortable), want)
+          << length << " bytes at " << split << ", portable";
+      if (internal::HasShaNi()) {
+        ASSERT_EQ(internal::OneShot(a, b, internal::HashPaddedShaNi), want)
+            << length << " bytes at " << split << ", SHA-NI";
+      }
+    }
+  }
+}
+
+// The node forms against the streaming hash of the concatenation: every tag
+// byte, random nodes, and the all-zero and all-ones nodes. The portable and
+// SHA-NI one-shot entries are called explicitly as well as through the
+// public forms.
+TEST(Sha256Test, NodeHashesMatchStreaming) {
+  Rng rng(65);
+  Hash256 zeros;
+  zeros.fill(0);
+  Hash256 ones;
+  ones.fill(0xff);
+  std::vector<std::pair<Hash256, Hash256>> pairs{
+      {zeros, zeros}, {ones, ones}, {zeros, ones}, {ones, zeros}};
+  for (int i = 0; i < 300; ++i) {
+    pairs.emplace_back(RandomDigest(&rng), RandomDigest(&rng));
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [l, r] = pairs[i];
+    const Hash256 nodes = Streamed({l, r});
+    EXPECT_EQ(Sha256::HashNodes(l, r), nodes) << i;
+    EXPECT_EQ(internal::OneShot(l, r, internal::HashPaddedPortable), nodes)
+        << i;
+    if (internal::HasShaNi()) {
+      EXPECT_EQ(internal::OneShot(l, r, internal::HashPaddedShaNi), nodes)
+          << i;
+    }
+    const uint8_t tag = static_cast<uint8_t>(i);
+    uint8_t tagged_l[33];
+    tagged_l[0] = tag;
+    std::memcpy(tagged_l + 1, l.data(), l.size());
+    const ByteView tl(tagged_l, sizeof(tagged_l));
+    const Hash256 tagged = Streamed({tl, r});
+    EXPECT_EQ(Sha256::HashTaggedNodes(tag, l, r), tagged) << i;
+    EXPECT_EQ(internal::OneShot(tl, r, internal::HashPaddedPortable), tagged)
+        << i;
+    if (internal::HasShaNi()) {
+      EXPECT_EQ(internal::OneShot(tl, r, internal::HashPaddedShaNi), tagged)
+          << i;
+    }
+  }
+}
+
 // Each test runs in its own process, so these threads race to the first
-// use of the once-initialised compression choice (TSan leg).
+// use of the once-initialised kernel choice (TSan leg): the streaming and
+// one-shot paths, and the node forms the SMT rehash runs on pool threads.
 TEST(Sha256Test, ConcurrentFirstUseAgrees) {
   const std::string msg(1000, 'a');
-  std::vector<Hash256> digests(4);
+  Hash256 l;
+  l.fill(0x11);
+  Hash256 r;
+  r.fill(0x22);
+  struct Digests {
+    Hash256 streamed, one_shot, nodes, tagged;
+  };
+  std::vector<Digests> digests(4);
   std::vector<std::thread> threads;
   for (auto& d : digests) {
-    threads.emplace_back(
-        [&d, &msg] { d = Sha256::Hash(ByteView(std::string_view(msg))); });
+    threads.emplace_back([&] {
+      d.streamed = Sha256::Hash(ByteView(std::string_view(msg)));
+      d.one_shot = Sha256::Hash(ByteView(std::string_view(msg).substr(0, 40)));
+      d.nodes = Sha256::HashNodes(l, r);
+      d.tagged = Sha256::HashTaggedNodes(0x01, l, r);
+    });
   }
   for (auto& t : threads) t.join();
+  const uint8_t tag = 0x01;
   for (const auto& d : digests) {
-    EXPECT_EQ(HashToHex(d),
+    EXPECT_EQ(HashToHex(d.streamed),
               "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3");
+    EXPECT_EQ(d.one_shot, Streamed({std::string_view(msg).substr(0, 40)}));
+    EXPECT_EQ(d.nodes, Streamed({l, r}));
+    EXPECT_EQ(d.tagged, Streamed({ByteView(&tag, 1), l, r}));
   }
 }
 
@@ -132,12 +230,13 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
-TEST(Sha256Test, HashPairMatchesConcatenation) {
-  Bytes a = ToBytes("left-subtree");
-  Bytes b = ToBytes("right-subtree");
-  Bytes ab = a;
+TEST(Sha256Test, HashNodesMatchesConcatenation) {
+  const Hash256 a = Sha256::Hash(ToBytes("left-subtree"));
+  const Hash256 b = Sha256::Hash(ToBytes("right-subtree"));
+  Bytes ab(a.begin(), a.end());
   ab.insert(ab.end(), b.begin(), b.end());
-  EXPECT_EQ(Sha256::HashPair(a, b), Sha256::Hash(ab));
+  EXPECT_EQ(Sha256::HashNodes(a, b), Sha256::Hash(ab));
+  EXPECT_EQ(Sha256::Hash(a, b), Sha256::Hash(ab));
 }
 
 TEST(Sha256Test, PrefixU64IsBigEndian) {

@@ -147,6 +147,25 @@ TEST(TaskPoolTest, ParallelForDuringLaunchRunsOnCallerWithoutJoining) {
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
+// One index runs on the caller, as the serial path runs it, with the
+// workers left asleep; it still counts as one task.
+TEST(TaskPoolTest, SingleIndexRunsOnTheCaller) {
+  runtime::TaskPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr int kBatches = 200;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    std::vector<size_t> order;
+    std::thread::id ran_on;
+    pool.ParallelFor(1, [&](size_t i) {
+      order.push_back(i);
+      ran_on = std::this_thread::get_id();
+    });
+    ASSERT_EQ(order, (std::vector<size_t>{0})) << batch;
+    ASSERT_EQ(ran_on, caller) << batch;
+    ASSERT_EQ(pool.tasks_run(), static_cast<uint64_t>(batch) + 1);
+  }
+}
+
 TEST(TaskPoolTest, SecondLaunchJoinsTheFirst) {
   runtime::TaskPool pool(2);
   constexpr size_t kN = 64;

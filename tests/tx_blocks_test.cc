@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/pipeline.h"
+#include "crypto/sha256.h"
 #include "tx/blocks.h"
 #include "tx/transaction.h"
 #include "tx/txpool.h"
@@ -114,6 +117,42 @@ TEST(TxPoolTest, DeduplicatesAndBucketsByShard) {
   EXPECT_EQ(pool.PendingInShard(0), 1u);
   EXPECT_EQ(pool.PendingInShard(1), 1u);
   EXPECT_EQ(pool.PendingTotal(), 2u);
+}
+
+// The admission set compares whole ids: ids that share their first eight
+// bytes (the bits it hashes) stay distinct, the all-zero id (its empty-slot
+// marker) is admitted once like any other, and every id is still known
+// after the set has doubled ten times. Only admission is checked here, so
+// the ids need not be the transaction's own.
+TEST(TxPoolTest, AdmissionComparesWholeIdsAcrossGrowth) {
+  TxPool pool(0);
+  const Transaction t = Make(1, 2, 3, 0);
+  TxId a;
+  a.fill(0x5a);
+  TxId b = a;
+  b[31] ^= 1;
+  EXPECT_TRUE(pool.Add(t, a));
+  EXPECT_TRUE(pool.Add(t, b));
+  EXPECT_FALSE(pool.Add(t, a));
+  EXPECT_FALSE(pool.Add(t, b));
+  const TxId zero{};
+  EXPECT_TRUE(pool.Add(t, zero));
+  EXPECT_FALSE(pool.Add(t, zero));
+
+  std::vector<TxId> ids;
+  for (uint64_t i = 0; i < 2000; ++i) {
+    uint8_t seed[8];
+    StoreLittleEndian64(seed, i);
+    TxId id = crypto::Sha256::Hash(ByteView(seed, sizeof(seed)));
+    ids.push_back(id);
+    id[16] ^= 0x80;  // Same first eight bytes.
+    ids.push_back(id);
+  }
+  for (const TxId& id : ids) EXPECT_TRUE(pool.Add(t, id));
+  for (const TxId& id : ids) EXPECT_FALSE(pool.Add(t, id));
+  EXPECT_FALSE(pool.Add(t, a));
+  EXPECT_FALSE(pool.Add(t, zero));
+  EXPECT_EQ(pool.PendingTotal(), ids.size() + 3);
 }
 
 TEST(TxPoolTest, PackBlockDrainsFifoUpToLimit) {
