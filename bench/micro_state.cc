@@ -1,10 +1,14 @@
 // State-substrate microbenchmarks: sparse Merkle tree single vs batched
-// updates (the ablation motivating PutBatch), proofs, and the LSM engine.
+// updates (the ablation motivating PutBatch), proofs, tree bytes per leaf,
+// and the LSM engine.
 
 #include <benchmark/benchmark.h>
 
+#include "common/flat_map.h"
 #include "common/rng.h"
+#include "state/account.h"
 #include "state/smt.h"
+#include "state/view.h"
 #include "storage/db.h"
 #include "storage/env.h"
 
@@ -61,6 +65,53 @@ void BM_SmtProveVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmtProveVerify);
+
+// Tree memory at the benchmark's shapes: one shard of 8 or 32 (arg: shard
+// bits) over ids up to 1M, holding its share of ~451k or ~420k accounts —
+// the subtree a storage node keeps — and the partial subtree an ESC member
+// rebuilds each Execution Phase from 4,000 proofs (present and absent).
+void BM_SmtTreeBytes(benchmark::State& state) {
+  const int shard_bits = static_cast<int>(state.range(0));
+  const size_t accounts = (shard_bits == 3 ? 451'000 : 420'000) >> shard_bits;
+  Rng rng(5);
+  auto id = [&] { return rng.NextBelow(1'000'001 >> shard_bits) << shard_bits; };
+  SparseMerkleTree full;
+  U64Map<Account> values;
+  std::vector<std::pair<uint64_t, Bytes>> writes;
+  while (values.size() < accounts) {
+    const uint64_t key = id();
+    const Account account{rng.NextU64() % 1'000'000, 1};
+    if (values.Insert(key)) {
+      values[key] = account;
+      writes.emplace_back(key, EncodeAccount(account));
+    }
+  }
+  full.PutBatch(writes);
+  std::vector<uint64_t> touched;
+  for (int i = 0; i < 4000; ++i) touched.push_back(id());
+  size_t partial_bytes = 0, partial_leaves = 0;
+  for (auto _ : state) {
+    PartialState partial(shard_bits, 0, full.Root());
+    for (uint64_t key : touched) {
+      const Account* value = values.Find(key);
+      (void)partial.AddOwnAccount(key, value != nullptr,
+                                  value != nullptr ? *value : Account{},
+                                  full.Prove(key));
+    }
+    partial_bytes = partial.own_tree().MemoryBytes();
+    partial_leaves = partial.own_tree().LeafCount();
+    benchmark::DoNotOptimize(partial_bytes);
+  }
+  state.counters["full_leaves"] = static_cast<double>(full.LeafCount());
+  state.counters["full_bytes_per_leaf"] =
+      static_cast<double>(full.MemoryBytes()) / full.LeafCount();
+  state.counters["partial_leaves"] = static_cast<double>(partial_leaves);
+  state.counters["partial_bytes_per_leaf"] =
+      static_cast<double>(partial_bytes) / partial_leaves;
+  state.counters["partial_bytes_per_account"] =
+      static_cast<double>(partial_bytes) / touched.size();
+}
+BENCHMARK(BM_SmtTreeBytes)->Arg(3)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_DbPut(benchmark::State& state) {
   storage::MemEnv env;

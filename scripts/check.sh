@@ -28,9 +28,11 @@ run_suite() {
     -R 'Sha256|Merkle|TxBlocks|TxPool|TransactionTest|BlockTest' \
     --output-on-failure
   # Wire codec suites: Writer/Reader primitives and the Count bound, the
-  # golden bytes of every encoded type with the prefix/trailing-byte sweep
-  # (out-of-bounds reads surface under ASan/UBSan), and forged counts that
-  # must be Corruption rather than an allocation failure.
+  # writer's cursor and in-place nested encodings whose length prefix is
+  # widened by a memmove, the golden bytes of every encoded type with the
+  # prefix/trailing-byte sweep (out-of-bounds reads surface under
+  # ASan/UBSan), and forged counts that must be Corruption rather than an
+  # allocation failure.
   ctest --test-dir "$dir" -R 'Codec|Wire|MessagesTest' --output-on-failure
   # Fault suite and spec grammars, called out explicitly: crash/recover
   # failover, censorship, same-seed determinism under an active FaultPlan,
@@ -41,10 +43,16 @@ run_suite() {
   # Adversary suite, likewise: chain identity and evidence collection under
   # every Byzantine strategy at the paper's alpha/beta bounds.
   ctest --test-dir "$dir" -R Adversary --output-on-failure
-  # State suites: roots against a from-scratch reference over keys spread
-  # across all 64 bits, account values against their proofs, stateless
-  # views rebuilt from proofs, and the flat uint64_t map under churn.
-  ctest --test-dir "$dir" -R 'Smt|ShardedState|PartialState|U64Map' \
+  # State suites: the path-compressed tree's roots and proofs against a
+  # from-scratch reference over keys spread across all 64 bits and at the
+  # benchmark's shard shapes (SmtDifferentialTest: chains left halfway
+  # down, collapsing deletes, partial trees whose stubs later proofs
+  # expand), its two records per leaf, account values against their
+  # proofs, stateless views rebuilt from proofs, the flat uint64_t map
+  # under churn, the digest-key set of the tx-id filters, and the radix
+  # sort-unique of the ESC access lists.
+  ctest --test-dir "$dir" \
+    -R 'Smt|SmtDifferential|ShardedState|PartialState|U64Map|DigestSet|RadixSort' \
     --output-on-failure
   # Parallel runtime: fork-join and launched pool batches, and byte-identical
   # exports at 0, 1 and 4 threads, including the pipelined canonical
@@ -103,7 +111,7 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
   # suites; Sha256 checks the once-initialised kernel choice that the pool
   # threads of VerifyBatch and of the SMT rehash read; Smt and ShardedState
-  # because per-shard PutBatch runs on pool threads; Epoch, FaultInjection and Soak because the
+  # because per-shard PutBatch merges run on pool threads; Epoch, FaultInjection and Soak because the
   # launched shard execution must settle before every state read across
   # epoch hand-offs and storage crash/recover. TSan is incompatible with
   # ASan, hence the third build tree.

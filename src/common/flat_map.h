@@ -1,11 +1,14 @@
 #ifndef PORYGON_COMMON_FLAT_MAP_H_
 #define PORYGON_COMMON_FLAT_MAP_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "common/bytes.h"
 
 namespace porygon {
 
@@ -17,14 +20,27 @@ struct U64Key {
   static uint64_t Bits(uint64_t key) { return key; }
 };
 
+/// Key policy of a FlatMap over 32-byte digests (tx and block ids). They
+/// are SHA-256 outputs, so any eight bytes of one spread evenly. The
+/// all-zero digest marks empty slots (a real one is kept out of line), and
+/// a match compares all 32 bytes.
+struct DigestKey {
+  using Type = std::array<uint8_t, 32>;
+  static constexpr Type kEmpty{};
+  static uint64_t Bits(const Type& digest) {
+    return LoadLittleEndian64(digest.data());
+  }
+};
+
 /// Open-addressing hash map from small trivially copyable keys to small
 /// trivially copyable values: one flat slot array, linear probing,
 /// power-of-two capacity, and backward-shift erase (no tombstones, so probe
 /// chains never rot under churn). `Key` is a policy like U64Key. It holds
-/// the state layer's per-level Merkle node hashes and account values, the
-/// workload generators' nonce counters and the tx pools' admitted ids: maps
-/// with millions of small entries, where a heap node per entry costs more
-/// host time than the work itself.
+/// the state layer's account values, the workload generators' nonce
+/// counters, the tx pools' admitted ids and the per-round discarded and
+/// failed tx-id filters: maps with thousands to millions of small entries,
+/// where a heap node or string per entry costs more host time than the
+/// work itself.
 ///
 /// An empty slot is marked by the key Key::kEmpty; a real entry under that
 /// key is kept out of line. Pointers into the map are invalidated by any
@@ -38,6 +54,7 @@ class FlatMap {
 
  public:
   size_t size() const { return size_ + (has_empty_key_ ? 1 : 0); }
+  bool empty() const { return size() == 0; }
 
   /// The value under `key`, or nullptr when absent.
   const V* Find(const K& key) const {
@@ -48,6 +65,8 @@ class FlatMap {
     const Slot& slot = slots_[Probe(key)];
     return Same(slot.key, key) ? &slot.value : nullptr;
   }
+
+  bool Contains(const K& key) const { return Find(key) != nullptr; }
 
   /// The value under `key`, value-initialised first when absent.
   V& operator[](const K& key) { return *Emplace(key).first; }

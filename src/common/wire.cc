@@ -1,23 +1,60 @@
 #include "common/wire.h"
 
+#include <algorithm>
 #include <string>
 
 namespace porygon::wire {
 
-// Out of line: inlined into a chain of fixed-width writes, GCC 12 reports a
-// spurious -Warray-bounds on std::vector's growth path.
-uint8_t* Writer::Grow(size_t n) {
-  const size_t at = buf_.size();
-  buf_.resize(at + n);
-  return buf_.data() + at;
+namespace {
+// Bytes in the LEB128 encoding of `v`.
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+void StoreVarint(uint8_t* out, uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *out = static_cast<uint8_t>(v);
+}
+}  // namespace
+
+void Writer::Expand(size_t n) {
+  constexpr size_t kMinCapacity = 32;
+  capacity_ = std::max({capacity_ * 2, size_ + n, kMinCapacity});
+  auto grown = std::make_unique_for_overwrite<uint8_t[]>(capacity_);
+  if (size_ > 0) std::memcpy(grown.get(), buf_.get(), size_);
+  buf_ = std::move(grown);
+}
+
+Bytes Writer::Take() {
+  Bytes out(buf_.get(), buf_.get() + size_);
+  buf_.reset();
+  capacity_ = 0;
+  size_ = 0;
+  return out;
 }
 
 Writer& Writer::Varint(uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
+  StoreVarint(Grow(VarintSize(v)), v);
+  return *this;
+}
+
+Writer& Writer::PrefixLength(size_t start) {
+  const size_t body = size_ - start - 1;
+  const size_t width = VarintSize(body);
+  if (width > 1) {
+    Grow(width - 1);
+    std::memmove(buf_.get() + start + width, buf_.get() + start + 1, body);
   }
-  return U8(static_cast<uint8_t>(v));
+  StoreVarint(buf_.get() + start, body);
+  return *this;
 }
 
 Reader& Reader::Varint(uint64_t* out) {

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
@@ -23,10 +24,12 @@ namespace porygon::wire {
 ///
 ///   return wire::Writer()
 ///       .U64(round).U8(role).Array(node_key).F64(sortition).Take();
+class Reader;
+
 class Writer {
  public:
   Writer& U8(uint8_t v) {
-    buf_.push_back(v);
+    *Grow(1) = v;
     return *this;
   }
   Writer& U16(uint16_t v) {
@@ -64,15 +67,25 @@ class Writer {
     return *this;
   }
 
-  /// A nested message as a length-prefixed `x.Encode()`.
+  /// A nested message as a length-prefixed `x.Encode()`. A type with
+  /// `EncodeTo(Writer*)` encodes in place behind a one-byte prefix that is
+  /// widened afterwards if the body needs a longer varint.
   template <typename T>
   Writer& Nested(const T& x) {
-    return Blob(x.Encode());
+    if constexpr (requires { x.EncodeTo(this); }) {
+      const size_t start = size_;
+      Grow(1);
+      x.EncodeTo(this);
+      return PrefixLength(start);
+    } else {
+      return Blob(x.Encode());
+    }
   }
 
   /// Varint element count, then each element: u32/u64 little-endian, byte
-  /// arrays raw, Bytes length-prefixed, nested vectors as lists, types with
-  /// `EncodeTo(Writer*)` inline, and any other type Nested().
+  /// arrays raw, Bytes length-prefixed, nested vectors as lists, types the
+  /// Reader decodes inline (`DecodeFrom(Reader*)`) by their `EncodeTo`, and
+  /// any other type Nested().
   template <typename T>
   Writer& List(const std::vector<T>& items) {
     Varint(items.size());
@@ -81,13 +94,25 @@ class Writer {
   }
 
   /// The bytes written so far (checksums over a partial record).
-  ByteView view() const { return buf_; }
-  Bytes Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
+  ByteView view() const { return ByteView(buf_.get(), size_); }
+  /// The bytes written, copied out at their exact size; the writer is
+  /// empty afterwards.
+  Bytes Take();
+  size_t size() const { return size_; }
 
  private:
-  // Appends `n` zero bytes and returns where they start.
-  uint8_t* Grow(size_t n);
+  // Advances the cursor by `n` bytes and returns where they start.
+  uint8_t* Grow(size_t n) {
+    if (n > capacity_ - size_) Expand(n);
+    uint8_t* at = buf_.get() + size_;
+    size_ += n;
+    return at;
+  }
+  // Regrows the buffer geometrically to fit `n` more bytes.
+  void Expand(size_t n);
+  // Writes the length of the body after the one-byte slot at `start` into
+  // that slot, widening it first when the varint needs more bytes.
+  Writer& PrefixLength(size_t start);
 
   void Put(uint32_t v) { U32(v); }
   void Put(uint64_t v) { U64(v); }
@@ -102,14 +127,18 @@ class Writer {
   }
   template <typename T>
   void Put(const T& x) {
-    if constexpr (requires { x.EncodeTo(this); }) {
+    if constexpr (requires(T* t, Reader* r) { t->DecodeFrom(r); }) {
       x.EncodeTo(this);
     } else {
       Nested(x);
     }
   }
 
-  Bytes buf_;
+  // Uninitialised past size_: spare capacity is never written, so it is
+  // never resident, and Take() hands out exactly the bytes written.
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t capacity_ = 0;
+  size_t size_ = 0;  // The cursor: bytes written.
 };
 
 /// Streaming decoder over a borrowed view. Each accessor fills an

@@ -189,8 +189,14 @@ void TxAccess::DecodeFrom(wire::Reader* r) {
       &submitted_at);
 }
 
+void WitnessedBlock::EncodeTo(wire::Writer* w) const {
+  w->Nested(header).List(proofs).List(accesses);
+}
+
 Bytes WitnessedBlock::Encode() const {
-  return wire::Writer().Nested(header).List(proofs).List(accesses).Take();
+  wire::Writer w;
+  EncodeTo(&w);
+  return w.Take();
 }
 
 Result<WitnessedBlock> WitnessedBlock::Decode(ByteView data) {

@@ -159,6 +159,8 @@ struct WitnessedBlock {
   size_t WireSize() const;
   Bytes Encode() const;
   static Result<WitnessedBlock> Decode(ByteView data);
+  /// Encodes in place (bundles nest their blocks without a copy).
+  void EncodeTo(wire::Writer* w) const;
 };
 
 /// Bundle of witnessed blocks for one batch round (storage -> OC member).

@@ -4,6 +4,7 @@
 #include "common/erasure.h"
 #include "common/log.h"
 #include "common/flat_map.h"
+#include "common/radix_sort.h"
 #include "core/system.h"
 #include "crypto/sha256.h"
 #include "state/view.h"
@@ -727,9 +728,7 @@ void StatelessNodeActor::OnExecRequest(const net::Message& msg) {
     RunExecution();  // Nothing to download; still report (empty) results.
     return;
   }
-  std::sort(accounts.begin(), accounts.end());
-  accounts.erase(std::unique(accounts.begin(), accounts.end()),
-                 accounts.end());
+  RadixSortUnique(&accounts);
 
   StateRequest sreq;
   sreq.round = exec_task_->request.round;
@@ -872,17 +871,15 @@ void StatelessNodeActor::RunExecution() {
     ExecutionInput input;
     input.shard = req.shard;
     input.updates = req.updates;
-    std::set<std::string> discarded;
-    for (const auto& id : req.discarded) discarded.insert(IdKey(id));
+    FlatSet<DigestKey> discarded;
+    for (const auto& id : req.discarded) discarded.Insert(id);
     for (const auto& id : req.block_ids) {
       auto held = held_blocks_.find(IdKey(id));
       if (held == held_blocks_.end()) continue;
       const HeldBlock& hb = held->second;
       for (size_t i = 0; i < hb.txs.size(); ++i) {
         const tx::Transaction& t = hb.txs[i];
-        if (!discarded.empty() && discarded.count(IdKey(hb.tx_ids[i])) > 0) {
-          continue;
-        }
+        if (!discarded.empty() && discarded.Contains(hb.tx_ids[i])) continue;
         if (t.IsCrossShard(system_->params().shard_bits)) {
           input.cross_shard.push_back(t);
         } else {

@@ -664,8 +664,8 @@ const PorygonSystem::RoundRegistry* PorygonSystem::RegistryFor(
 std::vector<ExecutionInput> PorygonSystem::BuildExecutionInputs(
     const tx::ProposalBlock& based_on) const {
   const int shards = options_.params.shard_count();
-  std::set<std::string> discarded;
-  for (const auto& id : based_on.discarded) discarded.insert(IdKey(id));
+  FlatSet<DigestKey> discarded;
+  for (const auto& id : based_on.discarded) discarded.Insert(id);
   std::vector<ExecutionInput> inputs(static_cast<size_t>(shards));
   for (int shard = 0; shard < shards; ++shard) {
     ExecutionInput& input = inputs[shard];
@@ -682,9 +682,7 @@ std::vector<ExecutionInput> PorygonSystem::BuildExecutionInputs(
       const StoredBlock& sb = stored->second;
       for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
         const tx::Transaction& t = sb.block.transactions[i];
-        if (!discarded.empty() && discarded.count(IdKey(sb.tx_ids[i])) > 0) {
-          continue;
-        }
+        if (!discarded.empty() && discarded.Contains(sb.tx_ids[i])) continue;
         if (t.IsCrossShard(options_.params.shard_bits)) {
           input.cross_shard.push_back(t);
         } else {
@@ -761,7 +759,7 @@ void PorygonSystem::SettleExecState() {
     cache.cross_pre[d] = r.cross_pre_executed;
     cache.failed[d] = static_cast<uint32_t>(r.failed.size());
     for (const auto& f : r.failed) {
-      cache.failed_ids.insert(IdKey(f.id));
+      cache.failed_ids.Insert(f.id);
     }
   }
   const uint64_t exec_round = job->exec_round;
@@ -1121,16 +1119,13 @@ void PorygonSystem::AccountCommittedBatch(const tx::ProposalBlock& block) {
   // r-3, commit at r (+3 rounds, §IV-D2).
   auto account_list = [&](const tx::ProposalBlock& listing, bool want_cross,
                           uint64_t exec_round) {
-    std::set<std::string> discarded;
-    for (const auto& id : listing.discarded) discarded.insert(IdKey(id));
-    const std::set<std::string>* failed = nullptr;
+    FlatSet<DigestKey> discarded;
+    for (const auto& id : listing.discarded) discarded.Insert(id);
+    const FlatSet<DigestKey>* failed = nullptr;
     const CachedExec* cached = SettledExec(exec_round);
     if (cached != nullptr && !cached->failed_ids.empty()) {
       failed = &cached->failed_ids;
     }
-    // Ids are only looked up when some set could match or a trace needs
-    // them; the common no-discard, no-failure round skips them entirely.
-    const bool need_ids = !discarded.empty() || failed != nullptr || tracing;
 
     for (const auto& shard_list : listing.shard_tx_blocks) {
       for (const auto& block_id : shard_list) {
@@ -1142,12 +1137,16 @@ void PorygonSystem::AccountCommittedBatch(const tx::ProposalBlock& block) {
           if (t.IsCrossShard(options_.params.shard_bits) != want_cross) {
             continue;
           }
-          std::string tid;
-          if (need_ids) tid = IdKey(sb.tx_ids[i]);
-          if (discarded.count(tid) > 0) continue;
-          if (failed != nullptr && failed->count(tid) > 0) {
+          // The common no-discard, no-failure round never reads the ids.
+          if (!discarded.empty() && discarded.Contains(sb.tx_ids[i])) {
+            continue;
+          }
+          if (failed != nullptr && failed->Contains(sb.tx_ids[i])) {
             obs_.failed_txs->Increment();
-            if (tracing) TraceTxFinal(tid, want_cross, true, listing.round);
+            if (tracing) {
+              TraceTxFinal(IdKey(sb.tx_ids[i]), want_cross, true,
+                           listing.round);
+            }
             continue;
           }
           if (want_cross) {
@@ -1155,7 +1154,10 @@ void PorygonSystem::AccountCommittedBatch(const tx::ProposalBlock& block) {
           } else {
             obs_.committed_intra->Increment();
           }
-          if (tracing) TraceTxFinal(tid, want_cross, false, listing.round);
+          if (tracing) {
+            TraceTxFinal(IdKey(sb.tx_ids[i]), want_cross, false,
+                         listing.round);
+          }
           obs_.user_latency->Observe(
               now_s - net::ToSeconds(static_cast<net::SimTime>(
                           t.submitted_at)));

@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "consensus/ba_star.h"
@@ -743,7 +744,7 @@ class PorygonSystem {
     std::vector<uint32_t> intra_applied;
     std::vector<uint32_t> cross_pre;
     std::vector<uint32_t> failed;
-    std::set<std::string> failed_ids;
+    FlatSet<DigestKey> failed_ids;  // Probed, never iterated.
   };
   std::map<uint64_t, CachedExec> exec_cache_;
 

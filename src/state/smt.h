@@ -8,7 +8,6 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "common/flat_map.h"
 #include "crypto/sha256.h"
 
 namespace porygon::state {
@@ -25,35 +24,49 @@ struct MerkleProof {
 };
 
 /// Sparse Merkle tree of fixed depth over 64-bit keys. Absent keys hash to a
-/// per-level default, so the tree is O(occupied keys) in memory while proofs
-/// behave as if all 2^64 leaves existed. Leaf hash = H(0x00 || key_le ||
-/// value); inner = H(0x01 || left || right); the empty leaf is H(0x02).
+/// per-level default, so proofs behave as if all 2^64 leaves existed. Leaf
+/// hash = H(0x00 || key_le || value); inner = H(0x01 || left || right); the
+/// empty leaf is H(0x02). The node at level l on a key's path holds the
+/// keys sharing its top l bits; level 0 is the root, level 64 the leaves.
 ///
 /// This is the authenticated index over accounts that storage nodes maintain
 /// and stateless nodes verify: updates with Merkle paths, root computation,
 /// and incremental rehashing of the written paths. The tree stores hashes
 /// only; callers keep the values themselves (ShardedState, PartialState).
+///
+/// Storage is path-compressed: one record per live leaf (key, leaf hash)
+/// and one per branch node (level, two children), so a tree of n leaves
+/// holds 2n − 1 records. Every other non-default node lies on a chain of
+/// single children between a record and its parent branch, and its hash is
+/// the record's hash lifted through the per-level defaults; each record
+/// caches that lift up to the level just below its parent (level 0 for the
+/// topmost record, whose lift is the root). A tree built from proofs
+/// (InjectProof) also holds stubs: a proof sibling's position and hash,
+/// with nothing known below it until a later proof expands it.
 class SparseMerkleTree {
  public:
   static constexpr int kDepth = 64;
-
-  SparseMerkleTree();
 
   /// Sets `key` to `value` (empty value deletes the leaf).
   void Put(uint64_t key, ByteView value);
   void Delete(uint64_t key) { Put(key, ByteView()); }
 
-  /// Applies many writes and rehashes each affected tree path once,
-  /// level by level. For a block of k updates this costs
-  /// O(k + distinct-path-nodes) hashes instead of O(k * depth) — the
-  /// difference between microseconds and milliseconds per committed block
-  /// (see bench/micro_state). Last write wins for duplicate keys.
+  /// Applies many writes as one recursive merge of the sorted leaf
+  /// frontier into the records, hashing each affected node once. For a
+  /// block of k updates this costs O(k + distinct-path-nodes) hashes
+  /// instead of O(k * depth). Last write wins for duplicate keys.
+  ///
+  /// Precondition: no written key lies under a stub (a key whose proof was
+  /// injected never does). A violation trips a debug assert; release
+  /// builds leave the stub and drop the writes under it.
   void PutBatch(const std::vector<std::pair<uint64_t, Bytes>>& writes);
 
   /// Current root hash.
   crypto::Hash256 Root() const;
 
-  /// Proof for `key` (valid for both membership and absence).
+  /// Proof for `key` (valid for both membership and absence). For a key
+  /// under a stub the siblings below the stub are unknown and read as
+  /// defaults.
   MerkleProof Prove(uint64_t key) const;
 
   /// Verifies that `value` (empty = absent) is the value of `key` under
@@ -63,35 +76,81 @@ class SparseMerkleTree {
                      const MerkleProof& proof);
 
   /// Builds a *partial* tree from a proof: verifies (key, value, proof)
-  /// against `expected_root`, then stores the leaf hash, every node on its
-  /// path, and every sibling hash. After injecting proofs for all accounts a
-  /// block touches, a stateless node can PutBatch updated values and read
-  /// the correct new Root() without ever holding the full state — this is
-  /// the Execution Phase of a stateless ESC member (§IV-C1(c)).
+  /// against `expected_root`, then adds the records of the key's path that
+  /// the tree lacks, keeping each non-default sibling as a stub (a leaf
+  /// for a sibling leaf). After injecting proofs for all accounts a block
+  /// touches, a stateless node can PutBatch updated values and read the
+  /// correct new Root() without ever holding the full state — this is the
+  /// Execution Phase of a stateless ESC member (§IV-C1(c)). Every proof
+  /// injected into one tree is against the same root, before any write.
   Status InjectProof(uint64_t key, ByteView value, const MerkleProof& proof,
                      const crypto::Hash256& expected_root);
 
-  /// Number of non-default leaf hashes: the live leaves of a full tree (a
-  /// partial tree also counts the sibling leaves its proofs carried).
-  size_t LeafCount() const { return nodes_[kDepth].size(); }
+  /// Number of leaf records: the live leaves of a full tree (a partial
+  /// tree also counts the sibling leaves its proofs carried).
+  size_t LeafCount() const { return leaves_; }
+  /// Records held: leaves, branches and stubs.
+  size_t NodeCount() const { return nodes_.size() - free_.size(); }
+  /// Bytes allocated for the records and their free list.
+  size_t MemoryBytes() const {
+    return nodes_.capacity() * sizeof(Node) +
+           free_.capacity() * sizeof(uint32_t);
+  }
 
  private:
-  // (prefix, hash) at one level, sorted by prefix with no repeats.
-  using Frontier = std::vector<std::pair<uint64_t, crypto::Hash256>>;
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  // A leaf (level kDepth), a branch (two children) or a stub (level below
+  // kDepth, no children).
+  struct Node {
+    uint64_t key;            // Leaf: its key; else the level's prefix bits.
+    crypto::Hash256 lifted;  // `hash` lifted to just below the parent.
+    crypto::Hash256 hash;    // This node's own hash at `level`.
+    uint32_t child[2];       // Branch only; kNone otherwise.
+    uint8_t level;
+  };
+  // One frontier entry: a key and its new leaf hash (the empty-leaf default
+  // deletes).
+  struct Write {
+    uint64_t key;
+    crypto::Hash256 hash;
+  };
 
   static crypto::Hash256 LeafHash(uint64_t key, ByteView value);
   static const std::array<crypto::Hash256, kDepth + 1>& Defaults();
+  // `hash` of the node at `level` on `key`'s path, lifted through single
+  // children up to level `top`.
+  static crypto::Hash256 Lift(crypto::Hash256 hash, int level, uint64_t key,
+                              int top);
 
-  // Node hash at (level, prefix); falls back to the level default.
-  const crypto::Hash256& NodeAt(int level, uint64_t prefix) const;
-  // Stores (or, for the level default, drops) one node hash.
-  void SetNode(int level, uint64_t prefix, const crypto::Hash256& hash);
-  // Stores the leaf-level frontier and rehashes it up to the root.
-  void Rehash(Frontier frontier);
+  static bool IsStub(const Node& n) {
+    return n.level < kDepth && n.child[0] == kNone;
+  }
+  uint32_t Alloc(uint64_t key, int level, const crypto::Hash256& hash);
+  void Free(uint32_t index);
+  // Sets a record's cached lift for a chain that starts at `top`.
+  void LiftTo(uint32_t index, int top);
+  // A branch at `level` over `children`, each lifted to level + 1 first.
+  uint32_t NewBranch(int level, uint64_t key, const uint32_t children[2]);
 
-  // nodes_[level] maps prefix -> hash for non-default nodes. Level 0 is the
-  // root (prefix 0), level kDepth are leaves (prefix == key).
-  std::vector<U64Map<crypto::Hash256>> nodes_;
+  // Applies the sorted, deduplicated writes [first, last) to the subtree
+  // whose topmost record is `index` (kNone: empty) and returns its new
+  // topmost record (kNone if it emptied). The returned record's own hash is
+  // current; the caller lifts it to wherever its chain now starts.
+  uint32_t Merge(uint32_t index, const Write* first, const Write* last);
+  // Merge into an empty subtree: deletes are skipped.
+  uint32_t Build(const Write* first, const Write* last);
+  // The records a verified proof adds below level `top`, from its path
+  // hashes (`path[l]` = the key's node hash at level l); returns the
+  // topmost one, lifted to `top`.
+  uint32_t BuildFromProof(uint64_t key, bool present, const MerkleProof& proof,
+                          const std::array<crypto::Hash256, kDepth + 1>& path,
+                          int top);
+
+  std::vector<Node> nodes_;     // Records; freed slots are reused.
+  std::vector<uint32_t> free_;  // Indices of freed records.
+  uint32_t root_ = kNone;       // Topmost record; kNone when empty.
+  size_t leaves_ = 0;
 };
 
 }  // namespace porygon::state

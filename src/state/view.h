@@ -82,6 +82,9 @@ class PartialState : public StateView {
       const std::vector<std::pair<AccountId, Account>>& ws) override;
   crypto::Hash256 ShardRoot(uint32_t shard) const override;
 
+  /// The own-shard partial subtree (memory accounting).
+  const SparseMerkleTree& own_tree() const { return partial_; }
+
  private:
   int shard_bits_;
   uint32_t own_shard_;

@@ -7,14 +7,18 @@ namespace porygon::tx {
 
 using crypto::Hash256;
 
-Bytes TransactionBlockHeader::Encode() const {
-  return wire::Writer()
-      .U32(creator_storage_node)
+void TransactionBlockHeader::EncodeTo(wire::Writer* w) const {
+  w->U32(creator_storage_node)
       .U64(round_created)
       .U32(shard)
       .U32(tx_count)
-      .Array(tx_root)
-      .Take();
+      .Array(tx_root);
+}
+
+Bytes TransactionBlockHeader::Encode() const {
+  wire::Writer w;
+  EncodeTo(&w);
+  return w.Take();
 }
 
 Result<TransactionBlockHeader> TransactionBlockHeader::Decode(ByteView data) {

@@ -28,6 +28,8 @@ struct TransactionBlockHeader {
   BlockId Id() const;
   Bytes Encode() const;
   static Result<TransactionBlockHeader> Decode(ByteView data);
+  /// Encodes in place (blocks nest their header without a copy).
+  void EncodeTo(wire::Writer* w) const;
   /// Wire footprint of a header (fixed fields + root).
   size_t WireSize() const { return Encode().size(); }
 };

@@ -38,17 +38,6 @@ class TxPool {
   size_t PendingTotal() const;
 
  private:
-  // Ids are SHA-256 digests, so any eight bytes of one spread evenly. The
-  // all-zero id marks empty slots (a real one is kept out of line), and a
-  // match compares all 32 bytes.
-  struct IdKey {
-    using Type = TxId;
-    static constexpr TxId kEmpty{};
-    static uint64_t Bits(const TxId& id) {
-      return LoadLittleEndian64(id.data());
-    }
-  };
-
   struct Pooled {
     Transaction tx;
     TxId id;
@@ -56,7 +45,7 @@ class TxPool {
 
   int shard_bits_;
   std::vector<std::deque<Pooled>> queues_;
-  FlatSet<IdKey> seen_;  // Every id ever admitted.
+  FlatSet<DigestKey> seen_;  // Every id ever admitted.
 };
 
 }  // namespace porygon::tx

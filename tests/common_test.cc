@@ -1,9 +1,11 @@
 // Tests for the common substrate: Status/Result, byte views, hex, the
 // binary codec, CRC-32C, the deterministic RNG, Merkle paths, the clause
-// grammar every CLI spec is parsed with, and the flat uint64_t map.
+// grammar every CLI spec is parsed with, the flat uint64_t map and digest
+// set, and the radix sort-unique.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdlib>
@@ -19,6 +21,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/flat_map.h"
+#include "common/radix_sort.h"
 #include "common/wire.h"
 #include "core/adversary.h"
 #include "crypto/merkle.h"
@@ -262,6 +265,40 @@ TEST(CodecTest, ListsRoundTripEveryElementKind) {
   EXPECT_EQ(arrays_out, arrays);
   EXPECT_EQ(blobs_out, blobs);
   EXPECT_EQ(nested_out, nested);
+}
+
+// A nested type with EncodeTo is written in place behind a one-byte length
+// prefix that is widened afterwards; the bytes must equal a Blob of its
+// Encode() at every varint width, alone, mid-stream and as list elements.
+struct Filler {
+  size_t n = 0;
+  void EncodeTo(wire::Writer* w) const {
+    for (size_t i = 0; i < n; ++i) w->U8(static_cast<uint8_t>(i * 7));
+  }
+  Bytes Encode() const {
+    wire::Writer w;
+    EncodeTo(&w);
+    return w.Take();
+  }
+};
+
+TEST(CodecTest, InPlaceNestedMatchesBlobOfEncode) {
+  std::vector<Filler> all;
+  for (size_t n : {0, 1, 127, 128, 300, 16383, 16384, 70000}) {
+    const Filler f{n};
+    all.push_back(f);
+    wire::Writer w;
+    w.U8(9).Nested(f);
+    EXPECT_EQ(w.size(), w.view().size());
+    w.U16(0xbeef);
+    EXPECT_EQ(w.Take(),
+              wire::Writer().U8(9).Blob(f.Encode()).U16(0xbeef).Take())
+        << n;
+  }
+  wire::Writer blobs;
+  blobs.Varint(all.size());
+  for (const Filler& f : all) blobs.Blob(f.Encode());
+  EXPECT_EQ(wire::Writer().List(all).Take(), blobs.Take());
 }
 
 TEST(Crc32Test, KnownVector) {
@@ -561,6 +598,71 @@ TEST(U64MapTest, MatchesUnorderedMapUnderChurn) {
       EXPECT_EQ(map.size(), 0u);
       EXPECT_FALSE(map.Erase(pool.back()));
     }
+  }
+}
+
+
+// The digest-key set behind the tx pools' admission and the per-round
+// discarded/failed filters. The all-zero digest is the empty-slot marker
+// (stored out of line), and ids that share their first eight bytes share
+// their hashed bits, so only the full 32-byte compare tells them apart.
+TEST(DigestSetTest, ZeroDigestAndSharedPrefixesStayDistinct) {
+  using Digest = DigestKey::Type;
+  FlatSet<DigestKey> set;
+  const Digest zero{};
+  EXPECT_FALSE(set.Contains(zero));
+  EXPECT_TRUE(set.Insert(zero));
+  EXPECT_FALSE(set.Insert(zero));
+  EXPECT_TRUE(set.Contains(zero));
+
+  std::vector<Digest> ids;
+  for (int i = 0; i < 500; ++i) {
+    Digest id{};
+    id[0] = 0x5a;                         // First eight bytes shared by all.
+    id[8 + i % 24] = static_cast<uint8_t>(1 + i / 24);
+    ids.push_back(id);
+  }
+  for (size_t i = 0; i < ids.size(); i += 2) EXPECT_TRUE(set.Insert(ids[i]));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(set.Contains(ids[i]), i % 2 == 0) << i;
+  }
+  EXPECT_EQ(set.size(), ids.size() / 2 + 1);
+  for (size_t i = 0; i < ids.size(); i += 4) EXPECT_TRUE(set.Erase(ids[i]));
+  EXPECT_TRUE(set.Erase(zero));
+  EXPECT_FALSE(set.Contains(zero));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(set.Contains(ids[i]), i % 4 == 2) << i;
+  }
+}
+
+// Against std::sort + std::unique: 64-bit and account-sized random ids,
+// duplicate-heavy lists, ids that differ in one digit only (every other
+// pass skipped), and the trivial lists.
+TEST(RadixSortTest, MatchesSortUnique) {
+  Rng rng(77);
+  auto check = [](std::vector<uint64_t> keys) {
+    std::vector<uint64_t> expected = keys;
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    RadixSortUnique(&keys);
+    EXPECT_EQ(keys, expected);
+  };
+  check({});
+  check({42});
+  check({7, 7, 7});
+  for (size_t n : {2, 100, 8000}) {
+    std::vector<uint64_t> wide, accounts, repeats, one_digit;
+    for (size_t i = 0; i < n; ++i) {
+      wide.push_back(rng.NextU64());
+      accounts.push_back(rng.NextBelow(1'000'001));
+      repeats.push_back(rng.NextBelow(16) << 40 | 3);
+      one_digit.push_back(rng.NextBelow(256) << 16 | 0xab00cd);
+    }
+    check(wide);
+    check(accounts);
+    check(repeats);
+    check(one_digit);
   }
 }
 

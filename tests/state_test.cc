@@ -349,6 +349,176 @@ TEST(SmtTest, MatchesNaiveReferenceRoot) {
   EXPECT_EQ(by_batch.Root(), SparseMerkleTree().Root());
 }
 
+// The benchmark's key shapes: ids up to 1M in one shard of 8 or 32, so
+// every key shares its low 3 or 5 bits. The top 44 levels are one chain,
+// every leaf hangs below a chain of at least `shard_bits` single children,
+// and absent keys routinely leave a chain halfway down.
+class SmtDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SmtDifferentialTest, MatchesNaiveReferenceAtBenchmarkShapes) {
+  const int shard_bits = GetParam();
+  Rng rng(9000 + static_cast<uint64_t>(shard_bits));
+  const uint64_t shard = rng.NextBelow(uint64_t{1} << shard_bits);
+  auto own_id = [&] {
+    return (rng.NextBelow(1'000'001 >> shard_bits) << shard_bits) | shard;
+  };
+  auto account = [&] {
+    return Account{rng.NextU64() % 1'000'000, rng.NextU64() % 100};
+  };
+
+  const NaiveSmt naive;
+  NaiveSmt::Leaves reference;
+  SparseMerkleTree tree;
+  auto apply = [&](const std::vector<std::pair<uint64_t, Bytes>>& writes) {
+    tree.PutBatch(writes);
+    for (const auto& [key, value] : writes) {
+      if (value.empty()) {
+        reference.erase(key);
+      } else {
+        reference[key] = value;
+      }
+    }
+    ASSERT_EQ(tree.Root(), naive.Root(reference));
+    ASSERT_EQ(tree.LeafCount(), reference.size());
+    ASSERT_EQ(tree.NodeCount(),
+              reference.empty() ? 0 : 2 * reference.size() - 1);
+  };
+  auto live_key = [&] {
+    auto it = reference.begin();
+    std::advance(it, rng.NextBelow(reference.size()));
+    return it->first;
+  };
+
+  for (int round = 0; round < 8; ++round) {
+    // Inserts and updates, deletes of live keys (collapsing their parent
+    // branches) and of absent keys (no-ops), and repeated keys.
+    std::vector<std::pair<uint64_t, Bytes>> writes;
+    for (int i = 0; i < 300; ++i) {
+      const double r = rng.NextDouble();
+      if (r < 0.15 && !reference.empty()) {
+        writes.emplace_back(live_key(), Bytes());
+      } else if (r < 0.2) {
+        writes.emplace_back(own_id(), Bytes());
+      } else if (r < 0.35 && !reference.empty()) {
+        writes.emplace_back(live_key(), EncodeAccount(account()));
+      } else {
+        writes.emplace_back(own_id(), EncodeAccount(account()));
+      }
+    }
+    writes.emplace_back(writes.front().first, EncodeAccount(account()));
+    apply(writes);
+    ASSERT_FALSE(reference.empty());
+
+    // Proofs against the checked root: live keys, absent own-shard keys
+    // (next to live ones and at random), keys of the other shards (they
+    // leave a leaf's low-bit chain) and keys past 1M (they leave the top
+    // chain).
+    const Hash256 root = tree.Root();
+    for (int i = 0; i < 40; ++i) {
+      const uint64_t key = live_key();
+      EXPECT_TRUE(SparseMerkleTree::Verify(root, key, reference.at(key),
+                                           tree.Prove(key)));
+      std::vector<uint64_t> absent{key + (uint64_t{1} << shard_bits),
+                                   key ^ (uint64_t{1} << shard_bits),
+                                   key ^ 1, own_id(), rng.NextU64(),
+                                   uint64_t{1} << 40 | shard};
+      for (uint64_t a : absent) {
+        if (reference.count(a) > 0) continue;
+        EXPECT_TRUE(SparseMerkleTree::Verify(root, a, ByteView(),
+                                             tree.Prove(a)))
+            << a;
+      }
+    }
+  }
+
+  // A stateless view: present and absent keys whose proofs overlap (pairs
+  // one shard stride apart share all but their last levels), injected in
+  // random order so later proofs expand earlier proofs' stubs.
+  std::vector<uint64_t> touched;
+  for (int i = 0; i < 60; ++i) {
+    const uint64_t key = live_key();
+    touched.push_back(key);
+    touched.push_back(key + (uint64_t{1} << shard_bits));
+    touched.push_back(key ^ (uint64_t{4} << shard_bits));
+    touched.push_back(own_id());
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (size_t i = touched.size(); i > 1; --i) {
+    std::swap(touched[i - 1], touched[rng.NextBelow(i)]);
+  }
+  const Hash256 root = tree.Root();
+  PartialState partial(shard_bits, static_cast<uint32_t>(shard), root);
+  SparseMerkleTree proven;
+  for (uint64_t key : touched) {
+    auto it = reference.find(key);
+    const bool present = it != reference.end();
+    const Bytes value = present ? it->second : Bytes();
+    const MerkleProof proof = tree.Prove(key);
+    ASSERT_TRUE(partial
+                    .AddOwnAccount(key, present,
+                                   present ? *DecodeAccount(value) : Account{},
+                                   proof)
+                    .ok())
+        << key;
+    ASSERT_TRUE(proven.InjectProof(key, value, proof, root).ok()) << key;
+  }
+  ASSERT_EQ(partial.ShardRoot(static_cast<uint32_t>(shard)), root);
+  ASSERT_EQ(proven.Root(), root);
+  // The partial tree proves every injected key exactly as the full one.
+  for (uint64_t key : touched) {
+    EXPECT_EQ(proven.Prove(key).siblings, tree.Prove(key).siblings) << key;
+  }
+
+  // Write every touched key (creating the absent ones), one twice.
+  std::vector<std::pair<AccountId, Account>> account_writes;
+  for (uint64_t key : touched) account_writes.emplace_back(key, account());
+  account_writes.emplace_back(touched.front(), account());
+  std::vector<std::pair<uint64_t, Bytes>> writes;
+  for (const auto& [key, value] : account_writes) {
+    writes.emplace_back(key, EncodeAccount(value));
+  }
+  partial.PutAccountBatch(static_cast<uint32_t>(shard), account_writes);
+  proven.PutBatch(writes);
+  apply(writes);
+  EXPECT_EQ(partial.ShardRoot(static_cast<uint32_t>(shard)), tree.Root());
+  EXPECT_EQ(proven.Root(), tree.Root());
+
+  // Delete everything in one batch: back to the empty root and no records.
+  writes.clear();
+  for (const auto& [key, value] : reference) writes.emplace_back(key, Bytes());
+  apply(writes);
+  EXPECT_EQ(tree.Root(), SparseMerkleTree().Root());
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardBits, SmtDifferentialTest,
+                         ::testing::Values(3, 5));
+
+TEST(SmtTest, FullTreeHoldsTwoRecordsPerLeaf) {
+  // A full tree of n leaves stores n leaf and n - 1 branch records, however
+  // it got there: batched inserts, single puts and collapsing deletes.
+  Rng rng(404);
+  SparseMerkleTree tree;
+  std::vector<std::pair<uint64_t, Bytes>> writes;
+  for (int i = 0; i < 20'000; ++i) {
+    writes.emplace_back((rng.NextBelow(1'000'001 >> 3) << 3) | 5,
+                        ToBytes("v"));
+  }
+  tree.PutBatch(writes);
+  ASSERT_GT(tree.LeafCount(), 18'000u);
+  EXPECT_EQ(tree.NodeCount(), 2 * tree.LeafCount() - 1);
+  for (size_t i = 0; i < writes.size(); i += 3) {
+    tree.Delete(writes[i].first);
+  }
+  tree.Put(~uint64_t{0}, ToBytes("far"));
+  EXPECT_EQ(tree.NodeCount(), 2 * tree.LeafCount() - 1);
+  // Freed records are reused, so the allocation stays near its peak.
+  const size_t bytes = tree.MemoryBytes();
+  tree.PutBatch(writes);
+  EXPECT_EQ(tree.NodeCount(), 2 * tree.LeafCount() - 1);
+  EXPECT_LE(tree.MemoryBytes(), bytes + bytes / 2);
+}
+
 TEST(ShardedStateTest, AccountsRouteToTheirShard) {
   ShardedState st(2);  // 4 shards.
   st.PutAccount(0b100, {10, 0});  // Shard 0.
