@@ -95,6 +95,24 @@ run_suite() {
     --dissemination=tree \
     --out="$dir"/soak_tree_smoke.json | grep -q 'OK: zero invariant violations'
   grep -q '"violations":\[\]' "$dir"/soak_tree_smoke.json
+  epoch_churn_soak "$dir"
+}
+
+# Epoch-churn soak smoke, direct and over relay trees: two-round epochs at
+# 20 tps under the same faults and adversary, so the leader hand-off
+# (coordinator, locked S-sets, bundle and exec-result pools) runs about 140
+# times per deployment with batches in flight. Must end violation-free.
+epoch_churn_soak() {
+  local dir="$1"
+  for diss in direct tree; do
+    "$dir"/bench/soak --rounds=300 --epoch-length=2 --seed=3 --tps=20 \
+      --faults='loss:0.02,dup:0.02,jitter:300' \
+      --adversary='stateless:equivocate,storage:withhold' \
+      --dissemination="$diss" \
+      --out="$dir"/soak_epoch_$diss.json |
+      grep -q 'OK: zero invariant violations'
+    grep -q '"violations":\[\]' "$dir"/soak_epoch_$diss.json
+  done
 }
 
 echo "== plain build + ctest =="
@@ -122,6 +140,9 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure \
       -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256|Smt|ShardedState|Epoch|FaultInjection|Soak'
+  PORYGON_THREADS=4 \
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+    epoch_churn_soak build-tsan
 fi
 
 echo "check.sh: all suites passed"

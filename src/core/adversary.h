@@ -104,7 +104,7 @@ class AdversaryController {
 
   /// Strategy per stateless node index. `order` is the node indices
   /// sorted ascending by sortition for the draw in force (genesis, or an
-  /// epoch boundary's re-draw — see PorygonSystem::ReconfigureEpoch; the
+  /// epoch boundary's re-draw — see PorygonSystem::SeatOc; the
   /// first oc_size entries form the ordering committee); `leader_idx` is
   /// never corrupted so the honest-leader chain is byte-comparable to the
   /// clean run. The OC share of the budget (floor(alpha * oc_size))

@@ -67,7 +67,6 @@ class CrossShardCoordinator {
   bool IsLocked(state::AccountId account) const {
     return locks_.Find(account) != nullptr;
   }
-  size_t LockedCount() const { return locks_.size(); }
 
   /// Consumes the S sets returned by every shard's Single-Shard Execution
   /// for batch `round`, storing pre-images (`old_values`, captured by the

@@ -44,16 +44,13 @@ void MergeWitnessed(std::map<std::string, WitnessedBlock>* merged,
 StatelessNodeActor::StatelessNodeActor(PorygonSystem* system, int index,
                                        net::NodeId net_id,
                                        crypto::KeyPair keys,
-                                       std::vector<net::NodeId> storages,
-                                       AdvStrategy strategy, bool in_oc)
+                                       std::vector<net::NodeId> storages)
     : system_(system),
+      obs_(system->instruments()),
       index_(index),
       net_id_(net_id),
       keys_(std::move(keys)),
-      storages_(std::move(storages)),
-      strategy_(strategy),
-      ever_malicious_(strategy != AdvStrategy::kHonest),
-      in_oc_(in_oc) {
+      storages_(std::move(storages)) {
   heard_at_.assign(storages_.size(), 0);
   // Arm the round watchdog from birth: a node whose very first NewRound is
   // lost would otherwise never learn a round started and stay dark forever
@@ -63,7 +60,6 @@ StatelessNodeActor::StatelessNodeActor(PorygonSystem* system, int index,
   watchdog_armed_ = true;
   system_->events()->ScheduleAfter(system_->params().storage_watchdog_us,
                                    [this] { OnWatchdog(); });
-  if (in_oc_) AdoptCoordinator(nullptr);
 }
 
 uint64_t StatelessNodeActor::StorageFootprintBytes() const {
@@ -71,7 +67,7 @@ uint64_t StatelessNodeActor::StorageFootprintBytes() const {
   // witnessed blocks (pruned after their execution round). The block is
   // counted at its encoded size, which its header carries.
   uint64_t bytes = tip_.encoded_size;
-  bytes += system_->oc_keys_.size() * 32;
+  bytes += system_->oc().keys.size() * 32;
   bytes += 32 * system_->num_stateless_nodes();  // Identity registry.
   for (const auto& [key, held] : held_blocks_) {
     bytes += held.header.WireSize() +
@@ -147,14 +143,14 @@ void StatelessNodeActor::OnRequestDeadline(uint64_t req_id) {
       primary_idx_ < heard_at_.size() &&
       heard_at_[primary_idx_] + p.storage_timeout_us <= now;
   if (primary_silent) {
-    system_->obs_.failover_timeouts->Increment();
+    obs_.failover_timeouts->Increment();
     if (++primary_strikes_ >= p.storage_failover_strikes) RotatePrimary();
   }
   // Retransmit through the next connection with exponential backoff. The
   // request cycles through all m links, so a dead or censoring (alive but
   // relay-dropping) storage node is bypassed even when the two cannot be
   // told apart from here.
-  system_->obs_.failover_retransmits->Increment();
+  obs_.failover_retransmits->Increment();
   req.target_idx = (req.target_idx + 1) % storages_.size();
   req.sent_at = now;
   system_->network()->Send(net_id_, storages_[req.target_idx], req.kind,
@@ -183,7 +179,7 @@ void StatelessNodeActor::RotatePrimary() {
   const bool leaving_preferred = primary_idx_ == preferred_idx_;
   if (leaving_preferred) ++preferred_failures_;
   primary_idx_ = (primary_idx_ + 1) % storages_.size();
-  system_->obs_.failover_rotations->Increment();
+  obs_.failover_rotations->Increment();
   obs::Tracer* tracer = system_->tracer();
   if (tracer->enabled()) {
     tracer->Instant(tracer->FaultContext(), "primary_rotation", TraceName());
@@ -233,7 +229,7 @@ void StatelessNodeActor::NoteHeardFrom(net::NodeId from) {
       probe_inflight_ = false;
       probe_chain_active_ = false;
       probes_left_ = 0;
-      system_->obs_.failover_readoptions->Increment();
+      obs_.failover_readoptions->Increment();
       obs::Tracer* tracer = system_->tracer();
       if (tracer->enabled()) {
         tracer->Instant(tracer->FaultContext(), "primary_readoption",
@@ -270,7 +266,7 @@ void StatelessNodeActor::OnWatchdog() {
     RotatePrimary();
   }
   watchdog_resynced_idx_ = static_cast<int>(primary_idx_);
-  system_->obs_.failover_resyncs->Increment();
+  obs_.failover_resyncs->Increment();
   SendResync(storages_[primary_idx_]);
   system_->events()->ScheduleAfter(p.storage_watchdog_us,
                                    [this] { OnWatchdog(); });
@@ -372,7 +368,7 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
   if (round < current_round_) {
     // Strictly behind our tip: a stale (or deliberately stale) reply —
     // e.g. a stale-replying storage node answering a resync with genesis.
-    system_->obs_.rejected_stale_round->Increment();
+    obs_.rejected_stale_round->Increment();
     return;
   }
   if (round == current_round_) return;  // Duplicate delivery.
@@ -440,7 +436,7 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
            std::get<0>(agg_seen_.begin()->first) + 4 < round) {
       agg_seen_.erase(agg_seen_.begin());
     }
-    if (net_id_ == system_->leader_net_id_) {
+    if (net_id_ == system_->oc().leader) {
       // Normal path: propose when the witness bundle arrives
       // (OnWitnessBundle); this deadline is the fallback that keeps
       // liveness when no bundle shows up (empty round).
@@ -481,19 +477,24 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
   assignment_ = Sortition::Assign(system_->provider(), keys_.private_key,
                                   round, tip_.hash, 0.0, 1.0,
                                   system_->params().shard_bits);
+  Announce(round, *assignment_);
+}
+
+void StatelessNodeActor::Announce(uint64_t round,
+                                  const Assignment& assignment) {
   RoleAnnounce announce;
   announce.round = round;
-  announce.role = static_cast<uint8_t>(assignment_->role);
-  announce.shard = assignment_->shard;
-  announce.sortition = assignment_->sortition;
+  announce.role = static_cast<uint8_t>(assignment.role);
+  announce.shard = assignment.shard;
+  announce.sortition = assignment.sortition;
   announce.node_key = keys_.public_key;
-  announce.proof = assignment_->proof;
+  announce.proof = assignment.proof;
   announce.node_id = net_id_;
   SendToAllStorages(kMsgRoleAnnounce, announce.Encode());
 }
 
 // --------------------------------------------------------------------------
-// Epoch reconfiguration (called by PorygonSystem::ReconfigureEpoch)
+// Committee seating (called by PorygonSystem::SeatOc)
 // --------------------------------------------------------------------------
 
 void StatelessNodeActor::ResetInstance() {
@@ -506,22 +507,21 @@ void StatelessNodeActor::ResetInstance() {
   vote_relay_direct_ = false;
 }
 
-void StatelessNodeActor::AdoptCoordinator(
-    std::unique_ptr<CrossShardCoordinator> coordinator) {
-  coordinator_ = coordinator != nullptr
-                     ? std::move(coordinator)
-                     : std::make_unique<CrossShardCoordinator>(
-                           system_->params().shard_bits,
-                           system_->params().cross_shard_retry_rounds);
-  // Bind observability to this owner (a handed-off coordinator still traces
-  // under the outgoing leader's name otherwise).
-  coordinator_->EnableTracing(system_->tracer(), TraceName());
-  coordinator_->set_rejected_counter(system_->obs_.rejected_unlocked_update);
+void StatelessNodeActor::SetStrategy(AdvStrategy strategy) {
+  strategy_ = strategy;
+  if (strategy != AdvStrategy::kHonest) ever_malicious_ = true;
+}
+
+Assignment StatelessNodeActor::DrawOrdering(uint64_t round,
+                                            const crypto::Hash256& tip) const {
+  return Sortition::Assign(system_->provider(), keys_.private_key, round, tip,
+                           1.0, 0.0, 0);
 }
 
 void StatelessNodeActor::RetireFromOc() {
   // Every OC message handler guards on in_oc_, so in-flight committee
-  // traffic addressed to this node is shed harmlessly after the flip.
+  // traffic addressed to this node is shed harmlessly after the flip. A
+  // retiring member is never the leader, so it holds no coordinator.
   in_oc_ = false;
   ResetInstance();
   pending_proposal_ = tx::ProposalBlock{};
@@ -529,31 +529,35 @@ void StatelessNodeActor::RetireFromOc() {
   exec_results_.clear();
   vote_agg_.clear();
   agg_seen_.clear();
-  coordinator_.reset();
   // EC-side state (held_blocks_, exec_task_, assignment_) survives: a
   // drafted-out member may still owe an earlier cohort its execution.
 }
 
-void StatelessNodeActor::JoinOc(
-    std::unique_ptr<CrossShardCoordinator> handoff) {
+void StatelessNodeActor::JoinOc() {
   in_oc_ = true;
   ResetInstance();
   pending_proposal_ = tx::ProposalBlock{};
-  AdoptCoordinator(std::move(handoff));
 }
 
-void StatelessNodeActor::AdoptOcHandoff(
-    const std::map<uint64_t, std::map<std::string, WitnessedBlock>>& bundles,
-    const std::map<std::pair<uint64_t, uint32_t>, PendingExec>& results) {
-  // emplace keeps this node's own copies on conflict: a continuing member
-  // promoted to leader already holds identical content by OC broadcast.
-  for (const auto& [round, blocks] : bundles) {
-    auto& mine = bundles_[round];
-    for (const auto& [id, block] : blocks) mine.emplace(id, block);
+void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing) {
+  if (outgoing == nullptr) {
+    coordinator_ = std::make_unique<CrossShardCoordinator>(
+        system_->params().shard_bits,
+        system_->params().cross_shard_retry_rounds);
+  } else {
+    coordinator_ = std::move(outgoing->coordinator_);
+    for (const auto& [round, blocks] : outgoing->bundles_) {
+      auto& mine = bundles_[round];
+      for (const auto& [id, block] : blocks) mine.emplace(id, block);
+    }
+    for (const auto& [key, pending] : outgoing->exec_results_) {
+      exec_results_.emplace(key, pending);
+    }
   }
-  for (const auto& [key, pending] : results) {
-    exec_results_.emplace(key, pending);
-  }
+  // Bind observability to the new owner (a handed-off coordinator would
+  // otherwise still trace under the outgoing leader's name).
+  coordinator_->EnableTracing(system_->tracer(), TraceName());
+  coordinator_->set_rejected_counter(obs_.rejected_unlocked_update);
 }
 
 // --------------------------------------------------------------------------
@@ -763,7 +767,7 @@ void StatelessNodeActor::OnStateResponse(const net::Message& msg) {
     // tampered snapshot — count it, and re-request from the next
     // connection (bounded by the connection count, so a β-fraction of
     // tampering storage nodes is walked past within one exec phase).
-    system_->obs_.rejected_bad_state_proof->Increment();
+    obs_.rejected_bad_state_proof->Increment();
     obs::Tracer* tracer = system_->tracer();
     if (tracer->enabled()) {
       tracer->Instant(tracer->AdversaryContext(), "bad_state_proof",
@@ -846,9 +850,9 @@ void StatelessNodeActor::RunExecution() {
       result.intra_applied = cached->intra_applied[req.shard];
       result.cross_pre_executed = cached->cross_pre[req.shard];
       computed = true;
-      system_->obs_.cached_exec_hits->Increment();
+      obs_.cached_exec_hits->Increment();
     } else {
-      system_->obs_.cached_exec_misses->Increment();
+      obs_.cached_exec_misses->Increment();
     }
   }
 
@@ -966,7 +970,7 @@ void StatelessNodeActor::CollectExecAttestation(const ExecResultMsg& result) {
   const Bytes enc = out.Encode();
   const obs::TraceContext lane =
       system_->tracer()->RoundContext(result.exec_round);
-  for (net::NodeId oc : system_->oc_net_ids_) {
+  for (net::NodeId oc : system_->oc().ids) {
     system_->network()->Send(net_id_, oc, kMsgAggExecResult, enc,
                              out.WireSize(), lane);
   }
@@ -984,14 +988,14 @@ void StatelessNodeActor::OnWitnessBundle(const net::Message& msg) {
   for (auto& block : bundle->blocks) {
     if (block.header.shard >=
         static_cast<uint32_t>(system_->params().shard_count())) {
-      system_->obs_.rejected_bad_shard->Increment();
+      obs_.rejected_bad_shard->Increment();
       continue;  // Out-of-range shard would index OOB downstream.
     }
     MergeWitnessed(&merged, std::move(block));
   }
   // The leader proposes as soon as last round's witnessed blocks are in
   // hand (its primary ships the converged set once per round).
-  if (net_id_ == system_->leader_net_id_ &&
+  if (net_id_ == system_->oc().leader &&
       bundle->batch_round + 1 == current_round_) {
     MaybePropose();
   }
@@ -1004,12 +1008,12 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
   if (!agg.ok()) return;
   if (agg->shard >=
       static_cast<uint32_t>(system_->params().shard_count())) {
-    system_->obs_.rejected_bad_shard->Increment();
+    obs_.rejected_bad_shard->Increment();
     return;
   }
 
   if (in_oc_) {
-    if (net_id_ != system_->leader_net_id_) return;
+    if (net_id_ != system_->oc().leader) return;
     // Leader side. Equivocation detection is content-hash based: one
     // aggregator, one aggregate per (batch, shard). First-wins mirrors the
     // BA* vote rule, so a tampered second copy becomes evidence, never
@@ -1028,7 +1032,7 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
     auto& merged = bundles_[agg->batch_round];
     for (auto& block : agg->blocks) {
       if (block.header.shard != agg->shard) {
-        system_->obs_.rejected_bad_shard->Increment();
+        obs_.rejected_bad_shard->Increment();
         continue;  // A relay must not smuggle foreign-shard blocks.
       }
       MergeWitnessed(&merged, std::move(block));
@@ -1061,7 +1065,7 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
   wa.senders.insert(msg.from);
   for (auto& block : agg->blocks) {
     if (block.header.shard != agg->shard) {
-      system_->obs_.rejected_bad_shard->Increment();
+      obs_.rejected_bad_shard->Increment();
       continue;
     }
     MergeWitnessed(&wa.blocks, std::move(block));
@@ -1092,7 +1096,7 @@ void StatelessNodeActor::FlushWitnessAgg(uint64_t batch_round,
   for (auto& [id, wb] : it->second.blocks) out.blocks.push_back(wb);
   const obs::TraceContext lane = system_->tracer()->RoundContext(batch_round);
   auto ship = [&](const AggregatedWitness& aw) {
-    system_->network()->Send(net_id_, system_->leader_net_id_, kMsgAggWitness,
+    system_->network()->Send(net_id_, system_->oc().leader, kMsgAggWitness,
                              aw.Encode(), aw.WireSize(), lane);
   };
   ship(out);
@@ -1118,31 +1122,31 @@ void StatelessNodeActor::OnExecResult(const net::Message& msg) {
   if (!result.ok()) return;
   if (result->shard >=
       static_cast<uint32_t>(system_->params().shard_count())) {
-    system_->obs_.rejected_bad_shard->Increment();
+    obs_.rejected_bad_shard->Increment();
     return;
   }
   // Identity check before the (costlier) signature check: a result signed
   // by a key outside the stateless-node registry is an outsider forgery.
-  if (system_->stateless_keys_.count(result->signer) == 0) {
-    system_->obs_.rejected_unknown_signer->Increment();
+  if (!system_->IsStatelessKey(result->signer)) {
+    obs_.rejected_unknown_signer->Increment();
     return;
   }
   // Routed through the batch entry point so the pool covers exec-result
   // verification too (each message arrives as its own event, so batches are
   // singletons here; results match per-item Verify exactly).
-  system_->obs_.runtime_verify_tasks->Increment();
+  obs_.runtime_verify_tasks->Increment();
   if (system_->provider()
           ->VerifyBatch({{result->signer, result->SigningBytes(),
                           result->signature}})
           .front() == 0) {
-    system_->obs_.rejected_bad_exec_sig->Increment();
+    obs_.rejected_bad_exec_sig->Increment();
     return;
   }
   // A full result whose S set does not hash to its own s_hash is
   // internally inconsistent: drop it before it can vote.
   if (result->full &&
       ExecResultMsg::HashSSet(result->s_set) != result->s_hash) {
-    system_->obs_.rejected_s_hash_mismatch->Increment();
+    obs_.rejected_s_hash_mismatch->Increment();
     return;
   }
   if (relay_collect) {
@@ -1152,7 +1156,7 @@ void StatelessNodeActor::OnExecResult(const net::Message& msg) {
   auto& pending =
       exec_results_[{result->exec_round, result->shard}];
   if (!pending.voters.insert(result->signer).second) return;
-  if (net_id_ == system_->leader_net_id_) {
+  if (net_id_ == system_->oc().leader) {
     system_->NoteExecPhaseEnd(result->exec_round);
   }
 
@@ -1173,7 +1177,7 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
   if (!agg.ok()) return;
   if (agg->shard >=
       static_cast<uint32_t>(system_->params().shard_count())) {
-    system_->obs_.rejected_bad_shard->Increment();
+    obs_.rejected_bad_shard->Increment();
     return;
   }
   if (agg->signers.empty() ||
@@ -1181,14 +1185,14 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
     return;
   }
   for (const auto& signer : agg->signers) {
-    if (system_->stateless_keys_.count(signer) == 0) {
-      system_->obs_.rejected_unknown_signer->Increment();
+    if (!system_->IsStatelessKey(signer)) {
+      obs_.rejected_unknown_signer->Increment();
       return;
     }
   }
   if (agg->has_payload &&
       ExecResultMsg::HashSSet(agg->s_set) != agg->s_hash) {
-    system_->obs_.rejected_s_hash_mismatch->Increment();
+    obs_.rejected_s_hash_mismatch->Increment();
     return;
   }
   // One batch verification over the shared member signing bytes: the
@@ -1200,7 +1204,7 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
   for (size_t i = 0; i < agg->signers.size(); ++i) {
     jobs.push_back({agg->signers[i], signing, agg->signatures[i]});
   }
-  system_->obs_.runtime_verify_tasks->Add(jobs.size());
+  obs_.runtime_verify_tasks->Add(jobs.size());
   const std::vector<uint8_t> ok = system_->provider()->VerifyBatch(jobs);
 
   auto& pending = exec_results_[{agg->exec_round, agg->shard}];
@@ -1208,7 +1212,7 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
   int accepted = 0;
   for (size_t i = 0; i < agg->signers.size(); ++i) {
     if (ok[i] == 0) {
-      system_->obs_.rejected_bad_exec_sig->Increment();
+      obs_.rejected_bad_exec_sig->Increment();
       continue;
     }
     if (!pending.voters.insert(agg->signers[i]).second) continue;
@@ -1228,13 +1232,14 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
     payload.cross_pre_executed = agg->cross_pre_executed;
     pending.payloads.emplace(key, std::move(payload));
   }
-  if (net_id_ == system_->leader_net_id_) {
+  if (net_id_ == system_->oc().leader) {
     system_->NoteExecPhaseEnd(agg->exec_round);
   }
 }
 
 void StatelessNodeActor::MaybePropose() {
-  if (!in_oc_ || proposed_this_round_ || decided_hash_.has_value()) return;
+  // Only the leader holds a coordinator, and only the leader proposes.
+  if (!coordinator_ || proposed_this_round_ || decided_hash_) return;
   proposed_this_round_ = true;
   const Params& p = system_->params();
   const uint64_t r = current_round_;
@@ -1274,10 +1279,10 @@ void StatelessNodeActor::MaybePropose() {
       }
       per_block.push_back({&wb, begin, jobs.size() - begin});
     }
-    system_->obs_.runtime_verify_tasks->Add(jobs.size());
+    obs_.runtime_verify_tasks->Add(jobs.size());
     const uint64_t wall_before = system_->task_pool()->wall_us();
     const std::vector<uint8_t> ok = system_->provider()->VerifyBatch(jobs);
-    system_->obs_.runtime_verify_wall_us->Add(static_cast<double>(
+    obs_.runtime_verify_wall_us->Add(static_cast<double>(
         system_->task_pool()->wall_us() - wall_before));
 
     std::vector<const WitnessedBlock*> ordered;
@@ -1317,7 +1322,7 @@ void StatelessNodeActor::MaybePropose() {
 
   // --- Aggregate execution results of exec round r-2 (T and S).
   proposal.shard_roots = tip_.shard_roots.empty()
-                             ? system_->genesis_.shard_roots
+                             ? system_->chain().front().shard_roots
                              : tip_.shard_roots;
   std::vector<std::vector<tx::StateUpdate>> s_sets;
   std::vector<tx::StateUpdate> old_values;
@@ -1419,7 +1424,7 @@ void StatelessNodeActor::MaybePropose() {
 void StatelessNodeActor::StartConsensus(const crypto::Hash256& proposal_hash) {
   if (!ba_) {
     ba_ = std::make_unique<consensus::BaStar>(
-        system_->provider(), keys_, system_->oc_keys_,
+        system_->provider(), keys_, system_->oc().keys,
         [this](const consensus::Vote& v) {
           obs::Tracer* tracer = system_->tracer();
           const obs::TraceContext lane = tracer->RoundContext(v.instance);
@@ -1446,7 +1451,7 @@ void StatelessNodeActor::StartConsensus(const crypto::Hash256& proposal_hash) {
           }
         },
         [this](const consensus::DecisionCert& cert) { OnDecision(cert); });
-    ba_->set_instruments(system_->obs_.consensus);
+    ba_->set_instruments(obs_.consensus);
     ba_->set_evidence_sink(
         [this](const consensus::EquivocationEvidence& ev) {
           system_->adversary()->NoteEvidence("equivocation", TraceName());
@@ -1494,7 +1499,7 @@ void StatelessNodeActor::StartConsensus(const crypto::Hash256& proposal_hash) {
               // delivering quorums: latch back to direct broadcast for the
               // rest of the instance.
               vote_relay_direct_ = true;
-              if (net_id_ == system_->leader_net_id_) {
+              if (net_id_ == system_->oc().leader) {
                 BroadcastToOc(kMsgProposal, pending_proposal_.Encode(),
                               system_->tracer()->RoundContext(round));
               }
@@ -1526,8 +1531,8 @@ void StatelessNodeActor::OnVote(const net::Message& msg) {
   if (!in_oc_) return;
   auto vote = consensus::Vote::Decode(msg.payload);
   if (!vote.ok()) return;
-  if (system_->dissemination().VoteRelay(system_->oc_net_ids_,
-                                         system_->leader_net_id_,
+  if (system_->dissemination().VoteRelay(system_->oc().ids,
+                                         system_->oc().leader,
                                          vote->instance) == net_id_) {
     // Relay duty rides alongside normal counting: pool the vote toward a
     // compact certificate for the rest of the committee.
@@ -1562,7 +1567,7 @@ void StatelessNodeActor::RouteVote(const consensus::Vote& v,
       vote_relay_direct_
           ? net::kInvalidNode
           : system_->dissemination().VoteRelay(
-                system_->oc_net_ids_, system_->leader_net_id_, v.instance);
+                system_->oc().ids, system_->oc().leader, v.instance);
   if (relay == net::kInvalidNode || system_->network()->IsCrashed(relay)) {
     BroadcastToOc(kMsgVote, v.Encode(), lane);
   } else if (relay == net_id_) {
@@ -1581,7 +1586,7 @@ void StatelessNodeActor::CollectVote(const consensus::Vote& v) {
   agg.votes.push_back(v);
   // Same quorum rule as BA* (2f+1 of the committee): one cert carries the
   // whole threshold, so a member counts a full quorum from one message.
-  const size_t quorum = system_->oc_keys_.size() * 2 / 3 + 1;
+  const size_t quorum = system_->oc().keys.size() * 2 / 3 + 1;
   if (agg.votes.size() < quorum) return;
   agg.emitted = true;
   CompactVoteCert cert;
@@ -1593,8 +1598,8 @@ void StatelessNodeActor::CollectVote(const consensus::Vote& v) {
   // set-bit order so receivers can zip them back to their voters.
   std::vector<std::pair<size_t, crypto::Signature>> indexed;
   for (const auto& vote : agg.votes) {
-    for (size_t i = 0; i < system_->oc_keys_.size(); ++i) {
-      if (system_->oc_keys_[i] == vote.voter) {
+    for (size_t i = 0; i < system_->oc().keys.size(); ++i) {
+      if (system_->oc().keys[i] == vote.voter) {
         indexed.push_back({i, vote.signature});
         break;
       }
@@ -1610,7 +1615,7 @@ void StatelessNodeActor::CollectVote(const consensus::Vote& v) {
   const obs::TraceContext lane = system_->tracer()->RoundContext(v.instance);
   // The relay received (and already counted) every individual vote, so the
   // cert only goes out — never back into our own BA* instance.
-  for (net::NodeId oc : system_->oc_net_ids_) {
+  for (net::NodeId oc : system_->oc().ids) {
     if (oc == net_id_) continue;
     system_->network()->Send(net_id_, oc, kMsgVoteCert, enc, cert.WireSize(),
                              lane);
@@ -1622,7 +1627,7 @@ void StatelessNodeActor::OnVoteCert(const net::Message& msg) {
   if (!in_oc_ || !system_->dissemination().tree()) return;
   auto cert = CompactVoteCert::Decode(msg.payload);
   if (!cert.ok()) return;
-  std::vector<consensus::Vote> votes = cert->ToVotes(system_->oc_keys_);
+  std::vector<consensus::Vote> votes = cert->ToVotes(system_->oc().keys);
   if (votes.empty()) return;
   if (!ba_) {
     // Same buffering rule as individual votes that outrun the proposal.
@@ -1677,7 +1682,7 @@ void StatelessNodeActor::PublishDecision() {
   // The leader publishes the committed block (with its certificate) to its
   // first CommitFanout connected storage nodes; gossip spreads it (OnCommit
   // forwards to peers).
-  if (net_id_ != system_->leader_net_id_) return;
+  if (net_id_ != system_->oc().leader) return;
   auto it = proposals_seen_.find(IdKey(cert.value));
   if (it == proposals_seen_.end()) return;
   const Bytes enc = it->second.Encode();

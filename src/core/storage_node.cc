@@ -11,6 +11,7 @@ namespace porygon::core {
 StorageNodeActor::StorageNodeActor(PorygonSystem* system, int index,
                                    net::NodeId net_id, AdvStrategy strategy)
     : system_(system),
+      obs_(system->instruments()),
       index_(index),
       net_id_(net_id),
       strategy_(strategy),
@@ -73,7 +74,8 @@ void StorageNodeActor::OnRoundStart(uint64_t round) {
   const Bytes tip_enc = tip.Encode();
   const obs::TraceContext lane = system_->tracer()->RoundContext(round);
   const net::Dissemination& diss = system_->dissemination();
-  for (const auto& node : system_->stateless_nodes_) {
+  for (int i = 0; i < system_->num_stateless_nodes(); ++i) {
+    const StatelessNodeActor* node = system_->stateless_node(i);
     if (node->primary_storage() != net_id_) continue;
     net->Send(net_id_, node->net_id(), kMsgNewRound, tip_enc,
               diss.RoundStartBytes(node->in_oc(), tip.encoded_size), lane);
@@ -90,9 +92,10 @@ void StorageNodeActor::GossipToPeers(uint16_t inner_kind, const Bytes& payload,
                                      size_t wire_size) {
   net::SimNetwork* net = system_->network();
   const Bytes wrapped = wire::Writer().U16(inner_kind).Blob(payload).Take();
-  for (const auto& peer : system_->storage_nodes_) {
-    if (peer->net_id() == net_id_) continue;
-    net->Send(net_id_, peer->net_id(), kMsgGossip, wrapped, wire_size + 8);
+  for (int i = 0; i < system_->num_storage_nodes(); ++i) {
+    const net::NodeId peer = system_->storage_node(i)->net_id();
+    if (peer == net_id_) continue;
+    net->Send(net_id_, peer, kMsgGossip, wrapped, wire_size + 8);
   }
 }
 
@@ -134,7 +137,7 @@ void StorageNodeActor::OnRoleAnnounce(const net::Message& msg,
   // thresholds with no shard bits.
   const bool ordering = static_cast<Role>(a->role) == Role::kOrdering;
   if (!Sortition::Verify(system_->provider(), a->node_key, a->round,
-                         system_->tip_hash(),
+                         system_->tip().hash,
                          ordering ? 1.0 : 0.0, ordering ? 0.0 : 1.0,
                          ordering ? 0 : system_->params().shard_bits,
                          claimed)) {
@@ -150,9 +153,10 @@ void StorageNodeActor::OnRoleAnnounce(const net::Message& msg,
       a->round == last_distributed_round_ && !withholds_bodies()) {
     auto it = offered_blocks_.find(a->shard);
     if (it != offered_blocks_.end()) {
+      const auto& store = system_->block_store();
       for (const auto& block_id : it->second) {
-        auto stored = system_->block_store_.find(block_id);
-        if (stored == system_->block_store_.end()) continue;
+        auto stored = store.find(block_id);
+        if (stored == store.end()) continue;
         const tx::TransactionBlock& outgoing = stored->second.block;
         system_->network()->Send(net_id_, a->node_id, kMsgTxBlock,
                                  outgoing.Encode(), outgoing.WireSize(),
@@ -168,7 +172,7 @@ void StorageNodeActor::OnRoleAnnounce(const net::Message& msg,
     if (gossip_seen_.insert(key).second) {
       GossipToPeers(kMsgRoleAnnounce, msg.payload, msg.payload.size());
     } else {
-      system_->obs_.gossip_dedup_hits->Increment();
+      obs_.gossip_dedup_hits->Increment();
     }
   }
 }
@@ -181,6 +185,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   const SystemOptions& opt = system_->options();
   net::SimNetwork* net = system_->network();
   const auto* reg = system_->RegistryFor(round);
+  auto& store = system_->block_store();
   const net::Dissemination& diss = system_->dissemination();
   obs::Tracer* tracer = system_->tracer();
   const bool tracing = tracer->enabled();
@@ -208,8 +213,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
         // Sampled transactions close their "submit" (mempool wait) span.
         for (const auto& id : tx_ids) system_->TraceTxPackaged(id, TraceName());
       }
-      system_->block_store_[IdKey(block.header.Id())] =
-          PorygonSystem::StoredBlock{block, round, std::move(tx_ids)};
+      store[IdKey(block.header.Id())] = {block, round, std::move(tx_ids)};
       unlisted_blocks_[IdKey(block.header.Id())] = round;
       fresh.push_back(std::move(block));
     }
@@ -220,10 +224,9 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   // the Cross-Batch Witness path (§IV-C2).
   std::vector<const tx::TransactionBlock*> to_offer;
   for (const auto& b : fresh) {
-    to_offer.push_back(
-        &system_->block_store_[IdKey(b.header.Id())].block);
+    to_offer.push_back(&store[IdKey(b.header.Id())].block);
   }
-  for (auto& [key, stored] : system_->block_store_) {
+  for (auto& [key, stored] : store) {
     if (stored.batch_round + 1 == round &&
         stored.block.header.creator_storage_node ==
             static_cast<uint32_t>(index_) &&
@@ -299,8 +302,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
 
   // --- Push the witnessed bundle of batch round-1 to OC members we serve.
   // Access lists carry the ids hashed at admission (StoredBlock::tx_ids).
-  auto witnessed_block = [](const PorygonSystem::StoredBlock& sb,
-                            const WitnessState& ws) {
+  auto witnessed_block = [](const StoredBlock& sb, const WitnessState& ws) {
     WitnessedBlock wb;
     wb.header = sb.block.header;
     for (const auto& [pk, proof] : ws.proofs) wb.proofs.push_back(proof);
@@ -318,9 +320,9 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
     auto wit = witnessed_by_batch_.find(round - 1);
     if (wit != witnessed_by_batch_.end()) {
       for (const auto& id : wit->second) {
-        auto stored = system_->block_store_.find(IdKey(id));
+        auto stored = store.find(IdKey(id));
         auto wstate = witness_state_.find(IdKey(id));
-        if (stored == system_->block_store_.end() ||
+        if (stored == store.end() ||
             wstate == witness_state_.end()) {
           continue;
         }
@@ -336,9 +338,9 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
     // re-pushing leaves a normal listing time to commit and prune.
     for (auto& [key, last_push] : unlisted_blocks_) {
       if (last_push + 2 > round) continue;
-      auto stored = system_->block_store_.find(key);
+      auto stored = store.find(key);
       auto wstate = witness_state_.find(key);
-      if (stored == system_->block_store_.end() ||
+      if (stored == store.end() ||
           wstate == witness_state_.end() ||
           wstate->second.proofs.size() <
               static_cast<size_t>(p.witness_threshold)) {
@@ -397,7 +399,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
       }
     } else {
       const Bytes enc = bundle.Encode();
-      for (net::NodeId oc : system_->oc_net_ids_) {
+      for (net::NodeId oc : system_->oc().ids) {
         // Only the member's primary storage node ships the bundle.
         const auto* member = system_->StatelessByNetId(oc);
         if (member == nullptr || member->primary_storage() != net_id_) {
@@ -454,17 +456,18 @@ void StorageNodeActor::OnWitnessUpload(const net::Message& msg,
   auto up = WitnessUpload::Decode(msg.payload);
   if (!up.ok()) return;
   const std::string key = IdKey(up->proof.block_id);
-  auto stored = system_->block_store_.find(key);
-  if (stored == system_->block_store_.end()) {
+  const auto& store = system_->block_store();
+  auto stored = store.find(key);
+  if (stored == store.end()) {
     // No such block: a proof over a ghost id (or, benignly, an upload for a
     // block this node pruned/erased around a crash window).
-    system_->obs_.rejected_unknown_block->Increment();
+    obs_.rejected_unknown_block->Increment();
     return;
   }
 
   // Identity check: only registered stateless nodes can witness.
-  if (system_->stateless_keys_.count(up->proof.witness) == 0) {
-    system_->obs_.rejected_unknown_witness->Increment();
+  if (!system_->IsStatelessKey(up->proof.witness)) {
+    obs_.rejected_unknown_witness->Increment();
     return;
   }
 
@@ -472,7 +475,7 @@ void StorageNodeActor::OnWitnessUpload(const net::Message& msg,
   Bytes signing = WitnessSigningBytes(stored->second.block.header);
   if (!system_->provider()->Verify(up->proof.witness, signing,
                                    up->proof.signature)) {
-    system_->obs_.rejected_bad_witness_sig->Increment();
+    obs_.rejected_bad_witness_sig->Increment();
     return;
   }
 
@@ -499,7 +502,7 @@ void StorageNodeActor::OnWitnessUpload(const net::Message& msg,
     if (gossip_seen_.insert(gossip_key).second) {
       GossipToPeers(kMsgWitnessUpload, msg.payload, msg.payload.size());
     } else {
-      system_->obs_.gossip_dedup_hits->Increment();
+      obs_.gossip_dedup_hits->Increment();
     }
   }
 }
@@ -532,7 +535,7 @@ void StorageNodeActor::OnRelay(const net::Message& msg) {
   // echoed back as a full copy — suppress it and answer with a 40-byte
   // digest ack instead, which the failover layer accepts as the same proof
   // of delivery.
-  const std::vector<net::NodeId>& oc_ids = system_->oc_net_ids_;
+  const std::vector<net::NodeId>& oc_ids = system_->oc().ids;
   const bool ack_sender =
       system_->dissemination().AcksOcRelays() &&
       std::find(oc_ids.begin(), oc_ids.end(), msg.from) != oc_ids.end();
@@ -638,11 +641,12 @@ void StorageNodeActor::OnRejoin(uint64_t round) {
       for (const auto& id : shard_list) unlisted_blocks_.erase(IdKey(id));
     }
   }
+  auto& store = system_->block_store();
   for (auto it = unlisted_blocks_.begin(); it != unlisted_blocks_.end();) {
-    auto stored = system_->block_store_.find(it->first);
+    auto stored = store.find(it->first);
     // Blocks pruned from the store are past the pipeline's lookback and
     // unrecoverable; blocks of the still-in-flight batch may yet be listed.
-    if (stored == system_->block_store_.end()) {
+    if (stored == store.end()) {
       it = unlisted_blocks_.erase(it);
       continue;
     }
@@ -661,12 +665,12 @@ void StorageNodeActor::OnRejoin(uint64_t round) {
       continue;
     }
     uint64_t requeued = 0;
-    const PorygonSystem::StoredBlock& sb = stored->second;
+    const StoredBlock& sb = stored->second;
     for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
       if (pool_.Add(sb.block.transactions[i], sb.tx_ids[i])) ++requeued;
     }
-    if (requeued > 0) system_->obs_.failover_requeued_txs->Add(requeued);
-    system_->block_store_.erase(stored);
+    if (requeued > 0) obs_.failover_requeued_txs->Add(requeued);
+    store.erase(stored);
     it = unlisted_blocks_.erase(it);
   }
 
@@ -680,7 +684,7 @@ void StorageNodeActor::OnCommit(const net::Message& msg, bool from_gossip) {
   if (!block.ok()) return;
   std::string key = "cm" + std::to_string(block->round);
   if (!gossip_seen_.insert(key).second) {
-    system_->obs_.gossip_dedup_hits->Increment();
+    obs_.gossip_dedup_hits->Increment();
     return;
   }
 

@@ -408,43 +408,13 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
   }
 
   // --- Stateless nodes ----------------------------------------------------
-  // Genesis sortition decides the stable Ordering Committee: the oc_size
-  // lowest values (the paper lets the OC outlive rotating ECs, §IV-C2).
-  struct Draft {
-    crypto::KeyPair keys;
-    double genesis_sortition;
-  };
-  std::vector<Draft> drafts;
+  // Every key comes off rng_ before any connection draw: interleaving them
+  // would change every seeded deployment.
+  std::vector<crypto::KeyPair> keys;
   for (int i = 0; i < options_.num_stateless_nodes; ++i) {
-    Draft d;
-    d.keys = provider_->GenerateKeyPair(&rng_);
-    auto a = Sortition::Assign(provider_.get(), d.keys.private_key, 0,
-                               crypto::ZeroHash(), 1.0, 0.0, 0);
-    d.genesis_sortition = a.sortition;
-    stateless_keys_.insert(d.keys.public_key);
-    drafts.push_back(std::move(d));
+    keys.push_back(provider_->GenerateKeyPair(&rng_));
+    stateless_keys_.insert(keys.back().public_key);
   }
-  std::vector<int> order(drafts.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return drafts[a].genesis_sortition < drafts[b].genesis_sortition;
-  });
-  std::set<int> oc_set;
-  for (int i = 0;
-       i < static_cast<int>(order.size()) &&
-       static_cast<int>(oc_set.size()) < options_.oc_size;
-       ++i) {
-    oc_set.insert(order[i]);
-  }
-
-  // Leader: the lowest genesis sortition (always an OC member). Chosen
-  // before adversary placement and exempt from it, so the honest-leader
-  // proposal stream — and thus the committed chain — of an adversarial
-  // run is byte-comparable to the adversary-free run with the same seed.
-  const int leader_idx = order.empty() ? 0 : order[0];
-  const std::vector<AdvStrategy> stateless_strategies =
-      adversary_->PlaceStateless(order, options_.oc_size, leader_idx);
-
   for (int i = 0; i < options_.num_stateless_nodes; ++i) {
     net::NodeId nid = built.stateless_ids[static_cast<size_t>(i)];
     // m random storage connections (with one honest among them whp).
@@ -461,39 +431,21 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
     // is detected and rotated away from at runtime (storage-link failover).
     for (int s : chosen) conns.push_back(storage_nodes_[s]->net_id());
 
-    bool in_oc = oc_set.count(i) > 0;
     auto actor = std::make_unique<StatelessNodeActor>(
-        this, i, nid, drafts[i].keys, std::move(conns),
-        stateless_strategies[i], in_oc);
+        this, i, nid, std::move(keys[i]), std::move(conns));
     StatelessNodeActor* raw = actor.get();
     network_->SetHandler(nid,
                          [raw](const net::Message& m) { raw->HandleMessage(m); });
-    if (in_oc) {
-      oc_keys_.push_back(drafts[i].keys.public_key);
-      oc_net_ids_.push_back(nid);
-    }
     stateless_nodes_.push_back(std::move(actor));
   }
 
-  leader_net_id_ = stateless_nodes_[leader_idx]->net_id();
-
-  // Bandwidth-ledger roles, before any traffic flows: the OC leader's
-  // links are where the fan-in bottleneck lives (ROADMAP item 1), so it
-  // gets its own role; storage and non-OC stateless keep their class
-  // names. Roles refine the net.* counter labels and name the link
-  // windows the critical-path analyzer attributes ("oc_leader.downlink").
-  for (net::NodeId nid : oc_net_ids_) {
-    network_->SetNodeRole(nid, nid == leader_net_id_ ? "oc_leader" : "oc");
-  }
+  // Genesis sortition seats the first Ordering Committee before any
+  // traffic flows (the paper lets the OC outlive rotating ECs, §IV-C2).
+  SeatOc(0, crypto::ZeroHash(), 0);
   // Propagation segment: base one-way latency times the store-and-forward
   // hops on the commit chain (round start -> block -> witness upload ->
   // bundle relay x2 -> proposal relay x2 -> vote -> commit).
   critical_path_.SetPropagationModel(options_.params.latency_us, 8);
-
-  genesis_.height = 0;
-  genesis_.round = 0;
-  genesis_.shard_tx_blocks.assign(options_.params.shard_count(), {});
-  genesis_.shard_updates.assign(options_.params.shard_count(), {});
 }
 
 PorygonSystem::~PorygonSystem() {
@@ -570,7 +522,7 @@ Status PorygonSystem::AdmitStamped(const tx::Transaction& t) {
   if (probed == n) {
     return Status::Unavailable("all storage nodes are down");
   }
-  if (!storage_nodes_[home]->pool_.Add(t, id)) {
+  if (!storage_nodes_[home]->Admit(t, id)) {
     return Status::AlreadyExists("duplicate transaction");
   }
   if (tracer_.enabled()) TraceSubmit(id);
@@ -578,23 +530,7 @@ Status PorygonSystem::AdmitStamped(const tx::Transaction& t) {
 }
 
 Status PorygonSystem::SubmitTransaction(tx::Transaction t) {
-  t.submitted_at = static_cast<uint64_t>(events_.now());
-  Status s = AdmitStamped(t);
-  switch (s.code()) {
-    case StatusCode::kOk:
-      obs_.submitted_txs->Increment();
-      break;
-    case StatusCode::kAlreadyExists:
-      obs_.rejected_duplicate->Increment();
-      break;
-    case StatusCode::kUnavailable:
-      obs_.rejected_unavailable->Increment();
-      break;
-    default:
-      obs_.rejected_invalid->Increment();
-      break;
-  }
-  return s;
+  return SubmitBatch({std::move(t)}).front();
 }
 
 std::vector<Status> PorygonSystem::SubmitBatch(
@@ -750,14 +686,12 @@ void PorygonSystem::SettleExecState() {
   cache.s_sets.resize(shards);
   cache.intra_applied.resize(shards);
   cache.cross_pre.resize(shards);
-  cache.failed.resize(shards);
   for (size_t d = 0; d < shards; ++d) {
     ExecutionResult& r = job->results[d];
     cache.roots[d] = r.shard_root;
     cache.s_sets[d] = std::move(r.cross_updates);
     cache.intra_applied[d] = r.intra_applied;
     cache.cross_pre[d] = r.cross_pre_executed;
-    cache.failed[d] = static_cast<uint32_t>(r.failed.size());
     for (const auto& f : r.failed) {
       cache.failed_ids.Insert(f.id);
     }
@@ -786,132 +720,92 @@ const PorygonSystem::CachedExec* PorygonSystem::SettledExec(
 }
 
 void PorygonSystem::ReconfigureEpoch(uint64_t round) {
-  // Re-run VRF sortition over the committed tip — the §III-B committee
-  // re-formation. Pure function of (tip hash, node keys, adversary spec):
-  // nothing is drawn from rng_, so enabling epochs perturbs no other
-  // randomness and exports stay byte-identical across thread counts.
-  const crypto::Hash256& tip = tip_.hash;
+  // The §III-B committee re-formation: a fresh draw over the committed tip,
+  // with adversary placement re-dealt per epoch ordinal.
+  const std::vector<Assignment> draws =
+      SeatOc(round, tip_.hash, round / options_.epoch_length);
+  // Every member of the new committee re-announces kOrdering over the
+  // network: storage nodes verify the sortition proof against the same tip
+  // and record the membership (and the modeled wire traffic lands in this
+  // round's critical-path window).
+  for (size_t i = 0; i < draws.size(); ++i) {
+    StatelessNodeActor* node = stateless_nodes_[i].get();
+    if (node->in_oc()) node->Announce(round, draws[i]);
+  }
+  obs_.epochs->Increment();
+}
+
+std::vector<Assignment> PorygonSystem::SeatOc(uint64_t round,
+                                              const crypto::Hash256& tip,
+                                              uint64_t epoch) {
+  // Pure function of (tip, node keys, adversary spec): nothing is drawn
+  // from rng_, so epochs perturb no other randomness and exports stay
+  // byte-identical across thread counts.
   const size_t n = stateless_nodes_.size();
   std::vector<Assignment> draws(n);
   std::vector<int> order(n);
   for (size_t i = 0; i < n; ++i) {
-    draws[i] = Sortition::Assign(provider_.get(),
-                                 stateless_nodes_[i]->keys_.private_key,
-                                 round, tip, 1.0, 0.0, 0);
+    draws[i] = stateless_nodes_[i]->DrawOrdering(round, tip);
     order[i] = static_cast<int>(i);
   }
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     return draws[a].sortition < draws[b].sortition;
   });
-  std::set<int> new_oc;
-  for (size_t i = 0; i < order.size() &&
-                     static_cast<int>(new_oc.size()) < options_.oc_size;
-       ++i) {
-    new_oc.insert(order[i]);
-  }
+  const std::set<int> members(order.begin(),
+                              order.begin() + options_.oc_size);
+
+  // Leader: the lowest draw. Chosen before adversary placement and exempt
+  // from it, so the honest-leader proposal stream — and thus the committed
+  // chain — of an adversarial run is byte-comparable to the adversary-free
+  // run with the same seed. Each epoch re-deals the same α budget.
   const int leader_idx = order[0];
-  StatelessNodeActor* new_leader = stateless_nodes_[leader_idx].get();
-
-  StatelessNodeActor* old_leader = nullptr;
-  for (auto& node : stateless_nodes_) {
-    if (node->net_id() == leader_net_id_) {
-      old_leader = node.get();
-      break;
-    }
-  }
-
-  // Re-deal adversary placement for the new membership: same α budget and
-  // placement rules, keyed by the epoch ordinal, with the incoming leader
-  // exempt (the honest proposal stream stays comparable to the clean run).
-  const uint64_t epoch = round / options_.epoch_length;
   const std::vector<AdvStrategy> strategies =
       adversary_->PlaceStateless(order, options_.oc_size, leader_idx, epoch);
   for (size_t i = 0; i < n; ++i) {
-    stateless_nodes_[i]->strategy_ = strategies[i];
-    if (strategies[i] != AdvStrategy::kHonest) {
-      stateless_nodes_[i]->ever_malicious_ = true;
-    }
+    stateless_nodes_[i]->SetStrategy(strategies[i]);
   }
 
-  // Leadership hand-off, captured before membership churn: the outgoing
-  // leader's coordinator carries the locked S-sets and retry bookkeeping
-  // still in flight across the boundary, and its bundle / exec-result
-  // pools cover batches witnessed under the previous committee that the
-  // incoming leader must still list (pipeline depth 3).
-  std::unique_ptr<CrossShardCoordinator> handoff;
-  std::map<uint64_t, std::map<std::string, WitnessedBlock>> handoff_bundles;
-  std::map<std::pair<uint64_t, uint32_t>, StatelessNodeActor::PendingExec>
-      handoff_results;
-  const bool leader_changed =
-      old_leader != nullptr && old_leader != new_leader;
-  if (leader_changed) {
-    handoff = std::move(old_leader->coordinator_);
-    handoff_bundles = old_leader->bundles_;
-    handoff_results = old_leader->exec_results_;
+  // Leadership hand-off, before membership churn retires the outgoing
+  // leader's pools: its coordinator carries the locked S-sets and retry
+  // bookkeeping still in flight across the boundary, and its bundle /
+  // exec-result pools cover batches witnessed under the previous committee
+  // that the incoming leader must still list (pipeline depth 3).
+  StatelessNodeActor* new_leader = stateless_nodes_[leader_idx].get();
+  if (new_leader->net_id() != oc_.leader) {
+    StatelessNodeActor* outgoing = nullptr;  // None at genesis.
+    for (auto& node : stateless_nodes_) {
+      if (node->net_id() == oc_.leader) outgoing = node.get();
+    }
+    new_leader->TakeLeadFrom(outgoing);
   }
 
   // Membership churn. Retiring members shed their OC scratch (their
   // in_oc_ guards then drop stale committee traffic); joiners get fresh
-  // scratch plus a coordinator — the hand-off one for a fresh leader.
+  // scratch. Then the roster in ascending node order, with the
+  // bandwidth-ledger roles: the OC leader's links are where the fan-in
+  // bottleneck lives, so it gets its own role; storage and non-OC
+  // stateless keep their class names. Roles refine the net.* counter
+  // labels and name the link windows the critical-path analyzer
+  // attributes ("oc_leader.downlink").
+  oc_.leader = new_leader->net_id();
+  oc_.keys.clear();
+  oc_.ids.clear();
   for (size_t i = 0; i < n; ++i) {
     StatelessNodeActor* node = stateless_nodes_[i].get();
-    const bool member = new_oc.count(static_cast<int>(i)) > 0;
-    if (node->in_oc_ && !member) {
+    const bool member = members.count(static_cast<int>(i)) > 0;
+    if (node->in_oc() && !member) {
       node->RetireFromOc();
       network_->SetNodeRole(node->net_id(), "stateless");
-    } else if (!node->in_oc_ && member) {
-      std::unique_ptr<CrossShardCoordinator> coord;
-      if (node == new_leader) coord = std::move(handoff);
-      node->JoinOc(std::move(coord));
+    } else if (!node->in_oc() && member) {
+      node->JoinOc();
     }
+    if (!member) continue;
+    oc_.keys.push_back(node->public_key());
+    oc_.ids.push_back(node->net_id());
+    network_->SetNodeRole(node->net_id(),
+                          node == new_leader ? "oc_leader" : "oc");
   }
-  if (handoff != nullptr) {
-    // The incoming leader was already an OC member: swap the hand-off
-    // coordinator in for its own (the locked S-sets live only there).
-    new_leader->AdoptCoordinator(std::move(handoff));
-  }
-  if (leader_changed) {
-    new_leader->AdoptOcHandoff(handoff_bundles, handoff_results);
-    if (old_leader->in_oc_ && old_leader->coordinator_ == nullptr) {
-      // The demoted leader stays a plain member: restore the
-      // every-member-owns-a-coordinator construction invariant.
-      old_leader->AdoptCoordinator(nullptr);
-    }
-  }
-
-  // Canonical committee ordering (ascending node index — the CompactVoteCert
-  // bitmap and BA* quorum math both key off this order), leader identity,
-  // and bandwidth-ledger role labels.
-  oc_keys_.clear();
-  oc_net_ids_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (new_oc.count(static_cast<int>(i)) == 0) continue;
-    oc_keys_.push_back(stateless_nodes_[i]->keys_.public_key);
-    oc_net_ids_.push_back(stateless_nodes_[i]->net_id());
-  }
-  leader_net_id_ = new_leader->net_id();
-  for (net::NodeId nid : oc_net_ids_) {
-    network_->SetNodeRole(nid, nid == leader_net_id_ ? "oc_leader" : "oc");
-  }
-
-  // Every member of the new committee re-announces kOrdering over the
-  // network: storage nodes verify the sortition proof against the same tip
-  // and record the membership (and the modeled wire traffic lands in this
-  // round's critical-path window).
-  for (size_t i = 0; i < n; ++i) {
-    if (new_oc.count(static_cast<int>(i)) == 0) continue;
-    StatelessNodeActor* node = stateless_nodes_[i].get();
-    RoleAnnounce announce;
-    announce.round = round;
-    announce.role = static_cast<uint8_t>(Role::kOrdering);
-    announce.shard = draws[i].shard;
-    announce.sortition = draws[i].sortition;
-    announce.node_key = node->keys_.public_key;
-    announce.proof = draws[i].proof;
-    announce.node_id = node->net_id();
-    node->SendToAllStorages(kMsgRoleAnnounce, announce.Encode());
-  }
-  obs_.epochs->Increment();
+  return draws;
 }
 
 void PorygonSystem::StartRound(uint64_t round) {
@@ -1187,15 +1081,17 @@ void PorygonSystem::Run(int rounds, net::SimTime max_sim_time) {
   if (!started_) {
     started_ = true;
     // Seal genesis with the funded state.
-    genesis_.shard_roots.clear();
+    tx::ProposalBlock genesis;
+    genesis.shard_tx_blocks.assign(options_.params.shard_count(), {});
+    genesis.shard_updates.assign(options_.params.shard_count(), {});
     for (int d = 0; d < options_.params.shard_count(); ++d) {
-      genesis_.shard_roots.push_back(exec_state_->ShardRoot(d));
+      genesis.shard_roots.push_back(exec_state_->ShardRoot(d));
     }
-    genesis_.state_root = exec_state_->GlobalRoot();
-    genesis_.ordering_threshold = options_.params.ordering_fraction;
-    genesis_.execution_threshold = options_.params.execution_fraction;
-    chain_.push_back(genesis_);
-    tip_ = TipHeader::Of(genesis_);
+    genesis.state_root = exec_state_->GlobalRoot();
+    genesis.ordering_threshold = options_.params.ordering_fraction;
+    genesis.execution_threshold = options_.params.execution_fraction;
+    tip_ = TipHeader::Of(genesis);
+    chain_.push_back(std::move(genesis));
     commit_times_[0] = events_.now();
     round_scheduled_ = true;
     events_.ScheduleAfter(options_.params.reconfig_interval_us, [this] {
@@ -1226,16 +1122,12 @@ Status PorygonSystem::InjectFaults(const net::FaultPlan& plan) {
       plan, network_.get(), &metrics_registry_, &tracer_,
       [this](net::NodeId node, bool crashed) {
         if (crashed) {
-          CrashNode(node);
+          network_->SetCrashed(node, true);
         } else {
           RecoverNode(node);
         }
       });
   return Status::Ok();
-}
-
-void PorygonSystem::CrashNode(net::NodeId node) {
-  network_->SetCrashed(node, true);
 }
 
 void PorygonSystem::RecoverNode(net::NodeId node) {

@@ -49,9 +49,10 @@ struct SystemOptions {
   Params params;
   int num_storage_nodes = 2;
   int num_stateless_nodes = 100;
-  /// Fixed Ordering Committee size, drawn from the lowest genesis-VRF
-  /// sortition values. The paper lets the OC outlive ECs (§IV-C2); this
-  /// implementation keeps one OC for the run and rotates ECs every round.
+  /// Fixed Ordering Committee size, drawn from the lowest VRF sortition
+  /// values. The paper lets the OC outlive ECs (§IV-C2); this
+  /// implementation keeps one OC per epoch (for the whole run when
+  /// epoch_length is 0) and rotates ECs every round.
   int oc_size = 10;
   /// Transaction blocks each storage node packages per shard per round.
   size_t blocks_per_shard_round = 2;
@@ -171,6 +172,88 @@ class SystemMetrics {
   const obs::MetricsRegistry* registry_;
 };
 
+/// Hot-path instrument pointers into a deployment's registry, resolved once
+/// when the deployment is built so actors record without registry lookups.
+struct Instruments {
+  obs::Counter* submitted_txs = nullptr;
+  obs::Counter* rejected_duplicate = nullptr;
+  obs::Counter* rejected_invalid = nullptr;
+  obs::Counter* committed_intra = nullptr;
+  obs::Counter* committed_cross = nullptr;
+  obs::Counter* discarded_txs = nullptr;
+  obs::Counter* failed_txs = nullptr;
+  obs::Counter* committed_blocks = nullptr;
+  obs::Counter* empty_rounds = nullptr;
+  obs::Counter* replay_mismatches = nullptr;
+  obs::Counter* gossip_dedup_hits = nullptr;
+  obs::Counter* cached_exec_hits = nullptr;
+  obs::Counter* cached_exec_misses = nullptr;
+  obs::Counter* rejected_unavailable = nullptr;
+  // Protocol-side hardening: reason-labelled `core.rejected{reason}`
+  // rejections of forged / tampered / stale inputs. All zero in honest
+  // runs except stale_round (benign duplicate deliveries) and
+  // unknown_block (witness uploads racing a rejoin requeue).
+  obs::Counter* rejected_bad_witness_sig = nullptr;
+  obs::Counter* rejected_unknown_witness = nullptr;
+  obs::Counter* rejected_unknown_block = nullptr;
+  obs::Counter* rejected_bad_exec_sig = nullptr;
+  obs::Counter* rejected_unknown_signer = nullptr;
+  obs::Counter* rejected_s_hash_mismatch = nullptr;
+  obs::Counter* rejected_bad_state_proof = nullptr;
+  obs::Counter* rejected_stale_round = nullptr;
+  obs::Counter* rejected_bad_shard = nullptr;
+  obs::Counter* rejected_unlocked_update = nullptr;
+  // Storage-link failover (stateless-node health model).
+  obs::Counter* failover_timeouts = nullptr;
+  obs::Counter* failover_retransmits = nullptr;
+  obs::Counter* failover_rotations = nullptr;
+  obs::Counter* failover_resyncs = nullptr;
+  obs::Counter* failover_readoptions = nullptr;
+  obs::Counter* failover_requeued_txs = nullptr;
+  obs::Counter* storage_rejoins = nullptr;
+  /// Completed committee reconfigurations (`core.epochs`); 0 when
+  /// epoch_length is 0.
+  obs::Counter* epochs = nullptr;
+  // Compute-pool fan-out (index counts: deterministic for any thread
+  // count). Wall-clock time lives in volatile gauges, off the exports.
+  obs::Counter* runtime_exec_tasks = nullptr;
+  obs::Counter* runtime_accounts_tasks = nullptr;
+  obs::Counter* runtime_verify_tasks = nullptr;
+  // Volatile (never exported), one per phase. The exec phase counts only
+  // event-loop time in the launch and the settle: the exposed cost, not
+  // the pool time that overlaps the loop.
+  obs::Gauge* runtime_exec_wall_us = nullptr;
+  obs::Gauge* runtime_accounts_wall_us = nullptr;
+  obs::Gauge* runtime_verify_wall_us = nullptr;
+  obs::Histogram* block_latency = nullptr;
+  obs::Histogram* commit_latency = nullptr;
+  obs::Histogram* user_latency = nullptr;
+  obs::Histogram* phase_witness = nullptr;
+  obs::Histogram* phase_ordering = nullptr;
+  obs::Histogram* phase_execution = nullptr;
+  obs::Histogram* phase_commit = nullptr;
+  consensus::BaStar::Instruments consensus;
+};
+
+/// A packaged transaction block in the shared block store. `tx_ids[i]` is
+/// `block.transactions[i].Id()`, computed once at admission and reused by
+/// every host-side reader (bundles, execution inputs, commit accounting)
+/// instead of re-hashing the body.
+struct StoredBlock {
+  tx::TransactionBlock block;
+  uint64_t batch_round;
+  std::vector<tx::TxId> tx_ids;
+};
+
+/// The current Ordering Committee: its leader and its members in ascending
+/// node order (the CompactVoteCert bitmap and BA* quorum math both key off
+/// this order), public keys and network ids index-aligned.
+struct OcRoster {
+  net::NodeId leader = net::kInvalidNode;
+  std::vector<crypto::PublicKey> keys;
+  std::vector<net::NodeId> ids;
+};
+
 /// A storage node: holds the full state and the block store, packages
 /// transaction blocks, routes stateless-node traffic, collects witness
 /// proofs, serves state downloads, and applies committed blocks (§IV-B1).
@@ -191,15 +274,17 @@ class StorageNodeActor {
   /// bookkeeping; durable state survived in db_/block store).
   void OnRejoin(uint64_t round);
 
+  /// Client admission into this node's mempool; false for a duplicate.
+  /// `id` is `t.Id()`, already computed by the caller.
+  bool Admit(const tx::Transaction& t, const tx::TxId& id) {
+    return pool_.Add(t, id);
+  }
+
   int index() const { return index_; }
   net::NodeId net_id() const { return net_id_; }
-  bool malicious() const { return strategy_ != AdvStrategy::kHonest; }
-  AdvStrategy strategy() const { return strategy_; }
   size_t pool_pending() const { return pool_.PendingTotal(); }
 
  private:
-  friend class PorygonSystem;
-
   void OnSubmitTx(const net::Message& msg);
   void OnWitnessUpload(const net::Message& msg, bool from_gossip);
   void OnRelay(const net::Message& msg);
@@ -230,6 +315,7 @@ class StorageNodeActor {
   bool stale_replies() const { return strategy_ == AdvStrategy::kStaleReply; }
 
   PorygonSystem* system_;
+  const Instruments& obs_;
   int index_;
   net::NodeId net_id_;
   AdvStrategy strategy_;
@@ -280,9 +366,9 @@ class StorageNodeActor {
 /// orders (if OC), executes (ESC), and votes.
 class StatelessNodeActor {
  public:
+  /// Starts honest and outside the OC; PorygonSystem::SeatOc places it.
   StatelessNodeActor(PorygonSystem* system, int index, net::NodeId net_id,
-                     crypto::KeyPair keys, std::vector<net::NodeId> storages,
-                     AdvStrategy strategy, bool in_oc);
+                     crypto::KeyPair keys, std::vector<net::NodeId> storages);
 
   void HandleMessage(const net::Message& msg);
   /// Storage primary told us round tip.round + 1 started; `tip` is the
@@ -299,21 +385,44 @@ class StatelessNodeActor {
     return storages_.empty() ? net::kInvalidNode : storages_[primary_idx_];
   }
   bool in_oc() const { return in_oc_; }
-  bool malicious() const { return strategy_ != AdvStrategy::kHonest; }
   /// True if any epoch's placement ever corrupted this node. Evidence
   /// records outlive re-deals, so "evidence only against malicious nodes"
   /// must be judged against the whole history, not the current strategy.
   bool ever_malicious() const { return ever_malicious_; }
-  AdvStrategy strategy() const { return strategy_; }
   /// Modeled storage footprint in bytes (Fig 9a): latest proposal block (at
   /// its encoded size), committee public keys, and transiently-held
   /// witnessed block bodies.
   uint64_t StorageFootprintBytes() const;
   uint64_t current_round() const { return current_round_; }
 
- private:
-  friend class PorygonSystem;
+  // --- Committee seating (driven by PorygonSystem::SeatOc) ---------------
+  /// Installs this epoch's adversary placement for the node.
+  void SetStrategy(AdvStrategy strategy);
+  /// This node's ordering-committee sortition for `round` over `tip`: every
+  /// draw is kOrdering in shard 0, ranked by its sortition value.
+  Assignment DrawOrdering(uint64_t round, const crypto::Hash256& tip) const;
+  /// Announces `assignment` for `round` to every storage connection, which
+  /// verifies the sortition proof and registers the role.
+  void Announce(uint64_t round, const Assignment& assignment);
+  /// Drops out of the ordering committee: clears every piece of OC scratch
+  /// (consensus instance, vote buffers, bundles, exec-result pools, relay
+  /// aggregation state). EC-side state (held blocks, a pending exec task,
+  /// the current assignment) survives — a drafted-out member may still owe
+  /// an earlier cohort its execution.
+  void RetireFromOc();
+  /// Joins the ordering committee with fresh OC scratch. The re-announce is
+  /// sent separately (Announce).
+  void JoinOc();
+  /// Takes over as OC leader, the only node that holds a
+  /// CrossShardCoordinator: `outgoing`'s, with its locked S-sets and retry
+  /// bookkeeping in flight across the boundary, or a fresh one when null
+  /// (genesis). Merges `outgoing`'s witnessed bundles and exec-result pools
+  /// so this node can still list batches witnessed, and aggregate results
+  /// produced, under the previous leader; its own entries win conflicts
+  /// (a continuing member already holds identical content by broadcast).
+  void TakeLeadFrom(StatelessNodeActor* outgoing);
 
+ private:
   // --- EC paths ---------------------------------------------------------
   void OnTxBlock(const net::Message& msg);
   void OnExecRequest(const net::Message& msg);
@@ -379,35 +488,10 @@ class StatelessNodeActor {
   void SendToAllStorages(uint16_t kind, const Bytes& payload,
                          size_t wire_size = 0, obs::TraceContext trace = {});
 
-  // --- Epoch reconfiguration (driven by PorygonSystem::ReconfigureEpoch) --
-  struct PendingExec;  // Defined in the OC-state section below.
   /// Clears the per-instance consensus scratch (BA* instance, early votes,
   /// proposals seen, the decision, the vote-relay latch). The leader's
   /// pending_proposal_ is left alone: MaybePropose overwrites it.
   void ResetInstance();
-  /// Installs `coordinator` (a fresh one when null) and binds its tracing
-  /// and rejected-update counter to this node.
-  void AdoptCoordinator(std::unique_ptr<CrossShardCoordinator> coordinator);
-  /// Drops out of the ordering committee: clears every piece of OC scratch
-  /// (consensus instance, vote buffers, bundles, exec-result pools, relay
-  /// aggregation state) and releases the coordinator. EC-side state
-  /// (held blocks, a pending exec task, the current assignment) survives —
-  /// a drafted-out member may still owe an earlier cohort its execution.
-  void RetireFromOc();
-  /// Joins the ordering committee: fresh OC scratch plus a coordinator —
-  /// `handoff` (the outgoing leader's, with its locked S-sets and retry
-  /// bookkeeping in flight across the boundary) when this node is the
-  /// incoming leader, or a newly-built one otherwise. ReconfigureEpoch
-  /// sends the kOrdering re-announce separately.
-  void JoinOc(std::unique_ptr<CrossShardCoordinator> handoff);
-  /// Leader-to-leader state hand-off across an epoch boundary: merges the
-  /// outgoing leader's witnessed bundles and exec-result pools so the
-  /// incoming leader can still propose listings for batches witnessed —
-  /// and results produced — under the previous committee.
-  void AdoptOcHandoff(
-      const std::map<uint64_t, std::map<std::string, WitnessedBlock>>&
-          bundles,
-      const std::map<std::pair<uint64_t, uint32_t>, PendingExec>& results);
 
   // --- Storage-link failover (runtime health model) -----------------------
   // Storage-bound requests (relays, state requests) carry a per-request
@@ -430,13 +514,14 @@ class StatelessNodeActor {
   std::string TraceName() const { return "node" + std::to_string(index_); }
 
   PorygonSystem* system_;
+  const Instruments& obs_;
   int index_;
   net::NodeId net_id_;
   crypto::KeyPair keys_;
   std::vector<net::NodeId> storages_;  // m connections; [0] is primary.
-  AdvStrategy strategy_;
+  AdvStrategy strategy_ = AdvStrategy::kHonest;
   bool ever_malicious_ = false;
-  bool in_oc_;
+  bool in_oc_ = false;
 
   uint64_t current_round_ = 0;
   net::SimTime session_end_ = net::kSimTimeNever;  // Churn (Fig 8d).
@@ -627,12 +712,6 @@ class PorygonSystem {
   /// call and kInvalidArgument for an empty plan.
   Status InjectFaults(const net::FaultPlan& plan);
 
-  /// Crash semantics for storage nodes: the network drops their traffic
-  /// while crashed; recovery puts them back and has them catch up on the
-  /// committed tip (OnRejoin). Stateless ids only toggle the network flag.
-  void CrashNode(net::NodeId node);
-  void RecoverNode(net::NodeId node);
-
   SystemMetrics metrics() const { return SystemMetrics(&metrics_registry_); }
   /// The registry every layer of this deployment records into (network,
   /// consensus, storage engines, pipeline actors).
@@ -657,8 +736,6 @@ class PorygonSystem {
   /// Header of chain().back(), built once when the block is appended: what
   /// storage nodes send stateless nodes at each round start.
   const TipHeader& tip() const { return tip_; }
-  /// Hash of chain().back() (tip().hash).
-  const crypto::Hash256& tip_hash() const { return tip_.hash; }
   /// The canonical state between Run() calls: Run() settles the launched
   /// execution before it returns, so no pool thread is writing it then.
   const state::ShardedState& canonical_state() const { return *exec_state_; }
@@ -713,21 +790,88 @@ class PorygonSystem {
   };
   TxIdAudit AuditStoredTxIds() const;
 
- private:
-  friend class StorageNodeActor;
-  friend class StatelessNodeActor;
+  /// The run's flow shape: every relay election and per-mode fact.
+  const net::Dissemination& dissemination() const { return dissemination_; }
 
-  // --- Shared infrastructure accessed by actors --------------------------
-  // `tx_ids[i]` is `block.transactions[i].Id()`, computed once at admission
-  // and reused by every host-side reader (bundles, execution inputs, commit
-  // accounting) instead of re-hashing the body.
-  struct StoredBlock {
-    tx::TransactionBlock block;
-    uint64_t batch_round;
-    std::vector<tx::TxId> tx_ids;
+  // --- Actor interface ---------------------------------------------------
+  // What storage and stateless nodes call on their deployment, beside the
+  // accessors above (network, events, tracer, provider, adversary, options,
+  // chain, tip and the node lookups). Neither side reads the other's
+  // fields: the actors reach the system only through these methods, and
+  // the system drives the actors only through their public methods.
+
+  /// The hot-path instruments every actor records into.
+  const Instruments& instruments() const { return obs_; }
+  /// The current Ordering Committee, re-seated at each epoch boundary.
+  const OcRoster& oc() const { return oc_; }
+  /// True for a registered stateless identity: witness proofs and exec
+  /// results from any other key are rejected before signature checks.
+  bool IsStatelessKey(const crypto::PublicKey& key) const {
+    return stateless_keys_.count(key) > 0;
+  }
+  /// Block store shared by honest storage nodes (replication elided),
+  /// keyed by IdKey(block id).
+  std::unordered_map<std::string, StoredBlock>& block_store() {
+    return block_store_;
+  }
+
+  // Committee registry (as known to storage nodes via announcements; kept
+  // centrally because honest storage nodes converge on it within a hop).
+  struct RoundRegistry {
+    std::vector<net::NodeId> oc_members;
+    std::map<uint32_t, std::vector<net::NodeId>> ec_by_shard;
   };
+  void RegisterAnnounce(const RoleAnnounce& announce);
+  const RoundRegistry* RegistryFor(uint64_t round) const;
 
-  // Block store shared by honest storage nodes (replication elided).
+  // One exec round's canonical results per shard, computed once when the
+  // state advances (fast mode) or verified against (faithful).
+  struct CachedExec {
+    std::vector<crypto::Hash256> roots;
+    std::vector<std::vector<tx::StateUpdate>> s_sets;
+    std::vector<uint32_t> intra_applied;
+    std::vector<uint32_t> cross_pre;
+    FlatSet<DigestKey> failed_ids;  // Probed, never iterated.
+  };
+  /// The settling accessors: each joins the launched execution and
+  /// publishes its results first, so no reader can see the canonical state
+  /// or the cache while pool threads are still writing them.
+  const state::ShardedState& SettledState();
+  /// The cached results of `exec_round`, or nullptr.
+  const CachedExec* SettledExec(uint64_t exec_round);
+
+  /// A storage node applied a committed proposal block: the first receipt
+  /// appends it to the chain, accounts its batch and schedules the next
+  /// round.
+  void OnBlockCommitted(const tx::ProposalBlock& block, net::SimTime when);
+
+  // Phase-duration recording: witness when blocks reach Tw, ordering at the
+  // leader's BA* decision, commit from decision to block application,
+  // execution via a PhaseTimer spanning exec-request fan-out to the first
+  // result back at the leader. All in sim time.
+  void RecordWitnessReached(uint64_t batch_round);
+  void RecordOrderingDecision(uint64_t round);
+  void NoteExecPhaseStart(uint64_t exec_round);
+  void NoteExecPhaseEnd(uint64_t exec_round);
+
+  /// Appends one equivocation-evidence record (called from honest OC
+  /// members' BA★ evidence sinks; bounded so a vote-spamming adversary
+  /// cannot grow memory without limit).
+  void RecordEquivocationEvidence(const consensus::EquivocationEvidence& ev);
+
+  // Transaction-lifecycle trace hooks (see TxTraceState below): no-ops for
+  // untraced transactions; actors call them only when tracing is enabled.
+  void TraceTxPackaged(const tx::TxId& id, const std::string& node);
+  void TraceBlockWitnessed(const tx::BlockId& block_id,
+                           const std::string& node);
+  void TraceTxOrdered(const tx::TxId& id, uint64_t listing_round,
+                      bool accepted, const std::string& node);
+
+ private:
+  /// The fault plan's recovery hook: puts `node` back on the network, and
+  /// a storage node then catches up on the committed tip (OnRejoin).
+  void RecoverNode(net::NodeId node);
+
   std::unordered_map<std::string, StoredBlock> block_store_;
 
   // Canonical execution state (honest storage nodes replicate identically;
@@ -735,17 +879,8 @@ class PorygonSystem {
   // Read it only through SettledState() while Run() is active.
   std::unique_ptr<state::ShardedState> exec_state_;
 
-  // Execution-result cache per exec round: per-shard results, computed once
-  // when the state advances (fast mode) or verified against (faithful).
-  // Read it only through SettledExec().
-  struct CachedExec {
-    std::vector<crypto::Hash256> roots;
-    std::vector<std::vector<tx::StateUpdate>> s_sets;
-    std::vector<uint32_t> intra_applied;
-    std::vector<uint32_t> cross_pre;
-    std::vector<uint32_t> failed;
-    FlatSet<DigestKey> failed_ids;  // Probed, never iterated.
-  };
+  // Execution-result cache per exec round. Read it only through
+  // SettledExec().
   std::map<uint64_t, CachedExec> exec_cache_;
 
   // One exec round's canonical execution, launched on the pool by
@@ -761,38 +896,7 @@ class PorygonSystem {
   };
   std::unique_ptr<ExecJob> exec_job_;  // Null when nothing is launched.
 
-  /// The settling accessors: each joins the launched execution and
-  /// publishes its results first, so no reader can see the canonical state
-  /// or the cache while pool threads are still writing them.
-  const state::ShardedState& SettledState();
-  /// exec_cache_'s entry for `exec_round`, or nullptr.
-  const CachedExec* SettledExec(uint64_t exec_round);
-
-  // Committee registry (as known to storage nodes via announcements; kept
-  // centrally because honest storage nodes converge on it within a hop).
-  struct RoundRegistry {
-    std::vector<net::NodeId> oc_members;
-    std::map<uint32_t, std::vector<net::NodeId>> ec_by_shard;
-  };
   std::map<uint64_t, RoundRegistry> registry_;
-
-  void RegisterAnnounce(const RoleAnnounce& announce);
-  const RoundRegistry* RegistryFor(uint64_t round) const;
-
-  /// Appends one equivocation-evidence record (called from honest OC
-  /// members' BA★ evidence sinks; bounded so a vote-spamming adversary
-  /// cannot grow memory without limit).
-  void RecordEquivocationEvidence(const consensus::EquivocationEvidence& ev);
-
-  // --- Observability -----------------------------------------------------
-  // Phase-duration recording: witness when blocks reach Tw, ordering at the
-  // leader's BA* decision, commit from decision to block application,
-  // execution via a PhaseTimer spanning exec-request fan-out to the first
-  // result back at the leader. All in sim time; actors call these hooks.
-  void RecordWitnessReached(uint64_t batch_round);
-  void RecordOrderingDecision(uint64_t round);
-  void NoteExecPhaseStart(uint64_t exec_round);
-  void NoteExecPhaseEnd(uint64_t exec_round);
 
   // --- Distributed tracing ------------------------------------------------
   // Sampled transactions carry a TxTraceState through the pipeline: a root
@@ -811,81 +915,13 @@ class PorygonSystem {
   };
   /// Round-lane context: spans parented under the open "round" span.
   obs::TraceContext RoundLane(uint64_t round);
-  /// Admission core shared by SubmitTransaction/SubmitBatch: `t` is already
-  /// stamped; touches no counters (callers aggregate per call/batch).
+  /// Admission core of SubmitBatch: `t` is already stamped; touches no
+  /// counters (the batch aggregates them).
   Status AdmitStamped(const tx::Transaction& t);
   void TraceSubmit(const tx::TxId& id);
-  void TraceTxPackaged(const tx::TxId& id, const std::string& node);
-  void TraceBlockWitnessed(const tx::BlockId& block_id,
-                           const std::string& node);
-  void TraceTxOrdered(const tx::TxId& id, uint64_t listing_round,
-                      bool accepted, const std::string& node);
   void TraceListingExecuted(uint64_t exec_round);
   void TraceTxFinal(const std::string& tid, bool cross, bool failed,
                     uint64_t listing_round);
-
-  /// Hot-path instrument pointers, resolved once at construction so actors
-  /// record without registry lookups.
-  struct Instruments {
-    obs::Counter* submitted_txs = nullptr;
-    obs::Counter* rejected_duplicate = nullptr;
-    obs::Counter* rejected_invalid = nullptr;
-    obs::Counter* committed_intra = nullptr;
-    obs::Counter* committed_cross = nullptr;
-    obs::Counter* discarded_txs = nullptr;
-    obs::Counter* failed_txs = nullptr;
-    obs::Counter* committed_blocks = nullptr;
-    obs::Counter* empty_rounds = nullptr;
-    obs::Counter* replay_mismatches = nullptr;
-    obs::Counter* gossip_dedup_hits = nullptr;
-    obs::Counter* cached_exec_hits = nullptr;
-    obs::Counter* cached_exec_misses = nullptr;
-    obs::Counter* rejected_unavailable = nullptr;
-    // Protocol-side hardening: reason-labelled `core.rejected{reason}`
-    // rejections of forged / tampered / stale inputs. All zero in honest
-    // runs except stale_round (benign duplicate deliveries) and
-    // unknown_block (witness uploads racing a rejoin requeue).
-    obs::Counter* rejected_bad_witness_sig = nullptr;
-    obs::Counter* rejected_unknown_witness = nullptr;
-    obs::Counter* rejected_unknown_block = nullptr;
-    obs::Counter* rejected_bad_exec_sig = nullptr;
-    obs::Counter* rejected_unknown_signer = nullptr;
-    obs::Counter* rejected_s_hash_mismatch = nullptr;
-    obs::Counter* rejected_bad_state_proof = nullptr;
-    obs::Counter* rejected_stale_round = nullptr;
-    obs::Counter* rejected_bad_shard = nullptr;
-    obs::Counter* rejected_unlocked_update = nullptr;
-    // Storage-link failover (stateless-node health model).
-    obs::Counter* failover_timeouts = nullptr;
-    obs::Counter* failover_retransmits = nullptr;
-    obs::Counter* failover_rotations = nullptr;
-    obs::Counter* failover_resyncs = nullptr;
-    obs::Counter* failover_readoptions = nullptr;
-    obs::Counter* failover_requeued_txs = nullptr;
-    obs::Counter* storage_rejoins = nullptr;
-    /// Completed committee reconfigurations (`core.epochs`); 0 when
-    /// epoch_length is 0.
-    obs::Counter* epochs = nullptr;
-    // Compute-pool fan-out (index counts: deterministic for any thread
-    // count). Wall-clock time lives in volatile gauges, off the exports.
-    obs::Counter* runtime_exec_tasks = nullptr;
-    obs::Counter* runtime_accounts_tasks = nullptr;
-    obs::Counter* runtime_verify_tasks = nullptr;
-    // Volatile (never exported), one per phase. The exec phase counts only
-    // event-loop time in the launch and the settle: the exposed cost, not
-    // the pool time that overlaps the loop.
-    obs::Gauge* runtime_exec_wall_us = nullptr;
-    obs::Gauge* runtime_accounts_wall_us = nullptr;
-    obs::Gauge* runtime_verify_wall_us = nullptr;
-    obs::Histogram* block_latency = nullptr;
-    obs::Histogram* commit_latency = nullptr;
-    obs::Histogram* user_latency = nullptr;
-    obs::Histogram* phase_witness = nullptr;
-    obs::Histogram* phase_ordering = nullptr;
-    obs::Histogram* phase_execution = nullptr;
-    obs::Histogram* phase_commit = nullptr;
-    consensus::BaStar::Instruments consensus;
-  };
 
   // --- Critical-path analysis --------------------------------------------
   // The bandwidth-ledger side of the analyzer: StartRound snapshots every
@@ -900,19 +936,21 @@ class PorygonSystem {
 
   // --- Round driving -----------------------------------------------------
   void StartRound(uint64_t round);
-  /// Epoch boundary (round % epoch_length == 0, round > 0): re-runs VRF
-  /// sortition over the committed tip to re-draw the OC and its leader,
-  /// re-deals adversary placement for the new membership (leader exempt,
-  /// same α budget), migrates the outgoing leader's coordinator state and
-  /// witnessed-bundle pools to the incoming leader, rebuilds the canonical
-  /// oc_keys_/oc_net_ids_ vote-cert ordering, relabels node roles for link
-  /// attribution, and has every new member re-announce kOrdering to the
-  /// storage layer. Pure function of (chain tip, node keys, adversary
-  /// spec): draws nothing from rng_, so exports stay byte-identical across
-  /// thread counts. Called by StartRound before work distribution.
+  /// Epoch boundary (round % epoch_length == 0, round > 0): re-seats the
+  /// OC over the committed tip and has every new member re-announce
+  /// kOrdering to the storage layer. Called by StartRound before work
+  /// distribution.
   void ReconfigureEpoch(uint64_t round);
+  /// The one roster builder, at genesis and at every epoch boundary: draws
+  /// the OC for `round` by VRF sortition over `tip` (the oc_size lowest
+  /// draws, led by the lowest), re-deals adversary placement for `epoch`
+  /// (leader exempt, same α budget), has a new leader take the outgoing
+  /// leader's coordinator and pools (TakeLeadFrom), churns membership, and
+  /// rebuilds oc_ in ascending node order with the "oc" / "oc_leader" link
+  /// roles. Returns every node's draw, by node index.
+  std::vector<Assignment> SeatOc(uint64_t round, const crypto::Hash256& tip,
+                                 uint64_t epoch);
   void MaybeScheduleNextRound();
-  void OnBlockCommitted(const tx::ProposalBlock& block, net::SimTime when);
   /// Launches the canonical execution of B_{exec_round}'s inputs on the
   /// pool (settling the previous launch first) and returns; the results
   /// land in exec_cache_ at the next SettleExecState.
@@ -925,7 +963,6 @@ class PorygonSystem {
       const tx::ProposalBlock& based_on) const;
   void AccountCommittedBatch(const tx::ProposalBlock& committed);
 
-  tx::ProposalBlock genesis_;
   std::vector<tx::ProposalBlock> chain_;
   TipHeader tip_;  // TipHeader::Of(chain_.back()), set per append.
   std::map<uint64_t, net::SimTime> round_start_times_;
@@ -949,8 +986,7 @@ class PorygonSystem {
   // Declared after the registry and tracer (it caches counter pointers
   // and the tracer) and before the actors that consult it.
   std::unique_ptr<AdversaryController> adversary_;
-  // Registered stateless identities: witness proofs and exec results
-  // from keys outside this set are rejected before signature checks.
+  // Registered stateless identities (IsStatelessKey).
   std::set<crypto::PublicKey> stateless_keys_;
   std::vector<consensus::EquivocationEvidence> equivocation_evidence_;
   std::unordered_map<std::string, TxTraceState> traced_txs_;  // By tx id.
@@ -977,19 +1013,13 @@ class PorygonSystem {
   std::unique_ptr<crypto::CryptoProvider> provider_;
   std::vector<std::unique_ptr<StorageNodeActor>> storage_nodes_;
   std::vector<std::unique_ptr<StatelessNodeActor>> stateless_nodes_;
-  net::NodeId leader_net_id_ = net::kInvalidNode;
-  std::vector<crypto::PublicKey> oc_keys_;
-  std::vector<net::NodeId> oc_net_ids_;
+  OcRoster oc_;  // Seated by SeatOc.
   // Nodes currently labeled "relay" for critical-path / link attribution
   // (base witness-relay election for the round; observability only —
   // senders re-run the election with strike/crash skips). Empty in direct
   // mode.
   std::vector<net::NodeId> labeled_relays_;
   uint64_t next_account_hint_ = 1;
-
- public:
-  /// The run's flow shape: every relay election and per-mode fact.
-  const net::Dissemination& dissemination() const { return dissemination_; }
 };
 
 }  // namespace porygon::core

@@ -30,9 +30,6 @@ class EventQueue {
   /// disables mirroring.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
-  /// Deepest the queue has been since the last reset (tracked with or
-  /// without metrics mirroring).
-  size_t depth_high_watermark() const { return depth_hwm_; }
   /// Re-bases the high-watermark to the current depth (windowed gauges).
   void ResetDepthHighWatermark();
 

@@ -6,30 +6,12 @@
 namespace porygon::net {
 
 namespace {
-std::vector<std::pair<uint16_t, uint64_t>> SortedByKind(
-    const std::unordered_map<uint16_t, uint64_t>& by_kind) {
-  std::vector<std::pair<uint16_t, uint64_t>> out(by_kind.begin(),
-                                                 by_kind.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 // Queue-delay buckets: sub-millisecond (uncontended links) through tens of
 // seconds (a saturated 1 MB/s downlink absorbing a fan-in burst).
 std::vector<double> QueueDelayBuckets() {
   return {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10, 30};
 }
 }  // namespace
-
-std::vector<std::pair<uint16_t, uint64_t>> TrafficStats::SortedSentByKind()
-    const {
-  return SortedByKind(sent_by_kind);
-}
-
-std::vector<std::pair<uint16_t, uint64_t>> TrafficStats::SortedReceivedByKind()
-    const {
-  return SortedByKind(received_by_kind);
-}
 
 SimNetwork::SimNetwork(EventQueue* events, Rng rng)
     : events_(events), rng_(rng) {}
@@ -210,7 +192,6 @@ void SimNetwork::Send(Message msg) {
 void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
   NodeState& sender = nodes_[msg.from];
   sender.stats.bytes_sent += msg.wire_size;
-  sender.stats.sent_by_kind[msg.kind] += msg.wire_size;
 
   const SimTime now = events_->now();
   const double up_bps = std::max(sender.link.uplink_bps, 1.0);
@@ -286,13 +267,11 @@ void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
         return;
       }
       receiver.stats.bytes_received += msg.wire_size;
-      receiver.stats.received_by_kind[msg.kind] += msg.wire_size;
       if (metrics_ != nullptr) {
         KindCounters& counters = CountersFor(receiver, msg.kind);
         counters.recv_bytes->Add(msg.wire_size);
         counters.recv_messages->Increment();
       }
-      ++messages_delivered_;
       if (delivered_counter_ != nullptr) delivered_counter_->Increment();
       receiver.handler(msg);
     });

@@ -49,20 +49,11 @@ struct LinkSpec {
   double downlink_bps = 1e6;
 };
 
-/// Byte counters per node, segmented by message kind so experiments can
-/// attribute traffic to protocol phases (Fig 9b).
+/// Byte totals per node. The per-kind and per-phase split lives in the
+/// registry's net.sent_bytes / net.recv_bytes series (EnableMetrics).
 struct TrafficStats {
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;
-  std::unordered_map<uint16_t, uint64_t> sent_by_kind;
-  std::unordered_map<uint16_t, uint64_t> received_by_kind;
-
-  /// By-kind counters with keys sorted ascending. unordered_map iteration
-  /// order is hash- and libc-dependent, so anything that serializes or
-  /// aggregates these maps must go through the sorted views to stay
-  /// byte-identical across platforms and runs.
-  std::vector<std::pair<uint16_t, uint64_t>> SortedSentByKind() const;
-  std::vector<std::pair<uint16_t, uint64_t>> SortedReceivedByKind() const;
 };
 
 /// Cumulative per-node link ledger: bytes moved, plus *queueing delay*
@@ -183,7 +174,6 @@ class SimNetwork {
   EventQueue* events() { return events_; }
   SimTime now() const { return events_->now(); }
 
-  uint64_t messages_delivered() const { return messages_delivered_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
 
   /// In-flight messages currently bound for nodes of `role` (sent, not yet
@@ -245,7 +235,6 @@ class SimNetwork {
   FaultHook fault_hook_;
   SimTime latency_base_ = FromMillis(0.5);  // Paper: 0.5 ms node<->storage.
   SimTime latency_jitter_ = 0;
-  uint64_t messages_delivered_ = 0;
   uint64_t messages_dropped_ = 0;
 
   obs::MetricsRegistry* metrics_ = nullptr;

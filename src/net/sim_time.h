@@ -18,7 +18,6 @@ constexpr SimTime FromMillis(double ms) {
   return static_cast<SimTime>(ms * 1e3);
 }
 constexpr double ToSeconds(SimTime t) { return static_cast<double>(t) * 1e-6; }
-constexpr double ToMillis(SimTime t) { return static_cast<double>(t) * 1e-3; }
 
 }  // namespace porygon::net
 

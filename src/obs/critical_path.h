@@ -91,7 +91,6 @@ class CriticalPathAnalyzer {
     latency_us_ = one_way_latency_us;
     hops_ = hops;
   }
-  void set_max_reports(size_t n) { max_reports_ = n; }
 
   void BeginRound(uint64_t round, net::SimTime start);
   void MarkWitnessEnd(uint64_t round, net::SimTime t);

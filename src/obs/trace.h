@@ -142,10 +142,6 @@ class Tracer {
 
   /// Finished spans, in recording order. Open spans are not included.
   const std::vector<Span>& spans() const { return spans_; }
-  /// Counter samples, in recording order.
-  const std::vector<CounterSample>& counter_samples() const {
-    return counter_samples_;
-  }
   size_t span_count() const { return spans_.size(); }
   uint64_t dropped_spans() const { return dropped_spans_; }
   /// Transaction traces allocated so far (<= sample_transactions).

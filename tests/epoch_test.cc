@@ -10,13 +10,17 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/adversary.h"
 #include "core/system.h"
+#include "crypto/sha256.h"
 #include "net/fault.h"
 #include "workload/soak.h"
 
@@ -144,6 +148,62 @@ TEST(EpochThreadInvarianceTest, EpochExportsAreThreadInvariant) {
   EXPECT_EQ(serial->metrics().ToJson(), pooled->metrics().ToJson());
   EXPECT_EQ(serial->tracer()->ExportChromeJson(),
             pooled->tracer()->ExportChromeJson());
+}
+
+TEST(EpochTest, LeaderHandOffUnderLoadIsPinned) {
+  // Two-round epochs under steady intra- and cross-shard load, with an
+  // alpha = 1/4 equivocator re-dealt at every boundary: each hand-off moves
+  // locked S-sets and pooled bundles to a new leader. The replay and
+  // thread-invariance tests compare two runs of the same code, so only
+  // absolute digests catch a hand-off that changes what commits.
+  unsetenv("PORYGON_THREADS");
+  SystemOptions opt = Opts();
+  opt.epoch_length = 2;
+  auto spec = AdversarySpec::Parse("stateless:equivocate,alpha:0.25");
+  ASSERT_TRUE(spec.ok());
+  opt.adversary = *spec;
+  PorygonSystem sys(opt);
+  sys.CreateAccounts(120, 10'000);
+
+  // The shard is the low account bit: s -> s + 40 stays in s's shard and
+  // s + 40 -> s + 79 crosses to the other one.
+  std::map<uint64_t, uint64_t> nonces;
+  auto submit = [&](uint64_t from, uint64_t to) {
+    if (sys.SubmitTransaction(Transfer(from, to, 1, nonces[from])).ok()) {
+      ++nonces[from];
+    }
+  };
+  uint64_t ticks = 0;
+  std::function<void()> tick = [&] {
+    for (uint64_t i = 0; i < 4; ++i) {
+      const uint64_t s = 1 + (ticks * 4 + i) % 40;
+      submit(s, s + 40);
+      submit(s + 40, s + 79);
+    }
+    ++ticks;
+    sys.events()->ScheduleAfter(net::FromMillis(400), tick);
+  };
+  tick();
+  sys.Run(24, net::FromSeconds(60.0 * 24));
+
+  EXPECT_EQ(sys.metrics().committed_blocks(), 24u);
+  EXPECT_EQ(Epochs(sys), 12u);
+  EXPECT_GT(sys.metrics().committed_cross_txs(), 0u);
+  EXPECT_GT(sys.adversary()->actions(), 0u);
+  workload::InvariantChecker checker;
+  EXPECT_TRUE(checker.CheckChainIntegrity(sys).ok());
+  EXPECT_TRUE(checker.CheckNoReplayMismatches(sys).ok());
+  EXPECT_TRUE(checker.CheckEvidenceOnlyAgainstMalicious(sys).ok());
+  for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
+
+  // End-to-end digests, pinned: a change that moves a sim number, the
+  // chain or the state must re-pin them and say why.
+  EXPECT_EQ(HexEncode(sys.chain().back().Hash()),
+            "380de5a10e0a24ea9469183d7df720a146402ecad9900d9040aee81c562054a8");
+  EXPECT_EQ(HexEncode(sys.canonical_state().GlobalRoot()),
+            "b4678bff663ee03331cabbe22f688d1d53f093c14f66beddc68617d27e30f4f7");
+  EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(sys.metrics().ToJson()))),
+            "f8005a977973ce95f68e77cb02b560982a87d10ea366167a9255d6e6d658af64");
 }
 
 TEST(EpochAdversaryTest, PlacementIsRedrawnWithinBoundsEachEpoch) {

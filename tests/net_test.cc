@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "net/event_queue.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 
 namespace porygon::net {
 namespace {
@@ -71,6 +72,14 @@ class NetFixture : public ::testing::Test {
   NetFixture() : network_(&events_, Rng(42)) {
     network_.SetLatency(FromMillis(0.5), 0);
   }
+  /// Bytes of `kind` sent by nodes of the default "node" class, from the
+  /// registry series (tests that read it enable metrics into registry_).
+  uint64_t SentBytes(uint16_t kind) const {
+    return registry_.CounterValue(
+        "net.sent_bytes",
+        {{"class", "node"}, {"role", "node"}, {"kind", std::to_string(kind)}});
+  }
+  obs::MetricsRegistry registry_;  // Outlives the network that caches it.
   EventQueue events_;
   SimNetwork network_;
 };
@@ -159,6 +168,7 @@ TEST_F(NetFixture, DropFilterCensorsSelectedKinds) {
 }
 
 TEST_F(NetFixture, TrafficAccountingByKind) {
+  network_.EnableMetrics(&registry_, nullptr, nullptr);
   NodeId a = network_.AddNode({1e6, 1e6});
   NodeId b = network_.AddNode({1e6, 1e6});
   network_.SetHandler(b, [](const Message&) {});
@@ -169,12 +179,13 @@ TEST_F(NetFixture, TrafficAccountingByKind) {
   events_.RunUntilIdle();
 
   EXPECT_EQ(network_.StatsFor(a).bytes_sent, 1000u);
-  EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(1), 700u);
-  EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(2), 300u);
+  EXPECT_EQ(SentBytes(1), 700u);
+  EXPECT_EQ(SentBytes(2), 300u);
   EXPECT_EQ(network_.StatsFor(b).bytes_received, 1000u);
 }
 
 TEST_F(NetFixture, SendOverloadBillsThePayloadAndCarriesTheTrace) {
+  network_.EnableMetrics(&registry_, nullptr, nullptr);
   NodeId a = network_.AddNode({1e6, 1e6});
   NodeId b = network_.AddNode({1e6, 1e6});
   std::vector<Message> received;
@@ -195,8 +206,9 @@ TEST_F(NetFixture, SendOverloadBillsThePayloadAndCarriesTheTrace) {
   EXPECT_EQ(received[0].trace.parent_span, 3u);
   EXPECT_EQ(received[1].wire_size, 90u);
   EXPECT_FALSE(received[1].trace.active());
-  EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(4), 7u);
-  EXPECT_EQ(network_.StatsFor(a).sent_by_kind.at(5), 90u);
+  EXPECT_EQ(SentBytes(4), 7u);
+  EXPECT_EQ(SentBytes(5), 90u);
+  EXPECT_EQ(network_.StatsFor(a).bytes_sent, 97u);
 }
 
 }  // namespace

@@ -263,27 +263,6 @@ TEST(VerifyBatchTest, ProofBatchMatchesSerialVerifyProof) {
   }
 }
 
-// --- TrafficStats sorted export views ---------------------------------------
-
-TEST(TrafficStatsTest, SortedViewsAreKeyOrderedRegardlessOfInsertion) {
-  net::TrafficStats stats;
-  for (uint16_t kind : {900, 3, 77, 14, 500, 1}) {
-    stats.sent_by_kind[kind] = kind * 10u;
-    stats.received_by_kind[kind] = kind + 1u;
-  }
-  const auto sent = stats.SortedSentByKind();
-  const auto received = stats.SortedReceivedByKind();
-  const std::vector<uint16_t> want_keys{1, 3, 14, 77, 500, 900};
-  ASSERT_EQ(sent.size(), want_keys.size());
-  ASSERT_EQ(received.size(), want_keys.size());
-  for (size_t i = 0; i < want_keys.size(); ++i) {
-    EXPECT_EQ(sent[i].first, want_keys[i]);
-    EXPECT_EQ(sent[i].second, want_keys[i] * 10u);
-    EXPECT_EQ(received[i].first, want_keys[i]);
-    EXPECT_EQ(received[i].second, want_keys[i] + 1u);
-  }
-}
-
 // --- Thread-count invariance (the tentpole's acceptance test) ---------------
 
 namespace invariance {
@@ -359,7 +338,7 @@ RunArtifacts RunScenario(const core::SystemOptions& opt,
   out.trace_json = sys.tracer()->ExportChromeJson();
   out.global_root = sys.canonical_state().GlobalRoot();
   out.chain_tip = sys.chain().back().Hash();
-  EXPECT_EQ(sys.tip_hash(), out.chain_tip);
+  EXPECT_EQ(sys.tip().hash, out.chain_tip);
   out.chain_length = sys.chain().size();
   out.storage_rejoins =
       sys.metrics_registry()->FindCounter("core.storage_rejoins", {})->value();
