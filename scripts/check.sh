@@ -43,6 +43,13 @@ run_suite() {
   # Adversary suite, likewise: chain identity and evidence collection under
   # every Byzantine strategy at the paper's alpha/beta bounds.
   ctest --test-dir "$dir" -R Adversary --output-on-failure
+  # Cross-shard conservation: each Multi-Shard Update applies exactly once,
+  # with the block that carries it. Total supply after cross-shard load and
+  # a drain at two benchmark shapes, a batch with no S set releasing its
+  # locks, and the coordinator forgetting each batch once its U is built.
+  ctest --test-dir "$dir" \
+    -R 'SystemIntegrationTest\.(CrossShardLoad|CrossShardBatchWithNoSSet)|CoordinatorTest' \
+    --output-on-failure
   # State suites: the path-compressed tree's roots and proofs against a
   # from-scratch reference over keys spread across all 64 bits and at the
   # benchmark's shard shapes (SmtDifferentialTest: chains left halfway
@@ -79,8 +86,9 @@ run_suite() {
   # chaos-harness spec/replay/invariant plumbing.
   ctest --test-dir "$dir" -R 'Epoch|Soak' --output-on-failure
   # Chaos-soak smoke: 200 rounds of faults + Byzantine adversary across 8
-  # committee reconfigurations, with the clean-reference safety cross-check
-  # and liveness bounds live the whole way. Must end violation-free.
+  # committee reconfigurations, with the clean-reference safety cross-check,
+  # total supply in both deployments and liveness bounds checked every
+  # round (as in every soak below). Must end violation-free.
   "$dir"/bench/soak --rounds=200 --epoch-length=25 --seed=1 --tps=2 \
     --faults='loss:0.02,dup:0.02,jitter:300' \
     --adversary='stateless:equivocate,storage:withhold' \
@@ -100,7 +108,7 @@ run_suite() {
 
 # Epoch-churn soak smoke, direct and over relay trees: two-round epochs at
 # 20 tps under the same faults and adversary, so the leader hand-off
-# (coordinator, locked S-sets, bundle and exec-result pools) runs about 140
+# (coordinator, batch locks, bundle and exec-result pools) runs about 140
 # times per deployment with batches in flight. Must end violation-free.
 epoch_churn_soak() {
   local dir="$1"

@@ -75,6 +75,15 @@ class FlatMap {
   /// returns whether it was added.
   bool Insert(const K& key) { return Emplace(key).second; }
 
+  /// Calls `fn(key, value)` once per entry, in no particular order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (has_empty_key_) fn(Key::kEmpty, empty_key_value_);
+    for (const Slot& slot : slots_) {
+      if (!Same(slot.key, Key::kEmpty)) fn(slot.key, slot.value);
+    }
+  }
+
   /// Removes `key`; returns whether it was present.
   bool Erase(const K& key) {
     if (Same(key, Key::kEmpty)) {

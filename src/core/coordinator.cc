@@ -7,9 +7,6 @@ using state::ShardOfAccount;
 using tx::StateUpdate;
 using tx::Transaction;
 
-CrossShardCoordinator::CrossShardCoordinator(int shard_bits, int retry_rounds)
-    : shard_bits_(shard_bits), retry_rounds_(retry_rounds) {}
-
 CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
     uint64_t round, const std::vector<Transaction>& txs) {
   FilterResult result;
@@ -53,17 +50,12 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
   }
 
   // Lock the accounts of accepted cross-shard transactions until their
-  // Multi-Shard Update commits.
+  // update list U is built, two proposals later.
   if (!result.accepted_cross.empty()) {
     InFlightBatch batch;
-    batch.round = round;
-    batch.updates.assign(shard_count(), {});
-    batch.shard_done.assign(shard_count(), false);
     for (const Transaction& t : result.accepted_cross) {
       for (AccountId a : t.AccessedAccounts()) {
-        if (locks_.Find(a) != nullptr) continue;
-        locks_[a] = round;
-        batch.locked_accounts.push_back(a);
+        if (locks_.Insert(a)) batch.locked_accounts.push_back(a);
       }
     }
     if (tracing()) {
@@ -76,16 +68,16 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
 }
 
 std::vector<std::vector<StateUpdate>> CrossShardCoordinator::BuildUpdateList(
-    uint64_t round, const std::vector<std::vector<StateUpdate>>& s_sets,
-    const std::vector<StateUpdate>& old_values) {
+    uint64_t round, const std::vector<std::vector<StateUpdate>>& s_sets) {
   std::vector<std::vector<StateUpdate>> per_shard(shard_count());
   auto it = in_flight_.find(round);
   // An S set may only touch accounts this batch locked at ordering time
   // (honest cross-shard pre-execution writes exactly the accepted
   // transactions' accounts). Anything else — including every update when
-  // no batch was locked at all — is a forged or replayed write aimed at
-  // the Multi-Shard Update path; drop it before it can reach a proposal.
-  // Defense in depth behind the exec-result vote threshold.
+  // no batch is in flight, because it never locked or was already built —
+  // is a forged or replayed write aimed at the Multi-Shard Update path;
+  // drop it before it can reach a proposal. Defense in depth behind the
+  // exec-result vote threshold.
   U64Map<uint8_t> locked;
   if (it != in_flight_.end()) {
     for (AccountId a : it->second.locked_accounts) locked[a] = 1;
@@ -99,93 +91,19 @@ std::vector<std::vector<StateUpdate>> CrossShardCoordinator::BuildUpdateList(
       per_shard[ShardOfAccount(u.account, shard_bits_)].push_back(u);
     }
   }
-  if (it != in_flight_.end()) {
-    it->second.updates = per_shard;
-    it->second.old_values = old_values;
-    // Shards with no updates to apply are trivially done.
-    for (int d = 0; d < shard_count(); ++d) {
-      if (per_shard[d].empty()) it->second.shard_done[d] = true;
-    }
-    // Optimistic unlock: once U is built into a proposal block, every ESC
-    // applies U *before* executing newly ordered transactions (see
-    // ShardExecutor::Execute step 1), so later transactions observe the
-    // cross-shard results and no longer conflict. Holding locks through
-    // the Multi-Shard Update would roughly double the lock window and,
-    // with it, the conflict-discard rate — Table I's mild degradation
-    // requires the short window. Failed shards still retry/roll back via
-    // the pending-update bookkeeping below.
-    ReleaseLocks(it->second);
-    it->second.locked_accounts.clear();
-    if (tracing()) {
-      tracer_->EndSpan(it->second.sse_span);
-      it->second.sse_span = 0;
-      it->second.msu_span = tracer_->BeginSpan(
-          tracer_->RoundContext(round), "msu", trace_node_);
-    }
-  }
-  return per_shard;
-}
-
-CrossShardCoordinator::UpdateOutcome
-CrossShardCoordinator::OnShardUpdateResult(uint64_t round, uint32_t shard,
-                                           bool success) {
-  UpdateOutcome outcome;
-  auto it = in_flight_.find(round);
-  if (it == in_flight_.end()) return outcome;  // Unknown/already resolved.
-  InFlightBatch& batch = it->second;
-
-  if (success) {
-    batch.shard_done[shard] = true;
-    bool all_done = true;
-    for (bool done : batch.shard_done) all_done &= done;
-    if (all_done) {
-      ReleaseLocks(batch);
-      if (tracer_ != nullptr) tracer_->EndSpan(batch.msu_span);
-      in_flight_.erase(it);
-      outcome.resolved = true;
-    }
-    return outcome;
-  }
-
-  // Failure: retry in following rounds; roll back after the budget.
-  ++batch.failed_rounds;
-  if (batch.failed_rounds <= retry_rounds_) return outcome;
-
-  outcome.resolved = true;
-  outcome.rolled_back = true;
-  outcome.compensation.assign(shard_count(), {});
-  for (const StateUpdate& old : batch.old_values) {
-    outcome.compensation[ShardOfAccount(old.account, shard_bits_)].push_back(
-        old);
-  }
-  ReleaseLocks(batch);
-  if (tracing()) {
-    tracer_->Instant(tracer_->RoundContext(batch.round), "msu_rollback",
-                     trace_node_);
-    tracer_->EndSpan(batch.msu_span);
-  }
+  if (it == in_flight_.end()) return per_shard;
+  // Once U is in a proposal block, every ESC applies it *before* executing
+  // newly ordered transactions (see ShardExecutor::Execute step 1), so
+  // later transactions observe the cross-shard results and no longer
+  // conflict. Holding locks through the Multi-Shard Update would roughly
+  // double the lock window and, with it, the conflict-discard rate —
+  // Table I's mild degradation requires the short window. A shard whose S
+  // set missed Te contributes nothing, and its pre-executed transactions
+  // never apply; its locks go with the rest of the batch.
+  for (AccountId a : it->second.locked_accounts) locks_.Erase(a);
+  if (tracer_ != nullptr) tracer_->EndSpan(it->second.sse_span);
   in_flight_.erase(it);
-  return outcome;
-}
-
-std::vector<StateUpdate> CrossShardCoordinator::PendingUpdatesFor(
-    uint32_t shard, uint64_t current_round) const {
-  std::vector<StateUpdate> pending;
-  for (const auto& [round, batch] : in_flight_) {
-    if (batch.updates.empty()) continue;  // S sets not yet received.
-    // The first application is in U_{round+2}; its feedback arrives while
-    // building B_{round+4}. Re-send only once that opportunity has passed.
-    if (current_round < round + 4) continue;
-    if (!batch.shard_done[shard]) {
-      pending.insert(pending.end(), batch.updates[shard].begin(),
-                     batch.updates[shard].end());
-    }
-  }
-  return pending;
-}
-
-void CrossShardCoordinator::ReleaseLocks(const InFlightBatch& batch) {
-  for (AccountId a : batch.locked_accounts) locks_.Erase(a);
+  return per_shard;
 }
 
 }  // namespace porygon::core

@@ -34,8 +34,10 @@ struct Params {
   // --- Blocks & transactions --------------------------------------------
   /// Max transactions per transaction block (prototype: ~2,000).
   size_t block_tx_limit = 2000;
-  /// Rounds a cross-shard transaction may stay uncommitted before the OC
-  /// triggers a rollback (§IV-D2: "e.g., two rounds").
+  /// Inert: nothing reads it. §IV-D2's retry-and-rollback budget ("e.g.,
+  /// two rounds"); each Multi-Shard Update applies exactly once, with the
+  /// block that carries it, so there is nothing to retry. Kept only until
+  /// benchmark/porygon_bench.cc stops assigning it.
   int cross_shard_retry_rounds = 2;
 
   // --- Network -----------------------------------------------------------

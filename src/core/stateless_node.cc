@@ -436,16 +436,7 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
            std::get<0>(agg_seen_.begin()->first) + 4 < round) {
       agg_seen_.erase(agg_seen_.begin());
     }
-    if (net_id_ == system_->oc().leader) {
-      // Normal path: propose when the witness bundle arrives
-      // (OnWitnessBundle); this deadline is the fallback that keeps
-      // liveness when no bundle shows up (empty round).
-      system_->events()->ScheduleAfter(
-          2 * system_->params().phase_interval_us,
-          [this, round] {
-            if (current_round_ == round) MaybePropose();
-          });
-    }
+    if (net_id_ == system_->oc().leader) ScheduleProposalDeadline(round);
     return;
   }
 
@@ -539,15 +530,27 @@ void StatelessNodeActor::JoinOc() {
   pending_proposal_ = tx::ProposalBlock{};
 }
 
-void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing) {
+void StatelessNodeActor::ScheduleProposalDeadline(uint64_t round) {
+  // Normal path: propose when the witness bundle arrives (OnWitnessBundle);
+  // this deadline is the fallback that keeps liveness when no bundle shows
+  // up (empty round, or a lost shard aggregate in tree mode).
+  system_->events()->ScheduleAfter(2 * system_->params().phase_interval_us,
+                                   [this, round] {
+                                     if (current_round_ == round) {
+                                       MaybePropose();
+                                     }
+                                   });
+}
+
+void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing,
+                                      uint64_t round) {
   if (outgoing == nullptr) {
     coordinator_ = std::make_unique<CrossShardCoordinator>(
-        system_->params().shard_bits,
-        system_->params().cross_shard_retry_rounds);
+        system_->params().shard_bits);
   } else {
     coordinator_ = std::move(outgoing->coordinator_);
-    for (const auto& [round, blocks] : outgoing->bundles_) {
-      auto& mine = bundles_[round];
+    for (const auto& [batch, blocks] : outgoing->bundles_) {
+      auto& mine = bundles_[batch];
       for (const auto& [id, block] : blocks) mine.emplace(id, block);
     }
     for (const auto& [key, pending] : outgoing->exec_results_) {
@@ -558,6 +561,10 @@ void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing) {
   // otherwise still trace under the outgoing leader's name).
   coordinator_->EnableTracing(system_->tracer(), TraceName());
   coordinator_->set_rejected_counter(obs_.rejected_unlocked_update);
+  // A watchdog resync can hand this node `round`'s tip before the round
+  // starts. OnNewRound then saw the round while another node led and will
+  // not run again for it, so the proposal deadline is armed here.
+  if (round > 0 && current_round_ == round) ScheduleProposalDeadline(round);
 }
 
 // --------------------------------------------------------------------------
@@ -1250,7 +1257,6 @@ void StatelessNodeActor::MaybePropose() {
   proposal.round = r;
   proposal.leader = keys_.public_key;
   proposal.shard_tx_blocks.assign(p.shard_count(), {});
-  proposal.shard_updates.assign(p.shard_count(), {});
   proposal.ordering_threshold = p.ordering_fraction;
   proposal.execution_threshold = p.execution_fraction;
 
@@ -1325,7 +1331,11 @@ void StatelessNodeActor::MaybePropose() {
                              ? system_->chain().front().shard_roots
                              : tip_.shard_roots;
   std::vector<std::vector<tx::StateUpdate>> s_sets;
-  std::vector<tx::StateUpdate> old_values;
+  // B_{r-2}: what the ESCs were asked to execute (shards it gives no
+  // blocks and no updates get no exec request, so owe no result).
+  const tx::ProposalBlock* executed =
+      r >= 3 && system_->chain().size() > r - 2 ? &system_->chain()[r - 2]
+                                                : nullptr;
   for (int d = 0; d < p.shard_count(); ++d) {
     auto pending = exec_results_.find({r - 2, static_cast<uint32_t>(d)});
     bool accepted = false;
@@ -1366,48 +1376,21 @@ void StatelessNodeActor::MaybePropose() {
         accepted = true;
       }
     }
-    // Success/failure feedback for in-flight multi-shard updates.
-    bool had_pending =
-        r >= 4 && !coordinator_->PendingUpdatesFor(d, r).empty();
-    if (had_pending) {
-      auto outcome = coordinator_->OnShardUpdateResult(r - 4, d, accepted);
-      if (outcome.rolled_back) {
-        for (int d2 = 0; d2 < p.shard_count(); ++d2) {
-          for (const auto& u : outcome.compensation[d2]) {
-            proposal.shard_updates[d2].push_back(u);
-          }
-        }
-      }
+    // A result that misses Te is a missing attestation, not a missing
+    // application: the shard keeps its last agreed root, which the next
+    // accepted (cumulative) root covers. Counted, never re-applied.
+    if (!accepted && executed != nullptr &&
+        (!executed->shard_tx_blocks[d].empty() ||
+         !executed->shard_updates[d].empty())) {
+      obs_.exec_attestation_gaps->Increment();
     }
   }
 
-  // --- Build the update list U_r from the S sets (Single-Shard Execution
-  // results route to owning shards for Multi-Shard Update).
-  if (!s_sets.empty()) {
-    auto update_lists = coordinator_->BuildUpdateList(r - 2, s_sets,
-                                                      old_values);
-    for (int d = 0; d < p.shard_count(); ++d) {
-      for (const auto& u : update_lists[d]) {
-        proposal.shard_updates[d].push_back(u);
-      }
-    }
-  }
-  // Re-send still-pending updates from earlier rounds until success, each
-  // account at most once per shard list (first listing wins).
-  for (int d = 0; d < p.shard_count(); ++d) {
-    const std::vector<tx::StateUpdate> pending =
-        coordinator_->PendingUpdatesFor(d, r);
-    if (pending.empty()) continue;
-    std::vector<tx::StateUpdate>& list = proposal.shard_updates[d];
-    U64Map<uint8_t> listed;
-    for (const auto& u : list) listed[u.account] = 1;
-    for (const auto& u : pending) {
-      uint8_t& seen = listed[u.account];
-      if (seen != 0) continue;
-      seen = 1;
-      list.push_back(u);
-    }
-  }
+  // --- Build the update list U_r from batch r-2's S sets (Single-Shard
+  // Execution results route to owning shards for Multi-Shard Update). This
+  // releases the batch, whether or not any S set arrived: the block that
+  // carries U is its only record.
+  proposal.shard_updates = coordinator_->BuildUpdateList(r - 2, s_sets);
 
   proposal.state_root =
       state::ShardedState::AggregateRoots(proposal.shard_roots);

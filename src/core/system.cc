@@ -315,6 +315,8 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
       metrics_registry_.GetCounter("core.failover.requeued_txs");
   obs_.storage_rejoins = metrics_registry_.GetCounter("core.storage_rejoins");
   obs_.epochs = metrics_registry_.GetCounter("core.epochs");
+  obs_.exec_attestation_gaps =
+      metrics_registry_.GetCounter("core.exec_attestation_gaps");
   // Compute-pool fan-out. Task counts are index counts — deterministic for
   // any thread configuration; wall time is volatile (kept off the exports).
   obs_.runtime_exec_tasks =
@@ -487,6 +489,7 @@ void PorygonSystem::CreateAccounts(uint64_t count, uint64_t balance) {
   obs_.runtime_accounts_wall_us->Add(
       static_cast<double>(pool_->wall_us() - wall_before));
   next_account_hint_ += count;
+  funded_supply_ += count * balance;
 }
 
 void PorygonSystem::CreateAccountsLazy(uint64_t count, uint64_t balance) {
@@ -497,6 +500,8 @@ void PorygonSystem::CreateAccountsLazy(uint64_t count, uint64_t balance) {
   // ids are identical to a freshly created state.
   exec_state_->SetImplicitAccounts(count, balance);
   if (next_account_hint_ <= count) next_account_hint_ = count + 1;
+  // The declaration may cover ids CreateAccounts already materialized.
+  funded_supply_ = exec_state_->TotalSupply();
 }
 
 Status PorygonSystem::AdmitStamped(const tx::Transaction& t) {
@@ -766,8 +771,8 @@ std::vector<Assignment> PorygonSystem::SeatOc(uint64_t round,
   }
 
   // Leadership hand-off, before membership churn retires the outgoing
-  // leader's pools: its coordinator carries the locked S-sets and retry
-  // bookkeeping still in flight across the boundary, and its bundle /
+  // leader's pools: its coordinator carries the locks of batches whose
+  // update list is not yet built across the boundary, and its bundle /
   // exec-result pools cover batches witnessed under the previous committee
   // that the incoming leader must still list (pipeline depth 3).
   StatelessNodeActor* new_leader = stateless_nodes_[leader_idx].get();
@@ -776,7 +781,7 @@ std::vector<Assignment> PorygonSystem::SeatOc(uint64_t round,
     for (auto& node : stateless_nodes_) {
       if (node->net_id() == oc_.leader) outgoing = node.get();
     }
-    new_leader->TakeLeadFrom(outgoing);
+    new_leader->TakeLeadFrom(outgoing, round);
   }
 
   // Membership churn. Retiring members shed their OC scratch (their
@@ -917,6 +922,15 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
     if (tracer_.enabled()) {
       tracer_.RecordSpan(RoundLane(block.round), "commit", "system",
                          decided->second, when);
+      // The Multi-Shard Update of batch round-2 is the list U this block
+      // carries, applied once when the block executes: on the batch's
+      // lane, from the decision that fixes U in the chain to the commit.
+      const auto& u = block.shard_updates;
+      if (std::any_of(u.begin(), u.end(),
+                      [](const auto& list) { return !list.empty(); })) {
+        tracer_.RecordSpan(tracer_.RoundContext(block.round - 2), "msu", "oc",
+                           decided->second, when);
+      }
     }
     decision_times_.erase(decided);
   }

@@ -61,7 +61,7 @@ struct SystemOptions {
   /// them). When > 0, every `epoch_length`-th round start re-runs VRF
   /// sortition over the committed tip to re-draw the OC (and its leader),
   /// re-deals adversary placement for the new membership, migrates the
-  /// coordinator's in-flight locked S-sets to the new leader, and has the
+  /// coordinator's in-flight batch locks to the new leader, and has the
   /// new members re-announce their roles over the network — §III-B's
   /// periodic committee re-formation. Must be 0 or >= 2.
   uint64_t epoch_length = 0;
@@ -214,6 +214,9 @@ struct Instruments {
   /// Completed committee reconfigurations (`core.epochs`); 0 when
   /// epoch_length is 0.
   obs::Counter* epochs = nullptr;
+  /// (exec round >= 1, shard) pairs whose execution result missed Te when
+  /// the leader built the proposal (`core.exec_attestation_gaps`).
+  obs::Counter* exec_attestation_gaps = nullptr;
   // Compute-pool fan-out (index counts: deterministic for any thread
   // count). Wall-clock time lives in volatile gauges, off the exports.
   obs::Counter* runtime_exec_tasks = nullptr;
@@ -413,14 +416,15 @@ class StatelessNodeActor {
   /// Joins the ordering committee with fresh OC scratch. The re-announce is
   /// sent separately (Announce).
   void JoinOc();
-  /// Takes over as OC leader, the only node that holds a
-  /// CrossShardCoordinator: `outgoing`'s, with its locked S-sets and retry
-  /// bookkeeping in flight across the boundary, or a fresh one when null
+  /// Takes over as OC leader from `round` on, the only node that holds a
+  /// CrossShardCoordinator: `outgoing`'s, with the locks of its in-flight
+  /// batches carried across the boundary, or a fresh one when null
   /// (genesis). Merges `outgoing`'s witnessed bundles and exec-result pools
   /// so this node can still list batches witnessed, and aggregate results
   /// produced, under the previous leader; its own entries win conflicts
   /// (a continuing member already holds identical content by broadcast).
-  void TakeLeadFrom(StatelessNodeActor* outgoing);
+  /// A node already at `round` gets its proposal deadline armed here.
+  void TakeLeadFrom(StatelessNodeActor* outgoing, uint64_t round);
 
  private:
   // --- EC paths ---------------------------------------------------------
@@ -474,6 +478,9 @@ class StatelessNodeActor {
   void OnDecisionCert(const net::Message& msg);
   void OnExecResult(const net::Message& msg);
   void MaybePropose();
+  /// Proposes at the round's fallback deadline unless a proposal went out
+  /// first or the node has moved past `round`.
+  void ScheduleProposalDeadline(uint64_t round);
   void BroadcastToOc(uint16_t kind, const Bytes& payload,
                      obs::TraceContext trace = {});
   void StartConsensus(const crypto::Hash256& proposal_hash);
@@ -739,6 +746,10 @@ class PorygonSystem {
   /// The canonical state between Run() calls: Run() settles the launched
   /// execution before it returns, so no pool thread is writing it then.
   const state::ShardedState& canonical_state() const { return *exec_state_; }
+  /// The total balance CreateAccounts and CreateAccountsLazy funded: what
+  /// canonical_state().TotalSupply() must equal, since transfers and
+  /// update lists only move value.
+  uint64_t funded_supply() const { return funded_supply_; }
   net::SimNetwork* network() { return network_.get(); }
   net::EventQueue* events() { return &events_; }
   const SystemOptions& options() const { return options_; }
@@ -1020,6 +1031,7 @@ class PorygonSystem {
   // mode.
   std::vector<net::NodeId> labeled_relays_;
   uint64_t next_account_hint_ = 1;
+  uint64_t funded_supply_ = 0;
 };
 
 }  // namespace porygon::core

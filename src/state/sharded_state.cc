@@ -86,4 +86,16 @@ size_t ShardedState::TotalAccountCount() const {
   return total;
 }
 
+uint64_t ShardedState::TotalSupply() const {
+  uint64_t total = 0;
+  uint64_t touched_implicit = 0;
+  for (const auto& shard : shards_) {
+    shard.accounts.ForEach([&](AccountId id, const Account& account) {
+      total += account.balance;
+      if (id >= 1 && id <= implicit_max_id()) ++touched_implicit;
+    });
+  }
+  return total + (implicit_max_id() - touched_implicit) * implicit_balance();
+}
+
 }  // namespace porygon::state

@@ -67,6 +67,9 @@ class ShardedState : public StateView {
   /// Number of accounts in a shard / overall.
   size_t ShardAccountCount(uint32_t shard) const;
   size_t TotalAccountCount() const;
+  /// Σ balance over every account: the materialized ones, plus the declared
+  /// balance of each implicit id not yet written. O(materialized accounts).
+  uint64_t TotalSupply() const;
 
  private:
   struct Subtree {

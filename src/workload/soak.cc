@@ -111,6 +111,18 @@ Status InvariantChecker::CheckEvidenceOnlyAgainstMalicious(
   return Pass();
 }
 
+Status InvariantChecker::CheckSupplyConserved(core::PorygonSystem& sys) {
+  const uint64_t supply = sys.canonical_state().TotalSupply();
+  const uint64_t funded = sys.funded_supply();
+  if (supply != funded) {
+    const int64_t drift = static_cast<int64_t>(supply - funded);
+    return Violation("conservation: total supply " + std::to_string(supply) +
+                     " drifted by " + std::to_string(drift) + " from the " +
+                     std::to_string(funded) + " funded at genesis");
+  }
+  return Pass();
+}
+
 Status InvariantChecker::CheckBoundedCommitGap(core::PorygonSystem& sys) {
   const obs::HistogramSummary gaps = sys.metrics().BlockLatency();
   if (gaps.count > 0 && gaps.max > options_.max_commit_gap_s) {
@@ -363,7 +375,9 @@ Result<SoakReport> RunSoak(const SoakSpec& spec, int worker_threads) {
         checker
             .CheckRootsMatch(observed,
                              reference->canonical_state().GlobalRoot(), r)
-            .ok();
+            .ok() &&
+        checker.CheckSupplyConserved(*chaos).ok() &&
+        checker.CheckSupplyConserved(*reference).ok();
     const bool live = checker.ObserveRound(*chaos).ok();
     if (!safe || !live) break;
   }
@@ -373,6 +387,7 @@ Result<SoakReport> RunSoak(const SoakSpec& spec, int worker_threads) {
   checker.CheckBoundedCommitGap(*chaos);
   checker.CheckChainIntegrity(*chaos);
   checker.CheckNoReplayMismatches(*chaos);
+  checker.CheckSupplyConserved(*chaos);
   checker.CheckEvidenceOnlyAgainstMalicious(*chaos);
   checker.CheckSameChain(*chaos, *reference);
 

@@ -45,6 +45,10 @@ class InvariantChecker {
   /// epoch's adversary placement actually corrupted — no divergent
   /// evidence against honest-all-along nodes.
   Status CheckEvidenceOnlyAgainstMalicious(core::PorygonSystem& sys);
+  /// Safety: the canonical state's total balance equals the supply funded
+  /// at genesis (transfers and cross-shard update lists only move value).
+  /// O(touched accounts); the violation gives the drift.
+  Status CheckSupplyConserved(core::PorygonSystem& sys);
   /// Liveness: the largest consecutive commit gap stays within bounds.
   Status CheckBoundedCommitGap(core::PorygonSystem& sys);
   /// Safety (cross-run): both systems committed the same chain
@@ -137,10 +141,11 @@ struct SoakReport {
 /// a same-spec reference deployment at 0 worker threads fed the identical
 /// transaction stream. Each round both advance one commit and the checker
 /// asserts GlobalRoot identity between them (catching any thread-count
-/// divergence the moment it happens) plus liveness (bounded commit gap,
-/// bounded pool age); terminal checks cover chain integrity, replay
-/// mismatches, evidence attribution, and whole-chain identity. Stops at the
-/// first violation and stamps the replay command into the report.
+/// divergence the moment it happens), total-supply conservation in each,
+/// plus liveness (bounded commit gap, bounded pool age); terminal checks
+/// cover chain integrity, replay mismatches, supply, evidence attribution,
+/// and whole-chain identity. Stops at the first violation and stamps the
+/// replay command into the report.
 Result<SoakReport> RunSoak(const SoakSpec& spec, int worker_threads = 0);
 
 }  // namespace porygon::workload

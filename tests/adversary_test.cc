@@ -79,7 +79,8 @@ std::unique_ptr<PorygonSystem> RunAdversarial(const std::string& spec,
 
 /// Safety assertions shared with the chaos-soak harness: the adversarial
 /// run must commit the clean run's exact chain and final GlobalRoot,
-/// replay cleanly, and hold evidence only against corrupted nodes.
+/// replay cleanly, conserve total supply, and hold evidence only against
+/// corrupted nodes.
 void ExpectSameCommittedState(PorygonSystem& sys, PorygonSystem& clean) {
   workload::InvariantChecker checker;
   EXPECT_TRUE(checker.CheckSameChain(sys, clean).ok());
@@ -89,6 +90,8 @@ void ExpectSameCommittedState(PorygonSystem& sys, PorygonSystem& clean) {
                                    sys.metrics().committed_blocks())
                   .ok());
   EXPECT_TRUE(checker.CheckNoReplayMismatches(sys).ok());
+  EXPECT_TRUE(checker.CheckSupplyConserved(sys).ok());
+  EXPECT_TRUE(checker.CheckSupplyConserved(clean).ok());
   EXPECT_TRUE(checker.CheckEvidenceOnlyAgainstMalicious(sys).ok());
   for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
 }
@@ -419,7 +422,7 @@ TEST(AdversaryTest, RoundStartsFromNonStorageSendersAreIgnored) {
 // --- Cross-shard update hardening -----------------------------------------
 
 TEST(AdversaryCoordinatorTest, UnlockedUpdatesAreDroppedFromUpdateLists) {
-  CrossShardCoordinator coord(/*shard_bits=*/1, /*retry_rounds=*/2);
+  CrossShardCoordinator coord(/*shard_bits=*/1);
   obs::MetricsRegistry registry;
   obs::Counter* rejected =
       registry.GetCounter("core.rejected", {{"reason", "unlocked_update"}});
@@ -442,14 +445,14 @@ TEST(AdversaryCoordinatorTest, UnlockedUpdatesAreDroppedFromUpdateLists) {
   tx::StateUpdate forged;
   forged.account = 9;
   forged.value.balance = 1'000'000;
-  auto lists = coord.BuildUpdateList(7, {{good_a, forged}, {good_b}}, {});
+  auto lists = coord.BuildUpdateList(7, {{good_a, forged}, {good_b}});
   size_t routed = 0;
   for (const auto& shard : lists) routed += shard.size();
   EXPECT_EQ(routed, 2u);
   EXPECT_EQ(rejected->value(), 1u);
 
   // With no batch locked at all, every update is a replay: all dropped.
-  auto none = coord.BuildUpdateList(8, {{good_a}}, {});
+  auto none = coord.BuildUpdateList(8, {{good_a}});
   routed = 0;
   for (const auto& shard : none) routed += shard.size();
   EXPECT_EQ(routed, 0u);

@@ -566,6 +566,14 @@ TEST(U64MapTest, MatchesUnorderedMapUnderChurn) {
           ASSERT_EQ(*found, it->second) << key;
         }
       }
+      size_t visited = 0;
+      map.ForEach([&](uint64_t key, uint64_t value) {
+        ++visited;
+        auto it = reference.find(key);
+        ASSERT_NE(it, reference.end()) << key;
+        ASSERT_EQ(value, it->second) << key;
+      });
+      ASSERT_EQ(visited, reference.size());
     };
 
     const bool small = pool_size < 100;

@@ -1,9 +1,10 @@
 // Cross-shard coordinator tests: conflict filtering, locking, update
-// routing, retry, and rollback (§IV-D2).
+// routing, and the release of each batch when its U is built (§IV-D2).
 
 #include <gtest/gtest.h>
 
 #include "core/coordinator.h"
+#include "obs/metrics.h"
 
 namespace porygon::core {
 namespace {
@@ -22,7 +23,7 @@ Transaction Transfer(uint64_t from, uint64_t to, uint64_t amount = 1,
 }
 
 TEST(CoordinatorTest, SplitsIntraAndCross) {
-  CrossShardCoordinator coord(1, 2);  // 2 shards.
+  CrossShardCoordinator coord(1);  // 2 shards.
   auto r = coord.FilterAndLock(1, {Transfer(2, 4), Transfer(6, 3)});
   // 2->4 same shard (even/even); 6->3 crosses.
   EXPECT_EQ(r.accepted_intra.size(), 1u);
@@ -34,7 +35,7 @@ TEST(CoordinatorTest, CrossShardTakesPriorityOverSameRoundIntra) {
   // An intra tx touching an account claimed by a same-round cross-shard tx
   // is discarded — otherwise the Multi-Shard Update would clobber the
   // intra-shard effect (lost update).
-  CrossShardCoordinator coord(1, 2);
+  CrossShardCoordinator coord(1);
   auto r = coord.FilterAndLock(1, {Transfer(2, 4), Transfer(2, 3)});
   EXPECT_EQ(r.accepted_cross.size(), 1u);   // 2->3 wins.
   EXPECT_EQ(r.accepted_intra.size(), 0u);   // 2->4 conflicts on account 2.
@@ -42,7 +43,7 @@ TEST(CoordinatorTest, CrossShardTakesPriorityOverSameRoundIntra) {
 }
 
 TEST(CoordinatorTest, CrossShardAccountsLockUntilCommit) {
-  CrossShardCoordinator coord(1, 2);
+  CrossShardCoordinator coord(1);
   auto r1 = coord.FilterAndLock(1, {Transfer(2, 3)});
   ASSERT_EQ(r1.accepted_cross.size(), 1u);
   EXPECT_TRUE(coord.IsLocked(2));
@@ -58,23 +59,17 @@ TEST(CoordinatorTest, CrossShardAccountsLockUntilCommit) {
   // transactions safe), not only at final commit.
   std::vector<std::vector<StateUpdate>> s_sets = {
       {{2, {900, 1}}, {3, {1100, 0}}}};
-  auto u = coord.BuildUpdateList(1, s_sets, {{2, {1000, 0}}, {3, {1000, 0}}});
+  auto u = coord.BuildUpdateList(1, s_sets);
   ASSERT_EQ(u.size(), 2u);
   ASSERT_EQ(u[0].size(), 1u);  // Account 2 -> shard 0.
   EXPECT_EQ(u[0][0].account, 2u);
   ASSERT_EQ(u[1].size(), 1u);  // Account 3 -> shard 1.
   EXPECT_FALSE(coord.IsLocked(2));
   EXPECT_FALSE(coord.IsLocked(3));
-
-  auto o1 = coord.OnShardUpdateResult(1, 0, true);
-  EXPECT_FALSE(o1.resolved);
-  auto o2 = coord.OnShardUpdateResult(1, 1, true);
-  EXPECT_TRUE(o2.resolved);
-  EXPECT_FALSE(o2.rolled_back);
 }
 
 TEST(CoordinatorTest, SameRoundCrossShardConflictDiscarded) {
-  CrossShardCoordinator coord(1, 2);
+  CrossShardCoordinator coord(1);
   // Both cross-shard, both touch account 3 -> the second is discarded.
   auto r = coord.FilterAndLock(1, {Transfer(2, 3), Transfer(4, 3)});
   EXPECT_EQ(r.accepted_cross.size(), 1u);
@@ -82,7 +77,7 @@ TEST(CoordinatorTest, SameRoundCrossShardConflictDiscarded) {
 }
 
 TEST(CoordinatorTest, SameRoundIntraShardConflictsAllowed) {
-  CrossShardCoordinator coord(1, 2);
+  CrossShardCoordinator coord(1);
   // Two intra-shard txs sharing account 2: the ESC resolves those, not the
   // OC ("conflicts within the same shard and in the same round do not have
   // to be detected by the OC").
@@ -91,62 +86,40 @@ TEST(CoordinatorTest, SameRoundIntraShardConflictsAllowed) {
   EXPECT_TRUE(r.discarded.empty());
 }
 
-TEST(CoordinatorTest, PendingUpdatesResentUntilSuccess) {
-  CrossShardCoordinator coord(1, 3);
+TEST(CoordinatorTest, BuildingUReleasesAndForgetsTheBatch) {
+  CrossShardCoordinator coord(1);
+  obs::MetricsRegistry registry;
+  obs::Counter* rejected =
+      registry.GetCounter("core.rejected", {{"reason", "unlocked_update"}});
+  coord.set_rejected_counter(rejected);
+
   coord.FilterAndLock(1, {Transfer(2, 3)});
-  std::vector<std::vector<StateUpdate>> s_sets = {
+  const std::vector<std::vector<StateUpdate>> s_sets = {
       {{2, {900, 1}}, {3, {1100, 0}}}};
-  coord.BuildUpdateList(1, s_sets, {{2, {1000, 0}}, {3, {1000, 0}}});
-
-  // Shard 1 fails once: its updates stay pending.
-  auto o = coord.OnShardUpdateResult(1, 1, false);
-  EXPECT_FALSE(o.resolved);
-  auto pending = coord.PendingUpdatesFor(1, /*current_round=*/5);
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0].account, 3u);
-
-  // Shard 0 succeeds; shard 1 finally succeeds.
-  coord.OnShardUpdateResult(1, 0, true);
-  auto done = coord.OnShardUpdateResult(1, 1, true);
-  EXPECT_TRUE(done.resolved);
-  EXPECT_TRUE(coord.PendingUpdatesFor(1, /*current_round=*/6).empty());
-}
-
-TEST(CoordinatorTest, RollbackAfterRetryBudget) {
-  CrossShardCoordinator coord(1, 2);  // 2 retry rounds.
-  coord.FilterAndLock(1, {Transfer(2, 3)});
-  std::vector<std::vector<StateUpdate>> s_sets = {
-      {{2, {900, 1}}, {3, {1100, 0}}}};
-  std::vector<StateUpdate> old_values = {{2, {1000, 0}}, {3, {1000, 0}}};
-  coord.BuildUpdateList(1, s_sets, old_values);
-
-  coord.OnShardUpdateResult(1, 0, true);
-  EXPECT_FALSE(coord.OnShardUpdateResult(1, 1, false).resolved);
-  EXPECT_FALSE(coord.OnShardUpdateResult(1, 1, false).resolved);
-  // Third failure exceeds the 2-round budget: compensating rollback.
-  auto o = coord.OnShardUpdateResult(1, 1, false);
-  EXPECT_TRUE(o.resolved);
-  EXPECT_TRUE(o.rolled_back);
-  ASSERT_EQ(o.compensation.size(), 2u);
-  ASSERT_EQ(o.compensation[0].size(), 1u);
-  EXPECT_EQ(o.compensation[0][0].account, 2u);
-  EXPECT_EQ(o.compensation[0][0].value.balance, 1000u);  // Old value.
-  // Locks are released after rollback.
+  auto u = coord.BuildUpdateList(1, s_sets);
+  EXPECT_EQ(u[0].size() + u[1].size(), 2u);
   EXPECT_FALSE(coord.IsLocked(2));
   EXPECT_FALSE(coord.IsLocked(3));
-}
+  EXPECT_EQ(rejected->value(), 0u);
 
-TEST(CoordinatorTest, ShardsWithNoUpdatesAreTriviallyDone) {
-  CrossShardCoordinator coord(2, 2);  // 4 shards.
-  // 1 -> 2: shards 1 and 2 involved; shards 0 and 3 idle.
-  coord.FilterAndLock(1, {Transfer(1, 2)});
-  std::vector<std::vector<StateUpdate>> s_sets = {
-      {{1, {90, 1}}, {2, {110, 0}}}};
-  coord.BuildUpdateList(1, s_sets, {{1, {100, 0}}, {2, {100, 0}}});
-  // Only the two involved shards need to report.
-  coord.OnShardUpdateResult(1, 1, true);
-  auto o = coord.OnShardUpdateResult(1, 2, true);
-  EXPECT_TRUE(o.resolved);
+  // The batch is gone: the block carrying U is its only record, so a
+  // replayed S set for the same round routes nothing.
+  auto replay = coord.BuildUpdateList(1, s_sets);
+  ASSERT_EQ(replay.size(), 2u);
+  EXPECT_TRUE(replay[0].empty());
+  EXPECT_TRUE(replay[1].empty());
+  EXPECT_EQ(rejected->value(), 2u);
+
+  // A batch whose S sets all missed Te is released all the same: its
+  // accounts are free for the very next round.
+  coord.FilterAndLock(2, {Transfer(4, 5)});
+  EXPECT_TRUE(coord.IsLocked(4));
+  auto none = coord.BuildUpdateList(2, {});
+  EXPECT_TRUE(none[0].empty() && none[1].empty());
+  EXPECT_FALSE(coord.IsLocked(4));
+  EXPECT_FALSE(coord.IsLocked(5));
+  EXPECT_EQ(coord.FilterAndLock(3, {Transfer(4, 5)}).accepted_cross.size(),
+            1u);
 }
 
 }  // namespace

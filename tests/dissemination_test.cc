@@ -343,7 +343,7 @@ TEST(DisseminationTest, TreeExportsAreThreadInvariant) {
   EXPECT_EQ(HexEncode(serial->canonical_state().GlobalRoot()),
             "36f412263b3a25ee820a27ea81dd0bacc9b250b2fd340d0ec07a3d5e698c2266");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(metrics))),
-            "db6b3eca62b1828d4e17e8fb1ac8fb6ad143d7c9c4df9ea3f095ae880335745a");
+            "1a9dc05e86e7da30d4253bbdc3e2ba0ecc19a7ae81483436e73046e6e150306a");
   for (int threads : {1, 4}) {
     auto run = RunWith("tree", "", "", threads);
     EXPECT_EQ(run->metrics().ToJson(), metrics) << threads << " threads";
@@ -376,7 +376,7 @@ TEST(DisseminationTest, EquivocatingRelayLeavesEvidenceWithoutBreakingSafety) {
             clean->canonical_state().GlobalRoot());
   EXPECT_EQ(adv->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*adv),
-            "b1e4fe5157756b8bf8666d870f820944d4182894cf62e102e262a8807ccc9417");
+            "59fb9fd36a9d5ed97c384a3ec6256a612dac4fd60f566aa84dd40160f16f5ea6");
 }
 
 // Withholding relays (silent strategy drops every message, including relay
@@ -394,7 +394,7 @@ TEST(DisseminationTest, SilentRelaysDegradeToDirectWithoutStalling) {
             direct->canonical_state().GlobalRoot());
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*tree),
-            "9fa8a568d9ea00139d15f2154b018f3d84528e919033ac4cba8f78c213686821");
+            "d37b93a51d2cae53a77a2f2d7b1113720e0223be9f856d80f9f03f4e6fd9b127");
 }
 
 // Crashed stateless nodes (which may hold relay elections for their shard)
@@ -406,7 +406,7 @@ TEST(DisseminationTest, CrashedRelayFallsBackToDirectPaths) {
   EXPECT_GT(tree->metrics().committed_txs(), 0u);
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*tree),
-            "2e4695af1e9c0b1e4710c47ea99040b1d5b72c26935d9b866124219651dc444b");
+            "6402df0ecf370ede2844312b6bf26581fe2d50248dc01683d1e95bc2e4e80596");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Epoch-based committee reconfiguration (§III-B's periodic re-formation):
 // every SystemOptions::epoch_length rounds the OC is re-drawn by VRF
 // sortition over the committed tip, adversary placement is re-dealt, the
-// coordinator's locked S-sets migrate to the new leader, and the members
+// coordinator's batch locks migrate to the new leader, and the members
 // re-announce over the network. These tests pin down rotation, determinism
 // across seeds and thread counts, adversary bounds at every epoch, and
 // crash recovery straddling a boundary.
@@ -123,6 +123,7 @@ TEST(EpochTest, CommitteeRotatesAtEpochBoundaries) {
   workload::InvariantChecker checker;
   EXPECT_TRUE(checker.CheckChainIntegrity(*sys).ok());
   EXPECT_TRUE(checker.CheckBoundedCommitGap(*sys).ok());
+  EXPECT_TRUE(checker.CheckSupplyConserved(*sys).ok());
 }
 
 TEST(EpochTest, SameSeedSameEpochsReplayByteIdentically) {
@@ -153,7 +154,7 @@ TEST(EpochThreadInvarianceTest, EpochExportsAreThreadInvariant) {
 TEST(EpochTest, LeaderHandOffUnderLoadIsPinned) {
   // Two-round epochs under steady intra- and cross-shard load, with an
   // alpha = 1/4 equivocator re-dealt at every boundary: each hand-off moves
-  // locked S-sets and pooled bundles to a new leader. The replay and
+  // in-flight batch locks and pooled bundles to a new leader. The replay and
   // thread-invariance tests compare two runs of the same code, so only
   // absolute digests catch a hand-off that changes what commits.
   unsetenv("PORYGON_THREADS");
@@ -193,17 +194,18 @@ TEST(EpochTest, LeaderHandOffUnderLoadIsPinned) {
   workload::InvariantChecker checker;
   EXPECT_TRUE(checker.CheckChainIntegrity(sys).ok());
   EXPECT_TRUE(checker.CheckNoReplayMismatches(sys).ok());
+  EXPECT_TRUE(checker.CheckSupplyConserved(sys).ok());
   EXPECT_TRUE(checker.CheckEvidenceOnlyAgainstMalicious(sys).ok());
   for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
 
   // End-to-end digests, pinned: a change that moves a sim number, the
   // chain or the state must re-pin them and say why.
   EXPECT_EQ(HexEncode(sys.chain().back().Hash()),
-            "380de5a10e0a24ea9469183d7df720a146402ecad9900d9040aee81c562054a8");
+            "f2b29209363788b182d2be1ed735f70ecf41f252a41612ef83d545c8df067ae3");
   EXPECT_EQ(HexEncode(sys.canonical_state().GlobalRoot()),
             "b4678bff663ee03331cabbe22f688d1d53f093c14f66beddc68617d27e30f4f7");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(sys.metrics().ToJson()))),
-            "f8005a977973ce95f68e77cb02b560982a87d10ea366167a9255d6e6d658af64");
+            "ef5434d619439fe908de8d3463aedb1e3820db9564a869ec12a3658046cd46eb");
 }
 
 TEST(EpochAdversaryTest, PlacementIsRedrawnWithinBoundsEachEpoch) {
@@ -261,6 +263,7 @@ TEST(EpochAdversaryTest, AdversarialEpochRunMatchesCleanRun) {
                                    clean->canonical_state().GlobalRoot(),
                                    adv->metrics().committed_blocks())
                   .ok());
+  EXPECT_TRUE(checker.CheckSupplyConserved(*adv).ok());
   EXPECT_TRUE(checker.CheckEvidenceOnlyAgainstMalicious(*adv).ok());
   for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
 }
@@ -296,6 +299,7 @@ TEST(EpochTest, StorageCrashStraddlingEpochBoundaryRecovers) {
   EXPECT_TRUE(checker.CheckChainIntegrity(sys).ok());
   EXPECT_TRUE(checker.CheckNoReplayMismatches(sys).ok());
   EXPECT_TRUE(checker.CheckBoundedCommitGap(sys).ok());
+  EXPECT_TRUE(checker.CheckSupplyConserved(sys).ok());
   for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
 }
 

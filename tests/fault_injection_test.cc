@@ -31,13 +31,15 @@ SystemOptions Opts() {
 
 /// The safety/liveness sweep every faulty run must survive, routed through
 /// the chaos-soak harness's shared InvariantChecker: bounded commit gaps,
-/// intact hash links and aggregated roots along the whole chain, and clean
-/// storage replay — the same checks bench/soak asserts continuously.
+/// intact hash links and aggregated roots along the whole chain, clean
+/// storage replay and conserved total supply — the same checks bench/soak
+/// asserts continuously.
 void ExpectCoreInvariants(PorygonSystem& sys) {
   workload::InvariantChecker checker;
   EXPECT_TRUE(checker.CheckBoundedCommitGap(sys).ok());
   EXPECT_TRUE(checker.CheckChainIntegrity(sys).ok());
   EXPECT_TRUE(checker.CheckNoReplayMismatches(sys).ok());
+  EXPECT_TRUE(checker.CheckSupplyConserved(sys).ok());
   for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
 }
 

@@ -368,7 +368,7 @@ TEST(ThreadInvarianceTest, ExportsAreByteIdenticalForAnyThreadCount) {
   EXPECT_EQ(HexEncode(serial.global_root),
             "f798ee9c4abaca68dfc0bf4d2aa09d3ecb82ee0d7fac98e6a20f992a2cd91aa0");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(serial.metrics_json))),
-            "ebf5178f7a7c950fa2d63bd0d79ccaf5c6403b9027ddfb8527fa5d19eefda87a");
+            "39063c066b5bdf74f35e1d4af1dcd959af0fbde67c8c11bdad8dafb4a43ac4d8");
 
   for (int threads : {1, 4}) {
     const RunArtifacts run = RunScenario(threads);

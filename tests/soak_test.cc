@@ -83,6 +83,24 @@ TEST(RunSoakTest, ChaoticSmokeRunHasZeroViolations) {
   EXPECT_EQ(report->epochs_completed, 3u);
 }
 
+// Two-round epochs over relay trees (check.sh's epoch-churn smoke). A
+// watchdog resync can deliver a round's tip before the round starts; at
+// round 288 of this run it reaches the node the boundary then seats as
+// leader, and one shard's witness aggregate is lost. That leader must still
+// arm its proposal deadline, or the round never commits.
+TEST(RunSoakTest, LeaderSeatedAfterReachingItsRoundStillProposes) {
+  auto spec = SoakSpec::Parse(
+      "rounds:300;epoch:2;seed:3;tps:20;faults:loss:0.02,dup:0.02,"
+      "jitter:300;adversary:stateless:equivocate,storage:withhold;"
+      "dissemination:tree");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto report = RunSoak(*spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok())
+      << (report->violations.empty() ? "" : report->violations.front());
+  EXPECT_EQ(report->rounds_completed, 300u);
+}
+
 TEST(RunSoakTest, InjectedDivergenceIsCaughtAndReplaySpecReproducesIt) {
   SoakSpec spec = SmokeSpec();
   spec.inject_divergence_round = 9;

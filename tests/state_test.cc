@@ -533,6 +533,16 @@ TEST(ShardedStateTest, AccountsRouteToTheirShard) {
   EXPECT_EQ(st.GetOrDefault(0xdead00).balance, 0u);  // Default.
 }
 
+TEST(ShardedStateTest, TotalSupplyCountsUntouchedImplicitIds) {
+  ShardedState st(1);
+  st.SetImplicitAccounts(100, 50);  // Ids 1..100 hold 50 until written.
+  EXPECT_EQ(st.TotalSupply(), 5'000u);
+  st.PutAccount(3, {20, 1});   // Written implicit ids count as stored.
+  st.PutAccount(4, {80, 0});
+  st.PutAccount(500, {7, 0});  // Beyond the declared range.
+  EXPECT_EQ(st.TotalSupply(), 98u * 50 + 20 + 80 + 7);
+}
+
 TEST(ShardedStateTest, GetAccountReturnsStoredValue) {
   ShardedState st(1);
   st.PutAccount(7, {70, 1});

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "workload/traffic.h"
 
 namespace porygon::core {
 namespace {
@@ -113,6 +114,84 @@ TEST(SystemIntegrationTest, MixedWorkloadConservesTotalBalance) {
     total += sys.canonical_state().GetOrDefault(id).balance;
   }
   EXPECT_EQ(total, 60u * 1'000u);  // Transfers conserve balance.
+}
+
+// The benchmark's deployment at `shard_bits`: 10 stateless nodes per shard,
+// a 10-seat OC, two 2,000-tx blocks per shard and round, Tw = Te = 2.
+// Uniform traffic over 1M lazily funded accounts, 10% cross-shard, at `load`
+// of block capacity for 10 rounds, then 20 rounds with no new submissions.
+// Missed exec attestations happen at these shapes; each must cost the
+// update list nothing, so total supply ends exactly where genesis put it.
+void ExpectSupplyConservedAfterLoadAndDrain(int shard_bits, double load) {
+  SystemOptions opt;
+  opt.params.shard_bits = shard_bits;
+  opt.params.witness_threshold = 2;
+  opt.params.execution_threshold = 2;
+  opt.params.storage_connections = 2;
+  opt.num_storage_nodes = 2;
+  opt.num_stateless_nodes = 10 << shard_bits;
+  opt.oc_size = 10;
+  opt.blocks_per_shard_round = 2;
+  opt.seed = 1;
+  PorygonSystem sys(opt);
+  auto spec = workload::Spec::Parse("uniform,accounts:1000000,cross:0.1");
+  ASSERT_TRUE(spec.ok());
+  spec->shard_bits = shard_bits;
+  spec->seed = 1;
+  sys.CreateAccountsLazy(spec->num_accounts, 1'000'000);
+  auto model = spec->BuildModel();
+  const size_t per_round = static_cast<size_t>(
+      load * static_cast<double>(opt.blocks_per_shard_round *
+                                 opt.params.block_tx_limit *
+                                 opt.params.shard_count()));
+  for (int round = 0; round < 10; ++round) {
+    sys.SubmitBatch(model->Batch(per_round));
+    sys.Run(1);
+  }
+  sys.Run(20);
+
+  const SystemMetrics m = sys.metrics();
+  EXPECT_EQ(m.committed_blocks(), 30u);
+  EXPECT_GT(m.committed_cross_txs(), 0u);
+  EXPECT_EQ(m.replay_mismatches(), 0u);
+  EXPECT_GT(sys.metrics_registry()
+                ->FindCounter("core.exec_attestation_gaps", {})
+                ->value(),
+            0u);
+  const int64_t drift = static_cast<int64_t>(
+      sys.canonical_state().TotalSupply() - sys.funded_supply());
+  EXPECT_EQ(drift, 0);
+}
+
+TEST(SystemIntegrationTest, CrossShardLoadThenDrainConservesSupply) {
+  ExpectSupplyConservedAfterLoadAndDrain(/*shard_bits=*/2, /*load=*/0.5);
+}
+
+TEST(SystemIntegrationTest, CrossShardLoadAtBenchmarkShapeConservesSupply) {
+  ExpectSupplyConservedAfterLoadAndDrain(/*shard_bits=*/3, /*load=*/0.95);
+}
+
+// A cross-shard transfer with a bad nonce fails pre-execution, so its batch
+// returns an empty S set. Building U still releases the batch's locks: later
+// transfers from both of its accounts are ordered, not discarded.
+TEST(SystemIntegrationTest, CrossShardBatchWithNoSSetReleasesItsLocks) {
+  PorygonSystem sys(SmallOptions());
+  sys.CreateAccounts(40, 10'000);
+  ASSERT_TRUE(sys.SubmitTransaction(Transfer(2, 3, 5, /*nonce=*/7)).ok());
+  sys.Run(6);
+  ASSERT_EQ(sys.metrics().failed_txs(), 1u);
+
+  ASSERT_TRUE(sys.SubmitTransaction(Transfer(2, 4, 10, 0)).ok());
+  ASSERT_TRUE(sys.SubmitTransaction(Transfer(3, 5, 20, 0)).ok());
+  ASSERT_TRUE(sys.SubmitTransaction(Transfer(6, 8, 30, 0)).ok());  // Control.
+  sys.Run(8);
+
+  const SystemMetrics m = sys.metrics();
+  EXPECT_EQ(m.discarded_txs(), 0u);
+  EXPECT_EQ(m.committed_intra_txs(), 3u);
+  EXPECT_EQ(sys.canonical_state().GetOrDefault(2).balance, 9'990u);
+  EXPECT_EQ(sys.canonical_state().GetOrDefault(3).balance, 9'980u);
+  EXPECT_EQ(sys.canonical_state().GetOrDefault(8).balance, 10'030u);
 }
 
 // Host-side readers reuse the ids hashed at admission (StoredBlock::tx_ids);
