@@ -4,8 +4,10 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -57,6 +59,30 @@ class ByteView {
 bool operator==(ByteView a, ByteView b);
 inline bool operator!=(ByteView a, ByteView b) { return !(a == b); }
 inline bool operator<(ByteView a, ByteView b) { return a.Compare(b) < 0; }
+
+/// Immutable, reference-counted bytes: copies share one buffer, freed with
+/// the last copy. A message fan-out encodes once and every recipient holds
+/// the same buffer. Only an rvalue Bytes converts in, so sharing an lvalue
+/// buffer is never a silent copy.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  SharedBytes(Bytes&& bytes)  // NOLINT: an encoding converts in place.
+      : buf_(bytes.empty()
+                 ? nullptr
+                 : std::make_shared<const Bytes>(std::move(bytes))) {}
+
+  const uint8_t* data() const { return buf_ ? buf_->data() : nullptr; }
+  size_t size() const { return buf_ ? buf_->size() : 0; }
+  operator ByteView() const { return ByteView(data(), size()); }  // NOLINT
+
+  /// Observes the buffer without keeping it alive (expired once every
+  /// copy is gone; empty payloads have no buffer).
+  std::weak_ptr<const Bytes> Watch() const { return buf_; }
+
+ private:
+  std::shared_ptr<const Bytes> buf_;
+};
 
 /// Encodes `data` as lowercase hex.
 std::string HexEncode(ByteView data);

@@ -5,10 +5,9 @@ namespace porygon::core {
 using state::AccountId;
 using state::ShardOfAccount;
 using tx::StateUpdate;
-using tx::Transaction;
 
 CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
-    uint64_t round, const std::vector<Transaction>& txs) {
+    uint64_t round, const std::vector<TxAccess>& txs) {
   FilterResult result;
   // Accounts claimed by cross-shard transactions accepted this round.
   // Cross-shard transactions get priority (they span shards, so the OC is
@@ -22,39 +21,42 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
   // would clobber the intra effect (a lost update).
   U64Map<uint8_t> round_claims;
 
-  auto is_blocked = [&](const Transaction& t) {
-    for (AccountId a : t.AccessedAccounts()) {
-      if (locks_.Find(a) != nullptr || round_claims.Find(a) != nullptr) {
-        return true;
-      }
-    }
-    return false;
+  // A transfer touches exactly {from, to}.
+  auto is_taken = [&](AccountId a) {
+    return locks_.Find(a) != nullptr || round_claims.Find(a) != nullptr;
+  };
+  auto is_cross = [&](const TxAccess& t) {
+    return ShardOfAccount(t.from, shard_bits_) !=
+           ShardOfAccount(t.to, shard_bits_);
   };
 
-  for (const Transaction& t : txs) {
-    if (!t.IsCrossShard(shard_bits_)) continue;
-    if (is_blocked(t)) {
-      result.discarded.push_back(t.Id());
+  for (uint32_t i = 0; i < txs.size(); ++i) {
+    const TxAccess& t = txs[i];
+    if (!is_cross(t)) continue;
+    if (is_taken(t.from) || is_taken(t.to)) {
+      result.discarded.push_back(t.id);
       continue;
     }
-    for (AccountId a : t.AccessedAccounts()) round_claims[a] = 1;
-    result.accepted_cross.push_back(t);
+    round_claims[t.from] = 1;
+    round_claims[t.to] = 1;
+    result.accepted_cross.push_back(i);
   }
-  for (const Transaction& t : txs) {
-    if (t.IsCrossShard(shard_bits_)) continue;
-    if (is_blocked(t)) {
-      result.discarded.push_back(t.Id());
+  for (uint32_t i = 0; i < txs.size(); ++i) {
+    const TxAccess& t = txs[i];
+    if (is_cross(t)) continue;
+    if (is_taken(t.from) || is_taken(t.to)) {
+      result.discarded.push_back(t.id);
       continue;
     }
-    result.accepted_intra.push_back(t);
+    result.accepted_intra.push_back(i);
   }
 
   // Lock the accounts of accepted cross-shard transactions until their
   // update list U is built, two proposals later.
   if (!result.accepted_cross.empty()) {
     InFlightBatch batch;
-    for (const Transaction& t : result.accepted_cross) {
-      for (AccountId a : t.AccessedAccounts()) {
+    for (uint32_t i : result.accepted_cross) {
+      for (AccountId a : {txs[i].from, txs[i].to}) {
         if (locks_.Insert(a)) batch.locked_accounts.push_back(a);
       }
     }

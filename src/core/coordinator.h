@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "core/messages.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/account.h"
@@ -54,16 +55,18 @@ class CrossShardCoordinator {
   }
 
   struct FilterResult {
-    std::vector<tx::Transaction> accepted_intra;
-    std::vector<tx::Transaction> accepted_cross;
-    /// Discarded for conflicts; still recorded in their blocks for
-    /// integrity, with their ids noted in the proposal.
+    /// Positions in the input of the accepted transactions, each list in
+    /// input order.
+    std::vector<uint32_t> accepted_intra;
+    std::vector<uint32_t> accepted_cross;
+    /// Discarded for conflicts, cross-shard first; still recorded in their
+    /// blocks for integrity, with their ids noted in the proposal.
     std::vector<tx::TxId> discarded;
   };
 
-  /// Splits and filters one round's witnessed transactions.
-  FilterResult FilterAndLock(uint64_t round,
-                             const std::vector<tx::Transaction>& txs);
+  /// Splits and filters one round's witnessed transactions, read from
+  /// their access records: the ids and accounts are all it needs.
+  FilterResult FilterAndLock(uint64_t round, const std::vector<TxAccess>& txs);
 
   /// Is this account currently locked by an in-flight cross-shard batch?
   bool IsLocked(state::AccountId account) const {

@@ -180,6 +180,20 @@ size_t WitnessedBlock::WireSize() const {
          accesses.size() * 6;
 }
 
+TxAccess ToAccess(const tx::Transaction& t, const tx::TxId& id) {
+  return TxAccess{id, t.from, t.to, t.amount, t.nonce, t.submitted_at};
+}
+
+tx::Transaction FromAccess(const TxAccess& a) {
+  tx::Transaction t;
+  t.from = a.from;
+  t.to = a.to;
+  t.amount = a.amount;
+  t.nonce = a.nonce;
+  t.submitted_at = a.submitted_at;
+  return t;
+}
+
 void TxAccess::EncodeTo(wire::Writer* w) const {
   w->Array(id).U64(from).U64(to).U64(amount).U64(nonce).U64(submitted_at);
 }

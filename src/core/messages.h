@@ -146,6 +146,12 @@ struct TxAccess {
   void DecodeFrom(wire::Reader* r);
 };
 
+/// The access record of `t`, whose id `id` the caller already holds.
+TxAccess ToAccess(const tx::Transaction& t, const tx::TxId& id);
+/// The transfer a record describes, with no signature: its Id() equals
+/// the record's id, since ids exclude the signature.
+tx::Transaction FromAccess(const TxAccess& a);
+
 /// One witnessed block as shipped to the OC: header, witness proofs, and
 /// access summaries. Wire cost: header + proofs + ~48 B per transaction —
 /// never the 112 B bodies.

@@ -12,16 +12,6 @@
 namespace porygon::core {
 
 namespace {
-tx::Transaction FromAccess(const TxAccess& a) {
-  tx::Transaction t;
-  t.from = a.from;
-  t.to = a.to;
-  t.amount = a.amount;
-  t.nonce = a.nonce;
-  t.submitted_at = a.submitted_at;
-  return t;
-}
-
 // Merges `block` into `merged` by block id. A block already held gains the
 // proofs of witnesses it lacks: cross-batch witnesses may arrive via
 // different storage nodes or relays.
@@ -76,7 +66,7 @@ uint64_t StatelessNodeActor::StorageFootprintBytes() const {
   return bytes;
 }
 
-void StatelessNodeActor::SendToPrimary(uint16_t kind, Bytes payload,
+void StatelessNodeActor::SendToPrimary(uint16_t kind, SharedBytes payload,
                                        size_t wire_size,
                                        obs::TraceContext trace) {
   if (storages_.empty()) return;
@@ -94,7 +84,8 @@ void StatelessNodeActor::SendToPrimary(uint16_t kind, Bytes payload,
 // Storage-link failover
 // --------------------------------------------------------------------------
 
-void StatelessNodeActor::TrackRequest(uint16_t kind, const Bytes& payload,
+void StatelessNodeActor::TrackRequest(uint16_t kind,
+                                      const SharedBytes& payload,
                                       size_t wire_size,
                                       obs::TraceContext trace) {
   const uint64_t id = next_req_id_++;
@@ -113,7 +104,7 @@ void StatelessNodeActor::TrackRequest(uint16_t kind, const Bytes& payload,
     if (relay.ok() && relay->target == Relay::kToOrderingCommittee &&
         in_oc_) {
       req.echo_kind = relay->inner_kind;
-      req.echo_payload = relay->inner;
+      req.echo_payload = std::move(relay->inner);
     }
   }
   pending_reqs_[id] = std::move(req);
@@ -166,7 +157,7 @@ void StatelessNodeActor::NoteEcho(const net::Message& msg) {
   for (auto it = pending_reqs_.begin(); it != pending_reqs_.end(); ++it) {
     const PendingReq& req = it->second;
     if (req.kind != kMsgRelay || req.echo_kind != msg.kind) continue;
-    if (req.echo_payload == msg.payload) {
+    if (ByteView(req.echo_payload) == ByteView(msg.payload)) {
       pending_reqs_.erase(it);  // Delivered: our broadcast came back.
       return;
     }
@@ -272,7 +263,7 @@ void StatelessNodeActor::OnWatchdog() {
                                    [this] { OnWatchdog(); });
 }
 
-void StatelessNodeActor::SendToAllStorages(uint16_t kind, const Bytes& payload,
+void StatelessNodeActor::SendToAllStorages(uint16_t kind, SharedBytes payload,
                                            size_t wire_size,
                                            obs::TraceContext trace) {
   for (net::NodeId sid : storages_) {
@@ -280,13 +271,13 @@ void StatelessNodeActor::SendToAllStorages(uint16_t kind, const Bytes& payload,
   }
 }
 
-void StatelessNodeActor::BroadcastToOc(uint16_t kind, const Bytes& payload,
+void StatelessNodeActor::BroadcastToOc(uint16_t kind, Bytes payload,
                                        obs::TraceContext trace) {
   Relay relay;
   relay.target = Relay::kToOrderingCommittee;
   relay.round = current_round_;
   relay.inner_kind = kind;
-  relay.inner = payload;
+  relay.inner = std::move(payload);
   relay.trace = trace;  // Restored onto the forwarded message by storage.
   Bytes enc = relay.Encode();
   // The optional 16-byte trace tail is observability metadata, not protocol
@@ -419,15 +410,15 @@ void StatelessNodeActor::OnNewRound(TipHeader tip) {
     // the degradation latch resets too); the coordinator persists (the OC
     // outlives ECs, §IV-C2).
     ResetInstance();
-    // Bound memory: bundles/results older than the pipeline depth are dead.
-    while (!bundles_.empty() && bundles_.begin()->first + 4 < round) {
+    // Older bundles are dead; results and relay bookkeeping keep the
+    // pipeline depth.
+    while (!bundles_.empty() && !Listable(bundles_.begin()->first)) {
       bundles_.erase(bundles_.begin());
     }
     while (!exec_results_.empty() &&
            exec_results_.begin()->first.first + 4 < round) {
       exec_results_.erase(exec_results_.begin());
     }
-    // Relay bookkeeping ages out with the pipeline depth.
     while (!vote_agg_.empty() &&
            std::get<0>(vote_agg_.begin()->first) + 4 < round) {
       vote_agg_.erase(vote_agg_.begin());
@@ -550,6 +541,7 @@ void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing,
   } else {
     coordinator_ = std::move(outgoing->coordinator_);
     for (const auto& [batch, blocks] : outgoing->bundles_) {
+      if (!Listable(batch)) continue;
       auto& mine = bundles_[batch];
       for (const auto& [id, block] : blocks) mine.emplace(id, block);
     }
@@ -596,8 +588,10 @@ void StatelessNodeActor::WitnessBody(tx::TransactionBlock block,
   if (held_blocks_.count(key) == 0) {
     HeldBlock held;
     held.header = block.header;
-    held.txs = std::move(block.transactions);
-    held.tx_ids = std::move(tx_ids);
+    held.txs.reserve(tx_ids.size());
+    for (size_t i = 0; i < tx_ids.size(); ++i) {
+      held.txs.push_back(ToAccess(block.transactions[i], tx_ids[i]));
+    }
     held.witnessed_round = round;
     held_blocks_[key] = std::move(held);
   }
@@ -684,7 +678,7 @@ void StatelessNodeActor::OnBodyChunk(const net::Message& msg) {
     st.forwarded = true;
     BodyChunk fwd = *chunk;
     fwd.peers.clear();  // Forwarded hops never re-forward; drop the roster.
-    Bytes enc = fwd.Encode();
+    const SharedBytes enc = fwd.Encode();
     const size_t wire = fwd.WireSize();
     for (uint16_t i = 1; i <= st.k; ++i) {
       net::NodeId peer =
@@ -700,7 +694,9 @@ void StatelessNodeActor::OnBodyChunk(const net::Message& msg) {
   if (!body.ok()) return;
   auto block = tx::TransactionBlock::Decode(*body);
   if (!block.ok() || block->header.Id() != st.header.Id()) return;
+  // Rebuilt: from here on only `done` and the header are read.
   st.done = true;
+  st.chunks = {};
   WitnessBody(std::move(*block), current_round_, msg.trace);
 }
 
@@ -887,10 +883,9 @@ void StatelessNodeActor::RunExecution() {
     for (const auto& id : req.block_ids) {
       auto held = held_blocks_.find(IdKey(id));
       if (held == held_blocks_.end()) continue;
-      const HeldBlock& hb = held->second;
-      for (size_t i = 0; i < hb.txs.size(); ++i) {
-        const tx::Transaction& t = hb.txs[i];
-        if (!discarded.empty() && discarded.Contains(hb.tx_ids[i])) continue;
+      for (const TxAccess& a : held->second.txs) {
+        if (!discarded.empty() && discarded.Contains(a.id)) continue;
+        tx::Transaction t = FromAccess(a);
         if (t.IsCrossShard(system_->params().shard_bits)) {
           input.cross_shard.push_back(t);
         } else {
@@ -974,7 +969,7 @@ void StatelessNodeActor::CollectExecAttestation(const ExecResultMsg& result) {
     out.signers.push_back(r.signer);
     out.signatures.push_back(r.signature);
   }
-  const Bytes enc = out.Encode();
+  const SharedBytes enc = out.Encode();
   const obs::TraceContext lane =
       system_->tracer()->RoundContext(result.exec_round);
   for (net::NodeId oc : system_->oc().ids) {
@@ -991,6 +986,7 @@ void StatelessNodeActor::OnWitnessBundle(const net::Message& msg) {
   if (!in_oc_) return;
   auto bundle = WitnessBundle::Decode(msg.payload);
   if (!bundle.ok()) return;
+  if (!Listable(bundle->batch_round)) return;  // Dead on arrival.
   auto& merged = bundles_[bundle->batch_round];
   for (auto& block : bundle->blocks) {
     if (block.header.shard >=
@@ -1036,6 +1032,7 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
       return;
     }
     agg_seen_.emplace(key, h);
+    if (!Listable(agg->batch_round)) return;  // Dead on arrival.
     auto& merged = bundles_[agg->batch_round];
     for (auto& block : agg->blocks) {
       if (block.header.shard != agg->shard) {
@@ -1261,7 +1258,7 @@ void StatelessNodeActor::MaybePropose() {
   proposal.execution_threshold = p.execution_fraction;
 
   // --- Ordering Phase: list batch r-1 blocks with enough witness proofs.
-  std::vector<tx::Transaction> round_txs;
+  std::vector<TxAccess> round_txs;
   auto bundle = bundles_.find(r - 1);
   if (bundle != bundles_.end()) {
     // Verify every distinct witness signature of the bundle in one batch
@@ -1302,26 +1299,30 @@ void StatelessNodeActor::MaybePropose() {
       }
     }
     // Deterministic order (map iteration is already id-sorted).
+    size_t listed = 0;
+    for (const WitnessedBlock* wb : ordered) listed += wb->accesses.size();
+    round_txs.reserve(listed);
     for (const WitnessedBlock* wb : ordered) {
       proposal.shard_tx_blocks[wb->header.shard].push_back(wb->header.Id());
-      for (const auto& a : wb->accesses) round_txs.push_back(FromAccess(a));
+      round_txs.insert(round_txs.end(), wb->accesses.begin(),
+                       wb->accesses.end());
     }
   }
 
   // --- Cross-shard conflict filtering + locking (§IV-D2).
   auto filtered = coordinator_->FilterAndLock(r, round_txs);
-  proposal.discarded = filtered.discarded;
+  proposal.discarded = std::move(filtered.discarded);
   if (system_->tracer()->enabled()) {
     // Sampled transactions close their "ordering" span here (listed in the
     // round-r proposal) or terminate with a "discarded" span.
     const std::string name = TraceName();
-    for (const auto& t : filtered.accepted_intra) {
-      system_->TraceTxOrdered(t.Id(), r, /*accepted=*/true, name);
+    for (uint32_t i : filtered.accepted_intra) {
+      system_->TraceTxOrdered(round_txs[i].id, r, /*accepted=*/true, name);
     }
-    for (const auto& t : filtered.accepted_cross) {
-      system_->TraceTxOrdered(t.Id(), r, /*accepted=*/true, name);
+    for (uint32_t i : filtered.accepted_cross) {
+      system_->TraceTxOrdered(round_txs[i].id, r, /*accepted=*/true, name);
     }
-    for (const auto& id : filtered.discarded) {
+    for (const auto& id : proposal.discarded) {
       system_->TraceTxOrdered(id, r, /*accepted=*/false, name);
     }
   }
@@ -1396,11 +1397,12 @@ void StatelessNodeActor::MaybePropose() {
       state::ShardedState::AggregateRoots(proposal.shard_roots);
 
   // One encoding serves the broadcast and the hash.
-  const Bytes enc = proposal.Encode();
+  Bytes enc = proposal.Encode();
   const crypto::Hash256 hash = crypto::Sha256::Hash(enc);
   pending_proposal_ = proposal;
   proposals_seen_[IdKey(hash)] = std::move(proposal);
-  BroadcastToOc(kMsgProposal, enc, system_->tracer()->RoundContext(r));
+  BroadcastToOc(kMsgProposal, std::move(enc),
+                system_->tracer()->RoundContext(r));
   StartConsensus(hash);
 }
 
@@ -1594,7 +1596,7 @@ void StatelessNodeActor::CollectVote(const consensus::Vote& v) {
     cert.bitmap |= uint64_t{1} << bit;
     cert.signatures.push_back(sig);
   }
-  const Bytes enc = cert.Encode();
+  const SharedBytes enc = cert.Encode();
   const obs::TraceContext lane = system_->tracer()->RoundContext(v.instance);
   // The relay received (and already counted) every individual vote, so the
   // cert only goes out — never back into our own BA* instance.
@@ -1668,7 +1670,7 @@ void StatelessNodeActor::PublishDecision() {
   if (net_id_ != system_->oc().leader) return;
   auto it = proposals_seen_.find(IdKey(cert.value));
   if (it == proposals_seen_.end()) return;
-  const Bytes enc = it->second.Encode();
+  const SharedBytes enc = it->second.Encode();
   const size_t fanout =
       system_->dissemination().CommitFanout(storages_.size());
   for (size_t i = 0; i < fanout; ++i) {

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "common/erasure.h"
@@ -71,7 +72,7 @@ void StorageNodeActor::OnRoundStart(uint64_t round) {
   // inputs arrive separately as per-shard ExecRequests ("both the list and
   // the state tree are not completely sent to each shard", §IV-D2).
   const TipHeader& tip = system_->tip();
-  const Bytes tip_enc = tip.Encode();
+  const SharedBytes tip_enc = tip.Encode();
   const obs::TraceContext lane = system_->tracer()->RoundContext(round);
   const net::Dissemination& diss = system_->dissemination();
   for (int i = 0; i < system_->num_stateless_nodes(); ++i) {
@@ -88,10 +89,11 @@ void StorageNodeActor::OnRoundStart(uint64_t round) {
   });
 }
 
-void StorageNodeActor::GossipToPeers(uint16_t inner_kind, const Bytes& payload,
+void StorageNodeActor::GossipToPeers(uint16_t inner_kind, ByteView payload,
                                      size_t wire_size) {
   net::SimNetwork* net = system_->network();
-  const Bytes wrapped = wire::Writer().U16(inner_kind).Blob(payload).Take();
+  const SharedBytes wrapped =
+      wire::Writer().U16(inner_kind).Blob(payload).Take();
   for (int i = 0; i < system_->num_storage_nodes(); ++i) {
     const net::NodeId peer = system_->storage_node(i)->net_id();
     if (peer == net_id_) continue;
@@ -101,9 +103,11 @@ void StorageNodeActor::GossipToPeers(uint16_t inner_kind, const Bytes& payload,
 
 void StorageNodeActor::OnGossip(const net::Message& msg) {
   net::Message unwrapped;
+  Bytes inner;
   wire::Reader r(msg.payload);
-  r.U16(&unwrapped.kind).Blob(&unwrapped.payload);
+  r.U16(&unwrapped.kind).Blob(&inner);
   if (!r.Finish("gossip").ok()) return;
+  unwrapped.payload = std::move(inner);
   unwrapped.from = msg.from;
   unwrapped.to = msg.to;
   unwrapped.wire_size = msg.wire_size;
@@ -276,7 +280,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
           c.k = static_cast<uint16_t>(k);
           c.n = static_cast<uint16_t>(n);
           c.peers = members;
-          if (!chunks.empty()) c.payload = chunks[j];
+          if (!chunks.empty()) c.payload = std::move(chunks[j]);
           net->Send(net_id_, members[j], kMsgBodyChunk, c.Encode(),
                     c.WireSize(), lane);
         }
@@ -284,17 +288,18 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
       }
       // A withholding storage node ships headers with no bodies: members
       // cannot witness what they cannot download (Challenge 2).
-      tx::TransactionBlock outgoing;
-      outgoing.header = block->header;
+      tx::TransactionBlock header_only;
+      const tx::TransactionBlock* outgoing = block;
       if (withholds_bodies()) {
         system_->adversary()->NoteAction(strategy_, "withhold_body",
                                          TraceName(), /*trace=*/false);
-      } else {
-        outgoing.transactions = block->transactions;
+        header_only.header = block->header;
+        outgoing = &header_only;
       }
-      const Bytes enc = outgoing.Encode();
+      // One encoding of the stored block, shared by the whole EC.
+      const SharedBytes enc = outgoing->Encode();
       for (net::NodeId member : members) {
-        net->Send(net_id_, member, kMsgTxBlock, enc, outgoing.WireSize(),
+        net->Send(net_id_, member, kMsgTxBlock, enc, outgoing->WireSize(),
                   lane);
       }
     }
@@ -308,9 +313,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
     for (const auto& [pk, proof] : ws.proofs) wb.proofs.push_back(proof);
     wb.accesses.reserve(sb.block.transactions.size());
     for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
-      const tx::Transaction& t = sb.block.transactions[i];
-      wb.accesses.push_back(TxAccess{sb.tx_ids[i], t.from, t.to, t.amount,
-                                     t.nonce, t.submitted_at});
+      wb.accesses.push_back(ToAccess(sb.block.transactions[i], sb.tx_ids[i]));
     }
     return wb;
   };
@@ -398,7 +401,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
                   sub.WireSize(), batch_lane);
       }
     } else {
-      const Bytes enc = bundle.Encode();
+      const SharedBytes enc = bundle.Encode();
       for (net::NodeId oc : system_->oc().ids) {
         // Only the member's primary storage node ships the bundle.
         const auto* member = system_->StatelessByNetId(oc);
@@ -437,7 +440,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
         auto it = exec_reg->ec_by_shard.find(shard);
         if (it == exec_reg->ec_by_shard.end()) continue;
         req.members = it->second;
-        const Bytes enc = req.Encode();
+        const SharedBytes enc = req.Encode();
         for (net::NodeId member : it->second) {
           const auto* node = system_->StatelessByNetId(member);
           if (node == nullptr || node->primary_storage() != net_id_) continue;
@@ -539,10 +542,12 @@ void StorageNodeActor::OnRelay(const net::Message& msg) {
   const bool ack_sender =
       system_->dissemination().AcksOcRelays() &&
       std::find(oc_ids.begin(), oc_ids.end(), msg.from) != oc_ids.end();
+  // One copy of the inner message, shared by every OC member.
+  const SharedBytes inner = std::move(relay->inner);
   for (net::NodeId oc : oc_ids) {
     if (ack_sender && oc == msg.from) continue;
     // The sender's trace survives the storage hop.
-    net->Send(net_id_, oc, relay->inner_kind, relay->inner, 0, relay->trace);
+    net->Send(net_id_, oc, relay->inner_kind, inner, 0, relay->trace);
   }
   if (ack_sender) {
     RelayAck ack;
@@ -742,6 +747,35 @@ void StorageNodeActor::OnCommit(const net::Message& msg, bool from_gossip) {
   if (!from_gossip && !suppresses_gossip()) {
     GossipToPeers(kMsgCommit, msg.payload, msg.payload.size());
   }
+}
+
+void StorageNodeActor::PruneWitnessBookkeeping() {
+  // The re-offer loop, the bundle build, orphan recovery, OnWitnessUpload
+  // and OnRejoin all look a block up in the store first: the entries of a
+  // block the store dropped are dead.
+  const auto& store = system_->block_store();
+  for (auto it = witness_state_.begin(); it != witness_state_.end();) {
+    it = store.count(it->first) > 0 ? std::next(it) : witness_state_.erase(it);
+  }
+  for (auto it = witnessed_by_batch_.begin();
+       it != witnessed_by_batch_.end();) {
+    std::vector<tx::BlockId>& ids = it->second;
+    ids.erase(std::remove_if(ids.begin(), ids.end(),
+                             [&](const tx::BlockId& id) {
+                               return store.count(IdKey(id)) == 0;
+                             }),
+              ids.end());
+    it = ids.empty() ? witnessed_by_batch_.erase(it) : std::next(it);
+  }
+}
+
+std::vector<std::string> StorageNodeActor::WitnessedBlockKeys() const {
+  std::vector<std::string> keys;
+  for (const auto& [key, state] : witness_state_) keys.push_back(key);
+  for (const auto& [batch, ids] : witnessed_by_batch_) {
+    for (const auto& id : ids) keys.push_back(IdKey(id));
+  }
+  return keys;
 }
 
 }  // namespace porygon::core

@@ -986,7 +986,8 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
   AccountCommittedBatch(block);
 
   // Prune transaction blocks that can no longer be referenced (metrics look
-  // back at most 4 rounds; executions at most 2).
+  // back at most 4 rounds; executions at most 2), and with them the storage
+  // nodes' witness bookkeeping of those blocks.
   if (block.round > 8) {
     for (auto it = block_store_.begin(); it != block_store_.end();) {
       if (it->second.batch_round + 8 < block.round) {
@@ -995,6 +996,7 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
         ++it;
       }
     }
+    for (auto& storage : storage_nodes_) storage->PruneWitnessBookkeeping();
   }
 
   MaybeScheduleNextRound();

@@ -282,10 +282,16 @@ class StorageNodeActor {
   bool Admit(const tx::Transaction& t, const tx::TxId& id) {
     return pool_.Add(t, id);
   }
+  /// Drops the witness bookkeeping of blocks the block store no longer
+  /// holds; the system calls it each time it prunes the store.
+  void PruneWitnessBookkeeping();
 
   int index() const { return index_; }
   net::NodeId net_id() const { return net_id_; }
   size_t pool_pending() const { return pool_.PendingTotal(); }
+  /// Block-store keys the witness bookkeeping names: proof sets and the
+  /// per-batch Tw lists (diagnostics).
+  std::vector<std::string> WitnessedBlockKeys() const;
 
  private:
   void OnSubmitTx(const net::Message& msg);
@@ -297,7 +303,7 @@ class StorageNodeActor {
   void OnRoleAnnounce(const net::Message& msg, bool from_gossip);
   void OnGossip(const net::Message& msg);
 
-  void GossipToPeers(uint16_t inner_kind, const Bytes& payload,
+  void GossipToPeers(uint16_t inner_kind, ByteView payload,
                      size_t wire_size);
 
   /// Node label on trace spans (only built when tracing is enabled).
@@ -328,7 +334,8 @@ class StorageNodeActor {
   std::unique_ptr<storage::Db> db_;
 
   // Witness bookkeeping: block id -> distinct proofs; per-batch witnessed
-  // block ids (reached Tw).
+  // block ids (reached Tw). Every reader looks the block up in the store
+  // first, so both are pruned in step with it (PruneWitnessBookkeeping).
   struct WitnessState {
     std::map<crypto::PublicKey, tx::WitnessProof> proofs;
     bool announced_to_oc = false;
@@ -397,6 +404,26 @@ class StatelessNodeActor {
   /// witnessed block bodies.
   uint64_t StorageFootprintBytes() const;
   uint64_t current_round() const { return current_round_; }
+
+  /// A witnessed body held from its witness round r until its execution
+  /// (pruned at the round start after r + 2), as one access record per
+  /// transaction: the id hashed when the body was verified plus the five
+  /// transfer fields. The signature is never read after the witness.
+  struct HeldBlock {
+    tx::TransactionBlockHeader header;
+    std::vector<TxAccess> txs;
+    uint64_t witnessed_round = 0;
+  };
+  /// Held bodies by block id (diagnostics).
+  const std::map<std::string, HeldBlock>& held_blocks() const {
+    return held_blocks_;
+  }
+  /// OC member: merged witnessed blocks per batch round, only the batch
+  /// the next proposal can list (diagnostics).
+  const std::map<uint64_t, std::map<std::string, WitnessedBlock>>& bundles()
+      const {
+    return bundles_;
+  }
 
   // --- Committee seating (driven by PorygonSystem::SeatOc) ---------------
   /// Installs this epoch's adversary placement for the node.
@@ -473,6 +500,9 @@ class StatelessNodeActor {
 
   // --- OC paths ---------------------------------------------------------
   void OnWitnessBundle(const net::Message& msg);
+  /// Only batch r-1 can still be listed: MaybePropose reads bundles_[r-1],
+  /// so the bundles of older batches are never kept.
+  bool Listable(uint64_t batch) const { return batch + 1 >= current_round_; }
   void OnProposal(const net::Message& msg);
   void OnVote(const net::Message& msg);
   void OnDecisionCert(const net::Message& msg);
@@ -481,7 +511,7 @@ class StatelessNodeActor {
   /// Proposes at the round's fallback deadline unless a proposal went out
   /// first or the node has moved past `round`.
   void ScheduleProposalDeadline(uint64_t round);
-  void BroadcastToOc(uint16_t kind, const Bytes& payload,
+  void BroadcastToOc(uint16_t kind, Bytes payload,
                      obs::TraceContext trace = {});
   void StartConsensus(const crypto::Hash256& proposal_hash);
   void OnDecision(const consensus::DecisionCert& cert);
@@ -490,9 +520,9 @@ class StatelessNodeActor {
   /// decision and again from the timeout driver while the round is open.
   void PublishDecision();
 
-  void SendToPrimary(uint16_t kind, Bytes payload, size_t wire_size = 0,
+  void SendToPrimary(uint16_t kind, SharedBytes payload, size_t wire_size = 0,
                      obs::TraceContext trace = {});
-  void SendToAllStorages(uint16_t kind, const Bytes& payload,
+  void SendToAllStorages(uint16_t kind, SharedBytes payload,
                          size_t wire_size = 0, obs::TraceContext trace = {});
 
   /// Clears the per-instance consensus scratch (BA* instance, early votes,
@@ -507,8 +537,8 @@ class StatelessNodeActor {
   // backoff; enough strikes rotate the primary through the connection list.
   // A round watchdog covers full stalls between requests, and a probe chain
   // readopts the preferred primary once it answers again.
-  void TrackRequest(uint16_t kind, const Bytes& payload, size_t wire_size,
-                    obs::TraceContext trace);
+  void TrackRequest(uint16_t kind, const SharedBytes& payload,
+                    size_t wire_size, obs::TraceContext trace);
   void OnRequestDeadline(uint64_t req_id);
   void RotatePrimary();
   void NoteHeardFrom(net::NodeId from);
@@ -536,14 +566,14 @@ class StatelessNodeActor {
   // --- Storage-link failover state ---------------------------------------
   struct PendingReq {
     uint16_t kind = 0;
-    Bytes payload;
+    SharedBytes payload;  ///< The sent buffer; retransmits share it.
     size_t wire_size = 0;
     obs::TraceContext trace;
     /// For OC-broadcast relays: the inner (kind, payload) the primary must
     /// echo back to us (OnRelay forwards to every OC member, sender
     /// included). Receiving the echo is positive proof of delivery.
     uint16_t echo_kind = 0;
-    Bytes echo_payload;
+    SharedBytes echo_payload;
     uint64_t round = 0;         ///< Round the request was issued in.
     size_t target_idx = 0;      ///< Connection the last send went to.
     net::SimTime sent_at = 0;   ///< Last (re)transmission time.
@@ -578,13 +608,7 @@ class StatelessNodeActor {
   std::optional<Assignment> assignment_;  // EC role for current round.
 
   // Witnessed blocks held between Witness and Execution phases, keyed by
-  // block id: bodies + access lists (pruned after execution).
-  struct HeldBlock {
-    tx::TransactionBlockHeader header;
-    std::vector<tx::Transaction> txs;
-    std::vector<tx::TxId> tx_ids;  // Hashed when the body was verified.
-    uint64_t witnessed_round = 0;
-  };
+  // block id (pruned after execution).
   std::map<std::string, HeldBlock> held_blocks_;
 
   // Execution-phase scratch (ESC member).
@@ -609,7 +633,7 @@ class StatelessNodeActor {
     std::map<std::string, ExecResultMsg> payloads;      // Result key -> data.
     std::set<crypto::PublicKey> voters;
   };
-  // Merged witnessed blocks per batch round (id -> block).
+  // Merged witnessed blocks per batch round (id -> block), batch r-1 only.
   std::map<uint64_t, std::map<std::string, WitnessedBlock>> bundles_;
   // Exec results per (exec round, shard).
   std::map<std::pair<uint64_t, uint32_t>, PendingExec> exec_results_;
@@ -627,7 +651,8 @@ class StatelessNodeActor {
 
   // --- Relay state (empty in direct runs, which elect no relay) -----------
   // EC-side chunk reassembly, by block id: chunks received so far plus the
-  // header to validate the reconstruction against. Pruned on round change.
+  // header to validate the reconstruction against. The chunks are freed
+  // once the body is rebuilt; the entry is pruned on round change.
   struct ChunkState {
     tx::TransactionBlockHeader header{};
     uint16_t k = 0;

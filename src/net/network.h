@@ -30,7 +30,10 @@ struct Message {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
   uint16_t kind = 0;        ///< Protocol message type (per-protocol enum).
-  Bytes payload;            ///< Decoded by the receiving actor.
+  /// Decoded by the receiving actor. Immutable once sent: every recipient
+  /// of a fan-out (and a fault-injected duplicate) shares one buffer,
+  /// released when the last copy is delivered or dropped.
+  SharedBytes payload;
   size_t wire_size = 0;     ///< Bytes charged to links (0: payload size).
   /// Distributed-tracing context carried with the message (the simulated
   /// analogue of a trace header). Not charged to the bandwidth model — the
@@ -152,8 +155,10 @@ class SimNetwork {
   /// Sends `msg` (from/to filled by caller); timing per the class comment.
   void Send(Message msg);
   /// Builds and sends one message; a `wire_size` of 0 bills the payload
-  /// size.
-  void Send(NodeId from, NodeId to, uint16_t kind, Bytes payload,
+  /// size. A fan-out passes the same `payload` to every recipient, so the
+  /// encoding is built and held once; a fresh encoding (an rvalue Bytes)
+  /// converts in place.
+  void Send(NodeId from, NodeId to, uint16_t kind, SharedBytes payload,
             size_t wire_size = 0, obs::TraceContext trace = {}) {
     Send(Message{from, to, kind, std::move(payload), wire_size, trace});
   }
@@ -218,7 +223,8 @@ class SimNetwork {
   void NoteInflight(uint32_t role_idx, int64_t delta);
 
   /// One-copy transmission (uplink/latency/downlink modeling); `Send` calls
-  /// it once, or twice when the fault hook asked for duplication.
+  /// it once, or twice when the fault hook asked for duplication (both
+  /// copies share the payload).
   void Transmit(Message msg, SimTime extra_delay);
   /// Counts one drop: the aggregate plus the reason-labelled counter.
   void Drop(obs::Counter* reason_counter);

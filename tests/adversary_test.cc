@@ -410,11 +410,12 @@ TEST(AdversaryTest, RoundStartsFromNonStorageSendersAreIgnored) {
   ExpectForgedRoundStartIgnored([](PorygonSystem& sys,
                                    const StatelessNodeActor& forger,
                                    const Bytes& tip) {
+    const SharedBytes forged = Bytes(tip);
     for (int i = 0; i < sys.num_stateless_nodes(); ++i) {
       const StatelessNodeActor* member = sys.stateless_node(i);
       if (!member->in_oc()) continue;
       sys.network()->Send(forger.net_id(), member->net_id(), kMsgNewRound,
-                          tip);
+                          forged);
     }
   });
 }
@@ -429,8 +430,9 @@ TEST(AdversaryCoordinatorTest, UnlockedUpdatesAreDroppedFromUpdateLists) {
   coord.set_rejected_counter(rejected);
 
   // Lock {2, 5} via one accepted cross-shard transaction.
-  auto filtered = coord.FilterAndLock(7, {Transfer(2, 5, 1, 0)});
-  ASSERT_EQ(filtered.accepted_cross.size(), 1u);
+  const tx::Transaction t = Transfer(2, 5, 1, 0);
+  auto filtered = coord.FilterAndLock(7, {ToAccess(t, t.Id())});
+  ASSERT_EQ(filtered.accepted_cross, std::vector<uint32_t>{0});
   ASSERT_TRUE(coord.IsLocked(2));
   ASSERT_TRUE(coord.IsLocked(5));
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -88,7 +91,7 @@ TEST_F(NetFixture, DeliversMessageWithLatencyAndBandwidth) {
   NodeId a = network_.AddNode({1e6, 1e6});  // 1 MB/s both ways.
   NodeId b = network_.AddNode({1e6, 1e6});
   SimTime delivered_at = -1;
-  Bytes received;
+  SharedBytes received;
   network_.SetHandler(b, [&](const Message& m) {
     delivered_at = events_.now();
     received = m.payload;
@@ -209,6 +212,70 @@ TEST_F(NetFixture, SendOverloadBillsThePayloadAndCarriesTheTrace) {
   EXPECT_EQ(SentBytes(4), 7u);
   EXPECT_EQ(SentBytes(5), 90u);
   EXPECT_EQ(network_.StatsFor(a).bytes_sent, 97u);
+}
+
+TEST_F(NetFixture, SharedPayloadFansOutFromOneAllocation) {
+  NodeId a = network_.AddNode({1e6, 1e6});
+  std::vector<NodeId> receivers;
+  std::vector<Message> received;
+  for (int i = 0; i < 4; ++i) {
+    receivers.push_back(network_.AddNode({1e6, 1e6}));
+    network_.SetHandler(receivers.back(),
+                        [&](const Message& m) { received.push_back(m); });
+  }
+  const SharedBytes payload = ToBytes("one encoding");
+  for (NodeId to : receivers) network_.Send(a, to, 3, payload);
+  events_.RunUntilIdle();
+
+  ASSERT_EQ(received.size(), receivers.size());
+  for (const Message& m : received) {
+    EXPECT_EQ(m.payload, ToBytes("one encoding"));
+    EXPECT_EQ(m.payload.data(), payload.data());  // The sender's buffer.
+    EXPECT_EQ(m.wire_size, 12u);
+  }
+}
+
+TEST_F(NetFixture, SharedPayloadIsReleasedOnEveryPath) {
+  // One payload per path; each buffer must be freed once the network is
+  // done with every copy of it: delivered, dropped at a receiver that
+  // crashed in flight, censored by the drop filter, or duplicated by the
+  // fault hook and delivered twice.
+  NodeId a = network_.AddNode({1e6, 1e6});
+  NodeId delivered = network_.AddNode({1e6, 1e6});
+  NodeId crashes = network_.AddNode({1e6, 1e6});
+  NodeId censored = network_.AddNode({1e6, 1e6});
+  NodeId duplicated = network_.AddNode({1e6, 1e6});
+  std::map<NodeId, int> deliveries;
+  for (NodeId n : {delivered, crashes, censored, duplicated}) {
+    network_.SetHandler(n, [&](const Message& m) { ++deliveries[m.to]; });
+  }
+  network_.SetDropFilter([&](const Message& m) { return m.to == censored; });
+  network_.SetFaultHook([&](const Message& m) {
+    FaultDecision d;
+    d.duplicate = m.to == duplicated;
+    return d;
+  });
+
+  std::vector<std::weak_ptr<const Bytes>> watches;
+  for (NodeId to : {delivered, crashes, censored, duplicated}) {
+    SharedBytes payload = Bytes(64, static_cast<uint8_t>(to));
+    watches.push_back(payload.Watch());
+    network_.Send(a, to, 9, std::move(payload), 1000);
+  }
+  network_.SetCrashed(crashes, true);  // While its copy is in flight.
+  // In flight, the network holds the copies it still has to deliver.
+  EXPECT_FALSE(watches[0].expired());
+  EXPECT_TRUE(watches[2].expired());  // Censored at the send.
+  EXPECT_FALSE(watches[3].expired());
+
+  events_.RunUntilIdle();
+  EXPECT_EQ(deliveries[delivered], 1);
+  EXPECT_EQ(deliveries[crashes], 0);
+  EXPECT_EQ(deliveries[censored], 0);
+  EXPECT_EQ(deliveries[duplicated], 2);
+  for (size_t i = 0; i < watches.size(); ++i) {
+    EXPECT_TRUE(watches[i].expired()) << "path " << i;
+  }
 }
 
 }  // namespace

@@ -155,7 +155,9 @@ Bytes FirstGossipPayload() {
   sys.CreateAccounts(100, 1000);
   Bytes first;
   sys.network()->SetDropFilter([&first](const net::Message& m) {
-    if (m.kind == kMsgGossip && first.empty()) first = m.payload;
+    if (m.kind == kMsgGossip && first.empty()) {
+      first = ByteView(m.payload).ToBytes();
+    }
     return false;
   });
   sys.Run(1);
