@@ -21,11 +21,18 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure
   # Hash suites: SHA-256 known answers at every padding boundary, SHA-NI
   # against the portable compression, the one-shot path and the node forms
-  # against streaming, Merkle roots and paths on the node form, tx ids, the
-  # pool's flat admission set, and pool-sealed blocks whose reused ids must
-  # match a fresh seal.
+  # against streaming, the batched entry against one Hash per message at
+  # every one-shot length and at batch sizes around its 16 lanes, through
+  # the dispatch and the AVX-512 kernel itself where the CPU has it
+  # (Sha256Test.HashBatchMatchesOneShot; a kernel read past its input
+  # surfaces under ASan), Merkle roots and paths against a pair-by-pair
+  # reference for 1-40 and 2,000 leaves (MerklePathTest.BatchedFolds...),
+  # tx ids, ids hashed in chunks at admission against each body's Id()
+  # (SystemIntegrationTest.BatchAdmissionIdsMatchTheirBodies), the pool's
+  # flat admission set, and pool-sealed blocks whose reused ids must match
+  # a fresh seal.
   ctest --test-dir "$dir" \
-    -R 'Sha256|Merkle|TxBlocks|TxPool|TransactionTest|BlockTest' \
+    -R 'Sha256|Merkle|TxBlocks|TxPool|TransactionTest|BlockTest|SystemIntegrationTest\.BatchAdmission' \
     --output-on-failure
   # Wire codec suites: Writer/Reader primitives and the Count bound, the
   # writer's cursor and in-place nested encodings whose length prefix is
@@ -65,7 +72,10 @@ run_suite() {
   # from-scratch reference over keys spread across all 64 bits and at the
   # benchmark's shard shapes (SmtDifferentialTest: chains left halfway
   # down, collapsing deletes, partial trees whose stubs later proofs
-  # expand), its two records per leaf, account values against their
+  # expand; and the level-synchronous rehash at frontier sizes 1, 15, 16,
+  # 17 and 8,000 on full and proof-built trees, with collapsing chains and
+  # stubs a split re-lifts, in LevelSweepMatchesNaiveReferenceAtFrontier-
+  # Sizes), its two records per leaf, account values against their
   # proofs, stateless views rebuilt from proofs, the flat uint64_t map
   # under churn, the digest-key set of the tx-id filters, and the radix
   # sort-unique of the ESC access lists.
@@ -146,9 +156,12 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # TSan leg: the pool fan-outs (shard execution, batch crypto, compaction,
   # bloom builds) must be race-free with workers actually running, so force
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
-  # suites; Sha256 checks the once-initialised kernel choice that the pool
-  # threads of VerifyBatch and of the SMT rehash read; Smt and ShardedState
-  # because per-shard PutBatch merges run on pool threads; Epoch, FaultInjection and Soak because the
+  # suites; Sha256 checks the once-initialised kernel choices (SHA-NI and
+  # the 16-lane batch kernel) that the pool threads of VerifyBatch and of
+  # the SMT rehash read; Smt and ShardedState because per-shard PutBatch
+  # merges and their batched level sweeps run on pool threads, while the
+  # loop reads the account values the launched execution leaves alone
+  # until the settle; Epoch, FaultInjection and Soak because the
   # launched shard execution must settle before every state read across
   # epoch hand-offs and storage crash/recover. Messages and their shared
   # payloads never leave the event-loop thread, so the message-plane and

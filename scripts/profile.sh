@@ -3,9 +3,10 @@
 #
 # 1. gprof: builds benchmark/ (and the library from src/) with -pg into
 #    build/profile/, runs porygon_bench once, then prints the top-20 flat
-#    profile plus the call counts and callers of the SHA-256 compression
-#    functions and Transaction::Id, and Transaction::Id calls per submitted
-#    transaction.
+#    profile plus the call counts and callers of the SHA-256 kernels (the
+#    streaming compression, the one-message padded entry and the batched
+#    16-lane kernel) and Transaction::Id, and Transaction::Id calls per
+#    submitted transaction.
 # 2. Event-loop wall time per handler: builds benchmark/ again with -g (no
 #    -pg) into build/profile/wall/, and the wall-clock stack sampler in
 #    scripts/wall_sampler.c, then runs porygon_bench once more with the
@@ -15,8 +16,9 @@
 #    handler frame (StatelessNodeActor::On*, StorageNodeActor::On*,
 #    PorygonSystem::SettleExecState), and under SubmitBatch. It then prints
 #    the share under SHA-256 (frames in crypto/sha256.{h,cc}) outside
-#    SettleExecState, split by the two frames that called the hash and
-#    their handler.
+#    SettleExecState, split into the batched 16-lane kernel
+#    (HashBatchAvx512) and the one-message paths, and by the two frames
+#    that called the hash and their handler.
 #
 #   scripts/profile.sh [--workload W] [--seed N] [--seconds S]
 #
@@ -79,7 +81,9 @@ def parse(primary):
 
 id_calls = 0
 admitted = 0
-for pattern in (r"crypto::internal::Compress", r"tx::Transaction::Id\(\) const"):
+for pattern in (r"crypto::internal::Compress", r"crypto::internal::HashPadded",
+                r"crypto::internal::HashBatchAvx512",
+                r"tx::Transaction::Id\(\) const"):
     for block in find(pattern):
         calls, name = parse(block[-1])
         print(f"\n== {name}: {calls} calls; callers ==")
@@ -166,6 +170,7 @@ def label(frames):
 
 handlers = collections.Counter()
 hash_callers = collections.Counter()
+hash_kinds = collections.Counter()
 in_run = in_submit = 0
 for stack in stacks:
     frames = [fn for pc in reversed(stack) if pc is not None
@@ -188,6 +193,9 @@ for stack in stacks:
         k = in_sha.index(True)
         caller = " > ".join(frames[max(k - 2, 0):k]) or "?"
         hash_callers[f"{caller}  [{handler}]"] += 1
+        batched = "crypto::internal::HashBatchAvx512" in frames[k:]
+        hash_kinds["batched 16-lane kernel (HashBatchAvx512)" if batched
+                   else "one-message paths"] += 1
 
 total = len(stacks)
 def share(n):
@@ -202,7 +210,10 @@ for name, n in handlers.most_common(20):
     print(f"{share(n)} {n:7d}  {name}")
 print(f"\n== SHA-256 under Run and SubmitBatch, outside SettleExecState: "
       f"{share(sum(hash_callers.values())).strip()} of all samples; "
-      "by calling frames [handler] ==")
+      "by kernel ==")
+for name, n in hash_kinds.most_common():
+    print(f"{share(n)} {n:7d}  {name}")
+print("by calling frames [handler]:")
 for name, n in hash_callers.most_common(15):
     print(f"{share(n)} {n:7d}  {name}")
 EOF

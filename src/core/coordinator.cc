@@ -108,4 +108,10 @@ std::vector<std::vector<StateUpdate>> CrossShardCoordinator::BuildUpdateList(
   return per_shard;
 }
 
+std::vector<uint64_t> CrossShardCoordinator::InFlightRounds() const {
+  std::vector<uint64_t> rounds;
+  for (const auto& [round, batch] : in_flight_) rounds.push_back(round);
+  return rounds;
+}
+
 }  // namespace porygon::core

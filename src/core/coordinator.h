@@ -81,6 +81,11 @@ class CrossShardCoordinator {
 
   int shard_count() const { return 1 << shard_bits_; }
 
+  /// Diagnostics: the batch rounds still holding locks, ascending, and the
+  /// accounts locked in all.
+  std::vector<uint64_t> InFlightRounds() const;
+  size_t locked_accounts() const { return locks_.size(); }
+
  private:
   struct InFlightBatch {
     std::vector<state::AccountId> locked_accounts;

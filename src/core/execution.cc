@@ -1,6 +1,8 @@
 #include "core/execution.h"
 
-#include <map>
+#include <algorithm>
+
+#include "common/flat_map.h"
 
 namespace porygon::core {
 
@@ -21,11 +23,13 @@ ExecutionResult ShardExecutor::Execute(state::StateView* state,
   const uint32_t shard = input.shard;
 
   // All reads/writes go through an overlay; committed writes flush in one
-  // batched Merkle update at the end (see SparseMerkleTree::PutBatch).
-  std::map<AccountId, Account> overlay;
+  // batched Merkle update at the end (see SparseMerkleTree::PutBatch). The
+  // overlay and the scratch table below are flat hash tables: nothing
+  // observes their order but the S set, which is sorted once.
+  U64Map<Account> overlay;
   auto read = [&](AccountId id) -> Account {
-    auto it = overlay.find(id);
-    return it != overlay.end() ? it->second : state->GetOrDefault(id);
+    const Account* written = overlay.Find(id);
+    return written != nullptr ? *written : state->GetOrDefault(id);
   };
 
   // (1) Apply the OC's cross-shard update list U for this shard: these are
@@ -59,13 +63,14 @@ ExecutionResult ShardExecutor::Execute(state::StateView* state,
     ++result.intra_applied;
   }
 
-  // Flush committed writes (updates + intra effects) into the subtree.
+  // Flush committed writes (updates + intra effects) into the subtree; one
+  // write per account, so their order does not matter.
   {
     std::vector<std::pair<AccountId, Account>> writes;
     writes.reserve(overlay.size());
-    for (const auto& [id, account] : overlay) {
+    overlay.ForEach([&](AccountId id, const Account& account) {
       if (state->ShardOf(id) == shard) writes.emplace_back(id, account);
-    }
+    });
     state->PutAccountBatch(shard, writes);
   }
 
@@ -76,12 +81,10 @@ ExecutionResult ShardExecutor::Execute(state::StateView* state,
   // reading foreign-account values from the downloaded snapshot is safe;
   // conflicts *within* the shard and round are resolved here sequentially
   // ("they can be handled by each ESC independently", §IV-D2).
-  std::map<AccountId, Account> scratch;
+  U64Map<Account> scratch;
   auto read_scratch = [&](AccountId id) -> Account {
-    auto it = scratch.find(id);
-    if (it != scratch.end()) return it->second;
-    auto it2 = overlay.find(id);
-    return it2 != overlay.end() ? it2->second : state->GetOrDefault(id);
+    const Account* pre = scratch.Find(id);
+    return pre != nullptr ? *pre : read(id);
   };
   for (const Transaction& t : input.cross_shard) {
     if (state->ShardOf(t.from) != shard) {
@@ -106,9 +109,14 @@ ExecutionResult ShardExecutor::Execute(state::StateView* state,
     ++result.cross_pre_executed;
   }
   // Deterministic order (sorted by account id), final value per account.
-  for (const auto& [account, value] : scratch) {
+  result.cross_updates.reserve(scratch.size());
+  scratch.ForEach([&](AccountId account, const Account& value) {
     result.cross_updates.push_back({account, value});
-  }
+  });
+  std::sort(result.cross_updates.begin(), result.cross_updates.end(),
+            [](const StateUpdate& a, const StateUpdate& b) {
+              return a.account < b.account;
+            });
 
   result.shard_root = state->ShardRoot(shard);
   return result;

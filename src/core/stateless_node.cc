@@ -553,6 +553,7 @@ void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing,
   // otherwise still trace under the outgoing leader's name).
   coordinator_->EnableTracing(system_->tracer(), TraceName());
   coordinator_->set_rejected_counter(obs_.rejected_unlocked_update);
+  seated_round_ = round;
   // A watchdog resync can hand this node `round`'s tip before the round
   // starts. OnNewRound then saw the round while another node led and will
   // not run again for it, so the proposal deadline is armed here.
@@ -1242,8 +1243,11 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
 }
 
 void StatelessNodeActor::MaybePropose() {
-  // Only the leader holds a coordinator, and only the leader proposes.
+  // Only the leader holds a coordinator, and only the leader proposes, from
+  // the round it was seated at on: a lagging new leader's current round is
+  // already committed.
   if (!coordinator_ || proposed_this_round_ || decided_hash_) return;
+  if (current_round_ < seated_round_) return;
   proposed_this_round_ = true;
   const Params& p = system_->params();
   const uint64_t r = current_round_;

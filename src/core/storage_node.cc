@@ -568,7 +568,12 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
   StateResponse resp;
   resp.round = req->round;
   resp.shard = req->shard;
-  const state::ShardedState& st = system_->SettledState();
+  // Fast mode bills the reply by count and never reads its values, so it
+  // reads the values without joining the launched execution; faithful
+  // proofs read the subtrees, which only the settle makes current.
+  const state::ShardedState& st = opt.faithful_execution
+                                      ? system_->SettledState()
+                                      : system_->UnsettledValues();
   for (state::AccountId id : req->accounts) {
     StateResponse::Entry e;
     e.account = id;

@@ -12,17 +12,25 @@
 namespace porygon::core {
 
 namespace {
-/// Read-only snapshot wrapper: own-shard reads/writes hit the live state,
-/// foreign reads come from a pre-captured snapshot so every shard's
-/// cross-shard pre-execution observes the same pre-round values (each real
-/// ESC downloads the same committed snapshot). Every shard's view shares
-/// the one snapshot, which outlives them.
+/// Read-only snapshot wrapper: own-shard reads hit the live state, foreign
+/// reads come from a pre-captured snapshot so every shard's cross-shard
+/// pre-execution observes the same pre-round values (each real ESC
+/// downloads the same committed snapshot). Every shard's view shares the
+/// one snapshot, which outlives them.
+///
+/// Own-shard writes update the live subtree at once, but their values are
+/// staged in `staged` for the settle to apply, so the live values stay
+/// read-only while the launched job runs. Execute writes once and reads
+/// every account it wrote from its own overlay, so it never reads a staged
+/// value back.
 class SnapshotForeignView : public state::StateView {
  public:
   SnapshotForeignView(
       state::ShardedState* base, uint32_t own_shard,
-      const std::unordered_map<state::AccountId, state::Account>* foreign)
-      : base_(base), own_shard_(own_shard), foreign_(foreign) {}
+      const std::unordered_map<state::AccountId, state::Account>* foreign,
+      std::vector<std::pair<state::AccountId, state::Account>>* staged)
+      : base_(base), own_shard_(own_shard), foreign_(foreign),
+        staged_(staged) {}
 
   uint32_t ShardOf(state::AccountId id) const override {
     return base_->ShardOf(id);
@@ -36,7 +44,9 @@ class SnapshotForeignView : public state::StateView {
       uint32_t shard,
       const std::vector<std::pair<state::AccountId, state::Account>>& ws)
       override {
-    if (shard == own_shard_) base_->PutAccountBatch(shard, ws);
+    if (shard != own_shard_) return;
+    base_->PutSubtreeBatch(shard, ws);
+    staged_->insert(staged_->end(), ws.begin(), ws.end());
   }
   crypto::Hash256 ShardRoot(uint32_t shard) const override {
     return base_->ShardRoot(shard);
@@ -46,6 +56,7 @@ class SnapshotForeignView : public state::StateView {
   state::ShardedState* base_;
   uint32_t own_shard_;
   const std::unordered_map<state::AccountId, state::Account>* foreign_;
+  std::vector<std::pair<state::AccountId, state::Account>>* staged_;
 };
 }  // namespace
 
@@ -504,7 +515,8 @@ void PorygonSystem::CreateAccountsLazy(uint64_t count, uint64_t balance) {
   funded_supply_ = exec_state_->TotalSupply();
 }
 
-Status PorygonSystem::AdmitStamped(const tx::Transaction& t) {
+Status PorygonSystem::AdmitStamped(const tx::Transaction& t,
+                                   const tx::TxId& id) {
   if (t.from == 0 || t.to == 0) {
     return Status::InvalidArgument("transaction endpoints must be non-zero");
   }
@@ -515,7 +527,6 @@ Status PorygonSystem::AdmitStamped(const tx::Transaction& t) {
   // directly (client-side bandwidth is out of the model). A crashed home is
   // skipped the way a real client would retry the next endpoint: advance
   // deterministically until a live node is found.
-  const tx::TxId id = t.Id();
   const int n = static_cast<int>(storage_nodes_.size());
   int home = static_cast<int>(crypto::HashPrefixU64(id) % n);
   int probed = 0;
@@ -544,16 +555,28 @@ std::vector<Status> PorygonSystem::SubmitBatch(
   statuses.reserve(batch.size());
   const uint64_t now = static_cast<uint64_t>(events_.now());
   uint64_t admitted = 0, duplicate = 0, unavailable = 0, invalid = 0;
-  for (tx::Transaction t : batch) {
-    t.submitted_at = now;
-    Status s = AdmitStamped(t);
-    switch (s.code()) {
-      case StatusCode::kOk: ++admitted; break;
-      case StatusCode::kAlreadyExists: ++duplicate; break;
-      case StatusCode::kUnavailable: ++unavailable; break;
-      default: ++invalid; break;
+  // Stamped copies in chunks, each chunk's ids hashed in one batch before
+  // its admission loop.
+  constexpr size_t kChunk = 256;
+  std::vector<tx::Transaction> stamped(std::min(kChunk, batch.size()));
+  std::vector<tx::TxId> ids(stamped.size());
+  for (size_t base = 0; base < batch.size(); base += kChunk) {
+    const size_t n = std::min(kChunk, batch.size() - base);
+    for (size_t i = 0; i < n; ++i) {
+      stamped[i] = batch[base + i];
+      stamped[i].submitted_at = now;
     }
-    statuses.push_back(std::move(s));
+    tx::Transaction::Ids(stamped.data(), n, ids.data());
+    for (size_t i = 0; i < n; ++i) {
+      Status s = AdmitStamped(stamped[i], ids[i]);
+      switch (s.code()) {
+        case StatusCode::kOk: ++admitted; break;
+        case StatusCode::kAlreadyExists: ++duplicate; break;
+        case StatusCode::kUnavailable: ++unavailable; break;
+        default: ++invalid; break;
+      }
+      statuses.push_back(std::move(s));
+    }
   }
   // One metrics flush for the whole batch.
   if (admitted) obs_.submitted_txs->Add(admitted);
@@ -661,15 +684,17 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
     }
   }
   job->results.resize(shards);
+  job->staged.resize(shards);
 
   // Launch the per-shard executions on the compute pool and return: each
   // body writes only its own shard's subtree (SnapshotForeignView confines
-  // writes, and foreign reads come from the job's snapshot) and its own
-  // result slot. Nothing reads either until SettleExecState, which every
-  // reader of exec_state_ / exec_cache_ goes through.
+  // writes, and foreign reads come from the job's snapshot), its own staged
+  // values and its own result slot. Nothing reads the subtrees or the
+  // results until SettleExecState, which every reader of roots, proofs and
+  // exec_cache_ goes through; the values stay read-only until then.
   pool_->Launch(shards, [this, job](size_t d) {
     SnapshotForeignView view(exec_state_.get(), static_cast<uint32_t>(d),
-                             &job->snapshot);
+                             &job->snapshot, &job->staged[d]);
     job->results[d] = ShardExecutor::Execute(&view, job->inputs[d]);
   });
   obs_.runtime_exec_tasks->Add(static_cast<uint64_t>(shards));
@@ -683,9 +708,13 @@ void PorygonSystem::SettleExecState() {
   pool_->Join();
   const std::unique_ptr<ExecJob> job = std::move(exec_job_);
 
-  // The cross-shard merge runs here in shard order, so the cache is
+  // The staged values land now, one shard per pool task (disjoint tables),
+  // and the cross-shard merge runs here in shard order, so the cache is
   // identical for any thread count.
   const size_t shards = job->results.size();
+  pool_->ParallelFor(shards, [this, &job](size_t d) {
+    exec_state_->PutValueBatch(static_cast<uint32_t>(d), job->staged[d]);
+  });
   CachedExec cache;
   cache.roots.resize(shards);
   cache.s_sets.resize(shards);

@@ -414,6 +414,11 @@ class StatelessNodeActor {
     std::vector<TxAccess> txs;
     uint64_t witnessed_round = 0;
   };
+  /// The leader's cross-shard coordinator; null on every other node
+  /// (diagnostics).
+  const CrossShardCoordinator* coordinator() const {
+    return coordinator_.get();
+  }
   /// Held bodies by block id (diagnostics).
   const std::map<std::string, HeldBlock>& held_blocks() const {
     return held_blocks_;
@@ -450,7 +455,10 @@ class StatelessNodeActor {
   /// so this node can still list batches witnessed, and aggregate results
   /// produced, under the previous leader; its own entries win conflicts
   /// (a continuing member already holds identical content by broadcast).
-  /// A node already at `round` gets its proposal deadline armed here.
+  /// A node already at `round` gets its proposal deadline armed here. A
+  /// node still behind `round` proposes nothing until it reaches it: the
+  /// rounds it lags are committed, and re-proposing one would overwrite
+  /// that batch's live locks.
   void TakeLeadFrom(StatelessNodeActor* outgoing, uint64_t round);
 
  private:
@@ -561,6 +569,9 @@ class StatelessNodeActor {
   bool in_oc_ = false;
 
   uint64_t current_round_ = 0;
+  // The round this node was seated as leader at (TakeLeadFrom); it never
+  // proposes a round before it.
+  uint64_t seated_round_ = 0;
   net::SimTime session_end_ = net::kSimTimeNever;  // Churn (Fig 8d).
 
   // --- Storage-link failover state ---------------------------------------
@@ -873,6 +884,12 @@ class PorygonSystem {
   /// publishes its results first, so no reader can see the canonical state
   /// or the cache while pool threads are still writing them.
   const state::ShardedState& SettledState();
+  /// The canonical account values without joining the launched execution:
+  /// its bodies write only the subtrees and stage their values, which the
+  /// settle applies, so these are the values before the launched round.
+  /// Read values only (GetAccount, GetOrDefault) through it, never a root
+  /// or a proof: those need SettledState().
+  const state::ShardedState& UnsettledValues() const { return *exec_state_; }
   /// The cached results of `exec_round`, or nullptr.
   const CachedExec* SettledExec(uint64_t exec_round);
 
@@ -912,7 +929,8 @@ class PorygonSystem {
 
   // Canonical execution state (honest storage nodes replicate identically;
   // kept once). Advanced each round by applying proposal-block inputs.
-  // Read it only through SettledState() while Run() is active.
+  // Read it only through SettledState(), or its values through
+  // UnsettledValues(), while Run() is active.
   std::unique_ptr<state::ShardedState> exec_state_;
 
   // Execution-result cache per exec round. Read it only through
@@ -922,13 +940,16 @@ class PorygonSystem {
   // One exec round's canonical execution, launched on the pool by
   // AdvanceExecState and published into exec_cache_ by SettleExecState.
   // The job owns everything its bodies read besides their own shard's
-  // subtree: the per-shard inputs and the foreign-account snapshot, both
-  // built on the loop thread at launch, plus one result slot per shard.
+  // subtree and values: the per-shard inputs and the foreign-account
+  // snapshot, both built on the loop thread at launch, plus one result slot
+  // and one list of staged account values per shard.
   struct ExecJob {
     uint64_t exec_round = 0;
     std::vector<ExecutionInput> inputs;
     std::unordered_map<state::AccountId, state::Account> snapshot;
     std::vector<ExecutionResult> results;
+    std::vector<std::vector<std::pair<state::AccountId, state::Account>>>
+        staged;
   };
   std::unique_ptr<ExecJob> exec_job_;  // Null when nothing is launched.
 
@@ -951,9 +972,9 @@ class PorygonSystem {
   };
   /// Round-lane context: spans parented under the open "round" span.
   obs::TraceContext RoundLane(uint64_t round);
-  /// Admission core of SubmitBatch: `t` is already stamped; touches no
-  /// counters (the batch aggregates them).
-  Status AdmitStamped(const tx::Transaction& t);
+  /// Admission core of SubmitBatch: `t` is already stamped and `id` is its
+  /// Id(); touches no counters (the batch aggregates them).
+  Status AdmitStamped(const tx::Transaction& t, const tx::TxId& id);
   void TraceSubmit(const tx::TxId& id);
   void TraceListingExecuted(uint64_t exec_round);
   void TraceTxFinal(const std::string& tid, bool cross, bool failed,

@@ -1,6 +1,7 @@
 #include "crypto/sha256.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #if defined(__x86_64__)
@@ -39,6 +40,12 @@ inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 bool UseShaNi() {
   static const bool kShaNi = internal::HasShaNi();
   return kShaNi;
+}
+
+// Whether HashBatch runs the 16-lane kernel, decided once the same way.
+bool UseAvx512() {
+  static const bool kAvx512 = internal::HasAvx512();
+  return kAvx512;
 }
 
 internal::CompressFn Compressor() {
@@ -232,6 +239,158 @@ PORYGON_SHA_NI Hash256 HashPaddedShaNi(const uint8_t* blocks, size_t count) {
 #undef PORYGON_SHA_NI_INLINE
 #undef PORYGON_SHA_NI
 
+bool HasAvx512() {
+  unsigned eax, ebx, ecx, edx;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool osxsave = (ecx & (1u << 27)) != 0;  // XGETBV is usable.
+  if (!osxsave) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool avx512f = (ebx & (1u << 16)) != 0;
+  const bool avx512bw = (ebx & (1u << 30)) != 0;
+  if (!avx512f || !avx512bw) return false;
+  uint32_t xcr0, xcr0_high;
+  __asm__ volatile("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  // SSE, AVX, opmask, ZMM_Hi256 and Hi16_ZMM state, all saved by the OS.
+  constexpr uint32_t kZmmState = 0xE6;
+  return (xcr0 & kZmmState) == kZmmState;
+}
+
+// AVX-512F and BW, per function as for SHA-NI.
+#define PORYGON_AVX512 __attribute__((target("avx512f,avx512bw")))
+#define PORYGON_AVX512_INLINE \
+  __attribute__((target("avx512f,avx512bw"), always_inline)) inline
+
+namespace {
+
+constexpr size_t kLanes = Sha256::kLanes;
+
+// Word-sliced blocks: word i of lane j at [i][j], in message byte order.
+using SlicedBlock = uint32_t[16][kLanes];
+
+// Rotate and shift in their all-lanes zero-masked forms: GCC 12's unmasked
+// intrinsics start from an undefined vector that -Wmaybe-uninitialized
+// flags.
+template <int N>
+PORYGON_AVX512_INLINE __m512i Ror(__m512i x) {
+  return _mm512_maskz_ror_epi32(__mmask16{0xFFFF}, x, N);
+}
+
+template <unsigned N>
+PORYGON_AVX512_INLINE __m512i Shr(__m512i x) {
+  return _mm512_maskz_srli_epi32(__mmask16{0xFFFF}, x, N);
+}
+
+// x ^ y ^ z as one ternary-logic op (truth table 0x96).
+PORYGON_AVX512_INLINE __m512i Xor3(__m512i x, __m512i y, __m512i z) {
+  return _mm512_ternarylogic_epi32(x, y, z, 0x96);
+}
+
+PORYGON_AVX512_INLINE __m512i Add(__m512i x, __m512i y) {
+  return _mm512_add_epi32(x, y);
+}
+
+// Reverses the bytes of each 32-bit lane.
+PORYGON_AVX512_INLINE __m512i ByteSwap(__m512i x) {
+  const __m512i kByteSwap = _mm512_set4_epi32(0x0c0d0e0f, 0x08090a0b,
+                                              0x04050607, 0x00010203);
+  return _mm512_shuffle_epi8(x, kByteSwap);
+}
+
+// The 64 rounds of one block on sixteen lanes: the FIPS 180-4 round, with
+// one lane per message. The schedule extends in a ring of sixteen words.
+PORYGON_AVX512_INLINE void Rounds16(__m512i state[8],
+                                    const SlicedBlock& block) {
+  __m512i w[16];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = ByteSwap(_mm512_load_si512(block[i]));
+  }
+  __m512i a = state[0], b = state[1], c = state[2], d = state[3];
+  __m512i e = state[4], f = state[5], g = state[6], h = state[7];
+#pragma GCC unroll 64
+  for (int t = 0; t < 64; ++t) {
+    if (t >= 16) {
+      const __m512i w15 = w[(t - 15) & 15];
+      const __m512i w2 = w[(t - 2) & 15];
+      const __m512i s0 = Xor3(Ror<7>(w15), Ror<18>(w15), Shr<3>(w15));
+      const __m512i s1 = Xor3(Ror<17>(w2), Ror<19>(w2), Shr<10>(w2));
+      w[t & 15] = Add(Add(w[t & 15], s0), Add(w[(t - 7) & 15], s1));
+    }
+    const __m512i k = _mm512_set1_epi32(static_cast<int>(kK[t]));
+    const __m512i s1 = Xor3(Ror<6>(e), Ror<11>(e), Ror<25>(e));
+    // Ch(e, f, g) = e ? f : g and Maj(a, b, c), each one ternary-logic op
+    // (truth tables 0xCA and 0xE8).
+    const __m512i ch = _mm512_ternarylogic_epi32(e, f, g, 0xCA);
+    const __m512i t1 = Add(Add(h, s1), Add(ch, Add(w[t & 15], k)));
+    const __m512i s0 = Xor3(Ror<2>(a), Ror<13>(a), Ror<22>(a));
+    const __m512i maj = _mm512_ternarylogic_epi32(a, b, c, 0xE8);
+    h = g;
+    g = f;
+    f = e;
+    e = Add(d, t1);
+    d = c;
+    c = b;
+    b = a;
+    a = Add(t1, Add(s0, maj));
+  }
+  state[0] = Add(state[0], a);
+  state[1] = Add(state[1], b);
+  state[2] = Add(state[2], c);
+  state[3] = Add(state[3], d);
+  state[4] = Add(state[4], e);
+  state[5] = Add(state[5], f);
+  state[6] = Add(state[6], g);
+  state[7] = Add(state[7], h);
+}
+
+}  // namespace
+
+PORYGON_AVX512 void HashBatchAvx512(const uint8_t* messages, size_t length,
+                                    size_t count, Hash256* out) {
+  assert(length <= Sha256::kMaxOneShot);
+  // Every message of the batch pads alike, so the padded blocks are staged
+  // word-sliced once, and each group of lanes overwrites only the words
+  // that hold message bytes. The kernel reads nothing but this buffer:
+  // spare lanes of a partial group hash stale staged words, never bytes
+  // past the input.
+  uint8_t padded[2 * kBlock] = {};
+  const size_t blocks = Pad(padded, length, length);
+  const size_t message_words = (length + 3) / 4;
+  alignas(64) SlicedBlock sliced[2];
+  for (size_t i = 0; i < 16 * blocks; ++i) {
+    uint32_t word;
+    std::memcpy(&word, padded + 4 * i, sizeof(word));
+    for (size_t j = 0; j < kLanes; ++j) sliced[i / 16][i % 16][j] = word;
+  }
+  for (size_t base = 0; base < count; base += kLanes) {
+    const size_t lanes = std::min(kLanes, count - base);
+    for (size_t j = 0; j < lanes && length > 0; ++j) {
+      // The message over the padding template: byte `length` stays 0x80.
+      std::memcpy(padded, messages + (base + j) * length, length);
+      for (size_t i = 0; i < message_words; ++i) {
+        std::memcpy(&sliced[i / 16][i % 16][j], padded + 4 * i, 4);
+      }
+    }
+    __m512i state[8];
+    for (int i = 0; i < 8; ++i) {
+      state[i] = _mm512_set1_epi32(static_cast<int>(kInit[i]));
+    }
+    for (size_t b = 0; b < blocks; ++b) Rounds16(state, sliced[b]);
+    // Big-endian digest words, lane j in column j.
+    alignas(64) uint32_t digest[8][kLanes];
+    for (int i = 0; i < 8; ++i) {
+      _mm512_store_si512(digest[i], ByteSwap(state[i]));
+    }
+    for (size_t j = 0; j < lanes; ++j) {
+      for (int i = 0; i < 8; ++i) {
+        std::memcpy(out[base + j].data() + 4 * i, &digest[i][j], 4);
+      }
+    }
+  }
+}
+
+#undef PORYGON_AVX512_INLINE
+#undef PORYGON_AVX512
+
 #else  // !defined(__x86_64__)
 
 bool HasShaNi() { return false; }
@@ -242,6 +401,15 @@ void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t count) {
 
 Hash256 HashPaddedShaNi(const uint8_t* blocks, size_t count) {
   return HashPaddedPortable(blocks, count);
+}
+
+bool HasAvx512() { return false; }
+
+void HashBatchAvx512(const uint8_t* messages, size_t length, size_t count,
+                     Hash256* out) {
+  for (size_t i = 0; i < count; ++i) {
+    out[i] = Sha256::Hash(ByteView(messages + i * length, length));
+  }
 }
 
 #endif
@@ -296,6 +464,21 @@ Hash256 Sha256::Hash(ByteView a, ByteView b) {
   h.Update(a);
   h.Update(b);
   return h.Finish();
+}
+
+void Sha256::HashBatch(const uint8_t* messages, size_t length, size_t count,
+                       Hash256* out) {
+  assert(length <= kMaxOneShot);
+  size_t wide = 0;
+  if (UseAvx512()) {
+    // Whole groups of lanes, and a last partial group only when it is wide
+    // enough to pay for its call.
+    wide = count % kLanes >= kMinLanes ? count : count - count % kLanes;
+    if (wide > 0) internal::HashBatchAvx512(messages, length, wide, out);
+  }
+  for (size_t i = wide; i < count; ++i) {
+    out[i] = Hash(ByteView(messages + i * length, length));
+  }
 }
 
 Hash256 Sha256::HashNodes(const Hash256& l, const Hash256& r) {

@@ -20,6 +20,8 @@ using Hash256 = std::array<uint8_t, 32>;
 /// Node-sized messages skip the streaming object: Hash pads a message of at
 /// most kMaxOneShot bytes on the stack and compresses it from the initial
 /// state, and HashNodes/HashTaggedNodes are that path for two 32-byte nodes.
+/// HashBatch hashes many such messages of one length at once: sixteen per
+/// AVX-512 instruction stream where the CPU has it, one at a time otherwise.
 /// Longer messages stream through Update/Finish.
 class Sha256 {
  public:
@@ -43,6 +45,19 @@ class Sha256 {
   /// H(tag ‖ l ‖ r): the sparse Merkle tree's domain-tagged inner nodes.
   static Hash256 HashTaggedNodes(uint8_t tag, const Hash256& l,
                                  const Hash256& r);
+
+  /// Digests of `count` messages of `length` bytes each (at most
+  /// kMaxOneShot), packed back to back from `messages`, into out[0..count).
+  /// Equal to calling Hash on each message. Groups of at least kMinLanes
+  /// messages run on the 16-lane AVX-512 kernel when the CPU has AVX-512F
+  /// and BW with ZMM state enabled; the rest, and every message on other
+  /// CPUs, take the one-message path.
+  static void HashBatch(const uint8_t* messages, size_t length, size_t count,
+                        Hash256* out);
+  /// Lanes of the wide kernel, and the fewest messages worth one call: a
+  /// 16-lane call costs about as much as seven one-message calls.
+  static constexpr size_t kLanes = 16;
+  static constexpr size_t kMinLanes = 8;
 
  private:
   uint32_t state_[8];
@@ -77,6 +92,17 @@ Hash256 HashPaddedShaNi(const uint8_t* blocks, size_t count);
 /// The one-shot path: pads a ‖ b (at most Sha256::kMaxOneShot bytes in all)
 /// in a stack buffer and hashes it with `hash_padded`.
 Hash256 OneShot(ByteView a, ByteView b, HashPaddedFn hash_padded);
+
+/// True iff this CPU has AVX-512F and AVX-512BW and the OS saves ZMM state
+/// (XCR0 opmask, ZMM_Hi256 and Hi16_ZMM bits).
+bool HasAvx512();
+
+/// The 16-lane kernel behind Sha256::HashBatch, for any `count` (a partial
+/// last group fills its spare lanes from a staged copy, never from past the
+/// input). Only valid when HasAvx512() (elsewhere it forwards to the
+/// one-message path).
+void HashBatchAvx512(const uint8_t* messages, size_t length, size_t count,
+                     Hash256* out);
 
 }  // namespace internal
 

@@ -5,7 +5,14 @@
 namespace porygon::state {
 
 Bytes EncodeAccount(const Account& account) {
-  return wire::Writer().U64(account.balance).U64(account.nonce).Take();
+  Bytes out(kAccountSize);
+  EncodeAccountTo(account, out.data());
+  return out;
+}
+
+void EncodeAccountTo(const Account& account, uint8_t* out) {
+  StoreLittleEndian64(out, account.balance);
+  StoreLittleEndian64(out + 8, account.nonce);
 }
 
 Result<Account> DecodeAccount(ByteView data) {

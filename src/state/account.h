@@ -28,7 +28,11 @@ inline uint32_t ShardOfAccount(AccountId id, int n_bits) {
 }
 
 /// 16-byte little-endian encoding (balance | nonce).
+constexpr size_t kAccountSize = 16;
 Bytes EncodeAccount(const Account& account);
+/// The same encoding into `out` (kAccountSize bytes), for callers that stage
+/// many without a heap buffer each.
+void EncodeAccountTo(const Account& account, uint8_t* out);
 Result<Account> DecodeAccount(ByteView data);
 
 /// Canonical 8-byte little-endian key for the state tree / storage engine.

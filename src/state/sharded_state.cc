@@ -17,15 +17,22 @@ void ShardedState::PutAccount(AccountId id, const Account& account) {
 
 void ShardedState::PutAccountBatch(
     uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
-  Subtree& s = shards_[shard];
-  std::vector<std::pair<uint64_t, Bytes>> writes;
-  writes.reserve(ws.size());
+  PutValueBatch(shard, ws);
+  PutSubtreeBatch(shard, ws);
+}
+
+void ShardedState::PutSubtreeBatch(
+    uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
+  PutAccountLeaves(shard, shard_bits_, ws, &shards_[shard].tree);
+}
+
+void ShardedState::PutValueBatch(
+    uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
+  U64Map<Account>& accounts = shards_[shard].accounts;
   for (const auto& [id, account] : ws) {
-    if (ShardOf(id) != shard) continue;
-    s.accounts[id] = account;  // In order, so the last write wins here too.
-    writes.emplace_back(id, EncodeAccount(account));
+    // In order, so the last write wins here as in the subtree.
+    if (ShardOf(id) == shard) accounts[id] = account;
   }
-  s.tree.PutBatch(writes);
 }
 
 void ShardedState::DeleteAccount(AccountId id) {

@@ -32,10 +32,19 @@ class ShardedState : public StateView {
 
   /// Writes an account (routes to its shard's subtree).
   void PutAccount(AccountId id, const Account& account);
-  /// Batched writes into one shard's subtree (single path-rehash pass).
+  /// Batched writes into one shard: its values, and its subtree in one
+  /// PutBatch. Writes to other shards' accounts are skipped.
   void PutAccountBatch(
       uint32_t shard,
       const std::vector<std::pair<AccountId, Account>>& ws) override;
+  /// The two halves of PutAccountBatch. A writer that runs while others
+  /// read the values (the launched canonical execution) writes the subtree
+  /// alone and leaves the values to a later PutValueBatch, so the values
+  /// stay read-only meanwhile; the two touch disjoint memory.
+  void PutSubtreeBatch(uint32_t shard,
+                       const std::vector<std::pair<AccountId, Account>>& ws);
+  void PutValueBatch(uint32_t shard,
+                     const std::vector<std::pair<AccountId, Account>>& ws);
   /// Removes an account.
   void DeleteAccount(AccountId id);
   /// Reads an account; NotFound if absent.

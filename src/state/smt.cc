@@ -35,6 +35,32 @@ int CommonLevels(uint64_t a, uint64_t b) {
   return a == b ? 64 : std::countl_zero(a ^ b);
 }
 
+// Inner-node messages: tag ‖ left ‖ right.
+constexpr size_t kInnerSize = 1 + 2 * sizeof(Hash256);
+// Messages staged per HashBatch call: a multiple of the kernel's lanes, and
+// small enough that the staging stays in cache and on the stack.
+constexpr size_t kChunk = 16 * Sha256::kLanes;
+
+// Hashes `count` inner nodes in chunks: `children(i)` returns node i's
+// (left, right) children as pointers, and `store(i, hash)` takes its hash.
+template <typename Children, typename Store>
+void HashInnerNodes(size_t count, Children children, Store store) {
+  uint8_t messages[kChunk * kInnerSize];
+  Hash256 hashes[kChunk];
+  for (size_t base = 0; base < count; base += kChunk) {
+    const size_t n = std::min(kChunk, count - base);
+    for (size_t i = 0; i < n; ++i) {
+      const auto [left, right] = children(base + i);
+      uint8_t* m = messages + i * kInnerSize;
+      m[0] = kInnerTag;
+      std::memcpy(m + 1, left->data(), left->size());
+      std::memcpy(m + 1 + left->size(), right->data(), right->size());
+    }
+    Sha256::HashBatch(messages, kInnerSize, n, hashes);
+    for (size_t i = 0; i < n; ++i) store(base + i, hashes[i]);
+  }
+}
+
 // The first write whose key takes the 1-child at `level`: all keys in
 // [first, last) share the levels above, so the 0-side sorts first.
 template <typename W>
@@ -112,31 +138,31 @@ void SparseMerkleTree::Free(uint32_t index) {
   free_.push_back(index);
 }
 
-void SparseMerkleTree::LiftTo(uint32_t index, int top) {
-  Node& n = nodes_[index];
-  n.lifted = Lift(n.hash, n.level, n.key, top);
-}
-
 uint32_t SparseMerkleTree::NewBranch(int level, uint64_t key,
-                                     const uint32_t children[2]) {
-  LiftTo(children[0], level + 1);
-  LiftTo(children[1], level + 1);
-  const uint32_t index =
-      Alloc(PrefixOf(key, level), level,
-            InnerHash(nodes_[children[0]].lifted, nodes_[children[1]].lifted));
+                                     const uint32_t children[2],
+                                     Stale* stale) {
+  const uint32_t index = Alloc(PrefixOf(key, level), level, Hash256{});
   nodes_[index].child[0] = children[0];
   nodes_[index].child[1] = children[1];
+  stale->lifts.push_back({children[0], level + 1});
+  stale->lifts.push_back({children[1], level + 1});
+  stale->branches.push_back(index);
   return index;
 }
 
 void SparseMerkleTree::Put(uint64_t key, ByteView value) {
   const Write write{key, LeafHash(key, value)};
-  root_ = Merge(root_, &write, &write + 1);
-  if (root_ != kNone) LiftTo(root_, 0);
+  Apply(&write, &write + 1);
 }
 
 void SparseMerkleTree::PutBatch(
     const std::vector<std::pair<uint64_t, Bytes>>& writes) {
+  PutBatch(std::vector<std::pair<uint64_t, ByteView>>(writes.begin(),
+                                                      writes.end()));
+}
+
+void SparseMerkleTree::PutBatch(
+    const std::vector<std::pair<uint64_t, ByteView>>& writes) {
   // Sort by key, ties by position, so the last write to a key ends its run;
   // only that write is hashed.
   std::vector<std::pair<uint64_t, size_t>> order;
@@ -147,19 +173,66 @@ void SparseMerkleTree::PutBatch(
   std::sort(order.begin(), order.end());
   std::vector<Write> frontier;
   frontier.reserve(order.size());
+  std::vector<ByteView> values;
+  values.reserve(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
     if (i + 1 < order.size() && order[i + 1].first == order[i].first) continue;
-    const auto& [key, value] = writes[order[i].second];
-    frontier.push_back({key, LeafHash(key, value)});
+    frontier.push_back({order[i].first, Defaults()[kDepth]});
+    values.push_back(writes[order[i].second].second);
   }
   if (frontier.empty()) return;
-  root_ = Merge(root_, frontier.data(), frontier.data() + frontier.size());
-  if (root_ != kNone) LiftTo(root_, 0);
+
+  // Leaf hashes: deletes keep the empty-leaf default, and the rest hash in
+  // batches of one value length (callers write one length: one pass).
+  std::vector<size_t> widths;
+  for (ByteView value : values) {
+    if (!value.empty() &&
+        std::find(widths.begin(), widths.end(), value.size()) == widths.end()) {
+      widths.push_back(value.size());
+    }
+  }
+  std::vector<size_t> group;
+  uint8_t messages[kChunk * Sha256::kMaxOneShot];
+  Hash256 hashes[kChunk];
+  for (size_t width : widths) {
+    group.clear();
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (values[i].size() == width) group.push_back(i);
+    }
+    const size_t size = 1 + 8 + width;
+    if (size > Sha256::kMaxOneShot) {
+      for (size_t i : group) {
+        frontier[i].hash = LeafHash(frontier[i].key, values[i]);
+      }
+      continue;
+    }
+    for (size_t base = 0; base < group.size(); base += kChunk) {
+      const size_t n = std::min(kChunk, group.size() - base);
+      for (size_t k = 0; k < n; ++k) {
+        uint8_t* m = messages + k * size;
+        m[0] = kLeafTag;
+        StoreLittleEndian64(m + 1, frontier[group[base + k]].key);
+        std::memcpy(m + 9, values[group[base + k]].data(), width);
+      }
+      Sha256::HashBatch(messages, size, n, hashes);
+      for (size_t k = 0; k < n; ++k) {
+        frontier[group[base + k]].hash = hashes[k];
+      }
+    }
+  }
+  Apply(frontier.data(), frontier.data() + frontier.size());
+}
+
+void SparseMerkleTree::Apply(const Write* first, const Write* last) {
+  Stale stale;
+  root_ = Merge(root_, first, last, &stale);
+  if (root_ != kNone) stale.lifts.push_back({root_, 0});
+  Rehash(stale);
 }
 
 uint32_t SparseMerkleTree::Merge(uint32_t index, const Write* first,
-                                 const Write* last) {
-  if (index == kNone) return Build(first, last);
+                                 const Write* last, Stale* stale) {
+  if (index == kNone) return Build(first, last, stale);
   const int level = nodes_[index].level;
   const uint64_t key = nodes_[index].key;
   const int common =
@@ -184,8 +257,8 @@ uint32_t SparseMerkleTree::Merge(uint32_t index, const Write* first,
     const Write* mid = SplitAt(first, last, level + 1);
     uint32_t children[2] = {nodes_[index].child[0], nodes_[index].child[1]};
     const bool dirty[2] = {first != mid, mid != last};
-    if (dirty[0]) children[0] = Merge(children[0], first, mid);
-    if (dirty[1]) children[1] = Merge(children[1], mid, last);
+    if (dirty[0]) children[0] = Merge(children[0], first, mid, stale);
+    if (dirty[1]) children[1] = Merge(children[1], mid, last, stale);
     if (children[0] == kNone || children[1] == kNone) {
       // The branch collapses: the survivor's chain now runs up to this
       // branch's parent, which lifts it.
@@ -193,12 +266,12 @@ uint32_t SparseMerkleTree::Merge(uint32_t index, const Write* first,
       return children[0] == kNone ? children[1] : children[0];
     }
     for (int side = 0; side < 2; ++side) {
-      if (dirty[side]) LiftTo(children[side], level + 1);
+      if (dirty[side]) stale->lifts.push_back({children[side], level + 1});
     }
     Node& n = nodes_[index];
     n.child[0] = children[0];
     n.child[1] = children[1];
-    n.hash = InnerHash(nodes_[children[0]].lifted, nodes_[children[1]].lifted);
+    stale->branches.push_back(index);
     return index;
   }
 
@@ -213,17 +286,19 @@ uint32_t SparseMerkleTree::Merge(uint32_t index, const Write* first,
   const bool inserts = std::any_of(other_first, other_last, [&](const Write& w) {
     return w.hash != deleted;
   });
-  const uint32_t own =
-      own_first == own_last ? index : Merge(index, own_first, own_last);
+  const uint32_t own = own_first == own_last
+                           ? index
+                           : Merge(index, own_first, own_last, stale);
   if (!inserts) return own;
-  if (own == kNone) return Build(other_first, other_last);
+  if (own == kNone) return Build(other_first, other_last, stale);
   uint32_t children[2];
   children[side] = own;  // Re-lifted below the new branch.
-  children[1 - side] = Build(other_first, other_last);
-  return NewBranch(common, key, children);
+  children[1 - side] = Build(other_first, other_last, stale);
+  return NewBranch(common, key, children, stale);
 }
 
-uint32_t SparseMerkleTree::Build(const Write* first, const Write* last) {
+uint32_t SparseMerkleTree::Build(const Write* first, const Write* last,
+                                 Stale* stale) {
   const Hash256& deleted = Defaults()[kDepth];
   while (first != last && first->hash == deleted) ++first;
   while (first != last && last[-1].hash == deleted) --last;
@@ -233,8 +308,82 @@ uint32_t SparseMerkleTree::Build(const Write* first, const Write* last) {
   // ends land on either side.
   const int level = CommonLevels(first->key, last[-1].key);
   const Write* mid = SplitAt(first, last, level + 1);
-  const uint32_t children[2] = {Build(first, mid), Build(mid, last)};
-  return NewBranch(level, first->key, children);
+  const uint32_t children[2] = {Build(first, mid, stale),
+                                Build(mid, last, stale)};
+  return NewBranch(level, first->key, children, stale);
+}
+
+void SparseMerkleTree::Rehash(const Stale& stale) {
+  // Bucket both lists by level (a counting sort): branches by their own
+  // level, lifts by the level of the record they start from.
+  std::array<size_t, kDepth + 2> branch_at{};
+  std::array<size_t, kDepth + 2> lift_at{};
+  for (uint32_t b : stale.branches) ++branch_at[nodes_[b].level + 1];
+  for (const LiftJob& j : stale.lifts) ++lift_at[nodes_[j.index].level + 1];
+  for (int level = 0; level <= kDepth; ++level) {
+    branch_at[level + 1] += branch_at[level];
+    lift_at[level + 1] += lift_at[level];
+  }
+  std::vector<uint32_t> branches(stale.branches.size());
+  std::vector<LiftJob> starts(stale.lifts.size());
+  {
+    std::array<size_t, kDepth + 2> next = branch_at;
+    for (uint32_t b : stale.branches) branches[next[nodes_[b].level]++] = b;
+    next = lift_at;
+    for (const LiftJob& j : stale.lifts) {
+      starts[next[nodes_[j.index].level]++] = j;
+    }
+  }
+
+  // A lift under way carries its record's key and running hash, so a step
+  // reads no record.
+  struct Lifting {
+    uint32_t index;
+    int top;
+    uint64_t key;
+    Hash256 hash;
+  };
+  const auto& defaults = Defaults();
+  std::vector<Lifting> active;
+  for (int level = kDepth; level >= 0; --level) {
+    // This level's branches: their children's lifts reached level + 1.
+    const uint32_t* level_branches = branches.data() + branch_at[level];
+    HashInnerNodes(
+        branch_at[level + 1] - branch_at[level],
+        [&](size_t i) {
+          const Node& n = nodes_[level_branches[i]];
+          return std::pair(&nodes_[n.child[0]].lifted,
+                           &nodes_[n.child[1]].lifted);
+        },
+        [&](size_t i, const Hash256& h) {
+          nodes_[level_branches[i]].hash = h;
+        });
+    // Lifts starting here; a chain that starts at this very level is done.
+    for (size_t i = lift_at[level]; i < lift_at[level + 1]; ++i) {
+      Node& n = nodes_[starts[i].index];
+      if (starts[i].top < level) {
+        active.push_back({starts[i].index, starts[i].top, n.key, n.hash});
+      } else {
+        n.lifted = n.hash;
+      }
+    }
+    if (active.empty()) continue;  // Always so at level 0.
+    // One step up, to level - 1, for every lift under way.
+    HashInnerNodes(
+        active.size(),
+        [&](size_t i) {
+          const Hash256* hash = &active[i].hash;
+          return BitAt(active[i].key, level)
+                     ? std::pair(&defaults[level], hash)
+                     : std::pair(hash, &defaults[level]);
+        },
+        [&](size_t i, const Hash256& h) { active[i].hash = h; });
+    std::erase_if(active, [&](const Lifting& j) {
+      if (j.top != level - 1) return false;
+      nodes_[j.index].lifted = j.hash;
+      return true;
+    });
+  }
 }
 
 Status SparseMerkleTree::InjectProof(uint64_t key, ByteView value,

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -47,18 +48,26 @@ class SparseMerkleTree {
  public:
   static constexpr int kDepth = 64;
 
-  /// Sets `key` to `value` (empty value deletes the leaf).
+  /// Sets `key` to `value` (empty value deletes the leaf): PutBatch with
+  /// one write.
   void Put(uint64_t key, ByteView value);
   void Delete(uint64_t key) { Put(key, ByteView()); }
 
-  /// Applies many writes as one recursive merge of the sorted leaf
-  /// frontier into the records, hashing each affected node once. For a
-  /// block of k updates this costs O(k + distinct-path-nodes) hashes
-  /// instead of O(k * depth). Last write wins for duplicate keys.
+  /// Applies many writes (an empty value deletes; last write wins for
+  /// duplicate keys), hashing each affected node once: O(k +
+  /// distinct-path-nodes) hashes for k writes instead of O(k * depth).
+  /// The leaf hashes are one batch per value length. A recursive merge of
+  /// the sorted leaf frontier into the records then fixes the structure
+  /// and lists, by level, each branch whose own hash is stale and each
+  /// record whose lift is. One sweep from the leaves to the root rehashes
+  /// them: at each level, the branches there in one batch (their children
+  /// are already lifted to the level below), then every pending lift one
+  /// step up in another. See Sha256::HashBatch.
   ///
   /// Precondition: no written key lies under a stub (a key whose proof was
   /// injected never does). A violation trips a debug assert; release
   /// builds leave the stub and drop the writes under it.
+  void PutBatch(const std::vector<std::pair<uint64_t, ByteView>>& writes);
   void PutBatch(const std::vector<std::pair<uint64_t, Bytes>>& writes);
 
   /// Current root hash.
@@ -109,11 +118,49 @@ class SparseMerkleTree {
     uint32_t child[2];       // Branch only; kNone otherwise.
     uint8_t level;
   };
+  // The records, in chunks of 8,192 (720 KB): growing adds a chunk and never
+  // copies a record, so a large tree grows without a transient second copy
+  // of its store. A chunk's untouched pages are never resident.
+  class Records {
+   public:
+    Node& operator[](size_t i) { return chunks_[i >> kShift][i & kMask]; }
+    const Node& operator[](size_t i) const {
+      return chunks_[i >> kShift][i & kMask];
+    }
+    size_t size() const { return size_; }
+    size_t capacity() const { return chunks_.size() << kShift; }
+    void push_back(const Node& node) {
+      if (size_ == capacity()) {
+        chunks_.push_back(
+            std::make_unique_for_overwrite<Node[]>(size_t{1} << kShift));
+      }
+      (*this)[size_++] = node;
+    }
+
+   private:
+    static constexpr int kShift = 13;
+    static constexpr size_t kMask = (size_t{1} << kShift) - 1;
+    std::vector<std::unique_ptr<Node[]>> chunks_;
+    size_t size_ = 0;
+  };
+
   // One frontier entry: a key and its new leaf hash (the empty-leaf default
   // deletes).
   struct Write {
     uint64_t key;
     crypto::Hash256 hash;
+  };
+  // A record whose cached lift must be recomputed for a chain that now
+  // starts at `top`.
+  struct LiftJob {
+    uint32_t index;
+    int top;
+  };
+  // What a merge leaves stale: branches whose own hash must be recomputed
+  // from their children's lifts, and records whose lift must be.
+  struct Stale {
+    std::vector<uint32_t> branches;
+    std::vector<LiftJob> lifts;
   };
 
   static crypto::Hash256 LeafHash(uint64_t key, ByteView value);
@@ -128,18 +175,24 @@ class SparseMerkleTree {
   }
   uint32_t Alloc(uint64_t key, int level, const crypto::Hash256& hash);
   void Free(uint32_t index);
-  // Sets a record's cached lift for a chain that starts at `top`.
-  void LiftTo(uint32_t index, int top);
-  // A branch at `level` over `children`, each lifted to level + 1 first.
-  uint32_t NewBranch(int level, uint64_t key, const uint32_t children[2]);
+  // A branch at `level` over `children`; its hash and their lifts to
+  // level + 1 are left stale.
+  uint32_t NewBranch(int level, uint64_t key, const uint32_t children[2],
+                     Stale* stale);
 
-  // Applies the sorted, deduplicated writes [first, last) to the subtree
-  // whose topmost record is `index` (kNone: empty) and returns its new
-  // topmost record (kNone if it emptied). The returned record's own hash is
-  // current; the caller lifts it to wherever its chain now starts.
-  uint32_t Merge(uint32_t index, const Write* first, const Write* last);
+  // Merges the sorted, deduplicated frontier (leaf hashes set) into the
+  // records, then rehashes what the merge left stale, level by level.
+  void Apply(const Write* first, const Write* last);
+  // Applies the writes [first, last) to the subtree whose topmost record is
+  // `index` (kNone: empty) and returns its new topmost record (kNone if it
+  // emptied). The returned record's own hash is listed stale or current;
+  // the caller lists its lift to wherever its chain now starts.
+  uint32_t Merge(uint32_t index, const Write* first, const Write* last,
+                 Stale* stale);
   // Merge into an empty subtree: deletes are skipped.
-  uint32_t Build(const Write* first, const Write* last);
+  uint32_t Build(const Write* first, const Write* last, Stale* stale);
+  // The level sweep over what Merge left stale.
+  void Rehash(const Stale& stale);
   // The records a verified proof adds below level `top`, from its path
   // hashes (`path[l]` = the key's node hash at level l); returns the
   // topmost one, lifted to `top`.
@@ -147,7 +200,7 @@ class SparseMerkleTree {
                           const std::array<crypto::Hash256, kDepth + 1>& path,
                           int top);
 
-  std::vector<Node> nodes_;     // Records; freed slots are reused.
+  Records nodes_;               // Freed slots are reused.
   std::vector<uint32_t> free_;  // Indices of freed records.
   uint32_t root_ = kNone;       // Topmost record; kNone when empty.
   size_t leaves_ = 0;

@@ -45,17 +45,28 @@ Account PartialState::GetOrDefault(AccountId id) const {
   return foreign != nullptr ? *foreign : DefaultFor(id);
 }
 
+void PutAccountLeaves(uint32_t shard, int shard_bits,
+                      const std::vector<std::pair<AccountId, Account>>& ws,
+                      SparseMerkleTree* tree) {
+  std::vector<uint8_t> encoded(ws.size() * kAccountSize);
+  std::vector<std::pair<uint64_t, ByteView>> writes;
+  writes.reserve(ws.size());
+  for (const auto& [id, account] : ws) {
+    if (ShardOfAccount(id, shard_bits) != shard) continue;
+    uint8_t* value = encoded.data() + writes.size() * kAccountSize;
+    EncodeAccountTo(account, value);
+    writes.emplace_back(id, ByteView(value, kAccountSize));
+  }
+  tree->PutBatch(writes);
+}
+
 void PartialState::PutAccountBatch(
     uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
   if (shard != own_shard_) return;  // Stateless: never writes foreign shards.
-  std::vector<std::pair<uint64_t, Bytes>> writes;
-  writes.reserve(ws.size());
   for (const auto& [id, account] : ws) {
-    if (ShardOf(id) != own_shard_) continue;
-    writes.emplace_back(id, EncodeAccount(account));
-    own_values_[id] = account;
+    if (ShardOf(id) == own_shard_) own_values_[id] = account;
   }
-  partial_.PutBatch(writes);
+  PutAccountLeaves(own_shard_, shard_bits_, ws, &partial_);
 }
 
 crypto::Hash256 PartialState::ShardRoot(uint32_t shard) const {

@@ -51,6 +51,13 @@ class StateView {
   uint64_t implicit_balance_ = 0;
 };
 
+/// Writes the accounts of `ws` that lie in `shard` (of 2^shard_bits) into
+/// `tree` in one PutBatch. Their 16-byte encodings are staged in one buffer,
+/// not in a heap buffer per write.
+void PutAccountLeaves(uint32_t shard, int shard_bits,
+                      const std::vector<std::pair<AccountId, Account>>& ws,
+                      SparseMerkleTree* tree);
+
 /// A stateless ESC member's materialized view for one Execution Phase:
 /// a partial subtree of its own shard (built from verified proofs) plus
 /// read-only foreign-account values (verified against the other shards'

@@ -39,9 +39,8 @@ BlockId TransactionBlockHeader::Id() const {
 
 namespace {
 std::vector<TxId> IdsOf(const std::vector<Transaction>& transactions) {
-  std::vector<TxId> ids;
-  ids.reserve(transactions.size());
-  for (const auto& t : transactions) ids.push_back(t.Id());
+  std::vector<TxId> ids(transactions.size());
+  Transaction::Ids(transactions.data(), transactions.size(), ids.data());
   return ids;
 }
 }  // namespace

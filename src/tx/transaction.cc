@@ -1,5 +1,6 @@
 #include "tx/transaction.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/wire.h"
@@ -22,6 +23,19 @@ TxId Transaction::Id() const {
   uint8_t body[kBodySize];
   WriteBody(*this, body);
   return crypto::Sha256::Hash(ByteView(body, sizeof(body)));
+}
+
+void Transaction::Ids(const Transaction* transactions, size_t count,
+                      TxId* out) {
+  constexpr size_t kChunk = 16 * crypto::Sha256::kLanes;
+  uint8_t bodies[kChunk * kBodySize];
+  for (size_t base = 0; base < count; base += kChunk) {
+    const size_t n = std::min(kChunk, count - base);
+    for (size_t i = 0; i < n; ++i) {
+      WriteBody(transactions[base + i], bodies + i * kBodySize);
+    }
+    crypto::Sha256::HashBatch(bodies, kBodySize, n, out + base);
+  }
 }
 
 void Transaction::EncodeTo(wire::Writer* w) const {

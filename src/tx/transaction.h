@@ -31,6 +31,9 @@ struct Transaction {
   /// Hash of the body (everything but the signature): SHA-256 of the first
   /// kBodySize bytes of Encode().
   TxId Id() const;
+  /// Id() of `count` transactions into out[0..count), their bodies staged
+  /// side by side and hashed in batches (Sha256::HashBatch).
+  static void Ids(const Transaction* transactions, size_t count, TxId* out);
 
   /// Declared read/write set, the paper's "accessed states ... pre-recorded
   /// using software tools": a transfer touches exactly {from, to}.

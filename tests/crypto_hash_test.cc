@@ -1,6 +1,7 @@
 // Tests for SHA-256 and SHA-512 against FIPS 180-4 / NIST example vectors,
 // the SHA-NI compression against the portable reference, the one-shot and
-// node-sized paths against streaming, and the tx id.
+// node-sized paths against streaming, the batched entry against the
+// one-shot path, and the tx id.
 
 #include <gtest/gtest.h>
 
@@ -170,17 +171,48 @@ TEST(Sha256Test, NodeHashesMatchStreaming) {
   }
 }
 
+// Every one-shot length and batch sizes around the lane count and the
+// small-batch cutover, against one Hash call per message: through the
+// dispatching entry, and through the 16-lane kernel directly when the CPU
+// has it. Each batch sits in a buffer of exactly its size, so a kernel
+// read past the input surfaces under ASan.
+TEST(Sha256Test, HashBatchMatchesOneShot) {
+  Rng rng(27);
+  const size_t kCounts[] = {0, 1, 7, 8, 15, 16, 17, 33, 2000};
+  for (size_t length = 0; length <= Sha256::kMaxOneShot; ++length) {
+    for (size_t count : kCounts) {
+      std::vector<uint8_t> messages(length * count);
+      for (auto& byte : messages) byte = static_cast<uint8_t>(rng.NextU64());
+      std::vector<Hash256> want(count);
+      for (size_t i = 0; i < count; ++i) {
+        want[i] = Sha256::Hash(ByteView(messages.data() + i * length, length));
+      }
+      std::vector<Hash256> got(count);
+      Sha256::HashBatch(messages.data(), length, count, got.data());
+      ASSERT_EQ(got, want) << count << " x " << length << " bytes";
+      if (!internal::HasAvx512()) continue;
+      std::vector<Hash256> wide(count);
+      internal::HashBatchAvx512(messages.data(), length, count, wide.data());
+      ASSERT_EQ(wide, want) << count << " x " << length << " bytes, AVX-512";
+    }
+  }
+}
+
 // Each test runs in its own process, so these threads race to the first
-// use of the once-initialised kernel choice (TSan leg): the streaming and
-// one-shot paths, and the node forms the SMT rehash runs on pool threads.
+// use of the once-initialised kernel choices (TSan leg): the streaming and
+// one-shot paths, the node forms, and the batched entry the SMT rehash and
+// the block checks run on pool threads.
 TEST(Sha256Test, ConcurrentFirstUseAgrees) {
   const std::string msg(1000, 'a');
   Hash256 l;
   l.fill(0x11);
   Hash256 r;
   r.fill(0x22);
+  constexpr size_t kBatch = 40;
+  const std::string batch_input(65 * kBatch, 'b');
   struct Digests {
     Hash256 streamed, one_shot, nodes, tagged;
+    std::vector<Hash256> batch = std::vector<Hash256>(kBatch);
   };
   std::vector<Digests> digests(4);
   std::vector<std::thread> threads;
@@ -190,16 +222,21 @@ TEST(Sha256Test, ConcurrentFirstUseAgrees) {
       d.one_shot = Sha256::Hash(ByteView(std::string_view(msg).substr(0, 40)));
       d.nodes = Sha256::HashNodes(l, r);
       d.tagged = Sha256::HashTaggedNodes(0x01, l, r);
+      Sha256::HashBatch(reinterpret_cast<const uint8_t*>(batch_input.data()),
+                        65, kBatch, d.batch.data());
     });
   }
   for (auto& t : threads) t.join();
   const uint8_t tag = 0x01;
+  const Hash256 one_batch_message =
+      Streamed({std::string_view(batch_input).substr(0, 65)});
   for (const auto& d : digests) {
     EXPECT_EQ(HashToHex(d.streamed),
               "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3");
     EXPECT_EQ(d.one_shot, Streamed({std::string_view(msg).substr(0, 40)}));
     EXPECT_EQ(d.nodes, Streamed({l, r}));
     EXPECT_EQ(d.tagged, Streamed({ByteView(&tag, 1), l, r}));
+    for (const Hash256& h : d.batch) EXPECT_EQ(h, one_batch_message);
   }
 }
 

@@ -303,5 +303,99 @@ TEST(EpochTest, StorageCrashStraddlingEpochBoundaryRecovers) {
   for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
 }
 
+// A deployment under steady intra- and cross-shard load, as in
+// LeaderHandOffUnderLoadIsPinned: `loaded` turns the load off for a drain.
+struct LoadedRun {
+  explicit LoadedRun(const SystemOptions& opt)
+      : sys(std::make_unique<PorygonSystem>(opt)) {
+    sys->CreateAccounts(120, 10'000);
+    tick = [this] {
+      if (!loaded) return;
+      for (uint64_t i = 0; i < 4; ++i) {
+        const uint64_t s = 1 + (ticks * 4 + i) % 40;
+        Submit(s, s + 40);
+        Submit(s + 40, s + 79);
+      }
+      ++ticks;
+      sys->events()->ScheduleAfter(net::FromMillis(400), tick);
+    };
+    tick();
+  }
+  void Submit(uint64_t from, uint64_t to) {
+    if (sys->SubmitTransaction(Transfer(from, to, 1, nonces[from])).ok()) {
+      ++nonces[from];
+    }
+  }
+  const CrossShardCoordinator* LeaderCoordinator() const {
+    for (int i = 0; i < sys->num_stateless_nodes(); ++i) {
+      if (sys->stateless_node(i)->net_id() == sys->oc().leader) {
+        return sys->stateless_node(i)->coordinator();
+      }
+    }
+    return nullptr;
+  }
+
+  std::unique_ptr<PorygonSystem> sys;
+  std::map<uint64_t, uint64_t> nonces;
+  uint64_t ticks = 0;
+  bool loaded = true;
+  std::function<void()> tick;
+};
+
+// The node seated as leader at the round-8 boundary gets its inbound
+// messages delayed by up to 8 s from round 7 on, so it is seated while its
+// own round lags and then receives round 7's start late. Round 7 is
+// committed by then, and proposing it again would re-lock batch 7 over its
+// live entry, so the real batch's locks would never release (without the
+// seat guard, each of these seeds leaks 6 to 26 locks).
+// Checked after every round: only batches tip - 1 and later are in flight.
+// After a drain with no traffic: no batch and no lock remains.
+TEST(EpochTest, LaggingNewLeaderProposesNothingBeforeItsSeat) {
+  unsetenv("PORYGON_THREADS");
+  constexpr uint64_t kBoundary = 8;
+  for (uint64_t seed : {1, 2, 4}) {
+    SCOPED_TRACE(seed);
+    SystemOptions opt = Opts();
+    opt.seed = seed;
+    opt.epoch_length = 4;
+    // Who the boundary seats, from an undisturbed run.
+    LoadedRun reference(opt);
+    reference.sys->Run(kBoundary);
+    const net::NodeId seated = reference.sys->oc().leader;
+
+    LoadedRun run(opt);
+    run.sys->Run(kBoundary - 2);
+    net::FaultPlan plan;
+    net::FaultPlan::LinkFault slow;
+    slow.to = seated;
+    slow.extra_delay_max = net::FromSeconds(8);
+    slow.start = run.sys->events()->now();
+    slow.end = slow.start + net::FromSeconds(30);
+    plan.link_faults.push_back(slow);
+    ASSERT_TRUE(run.sys->InjectFaults(plan).ok());
+    for (int round = 0; round < 20; ++round) {
+      if (round == 12) run.loaded = false;  // Drain.
+      run.sys->Run(1, net::FromSeconds(120));
+      if (round == 1) ASSERT_EQ(run.sys->oc().leader, seated);
+      const CrossShardCoordinator* c = run.LeaderCoordinator();
+      ASSERT_NE(c, nullptr);
+      // Batch b is released when B_{b+2} is proposed, which precedes the
+      // commit of B_{b+2}.
+      const uint64_t tip = run.sys->chain().back().round;
+      for (uint64_t r : c->InFlightRounds()) {
+        EXPECT_GE(r + 1, tip) << "batch " << r << " in flight at tip " << tip;
+      }
+    }
+    const CrossShardCoordinator* c = run.LeaderCoordinator();
+    EXPECT_TRUE(c->InFlightRounds().empty());
+    EXPECT_EQ(c->locked_accounts(), 0u);
+    EXPECT_GT(run.sys->metrics().committed_cross_txs(), 0u);
+    workload::InvariantChecker checker;
+    EXPECT_TRUE(checker.CheckChainIntegrity(*run.sys).ok());
+    EXPECT_TRUE(checker.CheckSupplyConserved(*run.sys).ok());
+    for (const std::string& v : checker.violations()) ADD_FAILURE() << v;
+  }
+}
+
 }  // namespace
 }  // namespace porygon::core

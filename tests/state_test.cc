@@ -491,6 +491,109 @@ TEST_P(SmtDifferentialTest, MatchesNaiveReferenceAtBenchmarkShapes) {
   EXPECT_EQ(tree.Root(), SparseMerkleTree().Root());
 }
 
+// The level sweep against the reference at frontier sizes around the hash
+// kernel's 16 lanes (1, 15, 16, 17) and at a block's size (8,000). On a
+// full tree of sibling pairs (keys one shard stride apart): inserts that
+// split chains, updates, and deletes of one key of a pair (its branch
+// collapses and the survivor's chain re-lifts to the grandparent) or of
+// both (two levels collapse). On a partial tree built from proofs of the
+// written keys: the same writes, where an insert of an absent key splits
+// the chain of the stub that stood in its place, and a delete next to a
+// stub leaves the stub's chain to re-lift. Put, a one-entry frontier,
+// takes the same path and must agree.
+TEST_P(SmtDifferentialTest, LevelSweepMatchesNaiveReferenceAtFrontierSizes) {
+  const int shard_bits = GetParam();
+  const uint64_t stride = uint64_t{1} << shard_bits;
+  for (size_t frontier : {1, 15, 16, 17, 8000}) {
+    SCOPED_TRACE(frontier);
+    Rng rng(frontier * 31 + static_cast<uint64_t>(shard_bits));
+    const uint64_t shard = rng.NextBelow(stride);
+    auto own_id = [&] {
+      return (rng.NextBelow(1'000'001 >> shard_bits) << shard_bits) | shard;
+    };
+    auto value = [&] {
+      return EncodeAccount(
+          Account{rng.NextU64() % 1'000'000, rng.NextU64() % 100});
+    };
+
+    const NaiveSmt naive;
+    NaiveSmt::Leaves reference;
+    SparseMerkleTree tree;
+    std::vector<std::pair<uint64_t, Bytes>> pairs;
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t key = own_id();
+      pairs.emplace_back(key, value());
+      pairs.emplace_back(key ^ stride, value());
+    }
+    tree.PutBatch(pairs);
+    for (const auto& [key, v] : pairs) reference[key] = v;
+    ASSERT_EQ(tree.Root(), naive.Root(reference));
+    std::vector<uint64_t> live;
+    for (const auto& [key, v] : reference) live.push_back(key);
+
+    // `frontier` distinct keys: deletes of live keys and of both keys of a
+    // pair, updates, and inserts.
+    std::vector<std::pair<uint64_t, Bytes>> writes;
+    std::map<uint64_t, bool> written;
+    auto add = [&](uint64_t key, Bytes v) {
+      if (writes.size() < frontier && written.emplace(key, true).second) {
+        writes.emplace_back(key, std::move(v));
+      }
+    };
+    while (writes.size() < frontier) {
+      const double r = rng.NextDouble();
+      const uint64_t key = live[rng.NextBelow(live.size())];
+      if (r < 0.2) {
+        add(key, Bytes());
+      } else if (r < 0.3) {
+        add(key, Bytes());
+        add(key ^ stride, Bytes());
+      } else if (r < 0.5) {
+        add(key, value());
+      } else {
+        add(own_id(), value());
+      }
+    }
+    ASSERT_EQ(writes.size(), frontier);
+
+    // The partial tree proves every written key against the old root.
+    const Hash256 old_root = tree.Root();
+    SparseMerkleTree proven;
+    for (const auto& [key, v] : writes) {
+      auto it = reference.find(key);
+      const Bytes old = it != reference.end() ? it->second : Bytes();
+      ASSERT_TRUE(proven.InjectProof(key, old, tree.Prove(key), old_root).ok());
+    }
+    ASSERT_EQ(proven.Root(), old_root);
+    SparseMerkleTree by_put;
+    by_put.PutBatch(pairs);
+
+    tree.PutBatch(writes);
+    proven.PutBatch(writes);
+    for (const auto& [key, v] : writes) {
+      by_put.Put(key, v);
+      if (v.empty()) {
+        reference.erase(key);
+      } else {
+        reference[key] = v;
+      }
+    }
+    const Hash256 want = naive.Root(reference);
+    EXPECT_EQ(tree.Root(), want);
+    EXPECT_EQ(proven.Root(), want);
+    EXPECT_EQ(by_put.Root(), want);
+    EXPECT_EQ(tree.LeafCount(), reference.size());
+    EXPECT_EQ(tree.NodeCount(), 2 * reference.size() - 1);
+    for (int i = 0; i < 20; ++i) {
+      const uint64_t key = writes[rng.NextBelow(writes.size())].first;
+      auto it = reference.find(key);
+      const Bytes v = it != reference.end() ? it->second : Bytes();
+      EXPECT_TRUE(SparseMerkleTree::Verify(want, key, v, tree.Prove(key)));
+      EXPECT_EQ(proven.Prove(key).siblings, tree.Prove(key).siblings);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ShardBits, SmtDifferentialTest,
                          ::testing::Values(3, 5));
 

@@ -219,6 +219,28 @@ TEST(SystemIntegrationTest, StoredTxIdsMatchTheirBodies) {
   EXPECT_GT(sys.metrics().committed_intra_txs(), 0u);
 }
 
+// SubmitBatch hashes the ids of a batch in chunks before admitting it; the
+// ids the pools store (and every host-side reader reuses) must be each
+// stamped body's Transaction::Id(). 700 transactions span three chunks.
+TEST(SystemIntegrationTest, BatchAdmissionIdsMatchTheirBodies) {
+  PorygonSystem sys(SmallOptions());
+  sys.CreateAccounts(800, 1'000);
+  std::vector<tx::Transaction> batch;
+  for (uint64_t from = 1; from <= 700; ++from) {
+    batch.push_back(Transfer(from, from % 700 + 1, 1, 0));
+  }
+  const std::vector<Status> statuses = sys.SubmitBatch(batch);
+  ASSERT_EQ(statuses.size(), batch.size());
+  for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s.ToString();
+  sys.Run(6);
+  const PorygonSystem::TxIdAudit audit = sys.AuditStoredTxIds();
+  EXPECT_GT(audit.blocks, 0u);
+  EXPECT_EQ(audit.stale, 0u);
+  EXPECT_GT(sys.metrics().committed_intra_txs() +
+                sys.metrics().committed_cross_txs(),
+            0u);
+}
+
 TEST(SystemIntegrationTest, LatenciesFollowThePipelineSchedule) {
   SystemOptions opt = SmallOptions();
   PorygonSystem sys(opt);
