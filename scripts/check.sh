@@ -28,9 +28,12 @@ run_suite() {
   # surfaces under ASan), Merkle roots and paths against a pair-by-pair
   # reference for 1-40 and 2,000 leaves (MerklePathTest.BatchedFolds...),
   # tx ids, ids hashed in chunks at admission against each body's Id()
-  # (SystemIntegrationTest.BatchAdmissionIdsMatchTheirBodies), the pool's
-  # flat admission set, and pool-sealed blocks whose reused ids must match
-  # a fresh seal.
+  # (SystemIntegrationTest.BatchAdmissionIdsMatchTheirBodies), ids an EC
+  # member hashes straight from a body's wire records against each
+  # transaction's Id(), with one flipped body byte in any record failing
+  # the check (TxBlocksTest.RecordIdsMatchBodiesAndFlippedBytesFailTheCheck),
+  # the pool's flat admission set, and pool-sealed blocks whose reused ids
+  # must match a fresh seal.
   ctest --test-dir "$dir" \
     -R 'Sha256|Merkle|TxBlocks|TxPool|TransactionTest|BlockTest|SystemIntegrationTest\.BatchAdmission' \
     --output-on-failure
@@ -48,7 +51,9 @@ run_suite() {
   ctest --test-dir "$dir" -R 'Clause|SpecTest|FaultInjection' \
     --output-on-failure
   # Adversary suite, likewise: chain identity and evidence collection under
-  # every Byzantine strategy at the paper's alpha/beta bounds.
+  # every Byzantine strategy at the paper's alpha/beta bounds, and fast-mode
+  # state replies that carry only their bill while a tampering storage node
+  # still counts its action (FastModeStateRepliesCarryOnlyTheirBill).
   ctest --test-dir "$dir" -R Adversary --output-on-failure
   # Cross-shard conservation: each Multi-Shard Update applies exactly once,
   # with the block that carries it. Total supply after cross-shard load and
@@ -62,9 +67,12 @@ run_suite() {
   # is delivered, dropped at a crashed receiver, censored or duplicated (a
   # shared or forwarded buffer used after release shows up under ASan); a
   # storage relay fans one inner buffer out to the whole OC; OC members
-  # hold only the bundles of batch r-1, EC members hold bodies as access
-  # records whose ids match, and storage witness bookkeeping follows the
-  # block store.
+  # hold only the bundles of batch r-1, with their access records left in
+  # the received payloads, which are freed once no member can list the
+  # batch; EC members hold bodies as access records whose ids match, and
+  # storage witness bookkeeping follows the block store. The bundle
+  # records' round trip, shared and copied, is MessagesTest.
+  # WitnessBundleRoundTripAndWireSize.
   ctest --test-dir "$dir" \
     -R 'NetFixture\.SharedPayload|MessagePlaneTest|RetentionTest' \
     --output-on-failure
@@ -84,9 +92,14 @@ run_suite() {
     --output-on-failure
   # Parallel runtime: fork-join and launched pool batches, and byte-identical
   # exports at 0, 1 and 4 threads, including the pipelined canonical
-  # execution under faithful proofs and a storage crash/rejoin. The serial
-  # run's chain tip, GlobalRoot and metrics-JSON digest are pinned here and
-  # in DisseminationTest.TreeExportsAreThreadInvariant, in every leg.
+  # execution under faithful proofs and a storage crash/rejoin. Fast mode's
+  # launch at each commit outlives Run() and settles at its reader:
+  # canonical_state() and CreateAccounts between runs settle it, at 0, 2
+  # and 4 workers alike (LaunchOutlivesRunAndSettlesAtItsReader), and a
+  # reader of an older round leaves it running (ReaderOfAnOlderRound-
+  # DoesNotJoin). The serial run's chain tip, GlobalRoot and metrics-JSON
+  # digest are pinned here and in DisseminationTest.
+  # TreeExportsAreThreadInvariant, in every leg.
   ctest --test-dir "$dir" -R 'TaskPool|ThreadInvariance' --output-on-failure
   # Workload suite: traffic-model determinism, Zipf sanity, scenario rows.
   ctest --test-dir "$dir" -R Workload --output-on-failure
@@ -158,12 +171,13 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
   # suites; Sha256 checks the once-initialised kernel choices (SHA-NI and
   # the 16-lane batch kernel) that the pool threads of VerifyBatch and of
-  # the SMT rehash read; Smt and ShardedState because per-shard PutBatch
-  # merges and their batched level sweeps run on pool threads, while the
-  # loop reads the account values the launched execution leaves alone
-  # until the settle; Epoch, FaultInjection and Soak because the
-  # launched shard execution must settle before every state read across
-  # epoch hand-offs and storage crash/recover. Messages and their shared
+  # the SMT rehash read; Smt and ShardedState because per-shard value
+  # writes, PutBatch merges and their batched level sweeps run on pool
+  # threads, which the loop must not read until the settle; ThreadInvariance
+  # also because the execution launched at a commit outlives Run() until
+  # canonical_state() or CreateAccounts settles it; Epoch, FaultInjection
+  # and Soak because the launched shard execution must settle before every
+  # state read across epoch hand-offs and storage crash/recover. Messages and their shared
   # payloads never leave the event-loop thread, so the message-plane and
   # retention cases are not listed here. TSan is incompatible with ASan,
   # hence the third build tree.

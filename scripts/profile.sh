@@ -14,8 +14,16 @@
 #    wall time, waits included, symbolises the stacks with addr2line, and
 #    prints where that thread's time went: under PorygonSystem::Run by
 #    handler frame (StatelessNodeActor::On*, StorageNodeActor::On*,
-#    PorygonSystem::SettleExecState), and under SubmitBatch. It then prints
-#    the share under SHA-256 (frames in crypto/sha256.{h,cc}) outside
+#    PorygonSystem::SettleExecState), and under SubmitBatch. It splits
+#    every SettleExecState sample, under Run or not, by the reader that
+#    joined the launched execution (RunExecution, the launch in
+#    OnBlockCommitted or StartRound, OnBlockCommitted's own reads,
+#    canonical_state(), CreateAccounts, the destructor, ...) and by what
+#    the settle was doing: waiting in TaskPool::Join, running an unclaimed
+#    shard body there, or its own work (the cache merge). It counts the
+#    samples decoding witness-bundle access records (TxAccess::DecodeFrom)
+#    by whether the leader's MaybePropose called them. It then prints the
+#    share under SHA-256 (frames in crypto/sha256.{h,cc}) outside
 #    SettleExecState, split into the batched 16-lane kernel
 #    (HashBatchAvx512) and the one-message paths, and by the two frames
 #    that called the hash and their handler.
@@ -168,8 +176,39 @@ def label(frames):
             return fn + (" > " + inner[0] if inner else "")
     return "(event queue and network)"
 
+# The frames that join the launched execution; the first listed that is on
+# the stack names the reader. The launch at a commit is the tail call of
+# OnBlockCommitted, so its stack may show AdvanceExecState alone.
+READERS = [
+    ("PorygonSystem::~PorygonSystem", "destructor"),
+    ("PorygonSystem::canonical_state", "canonical_state()"),
+    ("PorygonSystem::CreateAccounts", "CreateAccounts"),
+    ("PorygonSystem::CreateAccountsLazy", "CreateAccountsLazy"),
+    ("StatelessNodeActor::RunExecution", "RunExecution"),
+    ("StorageNodeActor::OnStateRequest", "OnStateRequest"),
+    ("PorygonSystem::StartRound", "the launch in StartRound"),
+    ("PorygonSystem::AdvanceExecState", "the launch in OnBlockCommitted"),
+    ("PorygonSystem::OnBlockCommitted", "OnBlockCommitted's reads"),
+]
+
+def settle_split(frames):
+    """(reader, activity) of a stack inside SettleExecState."""
+    k = frames.index("PorygonSystem::SettleExecState")
+    above = frames[:k]
+    reader = next((what for fn, what in READERS if fn in above),
+                  above[-1] if above else "?")
+    inner = frames[k + 1:]
+    if "runtime::TaskPool::Join" not in inner:
+        return reader, "own work"
+    if any(fn.startswith("ShardExecutor::") for fn in inner):
+        return reader, "runs a body"
+    return reader, "waits"
+
 handlers = collections.Counter()
+settle_readers = collections.Counter()
+settle_activity = collections.defaultdict(collections.Counter)
 hash_callers = collections.Counter()
+record_decodes = collections.Counter()
 hash_kinds = collections.Counter()
 in_run = in_submit = 0
 for stack in stacks:
@@ -178,6 +217,13 @@ for stack in stacks:
     in_sha = [s for pc in reversed(stack) if pc is not None
               for s in reversed(sha.get(pc, []))]
     handler = None
+    if "PorygonSystem::SettleExecState" in frames:
+        reader, activity = settle_split(frames)
+        settle_readers[reader] += 1
+        settle_activity[reader][activity] += 1
+    if "TxAccess::DecodeFrom" in frames:
+        record_decodes["in MaybePropose" if "StatelessNodeActor::MaybePropose"
+                       in frames else "elsewhere"] += 1
     if "PorygonSystem::Run" in frames:
         in_run += 1
         handler = label(frames[frames.index("PorygonSystem::Run") + 1:])
@@ -208,6 +254,16 @@ print(f"{share(total - in_run - in_submit)}  elsewhere (set-up, generation, "
 print("\n== top 20 frames under PorygonSystem::Run, share of all samples ==")
 for name, n in handlers.most_common(20):
     print(f"{share(n)} {n:7d}  {name}")
+settled = sum(settle_readers.values())
+print(f"\n== SettleExecState anywhere: {share(settled).strip()} of all "
+      "samples; by the reader that joined (waits / runs a body / own work) ==")
+for name, n in settle_readers.most_common():
+    a = settle_activity[name]
+    print(f"{share(n)} {n:7d}  {name}  ({a['waits']} / {a['runs a body']} / "
+          f"{a['own work']})")
+print("\n== access-record decodes (TxAccess::DecodeFrom): "
+      f"{record_decodes['in MaybePropose']} samples in the leader's "
+      f"MaybePropose, {record_decodes['elsewhere']} elsewhere ==")
 print(f"\n== SHA-256 under Run and SubmitBatch, outside SettleExecState: "
       f"{share(sum(hash_callers.values())).strip()} of all samples; "
       "by kernel ==")

@@ -200,13 +200,18 @@ class Reader {
     if (BlobView(&v).ok()) out->assign(v.begin(), v.end());
     return *this;
   }
-  /// A Nested() message, decoded by `T::Decode` straight from the input
-  /// view, with no intermediate copy.
-  template <typename T>
-  Reader& Nested(T* out) {
+  /// The next `n` bytes (Writer::Raw's), as a view into the input.
+  Reader& Raw(size_t n, ByteView* out) {
+    if (const uint8_t* p = Take(n)) *out = ByteView(p, n);
+    return *this;
+  }
+  /// A Nested() message, decoded by `T::Decode(view, extra...)` straight
+  /// from the input view, with no intermediate copy.
+  template <typename T, typename... Extra>
+  Reader& Nested(T* out, const Extra&... extra) {
     ByteView raw;
     if (!BlobView(&raw).ok()) return *this;
-    auto decoded = T::Decode(raw);
+    auto decoded = T::Decode(raw, extra...);
     if (!decoded.ok()) {
       status_ = decoded.status();
     } else {
@@ -220,13 +225,14 @@ class Reader {
   /// `min_element_bytes` (>= 1) each.
   Reader& Count(uint64_t* n, size_t min_element_bytes);
 
-  /// A Count()-bounded list in Writer::List's layout.
-  template <typename T>
-  Reader& List(std::vector<T>* out) {
+  /// A Count()-bounded list in Writer::List's layout. Nested elements
+  /// decode by `T::Decode(view, extra...)`.
+  template <typename T, typename... Extra>
+  Reader& List(std::vector<T>* out, const Extra&... extra) {
     uint64_t n = 0;
     if (!Count(&n, MinWireSize<T>()).ok()) return *this;
     out->resize(n);
-    for (T& x : *out) Get(&x);
+    for (T& x : *out) Get(&x, extra...);
     return *this;
   }
 
@@ -291,12 +297,14 @@ class Reader {
   void Get(std::vector<T>* v) {
     List(v);
   }
-  template <typename T>
-  void Get(T* x) {
+  template <typename T, typename... Extra>
+  void Get(T* x, const Extra&... extra) {
     if constexpr (requires { x->DecodeFrom(this); }) {
+      static_assert(sizeof...(Extra) == 0,
+                    "inline-decoded elements take no extra arguments");
       x->DecodeFrom(this);
     } else {
-      Nested(x);
+      Nested(x, extra...);
     }
   }
 

@@ -173,11 +173,11 @@ size_t WitnessedBlock::WireSize() const {
   // delta-coded varint account pairs for intra-shard transactions, fuller
   // ~16 B entries only for the cross-shard ones the OC's conflict detection
   // inspects, per §IV-D2 "the OC will download states that CTx will
-  // access"). The in-memory payload carries the uncompressed struct for
+  // access"). The in-memory payload carries the uncompressed records for
   // implementation convenience; the bandwidth model charges the wire
   // encoding.
   return header.WireSize() + proofs.size() * tx::WitnessProof::kWireSize +
-         accesses.size() * 6;
+         records.size() * 6;
 }
 
 TxAccess ToAccess(const tx::Transaction& t, const tx::TxId& id) {
@@ -203,8 +203,52 @@ void TxAccess::DecodeFrom(wire::Reader* r) {
       &submitted_at);
 }
 
+AccessRecords::AccessRecords(const std::vector<TxAccess>& accesses) {
+  wire::Writer w;
+  for (const TxAccess& a : accesses) a.EncodeTo(&w);
+  buffer_ = w.Take();
+  records_ = buffer_;
+}
+
+AccessRecords::AccessRecords(const std::vector<tx::Transaction>& transactions,
+                             const std::vector<tx::TxId>& ids) {
+  wire::Writer w;
+  for (size_t i = 0; i < transactions.size(); ++i) {
+    ToAccess(transactions[i], ids[i]).EncodeTo(&w);
+  }
+  buffer_ = w.Take();
+  records_ = buffer_;
+}
+
+TxAccess AccessRecords::At(size_t i) const {
+  TxAccess a;
+  wire::Reader r(ByteView(records_.data() + i * kRecordSize, kRecordSize));
+  a.DecodeFrom(&r);
+  return a;
+}
+
+void AccessRecords::DecodeTo(std::vector<TxAccess>* out) const {
+  out->reserve(out->size() + size());
+  wire::Reader r(records_);
+  for (size_t i = 0; i < size(); ++i) out->emplace_back().DecodeFrom(&r);
+}
+
+void AccessRecords::EncodeTo(wire::Writer* w) const {
+  w->Varint(size()).Raw(records_);
+}
+
+void AccessRecords::DecodeFrom(wire::Reader* r, const SharedBytes& owner) {
+  uint64_t n = 0;
+  ByteView view;
+  r->Count(&n, kRecordSize).Raw(n * kRecordSize, &view);
+  if (!r->ok()) return;
+  buffer_ = owner.size() > 0 ? owner : SharedBytes(view.ToBytes());
+  records_ = owner.size() > 0 ? view : ByteView(buffer_);
+}
+
 void WitnessedBlock::EncodeTo(wire::Writer* w) const {
-  w->Nested(header).List(proofs).List(accesses);
+  w->Nested(header).List(proofs);
+  records.EncodeTo(w);
 }
 
 Bytes WitnessedBlock::Encode() const {
@@ -213,10 +257,12 @@ Bytes WitnessedBlock::Encode() const {
   return w.Take();
 }
 
-Result<WitnessedBlock> WitnessedBlock::Decode(ByteView data) {
+Result<WitnessedBlock> WitnessedBlock::Decode(ByteView data,
+                                              const SharedBytes& owner) {
   WitnessedBlock b;
   wire::Reader r(data);
-  r.Nested(&b.header).List(&b.proofs).List(&b.accesses);
+  r.Nested(&b.header).List(&b.proofs);
+  b.records.DecodeFrom(&r, owner);
   PORYGON_RETURN_IF_ERROR(r.Finish("witnessed-block"));
   return b;
 }
@@ -231,10 +277,11 @@ Bytes WitnessBundle::Encode() const {
   return wire::Writer().U64(batch_round).List(blocks).Take();
 }
 
-Result<WitnessBundle> WitnessBundle::Decode(ByteView data) {
+Result<WitnessBundle> WitnessBundle::Decode(ByteView data,
+                                            const SharedBytes& owner) {
   WitnessBundle w;
   wire::Reader r(data);
-  r.U64(&w.batch_round).List(&w.blocks);
+  r.U64(&w.batch_round).List(&w.blocks, owner);
   PORYGON_RETURN_IF_ERROR(r.Finish("bundle"));
   return w;
 }
@@ -279,9 +326,7 @@ Result<StateRequest> StateRequest::Decode(ByteView data) {
   return req;
 }
 
-size_t StateResponse::WireSize() const {
-  return 12 + entries.size() * 17 + proof_bytes;
-}
+size_t StateResponse::WireSize() const { return 12 + billed_bytes; }
 
 void StateResponse::Entry::EncodeTo(wire::Writer* w) const {
   w->U64(account).Bool(present).U64(value.balance).U64(value.nonce);
@@ -296,7 +341,7 @@ Bytes StateResponse::Encode() const {
       .U64(round)
       .U32(shard)
       .List(entries)
-      .U64(proof_bytes)
+      .U64(billed_bytes)
       .List(proofs)
       .Take();
 }
@@ -307,7 +352,7 @@ Result<StateResponse> StateResponse::Decode(ByteView data) {
   r.U64(&resp.round)
       .U32(&resp.shard)
       .List(&resp.entries)
-      .U64(&resp.proof_bytes)
+      .U64(&resp.billed_bytes)
       .List(&resp.proofs);
   PORYGON_RETURN_IF_ERROR(r.Finish("state-response"));
   return resp;
@@ -434,10 +479,14 @@ Bytes AggregatedWitness::Encode() const {
       .Take();
 }
 
-Result<AggregatedWitness> AggregatedWitness::Decode(ByteView data) {
+Result<AggregatedWitness> AggregatedWitness::Decode(ByteView data,
+                                                    const SharedBytes& owner) {
   AggregatedWitness a;
   wire::Reader r(data);
-  r.U64(&a.batch_round).U32(&a.shard).U32(&a.aggregator).List(&a.blocks);
+  r.U64(&a.batch_round)
+      .U32(&a.shard)
+      .U32(&a.aggregator)
+      .List(&a.blocks, owner);
   PORYGON_RETURN_IF_ERROR(r.Finish("agg-witness"));
   return a;
 }

@@ -144,6 +144,8 @@ struct TxAccess {
   static constexpr size_t kMinWireSize = 32 + 5 * 8;
   void EncodeTo(wire::Writer* w) const;
   void DecodeFrom(wire::Reader* r);
+
+  bool operator==(const TxAccess&) const = default;
 };
 
 /// The access record of `t`, whose id `id` the caller already holds.
@@ -152,19 +154,60 @@ TxAccess ToAccess(const tx::Transaction& t, const tx::TxId& id);
 /// the record's id, since ids exclude the signature.
 tx::Transaction FromAccess(const TxAccess& a);
 
+/// A witnessed block's access list as it travels: one TxAccess record of
+/// kRecordSize bytes per transaction, kept encoded in the buffer it arrived
+/// in and decoded on read. Copies share the buffer, so an OC member's
+/// bundles keep their received payloads alive rather than a decoded copy;
+/// only the leader decodes, and only the blocks it orders.
+class AccessRecords {
+ public:
+  /// One record: TxAccess::EncodeTo's fixed-width layout.
+  static constexpr size_t kRecordSize = TxAccess::kMinWireSize;
+
+  AccessRecords() = default;
+  /// `accesses`, encoded into a buffer of their own.
+  explicit AccessRecords(const std::vector<TxAccess>& accesses);
+  /// The records of a stored block: transaction i with id ids[i], encoded
+  /// into a buffer of their own.
+  AccessRecords(const std::vector<tx::Transaction>& transactions,
+                const std::vector<tx::TxId>& ids);
+
+  size_t size() const { return records_.size() / kRecordSize; }
+  /// Record i (i < size()), decoded.
+  TxAccess At(size_t i) const;
+  /// Appends every record, decoded, to `out`.
+  void DecodeTo(std::vector<TxAccess>* out) const;
+  /// The buffer the records live in (shared with every copy).
+  const SharedBytes& buffer() const { return buffer_; }
+
+  /// Writer::List's layout: a varint count, then the records.
+  void EncodeTo(wire::Writer* w) const;
+  /// Reads that layout (the count bounded by Reader::Count). The records
+  /// stay in `owner` when it is given, which must hold the reader's input;
+  /// otherwise they are copied into a buffer of their own.
+  void DecodeFrom(wire::Reader* r, const SharedBytes& owner);
+
+ private:
+  SharedBytes buffer_;
+  ByteView records_;  // Inside buffer_.
+};
+
 /// One witnessed block as shipped to the OC: header, witness proofs, and
-/// access summaries. Wire cost: header + proofs + ~48 B per transaction —
+/// access records. Wire cost: header + proofs + ~6 B per transaction —
 /// never the 112 B bodies.
 struct WitnessedBlock {
   tx::TransactionBlockHeader header{};
   std::vector<tx::WitnessProof> proofs;
-  std::vector<TxAccess> accesses;
+  AccessRecords records;
 
   /// As a bundle element: length prefix, header blob, two empty counts.
   static constexpr size_t kMinWireSize = 1 + 53 + 2;
   size_t WireSize() const;
   Bytes Encode() const;
-  static Result<WitnessedBlock> Decode(ByteView data);
+  /// Decodes `data`. A receiver passes the payload `data` lies in as
+  /// `owner`, and the access records stay in it (see AccessRecords).
+  static Result<WitnessedBlock> Decode(ByteView data,
+                                       const SharedBytes& owner = {});
   /// Encodes in place (bundles nest their blocks without a copy).
   void EncodeTo(wire::Writer* w) const;
 };
@@ -176,7 +219,9 @@ struct WitnessBundle {
 
   size_t WireSize() const;
   Bytes Encode() const;
-  static Result<WitnessBundle> Decode(ByteView data);
+  /// As WitnessedBlock::Decode, for every block.
+  static Result<WitnessBundle> Decode(ByteView data,
+                                      const SharedBytes& owner = {});
 };
 
 /// Per-shard execution assignment derived from a committed proposal block
@@ -210,10 +255,16 @@ struct StateRequest {
   static Result<StateRequest> Decode(ByteView data);
 };
 
-/// State download response: account values; `proof_bytes` charges the
-/// Merkle paths to the bandwidth model (full SMT proofs are materialized
-/// only when Params.verify_state_proofs is set — see PorygonSystem).
+/// State download response. The bandwidth model bills each requested
+/// account's entry and Merkle proof. A faithful reply
+/// (SystemOptions::faithful_execution) carries both, and its receiver
+/// proves every entry against the committed roots. A fast-mode reply
+/// carries neither: its receiver adopts the canonical execution results
+/// and reads nothing here, so the reply is its round, shard and bill.
 struct StateResponse {
+  /// Modeled wire bytes of one entry.
+  static constexpr uint64_t kEntryBytes = 17;
+
   uint64_t round = 0;
   uint32_t shard = 0;
   struct Entry {
@@ -225,11 +276,12 @@ struct StateResponse {
     void EncodeTo(wire::Writer* w) const;
     void DecodeFrom(wire::Reader* r);
   };
-  std::vector<Entry> entries;
-  uint64_t proof_bytes = 0;
-  /// Serialized MerkleProofs aligned with `entries`; materialized only in
-  /// faithful mode (Params/SystemOptions verify_state_proofs), otherwise
-  /// empty with `proof_bytes` charging the modeled multiproof size.
+  std::vector<Entry> entries;  ///< Faithful mode only.
+  /// What the reply is billed beyond its 12-byte head: kEntryBytes plus the
+  /// proof's size per requested account (the materialized proof's wire
+  /// size, or the modeled multiproof share in fast mode).
+  uint64_t billed_bytes = 0;
+  /// Serialized MerkleProofs aligned with `entries` (faithful mode only).
   std::vector<Bytes> proofs;
 
   size_t WireSize() const;
@@ -332,7 +384,9 @@ struct AggregatedWitness {
 
   size_t WireSize() const;
   Bytes Encode() const;
-  static Result<AggregatedWitness> Decode(ByteView data);
+  /// As WitnessedBlock::Decode, for every block.
+  static Result<AggregatedWitness> Decode(ByteView data,
+                                          const SharedBytes& owner = {});
 };
 
 /// Aggregated execution result (tree mode): one shard's exec-result votes

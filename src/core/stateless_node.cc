@@ -565,33 +565,33 @@ void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing,
 // --------------------------------------------------------------------------
 
 void StatelessNodeActor::OnTxBlock(const net::Message& msg) {
-  auto block = tx::TransactionBlock::Decode(msg.payload);
+  auto block = tx::BlockView::Parse(msg.payload);
   if (!block.ok() || !assignment_.has_value()) return;
   if (block->header.shard != assignment_->shard) return;
-  WitnessBody(std::move(*block), current_round_, msg.trace);
+  WitnessBody(*block, current_round_, msg.trace);
 }
 
 // Shared witness tail for both body transports: the full-body push
 // (OnTxBlock) and the erasure-coded chunk path (OnBodyChunk) converge here
 // once a complete body is in hand.
-void StatelessNodeActor::WitnessBody(tx::TransactionBlock block,
+void StatelessNodeActor::WitnessBody(const tx::BlockView& block,
                                      uint64_t round,
                                      obs::TraceContext trace) {
   if (!assignment_.has_value()) return;
 
   // Data availability check (Witness Phase, §IV-C1(a)): a header whose body
   // we cannot download, or whose body does not match, is never witnessed.
-  if (block.transactions.size() != block.header.tx_count) return;
   std::vector<tx::TxId> tx_ids;
   if (!block.BodyMatchesHeader(&tx_ids)) return;
 
-  std::string key = IdKey(block.header.Id());
+  const tx::BlockId block_id = block.header.Id();
+  std::string key = IdKey(block_id);
   if (held_blocks_.count(key) == 0) {
     HeldBlock held;
     held.header = block.header;
     held.txs.reserve(tx_ids.size());
     for (size_t i = 0; i < tx_ids.size(); ++i) {
-      held.txs.push_back(ToAccess(block.transactions[i], tx_ids[i]));
+      held.txs.push_back(ToAccess(block.Body(i), tx_ids[i]));
     }
     held.witnessed_round = round;
     held_blocks_[key] = std::move(held);
@@ -613,7 +613,7 @@ void StatelessNodeActor::WitnessBody(tx::TransactionBlock block,
     WitnessUpload bad;
     bad.round = round;
     bad.shard = assignment_->shard;
-    bad.proof.block_id = block.header.Id();
+    bad.proof.block_id = block_id;
     bad.proof.witness = keys_.public_key;
     bad.proof.signature =
         adv->ForgedSignature("witness_sig", round,
@@ -632,7 +632,7 @@ void StatelessNodeActor::WitnessBody(tx::TransactionBlock block,
   }
 
   tx::WitnessProof proof;
-  proof.block_id = block.header.Id();
+  proof.block_id = block_id;
   proof.witness = keys_.public_key;
   proof.signature = system_->provider()->Sign(
       keys_.private_key, WitnessSigningBytes(block.header));
@@ -693,12 +693,12 @@ void StatelessNodeActor::OnBodyChunk(const net::Message& msg) {
   if (st.have < static_cast<size_t>(st.k)) return;
   auto body = erasure::Decode(st.chunks, st.k, st.n);
   if (!body.ok()) return;
-  auto block = tx::TransactionBlock::Decode(*body);
+  auto block = tx::BlockView::Parse(*body);
   if (!block.ok() || block->header.Id() != st.header.Id()) return;
   // Rebuilt: from here on only `done` and the header are read.
   st.done = true;
   st.chunks = {};
-  WitnessBody(std::move(*block), current_round_, msg.trace);
+  WitnessBody(*block, current_round_, msg.trace);
 }
 
 void StatelessNodeActor::OnExecRequest(const net::Message& msg) {
@@ -985,7 +985,9 @@ void StatelessNodeActor::CollectExecAttestation(const ExecResultMsg& result) {
 
 void StatelessNodeActor::OnWitnessBundle(const net::Message& msg) {
   if (!in_oc_) return;
-  auto bundle = WitnessBundle::Decode(msg.payload);
+  // The blocks' access records stay in the shared payload until the leader
+  // proposes: no other member reads them.
+  auto bundle = WitnessBundle::Decode(msg.payload, msg.payload);
   if (!bundle.ok()) return;
   if (!Listable(bundle->batch_round)) return;  // Dead on arrival.
   auto& merged = bundles_[bundle->batch_round];
@@ -1008,7 +1010,7 @@ void StatelessNodeActor::OnWitnessBundle(const net::Message& msg) {
 void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
   // Tree-only kind: a direct deployment never sends it.
   if (!system_->dissemination().tree()) return;
-  auto agg = AggregatedWitness::Decode(msg.payload);
+  auto agg = AggregatedWitness::Decode(msg.payload, msg.payload);
   if (!agg.ok()) return;
   if (agg->shard >=
       static_cast<uint32_t>(system_->params().shard_count())) {
@@ -1302,14 +1304,14 @@ void StatelessNodeActor::MaybePropose() {
         ordered.push_back(bj.wb);
       }
     }
-    // Deterministic order (map iteration is already id-sorted).
+    // Deterministic order (map iteration is already id-sorted). Only the
+    // ordered blocks' access records are ever decoded.
     size_t listed = 0;
-    for (const WitnessedBlock* wb : ordered) listed += wb->accesses.size();
+    for (const WitnessedBlock* wb : ordered) listed += wb->records.size();
     round_txs.reserve(listed);
     for (const WitnessedBlock* wb : ordered) {
       proposal.shard_tx_blocks[wb->header.shard].push_back(wb->header.Id());
-      round_txs.insert(round_txs.end(), wb->accesses.begin(),
-                       wb->accesses.end());
+      wb->records.DecodeTo(&round_txs);
     }
   }
 

@@ -204,7 +204,10 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   // Every storage node drains its own mempool: nobody else can package the
   // transactions submitted to it.
   if (quota == 0) quota = 1;
-  std::vector<tx::TransactionBlock> fresh;
+  // Blocks to send this round, each by its store key and its one copy in
+  // the store (unordered_map nodes never move).
+  std::vector<std::pair<const std::string*, const tx::TransactionBlock*>>
+      to_offer;
   for (int shard = 0; shard < p.shard_count(); ++shard) {
     for (size_t b = 0; b < quota; ++b) {
       if (pool_.PendingInShard(shard) == 0) break;
@@ -217,19 +220,18 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
         // Sampled transactions close their "submit" (mempool wait) span.
         for (const auto& id : tx_ids) system_->TraceTxPackaged(id, TraceName());
       }
-      store[IdKey(block.header.Id())] = {block, round, std::move(tx_ids)};
-      unlisted_blocks_[IdKey(block.header.Id())] = round;
-      fresh.push_back(std::move(block));
+      std::string key = IdKey(block.header.Id());
+      unlisted_blocks_[key] = round;
+      auto stored = store.insert_or_assign(
+          std::move(key), StoredBlock{std::move(block), round,
+                                      std::move(tx_ids)}).first;
+      to_offer.emplace_back(&stored->first, &stored->second.block);
     }
   }
 
   // --- Send blocks to this round's EC members (witness phase). Blocks that
   // missed Tw in their own round are re-offered to the next round's EC —
   // the Cross-Batch Witness path (§IV-C2).
-  std::vector<const tx::TransactionBlock*> to_offer;
-  for (const auto& b : fresh) {
-    to_offer.push_back(&store[IdKey(b.header.Id())].block);
-  }
   for (auto& [key, stored] : store) {
     if (stored.batch_round + 1 == round &&
         stored.block.header.creator_storage_node ==
@@ -238,17 +240,16 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
         witness_state_[key].proofs.size() <
             static_cast<size_t>(p.witness_threshold)) {
       stored.batch_round = round;  // Rolls into the next batch.
-      to_offer.push_back(&stored.block);
+      to_offer.emplace_back(&key, &stored.block);
     }
   }
   last_distributed_round_ = round;
   offered_blocks_.clear();
-  for (const tx::TransactionBlock* block : to_offer) {
-    offered_blocks_[block->header.shard].push_back(
-        IdKey(block->header.Id()));
+  for (const auto& [key, block] : to_offer) {
+    offered_blocks_[block->header.shard].push_back(*key);
   }
   if (reg != nullptr) {
-    for (const tx::TransactionBlock* block : to_offer) {
+    for (const auto& [key, block] : to_offer) {
       uint32_t shard = block->header.shard;
       auto it = reg->ec_by_shard.find(shard);
       if (it == reg->ec_by_shard.end()) continue;
@@ -306,15 +307,12 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   }
 
   // --- Push the witnessed bundle of batch round-1 to OC members we serve.
-  // Access lists carry the ids hashed at admission (StoredBlock::tx_ids).
+  // Access records carry the ids hashed at admission (StoredBlock::tx_ids).
   auto witnessed_block = [](const StoredBlock& sb, const WitnessState& ws) {
     WitnessedBlock wb;
     wb.header = sb.block.header;
     for (const auto& [pk, proof] : ws.proofs) wb.proofs.push_back(proof);
-    wb.accesses.reserve(sb.block.transactions.size());
-    for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
-      wb.accesses.push_back(ToAccess(sb.block.transactions[i], sb.tx_ids[i]));
-    }
+    wb.records = AccessRecords(sb.block.transactions, sb.tx_ids);
     return wb;
   };
   if (round >= 1) {
@@ -568,37 +566,39 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
   StateResponse resp;
   resp.round = req->round;
   resp.shard = req->shard;
-  // Fast mode bills the reply by count and never reads its values, so it
-  // reads the values without joining the launched execution; faithful
-  // proofs read the subtrees, which only the settle makes current.
-  const state::ShardedState& st = opt.faithful_execution
-                                      ? system_->SettledState()
-                                      : system_->UnsettledValues();
-  for (state::AccountId id : req->accounts) {
-    StateResponse::Entry e;
-    e.account = id;
-    auto acc = st.GetAccount(id);
-    e.present = acc.ok();
-    if (acc.ok()) e.value = *acc;
-    resp.entries.push_back(e);
-    if (opt.faithful_execution) {
+  if (!opt.faithful_execution) {
+    // Fast mode: the ESC adopts the canonical results and never reads the
+    // reply's values, so the reply is its bill alone. It reads no state,
+    // and so never waits on the launched execution.
+    resp.billed_bytes =
+        req->accounts.size() * (StateResponse::kEntryBytes +
+                                opt.state_proof_bytes_per_account);
+  } else {
+    // Faithful proofs read the subtrees, which only the settle makes
+    // current.
+    const state::ShardedState& st = system_->SettledState();
+    for (state::AccountId id : req->accounts) {
+      StateResponse::Entry e;
+      e.account = id;
+      auto acc = st.GetAccount(id);
+      e.present = acc.ok();
+      if (acc.ok()) e.value = *acc;
+      resp.entries.push_back(e);
       state::MerkleProof proof = st.ProveAccount(id);
-      resp.proof_bytes += proof.WireSize();
+      resp.billed_bytes += StateResponse::kEntryBytes + proof.WireSize();
       resp.proofs.push_back(proof.Encode());
-    } else {
-      resp.proof_bytes += opt.state_proof_bytes_per_account;
-    }
-    if (tampers_state()) {
-      // Doctor the entry *after* proving: the proof commits to the true
-      // value, so the mismatch is exactly what the stateless node's
-      // cross-check (ProveStateResponse) catches. The perturbation is a
-      // pure hash of (round, account) — deterministic and non-zero.
-      StateResponse::Entry& doctored = resp.entries.back();
-      doctored.value.balance +=
-          1 + crypto::HashPrefixU64(system_->adversary()->ForgedValue(
-                  "state", req->round, id)) %
-                  997;
-      doctored.present = true;
+      if (tampers_state()) {
+        // Doctor the entry *after* proving: the proof commits to the true
+        // value, so the mismatch is exactly what the stateless node's
+        // cross-check (ProveStateResponse) catches. The perturbation is a
+        // pure hash of (round, account) — deterministic and non-zero.
+        StateResponse::Entry& doctored = resp.entries.back();
+        doctored.value.balance +=
+            1 + crypto::HashPrefixU64(system_->adversary()->ForgedValue(
+                    "state", req->round, id)) %
+                    997;
+        doctored.present = true;
+      }
     }
   }
   if (tampers_state() && !req->accounts.empty()) {

@@ -12,25 +12,18 @@
 namespace porygon::core {
 
 namespace {
-/// Read-only snapshot wrapper: own-shard reads hit the live state, foreign
+/// Snapshot wrapper: own-shard reads and writes hit the live state, foreign
 /// reads come from a pre-captured snapshot so every shard's cross-shard
 /// pre-execution observes the same pre-round values (each real ESC
 /// downloads the same committed snapshot). Every shard's view shares the
-/// one snapshot, which outlives them.
-///
-/// Own-shard writes update the live subtree at once, but their values are
-/// staged in `staged` for the settle to apply, so the live values stay
-/// read-only while the launched job runs. Execute writes once and reads
-/// every account it wrote from its own overlay, so it never reads a staged
-/// value back.
+/// one snapshot, which outlives them; writes to other shards are dropped,
+/// so each launched body touches only its own shard's values and subtree.
 class SnapshotForeignView : public state::StateView {
  public:
   SnapshotForeignView(
       state::ShardedState* base, uint32_t own_shard,
-      const std::unordered_map<state::AccountId, state::Account>* foreign,
-      std::vector<std::pair<state::AccountId, state::Account>>* staged)
-      : base_(base), own_shard_(own_shard), foreign_(foreign),
-        staged_(staged) {}
+      const std::unordered_map<state::AccountId, state::Account>* foreign)
+      : base_(base), own_shard_(own_shard), foreign_(foreign) {}
 
   uint32_t ShardOf(state::AccountId id) const override {
     return base_->ShardOf(id);
@@ -44,9 +37,7 @@ class SnapshotForeignView : public state::StateView {
       uint32_t shard,
       const std::vector<std::pair<state::AccountId, state::Account>>& ws)
       override {
-    if (shard != own_shard_) return;
-    base_->PutSubtreeBatch(shard, ws);
-    staged_->insert(staged_->end(), ws.begin(), ws.end());
+    if (shard == own_shard_) base_->PutAccountBatch(shard, ws);
   }
   crypto::Hash256 ShardRoot(uint32_t shard) const override {
     return base_->ShardRoot(shard);
@@ -56,7 +47,6 @@ class SnapshotForeignView : public state::StateView {
   state::ShardedState* base_;
   uint32_t own_shard_;
   const std::unordered_map<state::AccountId, state::Account>* foreign_;
-  std::vector<std::pair<state::AccountId, state::Account>>* staged_;
 };
 }  // namespace
 
@@ -480,6 +470,8 @@ const StatelessNodeActor* PorygonSystem::StatelessByNetId(
 }
 
 void PorygonSystem::CreateAccounts(uint64_t count, uint64_t balance) {
+  // The launched execution's bodies read and write the shards written here.
+  SettleExecState();
   // Batched per shard: one Merkle path-rehash pass per shard instead of one
   // per account (million-account benches set up in seconds).
   std::vector<std::vector<std::pair<state::AccountId, state::Account>>> by_shard(
@@ -508,7 +500,9 @@ void PorygonSystem::CreateAccountsLazy(uint64_t count, uint64_t balance) {
   // mirror it into their proof-built PartialState each Execution Phase (the
   // declaration is part of genesis config, not per-round state). Leaves
   // materialize on first write, so roots and absence proofs for untouched
-  // ids are identical to a freshly created state.
+  // ids are identical to a freshly created state. The launched execution's
+  // bodies read the declaration, so it settles first.
+  SettleExecState();
   exec_state_->SetImplicitAccounts(count, balance);
   if (next_account_hint_ <= count) next_account_hint_ = count + 1;
   // The declaration may cover ids CreateAccounts already materialized.
@@ -684,17 +678,16 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
     }
   }
   job->results.resize(shards);
-  job->staged.resize(shards);
 
   // Launch the per-shard executions on the compute pool and return: each
-  // body writes only its own shard's subtree (SnapshotForeignView confines
-  // writes, and foreign reads come from the job's snapshot), its own staged
-  // values and its own result slot. Nothing reads the subtrees or the
-  // results until SettleExecState, which every reader of roots, proofs and
-  // exec_cache_ goes through; the values stay read-only until then.
+  // body writes only its own shard's values and subtree (SnapshotForeignView
+  // confines writes, and foreign reads come from the job's snapshot) and its
+  // own result slot. Nothing on the loop thread reads the canonical state or
+  // the results until SettleExecState, which every reader goes through
+  // (SettledExec, SettledState, canonical_state).
   pool_->Launch(shards, [this, job](size_t d) {
     SnapshotForeignView view(exec_state_.get(), static_cast<uint32_t>(d),
-                             &job->snapshot, &job->staged[d]);
+                             &job->snapshot);
     job->results[d] = ShardExecutor::Execute(&view, job->inputs[d]);
   });
   obs_.runtime_exec_tasks->Add(static_cast<uint64_t>(shards));
@@ -708,13 +701,9 @@ void PorygonSystem::SettleExecState() {
   pool_->Join();
   const std::unique_ptr<ExecJob> job = std::move(exec_job_);
 
-  // The staged values land now, one shard per pool task (disjoint tables),
-  // and the cross-shard merge runs here in shard order, so the cache is
+  // The cross-shard merge runs here in shard order, so the cache is
   // identical for any thread count.
   const size_t shards = job->results.size();
-  pool_->ParallelFor(shards, [this, &job](size_t d) {
-    exec_state_->PutValueBatch(static_cast<uint32_t>(d), job->staged[d]);
-  });
   CachedExec cache;
   cache.roots.resize(shards);
   cache.s_sets.resize(shards);
@@ -741,6 +730,11 @@ void PorygonSystem::SettleExecState() {
       static_cast<double>(runtime::WallMicrosSince(wall_start)));
 }
 
+const state::ShardedState& PorygonSystem::canonical_state() {
+  SettleExecState();
+  return *exec_state_;
+}
+
 const state::ShardedState& PorygonSystem::SettledState() {
   SettleExecState();
   return *exec_state_;
@@ -748,7 +742,13 @@ const state::ShardedState& PorygonSystem::SettledState() {
 
 const PorygonSystem::CachedExec* PorygonSystem::SettledExec(
     uint64_t exec_round) {
-  SettleExecState();
+  // Launches run in exec-round order and each settles its predecessor, so
+  // a launch past `exec_round` means that round is already cached (or was
+  // never executed): only a reader of the launched round or a later one
+  // joins.
+  if (exec_job_ != nullptr && exec_job_->exec_round <= exec_round) {
+    SettleExecState();
+  }
   auto it = exec_cache_.find(exec_round);
   return it == exec_cache_.end() ? nullptr : &it->second;
 }
@@ -873,16 +873,12 @@ void PorygonSystem::StartRound(uint64_t round) {
       round % options_.epoch_length == 0) {
     ReconfigureEpoch(round);
   }
-  // Advance the canonical state. Fast mode leads by one round (results are
-  // pre-computed for adopting ESCs); faithful mode lags so state requests
-  // during this round serve the snapshot the executing ESC must see. The
-  // execution runs on the pool behind this round's event-loop work and
-  // settles at the first read (SettleExecState).
-  if (options_.faithful_execution) {
-    if (round >= 2) AdvanceExecState(round - 2);
-  } else {
-    AdvanceExecState(round - 1);
-  }
+  // Faithful mode advances the canonical state two rounds behind, so state
+  // requests during this round serve the snapshot (and the proofs against
+  // B_{round-2}'s roots) the executing ESC must see. The execution runs on
+  // the pool behind this round's event-loop work and settles at the first
+  // read. Fast mode launched B_{round-1}'s execution at its commit.
+  if (options_.faithful_execution && round >= 2) AdvanceExecState(round - 2);
   // Label this round's base witness-relay election "relay" so the
   // bandwidth ledger and critical-path reports attribute their links
   // separately (observability only — senders re-run the election with
@@ -1029,6 +1025,11 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
   }
 
   MaybeScheduleNextRound();
+  // Fast mode: B_r's execution starts now rather than at the next round
+  // start, so it runs behind the reconfiguration interval's host work (and
+  // behind whatever the caller does between Run() calls). Its results settle
+  // at the first reader of round r: the ESCs adopting them next round.
+  if (!options_.faithful_execution) AdvanceExecState(block.round);
 }
 
 void PorygonSystem::MaybeScheduleNextRound() {
@@ -1151,9 +1152,8 @@ void PorygonSystem::Run(int rounds, net::SimTime max_sim_time) {
          events_.now() <= max_sim_time) {
     if (!events_.RunNext()) break;  // Queue drained: the protocol stalled.
   }
-  // No launched execution outlives Run(): canonical_state() is safe to
-  // read between calls.
-  SettleExecState();
+  // The last commit's execution may still be running: it settles at its
+  // first reader, canonical_state() included, not here.
 }
 
 Status PorygonSystem::InjectFaults(const net::FaultPlan& plan) {

@@ -479,9 +479,10 @@ class StatelessNodeActor {
   /// Erasure-coded body chunk: store, forward our seed chunk to the next k
   /// mesh peers, and reconstruct + witness once k+1 chunks arrived.
   void OnBodyChunk(const net::Message& msg);
-  /// Shared tail of OnTxBlock / chunk reassembly: verify the body against
-  /// its header, hold it, and upload witness proofs to all connections.
-  void WitnessBody(tx::TransactionBlock block, uint64_t round,
+  /// Shared tail of OnTxBlock / chunk reassembly: verify the body's
+  /// records against its header, hold them as access records, and upload
+  /// witness proofs to all connections.
+  void WitnessBody(const tx::BlockView& block, uint64_t round,
                    obs::TraceContext trace);
   /// Relay-side attestation pool: flushed as one AggregatedExecResult to
   /// every OC member once enough distinct signers agree on one key.
@@ -721,7 +722,8 @@ class PorygonSystem {
   PorygonSystem(const PorygonSystem&) = delete;
   PorygonSystem& operator=(const PorygonSystem&) = delete;
 
-  /// Creates `count` funded accounts (balance each) spread over shards.
+  /// Creates `count` funded accounts (balance each) spread over shards,
+  /// after settling any launched execution.
   void CreateAccounts(uint64_t count, uint64_t balance);
 
   /// Declares ids [1, count] funded with `balance` without materializing
@@ -779,9 +781,10 @@ class PorygonSystem {
   /// Header of chain().back(), built once when the block is appended: what
   /// storage nodes send stateless nodes at each round start.
   const TipHeader& tip() const { return tip_; }
-  /// The canonical state between Run() calls: Run() settles the launched
-  /// execution before it returns, so no pool thread is writing it then.
-  const state::ShardedState& canonical_state() const { return *exec_state_; }
+  /// The canonical state, with every launched execution applied. Fast mode
+  /// launches a block's execution at its commit and Run() may return with
+  /// it outstanding, so this settles it first.
+  const state::ShardedState& canonical_state();
   /// The total balance CreateAccounts and CreateAccountsLazy funded: what
   /// canonical_state().TotalSupply() must equal, since transfers and
   /// update lists only move value.
@@ -881,17 +884,20 @@ class PorygonSystem {
     FlatSet<DigestKey> failed_ids;  // Probed, never iterated.
   };
   /// The settling accessors: each joins the launched execution and
-  /// publishes its results first, so no reader can see the canonical state
-  /// or the cache while pool threads are still writing them.
+  /// publishes its results before it reads, so no reader can see the
+  /// canonical state or the cache while pool threads are still writing
+  /// them. SettledState() always joins.
   const state::ShardedState& SettledState();
-  /// The canonical account values without joining the launched execution:
-  /// its bodies write only the subtrees and stage their values, which the
-  /// settle applies, so these are the values before the launched round.
-  /// Read values only (GetAccount, GetOrDefault) through it, never a root
-  /// or a proof: those need SettledState().
-  const state::ShardedState& UnsettledValues() const { return *exec_state_; }
-  /// The cached results of `exec_round`, or nullptr.
+  /// The cached results of `exec_round`, or nullptr. Joins only when the
+  /// launched execution is of `exec_round` or an earlier round; an older
+  /// round's results come straight from the cache.
   const CachedExec* SettledExec(uint64_t exec_round);
+  /// The exec round of the launched execution that has not settled yet, or
+  /// nullopt (diagnostics).
+  std::optional<uint64_t> launched_exec_round() const {
+    if (exec_job_ == nullptr) return std::nullopt;
+    return exec_job_->exec_round;
+  }
 
   /// A storage node applied a committed proposal block: the first receipt
   /// appends it to the chain, accounts its batch and schedules the next
@@ -929,8 +935,8 @@ class PorygonSystem {
 
   // Canonical execution state (honest storage nodes replicate identically;
   // kept once). Advanced each round by applying proposal-block inputs.
-  // Read it only through SettledState(), or its values through
-  // UnsettledValues(), while Run() is active.
+  // Read it only through SettledState() or canonical_state(): a launched
+  // execution writes it until it settles.
   std::unique_ptr<state::ShardedState> exec_state_;
 
   // Execution-result cache per exec round. Read it only through
@@ -942,14 +948,12 @@ class PorygonSystem {
   // The job owns everything its bodies read besides their own shard's
   // subtree and values: the per-shard inputs and the foreign-account
   // snapshot, both built on the loop thread at launch, plus one result slot
-  // and one list of staged account values per shard.
+  // per shard.
   struct ExecJob {
     uint64_t exec_round = 0;
     std::vector<ExecutionInput> inputs;
     std::unordered_map<state::AccountId, state::Account> snapshot;
     std::vector<ExecutionResult> results;
-    std::vector<std::vector<std::pair<state::AccountId, state::Account>>>
-        staged;
   };
   std::unique_ptr<ExecJob> exec_job_;  // Null when nothing is launched.
 
@@ -1010,7 +1014,8 @@ class PorygonSystem {
   void MaybeScheduleNextRound();
   /// Launches the canonical execution of B_{exec_round}'s inputs on the
   /// pool (settling the previous launch first) and returns; the results
-  /// land in exec_cache_ at the next SettleExecState.
+  /// land in exec_cache_ at the next SettleExecState. Fast mode calls it at
+  /// B_{exec_round}'s commit, faithful mode at round exec_round + 2's start.
   void AdvanceExecState(uint64_t exec_round);
   /// Joins the launched execution, merges its results into exec_cache_ in
   /// shard order and prunes the cache. A no-op when nothing is launched.

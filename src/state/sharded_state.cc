@@ -17,22 +17,12 @@ void ShardedState::PutAccount(AccountId id, const Account& account) {
 
 void ShardedState::PutAccountBatch(
     uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
-  PutValueBatch(shard, ws);
-  PutSubtreeBatch(shard, ws);
-}
-
-void ShardedState::PutSubtreeBatch(
-    uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
-  PutAccountLeaves(shard, shard_bits_, ws, &shards_[shard].tree);
-}
-
-void ShardedState::PutValueBatch(
-    uint32_t shard, const std::vector<std::pair<AccountId, Account>>& ws) {
   U64Map<Account>& accounts = shards_[shard].accounts;
   for (const auto& [id, account] : ws) {
     // In order, so the last write wins here as in the subtree.
     if (ShardOf(id) == shard) accounts[id] = account;
   }
+  PutAccountLeaves(shard, shard_bits_, ws, &shards_[shard].tree);
 }
 
 void ShardedState::DeleteAccount(AccountId id) {

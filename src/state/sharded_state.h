@@ -37,14 +37,6 @@ class ShardedState : public StateView {
   void PutAccountBatch(
       uint32_t shard,
       const std::vector<std::pair<AccountId, Account>>& ws) override;
-  /// The two halves of PutAccountBatch. A writer that runs while others
-  /// read the values (the launched canonical execution) writes the subtree
-  /// alone and leaves the values to a later PutValueBatch, so the values
-  /// stay read-only meanwhile; the two touch disjoint memory.
-  void PutSubtreeBatch(uint32_t shard,
-                       const std::vector<std::pair<AccountId, Account>>& ws);
-  void PutValueBatch(uint32_t shard,
-                     const std::vector<std::pair<AccountId, Account>>& ws);
   /// Removes an account.
   void DeleteAccount(AccountId id);
   /// Reads an account; NotFound if absent.

@@ -63,6 +63,24 @@ bool TransactionBlock::BodyMatchesHeader(std::vector<TxId>* tx_ids) const {
   return crypto::ComputeMerkleRoot(*tx_ids) == header.tx_root;
 }
 
+Result<BlockView> BlockView::Parse(ByteView data) {
+  BlockView v;
+  wire::Reader r(data);
+  uint64_t n = 0;
+  r.Nested(&v.header)
+      .Count(&n, Transaction::kMinWireSize)
+      .Raw(n * Transaction::kMinWireSize, &v.records);
+  PORYGON_RETURN_IF_ERROR(r.Finish("block"));
+  return v;
+}
+
+bool BlockView::BodyMatchesHeader(std::vector<TxId>* tx_ids) const {
+  if (size() != header.tx_count) return false;
+  tx_ids->resize(size());
+  Transaction::IdsOfRecords(records.data(), size(), tx_ids->data());
+  return crypto::ComputeMerkleRoot(*tx_ids) == header.tx_root;
+}
+
 Bytes TransactionBlock::Encode() const {
   return wire::Writer().Nested(header).List(transactions).Take();
 }

@@ -60,6 +60,29 @@ struct TransactionBlock {
   static Result<TransactionBlock> Decode(ByteView data);
 };
 
+/// A transaction block as it arrives, parsed but not decoded: the header,
+/// and the transactions as their wire records (Transaction::EncodeTo's,
+/// back to back), viewed in the caller's buffer. What an EC member checks a
+/// body with: it hashes the records' body prefixes in place of decoding
+/// each transaction and re-encoding its body, and never copies a signature.
+struct BlockView {
+  TransactionBlockHeader header;
+  ByteView records;
+
+  /// Parses TransactionBlock::Encode's layout, with the same checks as
+  /// TransactionBlock::Decode (the record count is Count-bounded).
+  static Result<BlockView> Parse(ByteView data);
+
+  size_t size() const { return records.size() / Transaction::kMinWireSize; }
+  /// Transaction i without its signature.
+  Transaction Body(size_t i) const {
+    return Transaction::BodyOfRecord(records.data() +
+                                     i * Transaction::kMinWireSize);
+  }
+  /// TransactionBlock::BodyMatchesHeader, over the records.
+  bool BodyMatchesHeader(std::vector<TxId>* tx_ids) const;
+};
+
 /// A witness proof: one committee member's signature on a transaction-block
 /// header, attesting it could download the full body (§IV-C1(a)).
 struct WitnessProof {

@@ -9,7 +9,9 @@ namespace porygon::tx {
 
 namespace {
 // The body encoding: five little-endian u64s, as wire::Writer::U64 writes
-// them.
+// them. It is Id()'s preimage and the first kBodySize bytes of every
+// record (EncodeTo), which is what lets IdsOfRecords hash records without
+// decoding them; BodyOfRecord reads it back.
 void WriteBody(const Transaction& t, uint8_t out[Transaction::kBodySize]) {
   StoreLittleEndian64(out, t.from);
   StoreLittleEndian64(out + 8, t.to);
@@ -17,6 +19,27 @@ void WriteBody(const Transaction& t, uint8_t out[Transaction::kBodySize]) {
   StoreLittleEndian64(out + 24, t.nonce);
   StoreLittleEndian64(out + 32, t.submitted_at);
 }
+
+// The ids of `count` bodies into out[0..count): stage(i, body) writes body i
+// into a stack chunk, and each chunk is hashed in one batch
+// (Sha256::HashBatch).
+template <typename Stage>
+void HashBodies(size_t count, TxId* out, Stage stage) {
+  constexpr size_t kChunk = 16 * crypto::Sha256::kLanes;
+  uint8_t bodies[kChunk * Transaction::kBodySize];
+  for (size_t base = 0; base < count; base += kChunk) {
+    const size_t n = std::min(kChunk, count - base);
+    for (size_t i = 0; i < n; ++i) {
+      stage(base + i, bodies + i * Transaction::kBodySize);
+    }
+    crypto::Sha256::HashBatch(bodies, Transaction::kBodySize, n, out + base);
+  }
+}
+
+static_assert(Transaction::kBodySize == 5 * 8 &&
+                  Transaction::kMinWireSize ==
+                      Transaction::kBodySize + sizeof(crypto::Signature),
+              "a record is WriteBody's five fields, then the signature");
 }  // namespace
 
 TxId Transaction::Id() const {
@@ -27,15 +50,26 @@ TxId Transaction::Id() const {
 
 void Transaction::Ids(const Transaction* transactions, size_t count,
                       TxId* out) {
-  constexpr size_t kChunk = 16 * crypto::Sha256::kLanes;
-  uint8_t bodies[kChunk * kBodySize];
-  for (size_t base = 0; base < count; base += kChunk) {
-    const size_t n = std::min(kChunk, count - base);
-    for (size_t i = 0; i < n; ++i) {
-      WriteBody(transactions[base + i], bodies + i * kBodySize);
-    }
-    crypto::Sha256::HashBatch(bodies, kBodySize, n, out + base);
-  }
+  HashBodies(count, out, [transactions](size_t i, uint8_t* body) {
+    WriteBody(transactions[i], body);
+  });
+}
+
+void Transaction::IdsOfRecords(const uint8_t* records, size_t count,
+                               TxId* out) {
+  HashBodies(count, out, [records](size_t i, uint8_t* body) {
+    std::memcpy(body, records + i * kMinWireSize, kBodySize);
+  });
+}
+
+Transaction Transaction::BodyOfRecord(const uint8_t* record) {
+  Transaction t;
+  t.from = LoadLittleEndian64(record);
+  t.to = LoadLittleEndian64(record + 8);
+  t.amount = LoadLittleEndian64(record + 16);
+  t.nonce = LoadLittleEndian64(record + 24);
+  t.submitted_at = LoadLittleEndian64(record + 32);
+  return t;
 }
 
 void Transaction::EncodeTo(wire::Writer* w) const {
@@ -52,8 +86,10 @@ Bytes Transaction::Encode() const {
 }
 
 void Transaction::DecodeFrom(wire::Reader* r) {
-  r->U64(&from).U64(&to).U64(&amount).U64(&nonce).U64(&submitted_at).Array(
-      &signature);
+  ByteView record;
+  if (!r->Raw(kMinWireSize, &record).ok()) return;
+  *this = BodyOfRecord(record.data());
+  std::memcpy(signature.data(), record.data() + kBodySize, signature.size());
 }
 
 Result<Transaction> Transaction::Decode(ByteView data) {

@@ -34,6 +34,14 @@ struct Transaction {
   /// Id() of `count` transactions into out[0..count), their bodies staged
   /// side by side and hashed in batches (Sha256::HashBatch).
   static void Ids(const Transaction* transactions, size_t count, TxId* out);
+  /// Id() of `count` encoded transactions (EncodeTo's records, back to back
+  /// from `records`) into out[0..count), with no decode: a record starts
+  /// with the body Id() hashes, so its first kBodySize bytes are hashed as
+  /// they are, in batches.
+  static void IdsOfRecords(const uint8_t* records, size_t count, TxId* out);
+  /// The transfer an encoded record describes, without its signature: the
+  /// fields its id covers.
+  static Transaction BodyOfRecord(const uint8_t* record);
 
   /// Declared read/write set, the paper's "accessed states ... pre-recorded
   /// using software tools": a transfer touches exactly {from, to}.

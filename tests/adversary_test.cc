@@ -9,8 +9,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/adversary.h"
@@ -329,6 +332,64 @@ TEST(AdversaryTest, TamperedStateRepliesFailTheProofCrossCheck) {
   EXPECT_EQ(sys->metrics().committed_blocks(),
             clean->metrics().committed_blocks());
   ExpectSameCommittedState(*sys, *clean);
+}
+
+TEST(AdversaryTest, FastModeStateRepliesCarryOnlyTheirBill) {
+  // Fast mode: an ESC member adopts the canonical results and reads nothing
+  // in its state reply, so the reply carries no entries and no proofs, only
+  // its bill: a 12-byte head plus a 17-byte entry and a 128-byte modeled
+  // multiproof per requested account. A tampering storage node has nothing
+  // to doctor, and still counts each reply it would have doctored.
+  SystemOptions opt = Opts();
+  opt.adversary = MustParse("storage:tamper-state,beta:0.5");
+  PorygonSystem sys(opt);
+  std::set<net::NodeId> tamperers;
+  const std::vector<AdvStrategy> placement =
+      sys.adversary()->PlaceStorage(opt.num_storage_nodes);
+  for (int i = 0; i < opt.num_storage_nodes; ++i) {
+    if (placement[i] == AdvStrategy::kTamperState) {
+      tamperers.insert(sys.storage_node(i)->net_id());
+    }
+  }
+  ASSERT_FALSE(tamperers.empty());
+  // Accounts asked for, by (requester, round, shard).
+  std::map<std::tuple<net::NodeId, uint64_t, uint32_t>, size_t> asked;
+  uint64_t replies = 0, tampered = 0;
+  sys.network()->SetDropFilter([&](const net::Message& m) {
+    if (m.kind == kMsgStateRequest) {
+      auto req = StateRequest::Decode(m.payload);
+      EXPECT_TRUE(req.ok());
+      if (req.ok()) {
+        asked[{m.from, req->round, req->shard}] = req->accounts.size();
+      }
+    } else if (m.kind == kMsgStateResponse) {
+      auto resp = StateResponse::Decode(m.payload);
+      EXPECT_TRUE(resp.ok());
+      if (!resp.ok()) return false;
+      EXPECT_TRUE(resp->entries.empty());
+      EXPECT_TRUE(resp->proofs.empty());
+      auto it = asked.find({m.to, resp->round, resp->shard});
+      EXPECT_NE(it, asked.end());
+      if (it == asked.end()) return false;
+      EXPECT_GT(it->second, 0u);
+      EXPECT_EQ(m.wire_size, 12 + 145 * it->second);
+      EXPECT_EQ(resp->WireSize(), m.wire_size);
+      ++replies;
+      if (tamperers.count(m.from) > 0) ++tampered;
+    }
+    return false;
+  });
+  sys.CreateAccounts(120, 10'000);
+  for (uint64_t f = 1; f <= 12; ++f) {
+    sys.SubmitTransaction(Transfer(f, f + 20, 1, 0));
+    sys.SubmitTransaction(Transfer(f + 40, f + 101, 2, 0));
+  }
+  sys.Run(10, net::FromSeconds(600));
+  EXPECT_EQ(sys.metrics().committed_blocks(), 10u);
+  EXPECT_GT(sys.metrics().committed_txs(), 0u);
+  EXPECT_GT(replies, 0u);
+  EXPECT_GT(tampered, 0u);
+  EXPECT_EQ(sys.adversary()->actions(), tampered);
 }
 
 TEST(AdversaryTest, StaleResyncRepliesAreRejectedWithoutStalling) {

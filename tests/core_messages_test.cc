@@ -67,15 +67,30 @@ TEST(MessagesTest, WitnessBundleRoundTripAndWireSize) {
   tx::WitnessProof proof;
   proof.block_id = H(2);
   wb.proofs.push_back(proof);
-  wb.accesses.push_back({H(3), 10, 20, 5, 0, 1000});
-  wb.accesses.push_back({H(4), 11, 21, 6, 1, 1001});
+  const std::vector<TxAccess> accesses = {{H(3), 10, 20, 5, 0, 1000},
+                                          {H(4), 11, 21, 6, 1, 1001}};
+  wb.records = AccessRecords(accesses);
   bundle.blocks.push_back(wb);
 
   auto d = WitnessBundle::Decode(bundle.Encode());
   ASSERT_TRUE(d.ok());
   ASSERT_EQ(d->blocks.size(), 1u);
-  EXPECT_EQ(d->blocks[0].accesses.size(), 2u);
-  EXPECT_EQ(d->blocks[0].accesses[1].to, 21u);
+  EXPECT_EQ(d->blocks[0].records.size(), 2u);
+  EXPECT_EQ(d->blocks[0].records.At(1).to, 21u);
+  EXPECT_EQ(d->blocks[0].records.At(0), accesses[0]);
+  EXPECT_EQ(d->blocks[0].records.At(1), accesses[1]);
+  std::vector<TxAccess> decoded;
+  d->blocks[0].records.DecodeTo(&decoded);
+  EXPECT_EQ(decoded, accesses);
+
+  // A received payload keeps the records: decoding with the payload as
+  // owner shares its buffer instead of copying them out.
+  const SharedBytes payload = bundle.Encode();
+  auto shared = WitnessBundle::Decode(payload, payload);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(shared->blocks[0].records.buffer().data(), payload.data());
+  EXPECT_EQ(shared->blocks[0].records.At(1), accesses[1]);
+  EXPECT_EQ(shared->blocks[0].Encode(), wb.Encode());
 
   // Wire size charges the compressed encoding (6 B/access), far below the
   // in-memory payload.
@@ -116,14 +131,14 @@ TEST(MessagesTest, StateRequestResponseRoundTrip) {
   resp.round = 3;
   resp.shard = 0;
   resp.entries = {{1, true, {500, 2}}, {2, false, {}}};
-  resp.proof_bytes = 256;
+  resp.billed_bytes = 256;
   resp.proofs = {ToBytes("proof-one"), ToBytes("proof-two")};
   auto dresp = StateResponse::Decode(resp.Encode());
   ASSERT_TRUE(dresp.ok());
   EXPECT_EQ(dresp->entries.size(), 2u);
   EXPECT_TRUE(dresp->entries[0].present);
   EXPECT_FALSE(dresp->entries[1].present);
-  EXPECT_EQ(dresp->proof_bytes, 256u);
+  EXPECT_EQ(dresp->billed_bytes, 256u);
   EXPECT_EQ(dresp->proofs[1], ToBytes("proof-two"));
 }
 

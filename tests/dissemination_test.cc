@@ -343,7 +343,7 @@ TEST(DisseminationTest, TreeExportsAreThreadInvariant) {
   EXPECT_EQ(HexEncode(serial->canonical_state().GlobalRoot()),
             "36f412263b3a25ee820a27ea81dd0bacc9b250b2fd340d0ec07a3d5e698c2266");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(metrics))),
-            "1a9dc05e86e7da30d4253bbdc3e2ba0ecc19a7ae81483436e73046e6e150306a");
+            "6a85854a7417a0f55a4c10598e3153c5cf01e46e2e5f1d0b4c96127c112579d6");
   for (int threads : {1, 4}) {
     auto run = RunWith("tree", "", "", threads);
     EXPECT_EQ(run->metrics().ToJson(), metrics) << threads << " threads";
@@ -376,7 +376,7 @@ TEST(DisseminationTest, EquivocatingRelayLeavesEvidenceWithoutBreakingSafety) {
             clean->canonical_state().GlobalRoot());
   EXPECT_EQ(adv->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*adv),
-            "59fb9fd36a9d5ed97c384a3ec6256a612dac4fd60f566aa84dd40160f16f5ea6");
+            "888474df8f2ca9d69e740a7b090d2e7c5acc8b6ccbdb6dc6b62b268040a004bd");
 }
 
 // Withholding relays (silent strategy drops every message, including relay
@@ -394,7 +394,7 @@ TEST(DisseminationTest, SilentRelaysDegradeToDirectWithoutStalling) {
             direct->canonical_state().GlobalRoot());
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*tree),
-            "d37b93a51d2cae53a77a2f2d7b1113720e0223be9f856d80f9f03f4e6fd9b127");
+            "9a229de0a92d42249a8608cda1b70e010c873639ad9169334e57f03bc54df1e1");
 }
 
 // Crashed stateless nodes (which may hold relay elections for their shard)
@@ -406,7 +406,7 @@ TEST(DisseminationTest, CrashedRelayFallsBackToDirectPaths) {
   EXPECT_GT(tree->metrics().committed_txs(), 0u);
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*tree),
-            "6402df0ecf370ede2844312b6bf26581fe2d50248dc01683d1e95bc2e4e80596");
+            "880996c5e276c82d52ce43938f36e7428ac4fce0d979c9bcb12c88c2fbd4e5c2");
 }
 
 }  // namespace

@@ -205,7 +205,7 @@ TEST(EpochTest, LeaderHandOffUnderLoadIsPinned) {
   EXPECT_EQ(HexEncode(sys.canonical_state().GlobalRoot()),
             "b4678bff663ee03331cabbe22f688d1d53f093c14f66beddc68617d27e30f4f7");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(sys.metrics().ToJson()))),
-            "ef5434d619439fe908de8d3463aedb1e3820db9564a869ec12a3658046cd46eb");
+            "5f9adfa4b158cbc02bb6dc180999e803de73555d633b5fd40f21aff77b46e6f1");
 }
 
 TEST(EpochAdversaryTest, PlacementIsRedrawnWithinBoundsEachEpoch) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -111,6 +114,10 @@ TEST_P(RetentionTest, ActorsKeepOnlyWhatTheyStillRead) {
   sys.CreateAccounts(1200, 10'000);
   size_t bundle_batches = 0;
   size_t held_records = 0;
+  // The payloads OC members' bundles hold their access records in, by
+  // batch: alive while some member can still list the batch.
+  std::vector<std::pair<uint64_t, std::weak_ptr<const Bytes>>> payloads;
+  size_t expired_payloads = 0;
   for (int r = 0; r < 20; ++r) {
     SubmitRound(&sys, r);
     sys.Run(1, net::FromSeconds(600));
@@ -121,6 +128,13 @@ TEST_P(RetentionTest, ActorsKeepOnlyWhatTheyStillRead) {
       for (const auto& [batch, blocks] : node->bundles()) {
         EXPECT_GE(batch + 1, now) << "node " << i << " round " << now;
         ++bundle_batches;
+        for (const auto& [key, block] : blocks) {
+          EXPECT_EQ(block.records.size(), block.header.tx_count);
+          const std::weak_ptr<const Bytes> watch =
+              block.records.buffer().Watch();
+          EXPECT_FALSE(watch.expired());
+          payloads.emplace_back(batch, watch);
+        }
       }
       if (!node->in_oc()) {
         EXPECT_TRUE(node->bundles().empty()) << i;
@@ -136,6 +150,17 @@ TEST_P(RetentionTest, ActorsKeepOnlyWhatTheyStillRead) {
         }
       }
     }
+    // Once no OC member can list a batch, its payloads are gone.
+    uint64_t oldest_round = UINT64_MAX;
+    for (net::NodeId id : sys.oc().ids) {
+      oldest_round =
+          std::min(oldest_round, sys.StatelessByNetId(id)->current_round());
+    }
+    for (const auto& [batch, watch] : payloads) {
+      if (batch + 1 >= oldest_round) continue;
+      EXPECT_TRUE(watch.expired()) << "batch " << batch << " round " << r;
+      ++expired_payloads;
+    }
     // Storage nodes: witness bookkeeping only for blocks still stored.
     for (int s = 0; s < sys.num_storage_nodes(); ++s) {
       const StorageNodeActor* storage = sys.storage_node(s);
@@ -147,6 +172,7 @@ TEST_P(RetentionTest, ActorsKeepOnlyWhatTheyStillRead) {
   ASSERT_EQ(sys.chain().size(), 21u);
   EXPECT_GT(sys.metrics().committed_txs(), 0u);
   EXPECT_GT(bundle_batches, 0u);
+  EXPECT_GT(expired_payloads, 0u);
   EXPECT_GT(held_records, 0u);
   // The store pruned the early batches; the bookkeeping kept its blocks.
   EXPECT_FALSE(sys.storage_node(0)->WitnessedBlockKeys().empty());

@@ -10,11 +10,13 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "core/system.h"
 #include "crypto/provider.h"
 #include "crypto/sha256.h"
@@ -368,7 +370,7 @@ TEST(ThreadInvarianceTest, ExportsAreByteIdenticalForAnyThreadCount) {
   EXPECT_EQ(HexEncode(serial.global_root),
             "f798ee9c4abaca68dfc0bf4d2aa09d3ecb82ee0d7fac98e6a20f992a2cd91aa0");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(serial.metrics_json))),
-            "39063c066b5bdf74f35e1d4af1dcd959af0fbde67c8c11bdad8dafb4a43ac4d8");
+            "55c6f42b59e2b991cf523e0e30a2fc422e54a9366909411ecaf0a8ae40549421");
 
   for (int threads : {1, 4}) {
     const RunArtifacts run = RunScenario(threads);
@@ -413,6 +415,113 @@ TEST(ThreadInvarianceTest, PipelinedExecutionMatchesSerial) {
     EXPECT_EQ(pooled.chain_tip, serial.chain_tip) << threads << " threads";
     EXPECT_EQ(pooled.sim_seconds, serial.sim_seconds)
         << threads << " threads";
+  }
+}
+
+TEST(ThreadInvarianceTest, LaunchOutlivesRunAndSettlesAtItsReader) {
+  // Fast mode launches each committed block's execution at its commit, so
+  // Run() returns with the last one outstanding. canonical_state() settles
+  // it, and so does CreateAccounts, which writes what its bodies read:
+  // under TSan a reader that skipped the settle is a reported race, and at
+  // any width it would change the exports below.
+  unsetenv("PORYGON_THREADS");
+  struct Outcome {
+    std::string metrics_json;
+    crypto::Hash256 root_after_first_run{};
+    crypto::Hash256 global_root{};
+    crypto::Hash256 chain_tip{};
+    uint64_t supply = 0;
+  };
+  auto run = [](int threads) {
+    core::SystemOptions opt = ScenarioOptions(threads);
+    opt.trace.enabled = false;
+    core::PorygonSystem sys(opt);
+    sys.CreateAccounts(60, 10'000);
+    Rng rng(5);
+    std::map<uint64_t, uint64_t> nonces;
+    auto submit = [&](int attempts) {
+      for (int i = 0; i < attempts; ++i) {
+        tx::Transaction t;
+        t.from = 1 + rng.NextBelow(60);
+        t.to = 1 + rng.NextBelow(60);
+        t.amount = 1;
+        t.nonce = nonces[t.from];
+        if (t.from != t.to && sys.SubmitTransaction(t).ok()) ++nonces[t.from];
+      }
+    };
+    Outcome out;
+    submit(40);
+    sys.Run(3, net::FromSeconds(600));
+    // B_3's execution was launched at its commit and nothing read round 3.
+    EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(3))
+        << threads << " threads";
+    out.root_after_first_run = sys.canonical_state().GlobalRoot();
+    EXPECT_EQ(sys.launched_exec_round(), std::nullopt)
+        << threads << " threads";
+
+    submit(40);
+    sys.Run(1, net::FromSeconds(600));
+    EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4))
+        << threads << " threads";
+    // New accounts land in the shards the launched bodies write.
+    sys.CreateAccounts(20, 500);
+    EXPECT_EQ(sys.launched_exec_round(), std::nullopt)
+        << threads << " threads";
+    for (uint64_t id = 61; id <= 80; ++id) {
+      EXPECT_EQ(sys.canonical_state().GetOrDefault(id).balance, 500u) << id;
+    }
+    submit(40);
+    sys.Run(4, net::FromSeconds(600));
+    out.metrics_json = sys.metrics().ToJson();
+    out.global_root = sys.canonical_state().GlobalRoot();
+    out.chain_tip = sys.chain().back().Hash();
+    out.supply = sys.canonical_state().TotalSupply();
+    EXPECT_EQ(out.supply, sys.funded_supply()) << threads << " threads";
+    EXPECT_EQ(sys.chain().size(), 9u) << threads << " threads";
+    return out;
+  };
+  const Outcome serial = run(0);
+  EXPECT_GT(serial.metrics_json.size(), 0u);
+  for (int threads : {2, 4}) {
+    const Outcome pooled = run(threads);
+    EXPECT_EQ(pooled.metrics_json, serial.metrics_json)
+        << threads << " threads";
+    EXPECT_EQ(pooled.root_after_first_run, serial.root_after_first_run)
+        << threads << " threads";
+    EXPECT_EQ(pooled.global_root, serial.global_root) << threads << " threads";
+    EXPECT_EQ(pooled.chain_tip, serial.chain_tip) << threads << " threads";
+  }
+}
+
+TEST(ThreadInvarianceTest, ReaderOfAnOlderRoundDoesNotJoin) {
+  // SettledExec(q) joins only a launch of round q or earlier: after B_q
+  // commits, round q-1's results come from the cache and the launch of
+  // round q keeps running; round q's reader settles it.
+  unsetenv("PORYGON_THREADS");
+  core::SystemOptions opt = ScenarioOptions(2);
+  opt.trace.enabled = false;
+  core::PorygonSystem sys(opt);
+  sys.CreateAccounts(60, 10'000);
+  for (uint64_t from = 1; from <= 20; ++from) {
+    tx::Transaction t;
+    t.from = from;
+    t.to = from + 20;
+    t.amount = 1;
+    ASSERT_TRUE(sys.SubmitTransaction(t).ok());
+  }
+  sys.Run(4, net::FromSeconds(600));
+  ASSERT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
+  const core::PorygonSystem::CachedExec* older = sys.SettledExec(3);
+  ASSERT_NE(older, nullptr);
+  EXPECT_EQ(older->roots.size(), 2u);
+  EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
+  const core::PorygonSystem::CachedExec* current = sys.SettledExec(4);
+  EXPECT_EQ(sys.launched_exec_round(), std::nullopt);
+  ASSERT_NE(current, nullptr);
+  EXPECT_EQ(current->roots.size(), 2u);
+  // Round 4's roots are the canonical shard roots now.
+  for (uint32_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(current->roots[d], sys.canonical_state().ShardRoot(d)) << d;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/rng.h"
 #include "core/pipeline.h"
 #include "crypto/sha256.h"
 #include "tx/blocks.h"
@@ -153,6 +154,65 @@ TEST(TxPoolTest, AdmissionComparesWholeIdsAcrossGrowth) {
   EXPECT_FALSE(pool.Add(t, a));
   EXPECT_FALSE(pool.Add(t, zero));
   EXPECT_EQ(pool.PendingTotal(), ids.size() + 3);
+}
+
+// An EC member checks a body from its wire records (BlockView): the ids it
+// hashes from the records' body prefixes are the transactions' Id()s, and
+// a body with one flipped body byte in any record fails the header check,
+// so it is never witnessed. 37 records: two full 16-lane groups and a
+// partial one.
+TEST(TxBlocksTest, RecordIdsMatchBodiesAndFlippedBytesFailTheCheck) {
+  Rng rng(31);
+  TransactionBlock block;
+  block.header.shard = 1;
+  for (int i = 0; i < 37; ++i) {
+    Transaction t;
+    t.from = rng.NextU64();
+    t.to = rng.NextU64();
+    t.amount = rng.NextU64();
+    t.nonce = rng.NextU64();
+    t.submitted_at = rng.NextU64();
+    for (auto& b : t.signature) b = static_cast<uint8_t>(rng.NextU64());
+    block.transactions.push_back(t);
+  }
+  block.SealHeader();
+  const Bytes wire = block.Encode();
+
+  auto view = BlockView::Parse(wire);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->header.Id(), block.header.Id());
+  ASSERT_EQ(view->size(), block.transactions.size());
+  std::vector<TxId> ids;
+  ASSERT_TRUE(view->BodyMatchesHeader(&ids));
+  ASSERT_EQ(ids.size(), block.transactions.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const Transaction& t = block.transactions[i];
+    EXPECT_EQ(ids[i], t.Id()) << "tx " << i;
+    Transaction unsigned_t = t;
+    unsigned_t.signature = {};
+    EXPECT_EQ(view->Body(i), unsigned_t) << "tx " << i;
+  }
+
+  // The records start after the header blob and the varint count.
+  const size_t first = wire.size() - ids.size() * Transaction::kMinWireSize;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t byte = 0; byte < Transaction::kBodySize; ++byte) {
+      Bytes flipped = wire;
+      flipped[first + i * Transaction::kMinWireSize + byte] ^= 0x01;
+      auto bad = BlockView::Parse(flipped);
+      ASSERT_TRUE(bad.ok());
+      std::vector<TxId> bad_ids;
+      EXPECT_FALSE(bad->BodyMatchesHeader(&bad_ids))
+          << "tx " << i << " byte " << byte;
+    }
+  }
+  // A record short of its count, or a body with records missing, fails.
+  EXPECT_FALSE(BlockView::Parse(ByteView(wire.data(), wire.size() - 1)).ok());
+  TransactionBlock header_only;
+  header_only.header = block.header;
+  auto bodyless = BlockView::Parse(header_only.Encode());
+  ASSERT_TRUE(bodyless.ok());
+  EXPECT_FALSE(bodyless->BodyMatchesHeader(&ids));
 }
 
 TEST(TxPoolTest, PackBlockDrainsFifoUpToLimit) {

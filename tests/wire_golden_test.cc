@@ -101,8 +101,8 @@ WitnessedBlock Witnessed(uint8_t seed) {
   b.header = Header();
   b.header.shard = seed;
   b.proofs = {Proof(seed), Proof(seed + 1)};
-  b.accesses = {{H(seed + 2), 10, 20, 5, 0, 1000},
-                {H(seed + 3), 300, 70000, 1 << 20, 9, 1001}};
+  b.records = AccessRecords({{H(seed + 2), 10, 20, 5, 0, 1000},
+                             {H(seed + 3), 300, 70000, 1 << 20, 9, 1001}});
   return b;
 }
 
@@ -511,7 +511,7 @@ std::vector<Row> BuildRows() {
   sresp.round = 3;
   sresp.shard = 1;
   sresp.entries = {{1, true, {500, 2}}, {2, false, {}}};
-  sresp.proof_bytes = 256;
+  sresp.billed_bytes = 256;
   sresp.proofs = {ToBytes("proof-one"), ToBytes("proof-two")};
   add("StateResponse", sresp.Encode(), DecodeWith<StateResponse>());
   add("ExecResultMsg/full", ExecResult(true).Encode(),
