@@ -67,7 +67,7 @@ int main() {
   t2.to = 16;
   t2.amount = 50;
   t2.nonce = 0;
-  input.intra_shard = {t1, t2};
+  input.txs = {tx::ToAccess(t1, t1.Id()), tx::ToAccess(t2, t2.Id())};
 
   auto audited = core::ShardExecutor::Execute(&partial, input);
 

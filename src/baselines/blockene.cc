@@ -192,7 +192,9 @@ void BlockeneSystem::PhaseExecuteAndCommit() {
   // Execute once (all honest members produce the identical result).
   core::ExecutionInput input;
   input.shard = 0;
-  input.intra_shard = current_block_.transactions;
+  for (const tx::Transaction& t : current_block_.transactions) {
+    input.txs.push_back(tx::ToAccess(t, t.Id()));
+  }
   core::ExecutionResult r = core::ShardExecutor::Execute(state_.get(), input);
 
   // Commit after the execution + commit phases elapse.
@@ -221,17 +223,6 @@ void BlockeneSystem::FinishRound(bool empty) {
   } else {
     idle_ = true;
   }
-}
-
-double BlockeneSystem::MeanMemberTrafficPerRound() const {
-  double total = 0;
-  for (const auto& m : nodes_) {
-    const auto& stats = network_->StatsFor(m.net_id);
-    total += static_cast<double>(stats.bytes_sent + stats.bytes_received);
-  }
-  uint64_t rounds =
-      metrics_.committed_blocks > 0 ? metrics_.committed_blocks : 1;
-  return total / options_.committee_size / rounds;
 }
 
 }  // namespace porygon::baselines

@@ -68,8 +68,6 @@ class BlockeneSystem {
   const state::ShardedState& state() const { return *state_; }
   double sim_seconds() const { return net::ToSeconds(events_.now()); }
   net::SimNetwork* network() { return network_.get(); }
-  /// Per-member traffic per round (bytes), for the resource comparison.
-  double MeanMemberTrafficPerRound() const;
 
  private:
   struct Member {

@@ -139,14 +139,14 @@ void ByshardSystem::CommitShardBlock(uint32_t d, tx::TransactionBlock block) {
     if (t.IsCrossShard(options_.shard_bits)) {
       cross.push_back(t);
     } else {
-      input.intra_shard.push_back(t);
+      input.txs.push_back(tx::ToAccess(t, t.Id()));
     }
   }
   core::ExecutionResult r = core::ShardExecutor::Execute(state_.get(), input);
   metrics_.committed_intra_txs += r.intra_applied;
-  for (const auto& t : input.intra_shard) {
+  for (const tx::TxAccess& a : input.txs) {
     metrics_.user_latencies_s.push_back(
-        now_s - net::ToSeconds(static_cast<net::SimTime>(t.submitted_at)));
+        now_s - net::ToSeconds(static_cast<net::SimTime>(a.submitted_at)));
   }
 
   // First phase for cross-shard transactions: debit sender locally, send

@@ -69,14 +69,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  return mean + stddev * z;
-}
-
 Bytes Rng::NextBytes(size_t n) {
   Bytes out(n);
   size_t i = 0;

@@ -38,9 +38,6 @@ class Rng {
   /// arrivals in the open-loop workload generator).
   double NextExponential(double mean);
 
-  /// Gaussian via Box-Muller (for latency jitter).
-  double NextGaussian(double mean, double stddev);
-
   /// Fills `n` random bytes.
   Bytes NextBytes(size_t n);
 

@@ -25,14 +25,10 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
   auto is_taken = [&](AccountId a) {
     return locks_.Find(a) != nullptr || round_claims.Find(a) != nullptr;
   };
-  auto is_cross = [&](const TxAccess& t) {
-    return ShardOfAccount(t.from, shard_bits_) !=
-           ShardOfAccount(t.to, shard_bits_);
-  };
 
   for (uint32_t i = 0; i < txs.size(); ++i) {
     const TxAccess& t = txs[i];
-    if (!is_cross(t)) continue;
+    if (!t.IsCrossShard(shard_bits_)) continue;
     if (is_taken(t.from) || is_taken(t.to)) {
       result.discarded.push_back(t.id);
       continue;
@@ -43,7 +39,7 @@ CrossShardCoordinator::FilterResult CrossShardCoordinator::FilterAndLock(
   }
   for (uint32_t i = 0; i < txs.size(); ++i) {
     const TxAccess& t = txs[i];
-    if (is_cross(t)) continue;
+    if (t.IsCrossShard(shard_bits_)) continue;
     if (is_taken(t.from) || is_taken(t.to)) {
       result.discarded.push_back(t.id);
       continue;

@@ -8,28 +8,48 @@ namespace porygon::core {
 
 using state::Account;
 using state::AccountId;
-using state::ShardedState;
 using tx::StateUpdate;
-using tx::Transaction;
-
-bool ShardExecutor::IsValidTransfer(const Account& sender,
-                                    const Transaction& t) {
-  return t.nonce == sender.nonce && sender.balance >= t.amount;
-}
+using tx::TxAccess;
 
 ExecutionResult ShardExecutor::Execute(state::StateView* state,
                                        const ExecutionInput& input) {
   ExecutionResult result;
   const uint32_t shard = input.shard;
+  const int shard_bits = state->shard_bits();
 
-  // All reads/writes go through an overlay; committed writes flush in one
-  // batched Merkle update at the end (see SparseMerkleTree::PutBatch). The
-  // overlay and the scratch table below are flat hash tables: nothing
+  // Reads and writes go through two flat write layers over the state:
+  // `overlay` takes U and the intra-shard effects, flushed in one batched
+  // Merkle update (see SparseMerkleTree::PutBatch); `scratch` above it takes
+  // the cross-shard pre-execution and stays empty until then. Nothing
   // observes their order but the S set, which is sorted once.
   U64Map<Account> overlay;
+  U64Map<Account> scratch;
   auto read = [&](AccountId id) -> Account {
-    const Account* written = overlay.Find(id);
-    return written != nullptr ? *written : state->GetOrDefault(id);
+    if (const Account* pre = scratch.Find(id)) return *pre;
+    if (const Account* written = overlay.Find(id)) return *written;
+    return state->GetOrDefault(id);
+  };
+
+  // The one transfer rule, for both passes: applies `a` onto `layer`, or
+  // reports it failed under its own id.
+  auto transfer = [&](const TxAccess& a, U64Map<Account>* layer) {
+    auto fail = [&](TxFailure reason) {
+      result.failed.push_back({a.id, reason});
+      return false;
+    };
+    if (state->ShardOf(a.from) != shard) return fail(TxFailure::kWrongShard);
+    Account sender = read(a.from);
+    if (a.nonce != sender.nonce) return fail(TxFailure::kBadNonce);
+    if (sender.balance < a.amount) {
+      return fail(TxFailure::kInsufficientBalance);
+    }
+    sender.balance -= a.amount;
+    sender.nonce += 1;
+    Account receiver = read(a.to);
+    receiver.balance += a.amount;
+    (*layer)[a.from] = sender;
+    (*layer)[a.to] = receiver;
+    return true;
   };
 
   // (1) Apply the OC's cross-shard update list U for this shard: these are
@@ -40,27 +60,10 @@ ExecutionResult ShardExecutor::Execute(state::StateView* state,
   }
 
   // (2) Intra-shard transactions, sequentially and deterministically.
-  for (const Transaction& t : input.intra_shard) {
-    if (state->ShardOf(t.from) != shard) {
-      result.failed.push_back({t.Id(), TxFailure::kWrongShard});
-      continue;
+  for (const TxAccess& a : input.txs) {
+    if (!a.IsCrossShard(shard_bits) && transfer(a, &overlay)) {
+      ++result.intra_applied;
     }
-    Account sender = read(t.from);
-    if (t.nonce != sender.nonce) {
-      result.failed.push_back({t.Id(), TxFailure::kBadNonce});
-      continue;
-    }
-    if (sender.balance < t.amount) {
-      result.failed.push_back({t.Id(), TxFailure::kInsufficientBalance});
-      continue;
-    }
-    sender.balance -= t.amount;
-    sender.nonce += 1;
-    Account receiver = read(t.to);
-    receiver.balance += t.amount;
-    overlay[t.from] = sender;
-    overlay[t.to] = receiver;
-    ++result.intra_applied;
   }
 
   // Flush committed writes (updates + intra effects) into the subtree; one
@@ -75,38 +78,16 @@ ExecutionResult ShardExecutor::Execute(state::StateView* state,
   }
 
   // (3) Cross-shard pre-execution (Single-Shard Execution, §IV-D2(a)):
-  // compute results against a scratch overlay (so same-round transactions
+  // compute results against the scratch layer (so same-round transactions
   // in this shard compose), return updated pairs without touching any
   // subtree. The OC has excluded cross-shard conflicts *between* shards, so
   // reading foreign-account values from the downloaded snapshot is safe;
   // conflicts *within* the shard and round are resolved here sequentially
   // ("they can be handled by each ESC independently", §IV-D2).
-  U64Map<Account> scratch;
-  auto read_scratch = [&](AccountId id) -> Account {
-    const Account* pre = scratch.Find(id);
-    return pre != nullptr ? *pre : read(id);
-  };
-  for (const Transaction& t : input.cross_shard) {
-    if (state->ShardOf(t.from) != shard) {
-      result.failed.push_back({t.Id(), TxFailure::kWrongShard});
-      continue;
+  for (const TxAccess& a : input.txs) {
+    if (a.IsCrossShard(shard_bits) && transfer(a, &scratch)) {
+      ++result.cross_pre_executed;
     }
-    Account sender = read_scratch(t.from);
-    if (t.nonce != sender.nonce) {
-      result.failed.push_back({t.Id(), TxFailure::kBadNonce});
-      continue;
-    }
-    if (sender.balance < t.amount) {
-      result.failed.push_back({t.Id(), TxFailure::kInsufficientBalance});
-      continue;
-    }
-    sender.balance -= t.amount;
-    sender.nonce += 1;
-    Account receiver = read_scratch(t.to);
-    receiver.balance += t.amount;
-    scratch[t.from] = sender;
-    scratch[t.to] = receiver;
-    ++result.cross_pre_executed;
   }
   // Deterministic order (sorted by account id), final value per account.
   result.cross_updates.reserve(scratch.size());

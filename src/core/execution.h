@@ -25,14 +25,13 @@ struct FailedTx {
   TxFailure reason;
 };
 
-/// Inputs for one ESC's Execution Phase in one round (§IV-D2 step 3/5):
-/// the shard's intra-shard sub-list, the cross-shard transactions it must
-/// pre-execute (its accounts initiate them), and the update list U from the
-/// OC for cross-shard commits.
+/// Inputs for one ESC's Execution Phase in one round (§IV-D2 step 3/5): the
+/// shard's listed transactions as access records, in block order less the
+/// discarded ones (the executor tells intra- from cross-shard itself), and
+/// the update list U from the OC for cross-shard commits.
 struct ExecutionInput {
   uint32_t shard = 0;
-  std::vector<tx::Transaction> intra_shard;
-  std::vector<tx::Transaction> cross_shard;
+  std::vector<tx::TxAccess> txs;
   std::vector<tx::StateUpdate> updates;
 };
 
@@ -56,17 +55,15 @@ struct ExecutionResult {
 /// receiver (creating it if absent).
 class ShardExecutor {
  public:
-  /// Executes in order: (1) OC update list U, (2) intra-shard transactions,
-  /// (3) cross-shard pre-execution (reads state, emits S, mutates nothing).
-  /// `state` is the executing members' materialized view (downloaded from
-  /// storage nodes); only the `input.shard` subtree is mutated, except that
-  /// cross-shard pre-execution may *read* foreign accounts.
+  /// Executes in order: (1) OC update list U, (2) the intra-shard records,
+  /// (3) cross-shard pre-execution of the cross-shard records (reads state,
+  /// emits S, mutates nothing), each in list order; a failure is reported
+  /// under the record's id. `state` is the executing members' materialized
+  /// view (downloaded from storage nodes); only the `input.shard` subtree is
+  /// mutated, except that cross-shard pre-execution may *read* foreign
+  /// accounts.
   static ExecutionResult Execute(state::StateView* state,
                                  const ExecutionInput& input);
-
-  /// Validity check without side effects.
-  static bool IsValidTransfer(const state::Account& sender,
-                              const tx::Transaction& t);
 };
 
 }  // namespace porygon::core

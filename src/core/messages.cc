@@ -45,7 +45,6 @@ int PhaseOfKind(uint16_t kind) {
 
 const char* MsgKindName(uint16_t kind) {
   switch (kind) {
-    case kMsgSubmitTx: return "submit_tx";
     case kMsgTxBlock: return "tx_block";
     case kMsgWitnessUpload: return "witness_upload";
     case kMsgWitnessBundle: return "witness_bundle";
@@ -178,29 +177,6 @@ size_t WitnessedBlock::WireSize() const {
   // encoding.
   return header.WireSize() + proofs.size() * tx::WitnessProof::kWireSize +
          records.size() * 6;
-}
-
-TxAccess ToAccess(const tx::Transaction& t, const tx::TxId& id) {
-  return TxAccess{id, t.from, t.to, t.amount, t.nonce, t.submitted_at};
-}
-
-tx::Transaction FromAccess(const TxAccess& a) {
-  tx::Transaction t;
-  t.from = a.from;
-  t.to = a.to;
-  t.amount = a.amount;
-  t.nonce = a.nonce;
-  t.submitted_at = a.submitted_at;
-  return t;
-}
-
-void TxAccess::EncodeTo(wire::Writer* w) const {
-  w->Array(id).U64(from).U64(to).U64(amount).U64(nonce).U64(submitted_at);
-}
-
-void TxAccess::DecodeFrom(wire::Reader* r) {
-  r->Array(&id).U64(&from).U64(&to).U64(&amount).U64(&nonce).U64(
-      &submitted_at);
 }
 
 AccessRecords::AccessRecords(const std::vector<TxAccess>& accesses) {

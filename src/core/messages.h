@@ -20,7 +20,6 @@ namespace porygon::core {
 /// Protocol message kinds. Values double as traffic-accounting buckets
 /// (Fig 9b groups them into phases).
 enum MsgKind : uint16_t {
-  kMsgSubmitTx = 1,       ///< client -> storage: one transaction.
   kMsgTxBlock = 2,        ///< storage -> EC member: full transaction block.
   kMsgWitnessUpload = 3,  ///< EC member -> storage: witness proof.
   kMsgWitnessBundle = 4,  ///< storage -> OC member: witnessed headers+proofs.
@@ -130,29 +129,10 @@ struct WitnessUpload {
   static Result<WitnessUpload> Decode(ByteView data);
 };
 
-/// Compact per-transaction access summary the OC uses for conflict
-/// filtering without downloading bodies (the paper's pre-recorded accessed
-/// states, stored in witnessed transaction blocks).
-struct TxAccess {
-  tx::TxId id{};
-  state::AccountId from = 0;
-  state::AccountId to = 0;
-  uint64_t amount = 0;   ///< Carried so ESC-side reconstruction is possible.
-  uint64_t nonce = 0;
-  uint64_t submitted_at = 0;
-
-  static constexpr size_t kMinWireSize = 32 + 5 * 8;
-  void EncodeTo(wire::Writer* w) const;
-  void DecodeFrom(wire::Reader* r);
-
-  bool operator==(const TxAccess&) const = default;
-};
-
-/// The access record of `t`, whose id `id` the caller already holds.
-TxAccess ToAccess(const tx::Transaction& t, const tx::TxId& id);
-/// The transfer a record describes, with no signature: its Id() equals
-/// the record's id, since ids exclude the signature.
-tx::Transaction FromAccess(const TxAccess& a);
+// Access records live beside Transaction (tx/transaction.h); witnessed
+// blocks carry them encoded (AccessRecords).
+using tx::TxAccess;
+using tx::ToAccess;
 
 /// A witnessed block's access list as it travels: one TxAccess record of
 /// kRecordSize bytes per transaction, kept encoded in the buffer it arrived

@@ -28,7 +28,10 @@ struct Params {
   /// Execution threshold Te: identical signed roots required per shard
   /// (> number of malicious members).
   int execution_threshold = 3;
-  /// EC lifetime in rounds (witness, cross-batch witness, execute).
+  /// Inert: nothing reads it. The EC lifetime (witness, cross-batch
+  /// witness, execute) is fixed at three rounds by the round offsets in the
+  /// actors (DESIGN.md "Pipeline schedule"). Kept only until
+  /// benchmark/porygon_bench.cc stops assigning it.
   int pipeline_depth = 3;
 
   // --- Blocks & transactions --------------------------------------------
@@ -90,9 +93,10 @@ struct Params {
   int storage_probe_limit = 4;
 
   // --- Adversary (§III-B) -------------------------------------------------
-  /// Fraction of malicious stateless nodes (α = 1/4).
+  /// Inert: nothing reads these two. The live knobs are the SystemOptions
+  /// fields of the same names (and SystemOptions::adversary). Kept only
+  /// until benchmark/porygon_bench.cc stops assigning them.
   double malicious_stateless_fraction = 0.0;
-  /// Fraction of malicious storage nodes (β = 1/2 max).
   double malicious_storage_fraction = 0.0;
 
   int shard_count() const { return 1 << shard_bits; }

@@ -841,26 +841,21 @@ void StatelessNodeActor::RunExecution() {
   }
   result.full = rank < diss.FullResultSenders();
 
-  const bool faithful = system_->options().faithful_execution;
-  bool computed = false;
-
-  if (!faithful) {
-    // Fast path: adopt the deterministic result computed once for this
-    // (round, shard) — identical to what local execution would produce.
+  // Fast path: adopt the deterministic result computed once for this
+  // (round, shard), identical to what local execution would produce.
+  const ExecutionResult* r = nullptr;
+  if (!system_->options().faithful_execution) {
     const PorygonSystem::CachedExec* cached = system_->SettledExec(req.round);
-    if (cached != nullptr && req.shard < cached->roots.size()) {
-      result.new_root = cached->roots[req.shard];
-      result.s_set = cached->s_sets[req.shard];
-      result.intra_applied = cached->intra_applied[req.shard];
-      result.cross_pre_executed = cached->cross_pre[req.shard];
-      computed = true;
+    if (cached != nullptr && req.shard < cached->results.size()) {
+      r = &cached->results[req.shard];
       obs_.cached_exec_hits->Increment();
     } else {
       obs_.cached_exec_misses->Increment();
     }
   }
 
-  if (!computed) {
+  ExecutionResult local;
+  if (r == nullptr) {
     // Faithful path: execute locally on the partial shard subtree proven
     // from the state reply (true stateless execution). A fast-mode cache
     // miss, or a batch with nothing to download, runs on an empty one.
@@ -872,10 +867,12 @@ void StatelessNodeActor::RunExecution() {
     // Implicit (lazily funded) accounts are genesis config every node
     // knows; mirroring the declaration keeps faithful execution
     // byte-identical to the canonical fast path.
-    const state::ShardedState& canonical = system_->SettledState();
+    const state::ShardedState& canonical = system_->canonical_state();
     partial.SetImplicitAccounts(canonical.implicit_max_id(),
                                 canonical.implicit_balance());
 
+    // The held records of the listed blocks, in list order, less the
+    // discarded ones: the executor splits intra from cross itself.
     ExecutionInput input;
     input.shard = req.shard;
     input.updates = req.updates;
@@ -886,20 +883,16 @@ void StatelessNodeActor::RunExecution() {
       if (held == held_blocks_.end()) continue;
       for (const TxAccess& a : held->second.txs) {
         if (!discarded.empty() && discarded.Contains(a.id)) continue;
-        tx::Transaction t = FromAccess(a);
-        if (t.IsCrossShard(system_->params().shard_bits)) {
-          input.cross_shard.push_back(t);
-        } else {
-          input.intra_shard.push_back(t);
-        }
+        input.txs.push_back(a);
       }
     }
-    ExecutionResult r = ShardExecutor::Execute(&partial, input);
-    result.new_root = r.shard_root;
-    result.s_set = r.cross_updates;
-    result.intra_applied = r.intra_applied;
-    result.cross_pre_executed = r.cross_pre_executed;
+    local = ShardExecutor::Execute(&partial, input);
+    r = &local;
   }
+  result.new_root = r->shard_root;
+  result.s_set = r->cross_updates;
+  result.intra_applied = r->intra_applied;
+  result.cross_pre_executed = r->cross_pre_executed;
 
   if (strategy_ == AdvStrategy::kTamperExec) {
     // Report a forged post-state root. Index-salted so no two tamperers

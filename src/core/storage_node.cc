@@ -28,9 +28,6 @@ StorageNodeActor::StorageNodeActor(PorygonSystem* system, int index,
 
 void StorageNodeActor::HandleMessage(const net::Message& msg) {
   switch (msg.kind) {
-    case kMsgSubmitTx:
-      OnSubmitTx(msg);
-      break;
     case kMsgWitnessUpload:
       OnWitnessUpload(msg, /*from_gossip=*/false);
       break;
@@ -55,12 +52,6 @@ void StorageNodeActor::HandleMessage(const net::Message& msg) {
     default:
       break;
   }
-}
-
-void StorageNodeActor::OnSubmitTx(const net::Message& msg) {
-  auto t = tx::Transaction::Decode(msg.payload);
-  if (!t.ok()) return;
-  pool_.Add(*t);
 }
 
 void StorageNodeActor::OnRoundStart(uint64_t round) {
@@ -576,7 +567,7 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
   } else {
     // Faithful proofs read the subtrees, which only the settle makes
     // current.
-    const state::ShardedState& st = system_->SettledState();
+    const state::ShardedState& st = system_->canonical_state();
     for (state::AccountId id : req->accounts) {
       StateResponse::Entry e;
       e.account = id;

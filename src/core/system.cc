@@ -25,6 +25,7 @@ class SnapshotForeignView : public state::StateView {
       const std::unordered_map<state::AccountId, state::Account>* foreign)
       : base_(base), own_shard_(own_shard), foreign_(foreign) {}
 
+  int shard_bits() const override { return base_->shard_bits(); }
   uint32_t ShardOf(state::AccountId id) const override {
     return base_->ShardOf(id);
   }
@@ -215,10 +216,6 @@ obs::HistogramSummary SystemMetrics::CommitLatency() const {
 }
 obs::HistogramSummary SystemMetrics::UserLatency() const {
   return SummaryOf("porygon.latency_seconds", {{"kind", "user"}});
-}
-obs::HistogramSummary SystemMetrics::PhaseDuration(Phase phase) const {
-  return SummaryOf("porygon.phase_seconds",
-                   {{"phase", PhaseLabelName(static_cast<int>(phase))}});
 }
 
 std::string SystemMetrics::ToJson() const {
@@ -639,13 +636,8 @@ std::vector<ExecutionInput> PorygonSystem::BuildExecutionInputs(
       if (stored == block_store_.end()) continue;
       const StoredBlock& sb = stored->second;
       for (size_t i = 0; i < sb.block.transactions.size(); ++i) {
-        const tx::Transaction& t = sb.block.transactions[i];
         if (!discarded.empty() && discarded.Contains(sb.tx_ids[i])) continue;
-        if (t.IsCrossShard(options_.params.shard_bits)) {
-          input.cross_shard.push_back(t);
-        } else {
-          input.intra_shard.push_back(t);
-        }
+        input.txs.push_back(ToAccess(sb.block.transactions[i], sb.tx_ids[i]));
       }
     }
   }
@@ -672,9 +664,10 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   job->exec_round = exec_round;
   job->inputs = BuildExecutionInputs(chain_[exec_round]);
   for (const ExecutionInput& input : job->inputs) {
-    for (const auto& t : input.cross_shard) {
-      job->snapshot[t.from] = exec_state_->GetOrDefault(t.from);
-      job->snapshot[t.to] = exec_state_->GetOrDefault(t.to);
+    for (const TxAccess& a : input.txs) {
+      if (!a.IsCrossShard(options_.params.shard_bits)) continue;
+      job->snapshot[a.from] = exec_state_->GetOrDefault(a.from);
+      job->snapshot[a.to] = exec_state_->GetOrDefault(a.to);
     }
   }
   job->results.resize(shards);
@@ -684,7 +677,7 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   // confines writes, and foreign reads come from the job's snapshot) and its
   // own result slot. Nothing on the loop thread reads the canonical state or
   // the results until SettleExecState, which every reader goes through
-  // (SettledExec, SettledState, canonical_state).
+  // (SettledExec, canonical_state).
   pool_->Launch(shards, [this, job](size_t d) {
     SnapshotForeignView view(exec_state_.get(), static_cast<uint32_t>(d),
                              &job->snapshot);
@@ -701,24 +694,13 @@ void PorygonSystem::SettleExecState() {
   pool_->Join();
   const std::unique_ptr<ExecJob> job = std::move(exec_job_);
 
-  // The cross-shard merge runs here in shard order, so the cache is
-  // identical for any thread count.
-  const size_t shards = job->results.size();
+  // The failed ids merge here in shard order, so the cache is identical for
+  // any thread count.
   CachedExec cache;
-  cache.roots.resize(shards);
-  cache.s_sets.resize(shards);
-  cache.intra_applied.resize(shards);
-  cache.cross_pre.resize(shards);
-  for (size_t d = 0; d < shards; ++d) {
-    ExecutionResult& r = job->results[d];
-    cache.roots[d] = r.shard_root;
-    cache.s_sets[d] = std::move(r.cross_updates);
-    cache.intra_applied[d] = r.intra_applied;
-    cache.cross_pre[d] = r.cross_pre_executed;
-    for (const auto& f : r.failed) {
-      cache.failed_ids.Insert(f.id);
-    }
+  for (const ExecutionResult& r : job->results) {
+    for (const FailedTx& f : r.failed) cache.failed_ids.Insert(f.id);
   }
+  cache.results = std::move(job->results);
   const uint64_t exec_round = job->exec_round;
   exec_cache_[exec_round] = std::move(cache);
   // Bound memory.
@@ -731,11 +713,6 @@ void PorygonSystem::SettleExecState() {
 }
 
 const state::ShardedState& PorygonSystem::canonical_state() {
-  SettleExecState();
-  return *exec_state_;
-}
-
-const state::ShardedState& PorygonSystem::SettledState() {
   SettleExecState();
   return *exec_state_;
 }
@@ -994,14 +971,15 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
   if (block.round >= 2) {
     if (const CachedExec* cached = SettledExec(block.round - 2)) {
       for (size_t d = 0; d < block.shard_roots.size() &&
-                         d < cached->roots.size();
+                         d < cached->results.size();
            ++d) {
         // A shard without accepted results keeps its previous root, which
         // is also consistent; only flag mismatches on changed roots.
         const auto& prev_roots = chain_[block.round - 1].shard_roots;
         bool unchanged = d < prev_roots.size() &&
                          block.shard_roots[d] == prev_roots[d];
-        if (!unchanged && block.shard_roots[d] != cached->roots[d]) {
+        if (!unchanged &&
+            block.shard_roots[d] != cached->results[d].shard_root) {
           obs_.replay_mismatches->Increment();
         }
       }

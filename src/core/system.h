@@ -21,7 +21,6 @@
 #include "core/execution.h"
 #include "core/messages.h"
 #include "core/params.h"
-#include "core/pipeline.h"
 #include "crypto/provider.h"
 #include "net/dissemination.h"
 #include "net/network.h"
@@ -154,8 +153,6 @@ class SystemMetrics {
   obs::HistogramSummary CommitLatency() const;
   /// Submission-to-commit per transaction (seconds).
   obs::HistogramSummary UserLatency() const;
-  /// Duration of one pipeline phase per round (seconds).
-  obs::HistogramSummary PhaseDuration(Phase phase) const;
 
   /// Full registry export (see obs/export.h for the formats).
   std::string ToJson() const;
@@ -294,7 +291,6 @@ class StorageNodeActor {
   std::vector<std::string> WitnessedBlockKeys() const;
 
  private:
-  void OnSubmitTx(const net::Message& msg);
   void OnWitnessUpload(const net::Message& msg, bool from_gossip);
   void OnRelay(const net::Message& msg);
   void OnStateRequest(const net::Message& msg);
@@ -338,7 +334,6 @@ class StorageNodeActor {
   // first, so both are pruned in step with it (PruneWitnessBookkeeping).
   struct WitnessState {
     std::map<crypto::PublicKey, tx::WitnessProof> proofs;
-    bool announced_to_oc = false;
   };
   std::unordered_map<std::string, WitnessState> witness_state_;
   std::map<uint64_t, std::vector<tx::BlockId>> witnessed_by_batch_;
@@ -874,23 +869,17 @@ class PorygonSystem {
   void RegisterAnnounce(const RoleAnnounce& announce);
   const RoundRegistry* RegistryFor(uint64_t round) const;
 
-  // One exec round's canonical results per shard, computed once when the
-  // state advances (fast mode) or verified against (faithful).
+  // One exec round's canonical results, computed once when the state
+  // advances (fast mode) or verified against (faithful).
   struct CachedExec {
-    std::vector<crypto::Hash256> roots;
-    std::vector<std::vector<tx::StateUpdate>> s_sets;
-    std::vector<uint32_t> intra_applied;
-    std::vector<uint32_t> cross_pre;
-    FlatSet<DigestKey> failed_ids;  // Probed, never iterated.
+    std::vector<ExecutionResult> results;  // By shard, as Execute returned.
+    FlatSet<DigestKey> failed_ids;         // Probed, never iterated.
   };
-  /// The settling accessors: each joins the launched execution and
-  /// publishes its results before it reads, so no reader can see the
-  /// canonical state or the cache while pool threads are still writing
-  /// them. SettledState() always joins.
-  const state::ShardedState& SettledState();
-  /// The cached results of `exec_round`, or nullptr. Joins only when the
-  /// launched execution is of `exec_round` or an earlier round; an older
-  /// round's results come straight from the cache.
+  /// The cached results of `exec_round`, or nullptr. Like canonical_state()
+  /// it settles before it reads, so no reader sees the state or the cache
+  /// while pool threads still write them; but it joins only when the
+  /// launched execution is of `exec_round` or an earlier round, and an
+  /// older round's results come straight from the cache.
   const CachedExec* SettledExec(uint64_t exec_round);
   /// The exec round of the launched execution that has not settled yet, or
   /// nullopt (diagnostics).
@@ -935,8 +924,8 @@ class PorygonSystem {
 
   // Canonical execution state (honest storage nodes replicate identically;
   // kept once). Advanced each round by applying proposal-block inputs.
-  // Read it only through SettledState() or canonical_state(): a launched
-  // execution writes it until it settles.
+  // Read it only through canonical_state(): a launched execution writes it
+  // until it settles.
   std::unique_ptr<state::ShardedState> exec_state_;
 
   // Execution-result cache per exec round. Read it only through

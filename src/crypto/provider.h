@@ -19,11 +19,13 @@ namespace porygon::crypto {
 
 /// Abstract signing/verification backend. The protocol engine is written
 /// against this interface so that:
-///   - prototype-scale runs and all tests use real Ed25519 (`Ed25519Provider`)
-///   - large simulations swap in `FastProvider`, whose tags are SHA-256 MACs
-///     resolved through an in-process key registry. The fast backend keeps
-///     the exact message/signature sizes (64-byte tags) so the network cost
-///     model is unchanged; only CPU cost differs.
+///   - runs use `FastProvider` by default, whose tags are SHA-256 MACs
+///     resolved through an in-process key registry. It keeps the exact
+///     message/signature sizes (64-byte tags) so the network cost model is
+///     unchanged; only CPU cost differs.
+///   - `SystemOptions::use_ed25519` swaps in real Ed25519
+///     (`Ed25519Provider`); a small deployment test runs the protocol path
+///     on it, honest and with forged witness signatures.
 class CryptoProvider {
  public:
   virtual ~CryptoProvider() = default;

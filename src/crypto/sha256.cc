@@ -497,10 +497,6 @@ std::string HashToHex(const Hash256& h) {
   return HexEncode(ByteView(h.data(), h.size()));
 }
 
-bool HashLess(const Hash256& a, const Hash256& b) {
-  return std::memcmp(a.data(), b.data(), a.size()) < 0;
-}
-
 uint64_t HashPrefixU64(const Hash256& h) { return LoadBigEndian64(h.data()); }
 
 Hash256 ZeroHash() {

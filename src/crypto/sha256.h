@@ -106,9 +106,8 @@ void HashBatchAvx512(const uint8_t* messages, size_t length, size_t count,
 
 }  // namespace internal
 
-/// Lexicographic comparison/formatting helpers for digests.
+/// Formatting helper for digests.
 std::string HashToHex(const Hash256& h);
-bool HashLess(const Hash256& a, const Hash256& b);
 
 /// Interprets the first 8 bytes of `h` as a big-endian integer; used to
 /// compare VRF outputs against sortition thresholds.

@@ -146,12 +146,6 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name,
   return it == counters_.end() ? nullptr : it->second.instrument.get();
 }
 
-const Gauge* MetricsRegistry::FindGauge(const std::string& name,
-                                        const Labels& labels) const {
-  auto it = gauges_.find(CanonicalKey(name, SortedLabels(labels)));
-  return it == gauges_.end() ? nullptr : it->second.instrument.get();
-}
-
 const Gauge* MetricsRegistry::FindVolatileGauge(const std::string& name,
                                                 const Labels& labels) const {
   auto it = volatile_gauges_.find(CanonicalKey(name, SortedLabels(labels)));

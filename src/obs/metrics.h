@@ -118,8 +118,6 @@ class MetricsRegistry {
 
   const Counter* FindCounter(const std::string& name,
                              const Labels& labels = {}) const;
-  const Gauge* FindGauge(const std::string& name,
-                         const Labels& labels = {}) const;
   const Gauge* FindVolatileGauge(const std::string& name,
                                  const Labels& labels = {}) const;
   const Histogram* FindHistogram(const std::string& name,

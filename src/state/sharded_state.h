@@ -24,7 +24,7 @@ class ShardedState : public StateView {
  public:
   explicit ShardedState(int shard_bits);
 
-  int shard_bits() const { return shard_bits_; }
+  int shard_bits() const override { return shard_bits_; }
   int shard_count() const { return 1 << shard_bits_; }
   uint32_t ShardOf(AccountId id) const override {
     return ShardOfAccount(id, shard_bits_);

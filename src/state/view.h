@@ -18,6 +18,9 @@ class StateView {
  public:
   virtual ~StateView() = default;
 
+  /// The state has 2^shard_bits() shards; ShardOf(id) is
+  /// ShardOfAccount(id, shard_bits()).
+  virtual int shard_bits() const = 0;
   virtual uint32_t ShardOf(AccountId id) const = 0;
   virtual Account GetOrDefault(AccountId id) const = 0;
   virtual void PutAccountBatch(
@@ -82,6 +85,7 @@ class PartialState : public StateView {
                            const crypto::Hash256& foreign_root);
 
   // StateView:
+  int shard_bits() const override { return shard_bits_; }
   uint32_t ShardOf(AccountId id) const override;
   Account GetOrDefault(AccountId id) const override;
   void PutAccountBatch(

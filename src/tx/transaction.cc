@@ -106,4 +106,17 @@ bool Transaction::operator==(const Transaction& other) const {
          signature == other.signature;
 }
 
+TxAccess ToAccess(const Transaction& t, const TxId& id) {
+  return TxAccess{id, t.from, t.to, t.amount, t.nonce, t.submitted_at};
+}
+
+void TxAccess::EncodeTo(wire::Writer* w) const {
+  w->Array(id).U64(from).U64(to).U64(amount).U64(nonce).U64(submitted_at);
+}
+
+void TxAccess::DecodeFrom(wire::Reader* r) {
+  r->Array(&id).U64(&from).U64(&to).U64(&amount).U64(&nonce).U64(
+      &submitted_at);
+}
+
 }  // namespace porygon::tx

@@ -2,7 +2,6 @@
 #define PORYGON_TX_TRANSACTION_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -43,10 +42,6 @@ struct Transaction {
   /// fields its id covers.
   static Transaction BodyOfRecord(const uint8_t* record);
 
-  /// Declared read/write set, the paper's "accessed states ... pre-recorded
-  /// using software tools": a transfer touches exactly {from, to}.
-  std::vector<state::AccountId> AccessedAccounts() const { return {from, to}; }
-
   /// Cross-shard iff the two accounts map to different shards.
   bool IsCrossShard(int shard_bits) const {
     return state::ShardOfAccount(from, shard_bits) !=
@@ -70,6 +65,33 @@ struct Transaction {
 
   bool operator==(const Transaction& other) const;
 };
+
+/// A transaction as ordering and execution read it, after the witness: its
+/// id and the five transfer fields, no signature. The paper's "accessed
+/// states ... pre-recorded using software tools": {from, to}.
+struct TxAccess {
+  TxId id{};
+  state::AccountId from = 0;
+  state::AccountId to = 0;
+  uint64_t amount = 0;
+  uint64_t nonce = 0;
+  uint64_t submitted_at = 0;
+
+  /// Transaction::IsCrossShard's rule.
+  bool IsCrossShard(int shard_bits) const {
+    return state::ShardOfAccount(from, shard_bits) !=
+           state::ShardOfAccount(to, shard_bits);
+  }
+
+  static constexpr size_t kMinWireSize = 32 + 5 * 8;
+  void EncodeTo(wire::Writer* w) const;
+  void DecodeFrom(wire::Reader* r);
+
+  bool operator==(const TxAccess&) const = default;
+};
+
+/// The access record of `t`, whose id `id` the caller already holds.
+TxAccess ToAccess(const Transaction& t, const TxId& id);
 
 }  // namespace porygon::tx
 

@@ -230,7 +230,7 @@ TEST(MessagesTest, PhaseMapCoversProtocolKinds) {
   EXPECT_EQ(PhaseOfKind(kMsgExecResult), 2);
   EXPECT_EQ(PhaseOfKind(kMsgCommit), 3);
   EXPECT_EQ(PhaseOfKind(kMsgNewRound), 3);
-  EXPECT_EQ(PhaseOfKind(kMsgSubmitTx), -1);
+  EXPECT_EQ(PhaseOfKind(kMsgRoleAnnounce), -1);
   EXPECT_EQ(PhaseOfKind(kMsgGossip), -1);
 }
 

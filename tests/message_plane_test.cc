@@ -140,12 +140,19 @@ TEST_P(RetentionTest, ActorsKeepOnlyWhatTheyStillRead) {
         EXPECT_TRUE(node->bundles().empty()) << i;
       }
       // EC members: bodies as access records, from the witness round until
-      // the execution two rounds later.
+      // the execution two rounds later, each id the one hashed at
+      // admission.
       for (const auto& [key, held] : node->held_blocks()) {
         EXPECT_GE(held.witnessed_round + 2, now) << "node " << i;
         EXPECT_EQ(held.txs.size(), held.header.tx_count);
-        for (const TxAccess& a : held.txs) {
-          EXPECT_EQ(a.id, FromAccess(a).Id());
+        auto stored = sys.block_store().find(key);
+        ASSERT_NE(stored, sys.block_store().end()) << "node " << i;
+        ASSERT_EQ(stored->second.tx_ids.size(), held.txs.size());
+        for (size_t j = 0; j < held.txs.size(); ++j) {
+          EXPECT_EQ(held.txs[j].id, stored->second.tx_ids[j]);
+          EXPECT_EQ(held.txs[j],
+                    ToAccess(stored->second.block.transactions[j],
+                             stored->second.tx_ids[j]));
           ++held_records;
         }
       }

@@ -513,15 +513,17 @@ TEST(ThreadInvarianceTest, ReaderOfAnOlderRoundDoesNotJoin) {
   ASSERT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
   const core::PorygonSystem::CachedExec* older = sys.SettledExec(3);
   ASSERT_NE(older, nullptr);
-  EXPECT_EQ(older->roots.size(), 2u);
+  EXPECT_EQ(older->results.size(), 2u);
   EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
   const core::PorygonSystem::CachedExec* current = sys.SettledExec(4);
   EXPECT_EQ(sys.launched_exec_round(), std::nullopt);
   ASSERT_NE(current, nullptr);
-  EXPECT_EQ(current->roots.size(), 2u);
+  EXPECT_EQ(current->results.size(), 2u);
   // Round 4's roots are the canonical shard roots now.
   for (uint32_t d = 0; d < 2; ++d) {
-    EXPECT_EQ(current->roots[d], sys.canonical_state().ShardRoot(d)) << d;
+    EXPECT_EQ(current->results[d].shard_root,
+              sys.canonical_state().ShardRoot(d))
+        << d;
   }
 }
 

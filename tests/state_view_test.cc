@@ -91,7 +91,7 @@ TEST(PartialStateTest, StatelessExecutionMatchesFullReplica) {
     t.to = 2 * (i + 7);
     t.amount = 10;
     t.nonce = 0;
-    in.intra_shard.push_back(t);
+    in.txs.push_back(tx::ToAccess(t, t.Id()));
   }
   {
     tx::Transaction t;
@@ -99,7 +99,7 @@ TEST(PartialStateTest, StatelessExecutionMatchesFullReplica) {
     t.to = 3;     // Shard 1: cross-shard.
     t.amount = 5;
     t.nonce = 1;  // Its intra tx above (from=8) runs first with nonce 0.
-    in.cross_shard.push_back(t);
+    in.txs.push_back(tx::ToAccess(t, t.Id()));
   }
   in.updates = {{20, {7777, 3}}};
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+
 #include "core/system.h"
 #include "workload/traffic.h"
 
@@ -260,6 +264,80 @@ TEST(SystemIntegrationTest, LatenciesFollowThePipelineSchedule) {
   EXPECT_LT(commit, 5.5 * block);
   // User-perceived latency includes mempool wait, so it is larger still.
   EXPECT_GE(m.UserLatency().mean, commit);
+}
+
+// The schedule the engine runs (§IV-D2): transactions witnessed in round i
+// commit at B_{i+3} when intra-shard and at B_{i+5} when cross-shard. What
+// is submitted before round 1 forms batch 1, listed in B_2, so its
+// intra-shard transactions count exactly at B_4's commit and its
+// cross-shard ones exactly at B_6's, and none count earlier.
+TEST(SystemIntegrationTest, BatchOneCommitsAtTheEnginesPipelineRounds) {
+  PorygonSystem sys(SmallOptions());
+  sys.CreateAccounts(60, 10'000);
+  for (uint64_t k = 1; k <= 10; ++k) {
+    // Disjoint accounts, so the OC discards nothing: k -> k + 20 keeps its
+    // shard, 10 + k -> 31 + k flips it.
+    ASSERT_TRUE(sys.SubmitTransaction(Transfer(k, k + 20, 5, 0)).ok());
+    ASSERT_TRUE(sys.SubmitTransaction(Transfer(10 + k, 31 + k, 2, 0)).ok());
+  }
+  for (uint64_t r = 1; r <= 8; ++r) {
+    sys.Run(1);
+    const SystemMetrics m = sys.metrics();
+    ASSERT_EQ(m.committed_blocks(), r);
+    EXPECT_EQ(m.committed_intra_txs(), r >= 4 ? 10u : 0u) << "B_" << r;
+    EXPECT_EQ(m.committed_cross_txs(), r >= 6 ? 10u : 0u) << "B_" << r;
+  }
+  EXPECT_EQ(sys.metrics().discarded_txs(), 0u);
+  EXPECT_EQ(sys.metrics().failed_txs(), 0u);
+}
+
+// Real Ed25519 on the protocol path (the default backend is the fast MAC
+// provider): every witness proof, vote, sortition proof and exec result is
+// signed and verified for real. The honest run commits, conserves supply
+// and rejects nothing; forged witness signatures are caught and counted
+// while the chain still commits.
+TEST(SystemIntegrationTest, RealEd25519SignaturesOnTheProtocolPath) {
+  auto run = [](const std::string& adversary) {
+    SystemOptions opt = SmallOptions();
+    opt.use_ed25519 = true;
+    opt.num_stateless_nodes = 20;
+    if (!adversary.empty()) {
+      auto spec = AdversarySpec::Parse(adversary);
+      EXPECT_TRUE(spec.ok()) << adversary;
+      if (spec.ok()) opt.adversary = *spec;
+    }
+    auto sys = std::make_unique<PorygonSystem>(opt);
+    sys->CreateAccounts(60, 10'000);
+    for (uint64_t k = 1; k <= 10; ++k) {
+      sys->SubmitTransaction(Transfer(k, k + 20, 5, 0));       // Intra.
+      sys->SubmitTransaction(Transfer(10 + k, 31 + k, 2, 0));  // Cross.
+    }
+    sys->Run(6);
+    return sys;
+  };
+  auto rejected = [](const PorygonSystem& sys) {
+    std::map<std::string, uint64_t> by_reason;
+    sys.metrics_registry().VisitCounters(
+        [&](const std::string& name, const obs::Labels& labels,
+            const obs::Counter& counter) {
+          if (name != "core.rejected" || counter.value() == 0) return;
+          for (const auto& label : labels) {
+            by_reason[label.second] += counter.value();
+          }
+        });
+    return by_reason;
+  };
+
+  auto honest = run("");
+  EXPECT_GT(honest->metrics().committed_intra_txs(), 0u);
+  EXPECT_GT(honest->metrics().committed_cross_txs(), 0u);
+  EXPECT_EQ(honest->metrics().replay_mismatches(), 0u);
+  EXPECT_EQ(honest->canonical_state().TotalSupply(), honest->funded_supply());
+  EXPECT_EQ(rejected(*honest), (std::map<std::string, uint64_t>{}));
+
+  auto forged = run("stateless:forge-witness,alpha:0.2");
+  EXPECT_GT(forged->metrics().committed_txs(), 0u);
+  EXPECT_GT(rejected(*forged)["bad_witness_sig"], 0u);
 }
 
 TEST(SystemIntegrationTest, RunsWithFourShards) {

@@ -1,11 +1,10 @@
-// Transaction / block / pool / pipeline-schedule tests.
+// Transaction / block / pool tests.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rng.h"
-#include "core/pipeline.h"
 #include "crypto/sha256.h"
 #include "tx/blocks.h"
 #include "tx/transaction.h"
@@ -262,35 +261,3 @@ TEST(TxBlocksTest, PackedBlockSealMatchesFreshSeal) {
 
 }  // namespace
 }  // namespace porygon::tx
-
-namespace porygon::core {
-namespace {
-
-TEST(PipelineScheduleTest, MatchesPaperFigure4) {
-  PipelineSchedule schedule(3);
-  // EC formed at round 5: witness 5, cross-batch 6, execute at 7.
-  EXPECT_EQ(schedule.ExecutionRound(5), 7u);
-  EXPECT_TRUE(schedule.IsAlive(5, 5));
-  EXPECT_TRUE(schedule.IsAlive(5, 7));
-  EXPECT_FALSE(schedule.IsAlive(5, 8));
-  EXPECT_FALSE(schedule.IsAlive(5, 4));
-  EXPECT_EQ(schedule.ConcurrentCommittees(), 3);
-  EXPECT_EQ(schedule.WitnessBatches(5), (std::vector<uint64_t>{5, 6}));
-}
-
-TEST(PipelineScheduleTest, CommitRounds) {
-  PipelineSchedule schedule;
-  // §IV-D2: intra-shard witnessed in round i commits at i+3; cross at i+5.
-  EXPECT_EQ(schedule.IntraShardCommitRound(10), 13u);
-  EXPECT_EQ(schedule.CrossShardCommitRound(10), 15u);
-}
-
-TEST(PipelineScheduleTest, PhaseNames) {
-  EXPECT_STREQ(PhaseName(Phase::kWitness), "Witness");
-  EXPECT_STREQ(PhaseName(Phase::kOrdering), "Ordering");
-  EXPECT_STREQ(PhaseName(Phase::kExecution), "Execution");
-  EXPECT_STREQ(PhaseName(Phase::kCommit), "Commit");
-}
-
-}  // namespace
-}  // namespace porygon::core
