@@ -25,8 +25,8 @@ run_suite() {
   # every one-shot length and at batch sizes around its 16 lanes, through
   # the dispatch and the AVX-512 kernel itself where the CPU has it
   # (Sha256Test.HashBatchMatchesOneShot; a kernel read past its input
-  # surfaces under ASan), Merkle roots and paths against a pair-by-pair
-  # reference for 1-40 and 2,000 leaves (MerklePathTest.BatchedFolds...),
+  # surfaces under ASan), Merkle roots against a pair-by-pair reference for
+  # 1-40 and 2,000 leaves (MerklePathTest.BatchedFolds...),
   # tx ids, ids hashed in chunks at admission against each body's Id()
   # (SystemIntegrationTest.BatchAdmissionIdsMatchTheirBodies), ids an EC
   # member hashes straight from a body's wire records against each
@@ -51,9 +51,11 @@ run_suite() {
   ctest --test-dir "$dir" -R 'Clause|SpecTest|FaultInjection' \
     --output-on-failure
   # Adversary suite, likewise: chain identity and evidence collection under
-  # every Byzantine strategy at the paper's alpha/beta bounds, and fast-mode
+  # every Byzantine strategy at the paper's alpha/beta bounds, fast-mode
   # state replies that carry only their bill while a tampering storage node
-  # still counts its action (FastModeStateRepliesCarryOnlyTheirBill).
+  # still counts its action (FastModeStateRepliesCarryOnlyTheirBill), and
+  # the spec as the one adversary knob: the retired malicious fractions are
+  # rejected at any non-zero value (ValidateEnforcesPaperBounds).
   ctest --test-dir "$dir" -R Adversary --output-on-failure
   # Cross-shard conservation: each Multi-Shard Update applies exactly once,
   # with the block that carries it. Total supply after cross-shard load and
@@ -97,11 +99,14 @@ run_suite() {
   # UnderTheRecordsId); faithful ESCs executing on proof-built partial state
   # equal the full replica (PartialStateTest); the engine counts batch 1
   # committed exactly at B_4 (intra-shard) and B_6 (cross-shard), and not
-  # before (BatchOneCommitsAtTheEnginesPipelineRounds); and the protocol
-  # path runs on real Ed25519 signatures, honest and with forged witness
-  # signatures rejected (RealEd25519SignaturesOnTheProtocolPath).
+  # before (BatchOneCommitsAtTheEnginesPipelineRounds); the protocol path
+  # runs on real Ed25519 signatures, honest and with forged witness
+  # signatures rejected (RealEd25519SignaturesOnTheProtocolPath); and the
+  # ByShard baseline runs each block through the same executor, so one
+  # sender's two cross-shard transfers in one block both commit
+  # (ByshardTest.CommitsBothCrossShardTransfersOfOneSenderInOneBlock).
   ctest --test-dir "$dir" \
-    -R '^ExecutionTest\.|^PartialStateTest\.|^SystemIntegrationTest\.(BatchOneCommitsAtTheEnginesPipelineRounds|RealEd25519SignaturesOnTheProtocolPath)$' \
+    -R '^ExecutionTest\.|^PartialStateTest\.|^SystemIntegrationTest\.(BatchOneCommitsAtTheEnginesPipelineRounds|RealEd25519SignaturesOnTheProtocolPath)$|^ByshardTest\.CommitsBothCrossShardTransfersOfOneSenderInOneBlock$' \
     --output-on-failure
   # Parallel runtime: fork-join and launched pool batches, and byte-identical
   # exports at 0, 1 and 4 threads, including the pipelined canonical
@@ -117,9 +122,13 @@ run_suite() {
   # Workload suite: traffic-model determinism, Zipf sanity, scenario rows.
   ctest --test-dir "$dir" -R Workload --output-on-failure
   # Critical-path suite: bandwidth-ledger queue/busy accounting, dominant
-  # edge attribution, thread-invariant round reports, and the
-  # trace-sampling timing invariant.
-  ctest --test-dir "$dir" -R CriticalPath --output-on-failure
+  # edge attribution, thread-invariant round reports, the trace-sampling
+  # timing invariant, marks rebuilt from the round lane's spans, and the
+  # execution-phase histogram's one sample per exec round when three
+  # storage nodes start it (ExecutionPhaseHasOneSamplePerExecRound).
+  ctest --test-dir "$dir" \
+    -R 'CriticalPath|^SystemIntegrationTest\.ExecutionPhaseHasOneSamplePerExecRound$' \
+    --output-on-failure
   # Dissemination suite: spec grammar, erasure k-of-n round trips,
   # tree-vs-direct safety, and Byzantine/crashed relay degradation.
   ctest --test-dir "$dir" -R 'Dissemination|Erasure' --output-on-failure

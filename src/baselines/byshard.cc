@@ -1,8 +1,8 @@
 #include "baselines/byshard.h"
 
 #include <map>
-#include <set>
 
+#include "common/flat_map.h"
 #include "core/execution.h"
 
 namespace porygon::baselines {
@@ -121,55 +121,49 @@ void ByshardSystem::CommitShardBlock(uint32_t d, tx::TransactionBlock block) {
         merged.begin(), merged.end());
     if (!writes.empty()) state_->PutAccountBatch(d, writes);
     while (!shard.incoming_commits.empty()) {
-      const tx::Transaction& t = shard.incoming_commits.front();
       ++metrics_.committed_cross_txs;
       metrics_.user_latencies_s.push_back(
-          now_s - net::ToSeconds(static_cast<net::SimTime>(t.submitted_at)));
+          now_s - net::ToSeconds(static_cast<net::SimTime>(
+                      shard.incoming_commits.front())));
       shard.incoming_commits.pop_front();
     }
   }
 
-  // Split the block: intra-shard transactions execute locally; cross-shard
-  // transactions run the first phase here (sender shard coordinates) and
-  // forward updates to the receiver shard.
+  // One execution over the whole block, in block order: intra-shard
+  // transactions apply locally, and cross-shard ones run the first phase
+  // here (the sender shard coordinates). Their S set applies the senders'
+  // debits (PutAccountBatch keeps only shard d's entries), and each one
+  // that did not fail forwards its credit to the receiver's shard (messages
+  // charged member-to-member).
   core::ExecutionInput input;
   input.shard = d;
-  std::vector<tx::Transaction> cross;
   for (const auto& t : block.transactions) {
-    if (t.IsCrossShard(options_.shard_bits)) {
-      cross.push_back(t);
-    } else {
-      input.txs.push_back(tx::ToAccess(t, t.Id()));
-    }
+    input.txs.push_back(tx::ToAccess(t, t.Id()));
   }
-  core::ExecutionResult r = core::ShardExecutor::Execute(state_.get(), input);
+  const core::ExecutionResult r =
+      core::ShardExecutor::Execute(state_.get(), input);
+  std::vector<std::pair<state::AccountId, state::Account>> s_set;
+  for (const tx::StateUpdate& u : r.cross_updates) {
+    s_set.emplace_back(u.account, u.value);
+  }
+  state_->PutAccountBatch(d, s_set);
   metrics_.committed_intra_txs += r.intra_applied;
+  FlatSet<DigestKey> failed;
+  for (const core::FailedTx& f : r.failed) failed.Insert(f.id);
   for (const tx::TxAccess& a : input.txs) {
-    metrics_.user_latencies_s.push_back(
-        now_s - net::ToSeconds(static_cast<net::SimTime>(a.submitted_at)));
-  }
-
-  // First phase for cross-shard transactions: debit sender locally, send
-  // the credit to the receiver's shard (messages charged member-to-member).
-  {
-    std::vector<std::pair<state::AccountId, state::Account>> debits;
-    for (const auto& t : cross) {
-      state::Account sender = state_->GetOrDefault(t.from);
-      if (t.nonce != sender.nonce || sender.balance < t.amount) continue;
-      sender.balance -= t.amount;
-      sender.nonce += 1;
-      debits.emplace_back(t.from, sender);
-
-      uint32_t to_shard = state_->ShardOf(t.to);
-      shards_[to_shard].incoming_credits.emplace_back(t.to, t.amount);
-      shards_[to_shard].incoming_commits.push_back(t);
-
-      // Coordinator shard members forward the sub-transaction to the
-      // remote shard (prepare + commit messages).
-      network_->Send(shard.members[0], shards_[to_shard].members[0],
-                     kBsCrossMsg, {}, 2 * (tx::Transaction::kWireSize + 96));
+    if (failed.Contains(a.id)) continue;
+    if (!a.IsCrossShard(options_.shard_bits)) {
+      metrics_.user_latencies_s.push_back(
+          now_s - net::ToSeconds(static_cast<net::SimTime>(a.submitted_at)));
+      continue;
     }
-    if (!debits.empty()) state_->PutAccountBatch(d, debits);
+    uint32_t to_shard = state_->ShardOf(a.to);
+    shards_[to_shard].incoming_credits.emplace_back(a.to, a.amount);
+    shards_[to_shard].incoming_commits.push_back(a.submitted_at);
+    // Coordinator shard members forward the sub-transaction to the remote
+    // shard (prepare + commit messages).
+    network_->Send(shard.members[0], shards_[to_shard].members[0],
+                   kBsCrossMsg, {}, 2 * (tx::Transaction::kWireSize + 96));
   }
 
   // Full nodes persist the complete block (Fig 9a growth).

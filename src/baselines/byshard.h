@@ -88,7 +88,7 @@ class ByshardSystem {
     // not absolute values: multiple in-flight credits to one account and
     // concurrent local activity must compose.
     std::deque<std::pair<state::AccountId, uint64_t>> incoming_credits;
-    std::deque<tx::Transaction> incoming_commits;  // For latency metrics.
+    std::deque<uint64_t> incoming_commits;  // Submission times (latency).
   };
 
   void StartShardRound(uint32_t shard);

@@ -372,8 +372,11 @@ struct AggregatedWitness {
 /// Aggregated execution result (tree mode): one shard's exec-result votes
 /// for a single (root, S-hash) outcome, batch-verified by the relay and
 /// re-verified by receivers. Replaces |ESC| individual ExecResultMsg
-/// broadcasts on every OC downlink with one message carrying the payload
-/// once plus 96-byte (signer, signature) attestation pairs.
+/// broadcasts on every OC downlink with one message of 96-byte (signer,
+/// signature) attestation pairs; the S set comes from the shard's rank-0
+/// full ExecResultMsg. Relays send `has_payload` false and receivers read
+/// neither it nor `s_set`; both stay because they are part of the billed
+/// wire layout.
 struct AggregatedExecResult {
   uint64_t exec_round = 0;
   uint32_t shard = 0;

@@ -93,9 +93,9 @@ struct Params {
   int storage_probe_limit = 4;
 
   // --- Adversary (§III-B) -------------------------------------------------
-  /// Inert: nothing reads these two. The live knobs are the SystemOptions
-  /// fields of the same names (and SystemOptions::adversary). Kept only
-  /// until benchmark/porygon_bench.cc stops assigning them.
+  /// Inert: nothing reads these two; adversaries are configured only by
+  /// SystemOptions::adversary. Kept only until benchmark/porygon_bench.cc
+  /// stops assigning them.
   double malicious_stateless_fraction = 0.0;
   double malicious_storage_fraction = 0.0;
 

@@ -1190,11 +1190,6 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
       return;
     }
   }
-  if (agg->has_payload &&
-      ExecResultMsg::HashSSet(agg->s_set) != agg->s_hash) {
-    obs_.rejected_s_hash_mismatch->Increment();
-    return;
-  }
   // One batch verification over the shared member signing bytes: the
   // aggregate is exactly the relay's list of individual attestations, so
   // each signature still verifies against its signer.
@@ -1220,18 +1215,6 @@ void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
     ++accepted;
   }
   if (accepted == 0) return;
-  if (agg->has_payload && pending.payloads.count(key) == 0) {
-    ExecResultMsg payload;
-    payload.exec_round = agg->exec_round;
-    payload.shard = agg->shard;
-    payload.new_root = agg->new_root;
-    payload.s_hash = agg->s_hash;
-    payload.full = true;
-    payload.s_set = agg->s_set;
-    payload.intra_applied = agg->intra_applied;
-    payload.cross_pre_executed = agg->cross_pre_executed;
-    pending.payloads.emplace(key, std::move(payload));
-  }
   if (net_id_ == system_->oc().leader) {
     system_->NoteExecPhaseEnd(agg->exec_round);
   }
@@ -1453,47 +1436,40 @@ void StatelessNodeActor::StartConsensus(const crypto::Hash256& proposal_hash) {
     // pool; counting order is the buffer order, as before).
     ba_->OnVotes(pending_votes_);
     pending_votes_.clear();
-    // Timeout driver: re-drive while the round is open. Undecided, each
-    // firing re-steps BA* — and the leader re-broadcasts its proposal: a
-    // member whose copy was lost can buffer votes but never join the
-    // instance, and a small committee with an equivocator may be unable
-    // to decide one member short. Decided, each firing re-publishes the
-    // decision cert (and, at the leader, the commit) until the round
-    // actually advances — any single hand-off or commit message can be
-    // lost or withheld. The driver function holds itself only weakly —
-    // each scheduled event keeps a strong reference, so the chain dies
-    // with the last pending event instead of leaking through a
-    // shared_ptr cycle.
-    auto schedule_timeout = std::make_shared<std::function<void(int)>>();
-    *schedule_timeout = [this, wst = std::weak_ptr<std::function<void(int)>>(
-                                   schedule_timeout),
-                         round = current_round_](int tries) {
-      if (tries <= 0 || !ba_ || current_round_ != round) return;
-      std::shared_ptr<std::function<void(int)>> st = wst.lock();
-      if (!st) return;
-      // Capped exponential backoff: the delay doubles with the retry step
-      // (min(phase_interval << step, consensus_backoff_cap_us)).
-      system_->events()->ScheduleAfter(
-          ba_->NextTimeoutDelay(), [this, st, tries, round] {
-            if (!ba_ || current_round_ != round) return;
-            if (ba_->decided()) {
-              PublishDecision();
-            } else {
-              // A firing timeout means the vote relay (if any) is not
-              // delivering quorums: latch back to direct broadcast for the
-              // rest of the instance.
-              vote_relay_direct_ = true;
-              if (net_id_ == system_->oc().leader) {
-                BroadcastToOc(kMsgProposal, pending_proposal_.Encode(),
-                              system_->tracer()->RoundContext(round));
-              }
-              ba_->OnTimeout();
-            }
-            (*st)(tries - 1);
-          });
-    };
-    (*schedule_timeout)(12);
+    ArmConsensusTimeout(current_round_, 12);
   }
+}
+
+// BA* timeouts: re-drives the instance while the round is open, `tries`
+// more times. Undecided, each firing re-steps BA* — and the leader
+// re-broadcasts its proposal: a member whose copy was lost can buffer votes
+// but never join the instance, and a small committee with an equivocator
+// may be unable to decide one member short. Decided, each firing
+// re-publishes the decision cert (and, at the leader, the commit) until the
+// round actually advances — any single hand-off or commit message can be
+// lost or withheld.
+void StatelessNodeActor::ArmConsensusTimeout(uint64_t round, int tries) {
+  if (tries <= 0 || !ba_ || current_round_ != round) return;
+  // Capped exponential backoff: the delay doubles with the retry step
+  // (min(phase_interval << step, consensus_backoff_cap_us)).
+  system_->events()->ScheduleAfter(
+      ba_->NextTimeoutDelay(), [this, round, tries] {
+        if (!ba_ || current_round_ != round) return;
+        if (ba_->decided()) {
+          PublishDecision();
+        } else {
+          // A firing timeout means the vote relay (if any) is not
+          // delivering quorums: latch back to direct broadcast for the rest
+          // of the instance.
+          vote_relay_direct_ = true;
+          if (net_id_ == system_->oc().leader) {
+            BroadcastToOc(kMsgProposal, pending_proposal_.Encode(),
+                          system_->tracer()->RoundContext(round));
+          }
+          ba_->OnTimeout();
+        }
+        ArmConsensusTimeout(round, tries - 1);
+      });
 }
 
 void StatelessNodeActor::OnProposal(const net::Message& msg) {

@@ -70,21 +70,9 @@ Status SystemOptions::Validate() const {
     return Status::InvalidArgument(
         "epoch_length must be 0 (disabled) or >= 2");
   }
-  if (!fraction(malicious_storage_fraction)) {
+  if (malicious_storage_fraction != 0 || malicious_stateless_fraction != 0) {
     return Status::InvalidArgument(
-        "malicious_storage_fraction outside [0,1]");
-  }
-  if (malicious_storage_fraction > 0.5) {
-    return Status::InvalidArgument(
-        "malicious_storage_fraction exceeds the paper's beta bound (1/2)");
-  }
-  if (!fraction(malicious_stateless_fraction)) {
-    return Status::InvalidArgument(
-        "malicious_stateless_fraction outside [0,1]");
-  }
-  if (malicious_stateless_fraction > 0.25) {
-    return Status::InvalidArgument(
-        "malicious_stateless_fraction exceeds the paper's alpha bound (1/4)");
+        "malicious_{storage,stateless}_fraction are retired; set adversary");
   }
   if (adversary.stateless != AdvStrategy::kHonest &&
       !IsStatelessStrategy(adversary.stateless)) {
@@ -103,12 +91,6 @@ Status SystemOptions::Validate() const {
   if (!(adversary.beta >= 0 && adversary.beta <= 0.5)) {
     return Status::InvalidArgument(
         "adversary.beta outside the paper's bound [0,1/2]");
-  }
-  if (!adversary.empty() && (malicious_storage_fraction > 0 ||
-                             malicious_stateless_fraction > 0)) {
-    return Status::InvalidArgument(
-        "adversary spec and legacy malicious fractions are mutually "
-        "exclusive");
   }
   if (!(mean_session_s >= 0)) {
     return Status::InvalidArgument("mean_session_s must be >= 0");
@@ -220,9 +202,6 @@ obs::HistogramSummary SystemMetrics::UserLatency() const {
 
 std::string SystemMetrics::ToJson() const {
   return registry_ != nullptr ? obs::ExportJson(*registry_) : "{}";
-}
-std::string SystemMetrics::ToCsv() const {
-  return registry_ != nullptr ? obs::ExportCsv(*registry_) : "";
 }
 
 PorygonSystem::PorygonSystem(const SystemOptions& options)
@@ -362,27 +341,8 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
   exec_state_ =
       std::make_unique<state::ShardedState>(options_.params.shard_bits);
 
-  // --- Adversary ----------------------------------------------------------
-  // The legacy fraction knobs are just the silent/withhold strategies of
-  // the framework; synthesize the equivalent spec so one mechanism places
-  // and drives every corrupted node. The synthesized seed tracks the
-  // system seed so legacy runs still re-deal placement per seed.
-  AdversarySpec effective_adversary = options_.adversary;
-  if (effective_adversary.empty() &&
-      (options_.malicious_stateless_fraction > 0 ||
-       options_.malicious_storage_fraction > 0)) {
-    if (options_.malicious_stateless_fraction > 0) {
-      effective_adversary.stateless = AdvStrategy::kSilent;
-      effective_adversary.alpha = options_.malicious_stateless_fraction;
-    }
-    if (options_.malicious_storage_fraction > 0) {
-      effective_adversary.storage = AdvStrategy::kWithhold;
-      effective_adversary.beta = options_.malicious_storage_fraction;
-    }
-    effective_adversary.seed = options_.seed;
-  }
   adversary_ = std::make_unique<AdversaryController>(
-      effective_adversary, &metrics_registry_, &tracer_);
+      options_.adversary, &metrics_registry_, &tracer_);
 
   // --- Nodes --------------------------------------------------------------
   // One Topology materializes every node (storage first, then stateless);
@@ -451,9 +411,6 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
 PorygonSystem::~PorygonSystem() {
   // No pool thread may outlive the state and job it writes.
   SettleExecState();
-  // Executions still in flight at teardown never completed; do not record
-  // their partial durations.
-  for (auto& [round, timer] : exec_timers_) timer.Cancel();
   // The log clock captures this system's event queue; detach before it dies.
   Logger::SetClock(nullptr);
 }
@@ -658,7 +615,10 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   // Inputs and the foreign-account snapshot are built here on the loop
   // thread, which goes on mutating block_store_ and chain_ while the bodies
   // run; the snapshot gives every shard's cross-shard pre-execution the same
-  // pre-round foreign values.
+  // pre-round foreign values. A body reads a foreign account only as the
+  // receiver of one of its own cross-shard records (a foreign sender fails
+  // before any read, and its own senders are read live), so the snapshot
+  // holds the receivers.
   exec_job_ = std::make_unique<ExecJob>();
   ExecJob* job = exec_job_.get();
   job->exec_round = exec_round;
@@ -666,7 +626,6 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   for (const ExecutionInput& input : job->inputs) {
     for (const TxAccess& a : input.txs) {
       if (!a.IsCrossShard(options_.params.shard_bits)) continue;
-      job->snapshot[a.from] = exec_state_->GetOrDefault(a.from);
       job->snapshot[a.to] = exec_state_->GetOrDefault(a.to);
     }
   }
@@ -1278,12 +1237,9 @@ void PorygonSystem::RecordOrderingDecision(uint64_t round) {
 }
 
 void PorygonSystem::NoteExecPhaseStart(uint64_t exec_round) {
-  // First storage node to fan out exec requests starts the clock; the timer
-  // observes into the execution histogram when NoteExecPhaseEnd erases it.
-  exec_timers_.try_emplace(
-      exec_round,
-      obs::PhaseTimer(obs_.phase_execution,
-                      [this] { return sim_seconds(); }));
+  // The first storage node to fan out exec requests starts the clock;
+  // NoteExecPhaseEnd observes the elapsed time into the execution histogram.
+  exec_starts_s_.try_emplace(exec_round, sim_seconds());
   critical_path_.MarkExecStart(exec_round, events_.now());
   if (tracer_.enabled() && exec_spans_.count(exec_round) == 0) {
     exec_spans_[exec_round] =
@@ -1292,11 +1248,11 @@ void PorygonSystem::NoteExecPhaseStart(uint64_t exec_round) {
 }
 
 void PorygonSystem::NoteExecPhaseEnd(uint64_t exec_round) {
-  auto it = exec_timers_.find(exec_round);
-  if (it == exec_timers_.end()) return;
+  auto it = exec_starts_s_.find(exec_round);
+  if (it == exec_starts_s_.end()) return;
   critical_path_.MarkExecEnd(exec_round, events_.now());
-  it->second.Stop();
-  exec_timers_.erase(it);
+  obs_.phase_execution->Observe(sim_seconds() - it->second);
+  exec_starts_s_.erase(it);
   if (auto es = exec_spans_.find(exec_round); es != exec_spans_.end()) {
     tracer_.EndSpan(es->second);
     exec_spans_.erase(es);

@@ -81,17 +81,13 @@ struct SystemOptions {
   bool faithful_execution = false;
   /// Modeled multiproof cost per account when proofs are not materialized.
   size_t state_proof_bytes_per_account = 128;
-  /// Fraction of storage nodes that withhold transaction bodies
-  /// (data-availability attack, Challenge 2). Bounded by the paper's
-  /// β ≤ 1/2. Legacy shorthand for `adversary` with storage:withhold.
+  /// Retired: adversaries are configured only by `adversary`. Validate
+  /// rejects any non-zero value; the fields stay declared because
+  /// benchmark/porygon_bench.cc assigns them 0.
   double malicious_storage_fraction = 0.0;
-  /// Fraction of stateless nodes that stay silent (crash-style faults).
-  /// Bounded by the paper's α ≤ 1/4. Legacy shorthand for `adversary`
-  /// with stateless:silent.
   double malicious_stateless_fraction = 0.0;
   /// Active Byzantine adversary for this run (see core/adversary.h);
-  /// empty = honest. Mutually exclusive with the legacy fractions above,
-  /// which are converted into the equivalent silent/withhold spec.
+  /// empty = honest.
   AdversarySpec adversary;
   /// Message-flow shaping for the run (see net/dissemination.h): `direct`
   /// is the legacy leader-centric star and is byte-identical to builds
@@ -154,9 +150,8 @@ class SystemMetrics {
   /// Submission-to-commit per transaction (seconds).
   obs::HistogramSummary UserLatency() const;
 
-  /// Full registry export (see obs/export.h for the formats).
+  /// Full registry export (see obs/export.h for the format).
   std::string ToJson() const;
-  std::string ToCsv() const;
 
   /// Escape hatch for series without a dedicated accessor.
   const obs::MetricsRegistry* registry() const { return registry_; }
@@ -518,6 +513,8 @@ class StatelessNodeActor {
   void BroadcastToOc(uint16_t kind, Bytes payload,
                      obs::TraceContext trace = {});
   void StartConsensus(const crypto::Hash256& proposal_hash);
+  /// Re-drives BA* for `round` on a capped backoff, `tries` more times.
+  void ArmConsensusTimeout(uint64_t round, int tries);
   void OnDecision(const consensus::DecisionCert& cert);
   /// (Re)broadcasts the stored decision cert to the committee; the leader
   /// also (re)publishes the committed block to storage. Called on first
@@ -895,8 +892,8 @@ class PorygonSystem {
 
   // Phase-duration recording: witness when blocks reach Tw, ordering at the
   // leader's BA* decision, commit from decision to block application,
-  // execution via a PhaseTimer spanning exec-request fan-out to the first
-  // result back at the leader. All in sim time.
+  // execution from the first exec-request fan-out to the first result back
+  // at the leader. All in sim time.
   void RecordWitnessReached(uint64_t batch_round);
   void RecordOrderingDecision(uint64_t round);
   void NoteExecPhaseStart(uint64_t exec_round);
@@ -1048,7 +1045,9 @@ class PorygonSystem {
   std::map<uint64_t, uint64_t> exec_spans_;     // Open execution-phase spans.
   std::set<uint64_t> witness_recorded_;  // Batch rounds with a Tw sample.
   std::map<uint64_t, net::SimTime> decision_times_;
-  std::map<uint64_t, obs::PhaseTimer> exec_timers_;
+  // Exec round -> sim seconds of its first exec-request fan-out, until the
+  // first result reaches the leader.
+  std::map<uint64_t, double> exec_starts_s_;
   obs::CriticalPathAnalyzer critical_path_;
   // Ledger snapshots at round start (differenced at commit), by round.
   std::map<uint64_t, std::vector<net::LinkActivity>> window_baseline_;

@@ -25,8 +25,8 @@ void FoldLevel(const Hash256* level, size_t n, Hash256* parents) {
 }
 }  // namespace
 
-// Both folds use one buffer: the first level reads the leaves, and every
-// later level folds the buffer in place.
+// One buffer: the first level reads the leaves, and every later level
+// folds the buffer in place.
 Hash256 ComputeMerkleRoot(const std::vector<Hash256>& leaves) {
   if (leaves.empty()) return ZeroHash();
   std::vector<Hash256> buffer((leaves.size() + 1) / 2);
@@ -36,34 +36,6 @@ Hash256 ComputeMerkleRoot(const std::vector<Hash256>& leaves) {
     level = buffer.data();
   }
   return level[0];
-}
-
-std::vector<Hash256> ComputeMerklePath(const std::vector<Hash256>& leaves,
-                                       size_t index) {
-  std::vector<Hash256> path;
-  if (index >= leaves.size()) return path;
-  std::vector<Hash256> buffer((leaves.size() + 1) / 2);
-  const Hash256* level = leaves.data();
-  for (size_t n = leaves.size(), pos = index; n > 1;
-       n = (n + 1) / 2, pos /= 2) {
-    // The sibling, or the node itself when it is an odd last node.
-    path.push_back(level[std::min(pos ^ 1, n - 1)]);
-    FoldLevel(level, n, buffer.data());
-    level = buffer.data();
-  }
-  return path;
-}
-
-bool VerifyMerklePath(const Hash256& root, const Hash256& leaf, size_t index,
-                      const std::vector<Hash256>& path) {
-  Hash256 hash = leaf;
-  size_t pos = index;
-  for (const Hash256& sibling : path) {
-    hash = (pos % 2 == 0) ? Sha256::HashNodes(hash, sibling)
-                          : Sha256::HashNodes(sibling, hash);
-    pos /= 2;
-  }
-  return hash == root;
 }
 
 }  // namespace porygon::crypto

@@ -13,14 +13,6 @@ namespace porygon::crypto {
 /// root.
 Hash256 ComputeMerkleRoot(const std::vector<Hash256>& leaves);
 
-/// Audit path for leaf `index` within `leaves` (bottom-up sibling list).
-std::vector<Hash256> ComputeMerklePath(const std::vector<Hash256>& leaves,
-                                       size_t index);
-
-/// Verifies that `leaf` at `index` is under `root` given `path`.
-bool VerifyMerklePath(const Hash256& root, const Hash256& leaf, size_t index,
-                      const std::vector<Hash256>& path);
-
 }  // namespace porygon::crypto
 
 #endif  // PORYGON_CRYPTO_MERKLE_H_

@@ -250,27 +250,4 @@ double CriticalPathAnalyzer::MeanUtilization(const std::string& link) const {
                          (1000.0 * static_cast<double>(seen));
 }
 
-RoundMarks CriticalPathAnalyzer::MarksFromSpans(const std::vector<Span>& spans,
-                                                uint64_t round) {
-  RoundMarks marks;
-  marks.round = round;
-  const uint64_t trace_id = Tracer::kRoundTraceBase + round;
-  for (const Span& s : spans) {
-    if (s.trace_id != trace_id) continue;
-    // The lane also carries per-node instant events (individual witness
-    // signatures, BA* votes); the phase boundaries are the spans the round
-    // driver records as node "system".
-    if (s.node != "system") continue;
-    if (s.name == "round") {
-      marks.start = s.start;
-      marks.commit = s.end;
-    } else if (s.name == "witness" && marks.witness_end == 0) {
-      marks.witness_end = s.end;
-    } else if (s.name == "ordering" && marks.decision == 0) {
-      marks.decision = s.end;
-    }
-  }
-  return marks;
-}
-
 }  // namespace porygon::obs

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "net/sim_time.h"
-#include "obs/trace.h"
 
 namespace porygon::obs {
 
@@ -122,16 +121,6 @@ class CriticalPathAnalyzer {
   /// Mean utilization (busy/window, 0..1) of `link` over the reports that
   /// saw it; 0 when never seen.
   double MeanUtilization(const std::string& link) const;
-
-  /// Extracts marks for `round` from a recorded span set (the round trace
-  /// lane): the node-"system" phase spans "round" (start/end), "witness"
-  /// (end), "ordering" (end); per-node instant events on the same lane
-  /// (individual signatures, votes) are skipped. Lets tools
-  /// rebuild reports from an exported trace; the live analyzer uses direct
-  /// marks so it works with tracing off. Spans from other rounds are
-  /// ignored.
-  static RoundMarks MarksFromSpans(const std::vector<Span>& spans,
-                                   uint64_t round);
 
  private:
   struct ExecInterval {

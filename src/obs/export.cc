@@ -63,15 +63,6 @@ std::string JsonLabels(const Labels& labels) {
   return out;
 }
 
-std::string CsvLabels(const Labels& labels) {
-  std::string out;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out.push_back('|');
-    out += labels[i].first + "=" + labels[i].second;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ExportJson(const MetricsRegistry& registry) {
@@ -130,39 +121,6 @@ std::string ExportJson(const MetricsRegistry& registry) {
   });
   out += first ? "]\n" : "\n  ]\n";
   out += "}\n";
-  return out;
-}
-
-std::string ExportCsv(const MetricsRegistry& registry) {
-  std::string out = "type,name,labels,field,value\n";
-  registry.VisitCounters([&](const std::string& name, const Labels& labels,
-                             const Counter& c) {
-    out += "counter," + name + "," + CsvLabels(labels) +
-           ",value," + FormatU64(c.value()) + "\n";
-  });
-  registry.VisitGauges(
-      [&](const std::string& name, const Labels& labels, const Gauge& g) {
-        out += "gauge," + name + "," + CsvLabels(labels) +
-               ",value," + FormatDouble(g.value()) + "\n";
-      });
-  registry.VisitHistograms([&](const std::string& name, const Labels& labels,
-                               const Histogram& h) {
-    const std::string prefix = "histogram," + name + "," + CsvLabels(labels);
-    HistogramSummary s = h.Summary();
-    out += prefix + ",count," + FormatU64(s.count) + "\n";
-    out += prefix + ",sum," + FormatDouble(h.sum()) + "\n";
-    out += prefix + ",min," + FormatDouble(s.min) + "\n";
-    out += prefix + ",max," + FormatDouble(s.max) + "\n";
-    out += prefix + ",p50," + FormatDouble(s.p50) + "\n";
-    out += prefix + ",p95," + FormatDouble(s.p95) + "\n";
-    out += prefix + ",p99," + FormatDouble(s.p99) + "\n";
-    const auto& bounds = h.bounds();
-    const auto& counts = h.bucket_counts();
-    for (size_t i = 0; i < counts.size(); ++i) {
-      std::string le = i < bounds.size() ? FormatDouble(bounds[i]) : "inf";
-      out += prefix + ",le=" + le + "," + FormatU64(counts[i]) + "\n";
-    }
-  });
   return out;
 }
 

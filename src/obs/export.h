@@ -24,11 +24,6 @@ namespace porygon::obs {
 /// byte-identical output — the property the determinism tests pin down.
 std::string ExportJson(const MetricsRegistry& registry);
 
-/// Flat CSV form of the same data: `type,name,labels,field,value` with
-/// labels joined as "k=v|k=v". Histograms emit one row per summary field
-/// (count/sum/min/max/p50/p95/p99) plus one per bucket (field "le=BOUND").
-std::string ExportCsv(const MetricsRegistry& registry);
-
 }  // namespace porygon::obs
 
 #endif  // PORYGON_OBS_EXPORT_H_

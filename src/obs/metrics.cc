@@ -197,42 +197,4 @@ void MetricsRegistry::VisitHistograms(
   }
 }
 
-PhaseTimer::PhaseTimer(Histogram* histogram, Clock clock)
-    : histogram_(histogram),
-      clock_(std::move(clock)),
-      start_(clock_ ? clock_() : 0),
-      armed_(histogram_ != nullptr && clock_ != nullptr) {}
-
-PhaseTimer::PhaseTimer(PhaseTimer&& other) noexcept
-    : histogram_(other.histogram_),
-      clock_(std::move(other.clock_)),
-      start_(other.start_),
-      armed_(other.armed_) {
-  other.armed_ = false;
-}
-
-PhaseTimer& PhaseTimer::operator=(PhaseTimer&& other) noexcept {
-  if (this != &other) {
-    if (armed_) Stop();
-    histogram_ = other.histogram_;
-    clock_ = std::move(other.clock_);
-    start_ = other.start_;
-    armed_ = other.armed_;
-    other.armed_ = false;
-  }
-  return *this;
-}
-
-PhaseTimer::~PhaseTimer() {
-  if (armed_) Stop();
-}
-
-double PhaseTimer::Stop() {
-  if (!armed_) return 0;
-  armed_ = false;
-  double elapsed = clock_() - start_;
-  histogram_->Observe(elapsed);
-  return elapsed;
-}
-
 }  // namespace porygon::obs

@@ -104,7 +104,7 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name, const Labels& labels = {});
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
-  /// A gauge excluded from Visit/ExportJson/ExportCsv: for values that are
+  /// A gauge excluded from Visit and ExportJson: for values that are
   /// real but nondeterministic (wall-clock timings), which must never leak
   /// into the byte-identical same-seed exports. Read it back with
   /// FindVolatileGauge or VisitVolatileGauges.
@@ -162,39 +162,6 @@ class MetricsRegistry {
   std::map<std::string, Series<Gauge>> gauges_;
   std::map<std::string, Series<Gauge>> volatile_gauges_;
   std::map<std::string, Series<Histogram>> histograms_;
-};
-
-/// RAII phase scope over simulated (or any) time: records the elapsed time
-/// into a histogram when the scope ends. The clock is injected so actors
-/// time phases in sim seconds, keeping observations deterministic.
-///
-/// Movable (lives in maps keyed by round); a moved-from timer is disarmed.
-class PhaseTimer {
- public:
-  using Clock = std::function<double()>;
-
-  PhaseTimer() = default;
-  PhaseTimer(Histogram* histogram, Clock clock);
-  PhaseTimer(PhaseTimer&& other) noexcept;
-  PhaseTimer& operator=(PhaseTimer&& other) noexcept;
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-  ~PhaseTimer();
-
-  /// Observes the elapsed time now (instead of at destruction) and disarms.
-  /// Returns the elapsed seconds (0 if already stopped or cancelled).
-  double Stop();
-
-  /// Disarms without observing (the phase never completed).
-  void Cancel() { armed_ = false; }
-
-  bool armed() const { return armed_; }
-
- private:
-  Histogram* histogram_ = nullptr;
-  Clock clock_;
-  double start_ = 0;
-  bool armed_ = false;
 };
 
 }  // namespace porygon::obs

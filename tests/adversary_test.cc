@@ -172,26 +172,32 @@ TEST(AdversarySpecTest, RejectsMalformedClauses) {
 
 TEST(AdversaryOptionsTest, ValidateEnforcesPaperBounds) {
   {
+    // The retired fractions are rejected at any non-zero value, within the
+    // paper's bounds or not; the message names their replacement.
+    for (double f : {0.1, 0.25, 0.5, 0.6}) {
+      SystemOptions stateless = Opts();
+      stateless.malicious_stateless_fraction = f;
+      SystemOptions storage = Opts();
+      storage.malicious_storage_fraction = f;
+      for (const SystemOptions& opt : {stateless, storage}) {
+        Status st = opt.Validate();
+        ASSERT_TRUE(st.IsInvalidArgument()) << f;
+        EXPECT_NE(st.message().find("adversary"), std::string::npos)
+            << st.message();
+      }
+    }
+  }
+  {
+    // The spec enforces the paper's bounds.
     SystemOptions opt = Opts();
-    opt.malicious_stateless_fraction = 0.3;
+    opt.adversary = MustParse("stateless:silent,alpha:0.3");
     Status st = opt.Validate();
     ASSERT_TRUE(st.IsInvalidArgument());
     EXPECT_NE(st.message().find("alpha"), std::string::npos) << st.message();
-  }
-  {
-    SystemOptions opt = Opts();
-    opt.malicious_storage_fraction = 0.6;
-    Status st = opt.Validate();
+    opt.adversary = MustParse("storage:censor,beta:0.6");
+    st = opt.Validate();
     ASSERT_TRUE(st.IsInvalidArgument());
     EXPECT_NE(st.message().find("beta"), std::string::npos) << st.message();
-  }
-  {
-    // The spec path enforces the same bounds.
-    SystemOptions opt = Opts();
-    opt.adversary = MustParse("stateless:silent,alpha:0.3");
-    EXPECT_TRUE(opt.Validate().IsInvalidArgument());
-    opt.adversary = MustParse("storage:censor,beta:0.6");
-    EXPECT_TRUE(opt.Validate().IsInvalidArgument());
     // A spec built in code skips Parse; NaN must still fail the bound.
     opt.adversary = MustParse("stateless:silent");
     opt.adversary.alpha = std::nan("");
@@ -201,7 +207,7 @@ TEST(AdversaryOptionsTest, ValidateEnforcesPaperBounds) {
     EXPECT_TRUE(opt.Validate().IsInvalidArgument());
   }
   {
-    // Spec and legacy fractions are mutually exclusive.
+    // A spec beside a retired fraction is rejected too.
     SystemOptions opt = Opts();
     opt.adversary = MustParse("stateless:silent,alpha:0.1");
     opt.malicious_stateless_fraction = 0.1;
@@ -210,10 +216,6 @@ TEST(AdversaryOptionsTest, ValidateEnforcesPaperBounds) {
   {
     // The bounds themselves are admissible (α = 1/4, β = 1/2).
     SystemOptions opt = Opts();
-    opt.malicious_stateless_fraction = 0.25;
-    opt.malicious_storage_fraction = 0.5;
-    EXPECT_TRUE(opt.Validate().ok()) << opt.Validate().message();
-    opt = Opts();
     opt.adversary =
         MustParse("stateless:equivocate,alpha:0.25,storage:censor,beta:0.5");
     EXPECT_TRUE(opt.Validate().ok()) << opt.Validate().message();
@@ -531,7 +533,6 @@ TEST(AdversaryTest, SameSeedSameSpecReplaysByteIdentically) {
   auto b = RunAdversarial(spec, /*faithful=*/false, /*trace=*/true);
   EXPECT_EQ(a->canonical_state().GlobalRoot(), b->canonical_state().GlobalRoot());
   EXPECT_EQ(a->metrics().ToJson(), b->metrics().ToJson());
-  EXPECT_EQ(a->metrics().ToCsv(), b->metrics().ToCsv());
   EXPECT_EQ(a->tracer()->ExportChromeJson(), b->tracer()->ExportChromeJson());
 }
 

@@ -103,6 +103,26 @@ TEST(ByshardTest, CommitsIntraAndCrossShard) {
   EXPECT_EQ(sys.state().GetOrDefault(1).balance, 995u);
 }
 
+TEST(ByshardTest, CommitsBothCrossShardTransfersOfOneSenderInOneBlock) {
+  ByshardOptions opt;
+  opt.shard_bits = 1;
+  opt.nodes_per_shard = 4;
+  opt.block_tx_limit = 100;
+  ByshardSystem sys(opt);
+  sys.CreateAccounts(40, 1'000);
+
+  // 2 -> 3 twice (shard 0 to shard 1), nonces 0 and 1, one block: the
+  // second transfer's first phase reads the first one's debit.
+  ASSERT_TRUE(sys.SubmitTransaction(Transfer(2, 3, 10, 0)));
+  ASSERT_TRUE(sys.SubmitTransaction(Transfer(2, 3, 20, 1)));
+  sys.Run(4);
+
+  EXPECT_EQ(sys.metrics().committed_cross_txs, 2u);
+  EXPECT_EQ(sys.state().GetOrDefault(2).nonce, 2u);
+  EXPECT_EQ(sys.state().GetOrDefault(2).balance, 970u);
+  EXPECT_EQ(sys.state().GetOrDefault(3).balance, 1030u);
+}
+
 TEST(ByshardTest, BalanceConservedUnderMixedLoad) {
   ByshardOptions opt;
   opt.shard_bits = 2;

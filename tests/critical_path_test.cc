@@ -18,6 +18,7 @@
 #include "net/event_queue.h"
 #include "net/network.h"
 #include "obs/critical_path.h"
+#include "obs/trace.h"
 #include "workload/generator.h"
 
 namespace porygon {
@@ -245,11 +246,28 @@ TEST(CriticalPathTest, MarksFromSpansMatchDirectMarks) {
   const auto& reports = sys->critical_path().reports();
   ASSERT_FALSE(reports.empty());
   // The analyzer's direct marks and the round trace lane record the same
-  // graph; walking the exported spans reproduces the marks exactly.
+  // graph; walking the exported spans reproduces the marks exactly. The
+  // phase boundaries are the lane's node-"system" spans; the lane's
+  // per-node instants (witness signatures, BA* votes) are skipped.
+  auto marks_from_spans = [&](uint64_t round) {
+    obs::RoundMarks marks;
+    for (const obs::Span& s : sys->tracer()->spans()) {
+      if (s.trace_id != obs::Tracer::kRoundTraceBase + round) continue;
+      if (s.node != "system") continue;
+      if (s.name == "round") {
+        marks.start = s.start;
+        marks.commit = s.end;
+      } else if (s.name == "witness" && marks.witness_end == 0) {
+        marks.witness_end = s.end;
+      } else if (s.name == "ordering" && marks.decision == 0) {
+        marks.decision = s.end;
+      }
+    }
+    return marks;
+  };
   size_t checked = 0;
   for (const obs::RoundReport& rep : reports) {
-    const obs::RoundMarks from_spans = obs::CriticalPathAnalyzer::MarksFromSpans(
-        sys->tracer()->spans(), rep.marks.round);
+    const obs::RoundMarks from_spans = marks_from_spans(rep.marks.round);
     EXPECT_EQ(from_spans.start, rep.marks.start) << rep.marks.round;
     EXPECT_EQ(from_spans.commit, rep.marks.commit) << rep.marks.round;
     EXPECT_EQ(from_spans.witness_end, rep.marks.witness_end)

@@ -132,7 +132,6 @@ TEST(EpochTest, SameSeedSameEpochsReplayByteIdentically) {
   EXPECT_EQ(a->canonical_state().GlobalRoot(),
             b->canonical_state().GlobalRoot());
   EXPECT_EQ(a->metrics().ToJson(), b->metrics().ToJson());
-  EXPECT_EQ(a->metrics().ToCsv(), b->metrics().ToCsv());
   EXPECT_EQ(a->tracer()->ExportChromeJson(), b->tracer()->ExportChromeJson());
 }
 

@@ -115,13 +115,15 @@ TEST(FaultInjectionTest, CrashedStatelessNodesDontStallRounds) {
 
 TEST(FaultInjectionTest, WitnessPhaseBlocksUnavailableBodies) {
   // Half the storage nodes withhold bodies and drop routed traffic — the
-  // paper's beta = 1/2 bound, which SystemOptions::Validate now enforces
-  // as a hard ceiling. Blocks packaged by the withholding node can never
+  // paper's beta = 1/2 bound, which SystemOptions::Validate enforces as a
+  // hard ceiling. Blocks packaged by the withholding node can never
   // be witnessed (their bodies are unavailable, Challenge 2), so their
   // transactions never commit; blocks from the honest node still flow,
   // and nothing *incorrect* commits.
   SystemOptions opt = Opts();
-  opt.malicious_storage_fraction = 0.5;
+  opt.adversary.storage = AdvStrategy::kWithhold;
+  opt.adversary.beta = 0.5;
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(100, 10'000);
   for (uint64_t f = 1; f <= 20; ++f) {

@@ -271,7 +271,6 @@ namespace invariance {
 
 struct RunArtifacts {
   std::string metrics_json;
-  std::string metrics_csv;
   std::string trace_json;
   crypto::Hash256 global_root{};
   crypto::Hash256 chain_tip{};
@@ -336,7 +335,6 @@ RunArtifacts RunScenario(const core::SystemOptions& opt,
 
   RunArtifacts out;
   out.metrics_json = sys.metrics().ToJson();
-  out.metrics_csv = sys.metrics().ToCsv();
   out.trace_json = sys.tracer()->ExportChromeJson();
   out.global_root = sys.canonical_state().GlobalRoot();
   out.chain_tip = sys.chain().back().Hash();
@@ -361,7 +359,6 @@ TEST(ThreadInvarianceTest, ExportsAreByteIdenticalForAnyThreadCount) {
   EXPECT_NE(serial.metrics_json.find("runtime.tasks"), std::string::npos);
   // Volatile wall-clock gauges must NOT leak into exports.
   EXPECT_EQ(serial.metrics_json.find("runtime.wall_us"), std::string::npos);
-  EXPECT_EQ(serial.metrics_csv.find("runtime.wall_us"), std::string::npos);
 
   // End-to-end digests of the serial run, pinned: a change that moves a
   // sim number, the chain or the state must re-pin them and say why.
@@ -375,7 +372,6 @@ TEST(ThreadInvarianceTest, ExportsAreByteIdenticalForAnyThreadCount) {
   for (int threads : {1, 4}) {
     const RunArtifacts run = RunScenario(threads);
     EXPECT_EQ(run.metrics_json, serial.metrics_json) << threads << " threads";
-    EXPECT_EQ(run.metrics_csv, serial.metrics_csv) << threads << " threads";
     EXPECT_EQ(run.trace_json, serial.trace_json) << threads << " threads";
     EXPECT_EQ(run.global_root, serial.global_root) << threads << " threads";
     EXPECT_EQ(run.chain_tip, serial.chain_tip) << threads << " threads";
@@ -408,7 +404,6 @@ TEST(ThreadInvarianceTest, PipelinedExecutionMatchesSerial) {
     const RunArtifacts pooled = run(threads);
     EXPECT_EQ(pooled.metrics_json, serial.metrics_json)
         << threads << " threads";
-    EXPECT_EQ(pooled.metrics_csv, serial.metrics_csv) << threads << " threads";
     EXPECT_EQ(pooled.trace_json, serial.trace_json) << threads << " threads";
     EXPECT_EQ(pooled.global_root, serial.global_root)
         << threads << " threads";

@@ -74,8 +74,11 @@ TEST(SystemTest, MaliciousStorageAndStatelessCombined) {
   SystemOptions opt = BaseOptions();
   opt.num_storage_nodes = 4;
   opt.num_stateless_nodes = 40;
-  opt.malicious_storage_fraction = 0.25;    // 1 of 4 withholds bodies.
-  opt.malicious_stateless_fraction = 0.15;  // Silent minority.
+  opt.adversary.storage = AdvStrategy::kWithhold;
+  opt.adversary.beta = 0.25;  // 1 of 4 withholds bodies.
+  opt.adversary.stateless = AdvStrategy::kSilent;
+  opt.adversary.alpha = 0.15;  // Silent minority.
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(10'000, 100'000);
   workload::WorkloadGenerator gen(

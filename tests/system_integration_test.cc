@@ -410,7 +410,9 @@ TEST(SystemIntegrationTest, MaliciousStorageCannotStallHonestBlocks) {
   // witnessed, but blocks from honest storage nodes commit (Theorem 2).
   SystemOptions opt = SmallOptions();
   opt.num_storage_nodes = 3;
-  opt.malicious_storage_fraction = 0.34;  // 1 of 3.
+  opt.adversary.storage = AdvStrategy::kWithhold;
+  opt.adversary.beta = 0.34;  // 1 of 3.
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(40, 10'000);
   for (uint64_t from = 1; from <= 20; ++from) {
@@ -423,10 +425,43 @@ TEST(SystemIntegrationTest, MaliciousStorageCannotStallHonestBlocks) {
   EXPECT_EQ(sys.metrics().replay_mismatches(), 0u);
 }
 
+// Three storage nodes fan out each exec round's requests. The phase runs
+// from the first fan-out to the first result back at the leader, so the
+// execution histogram holds one sample per exec round the leader heard
+// from, and their sum is the rounds' "execution" spans.
+TEST(SystemIntegrationTest, ExecutionPhaseHasOneSamplePerExecRound) {
+  SystemOptions opt = SmallOptions();
+  opt.num_storage_nodes = 3;
+  opt.trace.enabled = true;
+  PorygonSystem sys(opt);
+  sys.CreateAccounts(40, 10'000);
+  for (uint64_t round = 0; round < 12; ++round) {
+    for (uint64_t from = 1; from <= 20; ++from) {
+      sys.SubmitTransaction(Transfer(from, from + 20, 1, round));
+    }
+    sys.Run(1);
+  }
+  uint64_t rounds = 0;
+  double span_seconds = 0;
+  for (const obs::Span& s : sys.tracer()->spans()) {
+    if (s.node != "system" || s.name != "execution") continue;
+    ++rounds;
+    span_seconds += net::ToSeconds(s.end - s.start);
+  }
+  const obs::Histogram* phase = sys.metrics_registry()->FindHistogram(
+      "porygon.phase_seconds", {{"phase", "execution"}});
+  ASSERT_NE(phase, nullptr);
+  EXPECT_GE(rounds, 8u);
+  EXPECT_EQ(phase->count(), rounds);
+  EXPECT_NEAR(phase->sum(), span_seconds, 1e-9);
+}
+
 TEST(SystemIntegrationTest, ToleratesSilentStatelessMinority) {
   SystemOptions opt = SmallOptions();
   opt.num_stateless_nodes = 24;
-  opt.malicious_stateless_fraction = 0.2;
+  opt.adversary.stateless = AdvStrategy::kSilent;
+  opt.adversary.alpha = 0.2;
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(40, 10'000);
   for (uint64_t from = 1; from <= 16; ++from) {
@@ -527,19 +562,17 @@ TEST(SystemIntegrationTest, MetricsExportIsDeterministic) {
       (void)sys.SubmitTransaction(Transfer(from + 20, from + 1, 2, 0));
     }
     sys.Run(10);
-    return std::make_pair(sys.metrics().ToJson(), sys.metrics().ToCsv());
+    return sys.metrics().ToJson();
   };
-  auto a = export_once();
-  auto b = export_once();
-  EXPECT_EQ(a.first, b.first);    // Byte-identical JSON.
-  EXPECT_EQ(a.second, b.second);  // Byte-identical CSV.
+  const std::string a = export_once();
+  EXPECT_EQ(a, export_once());  // Byte-identical JSON.
 
   // The export covers all instrumented layers.
-  EXPECT_NE(a.first.find("net.sent_bytes"), std::string::npos);
-  EXPECT_NE(a.first.find("porygon.phase_seconds"), std::string::npos);
-  EXPECT_NE(a.first.find("db.wal_bytes"), std::string::npos);
-  EXPECT_NE(a.first.find("consensus.decisions"), std::string::npos);
-  EXPECT_NE(a.first.find("\"p99\""), std::string::npos);
+  EXPECT_NE(a.find("net.sent_bytes"), std::string::npos);
+  EXPECT_NE(a.find("porygon.phase_seconds"), std::string::npos);
+  EXPECT_NE(a.find("db.wal_bytes"), std::string::npos);
+  EXPECT_NE(a.find("consensus.decisions"), std::string::npos);
+  EXPECT_NE(a.find("\"p99\""), std::string::npos);
 }
 
 }  // namespace
