@@ -39,7 +39,9 @@ run_suite() {
     --output-on-failure
   # Wire codec suites: Writer/Reader primitives and the Count bound, the
   # writer's cursor and in-place nested encodings whose length prefix is
-  # widened by a memmove, the golden bytes of every encoded type with the
+  # widened by a memmove, bundles written from the block store into one
+  # exactly sized buffer against the growing writer's bytes
+  # (MessagesTest.BundlesWrittenFromTheStore...), the golden bytes of every encoded type with the
   # prefix/trailing-byte sweep (out-of-bounds reads surface under
   # ASan/UBSan), and forged counts that must be Corruption rather than an
   # allocation failure.
@@ -67,7 +69,9 @@ run_suite() {
   # Message plane and retention: one shared payload sent to many receivers
   # arrives as equal bytes from one allocation and is freed once every copy
   # is delivered, dropped at a crashed receiver, censored or duplicated (a
-  # shared or forwarded buffer used after release shows up under ASan); a
+  # shared or forwarded buffer used after release shows up under ASan), and
+  # each copy's prepared job is run by its Wait or dropped unrun once the
+  # copy is done, releasing the payload either way; a
   # storage relay fans one inner buffer out to the whole OC; OC members
   # hold only the bundles of batch r-1, with their access records left in
   # the received payloads, which are freed once no member can list the
@@ -76,7 +80,7 @@ run_suite() {
   # records' round trip, shared and copied, is MessagesTest.
   # WitnessBundleRoundTripAndWireSize.
   ctest --test-dir "$dir" \
-    -R 'NetFixture\.SharedPayload|MessagePlaneTest|RetentionTest' \
+    -R 'NetFixture\.(SharedPayload|PreparedJobs)|MessagePlaneTest|RetentionTest' \
     --output-on-failure
   # State suites: the path-compressed tree's roots and proofs against a
   # from-scratch reference over keys spread across all 64 bits and at the
@@ -108,8 +112,12 @@ run_suite() {
   ctest --test-dir "$dir" \
     -R '^ExecutionTest\.|^PartialStateTest\.|^SystemIntegrationTest\.(BatchOneCommitsAtTheEnginesPipelineRounds|RealEd25519SignaturesOnTheProtocolPath)$|^ByshardTest\.CommitsBothCrossShardTransfersOfOneSenderInOneBlock$' \
     --output-on-failure
-  # Parallel runtime: fork-join and launched pool batches, and byte-identical
-  # exports at 0, 1 and 4 threads, including the pipelined canonical
+  # Parallel runtime: fork-join and launched pool batches, background jobs
+  # submitted, waited on and cancelled while batches, launches and teardown
+  # interleave (TaskPoolTest.JobsInterleaveWithBatchesLaunchesAndTeardown),
+  # and byte-identical exports at 0, 1 and 4 threads, forged copies that
+  # the prepared front halves reject included (AdversaryThreadInvariance-
+  # Test.PreparedRejectionsAreThreadInvariant), including the pipelined canonical
   # execution under faithful proofs and a storage crash/rejoin. Fast mode's
   # launch at each commit outlives Run() and settles at its reader:
   # canonical_state() and CreateAccounts between runs settle it, at 0, 2
@@ -119,8 +127,9 @@ run_suite() {
   # digest are pinned here and in DisseminationTest.
   # TreeExportsAreThreadInvariant, in every leg.
   ctest --test-dir "$dir" -R 'TaskPool|ThreadInvariance' --output-on-failure
-  # Workload suite: traffic-model determinism, Zipf sanity, scenario rows.
-  ctest --test-dir "$dir" -R Workload --output-on-failure
+  # Workload suite: traffic-model determinism, Zipf sanity and the Zipf
+  # sampler's pinned draws, scenario rows.
+  ctest --test-dir "$dir" -R 'Workload|RngTest' --output-on-failure
   # Critical-path suite: bandwidth-ledger queue/busy accounting, dominant
   # edge attribution, thread-invariant round reports, the trace-sampling
   # timing invariant, marks rebuilt from the round lane's spans, and the
@@ -129,8 +138,10 @@ run_suite() {
   ctest --test-dir "$dir" \
     -R 'CriticalPath|^SystemIntegrationTest\.ExecutionPhaseHasOneSamplePerExecRound$' \
     --output-on-failure
-  # Dissemination suite: spec grammar, erasure k-of-n round trips,
-  # tree-vs-direct safety, and Byzantine/crashed relay degradation.
+  # Dissemination suite: spec grammar, erasure k-of-n round trips with the
+  # shuffle kernel against the table kernel over every k-subset (an
+  # out-of-bounds vector load surfaces under ASan), tree-vs-direct safety,
+  # and Byzantine/crashed relay degradation.
   ctest --test-dir "$dir" -R 'Dissemination|Erasure' --output-on-failure
   # Scenario-matrix smoke cell: one small million-account cell end-to-end
   # through the real binary (spec parsing, lazy funding, JSON export).
@@ -199,17 +210,21 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # also because the execution launched at a commit outlives Run() until
   # canonical_state() or CreateAccounts settles it; Epoch, FaultInjection
   # and Soak because the launched shard execution must settle before every
-  # state read across epoch hand-offs and storage crash/recover. Messages and their shared
-  # payloads never leave the event-loop thread, so the message-plane and
-  # retention cases are not listed here. TSan is incompatible with ASan,
-  # hence the third build tree.
+  # state read across epoch hand-offs and storage crash/recover. Payloads
+  # reach pool threads: each copy bound for a stateless node starts its
+  # front half (body check, exec-result signature, proposal decode) on the
+  # pool as it is sent, reading the shared buffer there while the loop and
+  # other copies' jobs read it too, so the message-plane and retention
+  # cases run here, with the job queue's stress test (TaskPool) and the
+  # forged copies the front halves reject (ThreadInvariance). TSan is
+  # incompatible with ASan, hence the third build tree.
   echo "== thread sanitized build + runtime/system ctest =="
   cmake -B build-tsan -S . -DPORYGON_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)"
   PORYGON_THREADS=4 \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256|Smt|ShardedState|Epoch|FaultInjection|Soak'
+      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256|Smt|ShardedState|Epoch|FaultInjection|Soak|MessagePlaneTest|RetentionTest'
   PORYGON_THREADS=4 \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     epoch_churn_soak build-tsan

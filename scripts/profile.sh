@@ -26,7 +26,11 @@
 #    share under SHA-256 (frames in crypto/sha256.{h,cc}) outside
 #    SettleExecState, split into the batched 16-lane kernel
 #    (HashBatchAvx512) and the one-message paths, and by the two frames
-#    that called the hash and their handler.
+#    that called the hash and their handler. Last, the samples in which the
+#    loop took a prepared front half (TakePrepared), by message kind and by
+#    whether it waited in TaskPool::Wait for the worker running the job, ran
+#    a job no worker had started inside Wait, or ran the front half of a
+#    copy that carried no job.
 #
 #   scripts/profile.sh [--workload W] [--seed N] [--seconds S]
 #
@@ -210,6 +214,29 @@ settle_activity = collections.defaultdict(collections.Counter)
 hash_callers = collections.Counter()
 record_decodes = collections.Counter()
 hash_kinds = collections.Counter()
+# Prepared front halves the loop took, by the result type TakePrepared
+# names; what the loop did there (see classify_prepared).
+PREPARED_KINDS = {"PreparedBody": "tx_block",
+                  "PreparedExecResult": "exec_result",
+                  "PreparedProposal": "proposal"}
+prepared = collections.defaultdict(collections.Counter)
+
+def classify_prepared(frames):
+    """(kind, activity) of a stack under TakePrepared, else None."""
+    for k, fn in enumerate(frames):
+        m = re.search(r"TakePrepared<(\w+)>", fn)
+        if m:
+            break
+    else:
+        return None
+    inner = frames[k + 1:]
+    runs = any(re.search(r"Prepared\w+::Of$", f) for f in inner)
+    if "runtime::TaskPool::Wait" in inner:
+        activity = "runs in Wait" if runs else "waits"
+    else:
+        activity = "runs inline" if runs else "own work"
+    return PREPARED_KINDS.get(m.group(1), m.group(1)), activity
+
 in_run = in_submit = 0
 for stack in stacks:
     frames = [fn for pc in reversed(stack) if pc is not None
@@ -224,6 +251,9 @@ for stack in stacks:
     if "TxAccess::DecodeFrom" in frames:
         record_decodes["in MaybePropose" if "StatelessNodeActor::MaybePropose"
                        in frames else "elsewhere"] += 1
+    took = classify_prepared(frames)
+    if took is not None:
+        prepared[took[0]][took[1]] += 1
     if "PorygonSystem::Run" in frames:
         in_run += 1
         handler = label(frames[frames.index("PorygonSystem::Run") + 1:])
@@ -272,4 +302,12 @@ for name, n in hash_kinds.most_common():
 print("by calling frames [handler]:")
 for name, n in hash_callers.most_common(15):
     print(f"{share(n)} {n:7d}  {name}")
+taken = sum(sum(c.values()) for c in prepared.values())
+print(f"\n== prepared front halves taken on the loop: {share(taken).strip()} "
+      "of all samples; by kind (waits in TaskPool::Wait / runs in Wait / "
+      "runs inline / own work) ==")
+for kind, c in sorted(prepared.items(), key=lambda kv: -sum(kv[1].values())):
+    print(f"{share(sum(c.values()))} {sum(c.values()):7d}  {kind}  "
+          f"({c['waits']} / {c['runs in Wait']} / {c['runs inline']} / "
+          f"{c['own work']})")
 EOF

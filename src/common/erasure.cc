@@ -3,6 +3,11 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace porygon::erasure {
 namespace {
 
@@ -48,7 +53,84 @@ uint8_t CauchyCoef(const Gf256& gf, int k, int r, int j) {
   return gf.Inv(static_cast<uint8_t>((k + r) ^ j));
 }
 
+// The multiply-accumulate kernel, decided once from CPUID (a function-local
+// constant, so pool threads read it race-free). Every kernel gives the same
+// bytes.
+internal::MulAddFn Kernel() {
+  static const internal::MulAddFn kKernel = internal::HasShuffleKernel()
+                                                ? internal::MulAddShuffle
+                                                : internal::MulAddPortable;
+  return kKernel;
+}
+
 }  // namespace
+
+namespace internal {
+
+void MulAddPortable(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n) {
+  const Gf256& gf = Field();
+  for (size_t b = 0; b < n; ++b) dst[b] ^= gf.Mul(c, src[b]);
+}
+
+#if defined(__x86_64__)
+
+bool HasShuffleKernel() {
+  unsigned eax, ebx, ecx, edx;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool osxsave = (ecx & (1u << 27)) != 0;  // XGETBV is usable.
+  const bool avx = (ecx & (1u << 28)) != 0;
+  if (!osxsave || !avx) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  if ((ebx & (1u << 5)) == 0) return false;  // AVX2.
+  uint32_t xcr0, xcr0_high;
+  __asm__ volatile("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  constexpr uint32_t kYmmState = 0x6;  // SSE and AVX state, saved by the OS.
+  return (xcr0 & kYmmState) == kYmmState;
+}
+
+__attribute__((target("avx2"))) void MulAddShuffle(uint8_t c,
+                                                   const uint8_t* src,
+                                                   uint8_t* dst, size_t n) {
+  const Gf256& gf = Field();
+  // Products of c with every low nibble and every high nibble: GF(2^8)
+  // multiplication distributes over XOR, so c * x is one from each.
+  alignas(16) uint8_t lo[16];
+  alignas(16) uint8_t hi[16];
+  for (int i = 0; i < 16; ++i) {
+    lo[i] = gf.Mul(c, static_cast<uint8_t>(i));
+    hi[i] = gf.Mul(c, static_cast<uint8_t>(i << 4));
+  }
+  const __m256i lo_table = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(lo)));
+  const __m256i hi_table = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(hi)));
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  size_t b = 0;
+  for (; b + 32 <= n; b += 32) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + b));
+    const __m256i product = _mm256_xor_si256(
+        _mm256_shuffle_epi8(lo_table, _mm256_and_si256(x, nibble)),
+        _mm256_shuffle_epi8(hi_table,
+                            _mm256_and_si256(_mm256_srli_epi64(x, 4), nibble)));
+    __m256i* out = reinterpret_cast<__m256i*>(dst + b);
+    _mm256_storeu_si256(out,
+                        _mm256_xor_si256(_mm256_loadu_si256(out), product));
+  }
+  for (; b < n; ++b) dst[b] ^= gf.Mul(c, src[b]);
+}
+
+#else
+
+bool HasShuffleKernel() { return false; }
+
+void MulAddShuffle(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n) {
+  MulAddPortable(c, src, dst, n);
+}
+
+#endif
+
+}  // namespace internal
 
 size_t ChunkSize(size_t payload_size, int k) {
   size_t framed = payload_size + 8;
@@ -56,6 +138,18 @@ size_t ChunkSize(size_t payload_size, int k) {
 }
 
 Result<std::vector<Bytes>> Encode(ByteView payload, int k, int n) {
+  return internal::EncodeWith(Kernel(), payload, k, n);
+}
+
+Result<Bytes> Decode(const std::vector<std::optional<Bytes>>& chunks, int k,
+                     int n) {
+  return internal::DecodeWith(Kernel(), chunks, k, n);
+}
+
+namespace internal {
+
+Result<std::vector<Bytes>> EncodeWith(MulAddFn mul_add, ByteView payload,
+                                      int k, int n) {
   if (k < 1 || n < k || n > kMaxChunks) {
     return Status::InvalidArgument("erasure: need 1 <= k <= n <= 255");
   }
@@ -78,17 +172,18 @@ Result<std::vector<Bytes>> Encode(ByteView payload, int k, int n) {
   for (int r = 0; r < n - k; ++r) {
     Bytes parity(chunk, 0);
     for (int j = 0; j < k; ++j) {
-      const uint8_t c = CauchyCoef(gf, k, r, j);
-      const uint8_t* src = framed.data() + static_cast<size_t>(j) * chunk;
-      for (size_t b = 0; b < chunk; ++b) parity[b] ^= gf.Mul(c, src[b]);
+      mul_add(CauchyCoef(gf, k, r, j),
+              framed.data() + static_cast<size_t>(j) * chunk, parity.data(),
+              chunk);
     }
     out.push_back(std::move(parity));
   }
   return out;
 }
 
-Result<Bytes> Decode(const std::vector<std::optional<Bytes>>& chunks, int k,
-                     int n) {
+Result<Bytes> DecodeWith(MulAddFn mul_add,
+                         const std::vector<std::optional<Bytes>>& chunks,
+                         int k, int n) {
   if (k < 1 || n < k || n > kMaxChunks) {
     return Status::InvalidArgument("erasure: need 1 <= k <= n <= 255");
   }
@@ -160,16 +255,30 @@ Result<Bytes> Decode(const std::vector<std::optional<Bytes>>& chunks, int k,
     }
   }
 
-  // data[d] = sum over rows of inv[d][row] * avail[row].
+  // data[d] = sum over rows of inv[d][row] * avail[row]. An identity row
+  // (a data chunk that arrived) is a copy.
   Bytes framed(static_cast<size_t>(k) * chunk, 0);
   for (int d = 0; d < k; ++d) {
     uint8_t* dst = framed.data() + static_cast<size_t>(d) * chunk;
+    const std::vector<uint8_t>& inv = m[static_cast<size_t>(d)];
+    int nonzero = 0;
+    int last = 0;
     for (int row = 0; row < k; ++row) {
-      const uint8_t c =
-          m[static_cast<size_t>(d)][static_cast<size_t>(k + row)];
-      if (c == 0) continue;
-      const Bytes& src = *chunks[static_cast<size_t>(have[static_cast<size_t>(row)])];
-      for (size_t b = 0; b < chunk; ++b) dst[b] ^= gf.Mul(c, src[b]);
+      if (inv[static_cast<size_t>(k + row)] != 0) {
+        ++nonzero;
+        last = row;
+      }
+    }
+    auto avail = [&](int row) -> const Bytes& {
+      return *chunks[static_cast<size_t>(have[static_cast<size_t>(row)])];
+    };
+    if (nonzero == 1 && inv[static_cast<size_t>(k + last)] == 1) {
+      std::memcpy(dst, avail(last).data(), chunk);
+      continue;
+    }
+    for (int row = 0; row < k; ++row) {
+      const uint8_t c = inv[static_cast<size_t>(k + row)];
+      if (c != 0) mul_add(c, avail(row).data(), dst, chunk);
     }
   }
 
@@ -182,5 +291,7 @@ Result<Bytes> Decode(const std::vector<std::optional<Bytes>>& chunks, int k,
   }
   return Bytes(framed.begin() + 8, framed.begin() + 8 + static_cast<long>(len));
 }
+
+}  // namespace internal
 
 }  // namespace porygon::erasure

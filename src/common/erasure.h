@@ -42,6 +42,31 @@ Result<std::vector<Bytes>> Encode(ByteView payload, int k, int n);
 Result<Bytes> Decode(const std::vector<std::optional<Bytes>>& chunks, int k,
                      int n);
 
+namespace internal {
+
+/// dst[i] ^= c * src[i] over GF(2^8), for i in [0, n).
+using MulAddFn = void (*)(uint8_t c, const uint8_t* src, uint8_t* dst,
+                          size_t n);
+/// One byte at a time through the log/exp tables: the fallback and the
+/// reference the shuffle kernel is tested against.
+void MulAddPortable(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
+/// Split-nibble shuffle: c * x = lo[x & 15] ^ hi[x >> 4], 32 bytes per
+/// AVX2 byte shuffle. Only where HasShuffleKernel() says so.
+void MulAddShuffle(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
+/// Whether the CPU (and OS) run MulAddShuffle; Encode and Decode use it
+/// then, decided once.
+bool HasShuffleKernel();
+
+/// Encode and Decode over an explicit kernel (the public entry points pass
+/// the one CPUID picked).
+Result<std::vector<Bytes>> EncodeWith(MulAddFn mul_add, ByteView payload,
+                                      int k, int n);
+Result<Bytes> DecodeWith(MulAddFn mul_add,
+                         const std::vector<std::optional<Bytes>>& chunks,
+                         int k, int n);
+
+}  // namespace internal
+
 }  // namespace porygon::erasure
 
 #endif  // PORYGON_COMMON_ERASURE_H_

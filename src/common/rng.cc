@@ -87,45 +87,52 @@ Bytes Rng::NextBytes(size_t n) {
   return out;
 }
 
-uint64_t Rng::NextZipf(uint64_t n, double s) {
-  if (n <= 1 || s <= 0.0) return NextBelow(n == 0 ? 1 : n);
-  // Rejection-inversion sampling (Hormann & Derflinger 1996). The helpers
-  // expm1(x)/x and log1p(x)/x stay well-conditioned through s == 1, where
-  // the integral H degenerates to the log form.
-  auto helper_expm1 = [](double x) -> double {
-    return std::abs(x) > 1e-8 ? std::expm1(x) / x : 1.0 + x * 0.5;
-  };
-  auto helper_log1p = [](double x) -> double {
-    return std::abs(x) > 1e-8 ? std::log1p(x) / x : 1.0 - x * 0.5;
-  };
-  // H(x) = ((x^(1-s)) - 1) / (1 - s), continuous at s == 1 (-> ln x).
-  auto h_integral = [&](double x) -> double {
-    const double log_x = std::log(x);
-    return helper_expm1((1.0 - s) * log_x) * log_x;
-  };
-  // H^{-1}(x) = exp(log1p(t)/(1-s)) with t = x*(1-s).
-  auto h_integral_inverse = [&](double x) -> double {
-    double t = x * (1.0 - s);
-    if (t < -1.0) t = -1.0;
-    return std::exp(helper_log1p(t) * x);
-  };
-  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
+Rng Rng::Fork() { return Rng(NextU64()); }
 
-  const double h_x1 = h_integral(1.5) - 1.0;
-  const double h_n = h_integral(static_cast<double>(n) + 0.5);
-  const double threshold = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
+namespace {
+// expm1(x)/x and log1p(x)/x stay well-conditioned through s == 1, where the
+// integral H degenerates to the log form.
+double HelperExpm1(double x) {
+  return std::abs(x) > 1e-8 ? std::expm1(x) / x : 1.0 + x * 0.5;
+}
+double HelperLog1p(double x) {
+  return std::abs(x) > 1e-8 ? std::log1p(x) / x : 1.0 - x * 0.5;
+}
+}  // namespace
+
+ZipfSampler::ZipfSampler(uint64_t n, double s)
+    : n_(n), s_(s), uniform_(n <= 1 || s <= 0.0) {
+  if (uniform_) return;
+  h_x1_ = HIntegral(1.5) - 1.0;
+  h_n_ = HIntegral(static_cast<double>(n) + 0.5);
+  threshold_ = 2.0 - HIntegralInverse(HIntegral(2.5) - H(2.0));
+}
+
+double ZipfSampler::HIntegral(double x) const {
+  const double log_x = std::log(x);
+  return HelperExpm1((1.0 - s_) * log_x) * log_x;
+}
+
+double ZipfSampler::HIntegralInverse(double x) const {
+  double t = x * (1.0 - s_);
+  if (t < -1.0) t = -1.0;
+  return std::exp(HelperLog1p(t) * x);
+}
+
+double ZipfSampler::H(double x) const { return std::exp(-s_ * std::log(x)); }
+
+uint64_t ZipfSampler::Next(Rng* rng) const {
+  if (uniform_) return rng->NextBelow(n_ == 0 ? 1 : n_);
   while (true) {
-    double u = h_n + NextDouble() * (h_x1 - h_n);
-    double x = h_integral_inverse(u);
+    double u = h_n_ + rng->NextDouble() * (h_x1_ - h_n_);
+    double x = HIntegralInverse(u);
     double kd = std::floor(x + 0.5);
     if (kd < 1.0) kd = 1.0;
-    if (kd > static_cast<double>(n)) kd = static_cast<double>(n);
-    if (kd - x <= threshold || u >= h_integral(kd + 0.5) - h(kd)) {
+    if (kd > static_cast<double>(n_)) kd = static_cast<double>(n_);
+    if (kd - x <= threshold_ || u >= HIntegral(kd + 0.5) - H(kd)) {
       return static_cast<uint64_t>(kd) - 1;
     }
   }
 }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
 
 }  // namespace porygon

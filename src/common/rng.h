@@ -41,15 +41,39 @@ class Rng {
   /// Fills `n` random bytes.
   Bytes NextBytes(size_t n);
 
-  /// Zipf-distributed rank in [0, n) with exponent `s` (s=0 is uniform).
-  /// Uses rejection-inversion; suitable for hot-account workloads.
-  uint64_t NextZipf(uint64_t n, double s);
-
   /// Derives an independent child generator (e.g. one per simulated node).
   Rng Fork();
 
  private:
   uint64_t s_[4];
+};
+
+/// Zipf-distributed ranks in [0, n) with exponent `s` (s <= 0, or n <= 1,
+/// is uniform), by rejection-inversion (Hormann & Derflinger 1996); suits
+/// hot-account workloads. The constants of the inversion depend only on
+/// (n, s), so a sampler computes them once and each draw costs one or two
+/// uniform doubles.
+class ZipfSampler {
+ public:
+  ZipfSampler(uint64_t n, double s);
+
+  /// One rank, drawn from `rng`.
+  uint64_t Next(Rng* rng) const;
+
+ private:
+  // H(x) = ((x^(1-s)) - 1) / (1 - s), continuous at s == 1 (-> ln x).
+  double HIntegral(double x) const;
+  // H^{-1}(x) = exp(log1p(t)/(1-s)) with t = x*(1-s).
+  double HIntegralInverse(double x) const;
+  // h(x) = x^-s.
+  double H(double x) const;
+
+  uint64_t n_;
+  double s_;
+  bool uniform_;
+  double h_x1_ = 0;       // H(1.5) - 1.
+  double h_n_ = 0;        // H(n + 0.5).
+  double threshold_ = 0;  // 2 - H^{-1}(H(2.5) - h(2)).
 };
 
 }  // namespace porygon

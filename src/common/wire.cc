@@ -5,8 +5,6 @@
 
 namespace porygon::wire {
 
-namespace {
-// Bytes in the LEB128 encoding of `v`.
 size_t VarintSize(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {
@@ -16,6 +14,7 @@ size_t VarintSize(uint64_t v) {
   return n;
 }
 
+namespace {
 void StoreVarint(uint8_t* out, uint64_t v) {
   while (v >= 0x80) {
     *out++ = static_cast<uint8_t>(v) | 0x80;
@@ -25,17 +24,30 @@ void StoreVarint(uint8_t* out, uint64_t v) {
 }
 }  // namespace
 
+Writer::Writer(size_t size)
+    : exact_(size), data_(exact_.data()), capacity_(size) {}
+
 void Writer::Expand(size_t n) {
   constexpr size_t kMinCapacity = 32;
   capacity_ = std::max({capacity_ * 2, size_ + n, kMinCapacity});
   auto grown = std::make_unique_for_overwrite<uint8_t[]>(capacity_);
-  if (size_ > 0) std::memcpy(grown.get(), buf_.get(), size_);
+  if (size_ > 0) std::memcpy(grown.get(), data_, size_);
   buf_ = std::move(grown);
+  data_ = buf_.get();
+  exact_ = Bytes();  // An exact-size writer that outgrew its size.
 }
 
 Bytes Writer::Take() {
-  Bytes out(buf_.get(), buf_.get() + size_);
+  Bytes out;
+  if (!exact_.empty()) {
+    exact_.resize(size_);
+    out = std::move(exact_);
+  } else {
+    out.assign(data_, data_ + size_);
+  }
+  exact_ = Bytes();
   buf_.reset();
+  data_ = nullptr;
   capacity_ = 0;
   size_ = 0;
   return out;
@@ -51,9 +63,9 @@ Writer& Writer::PrefixLength(size_t start) {
   const size_t width = VarintSize(body);
   if (width > 1) {
     Grow(width - 1);
-    std::memmove(buf_.get() + start + width, buf_.get() + start + 1, body);
+    std::memmove(data_ + start + width, data_ + start + 1, body);
   }
-  StoreVarint(buf_.get() + start, body);
+  StoreVarint(data_ + start, body);
   return *this;
 }
 

@@ -26,8 +26,17 @@ namespace porygon::wire {
 ///       .U64(round).U8(role).Array(node_key).F64(sortition).Take();
 class Reader;
 
+/// Bytes in the LEB128 varint encoding of `v`.
+size_t VarintSize(uint64_t v);
+
 class Writer {
  public:
+  Writer() = default;
+  /// A writer for an encoding of exactly `size` bytes, allocated once up
+  /// front; Take() hands that buffer out without a copy. Writing past
+  /// `size` still works, by growing like the default writer.
+  explicit Writer(size_t size);
+
   Writer& U8(uint8_t v) {
     *Grow(1) = v;
     return *this;
@@ -94,9 +103,10 @@ class Writer {
   }
 
   /// The bytes written so far (checksums over a partial record).
-  ByteView view() const { return ByteView(buf_.get(), size_); }
-  /// The bytes written, copied out at their exact size; the writer is
-  /// empty afterwards.
+  ByteView view() const { return ByteView(data_, size_); }
+  /// The bytes written, at their exact size: an exact-size writer's own
+  /// buffer, or a growing writer's bytes copied out. The writer is empty
+  /// afterwards.
   Bytes Take();
   size_t size() const { return size_; }
 
@@ -104,7 +114,7 @@ class Writer {
   // Advances the cursor by `n` bytes and returns where they start.
   uint8_t* Grow(size_t n) {
     if (n > capacity_ - size_) Expand(n);
-    uint8_t* at = buf_.get() + size_;
+    uint8_t* at = data_ + size_;
     size_ += n;
     return at;
   }
@@ -134,9 +144,13 @@ class Writer {
     }
   }
 
-  // Uninitialised past size_: spare capacity is never written, so it is
-  // never resident, and Take() hands out exactly the bytes written.
+  // An exact-size writer's buffer, until it outgrows it.
+  Bytes exact_;
+  // A growing writer's buffer: uninitialised past size_, so spare capacity
+  // is never written and never resident, and Take() copies out exactly the
+  // bytes written.
   std::unique_ptr<uint8_t[]> buf_;
+  uint8_t* data_ = nullptr;  // exact_'s or buf_'s bytes.
   size_t capacity_ = 0;
   size_t size_ = 0;  // The cursor: bytes written.
 };

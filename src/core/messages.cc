@@ -167,31 +167,101 @@ Result<WitnessUpload> WitnessUpload::Decode(ByteView data) {
   return w;
 }
 
+namespace {
+// WitnessedBlock's bill: access summaries ship compressed (~6 B per
+// transaction amortized: delta-coded varint account pairs for intra-shard
+// transactions, fuller ~16 B entries only for the cross-shard ones the OC's
+// conflict detection inspects, per §IV-D2 "the OC will download states that
+// CTx will access"). The in-memory payload carries the uncompressed records
+// for implementation convenience; the bandwidth model charges the wire
+// encoding.
+size_t WitnessedWireSize(size_t proofs, size_t records) {
+  return tx::TransactionBlockHeader::kEncodedSize +
+         proofs * tx::WitnessProof::kWireSize + records * 6;
+}
+
+// Bytes of a witnessed block's encoding: the nested header, the proofs,
+// and the access records.
+size_t WitnessedEncodedSize(size_t proofs, size_t records) {
+  constexpr size_t kHeader = tx::TransactionBlockHeader::kEncodedSize;
+  return wire::VarintSize(kHeader) + kHeader + wire::VarintSize(proofs) +
+         proofs * tx::WitnessProof::kWireSize + wire::VarintSize(records) +
+         records * AccessRecords::kRecordSize;
+}
+
+// Writer::List's layout for witnessed blocks, each behind its exact length
+// prefix (no prefix to widen afterwards).
+template <typename Block>
+size_t BlockListSize(const std::vector<Block>& blocks) {
+  size_t total = wire::VarintSize(blocks.size());
+  for (const Block& b : blocks) {
+    const size_t body = b.EncodedSize();
+    total += wire::VarintSize(body) + body;
+  }
+  return total;
+}
+
+template <typename Block>
+void PutBlockList(wire::Writer* w, const std::vector<Block>& blocks) {
+  w->Varint(blocks.size());
+  for (const Block& b : blocks) {
+    w->Varint(b.EncodedSize());
+    b.EncodeTo(w);
+  }
+}
+
+template <typename Block>
+size_t BlocksWireSize(const std::vector<Block>& blocks) {
+  size_t total = 0;
+  for (const Block& b : blocks) total += b.WireSize();
+  return total;
+}
+
+template <typename Block>
+Bytes EncodeBundle(uint64_t batch_round, const std::vector<Block>& blocks) {
+  wire::Writer w(8 + BlockListSize(blocks));
+  w.U64(batch_round);
+  PutBlockList(&w, blocks);
+  return w.Take();
+}
+
+template <typename Block>
+Bytes EncodeAggregate(uint64_t batch_round, uint32_t shard,
+                      net::NodeId aggregator,
+                      const std::vector<Block>& blocks) {
+  wire::Writer w(8 + 4 + 4 + BlockListSize(blocks));
+  w.U64(batch_round).U32(shard).U32(aggregator);
+  PutBlockList(&w, blocks);
+  return w.Take();
+}
+}  // namespace
+
 size_t WitnessedBlock::WireSize() const {
-  // Access summaries ship compressed (~6 B per transaction amortized:
-  // delta-coded varint account pairs for intra-shard transactions, fuller
-  // ~16 B entries only for the cross-shard ones the OC's conflict detection
-  // inspects, per §IV-D2 "the OC will download states that CTx will
-  // access"). The in-memory payload carries the uncompressed records for
-  // implementation convenience; the bandwidth model charges the wire
-  // encoding.
-  return header.WireSize() + proofs.size() * tx::WitnessProof::kWireSize +
-         records.size() * 6;
+  return WitnessedWireSize(proofs.size(), records.size());
+}
+
+size_t WitnessedBlock::EncodedSize() const {
+  return WitnessedEncodedSize(proofs.size(), records.size());
+}
+
+size_t StoredWitness::WireSize() const {
+  return WitnessedWireSize(proofs.size(), tx_ids->size());
+}
+
+size_t StoredWitness::EncodedSize() const {
+  return WitnessedEncodedSize(proofs.size(), tx_ids->size());
+}
+
+void StoredWitness::EncodeTo(wire::Writer* w) const {
+  w->Nested(block->header).List(proofs).Varint(tx_ids->size());
+  for (size_t i = 0; i < tx_ids->size(); ++i) {
+    ToAccess(block->transactions[i], (*tx_ids)[i]).EncodeTo(w);
+  }
 }
 
 AccessRecords::AccessRecords(const std::vector<TxAccess>& accesses) {
-  wire::Writer w;
+  wire::Writer w(accesses.size() * kRecordSize);
   for (const TxAccess& a : accesses) a.EncodeTo(&w);
-  buffer_ = w.Take();
-  records_ = buffer_;
-}
-
-AccessRecords::AccessRecords(const std::vector<tx::Transaction>& transactions,
-                             const std::vector<tx::TxId>& ids) {
-  wire::Writer w;
-  for (size_t i = 0; i < transactions.size(); ++i) {
-    ToAccess(transactions[i], ids[i]).EncodeTo(&w);
-  }
   buffer_ = w.Take();
   records_ = buffer_;
 }
@@ -243,14 +313,19 @@ Result<WitnessedBlock> WitnessedBlock::Decode(ByteView data,
   return b;
 }
 
-size_t WitnessBundle::WireSize() const {
-  size_t total = 8;
-  for (const auto& b : blocks) total += b.WireSize();
-  return total;
-}
+size_t WitnessBundle::WireSize() const { return 8 + BlocksWireSize(blocks); }
 
 Bytes WitnessBundle::Encode() const {
-  return wire::Writer().U64(batch_round).List(blocks).Take();
+  return EncodeBundle(batch_round, blocks);
+}
+
+size_t WitnessBundle::WireSize(const std::vector<StoredWitness>& blocks) {
+  return 8 + BlocksWireSize(blocks);
+}
+
+Bytes WitnessBundle::Encode(uint64_t batch_round,
+                            const std::vector<StoredWitness>& blocks) {
+  return EncodeBundle(batch_round, blocks);
 }
 
 Result<WitnessBundle> WitnessBundle::Decode(ByteView data,
@@ -437,22 +512,25 @@ Result<BodyChunk> BodyChunk::Decode(ByteView data) {
   return c;
 }
 
+// Same compressed-access model as WitnessBundle: the aggregate replaces m
+// per-storage bundles with one deduplicated copy, so it must be charged
+// with the identical per-block cost model.
 size_t AggregatedWitness::WireSize() const {
-  // Same compressed-access model as WitnessBundle: the aggregate replaces m
-  // per-storage bundles with one deduplicated copy, so it must be charged
-  // with the identical per-block cost model.
-  size_t total = 16;
-  for (const auto& b : blocks) total += b.WireSize();
-  return total;
+  return 16 + BlocksWireSize(blocks);
 }
 
 Bytes AggregatedWitness::Encode() const {
-  return wire::Writer()
-      .U64(batch_round)
-      .U32(shard)
-      .U32(aggregator)
-      .List(blocks)
-      .Take();
+  return EncodeAggregate(batch_round, shard, aggregator, blocks);
+}
+
+size_t AggregatedWitness::WireSize(const std::vector<StoredWitness>& blocks) {
+  return 16 + BlocksWireSize(blocks);
+}
+
+Bytes AggregatedWitness::Encode(uint64_t batch_round, uint32_t shard,
+                                net::NodeId aggregator,
+                                const std::vector<StoredWitness>& blocks) {
+  return EncodeAggregate(batch_round, shard, aggregator, blocks);
 }
 
 Result<AggregatedWitness> AggregatedWitness::Decode(ByteView data,

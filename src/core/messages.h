@@ -147,10 +147,6 @@ class AccessRecords {
   AccessRecords() = default;
   /// `accesses`, encoded into a buffer of their own.
   explicit AccessRecords(const std::vector<TxAccess>& accesses);
-  /// The records of a stored block: transaction i with id ids[i], encoded
-  /// into a buffer of their own.
-  AccessRecords(const std::vector<tx::Transaction>& transactions,
-                const std::vector<tx::TxId>& ids);
 
   size_t size() const { return records_.size() / kRecordSize; }
   /// Record i (i < size()), decoded.
@@ -183,6 +179,8 @@ struct WitnessedBlock {
   /// As a bundle element: length prefix, header blob, two empty counts.
   static constexpr size_t kMinWireSize = 1 + 53 + 2;
   size_t WireSize() const;
+  /// Bytes of EncodeTo.
+  size_t EncodedSize() const;
   Bytes Encode() const;
   /// Decodes `data`. A receiver passes the payload `data` lies in as
   /// `owner`, and the access records stay in it (see AccessRecords).
@@ -192,13 +190,32 @@ struct WitnessedBlock {
   void EncodeTo(wire::Writer* w) const;
 };
 
+/// A witnessed block as its packaging storage node ships it, read straight
+/// from the block store: WitnessedBlock's encoding, with record i written
+/// from transaction i and its admission id, once, into the message buffer.
+struct StoredWitness {
+  const tx::TransactionBlock* block = nullptr;
+  const std::vector<tx::TxId>* tx_ids = nullptr;  ///< Aligned with block.
+  std::vector<tx::WitnessProof> proofs;
+
+  /// WitnessedBlock's, for the same content.
+  size_t WireSize() const;
+  size_t EncodedSize() const;
+  void EncodeTo(wire::Writer* w) const;
+};
+
 /// Bundle of witnessed blocks for one batch round (storage -> OC member).
+/// Bundle encodings are sized before the first byte is written.
 struct WitnessBundle {
   uint64_t batch_round = 0;
   std::vector<WitnessedBlock> blocks;
 
   size_t WireSize() const;
   Bytes Encode() const;
+  /// The same, for a bundle of blocks read from the block store.
+  static size_t WireSize(const std::vector<StoredWitness>& blocks);
+  static Bytes Encode(uint64_t batch_round,
+                      const std::vector<StoredWitness>& blocks);
   /// As WitnessedBlock::Decode, for every block.
   static Result<WitnessBundle> Decode(ByteView data,
                                       const SharedBytes& owner = {});
@@ -364,6 +381,11 @@ struct AggregatedWitness {
 
   size_t WireSize() const;
   Bytes Encode() const;
+  /// The same, for an aggregate of blocks read from the block store.
+  static size_t WireSize(const std::vector<StoredWitness>& blocks);
+  static Bytes Encode(uint64_t batch_round, uint32_t shard,
+                      net::NodeId aggregator,
+                      const std::vector<StoredWitness>& blocks);
   /// As WitnessedBlock::Decode, for every block.
   static Result<AggregatedWitness> Decode(ByteView data,
                                           const SharedBytes& owner = {});

@@ -565,34 +565,29 @@ void StatelessNodeActor::TakeLeadFrom(StatelessNodeActor* outgoing,
 // --------------------------------------------------------------------------
 
 void StatelessNodeActor::OnTxBlock(const net::Message& msg) {
-  auto block = tx::BlockView::Parse(msg.payload);
-  if (!block.ok() || !assignment_.has_value()) return;
-  if (block->header.shard != assignment_->shard) return;
-  WitnessBody(*block, current_round_, msg.trace);
+  if (!assignment_.has_value()) return;
+  PreparedBody body = system_->TakePrepared<PreparedBody>(msg);
+  if (!body.parsed || body.header.shard != assignment_->shard) return;
+  WitnessBody(std::move(body), current_round_, msg.trace);
 }
 
 // Shared witness tail for both body transports: the full-body push
 // (OnTxBlock) and the erasure-coded chunk path (OnBodyChunk) converge here
-// once a complete body is in hand.
-void StatelessNodeActor::WitnessBody(const tx::BlockView& block,
-                                     uint64_t round,
+// once a complete body is in hand and checked.
+void StatelessNodeActor::WitnessBody(PreparedBody body, uint64_t round,
                                      obs::TraceContext trace) {
   if (!assignment_.has_value()) return;
 
   // Data availability check (Witness Phase, §IV-C1(a)): a header whose body
   // we cannot download, or whose body does not match, is never witnessed.
-  std::vector<tx::TxId> tx_ids;
-  if (!block.BodyMatchesHeader(&tx_ids)) return;
+  if (!body.body_ok) return;
 
-  const tx::BlockId block_id = block.header.Id();
+  const tx::BlockId block_id = body.block_id;
   std::string key = IdKey(block_id);
   if (held_blocks_.count(key) == 0) {
     HeldBlock held;
-    held.header = block.header;
-    held.txs.reserve(tx_ids.size());
-    for (size_t i = 0; i < tx_ids.size(); ++i) {
-      held.txs.push_back(ToAccess(block.Body(i), tx_ids[i]));
-    }
+    held.header = body.header;
+    held.txs = std::move(body.txs);
     held.witnessed_round = round;
     held_blocks_[key] = std::move(held);
   }
@@ -635,7 +630,7 @@ void StatelessNodeActor::WitnessBody(const tx::BlockView& block,
   proof.block_id = block_id;
   proof.witness = keys_.public_key;
   proof.signature = system_->provider()->Sign(
-      keys_.private_key, WitnessSigningBytes(block.header));
+      keys_.private_key, WitnessSigningBytes(body.header));
 
   WitnessUpload up;
   up.round = round;
@@ -691,14 +686,14 @@ void StatelessNodeActor::OnBodyChunk(const net::Message& msg) {
   }
 
   if (st.have < static_cast<size_t>(st.k)) return;
-  auto body = erasure::Decode(st.chunks, st.k, st.n);
-  if (!body.ok()) return;
-  auto block = tx::BlockView::Parse(*body);
-  if (!block.ok() || block->header.Id() != st.header.Id()) return;
+  auto rebuilt = erasure::Decode(st.chunks, st.k, st.n);
+  if (!rebuilt.ok()) return;
+  PreparedBody body = PreparedBody::Of(*rebuilt, system_->prepare_context());
+  if (!body.parsed || body.block_id != st.header.Id()) return;
   // Rebuilt: from here on only `done` and the header are read.
   st.done = true;
   st.chunks = {};
-  WitnessBody(*block, current_round_, msg.trace);
+  WitnessBody(std::move(body), current_round_, msg.trace);
 }
 
 void StatelessNodeActor::OnExecRequest(const net::Message& msg) {
@@ -1118,34 +1113,29 @@ void StatelessNodeActor::OnExecResult(const net::Message& msg) {
   // siblings' attestations here and pools them instead of voting.
   const bool relay_collect = system_->dissemination().tree() && !in_oc_;
   if (!in_oc_ && !relay_collect) return;
-  auto result = ExecResultMsg::Decode(msg.payload);
-  if (!result.ok()) return;
-  if (result->shard >=
-      static_cast<uint32_t>(system_->params().shard_count())) {
+  PreparedExecResult checked = system_->TakePrepared<PreparedExecResult>(msg);
+  if (!checked.result.has_value()) return;
+  ExecResultMsg* result = &*checked.result;
+  if (!checked.shard_ok) {
     obs_.rejected_bad_shard->Increment();
     return;
   }
   // Identity check before the (costlier) signature check: a result signed
   // by a key outside the stateless-node registry is an outsider forgery.
-  if (!system_->IsStatelessKey(result->signer)) {
+  if (!checked.known_signer) {
     obs_.rejected_unknown_signer->Increment();
     return;
   }
-  // Routed through the batch entry point so the pool covers exec-result
-  // verification too (each message arrives as its own event, so batches are
-  // singletons here; results match per-item Verify exactly).
+  // The signature was checked in the front half, one verification per
+  // received copy, counted here as before.
   obs_.runtime_verify_tasks->Increment();
-  if (system_->provider()
-          ->VerifyBatch({{result->signer, result->SigningBytes(),
-                          result->signature}})
-          .front() == 0) {
+  if (!checked.signature_ok) {
     obs_.rejected_bad_exec_sig->Increment();
     return;
   }
   // A full result whose S set does not hash to its own s_hash is
   // internally inconsistent: drop it before it can vote.
-  if (result->full &&
-      ExecResultMsg::HashSSet(result->s_set) != result->s_hash) {
+  if (!checked.s_hash_ok) {
     obs_.rejected_s_hash_mismatch->Increment();
     return;
   }
@@ -1167,7 +1157,7 @@ void StatelessNodeActor::OnExecResult(const net::Message& msg) {
   pending.result_votes[key] += 1;
   // s_hash consistency was verified on entry, so every full result can
   // serve as the payload for its key.
-  if (result->full) pending.payloads.emplace(key, *result);
+  if (result->full) pending.payloads.emplace(key, std::move(*result));
 }
 
 void StatelessNodeActor::OnAggExecResult(const net::Message& msg) {
@@ -1474,17 +1464,14 @@ void StatelessNodeActor::ArmConsensusTimeout(uint64_t round, int tries) {
 
 void StatelessNodeActor::OnProposal(const net::Message& msg) {
   if (!in_oc_) return;
-  auto proposal = tx::ProposalBlock::Decode(msg.payload);
-  if (!proposal.ok()) return;
-  if (proposal->round != current_round_) return;
+  PreparedProposal proposal = system_->TakePrepared<PreparedProposal>(msg);
+  if (!proposal.block.has_value()) return;
+  if (proposal.block->round != current_round_) return;
   // Structural validation; leader must extend our tip.
-  if (proposal->prev_hash != tip_.hash) return;
-  if (proposal->height != tip_.height + 1) return;
-  // Hash the decoded block, never the received bytes: a varint may arrive
-  // in an overlong, non-canonical encoding.
-  const crypto::Hash256 hash = proposal->Hash();
-  proposals_seen_[IdKey(hash)] = std::move(proposal).value();
-  StartConsensus(hash);
+  if (proposal.block->prev_hash != tip_.hash) return;
+  if (proposal.block->height != tip_.height + 1) return;
+  proposals_seen_[IdKey(proposal.hash)] = std::move(*proposal.block);
+  StartConsensus(proposal.hash);
 }
 
 void StatelessNodeActor::OnVote(const net::Message& msg) {

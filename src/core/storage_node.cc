@@ -298,17 +298,17 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
   }
 
   // --- Push the witnessed bundle of batch round-1 to OC members we serve.
-  // Access records carry the ids hashed at admission (StoredBlock::tx_ids).
+  // Access records are written from the stored bodies, with the ids hashed
+  // at admission (StoredBlock::tx_ids), straight into the message buffer.
   auto witnessed_block = [](const StoredBlock& sb, const WitnessState& ws) {
-    WitnessedBlock wb;
-    wb.header = sb.block.header;
+    StoredWitness wb;
+    wb.block = &sb.block;
+    wb.tx_ids = &sb.tx_ids;
     for (const auto& [pk, proof] : ws.proofs) wb.proofs.push_back(proof);
-    wb.records = AccessRecords(sb.block.transactions, sb.tx_ids);
     return wb;
   };
   if (round >= 1) {
-    WitnessBundle bundle;
-    bundle.batch_round = round - 1;
+    std::vector<StoredWitness> bundle;
     auto wit = witnessed_by_batch_.find(round - 1);
     if (wit != witnessed_by_batch_.end()) {
       for (const auto& id : wit->second) {
@@ -318,8 +318,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
             wstate == witness_state_.end()) {
           continue;
         }
-        bundle.blocks.push_back(
-            witnessed_block(stored->second, wstate->second));
+        bundle.push_back(witnessed_block(stored->second, wstate->second));
       }
     }
     // Orphan recovery: our packaged blocks that reached Tw in an earlier
@@ -338,8 +337,7 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
               static_cast<size_t>(p.witness_threshold)) {
         continue;
       }
-      bundle.blocks.push_back(
-          witnessed_block(stored->second, wstate->second));
+      bundle.push_back(witnessed_block(stored->second, wstate->second));
       last_push = round - 1;  // Joins batch round-1's listing window.
     }
     // Hand the bundle to per-shard aggregation relays instead of pushing a
@@ -358,9 +356,9 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
              net->IsCrashed(cand);
     };
     std::map<uint32_t, net::NodeId> relays;  // By shard.
-    bool tree_routed = !bundle.blocks.empty() && batch_reg != nullptr;
-    for (size_t i = 0; tree_routed && i < bundle.blocks.size(); ++i) {
-      const uint32_t shard = bundle.blocks[i].header.shard;
+    bool tree_routed = !bundle.empty() && batch_reg != nullptr;
+    for (size_t i = 0; tree_routed && i < bundle.size(); ++i) {
+      const uint32_t shard = bundle[i].block->header.shard;
       if (relays.count(shard) > 0) continue;
       auto mem = batch_reg->ec_by_shard.find(shard);
       const net::NodeId relay =
@@ -371,34 +369,32 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
       relays[shard] = relay;
     }
     if (tree_routed) {
-      std::map<uint32_t, AggregatedWitness> subs;  // By shard.
-      for (WitnessedBlock& wb : bundle.blocks) {
-        subs[wb.header.shard].blocks.push_back(std::move(wb));
+      std::map<uint32_t, std::vector<StoredWitness>> subs;  // By shard.
+      for (StoredWitness& wb : bundle) {
+        subs[wb.block->header.shard].push_back(std::move(wb));
       }
-      for (auto& [shard, sub] : subs) {
-        sub.batch_round = round - 1;
-        sub.shard = shard;
-        sub.aggregator = net_id_;
+      for (const auto& [shard, sub] : subs) {
         RelayAudit audit;
         audit.listing_round = round;
         audit.relay = relays[shard];
-        for (const auto& wb : sub.blocks) {
-          audit.block_ids.push_back(IdKey(wb.header.Id()));
+        for (const StoredWitness& wb : sub) {
+          audit.block_ids.push_back(IdKey(wb.block->header.Id()));
         }
         pending_relay_audit_.push_back(std::move(audit));
-        net->Send(net_id_, relays[shard], kMsgAggWitness, sub.Encode(),
-                  sub.WireSize(), batch_lane);
+        net->Send(net_id_, relays[shard], kMsgAggWitness,
+                  AggregatedWitness::Encode(round - 1, shard, net_id_, sub),
+                  AggregatedWitness::WireSize(sub), batch_lane);
       }
     } else {
-      const SharedBytes enc = bundle.Encode();
+      const SharedBytes enc = WitnessBundle::Encode(round - 1, bundle);
+      const size_t wire = WitnessBundle::WireSize(bundle);
       for (net::NodeId oc : system_->oc().ids) {
         // Only the member's primary storage node ships the bundle.
         const auto* member = system_->StatelessByNetId(oc);
         if (member == nullptr || member->primary_storage() != net_id_) {
           continue;
         }
-        net->Send(net_id_, oc, kMsgWitnessBundle, enc, bundle.WireSize(),
-                  batch_lane);
+        net->Send(net_id_, oc, kMsgWitnessBundle, enc, wire, batch_lane);
       }
     }
   }

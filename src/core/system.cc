@@ -311,6 +311,9 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
   obs_.runtime_verify_wall_us =
       metrics_registry_.GetVolatileGauge("runtime.wall_us",
                                          {{"phase", "verify"}});
+  obs_.runtime_prepare_wall_us =
+      metrics_registry_.GetVolatileGauge("runtime.wall_us",
+                                         {{"phase", "prepare"}});
 
   tracer_.Configure(options_.trace, [this] { return events_.now(); });
   events_.EnableMetrics(&metrics_registry_);
@@ -398,6 +401,23 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
                          [raw](const net::Message& m) { raw->HandleMessage(m); });
     stateless_nodes_.push_back(std::move(actor));
   }
+  stateless_by_net_id_.assign(network_->node_count(), nullptr);
+  for (const auto& node : stateless_nodes_) {
+    stateless_by_net_id_[node->net_id()] = node.get();
+  }
+
+  // Every copy bound for a stateless node starts its front half on the
+  // pool as it leaves the sender. The context is fixed from here on: the
+  // key registry above is the last write to anything a front half reads.
+  prepare_ctx_.shard_count =
+      static_cast<uint32_t>(options_.params.shard_count());
+  prepare_ctx_.stateless_keys = &stateless_keys_;
+  prepare_ctx_.provider = provider_.get();
+  network_->SetPrepareHook(
+      [this](const net::Message& m) -> std::shared_ptr<runtime::TaskPool::Job> {
+        if (StatelessByNetId(m.to) == nullptr) return nullptr;
+        return StartPrepare(m, prepare_ctx_, pool_.get());
+      });
 
   // Genesis sortition seats the first Ordering Committee before any
   // traffic flows (the paper lets the OC outlive rotating ECs, §IV-C2).
@@ -417,10 +437,8 @@ PorygonSystem::~PorygonSystem() {
 
 const StatelessNodeActor* PorygonSystem::StatelessByNetId(
     net::NodeId id) const {
-  for (const auto& node : stateless_nodes_) {
-    if (node->net_id() == id) return node.get();
-  }
-  return nullptr;
+  return id < stateless_by_net_id_.size() ? stateless_by_net_id_[id]
+                                          : nullptr;
 }
 
 void PorygonSystem::CreateAccounts(uint64_t count, uint64_t balance) {

@@ -21,6 +21,7 @@
 #include "core/execution.h"
 #include "core/messages.h"
 #include "core/params.h"
+#include "core/prepare.h"
 #include "crypto/provider.h"
 #include "net/dissemination.h"
 #include "net/network.h"
@@ -220,6 +221,9 @@ struct Instruments {
   obs::Gauge* runtime_exec_wall_us = nullptr;
   obs::Gauge* runtime_accounts_wall_us = nullptr;
   obs::Gauge* runtime_verify_wall_us = nullptr;
+  // Event-loop time taking prepared front halves: waiting for a job, or
+  // running one no worker had started, or one the copy did not carry.
+  obs::Gauge* runtime_prepare_wall_us = nullptr;
   obs::Histogram* block_latency = nullptr;
   obs::Histogram* commit_latency = nullptr;
   obs::Histogram* user_latency = nullptr;
@@ -469,10 +473,10 @@ class StatelessNodeActor {
   /// Erasure-coded body chunk: store, forward our seed chunk to the next k
   /// mesh peers, and reconstruct + witness once k+1 chunks arrived.
   void OnBodyChunk(const net::Message& msg);
-  /// Shared tail of OnTxBlock / chunk reassembly: verify the body's
-  /// records against its header, hold them as access records, and upload
-  /// witness proofs to all connections.
-  void WitnessBody(const tx::BlockView& block, uint64_t round,
+  /// Shared tail of OnTxBlock / chunk reassembly: given the body's check,
+  /// hold a matching body as access records and upload witness proofs to
+  /// all connections.
+  void WitnessBody(PreparedBody body, uint64_t round,
                    obs::TraceContext trace);
   /// Relay-side attestation pool: flushed as one AggregatedExecResult to
   /// every OC member once enough distinct signers agree on one key.
@@ -797,6 +801,15 @@ class PorygonSystem {
   }
   /// The deployment's compute pool (never null; 0-worker pools run serial).
   runtime::TaskPool* task_pool() { return pool_.get(); }
+  /// What every front half reads besides its payload (core/prepare.h).
+  const PrepareContext& prepare_context() const { return prepare_ctx_; }
+  /// `msg`'s front half (TakePrepared in core/prepare.h), timed into
+  /// runtime.wall_us{phase="prepare"}.
+  template <typename T>
+  T TakePrepared(const net::Message& msg) {
+    return core::TakePrepared<T>(msg, prepare_ctx_,
+                                 obs_.runtime_prepare_wall_us);
+  }
   double sim_seconds() const { return net::ToSeconds(events_.now()); }
 
   StorageNodeActor* storage_node(int i) { return storage_nodes_[i].get(); }
@@ -1057,12 +1070,17 @@ class PorygonSystem {
   // Owns the active FaultPlan's hook into network_; declared after it so
   // the injector (which clears the hook in its dtor) is destroyed first.
   std::unique_ptr<net::FaultInjector> fault_injector_;
-  // Declared before the provider and actors, which hold pointers into it
-  // (batch verification, storage-engine maintenance) — destroyed after them.
-  std::unique_ptr<runtime::TaskPool> pool_;
+  // Declared before the pool: the workers may run front halves that verify
+  // with it until the pool joins them.
   std::unique_ptr<crypto::CryptoProvider> provider_;
+  // Declared before the actors, which hold pointers into it (storage-engine
+  // maintenance) — destroyed after them.
+  std::unique_ptr<runtime::TaskPool> pool_;
+  PrepareContext prepare_ctx_;  // Set once the keys are registered.
   std::vector<std::unique_ptr<StorageNodeActor>> storage_nodes_;
   std::vector<std::unique_ptr<StatelessNodeActor>> stateless_nodes_;
+  // Stateless actors by network id (null at storage ids).
+  std::vector<StatelessNodeActor*> stateless_by_net_id_;
   OcRoster oc_;  // Seated by SeatOc.
   // Nodes currently labeled "relay" for critical-path / link attribution
   // (base witness-relay election for the round; observability only —

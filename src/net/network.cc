@@ -80,6 +80,10 @@ void SimNetwork::EnableMetrics(obs::MetricsRegistry* registry,
   }
 }
 
+void SimNetwork::Settle(const Message& msg) {
+  if (msg.prepared != nullptr) runtime::TaskPool::Cancel(msg.prepared.get());
+}
+
 void SimNetwork::Drop(obs::Counter* reason_counter) {
   ++messages_dropped_;
   if (reason_counter != nullptr) reason_counter->Increment();
@@ -190,6 +194,7 @@ void SimNetwork::Send(Message msg) {
 }
 
 void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
+  if (prepare_hook_) msg.prepared = prepare_hook_(msg);
   NodeState& sender = nodes_[msg.from];
   sender.stats.bytes_sent += msg.wire_size;
 
@@ -236,6 +241,7 @@ void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
     if (receiver.crashed) {
       NoteInflight(to_role, -1);
       Drop(dropped_receiver_crashed_);
+      Settle(msg);
       return;
     }
     const SimTime now = events_->now();
@@ -264,6 +270,7 @@ void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
       NoteInflight(to_role, -1);
       if (receiver.crashed || !receiver.handler) {
         Drop(dropped_receiver_crashed_);
+        Settle(msg);
         return;
       }
       receiver.stats.bytes_received += msg.wire_size;
@@ -274,6 +281,7 @@ void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
       }
       if (delivered_counter_ != nullptr) delivered_counter_->Increment();
       receiver.handler(msg);
+      Settle(msg);
     });
   });
 }

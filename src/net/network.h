@@ -14,6 +14,7 @@
 #include "net/sim_time.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/task_pool.h"
 
 namespace porygon::net {
 
@@ -43,6 +44,10 @@ struct Message {
   /// CriticalPathTest.TraceSamplingLeavesTimingByteIdentical). An inactive
   /// context (the default) means the message is untraced.
   obs::TraceContext trace;
+  /// The receiver's front half for this copy, started on the compute pool
+  /// when the copy left its sender (SimNetwork::SetPrepareHook); null when
+  /// nothing was started. Never charged, never seen by the timing model.
+  std::shared_ptr<runtime::TaskPool::Job> prepared;
 };
 
 /// Per-node link capacity in bytes/second. The paper provisions stateless
@@ -105,6 +110,10 @@ class SimNetwork {
   using DropFilter = std::function<bool(const Message&)>;
   /// Consulted per send (after crash/filter checks) by a fault injector.
   using FaultHook = std::function<FaultDecision(const Message&)>;
+  /// Called for each copy a send transmits; what it returns rides in the
+  /// copy's Message::prepared to delivery.
+  using PrepareHook =
+      std::function<std::shared_ptr<runtime::TaskPool::Job>(const Message&)>;
 
   SimNetwork(EventQueue* events, Rng rng);
 
@@ -145,6 +154,11 @@ class SimNetwork {
   /// Installs (or clears) the fault-injection hook. At most one is active;
   /// a FaultInjector (net/fault.h) installs itself here.
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
+  /// Installs (or clears) the hook that starts each transmitted copy's
+  /// front half (see PorygonSystem). The network cancels a copy's job once
+  /// the copy is delivered or dropped, so a job never outlives its copy's
+  /// payload reference.
+  void SetPrepareHook(PrepareHook hook) { prepare_hook_ = std::move(hook); }
 
   /// Base one-way propagation delay and uniform jitter added on top.
   void SetLatency(SimTime base, SimTime jitter) {
@@ -160,7 +174,7 @@ class SimNetwork {
   /// converts in place.
   void Send(NodeId from, NodeId to, uint16_t kind, SharedBytes payload,
             size_t wire_size = 0, obs::TraceContext trace = {}) {
-    Send(Message{from, to, kind, std::move(payload), wire_size, trace});
+    Send(Message{from, to, kind, std::move(payload), wire_size, trace, {}});
   }
 
   /// Marks a node offline (drops traffic both ways) — churn experiments.
@@ -228,6 +242,9 @@ class SimNetwork {
   void Transmit(Message msg, SimTime extra_delay);
   /// Counts one drop: the aggregate plus the reason-labelled counter.
   void Drop(obs::Counter* reason_counter);
+  /// A copy is done (delivered or dropped): its job, if any, is dropped
+  /// unrun or waited for, and releases what it captured.
+  static void Settle(const Message& msg);
 
   EventQueue* events_;
   Rng rng_;
@@ -239,6 +256,7 @@ class SimNetwork {
   std::vector<obs::Gauge*> inflight_gauges_;  // Per role (lazy, nullable).
   DropFilter drop_filter_;
   FaultHook fault_hook_;
+  PrepareHook prepare_hook_;
   SimTime latency_base_ = FromMillis(0.5);  // Paper: 0.5 ms node<->storage.
   SimTime latency_jitter_ = 0;
   uint64_t messages_dropped_ = 0;

@@ -23,6 +23,7 @@ TaskPool::TaskPool(int threads) {
 }
 
 TaskPool::~TaskPool() {
+  // Queued jobs stay unrun; an owner that still Waits runs its own.
   Join();
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -32,8 +33,84 @@ TaskPool::~TaskPool() {
   for (auto& w : workers_) w.join();
 }
 
-void TaskPool::RunIndices(Batch* batch) {
+bool TaskPool::Job::Claim() {
+  uint8_t expected = kQueued;
+  return state_.compare_exchange_strong(expected, kRunning,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire);
+}
+
+void TaskPool::Job::Execute() {
+  fn_();
+  fn_ = nullptr;  // Whatever the closure captured goes with it.
+  state_.store(kDone, std::memory_order_release);
+  state_.notify_all();
+}
+
+namespace {
+// Blocks until the thread running `state`'s job marks it done.
+void AwaitDone(std::atomic<uint8_t>* state, uint8_t done) {
+  for (uint8_t s = state->load(std::memory_order_acquire); s != done;
+       s = state->load(std::memory_order_acquire)) {
+    state->wait(s, std::memory_order_acquire);
+  }
+}
+}  // namespace
+
+void TaskPool::Submit(std::shared_ptr<Job> job) {
+  if (workers_.empty()) return;  // Its Wait runs it.
+  bool wake = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    jobs_.push_back(std::move(job));
+    queued_.store(jobs_.size(), std::memory_order_relaxed);
+    if (sleeping_ > 0 && !wake_pending_) {
+      wake_pending_ = true;
+      wake = true;
+    }
+  }
+  if (wake) work_cv_.notify_one();
+}
+
+void TaskPool::Wait(Job* job) {
+  if (job->Claim()) {
+    job->Execute();
+    return;
+  }
+  AwaitDone(&job->state_, Job::kDone);
+}
+
+void TaskPool::Cancel(Job* job) {
+  uint8_t expected = Job::kQueued;
+  if (job->state_.compare_exchange_strong(expected, Job::kDone,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    job->fn_ = nullptr;
+    return;
+  }
+  AwaitDone(&job->state_, Job::kDone);
+}
+
+void TaskPool::RunQueuedJobs() {
   for (;;) {
+    std::shared_ptr<Job> job;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (jobs_.empty()) return;
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+      queued_.store(jobs_.size(), std::memory_order_relaxed);
+    }
+    // A job its owner already ran or dropped is only unqueued here.
+    if (job->Claim()) job->Execute();
+  }
+}
+
+void TaskPool::RunIndices(Batch* batch, bool take_jobs) {
+  for (;;) {
+    if (take_jobs && queued_.load(std::memory_order_relaxed) > 0) {
+      RunQueuedJobs();
+    }
     size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch->n) break;
     (*batch->body)(i);
@@ -44,18 +121,41 @@ void TaskPool::RunIndices(Batch* batch) {
 void TaskPool::WorkerLoop() {
   uint64_t seen_seq = 0;
   for (;;) {
+    std::shared_ptr<Job> job;
     Batch* batch = nullptr;
+    bool wake_another = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || (batch_ != nullptr && batch_seq_ != seen_seq);
-      });
+      while (!stop_ && jobs_.empty() &&
+             (batch_ == nullptr || batch_seq_ == seen_seq)) {
+        ++sleeping_;
+        work_cv_.wait(lock);
+        --sleeping_;
+        wake_pending_ = false;
+      }
       if (stop_) return;
-      batch = batch_;
-      seen_seq = batch_seq_;
-      batch->active.fetch_add(1, std::memory_order_relaxed);
+      if (!jobs_.empty()) {
+        // Jobs first. More left behind this one wake the next sleeper, so
+        // a burst spreads without the submitter waking each worker.
+        job = std::move(jobs_.front());
+        jobs_.pop_front();
+        queued_.store(jobs_.size(), std::memory_order_relaxed);
+        if (!jobs_.empty() && sleeping_ > 0 && !wake_pending_) {
+          wake_pending_ = true;
+          wake_another = true;
+        }
+      } else {
+        batch = batch_;
+        seen_seq = batch_seq_;
+        batch->active.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    RunIndices(batch);
+    if (wake_another) work_cv_.notify_one();
+    if (job != nullptr) {
+      if (job->Claim()) job->Execute();
+      continue;
+    }
+    RunIndices(batch, /*take_jobs=*/batch->launched);
     {
       // Exit under the lock so the caller's completion wait cannot miss the
       // notification; once active drops to 0 with all indices done, the
@@ -77,7 +177,7 @@ void TaskPool::Post(Batch* batch) {
 }
 
 void TaskPool::Finish(Batch* batch) {
-  RunIndices(batch);
+  RunIndices(batch, /*take_jobs=*/false);
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] {
     return batch->done.load(std::memory_order_acquire) == batch->n &&
@@ -116,6 +216,7 @@ void TaskPool::Launch(size_t n, std::function<void(size_t)> body) {
     launched_body_ = std::move(body);
     launched_ = std::make_unique<Batch>();
     launched_->n = n;
+    launched_->launched = true;
     launched_->body = &launched_body_;
     Post(launched_.get());
   }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -20,7 +21,8 @@ using WallClock = std::chrono::steady_clock;
 uint64_t WallMicrosSince(WallClock::time_point start);
 
 // A small worker pool for fanning deterministic compute out of the
-// single-threaded event loop. It runs two kinds of batch:
+// single-threaded event loop. It runs two kinds of batch and one kind of
+// background job:
 //
 //   * ParallelFor: fork-join. The caller blocks until every index has
 //     completed, so from the event loop's point of view the work is
@@ -30,21 +32,56 @@ uint64_t WallMicrosSince(WallClock::time_point start);
 //     destructor) completes it. The caller owns the ordering: it must Join
 //     before it reads anything the launched bodies write, and must not write
 //     anything they read until then. The sim clock never sees the overlap.
+//   * Submit/Wait: a job is one closure the caller starts now and reads
+//     later. Workers take queued jobs first, and between the indices of a
+//     launched batch, so a job never waits behind a whole launch. Wait runs
+//     the job on the caller when no worker has started it and otherwise
+//     waits for that one job; with 0 workers Submit queues nothing and Wait
+//     is a plain inline call. Cancel drops a job no worker has started.
+//     Either way a job's closure (and whatever it captured) is released
+//     once the job is done or dropped.
 //
-// Determinism contract for every body, launched or not:
+// Determinism contract for every body, launched or not, and every job:
 //
 //   * a body for index i may only read shared inputs and write state that is
-//     disjoint per index (e.g. out[i], a per-shard subtree);
-//   * bodies must not touch the RNG, the sim clock, the event queue, the
-//     Logger, or the Tracer;
+//     disjoint per index (e.g. out[i], a per-shard subtree); a job may only
+//     read what no thread writes while it is outstanding, and writes only
+//     its own result;
+//   * bodies and jobs must not touch the RNG, the sim clock, the event
+//     queue, the Logger, the Tracer, or a metric, and a job must not call
+//     back into the pool (ParallelFor, and so VerifyBatch, is the event
+//     loop's);
 //   * any cross-index merge happens on the caller thread afterwards, in
-//     index order (after Join, for a launched batch).
+//     index order (after Join, for a launched batch); a job's result is read
+//     only after its Wait.
 //
 // Under this contract the observable result is byte-identical whether the
-// pool has 0 workers (serial on the caller thread) or N, and whether a
-// launched batch finishes early or at its Join.
+// pool has 0 workers (serial on the caller thread) or N, whether a launched
+// batch finishes early or at its Join, and whether a job ran on a worker or
+// inside its Wait.
 class TaskPool {
  public:
+  // One background job (see Submit). The pool and the job's owners share
+  // it; the closure runs at most once.
+  class Job {
+   public:
+    explicit Job(std::function<void()> fn) : fn_(std::move(fn)) {}
+    virtual ~Job() = default;
+    Job(const Job&) = delete;
+    Job& operator=(const Job&) = delete;
+
+   private:
+    friend class TaskPool;
+    enum State : uint8_t { kQueued, kRunning, kDone };
+    // kQueued -> kRunning for the one thread that runs it.
+    bool Claim();
+    // Runs the claimed closure, releases it, and wakes a waiter.
+    void Execute();
+
+    std::atomic<uint8_t> state_{kQueued};
+    std::function<void()> fn_;
+  };
+
   // Creates a pool with `threads` workers. 0 means no workers: ParallelFor
   // degenerates to a plain serial loop on the caller thread and Launch runs
   // its body inline, both running the exact same per-index body.
@@ -76,6 +113,18 @@ class TaskPool {
   // the caller, then waits for the rest. A no-op when nothing is launched.
   void Join();
 
+  // Queues `job` for the workers and returns. A worker that finds the queue
+  // empty on waking sleeps again, and a burst of submissions wakes at most
+  // one sleeping worker at a time. With 0 workers nothing is queued: the
+  // job runs in its Wait, or never.
+  void Submit(std::shared_ptr<Job> job);
+  // Completes `job`: runs it on the caller when no worker has started it,
+  // otherwise blocks until the worker running it is done. Idempotent.
+  static void Wait(Job* job);
+  // Drops `job` unrun when no worker has started it, releasing its
+  // closure; otherwise waits for it like Wait. Idempotent.
+  static void Cancel(Job* job);
+
   // Cumulative bookkeeping, maintained by the calling thread (reading it is
   // only meaningful from the event-loop thread). tasks_run counts indices
   // executed or launched; wall_us is real elapsed caller-thread time inside
@@ -94,13 +143,18 @@ class TaskPool {
   struct Batch {
     size_t n = 0;
     const std::function<void(size_t)>* body = nullptr;
+    bool launched = false;  // Workers run queued jobs between its indices.
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::atomic<int> active{0};  // Workers currently inside the batch.
   };
 
   void WorkerLoop();
-  static void RunIndices(Batch* batch);
+  // Claims and runs indices of `batch` until none is left; a worker passes
+  // `take_jobs` to run every queued job before each index it claims.
+  void RunIndices(Batch* batch, bool take_jobs);
+  // Runs queued jobs on the calling worker until the queue is empty.
+  void RunQueuedJobs();
   // Hands `batch` to the workers.
   void Post(Batch* batch);
   // Runs the batch's unclaimed indices on the caller, then waits until every
@@ -114,6 +168,13 @@ class TaskPool {
   Batch* batch_ = nullptr;  // Guarded by mu_; non-null while a batch runs.
   uint64_t batch_seq_ = 0;  // Guarded by mu_; bumped per posted batch.
   bool stop_ = false;       // Guarded by mu_.
+  // Submitted jobs not yet taken by a worker (some may have been claimed
+  // or dropped by their owners since), guarded by mu_; queued_ mirrors its
+  // size so a worker between indices checks it without the lock.
+  std::deque<std::shared_ptr<Job>> jobs_;
+  std::atomic<size_t> queued_{0};
+  int sleeping_ = 0;          // Guarded by mu_: workers blocked in work_cv_.
+  bool wake_pending_ = false;  // Guarded by mu_: a notify is on its way.
 
   // The outstanding launched batch and the body it runs (caller-thread
   // only; null when nothing is launched).

@@ -25,13 +25,16 @@ struct TransactionBlockHeader {
   uint32_t tx_count = 0;
   crypto::Hash256 tx_root{};          ///< Merkle root over tx ids.
 
+  /// Bytes of EncodeTo: the fields are fixed-width.
+  static constexpr size_t kEncodedSize = 4 + 8 + 4 + 4 + 32;
+
   BlockId Id() const;
   Bytes Encode() const;
   static Result<TransactionBlockHeader> Decode(ByteView data);
   /// Encodes in place (blocks nest their header without a copy).
   void EncodeTo(wire::Writer* w) const;
   /// Wire footprint of a header (fixed fields + root).
-  size_t WireSize() const { return Encode().size(); }
+  size_t WireSize() const { return kEncodedSize; }
 };
 
 /// Full transaction block: header plus the transaction bodies. The wire

@@ -5,13 +5,12 @@
 namespace porygon::workload {
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadOptions& options)
-    : options_(options), rng_(options.seed) {}
+    : options_(options),
+      rng_(options.seed),
+      senders_(options.num_accounts, options.zipf_s) {}
 
 state::AccountId WorkloadGenerator::PickSender() {
-  if (options_.zipf_s > 0) {
-    return 1 + rng_.NextZipf(options_.num_accounts, options_.zipf_s);
-  }
-  return 1 + rng_.NextBelow(options_.num_accounts);
+  return 1 + senders_.Next(&rng_);
 }
 
 state::AccountId WorkloadGenerator::PickReceiver(state::AccountId sender) {

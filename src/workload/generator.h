@@ -53,6 +53,7 @@ class WorkloadGenerator : public TrafficModel {
 
   WorkloadOptions options_;
   Rng rng_;
+  ZipfSampler senders_;  // Over the accounts; uniform when zipf_s is 0.
   U64Map<uint64_t> nonces_;  // Next nonce per sender.
 };
 

@@ -231,17 +231,24 @@ std::unique_ptr<ArrivalProcess> Spec::BuildArrival() const {
 
 // --- ZipfTrafficModel ------------------------------------------------------
 
-ZipfTrafficModel::ZipfTrafficModel(const Spec& spec)
-    : spec_(spec), rng_(spec.seed) {
-  if (spec_.zipf_s <= 0) spec_.zipf_s = 0.99;
+namespace {
+// `spec` with its Zipf exponent defaulted to `s` when unset.
+Spec WithSkew(Spec spec, double s) {
+  if (spec.zipf_s <= 0) spec.zipf_s = s;
+  return spec;
 }
+}  // namespace
+
+ZipfTrafficModel::ZipfTrafficModel(const Spec& spec)
+    : spec_(WithSkew(spec, 0.99)),
+      rng_(spec.seed),
+      zipf_(spec_.num_accounts, spec_.zipf_s) {}
 
 tx::Transaction ZipfTrafficModel::Next() {
-  const uint64_t n = spec_.num_accounts;
   tx::Transaction t;
-  t.from = 1 + rng_.NextZipf(n, spec_.zipf_s);
+  t.from = 1 + zipf_.Next(&rng_);
   for (int tries = 0; tries < 64; ++tries) {
-    state::AccountId r = 1 + rng_.NextZipf(n, spec_.zipf_s);
+    state::AccountId r = 1 + zipf_.Next(&rng_);
     if (r != t.from) {
       t.to = r;
       break;
@@ -303,9 +310,9 @@ std::string FlashCrowdTrafficModel::Describe() const {
 // --- ContractTrafficModel --------------------------------------------------
 
 ContractTrafficModel::ContractTrafficModel(const Spec& spec)
-    : spec_(spec), rng_(spec.seed) {
-  if (spec_.zipf_s <= 0) spec_.zipf_s = 0.8;
-}
+    : spec_(WithSkew(spec, 0.8)),
+      rng_(spec.seed),
+      zipf_(spec_.num_contracts, spec_.zipf_s) {}
 
 void ContractTrafficModel::GenerateCall() {
   // Contract ids occupy [1, num_contracts]; user keys the rest of the space.
@@ -313,8 +320,7 @@ void ContractTrafficModel::GenerateCall() {
   // contract never spends, so its client-side nonce never diverges when a
   // conflicting transfer is discarded, and a call's contention comes purely
   // from its shared write target (the §IV-D2 conflict-discard regime).
-  const state::AccountId contract =
-      1 + rng_.NextZipf(spec_.num_contracts, spec_.zipf_s);
+  const state::AccountId contract = 1 + zipf_.Next(&rng_);
   const uint64_t user_span = spec_.num_accounts - spec_.num_contracts;
   for (uint32_t i = 0; i + 1 < spec_.contract_keys; ++i) {
     state::AccountId user =

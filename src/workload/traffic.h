@@ -159,6 +159,7 @@ class ZipfTrafficModel : public TrafficModel {
  private:
   Spec spec_;
   Rng rng_;
+  ZipfSampler zipf_;  // Over the accounts, at spec_.zipf_s.
   U64Map<uint64_t> nonces_;  // Next nonce per sender.
 };
 
@@ -204,6 +205,7 @@ class ContractTrafficModel : public TrafficModel {
 
   Spec spec_;
   Rng rng_;
+  ZipfSampler zipf_;  // Over the contracts, at spec_.zipf_s.
   std::deque<tx::Transaction> queue_;  ///< Remaining transfers of the call.
   U64Map<uint64_t> nonces_;  // Next nonce per sender.
 };

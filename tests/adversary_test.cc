@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -548,6 +549,85 @@ TEST(AdversaryThreadInvarianceTest, AdversarialExportsAreThreadInvariant) {
   EXPECT_EQ(serial->metrics().ToJson(), pooled->metrics().ToJson());
   EXPECT_EQ(serial->tracer()->ExportChromeJson(),
             pooled->tracer()->ExportChromeJson());
+}
+
+// Forged copies that the prepared front halves reject, injected mid-run by
+// a storage node: exec results with a forged signature and from an
+// unregistered signer at every OC member, a tx block whose body no longer
+// matches its header and a proposal that does not decode at every stateless
+// node, all under forged witness uploads. Each copy's front half runs on
+// the pool (or inside its handler at 0 workers); the handlers count every
+// rejection, and the chain tip, GlobalRoot and metrics match at 0 and 2
+// workers and at PORYGON_THREADS=4.
+std::unique_ptr<PorygonSystem> RunWithForgedCopies(int threads) {
+  SystemOptions opt = Opts();
+  opt.worker_threads = threads;
+  opt.adversary = MustParse("stateless:forge-witness,alpha:0.25,seed:5");
+  auto sys = std::make_unique<PorygonSystem>(opt);
+  sys->CreateAccounts(120, 10'000);
+  for (uint64_t f = 1; f <= 12; ++f) {
+    sys->SubmitTransaction(Transfer(f, f + 20, 1, 0));
+    sys->SubmitTransaction(Transfer(f + 40, f + 101, 2, 0));
+  }
+  sys->Run(4, net::FromSeconds(600));
+
+  net::SimNetwork* net = sys->network();
+  const net::NodeId from = sys->storage_node(0)->net_id();
+  ExecResultMsg forged;
+  forged.exec_round = 2;
+  forged.shard = 0;
+  forged.new_root = crypto::Sha256::Hash(ToBytes("forged root"));
+  forged.full = true;
+  forged.s_set.push_back({7, state::Account{5, 1}});
+  forged.s_hash = ExecResultMsg::HashSSet(forged.s_set);
+  forged.signer = sys->stateless_node(3)->public_key();
+  forged.signature.fill(0x5a);
+  ExecResultMsg outsider = forged;
+  outsider.signer.fill(0x77);  // Not a registered identity.
+  for (net::NodeId oc : sys->oc().ids) {
+    net->Send(from, oc, kMsgExecResult, forged.Encode());
+    net->Send(from, oc, kMsgExecResult, outsider.Encode());
+  }
+
+  // The stored block with the smallest key, one record byte flipped.
+  auto& store = sys->block_store();
+  auto first = std::min_element(
+      store.begin(), store.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_NE(first, store.end());
+  Bytes tampered = first->second.block.Encode();
+  tampered[tampered.size() - 70] ^= 0x01;
+  EXPECT_TRUE(PreparedBody::Of(tampered, sys->prepare_context()).parsed);
+  EXPECT_FALSE(PreparedBody::Of(tampered, sys->prepare_context()).body_ok);
+  for (int i = 0; i < sys->num_stateless_nodes(); ++i) {
+    const net::NodeId to = sys->stateless_node(i)->net_id();
+    net->Send(from, to, kMsgTxBlock, Bytes(tampered));
+    net->Send(from, to, kMsgProposal, ToBytes("not a proposal"));
+  }
+  sys->Run(6, net::FromSeconds(600));
+  return sys;
+}
+
+TEST(AdversaryThreadInvarianceTest, PreparedRejectionsAreThreadInvariant) {
+  unsetenv("PORYGON_THREADS");
+  auto serial = RunWithForgedCopies(0);
+  auto pooled = RunWithForgedCopies(2);
+  setenv("PORYGON_THREADS", "4", 1);
+  auto env = RunWithForgedCopies(0);
+  unsetenv("PORYGON_THREADS");
+  ASSERT_EQ(pooled->task_pool()->thread_count(), 2);
+  ASSERT_EQ(env->task_pool()->thread_count(), 4);
+
+  EXPECT_EQ(serial->metrics().committed_blocks(), 10u);
+  EXPECT_EQ(Rejected(*serial, "bad_exec_sig"), serial->oc().ids.size());
+  EXPECT_EQ(Rejected(*serial, "unknown_signer"), serial->oc().ids.size());
+  EXPECT_GT(Rejected(*serial, "bad_witness_sig"), 0u);
+  for (PorygonSystem* other : {pooled.get(), env.get()}) {
+    EXPECT_EQ(serial->chain().back().Hash(), other->chain().back().Hash());
+    EXPECT_EQ(serial->canonical_state().GlobalRoot(),
+              other->canonical_state().GlobalRoot());
+    EXPECT_EQ(serial->metrics().ToJson(), other->metrics().ToJson());
+  }
 }
 
 }  // namespace

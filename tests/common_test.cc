@@ -358,13 +358,55 @@ TEST(RngTest, ExponentialHasRequestedMean) {
 
 TEST(RngTest, ZipfFavorsLowRanks) {
   Rng rng(4);
+  const ZipfSampler zipf(1000, 1.1);
   int low = 0;
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    if (rng.NextZipf(1000, 1.1) < 10) ++low;
+    if (zipf.Next(&rng) < 10) ++low;
   }
   // With s=1.1, the top-10 ranks carry far more than 1% of the mass.
   EXPECT_GT(low, n / 20);
+}
+
+// The sampler computes its inversion constants once per (n, s); the draws
+// stay those of the per-draw computation it replaced. Pinned: the first
+// draw, the sum and an FNV-1a fold of the first 1,000 draws at seed 42,
+// from the per-draw code, across skews, the s == 1 log form, and the
+// uniform cases (s = 0, n = 1).
+TEST(RngTest, ZipfSamplerReplaysThePinnedDraws) {
+  struct Pin {
+    uint64_t n;
+    double s;
+    uint64_t first;
+    uint64_t sum;
+    uint64_t fold;
+  };
+  const Pin pins[] = {
+      {1000, 1.10, 408, 105592, 0xe1d387aea257791full},
+      {1000000, 0.80, 662013, 187622819, 0x716f3998460a6202ull},
+      {2000, 0.99, 1031, 268457, 0x863a8e98db18f1c0ull},
+      {50, 1.00, 34, 10594, 0xb15e3fc0dd21d729ull},
+      {2, 0.50, 1, 421, 0x937c4585ebf785ceull},
+      {10, 0.00, 0, 4421, 0x838dfb6f1dd87dd2ull},
+      {1, 0.90, 0, 0, 0x8c333391e5f59063ull},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(42);
+    const ZipfSampler zipf(pin.n, pin.s);
+    uint64_t first = 0;
+    uint64_t sum = 0;
+    uint64_t fold = 1469598103934665603ull;
+    for (int i = 0; i < 1000; ++i) {
+      const uint64_t d = zipf.Next(&rng);
+      ASSERT_LT(d, std::max<uint64_t>(pin.n, 1));
+      if (i == 0) first = d;
+      sum += d;
+      fold = (fold ^ d) * 1099511628211ull;
+    }
+    EXPECT_EQ(first, pin.first) << pin.n << " " << pin.s;
+    EXPECT_EQ(sum, pin.sum) << pin.n << " " << pin.s;
+    EXPECT_EQ(fold, pin.fold) << pin.n << " " << pin.s;
+  }
 }
 
 // The batched folds against a fold written from the definition, one

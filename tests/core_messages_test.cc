@@ -97,6 +97,72 @@ TEST(MessagesTest, WitnessBundleRoundTripAndWireSize) {
   EXPECT_LT(bundle.WireSize(), bundle.Encode().size());
 }
 
+// A storage node writes its bundles straight from the block store: the
+// bytes and bill are those of the same blocks as WitnessedBlocks, for
+// bundles and relay aggregates, with 0, 1 and several blocks (one of them
+// large enough for multi-byte length prefixes).
+TEST(MessagesTest, BundlesWrittenFromTheStoreMatchTheirWitnessedBlocks) {
+  std::vector<tx::TransactionBlock> stored(3);
+  std::vector<std::vector<tx::TxId>> ids(3);
+  for (size_t b = 0; b < stored.size(); ++b) {
+    const size_t txs = b == 2 ? 300 : b + 1;
+    for (size_t i = 0; i < txs; ++i) {
+      tx::Transaction t;
+      t.from = 10 + i;
+      t.to = 1000 + b;
+      t.amount = i + 1;
+      t.nonce = b;
+      t.submitted_at = 5 * i;
+      stored[b].transactions.push_back(t);
+    }
+    stored[b].header.shard = static_cast<uint32_t>(b);
+    stored[b].SealHeader();
+    ASSERT_TRUE(stored[b].BodyMatchesHeader(&ids[b]));
+  }
+  for (size_t count = 0; count <= stored.size(); ++count) {
+    std::vector<StoredWitness> from_store;
+    std::vector<WitnessedBlock> witnessed;
+    for (size_t b = 0; b < count; ++b) {
+      StoredWitness sw;
+      sw.block = &stored[b];
+      sw.tx_ids = &ids[b];
+      tx::WitnessProof proof;
+      proof.block_id = stored[b].header.Id();
+      for (size_t p = 0; p <= b; ++p) sw.proofs.push_back(proof);
+      WitnessedBlock wb;
+      wb.header = stored[b].header;
+      wb.proofs = sw.proofs;
+      std::vector<TxAccess> accesses;
+      for (size_t i = 0; i < ids[b].size(); ++i) {
+        accesses.push_back(ToAccess(stored[b].transactions[i], ids[b][i]));
+      }
+      wb.records = AccessRecords(accesses);
+      EXPECT_EQ(sw.EncodedSize(), wb.Encode().size());
+      from_store.push_back(std::move(sw));
+      witnessed.push_back(std::move(wb));
+    }
+    WitnessBundle bundle;
+    bundle.batch_round = 4;
+    bundle.blocks = witnessed;
+    EXPECT_EQ(WitnessBundle::Encode(4, from_store), bundle.Encode()) << count;
+    EXPECT_EQ(WitnessBundle::WireSize(from_store), bundle.WireSize());
+    // The exact-size writer's output against the growing writer's.
+    EXPECT_EQ(bundle.Encode(),
+              wire::Writer().U64(4).List(witnessed).Take()) << count;
+
+    AggregatedWitness agg;
+    agg.batch_round = 4;
+    agg.shard = 1;
+    agg.aggregator = 7;
+    agg.blocks = witnessed;
+    EXPECT_EQ(AggregatedWitness::Encode(4, 1, 7, from_store), agg.Encode());
+    EXPECT_EQ(AggregatedWitness::WireSize(from_store), agg.WireSize());
+    auto decoded = AggregatedWitness::Decode(agg.Encode());
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(decoded->blocks.size(), count);
+  }
+}
+
 TEST(MessagesTest, ExecRequestRoundTrip) {
   ExecRequest req;
   req.round = 7;

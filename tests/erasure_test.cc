@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/erasure.h"
@@ -133,6 +134,64 @@ TEST(ErasureTest, EncodingIsDeterministic) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
+}
+
+// The kernel Encode/Decode run: the shuffle kernel where the CPU has it,
+// else the portable one (then the agreement below is trivially true).
+internal::MulAddFn FastKernel() {
+  return internal::HasShuffleKernel() ? internal::MulAddShuffle
+                                      : internal::MulAddPortable;
+}
+
+TEST(ErasureTest, ShuffleMultiplyMatchesTheTablesForEveryCoefficient) {
+  const internal::MulAddFn fast = FastKernel();
+  // Lengths around the 32-byte lanes, so the scalar tail runs too.
+  for (size_t len : {size_t{1}, size_t{31}, size_t{32}, size_t{65},
+                     size_t{100}}) {
+    const Bytes src = RandomPayload(len, 100 + len);
+    const Bytes seed = RandomPayload(len, 200 + len);
+    for (int c = 0; c < 256; ++c) {
+      Bytes want = seed;
+      Bytes got = seed;
+      internal::MulAddPortable(static_cast<uint8_t>(c), src.data(),
+                               want.data(), len);
+      fast(static_cast<uint8_t>(c), src.data(), got.data(), len);
+      ASSERT_EQ(got, want) << "c=" << c << " len=" << len;
+    }
+  }
+}
+
+TEST(ErasureTest, KernelsAgreeOnEveryKSubset) {
+  const internal::MulAddFn fast = FastKernel();
+  uint64_t seed = 300;
+  for (auto [k, n] : {std::pair{2, 3}, std::pair{4, 6}, std::pair{5, 8}}) {
+    for (size_t size : {size_t{0}, size_t{1}, size_t{57}, size_t{4'099}}) {
+      const Bytes payload = RandomPayload(size, ++seed);
+      auto want = internal::EncodeWith(internal::MulAddPortable, payload, k,
+                                       n);
+      auto got = internal::EncodeWith(fast, payload, k, n);
+      auto pub = Encode(payload, k, n);
+      ASSERT_TRUE(want.ok() && got.ok() && pub.ok());
+      ASSERT_EQ(*got, *want) << k << "/" << n << " size " << size;
+      ASSERT_EQ(*pub, *want) << k << "/" << n << " size " << size;
+      // Every k-subset of the n chunks: the others go missing.
+      for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+        if (__builtin_popcount(mask) != k) continue;
+        std::vector<int> drop;
+        for (int i = 0; i < n; ++i) {
+          if ((mask & (1u << i)) == 0) drop.push_back(i);
+        }
+        const auto holes = Holes(*want, drop);
+        auto ref = internal::DecodeWith(internal::MulAddPortable, holes, k, n);
+        auto vec = internal::DecodeWith(fast, holes, k, n);
+        auto dec = Decode(holes, k, n);
+        ASSERT_TRUE(ref.ok() && vec.ok() && dec.ok()) << "mask " << mask;
+        EXPECT_EQ(*ref, payload) << k << "/" << n << " mask " << mask;
+        EXPECT_EQ(*vec, payload) << k << "/" << n << " mask " << mask;
+        EXPECT_EQ(*dec, payload) << k << "/" << n << " mask " << mask;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -278,5 +278,52 @@ TEST_F(NetFixture, SharedPayloadIsReleasedOnEveryPath) {
   }
 }
 
+// The prepare hook starts one job per transmitted copy, duplicates
+// included, and the job rides to delivery. A job its handler waits on ran
+// once; one nobody waits on (a copy dropped in flight, or delivered to a
+// handler that ignores it) is dropped unrun. Either way the network
+// settles it once the copy is done, so no job keeps the payload alive.
+TEST_F(NetFixture, PreparedJobsAreSettledOnEveryPath) {
+  runtime::TaskPool pool(0);  // Jobs run only inside their Wait.
+  NodeId a = network_.AddNode({1e6, 1e6});
+  NodeId waits = network_.AddNode({1e6, 1e6});
+  NodeId ignores = network_.AddNode({1e6, 1e6});
+  NodeId crashes = network_.AddNode({1e6, 1e6});
+  int runs = 0;
+  int started = 0;
+  network_.SetPrepareHook([&](const Message& m) {
+    ++started;
+    auto job = std::make_shared<runtime::TaskPool::Job>(
+        [&runs, payload = m.payload] { runs += payload.size() > 0 ? 1 : 0; });
+    pool.Submit(job);
+    return job;
+  });
+  network_.SetFaultHook([&](const Message& m) {
+    FaultDecision d;
+    d.duplicate = m.to == waits;
+    return d;
+  });
+  network_.SetHandler(waits, [&](const Message& m) {
+    ASSERT_NE(m.prepared, nullptr);
+    runtime::TaskPool::Wait(m.prepared.get());
+  });
+  network_.SetHandler(ignores, [](const Message&) {});
+  network_.SetHandler(crashes, [](const Message&) {});
+
+  std::vector<std::weak_ptr<const Bytes>> watches;
+  for (NodeId to : {waits, ignores, crashes}) {
+    SharedBytes payload = Bytes(64, static_cast<uint8_t>(to));
+    watches.push_back(payload.Watch());
+    network_.Send(a, to, 9, std::move(payload), 1000);
+  }
+  network_.SetCrashed(crashes, true);  // While its copy is in flight.
+  EXPECT_EQ(started, 4);  // The duplicate has a job of its own.
+  events_.RunUntilIdle();
+  EXPECT_EQ(runs, 2);  // Both copies to `waits`; nothing else ran.
+  for (size_t i = 0; i < watches.size(); ++i) {
+    EXPECT_TRUE(watches[i].expired()) << "path " << i;
+  }
+}
+
 }  // namespace
 }  // namespace porygon::net

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -196,6 +198,95 @@ TEST(TaskPoolTest, DestructorJoinsAnOutstandingBatch) {
     });
   }
   EXPECT_EQ(done.load(), kN);
+}
+
+TEST(TaskPoolTest, JobWithoutWorkersRunsInsideItsWait) {
+  runtime::TaskPool pool(0);
+  int runs = 0;
+  auto job = std::make_shared<runtime::TaskPool::Job>([&] { ++runs; });
+  pool.Submit(job);
+  EXPECT_EQ(runs, 0);  // Nothing runs behind the caller's back.
+  runtime::TaskPool::Wait(job.get());
+  runtime::TaskPool::Wait(job.get());
+  EXPECT_EQ(runs, 1);
+  auto dropped = std::make_shared<runtime::TaskPool::Job>([&] { ++runs; });
+  pool.Submit(dropped);
+  runtime::TaskPool::Cancel(dropped.get());
+  runtime::TaskPool::Wait(dropped.get());
+  EXPECT_EQ(runs, 1);
+}
+
+// Jobs submitted and waited on (or cancelled) from the caller while
+// fork-join batches, launches and joins interleave, and while the pool is
+// torn down with jobs still queued: every job runs exactly once unless it
+// was cancelled before it started, its result is complete after its Wait,
+// and its closure (here a token) is released once it is done or dropped.
+TEST(TaskPoolTest, JobsInterleaveWithBatchesLaunchesAndTeardown) {
+  constexpr size_t kJobs = 300;
+  for (int threads : {0, 1, 4}) {
+    for (int rep = 0; rep < 8; ++rep) {
+      SCOPED_TRACE(::testing::Message() << threads << " workers, rep " << rep);
+      std::vector<std::atomic<int>> runs(kJobs);
+      std::vector<uint64_t> out(kJobs, 0);
+      std::vector<std::shared_ptr<runtime::TaskPool::Job>> jobs;
+      std::vector<std::weak_ptr<int>> tokens;
+      std::vector<bool> cancelled(kJobs, false);
+      std::vector<uint64_t> launched(64, 0);
+      auto pool = std::make_unique<runtime::TaskPool>(threads);
+      auto launch = [&] {
+        pool->Launch(launched.size(), [&](size_t i) {
+          uint64_t v = i;
+          for (int k = 0; k < 2000; ++k) v = v * 6364136223846793005ull + 1;
+          launched[i] = v | 1;
+        });
+      };
+      launch();
+      for (size_t j = 0; j < kJobs; ++j) {
+        auto token = std::make_shared<int>(static_cast<int>(j));
+        tokens.push_back(token);
+        auto job = std::make_shared<runtime::TaskPool::Job>(
+            [&runs, &out, j, token] {
+              uint64_t v = static_cast<uint64_t>(*token);
+              for (int k = 0; k < 500; ++k) v = v * 2862933555777941757ull + 3;
+              out[j] = v;
+              runs[j].fetch_add(1);
+            });
+        pool->Submit(job);
+        jobs.push_back(std::move(job));
+        if (j % 17 == 0) {
+          std::vector<int> fork(8, 0);
+          pool->ParallelFor(fork.size(), [&](size_t i) { fork[i] = 1; });
+          EXPECT_EQ(std::count(fork.begin(), fork.end(), 1), 8);
+        }
+        if (j % 29 == 0) runtime::TaskPool::Wait(jobs[j / 2].get());
+        if (j % 31 == 0) {
+          runtime::TaskPool::Cancel(jobs[j].get());
+          cancelled[j] = true;
+        }
+        if (j % 97 == 0) {
+          pool->Join();
+          for (uint64_t v : launched) EXPECT_EQ(v & 1, 1u);
+          std::fill(launched.begin(), launched.end(), 0);
+          launch();
+        }
+      }
+      // Tear the pool down with jobs still queued; their owners run them.
+      pool.reset();
+      for (uint64_t v : launched) EXPECT_EQ(v & 1, 1u);
+      for (size_t j = 0; j < kJobs; ++j) {
+        runtime::TaskPool::Wait(jobs[j].get());
+        EXPECT_TRUE(tokens[j].expired()) << j;
+        if (cancelled[j]) {
+          EXPECT_LE(runs[j].load(), 1) << j;
+          continue;
+        }
+        EXPECT_EQ(runs[j].load(), 1) << j;
+        uint64_t v = j;
+        for (int k = 0; k < 500; ++k) v = v * 2862933555777941757ull + 3;
+        EXPECT_EQ(out[j], v) << j;
+      }
+    }
+  }
 }
 
 TEST(TaskPoolTest, ResolveThreadsPrefersEnvOverRequested) {
