@@ -112,20 +112,24 @@ run_suite() {
   ctest --test-dir "$dir" \
     -R '^ExecutionTest\.|^PartialStateTest\.|^SystemIntegrationTest\.(BatchOneCommitsAtTheEnginesPipelineRounds|RealEd25519SignaturesOnTheProtocolPath)$|^ByshardTest\.CommitsBothCrossShardTransfersOfOneSenderInOneBlock$' \
     --output-on-failure
-  # Parallel runtime: fork-join and launched pool batches, background jobs
-  # submitted, waited on and cancelled while batches, launches and teardown
-  # interleave (TaskPoolTest.JobsInterleaveWithBatchesLaunchesAndTeardown),
-  # and byte-identical exports at 0, 1 and 4 threads, forged copies that
-  # the prepared front halves reject included (AdversaryThreadInvariance-
-  # Test.PreparedRejectionsAreThreadInvariant), including the pipelined canonical
-  # execution under faithful proofs and a storage crash/rejoin. Fast mode's
-  # launch at each commit outlives Run() and settles at its reader:
-  # canonical_state() and CreateAccounts between runs settle it, at 0, 2
-  # and 4 workers alike (LaunchOutlivesRunAndSettlesAtItsReader), and a
-  # reader of an older round leaves it running (ReaderOfAnOlderRound-
-  # DoesNotJoin). The serial run's chain tip, GlobalRoot and metrics-JSON
-  # digest are pinned here and in DisseminationTest.
-  # TreeExportsAreThreadInvariant, in every leg.
+  # Parallel runtime: fork-join batches and the two job classes (front
+  # halves ahead of background shard jobs, a waiting caller running queued
+  # front halves, ParallelFor fanning out past queued background jobs,
+  # teardown dropping unstarted jobs), jobs of both classes submitted,
+  # waited on and cancelled while batches, rounds of background jobs and
+  # teardown interleave (TaskPoolTest.JobsInterleaveWithBatchesLaunches-
+  # AndTeardown), and byte-identical exports at 0, 1 and 4 threads, forged
+  # copies that the prepared front halves reject included
+  # (AdversaryThreadInvarianceTest.PreparedRejectionsAreThreadInvariant),
+  # including the pipelined canonical execution under faithful proofs and
+  # a storage crash/rejoin. Fast mode's shard jobs, submitted at each
+  # commit, outlive Run(): a shard's reader waits for that shard's job
+  # alone and leaves the others outstanding, and canonical_state() and
+  # CreateAccounts between runs settle them all, at 0, 1, 2 and 4 workers
+  # alike (LaunchOutlivesRunAndSettlesAtItsReader); a reader of an older
+  # round leaves them running (ReaderOfAnOlderRoundDoesNotJoin). The serial
+  # run's chain tip, GlobalRoot and metrics-JSON digest are pinned here and
+  # in DisseminationTest.TreeExportsAreThreadInvariant, in every leg.
   ctest --test-dir "$dir" -R 'TaskPool|ThreadInvariance' --output-on-failure
   # Workload suite: traffic-model determinism, Zipf sanity and the Zipf
   # sampler's pinned draws, scenario rows.
@@ -207,10 +211,13 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # the SMT rehash read; Smt and ShardedState because per-shard value
   # writes, PutBatch merges and their batched level sweeps run on pool
   # threads, which the loop must not read until the settle; ThreadInvariance
-  # also because the execution launched at a commit outlives Run() until
-  # canonical_state() or CreateAccounts settles it; Epoch, FaultInjection
-  # and Soak because the launched shard execution must settle before every
-  # state read across epoch hand-offs and storage crash/recover. Payloads
+  # also because the shard jobs submitted at a commit outlive Run() until
+  # canonical_state() or CreateAccounts settles them, and because the loop
+  # reads one shard's result while other shard jobs still write their own
+  # shards' subtrees and result slots; SystemIntegration, Epoch,
+  # FaultInjection and Soak because RunExecution waits per shard and every
+  # other state read settles all shards, across epoch hand-offs and
+  # storage crash/recover. Payloads
   # reach pool threads: each copy bound for a stateless node starts its
   # front half (body check, exec-result signature, proposal decode) on the
   # pool as it is sent, reading the shared buffer there while the loop and

@@ -13,24 +13,29 @@
 #    sampler preloaded. It samples the main thread every millisecond of
 #    wall time, waits included, symbolises the stacks with addr2line, and
 #    prints where that thread's time went: under PorygonSystem::Run by
-#    handler frame (StatelessNodeActor::On*, StorageNodeActor::On*,
+#    handler frame (StatelessNodeActor::On*, StorageNodeActor::On*, and
+#    the two execution waits PorygonSystem::SettledShardExec and
 #    PorygonSystem::SettleExecState), and under SubmitBatch. It splits
-#    every SettleExecState sample, under Run or not, by the reader that
-#    joined the launched execution (RunExecution, the launch in
-#    OnBlockCommitted or StartRound, OnBlockCommitted's own reads,
-#    canonical_state(), CreateAccounts, the destructor, ...) and by what
-#    the settle was doing: waiting in TaskPool::Join, running an unclaimed
-#    shard body there, or its own work (the cache merge). It counts the
-#    samples decoding witness-bundle access records (TxAccess::DecodeFrom)
-#    by whether the leader's MaybePropose called them. It then prints the
-#    share under SHA-256 (frames in crypto/sha256.{h,cc}) outside
-#    SettleExecState, split into the batched 16-lane kernel
-#    (HashBatchAvx512) and the one-message paths, and by the two frames
-#    that called the hash and their handler. Last, the samples in which the
-#    loop took a prepared front half (TakePrepared), by message kind and by
-#    whether it waited in TaskPool::Wait for the worker running the job, ran
+#    every sample that waits for canonical execution, under Run or not, by
+#    its reader (the shard wait in RunExecution, the all-shard settle at a
+#    commit, canonical_state(), CreateAccounts, teardown, ...) and by what
+#    the loop was doing there: running a shard body no worker had started,
+#    running queued front halves while a worker ran the awaited job,
+#    waiting, or its own work (the cache merge). A wait is a frame in
+#    TaskPool::Wait, TaskPool::Cancel or AwaitDone, which they may
+#    tail-call. It counts the samples decoding witness-bundle access
+#    records (TxAccess::DecodeFrom) by whether the leader's MaybePropose
+#    called them. It then prints the share under SHA-256 (frames in
+#    crypto/sha256.{h,cc}) outside the execution waits, split into the
+#    batched 16-lane kernel (HashBatchAvx512) and the one-message paths,
+#    and by the two frames that called the hash and their handler. Then
+#    the samples in which the loop took a prepared front half
+#    (TakePrepared), by message kind and by whether it waited for the
+#    worker running the job, ran other queued front halves meanwhile, ran
 #    a job no worker had started inside Wait, or ran the front half of a
-#    copy that carried no job.
+#    copy that carried no job. Last, every sample in which the loop ran a
+#    queued front half while it waited on another job, by the front half's
+#    kind and by the wait it was in.
 #
 #   scripts/profile.sh [--workload W] [--seed N] [--seconds S]
 #
@@ -161,10 +166,16 @@ HANDLER = re.compile(r"^(StatelessNodeActor|StorageNodeActor)::On\w+$")
 METHOD = re.compile(
     r"^(StatelessNodeActor|StorageNodeActor|PorygonSystem)::\w+$")
 
+# The frames that wait for canonical execution, outermost first: the shard
+# wait of one reader and the all-shard settle.
+EXEC_WAITS = ["PorygonSystem::SettledShardExec",
+              "PorygonSystem::SettleExecState"]
+
 def label(frames):
     """Names the handler of one stack below Run (outermost frame first)."""
-    if "PorygonSystem::SettleExecState" in frames:
-        return "PorygonSystem::SettleExecState"
+    for fn in EXEC_WAITS:
+        if fn in frames:
+            return fn
     for fn in frames:
         if HANDLER.match(fn):
             return fn
@@ -180,37 +191,60 @@ def label(frames):
             return fn + (" > " + inner[0] if inner else "")
     return "(event queue and network)"
 
-# The frames that join the launched execution; the first listed that is on
-# the stack names the reader. The launch at a commit is the tail call of
+# The readers that wait for canonical execution; the first listed that is
+# on the stack names the reader. The launch at a commit is the tail call of
 # OnBlockCommitted, so its stack may show AdvanceExecState alone.
 READERS = [
-    ("PorygonSystem::~PorygonSystem", "destructor"),
     ("PorygonSystem::canonical_state", "canonical_state()"),
     ("PorygonSystem::CreateAccounts", "CreateAccounts"),
     ("PorygonSystem::CreateAccountsLazy", "CreateAccountsLazy"),
+    ("PorygonSystem::SettledShardExec", "RunExecution's shard wait"),
     ("StatelessNodeActor::RunExecution", "RunExecution"),
     ("StorageNodeActor::OnStateRequest", "OnStateRequest"),
-    ("PorygonSystem::StartRound", "the launch in StartRound"),
-    ("PorygonSystem::AdvanceExecState", "the launch in OnBlockCommitted"),
+    ("PorygonSystem::StartRound", "the settle at StartRound"),
+    ("PorygonSystem::AdvanceExecState", "the all-shard settle at a commit"),
     ("PorygonSystem::OnBlockCommitted", "OnBlockCommitted's reads"),
 ]
+TAKES_FRONT = "runtime::TaskPool::RunFrontJobsWhileWaiting"
 
-def settle_split(frames):
-    """(reader, activity) of a stack inside SettleExecState."""
-    k = frames.index("PorygonSystem::SettleExecState")
-    above = frames[:k]
+def waits(frames):
+    """Whether a frame is TaskPool::Wait or Cancel, or the AwaitDone they
+    may tail-call (its inlined frames come without the namespace)."""
+    return any(fn in ("runtime::TaskPool::Wait", "runtime::TaskPool::Cancel")
+               or fn.endswith("AwaitDone") for fn in frames)
+
+def exec_split(frames):
+    """(reader, activity) of a stack waiting for canonical execution, or
+    None: a shard wait, an all-shard settle, or the teardown's drop of the
+    shard jobs (TaskPool::Cancel under the destructor, not the pool's)."""
+    k = next((frames.index(fn) for fn in EXEC_WAITS if fn in frames), None)
+    if k is None:
+        if "PorygonSystem::~PorygonSystem" not in frames:
+            return None
+        k = frames.index("PorygonSystem::~PorygonSystem")
+        inner = frames[k + 1:]
+        if "runtime::TaskPool::~TaskPool" in inner or not waits(inner):
+            return None
+        return "teardown", "waits"
+    above = frames[:k + 1]
     reader = next((what for fn, what in READERS if fn in above),
-                  above[-1] if above else "?")
+                  frames[k - 1] if k > 0 else "?")
     inner = frames[k + 1:]
-    if "runtime::TaskPool::Join" not in inner:
-        return reader, "own work"
+    if TAKES_FRONT in inner:
+        return reader, "takes front halves"
     if any(fn.startswith("ShardExecutor::") for fn in inner):
         return reader, "runs a body"
-    return reader, "waits"
+    if waits(inner):
+        return reader, "waits"
+    return reader, "own work"
 
 handlers = collections.Counter()
-settle_readers = collections.Counter()
-settle_activity = collections.defaultdict(collections.Counter)
+exec_readers = collections.Counter()
+exec_activity = collections.defaultdict(collections.Counter)
+# Front halves the loop ran while it waited on another job: by the front
+# half's kind, and by the wait it was in.
+taken_kinds = collections.Counter()
+taken_in = collections.Counter()
 hash_callers = collections.Counter()
 record_decodes = collections.Counter()
 hash_kinds = collections.Counter()
@@ -231,11 +265,24 @@ def classify_prepared(frames):
         return None
     inner = frames[k + 1:]
     runs = any(re.search(r"Prepared\w+::Of$", f) for f in inner)
-    if "runtime::TaskPool::Wait" in inner:
+    if TAKES_FRONT in inner:
+        activity = "takes others"
+    elif waits(inner):
         activity = "runs in Wait" if runs else "waits"
     else:
         activity = "runs inline" if runs else "own work"
     return PREPARED_KINDS.get(m.group(1), m.group(1)), activity
+
+def front_taken(frames):
+    """The kind of front half a waiting loop ran for another job, or None."""
+    if TAKES_FRONT not in frames:
+        return None
+    inner = frames[frames.index(TAKES_FRONT) + 1:]
+    for fn in inner:
+        m = re.search(r"(Prepared\w+)::Of$", fn)
+        if m:
+            return PREPARED_KINDS.get(m.group(1), m.group(1))
+    return "(queue and job bookkeeping)"
 
 in_run = in_submit = 0
 for stack in stacks:
@@ -244,16 +291,21 @@ for stack in stacks:
     in_sha = [s for pc in reversed(stack) if pc is not None
               for s in reversed(sha.get(pc, []))]
     handler = None
-    if "PorygonSystem::SettleExecState" in frames:
-        reader, activity = settle_split(frames)
-        settle_readers[reader] += 1
-        settle_activity[reader][activity] += 1
-    if "TxAccess::DecodeFrom" in frames:
-        record_decodes["in MaybePropose" if "StatelessNodeActor::MaybePropose"
-                       in frames else "elsewhere"] += 1
+    waited = exec_split(frames)
+    if waited is not None:
+        exec_readers[waited[0]] += 1
+        exec_activity[waited[0]][waited[1]] += 1
     took = classify_prepared(frames)
     if took is not None:
         prepared[took[0]][took[1]] += 1
+    kind = front_taken(frames)
+    if kind is not None:
+        taken_kinds[kind] += 1
+        wait = next((fn for fn in EXEC_WAITS if fn in frames), None)
+        taken_in[wait or f"TakePrepared ({took[0] if took else '?'})"] += 1
+    if "TxAccess::DecodeFrom" in frames:
+        record_decodes["in MaybePropose" if "StatelessNodeActor::MaybePropose"
+                       in frames else "elsewhere"] += 1
     if "PorygonSystem::Run" in frames:
         in_run += 1
         handler = label(frames[frames.index("PorygonSystem::Run") + 1:])
@@ -262,10 +314,10 @@ for stack in stacks:
         in_submit += 1
         handler = "PorygonSystem::SubmitBatch"
     # SHA-256 on the loop's own path, named by the two frames that called
-    # into it; the settle's share is the wait for (and help with) the
-    # launched execution, reported as a whole above.
+    # into it; the execution waits' share (shard bodies and front halves
+    # run while waiting) is reported as a whole above.
     if (True in in_sha and handler is not None and
-            handler != "PorygonSystem::SettleExecState"):
+            handler not in EXEC_WAITS):
         k = in_sha.index(True)
         caller = " > ".join(frames[max(k - 2, 0):k]) or "?"
         hash_callers[f"{caller}  [{handler}]"] += 1
@@ -284,17 +336,18 @@ print(f"{share(total - in_run - in_submit)}  elsewhere (set-up, generation, "
 print("\n== top 20 frames under PorygonSystem::Run, share of all samples ==")
 for name, n in handlers.most_common(20):
     print(f"{share(n)} {n:7d}  {name}")
-settled = sum(settle_readers.values())
-print(f"\n== SettleExecState anywhere: {share(settled).strip()} of all "
-      "samples; by the reader that joined (waits / runs a body / own work) ==")
-for name, n in settle_readers.most_common():
-    a = settle_activity[name]
-    print(f"{share(n)} {n:7d}  {name}  ({a['waits']} / {a['runs a body']} / "
-          f"{a['own work']})")
+waited = sum(exec_readers.values())
+print(f"\n== waits for canonical execution anywhere: {share(waited).strip()} "
+      "of all samples; by reader (runs a body / takes front halves / waits / "
+      "own work) ==")
+for name, n in exec_readers.most_common():
+    a = exec_activity[name]
+    print(f"{share(n)} {n:7d}  {name}  ({a['runs a body']} / "
+          f"{a['takes front halves']} / {a['waits']} / {a['own work']})")
 print("\n== access-record decodes (TxAccess::DecodeFrom): "
       f"{record_decodes['in MaybePropose']} samples in the leader's "
       f"MaybePropose, {record_decodes['elsewhere']} elsewhere ==")
-print(f"\n== SHA-256 under Run and SubmitBatch, outside SettleExecState: "
+print(f"\n== SHA-256 under Run and SubmitBatch, outside execution waits: "
       f"{share(sum(hash_callers.values())).strip()} of all samples; "
       "by kernel ==")
 for name, n in hash_kinds.most_common():
@@ -304,10 +357,18 @@ for name, n in hash_callers.most_common(15):
     print(f"{share(n)} {n:7d}  {name}")
 taken = sum(sum(c.values()) for c in prepared.values())
 print(f"\n== prepared front halves taken on the loop: {share(taken).strip()} "
-      "of all samples; by kind (waits in TaskPool::Wait / runs in Wait / "
-      "runs inline / own work) ==")
+      "of all samples; by kind (waits for a worker / takes others meanwhile "
+      "/ runs in Wait / runs inline / own work) ==")
 for kind, c in sorted(prepared.items(), key=lambda kv: -sum(kv[1].values())):
     print(f"{share(sum(c.values()))} {sum(c.values()):7d}  {kind}  "
-          f"({c['waits']} / {c['runs in Wait']} / {c['runs inline']} / "
-          f"{c['own work']})")
+          f"({c['waits']} / {c['takes others']} / {c['runs in Wait']} / "
+          f"{c['runs inline']} / {c['own work']})")
+helped = sum(taken_kinds.values())
+print(f"\n== front halves the loop ran while waiting on another job: "
+      f"{share(helped).strip()} of all samples; by kind ==")
+for kind, n in taken_kinds.most_common():
+    print(f"{share(n)} {n:7d}  {kind}")
+print("by the wait:")
+for where, n in taken_in.most_common():
+    print(f"{share(n)} {n:7d}  {where}")
 EOF

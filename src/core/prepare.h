@@ -92,16 +92,17 @@ std::shared_ptr<runtime::TaskPool::Job> StartPrepare(
     const net::Message& msg, const PrepareContext& ctx,
     runtime::TaskPool* pool);
 
-/// The front half of `msg`: its job's result, waiting for the job or
-/// running it here when no worker started it, or T::Of run here when the
-/// copy carries none. The event loop's time in either lands in `wall_us`.
+/// The front half of `msg`: its job's result, waiting for the job on
+/// `pool` (which runs it here when no worker started it, and other queued
+/// front halves while a worker runs it), or T::Of run here when the copy
+/// carries none. The event loop's time in either lands in `wall_us`.
 template <typename T>
 T TakePrepared(const net::Message& msg, const PrepareContext& ctx,
-               obs::Gauge* wall_us) {
+               runtime::TaskPool* pool, obs::Gauge* wall_us) {
   const auto start = runtime::WallClock::now();
   T out;
   if (auto* job = dynamic_cast<PreparedJob<T>*>(msg.prepared.get())) {
-    runtime::TaskPool::Wait(job);
+    pool->Wait(job);
     out = std::move(job->result);
   } else {
     out = T::Of(msg.payload, ctx);

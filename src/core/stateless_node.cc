@@ -837,12 +837,12 @@ void StatelessNodeActor::RunExecution() {
   result.full = rank < diss.FullResultSenders();
 
   // Fast path: adopt the deterministic result computed once for this
-  // (round, shard), identical to what local execution would produce.
+  // (round, shard), identical to what local execution would produce. Only
+  // this shard's job is waited for; the other shards' go on running.
   const ExecutionResult* r = nullptr;
   if (!system_->options().faithful_execution) {
-    const PorygonSystem::CachedExec* cached = system_->SettledExec(req.round);
-    if (cached != nullptr && req.shard < cached->results.size()) {
-      r = &cached->results[req.shard];
+    r = system_->SettledShardExec(req.round, req.shard);
+    if (r != nullptr) {
       obs_.cached_exec_hits->Increment();
     } else {
       obs_.cached_exec_misses->Increment();

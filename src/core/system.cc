@@ -429,8 +429,18 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
 }
 
 PorygonSystem::~PorygonSystem() {
-  // No pool thread may outlive the state and job it writes.
-  SettleExecState();
+  // No pool thread may outlive the state and job it writes, but nobody
+  // reads the outstanding round any more: shard jobs no worker has started
+  // are dropped, and only the running ones are waited for. Workers take
+  // shard jobs in shard order, so dropping from the last shard first
+  // leaves them nothing new to start while the loop waits.
+  if (exec_job_ != nullptr) {
+    for (auto it = exec_job_->shard_jobs.rbegin();
+         it != exec_job_->shard_jobs.rend(); ++it) {
+      runtime::TaskPool::Cancel(it->get());
+    }
+    exec_job_.reset();
+  }
   // The log clock captures this system's event queue; detach before it dies.
   Logger::SetClock(nullptr);
 }
@@ -442,7 +452,8 @@ const StatelessNodeActor* PorygonSystem::StatelessByNetId(
 }
 
 void PorygonSystem::CreateAccounts(uint64_t count, uint64_t balance) {
-  // The launched execution's bodies read and write the shards written here.
+  // The launched execution's shard jobs read and write the shards written
+  // here.
   SettleExecState();
   // Batched per shard: one Merkle path-rehash pass per shard instead of one
   // per account (million-account benches set up in seconds).
@@ -473,7 +484,7 @@ void PorygonSystem::CreateAccountsLazy(uint64_t count, uint64_t balance) {
   // declaration is part of genesis config, not per-round state). Leaves
   // materialize on first write, so roots and absence proofs for untouched
   // ids are identical to a freshly created state. The launched execution's
-  // bodies read the declaration, so it settles first.
+  // shard jobs read the declaration, so it settles first.
   SettleExecState();
   exec_state_->SetImplicitAccounts(count, balance);
   if (next_account_hint_ <= count) next_account_hint_ = count + 1;
@@ -623,11 +634,12 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   // Applies the inputs of proposal block B_{exec_round} to the canonical
   // state, recording per-shard results. This equals what every honest ESC
   // computes for that proposal (determinism, Lemma 3). The previous launch
-  // settles first: its writes precede this round's snapshot.
-  SettleExecState();
-  if (exec_round < 1 || exec_round >= chain_.size()) return;
-  if (exec_cache_.count(exec_round) > 0) return;
-  const auto wall_start = runtime::WallClock::now();
+  // settles before the snapshot: its writes precede this round's reads.
+  if (exec_round < 1 || exec_round >= chain_.size()) {
+    SettleExecState();
+    return;
+  }
+  auto wall_start = runtime::WallClock::now();
   const size_t shards = static_cast<size_t>(options_.params.shard_count());
 
   // Inputs and the foreign-account snapshot are built here on the loop
@@ -636,11 +648,19 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   // pre-round foreign values. A body reads a foreign account only as the
   // receiver of one of its own cross-shard records (a foreign sender fails
   // before any read, and its own senders are read live), so the snapshot
-  // holds the receivers.
-  exec_job_ = std::make_unique<ExecJob>();
+  // holds the receivers. The inputs read only block_store_ and chain_,
+  // which no shard job touches, so they are built while the previous
+  // round's jobs finish.
+  auto next = std::make_unique<ExecJob>();
+  next->exec_round = exec_round;
+  next->inputs = BuildExecutionInputs(chain_[exec_round]);
+  obs_.runtime_exec_wall_us->Add(
+      static_cast<double>(runtime::WallMicrosSince(wall_start)));
+  SettleExecState();
+  if (exec_cache_.count(exec_round) > 0) return;
+  wall_start = runtime::WallClock::now();
+  exec_job_ = std::move(next);
   ExecJob* job = exec_job_.get();
-  job->exec_round = exec_round;
-  job->inputs = BuildExecutionInputs(chain_[exec_round]);
   for (const ExecutionInput& input : job->inputs) {
     for (const TxAccess& a : input.txs) {
       if (!a.IsCrossShard(options_.params.shard_bits)) continue;
@@ -649,17 +669,23 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   }
   job->results.resize(shards);
 
-  // Launch the per-shard executions on the compute pool and return: each
-  // body writes only its own shard's values and subtree (SnapshotForeignView
-  // confines writes, and foreign reads come from the job's snapshot) and its
-  // own result slot. Nothing on the loop thread reads the canonical state or
-  // the results until SettleExecState, which every reader goes through
-  // (SettledExec, canonical_state).
-  pool_->Launch(shards, [this, job](size_t d) {
-    SnapshotForeignView view(exec_state_.get(), static_cast<uint32_t>(d),
-                             &job->snapshot);
-    job->results[d] = ShardExecutor::Execute(&view, job->inputs[d]);
-  });
+  // Submit one background job per shard and return: each body writes only
+  // its own shard's values and subtree (SnapshotForeignView confines
+  // writes, and foreign reads come from the job's snapshot) and its own
+  // result slot. Nothing on the loop thread reads the canonical state or a
+  // result before that shard's job is done: a shard's reader waits for its
+  // job alone (SettledShardExec), every other reader for all of them
+  // (SettleExecState, through SettledExec and canonical_state).
+  job->shard_jobs.reserve(shards);
+  for (size_t d = 0; d < shards; ++d) {
+    auto shard_job = std::make_shared<runtime::TaskPool::Job>([this, job, d] {
+      SnapshotForeignView view(exec_state_.get(), static_cast<uint32_t>(d),
+                               &job->snapshot);
+      job->results[d] = ShardExecutor::Execute(&view, job->inputs[d]);
+    });
+    pool_->Submit(shard_job, runtime::TaskPool::JobClass::kBackground);
+    job->shard_jobs.push_back(std::move(shard_job));
+  }
   obs_.runtime_exec_tasks->Add(static_cast<uint64_t>(shards));
   obs_.runtime_exec_wall_us->Add(
       static_cast<double>(runtime::WallMicrosSince(wall_start)));
@@ -668,7 +694,9 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
 void PorygonSystem::SettleExecState() {
   if (exec_job_ == nullptr) return;
   const auto wall_start = runtime::WallClock::now();
-  pool_->Join();
+  for (const auto& shard_job : exec_job_->shard_jobs) {
+    pool_->Wait(shard_job.get());
+  }
   const std::unique_ptr<ExecJob> job = std::move(exec_job_);
 
   // The failed ids merge here in shard order, so the cache is identical for
@@ -699,12 +727,28 @@ const PorygonSystem::CachedExec* PorygonSystem::SettledExec(
   // Launches run in exec-round order and each settles its predecessor, so
   // a launch past `exec_round` means that round is already cached (or was
   // never executed): only a reader of the launched round or a later one
-  // joins.
+  // settles.
   if (exec_job_ != nullptr && exec_job_->exec_round <= exec_round) {
     SettleExecState();
   }
   auto it = exec_cache_.find(exec_round);
   return it == exec_cache_.end() ? nullptr : &it->second;
+}
+
+const ExecutionResult* PorygonSystem::SettledShardExec(uint64_t exec_round,
+                                                       uint32_t shard) {
+  if (exec_job_ == nullptr || exec_job_->exec_round != exec_round) {
+    const CachedExec* cached = SettledExec(exec_round);
+    if (cached == nullptr || shard >= cached->results.size()) return nullptr;
+    return &cached->results[shard];
+  }
+  if (shard >= exec_job_->shard_jobs.size()) return nullptr;
+  const auto wall_start = runtime::WallClock::now();
+  pool_->Wait(exec_job_->shard_jobs[shard].get());
+  obs_.runtime_exec_wall_us->Add(
+      static_cast<double>(runtime::WallMicrosSince(wall_start)));
+  // The settle moves the results vector whole, so the slot outlives it.
+  return &exec_job_->results[shard];
 }
 
 void PorygonSystem::ReconfigureEpoch(uint64_t round) {

@@ -807,7 +807,7 @@ class PorygonSystem {
   /// runtime.wall_us{phase="prepare"}.
   template <typename T>
   T TakePrepared(const net::Message& msg) {
-    return core::TakePrepared<T>(msg, prepare_ctx_,
+    return core::TakePrepared<T>(msg, prepare_ctx_, pool_.get(),
                                  obs_.runtime_prepare_wall_us);
   }
   double sim_seconds() const { return net::ToSeconds(events_.now()); }
@@ -887,10 +887,17 @@ class PorygonSystem {
   };
   /// The cached results of `exec_round`, or nullptr. Like canonical_state()
   /// it settles before it reads, so no reader sees the state or the cache
-  /// while pool threads still write them; but it joins only when the
-  /// launched execution is of `exec_round` or an earlier round, and an
+  /// while pool threads still write them; but it settles only when the
+  /// outstanding execution is of `exec_round` or an earlier round, and an
   /// older round's results come straight from the cache.
   const CachedExec* SettledExec(uint64_t exec_round);
+  /// Shard `shard`'s result of `exec_round`, or nullptr. When `exec_round`
+  /// is the outstanding execution's round, it waits for that shard's job
+  /// alone (running it here when no worker has started it) and leaves the
+  /// other shards' jobs outstanding; otherwise it reads like SettledExec.
+  /// The result stays valid until the cache drops the round.
+  const ExecutionResult* SettledShardExec(uint64_t exec_round,
+                                          uint32_t shard);
   /// The exec round of the launched execution that has not settled yet, or
   /// nullopt (diagnostics).
   std::optional<uint64_t> launched_exec_round() const {
@@ -934,25 +941,27 @@ class PorygonSystem {
 
   // Canonical execution state (honest storage nodes replicate identically;
   // kept once). Advanced each round by applying proposal-block inputs.
-  // Read it only through canonical_state(): a launched execution writes it
-  // until it settles.
+  // Read it only through canonical_state(): a launched execution's shard
+  // jobs write it until it settles.
   std::unique_ptr<state::ShardedState> exec_state_;
 
   // Execution-result cache per exec round. Read it only through
-  // SettledExec().
+  // SettledExec() and SettledShardExec().
   std::map<uint64_t, CachedExec> exec_cache_;
 
   // One exec round's canonical execution, launched on the pool by
-  // AdvanceExecState and published into exec_cache_ by SettleExecState.
-  // The job owns everything its bodies read besides their own shard's
-  // subtree and values: the per-shard inputs and the foreign-account
-  // snapshot, both built on the loop thread at launch, plus one result slot
-  // per shard.
+  // AdvanceExecState as one background job per shard and published into
+  // exec_cache_ by SettleExecState. The execution owns everything its
+  // bodies read besides their own shard's subtree and values: the per-shard
+  // inputs and the foreign-account snapshot, both built on the loop thread
+  // at launch, plus one result slot per shard.
   struct ExecJob {
     uint64_t exec_round = 0;
     std::vector<ExecutionInput> inputs;
     std::unordered_map<state::AccountId, state::Account> snapshot;
     std::vector<ExecutionResult> results;
+    // The pool job of each shard's body, by shard.
+    std::vector<std::shared_ptr<runtime::TaskPool::Job>> shard_jobs;
   };
   std::unique_ptr<ExecJob> exec_job_;  // Null when nothing is launched.
 
@@ -1012,12 +1021,15 @@ class PorygonSystem {
                                  uint64_t epoch);
   void MaybeScheduleNextRound();
   /// Launches the canonical execution of B_{exec_round}'s inputs on the
-  /// pool (settling the previous launch first) and returns; the results
-  /// land in exec_cache_ at the next SettleExecState. Fast mode calls it at
-  /// B_{exec_round}'s commit, faithful mode at round exec_round + 2's start.
+  /// pool, one job per shard (settling the previous launch once the inputs
+  /// are built), and returns; the results land in exec_cache_ at the next
+  /// SettleExecState.
+  /// Fast mode calls it at B_{exec_round}'s commit, faithful mode at round
+  /// exec_round + 2's start.
   void AdvanceExecState(uint64_t exec_round);
-  /// Joins the launched execution, merges its results into exec_cache_ in
-  /// shard order and prunes the cache. A no-op when nothing is launched.
+  /// Waits for every shard job of the launched execution, merges their
+  /// results into exec_cache_ in shard order and prunes the cache. A no-op
+  /// when nothing is launched.
   void SettleExecState();
   /// Every shard's execution input for `based_on`, in shard order.
   std::vector<ExecutionInput> BuildExecutionInputs(

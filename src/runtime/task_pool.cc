@@ -23,13 +23,18 @@ TaskPool::TaskPool(int threads) {
 }
 
 TaskPool::~TaskPool() {
-  // Queued jobs stay unrun; an owner that still Waits runs its own.
-  Join();
+  // No Wait can follow the pool, so a job nobody started is dropped here;
+  // a worker finishes the job it runs before it sees stop_.
+  std::deque<std::shared_ptr<Job>> dropped;
   {
     std::unique_lock<std::mutex> lock(mu_);
     stop_ = true;
+    dropped.swap(front_jobs_);
+    for (auto& job : background_jobs_) dropped.push_back(std::move(job));
+    background_jobs_.clear();
   }
   work_cv_.notify_all();
+  for (const auto& job : dropped) Cancel(job.get());
   for (auto& w : workers_) w.join();
 }
 
@@ -57,17 +62,20 @@ void AwaitDone(std::atomic<uint8_t>* state, uint8_t done) {
 }
 }  // namespace
 
-void TaskPool::Submit(std::shared_ptr<Job> job) {
+bool TaskPool::ClaimWakeup() {
+  if (sleeping_ == 0 || wake_pending_) return false;
+  wake_pending_ = true;
+  return true;
+}
+
+void TaskPool::Submit(std::shared_ptr<Job> job, JobClass job_class) {
   if (workers_.empty()) return;  // Its Wait runs it.
   bool wake = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    jobs_.push_back(std::move(job));
-    queued_.store(jobs_.size(), std::memory_order_relaxed);
-    if (sleeping_ > 0 && !wake_pending_) {
-      wake_pending_ = true;
-      wake = true;
-    }
+    (job_class == JobClass::kFront ? front_jobs_ : background_jobs_)
+        .push_back(std::move(job));
+    wake = ClaimWakeup();
   }
   if (wake) work_cv_.notify_one();
 }
@@ -77,6 +85,7 @@ void TaskPool::Wait(Job* job) {
     job->Execute();
     return;
   }
+  RunFrontJobsWhileWaiting(job);
   AwaitDone(&job->state_, Job::kDone);
 }
 
@@ -91,28 +100,23 @@ void TaskPool::Cancel(Job* job) {
   AwaitDone(&job->state_, Job::kDone);
 }
 
-void TaskPool::RunQueuedJobs() {
-  for (;;) {
+void TaskPool::RunFrontJobsWhileWaiting(const Job* awaited) {
+  while (awaited->state_.load(std::memory_order_acquire) != Job::kDone) {
     std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (jobs_.empty()) return;
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-      queued_.store(jobs_.size(), std::memory_order_relaxed);
+      if (front_jobs_.empty()) return;
+      job = std::move(front_jobs_.front());
+      front_jobs_.pop_front();
     }
     // A job its owner already ran or dropped is only unqueued here.
     if (job->Claim()) job->Execute();
   }
 }
 
-void TaskPool::RunIndices(Batch* batch, bool take_jobs) {
-  for (;;) {
-    if (take_jobs && queued_.load(std::memory_order_relaxed) > 0) {
-      RunQueuedJobs();
-    }
-    size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch->n) break;
+void TaskPool::RunIndices(Batch* batch) {
+  for (size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
+       i < batch->n; i = batch->next.fetch_add(1, std::memory_order_relaxed)) {
     (*batch->body)(i);
     batch->done.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -126,28 +130,31 @@ void TaskPool::WorkerLoop() {
     bool wake_another = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      while (!stop_ && jobs_.empty() &&
-             (batch_ == nullptr || batch_seq_ == seen_seq)) {
+      const auto batch_posted = [&] {
+        return batch_ != nullptr && batch_seq_ != seen_seq;
+      };
+      while (!stop_ && front_jobs_.empty() && !batch_posted() &&
+             background_jobs_.empty()) {
         ++sleeping_;
         work_cv_.wait(lock);
         --sleeping_;
         wake_pending_ = false;
       }
       if (stop_) return;
-      if (!jobs_.empty()) {
-        // Jobs first. More left behind this one wake the next sleeper, so
-        // a burst spreads without the submitter waking each worker.
-        job = std::move(jobs_.front());
-        jobs_.pop_front();
-        queued_.store(jobs_.size(), std::memory_order_relaxed);
-        if (!jobs_.empty() && sleeping_ > 0 && !wake_pending_) {
-          wake_pending_ = true;
-          wake_another = true;
-        }
-      } else {
+      // Front jobs first, then a posted batch, then background jobs.
+      if (batch_posted() && front_jobs_.empty()) {
         batch = batch_;
         seen_seq = batch_seq_;
         batch->active.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        auto& queue = front_jobs_.empty() ? background_jobs_ : front_jobs_;
+        job = std::move(queue.front());
+        queue.pop_front();
+        // More left behind wake the next sleeper, so a burst spreads
+        // without the submitter waking each worker.
+        if (!front_jobs_.empty() || !background_jobs_.empty()) {
+          wake_another = ClaimWakeup();
+        }
       }
     }
     if (wake_another) work_cv_.notify_one();
@@ -155,7 +162,7 @@ void TaskPool::WorkerLoop() {
       if (job->Claim()) job->Execute();
       continue;
     }
-    RunIndices(batch, /*take_jobs=*/batch->launched);
+    RunIndices(batch);
     {
       // Exit under the lock so the caller's completion wait cannot miss the
       // notification; once active drops to 0 with all indices done, the
@@ -167,69 +174,34 @@ void TaskPool::WorkerLoop() {
   }
 }
 
-void TaskPool::Post(Batch* batch) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    batch_ = batch;
-    ++batch_seq_;
-  }
-  work_cv_.notify_all();
-}
-
-void TaskPool::Finish(Batch* batch) {
-  RunIndices(batch, /*take_jobs=*/false);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] {
-    return batch->done.load(std::memory_order_acquire) == batch->n &&
-           batch->active.load(std::memory_order_acquire) == 0;
-  });
-  batch_ = nullptr;
-}
-
 void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   if (n == 0) return;
   const auto start = WallClock::now();
-  if (workers_.empty() || launched_ != nullptr || n == 1) {
-    // Serial on the caller thread, index order: no workers, they belong to
-    // the launched batch (which must not be joined here), or one index
+  if (workers_.empty() || n == 1) {
+    // Serial on the caller thread, index order: no workers, or one index
     // leaves them nothing to do but wake up and check out.
     for (size_t i = 0; i < n; ++i) body(i);
   } else {
     Batch batch;
     batch.n = n;
     batch.body = &body;
-    Post(&batch);
-    // The caller participates too, then blocks until the batch is done.
-    Finish(&batch);
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      batch_ = &batch;
+      ++batch_seq_;
+    }
+    work_cv_.notify_all();
+    // The caller participates too, then blocks until every index has
+    // finished and every worker has stepped out of the batch.
+    RunIndices(&batch);
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] {
+      return batch.done.load(std::memory_order_acquire) == n &&
+             batch.active.load(std::memory_order_acquire) == 0;
+    });
+    batch_ = nullptr;
   }
   tasks_run_ += n;
-  wall_us_ += WallMicrosSince(start);
-}
-
-void TaskPool::Launch(size_t n, std::function<void(size_t)> body) {
-  Join();
-  if (n == 0) return;
-  const auto start = WallClock::now();
-  if (workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) body(i);
-  } else {
-    launched_body_ = std::move(body);
-    launched_ = std::make_unique<Batch>();
-    launched_->n = n;
-    launched_->launched = true;
-    launched_->body = &launched_body_;
-    Post(launched_.get());
-  }
-  tasks_run_ += n;
-  wall_us_ += WallMicrosSince(start);
-}
-
-void TaskPool::Join() {
-  if (launched_ == nullptr) return;
-  const auto start = WallClock::now();
-  Finish(launched_.get());
-  launched_.reset();
-  launched_body_ = nullptr;
   wall_us_ += WallMicrosSince(start);
 }
 

@@ -14,7 +14,7 @@ bool TxPool::Add(const Transaction& transaction) {
 bool TxPool::Add(const Transaction& transaction, const TxId& id) {
   if (!seen_.Insert(id)) return false;
   uint32_t shard = state::ShardOfAccount(transaction.from, shard_bits_);
-  queues_[shard].push_back(Pooled{transaction, id});
+  queues_[shard].entries.push_back(Pooled{transaction, id});
   return true;
 }
 
@@ -25,15 +25,24 @@ TransactionBlock TxPool::PackBlock(uint32_t shard, size_t max_count,
   block.header.creator_storage_node = creator;
   block.header.round_created = round;
   block.header.shard = shard;
-  auto& queue = queues_[shard];
-  const size_t take = std::min(max_count, queue.size());
+  Queue& queue = queues_[shard];
+  const size_t take = std::min(max_count, queue.pending());
+  const auto first = queue.entries.begin() + static_cast<ptrdiff_t>(queue.head);
+  const auto last = first + static_cast<ptrdiff_t>(take);
   block.transactions.reserve(take);
   std::vector<TxId> ids;
   ids.reserve(take);
-  while (block.transactions.size() < take) {
-    block.transactions.push_back(std::move(queue.front().tx));
-    ids.push_back(queue.front().id);
-    queue.pop_front();
+  for (auto it = first; it != last; ++it) {
+    block.transactions.push_back(it->tx);
+    ids.push_back(it->id);
+  }
+  queue.head += take;
+  if (queue.head == queue.entries.size()) {
+    queue.entries.clear();
+    queue.head = 0;
+  } else if (2 * queue.head >= queue.entries.size()) {
+    queue.entries.erase(queue.entries.begin(), last);
+    queue.head = 0;
   }
   block.SealHeader(ids);
   if (tx_ids != nullptr) *tx_ids = std::move(ids);
@@ -42,7 +51,7 @@ TransactionBlock TxPool::PackBlock(uint32_t shard, size_t max_count,
 
 size_t TxPool::PendingTotal() const {
   size_t total = 0;
-  for (const auto& q : queues_) total += q.size();
+  for (const Queue& q : queues_) total += q.pending();
   return total;
 }
 

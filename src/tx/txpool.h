@@ -1,7 +1,6 @@
 #ifndef PORYGON_TX_TXPOOL_H_
 #define PORYGON_TX_TXPOOL_H_
 
-#include <deque>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -13,7 +12,9 @@ namespace porygon::tx {
 /// Per-storage-node mempool. Transactions are bucketed by the shard of
 /// their *initiating* account (cross-shard transactions execute first in the
 /// sender's shard, §IV-D2), deduplicated by id, and drained FIFO into
-/// transaction blocks.
+/// transaction blocks. Each shard's queue is one contiguous vector read from
+/// a head index, so admission appends in place and a block drains one
+/// range.
 class TxPool {
  public:
   explicit TxPool(int shard_bits);
@@ -33,7 +34,7 @@ class TxPool {
                              std::vector<TxId>* tx_ids = nullptr);
 
   size_t PendingInShard(uint32_t shard) const {
-    return queues_[shard].size();
+    return queues_[shard].pending();
   }
   size_t PendingTotal() const;
 
@@ -42,9 +43,16 @@ class TxPool {
     Transaction tx;
     TxId id;
   };
+  // One shard's FIFO: entries[head..] are pending, oldest first. Drained
+  // entries are reclaimed once they are half the vector.
+  struct Queue {
+    std::vector<Pooled> entries;
+    size_t head = 0;
+    size_t pending() const { return entries.size() - head; }
+  };
 
   int shard_bits_;
-  std::vector<std::deque<Pooled>> queues_;
+  std::vector<Queue> queues_;
   FlatSet<DigestKey> seen_;  // Every id ever admitted.
 };
 

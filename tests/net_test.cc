@@ -305,7 +305,7 @@ TEST_F(NetFixture, PreparedJobsAreSettledOnEveryPath) {
   });
   network_.SetHandler(waits, [&](const Message& m) {
     ASSERT_NE(m.prepared, nullptr);
-    runtime::TaskPool::Wait(m.prepared.get());
+    pool.Wait(m.prepared.get());
   });
   network_.SetHandler(ignores, [](const Message&) {});
   network_.SetHandler(crashes, [](const Message&) {});

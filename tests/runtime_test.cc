@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -82,75 +83,6 @@ TEST(TaskPoolTest, ParallelMapMergesInIndexOrder) {
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(TaskPoolTest, LaunchThenJoinRunsEveryIndexExactlyOnce) {
-  for (int threads : {2, 4}) {
-    runtime::TaskPool pool(threads);
-    constexpr size_t kN = 1000;
-    std::vector<std::atomic<int>> hits(kN);
-    pool.Launch(kN, [&](size_t i) { hits[i].fetch_add(1); });
-    pool.Join();
-    for (size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << i << " @ " << threads << " threads";
-    }
-    EXPECT_EQ(pool.tasks_run(), kN);
-  }
-}
-
-TEST(TaskPoolTest, JoinWithNothingLaunchedIsANoOp) {
-  runtime::TaskPool pool(2);
-  pool.Join();
-  pool.Launch(0, [&](size_t) { FAIL() << "body must not run"; });
-  pool.Join();
-  EXPECT_EQ(pool.tasks_run(), 0u);
-}
-
-TEST(TaskPoolTest, LaunchWithoutWorkersRunsInlineInIndexOrder) {
-  runtime::TaskPool pool(0);
-  std::vector<size_t> order;
-  pool.Launch(5, [&](size_t i) { order.push_back(i); });
-  // Already complete before Join: one code path at every thread count.
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-  pool.Join();
-  EXPECT_EQ(order.size(), 5u);
-  EXPECT_EQ(pool.tasks_run(), 5u);
-}
-
-TEST(TaskPoolTest, ParallelForDuringLaunchRunsOnCallerWithoutJoining) {
-  runtime::TaskPool pool(2);
-  constexpr size_t kLaunched = 8;
-  std::atomic<bool> release{false};
-  std::atomic<size_t> launched_done{0};
-  // Launched bodies hold until released (bounded, so a broken pool fails
-  // instead of hanging): none can finish before ParallelFor returns unless
-  // ParallelFor joined the batch.
-  pool.Launch(kLaunched, [&](size_t) {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!release.load() && std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::yield();
-    }
-    launched_done.fetch_add(1);
-  });
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<size_t> order;
-  bool all_on_caller = true;
-  pool.ParallelFor(6, [&](size_t i) {
-    order.push_back(i);
-    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
-  });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_TRUE(all_on_caller);
-  EXPECT_EQ(launched_done.load(), 0u);
-  release.store(true);
-  pool.Join();
-  EXPECT_EQ(launched_done.load(), kLaunched);
-  EXPECT_EQ(pool.tasks_run(), kLaunched + 6);
-  // The workers serve fork-join batches again once the launch is joined.
-  std::vector<std::atomic<int>> hits(64);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
 // One index runs on the caller, as the serial path runs it, with the
 // workers left asleep; it still counts as one task.
 TEST(TaskPoolTest, SingleIndexRunsOnTheCaller) {
@@ -170,57 +102,187 @@ TEST(TaskPoolTest, SingleIndexRunsOnTheCaller) {
   }
 }
 
-TEST(TaskPoolTest, SecondLaunchJoinsTheFirst) {
-  runtime::TaskPool pool(2);
-  constexpr size_t kN = 64;
-  std::vector<std::atomic<int>> first(kN);
-  std::vector<std::atomic<int>> second(kN);
-  pool.Launch(kN, [&](size_t i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    first[i].fetch_add(1);
-  });
-  pool.Launch(kN, [&](size_t i) { second[i].fetch_add(1); });
-  // The second Launch returned, so the first batch is complete.
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(first[i].load(), 1) << i;
-  pool.Join();
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(second[i].load(), 1) << i;
-  EXPECT_EQ(pool.tasks_run(), 2 * kN);
-}
-
-TEST(TaskPoolTest, DestructorJoinsAnOutstandingBatch) {
-  constexpr size_t kN = 32;
-  std::atomic<size_t> done{0};
-  {
-    runtime::TaskPool pool(2);
-    pool.Launch(kN, [&](size_t) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      done.fetch_add(1);
-    });
-  }
-  EXPECT_EQ(done.load(), kN);
-}
-
 TEST(TaskPoolTest, JobWithoutWorkersRunsInsideItsWait) {
   runtime::TaskPool pool(0);
   int runs = 0;
   auto job = std::make_shared<runtime::TaskPool::Job>([&] { ++runs; });
-  pool.Submit(job);
+  pool.Submit(job, runtime::TaskPool::JobClass::kBackground);
   EXPECT_EQ(runs, 0);  // Nothing runs behind the caller's back.
-  runtime::TaskPool::Wait(job.get());
-  runtime::TaskPool::Wait(job.get());
+  pool.Wait(job.get());
+  pool.Wait(job.get());
   EXPECT_EQ(runs, 1);
   auto dropped = std::make_shared<runtime::TaskPool::Job>([&] { ++runs; });
   pool.Submit(dropped);
   runtime::TaskPool::Cancel(dropped.get());
-  runtime::TaskPool::Wait(dropped.get());
+  pool.Wait(dropped.get());
   EXPECT_EQ(runs, 1);
 }
 
-// Jobs submitted and waited on (or cancelled) from the caller while
-// fork-join batches, launches and joins interleave, and while the pool is
-// torn down with jobs still queued: every job runs exactly once unless it
-// was cancelled before it started, its result is complete after its Wait,
-// and its closure (here a token) is released once it is done or dropped.
+// Spins until `flag` is set, for at most 10 s, so a broken pool fails the
+// test instead of hanging it. Returns whether the flag was set.
+bool SpinUntil(const std::atomic<bool>& flag) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// A job that holds the worker running it until `release` is set; `busy`
+// tells the test a worker has started it.
+std::shared_ptr<runtime::TaskPool::Job> HoldingJob(std::atomic<bool>* busy,
+                                                   std::atomic<bool>* release) {
+  return std::make_shared<runtime::TaskPool::Job>([busy, release] {
+    busy->store(true);
+    SpinUntil(*release);
+  });
+}
+
+using JobClass = runtime::TaskPool::JobClass;
+
+TEST(TaskPoolTest, BackgroundJobStartsAfterTheQueuedFrontJobs) {
+  runtime::TaskPool pool(1);
+  std::atomic<bool> busy{false};
+  std::atomic<bool> release{false};
+  auto hold = HoldingJob(&busy, &release);
+  pool.Submit(hold, JobClass::kBackground);
+  ASSERT_TRUE(SpinUntil(busy));
+  // Queued behind the held worker: a background job, then two front jobs.
+  std::mutex mu;
+  std::vector<int> order;
+  std::atomic<int> ran{0};
+  std::atomic<bool> all_ran{false};
+  auto noting = [&](int what) {
+    return std::make_shared<runtime::TaskPool::Job>([&, what] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(what);
+      }
+      if (ran.fetch_add(1) + 1 == 3) all_ran.store(true);
+    });
+  };
+  auto background = noting(0);
+  auto front1 = noting(1);
+  auto front2 = noting(2);
+  pool.Submit(background, JobClass::kBackground);
+  pool.Submit(front1);
+  pool.Submit(front2);
+  release.store(true);
+  ASSERT_TRUE(SpinUntil(all_ran));
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+}
+
+TEST(TaskPoolTest, WaitOnARunningJobTakesQueuedFrontJobs) {
+  runtime::TaskPool pool(1);
+  std::atomic<bool> busy{false};
+  std::atomic<bool> release{false};
+  auto running = HoldingJob(&busy, &release);
+  pool.Submit(running, JobClass::kBackground);
+  ASSERT_TRUE(SpinUntil(busy));
+  // The held worker can run neither front job; the last one releases it.
+  std::thread::id ran_on[2];
+  auto first = std::make_shared<runtime::TaskPool::Job>(
+      [&] { ran_on[0] = std::this_thread::get_id(); });
+  auto last = std::make_shared<runtime::TaskPool::Job>([&] {
+    ran_on[1] = std::this_thread::get_id();
+    release.store(true);
+  });
+  // A queued background job is left to the worker.
+  std::atomic<bool> other_ran{false};
+  std::thread::id other_on;
+  auto other = std::make_shared<runtime::TaskPool::Job>([&] {
+    other_on = std::this_thread::get_id();
+    other_ran.store(true);
+  });
+  pool.Submit(other, JobClass::kBackground);
+  pool.Submit(first);
+  pool.Submit(last);
+  pool.Wait(running.get());
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_EQ(ran_on[0], caller);
+  EXPECT_EQ(ran_on[1], caller);
+  ASSERT_TRUE(SpinUntil(other_ran));
+  EXPECT_NE(other_on, caller);
+}
+
+TEST(TaskPoolTest, ParallelForFansOutWhileBackgroundJobsAreQueued) {
+  runtime::TaskPool pool(1);
+  std::atomic<bool> busy{false};
+  std::atomic<bool> release{false};
+  auto hold = HoldingJob(&busy, &release);
+  pool.Submit(hold, JobClass::kBackground);
+  ASSERT_TRUE(SpinUntil(busy));
+  std::atomic<bool> background_started{false};
+  std::vector<std::shared_ptr<runtime::TaskPool::Job>> queued;
+  for (int k = 0; k < 3; ++k) {
+    queued.push_back(std::make_shared<runtime::TaskPool::Job>(
+        [&] { background_started.store(true); }));
+    pool.Submit(queued.back(), JobClass::kBackground);
+  }
+  // The caller claims index 0, frees the worker and holds the index until
+  // index 1 starts on the worker, which must take it ahead of the queued
+  // background jobs.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> index_on_worker{false};
+  bool background_first = false;
+  pool.ParallelFor(2, [&](size_t) {
+    if (std::this_thread::get_id() == caller) {
+      release.store(true);
+      SpinUntil(index_on_worker);
+    } else {
+      background_first = background_started.load();
+      index_on_worker.store(true);
+    }
+  });
+  EXPECT_TRUE(index_on_worker.load());
+  EXPECT_FALSE(background_first);
+  EXPECT_EQ(pool.tasks_run(), 2u);
+  for (const auto& job : queued) pool.Wait(job.get());
+  EXPECT_TRUE(background_started.load());
+}
+
+TEST(TaskPoolTest, TeardownDropsUnstartedJobsAndReleasesTheirClosures) {
+  std::atomic<bool> busy{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> runs{0};
+  auto pool = std::make_unique<runtime::TaskPool>(1);
+  auto hold = HoldingJob(&busy, &release);
+  pool->Submit(hold, JobClass::kBackground);
+  ASSERT_TRUE(SpinUntil(busy));
+  std::vector<std::shared_ptr<runtime::TaskPool::Job>> jobs;
+  std::vector<std::weak_ptr<int>> tokens;
+  for (JobClass job_class : {JobClass::kFront, JobClass::kBackground}) {
+    auto token = std::make_shared<int>(0);
+    tokens.push_back(token);
+    jobs.push_back(std::make_shared<runtime::TaskPool::Job>(
+        [&runs, token] { runs.fetch_add(1); }));
+    pool->Submit(jobs.back(), job_class);
+  }
+  // The destructor drops the queued jobs before it waits for the held
+  // worker, so their closures (and tokens) go while the worker still holds.
+  std::thread teardown([&] { pool.reset(); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto released = [&] { return tokens[0].expired() && tokens[1].expired(); };
+  while (!released() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(released());
+  release.store(true);
+  teardown.join();
+  EXPECT_EQ(runs.load(), 0);  // The worker saw the stop, not the queue.
+  for (const auto& job : jobs) runtime::TaskPool::Cancel(job.get());
+}
+
+// Jobs of both classes submitted and waited on (or cancelled) from the
+// caller while fork-join batches interleave, rounds of background jobs are
+// launched and waited for in full, and the pool is torn down with jobs
+// still queued: every job runs at most once and exactly once if it was
+// waited for, its result is complete after its Wait, and its closure (here
+// a token) is released once it is done or dropped.
 TEST(TaskPoolTest, JobsInterleaveWithBatchesLaunchesAndTeardown) {
   constexpr size_t kJobs = 300;
   for (int threads : {0, 1, 4}) {
@@ -231,14 +293,20 @@ TEST(TaskPoolTest, JobsInterleaveWithBatchesLaunchesAndTeardown) {
       std::vector<std::shared_ptr<runtime::TaskPool::Job>> jobs;
       std::vector<std::weak_ptr<int>> tokens;
       std::vector<bool> cancelled(kJobs, false);
+      std::vector<bool> waited(kJobs, false);
       std::vector<uint64_t> launched(64, 0);
+      std::vector<std::shared_ptr<runtime::TaskPool::Job>> round;
       auto pool = std::make_unique<runtime::TaskPool>(threads);
       auto launch = [&] {
-        pool->Launch(launched.size(), [&](size_t i) {
-          uint64_t v = i;
-          for (int k = 0; k < 2000; ++k) v = v * 6364136223846793005ull + 1;
-          launched[i] = v | 1;
-        });
+        round.clear();
+        for (size_t i = 0; i < launched.size(); ++i) {
+          round.push_back(std::make_shared<runtime::TaskPool::Job>([&, i] {
+            uint64_t v = i;
+            for (int k = 0; k < 2000; ++k) v = v * 6364136223846793005ull + 1;
+            launched[i] = v | 1;
+          }));
+          pool->Submit(round.back(), JobClass::kBackground);
+        }
       };
       launch();
       for (size_t j = 0; j < kJobs; ++j) {
@@ -258,29 +326,31 @@ TEST(TaskPoolTest, JobsInterleaveWithBatchesLaunchesAndTeardown) {
           pool->ParallelFor(fork.size(), [&](size_t i) { fork[i] = 1; });
           EXPECT_EQ(std::count(fork.begin(), fork.end(), 1), 8);
         }
-        if (j % 29 == 0) runtime::TaskPool::Wait(jobs[j / 2].get());
-        if (j % 31 == 0) {
+        if (j % 29 == 0) {
+          pool->Wait(jobs[j / 2].get());
+          waited[j / 2] = !cancelled[j / 2];
+        }
+        if (j % 31 == 0 && !waited[j]) {
           runtime::TaskPool::Cancel(jobs[j].get());
           cancelled[j] = true;
         }
         if (j % 97 == 0) {
-          pool->Join();
+          for (const auto& b : round) pool->Wait(b.get());
           for (uint64_t v : launched) EXPECT_EQ(v & 1, 1u);
           std::fill(launched.begin(), launched.end(), 0);
           launch();
         }
       }
-      // Tear the pool down with jobs still queued; their owners run them.
+      // Tear the pool down with jobs of both classes still queued: the
+      // unstarted ones are dropped, so a later Cancel returns at once.
       pool.reset();
-      for (uint64_t v : launched) EXPECT_EQ(v & 1, 1u);
+      for (uint64_t v : launched) EXPECT_TRUE(v == 0 || (v & 1) == 1);
       for (size_t j = 0; j < kJobs; ++j) {
-        runtime::TaskPool::Wait(jobs[j].get());
+        runtime::TaskPool::Cancel(jobs[j].get());
         EXPECT_TRUE(tokens[j].expired()) << j;
-        if (cancelled[j]) {
-          EXPECT_LE(runs[j].load(), 1) << j;
-          continue;
-        }
-        EXPECT_EQ(runs[j].load(), 1) << j;
+        EXPECT_LE(runs[j].load(), 1) << j;
+        if (waited[j]) EXPECT_EQ(runs[j].load(), 1) << j;
+        if (runs[j].load() == 0) continue;
         uint64_t v = j;
         for (int k = 0; k < 500; ++k) v = v * 2862933555777941757ull + 3;
         EXPECT_EQ(out[j], v) << j;
@@ -505,15 +575,18 @@ TEST(ThreadInvarianceTest, PipelinedExecutionMatchesSerial) {
 }
 
 TEST(ThreadInvarianceTest, LaunchOutlivesRunAndSettlesAtItsReader) {
-  // Fast mode launches each committed block's execution at its commit, so
-  // Run() returns with the last one outstanding. canonical_state() settles
-  // it, and so does CreateAccounts, which writes what its bodies read:
-  // under TSan a reader that skipped the settle is a reported race, and at
-  // any width it would change the exports below.
+  // Fast mode launches each committed block's execution at its commit, one
+  // job per shard, so Run() returns with the last one outstanding. A shard
+  // reader waits for its own shard's job and leaves the execution
+  // outstanding; canonical_state() settles it, and so does CreateAccounts,
+  // which writes what the shard jobs read: under TSan a reader that skipped
+  // the settle is a reported race, and at any width it would change the
+  // exports below.
   unsetenv("PORYGON_THREADS");
   struct Outcome {
     std::string metrics_json;
     crypto::Hash256 root_after_first_run{};
+    crypto::Hash256 shard_root_read_early{};
     crypto::Hash256 global_root{};
     crypto::Hash256 chain_tip{};
     uint64_t supply = 0;
@@ -549,10 +622,22 @@ TEST(ThreadInvarianceTest, LaunchOutlivesRunAndSettlesAtItsReader) {
     sys.Run(1, net::FromSeconds(600));
     EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4))
         << threads << " threads";
-    // New accounts land in the shards the launched bodies write.
+    // Shard 1's reader leaves the execution outstanding.
+    const core::ExecutionResult* early = sys.SettledShardExec(4, 1);
+    EXPECT_NE(early, nullptr) << threads << " threads";
+    if (early != nullptr) out.shard_root_read_early = early->shard_root;
+    EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4))
+        << threads << " threads";
+    // New accounts land in the shards the shard jobs write.
     sys.CreateAccounts(20, 500);
     EXPECT_EQ(sys.launched_exec_round(), std::nullopt)
         << threads << " threads";
+    const core::PorygonSystem::CachedExec* settled = sys.SettledExec(4);
+    EXPECT_NE(settled, nullptr) << threads << " threads";
+    if (settled != nullptr) {
+      EXPECT_EQ(settled->results[1].shard_root, out.shard_root_read_early)
+          << threads << " threads";
+    }
     for (uint64_t id = 61; id <= 80; ++id) {
       EXPECT_EQ(sys.canonical_state().GetOrDefault(id).balance, 500u) << id;
     }
@@ -568,11 +653,13 @@ TEST(ThreadInvarianceTest, LaunchOutlivesRunAndSettlesAtItsReader) {
   };
   const Outcome serial = run(0);
   EXPECT_GT(serial.metrics_json.size(), 0u);
-  for (int threads : {2, 4}) {
+  for (int threads : {1, 2, 4}) {
     const Outcome pooled = run(threads);
     EXPECT_EQ(pooled.metrics_json, serial.metrics_json)
         << threads << " threads";
     EXPECT_EQ(pooled.root_after_first_run, serial.root_after_first_run)
+        << threads << " threads";
+    EXPECT_EQ(pooled.shard_root_read_early, serial.shard_root_read_early)
         << threads << " threads";
     EXPECT_EQ(pooled.global_root, serial.global_root) << threads << " threads";
     EXPECT_EQ(pooled.chain_tip, serial.chain_tip) << threads << " threads";
@@ -580,36 +667,48 @@ TEST(ThreadInvarianceTest, LaunchOutlivesRunAndSettlesAtItsReader) {
 }
 
 TEST(ThreadInvarianceTest, ReaderOfAnOlderRoundDoesNotJoin) {
-  // SettledExec(q) joins only a launch of round q or earlier: after B_q
-  // commits, round q-1's results come from the cache and the launch of
-  // round q keeps running; round q's reader settles it.
+  // SettledExec(q) settles only an execution of round q or earlier: after
+  // B_q commits, round q-1's results come from the cache and the shard
+  // jobs of round q keep running. A reader of one shard of round q waits
+  // for that shard's job alone; a reader of the whole round settles it.
   unsetenv("PORYGON_THREADS");
-  core::SystemOptions opt = ScenarioOptions(2);
-  opt.trace.enabled = false;
-  core::PorygonSystem sys(opt);
-  sys.CreateAccounts(60, 10'000);
-  for (uint64_t from = 1; from <= 20; ++from) {
-    tx::Transaction t;
-    t.from = from;
-    t.to = from + 20;
-    t.amount = 1;
-    ASSERT_TRUE(sys.SubmitTransaction(t).ok());
-  }
-  sys.Run(4, net::FromSeconds(600));
-  ASSERT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
-  const core::PorygonSystem::CachedExec* older = sys.SettledExec(3);
-  ASSERT_NE(older, nullptr);
-  EXPECT_EQ(older->results.size(), 2u);
-  EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
-  const core::PorygonSystem::CachedExec* current = sys.SettledExec(4);
-  EXPECT_EQ(sys.launched_exec_round(), std::nullopt);
-  ASSERT_NE(current, nullptr);
-  EXPECT_EQ(current->results.size(), 2u);
-  // Round 4's roots are the canonical shard roots now.
-  for (uint32_t d = 0; d < 2; ++d) {
-    EXPECT_EQ(current->results[d].shard_root,
-              sys.canonical_state().ShardRoot(d))
-        << d;
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(::testing::Message() << threads << " workers");
+    core::SystemOptions opt = ScenarioOptions(threads);
+    opt.trace.enabled = false;
+    core::PorygonSystem sys(opt);
+    sys.CreateAccounts(60, 10'000);
+    for (uint64_t from = 1; from <= 20; ++from) {
+      tx::Transaction t;
+      t.from = from;
+      t.to = from + 20;
+      t.amount = 1;
+      ASSERT_TRUE(sys.SubmitTransaction(t).ok());
+    }
+    sys.Run(4, net::FromSeconds(600));
+    ASSERT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
+    const core::PorygonSystem::CachedExec* older = sys.SettledExec(3);
+    ASSERT_NE(older, nullptr);
+    EXPECT_EQ(older->results.size(), 2u);
+    EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
+    // An older round's shard comes from the cache too.
+    EXPECT_EQ(sys.SettledShardExec(3, 0), &older->results[0]);
+    const core::ExecutionResult* shard0 = sys.SettledShardExec(4, 0);
+    ASSERT_NE(shard0, nullptr);
+    EXPECT_EQ(sys.SettledShardExec(4, 2), nullptr);  // No such shard.
+    EXPECT_EQ(sys.launched_exec_round(), std::optional<uint64_t>(4));
+    const core::PorygonSystem::CachedExec* current = sys.SettledExec(4);
+    EXPECT_EQ(sys.launched_exec_round(), std::nullopt);
+    ASSERT_NE(current, nullptr);
+    EXPECT_EQ(current->results.size(), 2u);
+    // The shard read early is the settled slot itself.
+    EXPECT_EQ(&current->results[0], shard0);
+    // Round 4's roots are the canonical shard roots now.
+    for (uint32_t d = 0; d < 2; ++d) {
+      EXPECT_EQ(current->results[d].shard_root,
+                sys.canonical_state().ShardRoot(d))
+          << d;
+    }
   }
 }
 

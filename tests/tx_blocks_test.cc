@@ -225,6 +225,42 @@ TEST(TxPoolTest, PackBlockDrainsFifoUpToLimit) {
   EXPECT_EQ(pool.PendingTotal(), 6u);
 }
 
+// Blocks drain each shard's queue oldest first across refills, whether a
+// drain empties the queue or leaves a tail behind (and reclaims the head).
+TEST(TxPoolTest, PackBlockKeepsFifoAcrossDrainsAndRefills) {
+  TxPool pool(0);
+  uint64_t next_in = 0;
+  uint64_t next_out = 0;
+  auto add = [&](int count) {
+    for (int i = 0; i < count; ++i, ++next_in) {
+      ASSERT_TRUE(pool.Add(Make(1, 2, 100 + next_in, next_in)));
+    }
+  };
+  auto pack = [&](size_t limit, size_t expect) {
+    std::vector<TxId> ids;
+    TransactionBlock block = pool.PackBlock(0, limit, 0, 0, &ids);
+    ASSERT_EQ(block.transactions.size(), expect);
+    for (size_t i = 0; i < block.transactions.size(); ++i, ++next_out) {
+      EXPECT_EQ(block.transactions[i].nonce, next_out);
+      EXPECT_EQ(ids[i], block.transactions[i].Id());
+    }
+    EXPECT_TRUE(block.BodyMatchesHeader());
+  };
+  add(10);
+  pack(3, 3);  // A short drain leaves the head in place.
+  pack(4, 4);  // Past half: the drained head is reclaimed.
+  add(5);
+  pack(6, 6);
+  pack(100, 2);  // Empties the queue.
+  EXPECT_EQ(pool.PendingTotal(), 0u);
+  pack(5, 0);
+  add(7);
+  pack(2, 2);
+  EXPECT_EQ(pool.PendingInShard(0), 5u);
+  pack(100, 5);
+  EXPECT_EQ(next_out, next_in);
+}
+
 // PackBlock seals from the ids computed at admission; they must give the
 // same root as re-hashing the body, and the ids it hands back must be the
 // bodies' ids in block order.
