@@ -13,6 +13,19 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Layering: the protocol engine keeps no storage engine of its own (storage
+# nodes serve the canonical state and the shared block store), and the
+# storage engine depends only on src/common (no obs/ or runtime/ hooks).
+layering=$({
+  grep -rn '#include "storage/' src/core
+  grep -rn '#include "' src/storage | grep -vE '#include "(common|storage)/'
+} || true)
+if [[ -n "$layering" ]]; then
+  echo "check.sh: layering violation:" >&2
+  echo "$layering" >&2
+  exit 1
+fi
+
 run_suite() {
   local dir="$1"
   shift
@@ -203,12 +216,12 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
     run_suite build-asan -DPORYGON_SANITIZE=address,undefined
 
-  # TSan leg: the pool fan-outs (shard execution, batch crypto, compaction,
-  # bloom builds) must be race-free with workers actually running, so force
-  # a multi-threaded pool via PORYGON_THREADS for the runtime + system
-  # suites; Sha256 checks the once-initialised kernel choices (SHA-NI and
-  # the 16-lane batch kernel) that the pool threads of VerifyBatch and of
-  # the SMT rehash read; Smt and ShardedState because per-shard value
+  # TSan leg: the pool fan-outs (shard execution, batch crypto) must be
+  # race-free with workers actually running, so force a multi-threaded
+  # pool via PORYGON_THREADS for the runtime + system suites; Sha256
+  # checks the once-initialised kernel choices (SHA-NI and the 16-lane
+  # batch kernel) that the pool threads of VerifyBatch and of the SMT
+  # rehash read; Smt and ShardedState because per-shard value
   # writes, PutBatch merges and their batched level sweeps run on pool
   # threads, which the loop must not read until the settle; ThreadInvariance
   # also because the shard jobs submitted at a commit outlive Run() until

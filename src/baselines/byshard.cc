@@ -198,8 +198,8 @@ double ByshardSystem::MeanNodeTrafficPerRound() const {
   size_t members = 0;
   for (const auto& shard : shards_) {
     for (net::NodeId id : shard.members) {
-      const auto& stats = network_->StatsFor(id);
-      total += static_cast<double>(stats.bytes_sent + stats.bytes_received);
+      const net::LinkActivity& link = network_->ActivityFor(id);
+      total += static_cast<double>(link.bytes_up + link.bytes_down);
       ++members;
     }
   }

@@ -16,15 +16,7 @@ StorageNodeActor::StorageNodeActor(PorygonSystem* system, int index,
       index_(index),
       net_id_(net_id),
       strategy_(strategy),
-      pool_(system->params().shard_bits),
-      env_(new storage::MemEnv()) {
-  storage::DbOptions db_options;
-  db_options.metrics = system->metrics_registry();
-  db_options.metrics_node = std::to_string(index);
-  db_options.pool = system->task_pool();
-  auto db = storage::Db::Open(env_.get(), "db", db_options);
-  db_ = std::move(db).value();
-}
+      pool_(system->params().shard_bits) {}
 
 void StorageNodeActor::HandleMessage(const net::Message& msg) {
   switch (msg.kind) {
@@ -623,8 +615,8 @@ void StorageNodeActor::OnRejoin(uint64_t round) {
   PORYGON_LOG(kInfo) << "storage" << index_ << " rejoining at round "
                      << round;
   // Per-round offer bookkeeping is stale after the outage; rebuilt when the
-  // next round distributes. Durable state (db_, pool, the shared block
-  // store) survived the crash, so catching up is joining the current round.
+  // next round distributes. Durable state (pool, the shared block store)
+  // survived the crash, so catching up is joining the current round.
   offered_blocks_.clear();
   last_distributed_round_ = 0;
 
@@ -685,9 +677,6 @@ void StorageNodeActor::OnCommit(const net::Message& msg, bool from_gossip) {
     return;
   }
 
-  // Persist the proposal block (storage nodes keep the chain).
-  (void)db_->Put(ToBytes("block/" + std::to_string(block->round)),
-                 msg.payload);
   if (system_->tracer()->enabled()) {
     system_->tracer()->Instant(system_->tracer()->RoundContext(block->round),
                                "apply_block", TraceName());

@@ -1440,7 +1440,7 @@ net::SimTime PorygonSystem::DrawSessionEnd() {
 std::map<int, double> PorygonSystem::StatelessPhaseTraffic() const {
   // Derived entirely from the registry's labelled net counters: sum the
   // stateless class's sent+received bytes per phase, averaged per node per
-  // committed round. Equivalent to the former per-node TrafficStats sweep.
+  // committed round.
   std::map<int, double> per_phase;
   auto phase_of_label = [](const std::string& label) {
     for (int p = -1; p <= 3; ++p) {

@@ -30,8 +30,6 @@
 #include "runtime/task_pool.h"
 #include "state/sharded_state.h"
 #include "state/view.h"
-#include "storage/db.h"
-#include "storage/env.h"
 #include "tx/blocks.h"
 #include "tx/txpool.h"
 
@@ -68,7 +66,7 @@ struct SystemOptions {
   /// Deterministic seed for keys, topology, jitter, adversary placement.
   uint64_t seed = 1;
   /// Worker threads for the compute pool (shard execution, batch signature
-  /// verification, compaction, bloom builds). 0 = serial on the event-loop
+  /// verification, message front halves). 0 = serial on the event-loop
   /// thread; the PORYGON_THREADS environment variable overrides when set.
   /// Results are byte-identical for any value (see runtime/task_pool.h).
   int worker_threads = 0;
@@ -270,7 +268,7 @@ class StorageNodeActor {
   void DistributeRoundWork(uint64_t round);
   /// Called after a crash -> recover cycle: the node is back on the
   /// network and will catch up on the current round (fresh per-round
-  /// bookkeeping; durable state survived in db_/block store).
+  /// bookkeeping; durable state survived in the shared block store).
   void OnRejoin(uint64_t round);
 
   /// Client admission into this node's mempool; false for a duplicate.
@@ -325,8 +323,6 @@ class StorageNodeActor {
   AdvStrategy strategy_;
 
   tx::TxPool pool_;
-  std::unique_ptr<storage::MemEnv> env_;
-  std::unique_ptr<storage::Db> db_;
 
   // Witness bookkeeping: block id -> distinct proofs; per-batch witnessed
   // block ids (reached Tw). Every reader looks the block up in the store
@@ -755,7 +751,7 @@ class PorygonSystem {
 
   SystemMetrics metrics() const { return SystemMetrics(&metrics_registry_); }
   /// The registry every layer of this deployment records into (network,
-  /// consensus, storage engines, pipeline actors).
+  /// consensus, pipeline actors, compute pool).
   obs::MetricsRegistry* metrics_registry() { return &metrics_registry_; }
   const obs::MetricsRegistry& metrics_registry() const {
     return metrics_registry_;

@@ -24,24 +24,6 @@ std::vector<uint8_t> CryptoProvider::VerifyBatch(
   return ok;
 }
 
-std::vector<uint8_t> CryptoProvider::VerifyProofBatch(
-    const std::vector<ProofVerifyJob>& jobs) {
-  std::vector<uint8_t> ok(jobs.size(), 0);
-  auto one = [&](size_t i) {
-    const ProofVerifyJob& j = jobs[i];
-    ok[i] =
-        VerifyProof(j.pub, ByteView(j.input.data(), j.input.size()), j.proof)
-            ? 1
-            : 0;
-  };
-  if (pool_ == nullptr) {
-    for (size_t i = 0; i < jobs.size(); ++i) one(i);
-  } else {
-    pool_->ParallelFor(jobs.size(), one);
-  }
-  return ok;
-}
-
 KeyPair Ed25519Provider::GenerateKeyPair(Rng* rng) {
   return Ed25519GenerateKeyPair(rng);
 }

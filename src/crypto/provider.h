@@ -43,32 +43,25 @@ class CryptoProvider {
                            const VrfProof& proof) = 0;
 
   // --- Batch verification --------------------------------------------------
-  // Independent verifications fan out on the attached TaskPool; results come
-  // back in job order, so callers observe exactly what a serial loop over
-  // Verify/VerifyProof would produce (byte-identical for any thread count).
-  // Jobs own their message bytes: callers may batch across messages that go
-  // out of scope before the batch runs.
+  // Independent signature verifications fan out on the attached TaskPool;
+  // results come back in job order, so callers observe exactly what a
+  // serial loop over Verify would produce (byte-identical for any thread
+  // count). Jobs own their message bytes: callers may batch across messages
+  // that go out of scope before the batch runs.
   struct VerifyJob {
     PublicKey pub;
     Bytes message;
     Signature sig;
-  };
-  struct ProofVerifyJob {
-    PublicKey pub;
-    Bytes input;
-    VrfProof proof;
   };
 
   /// One result byte per job (1 = valid), in job order. Runs serially when
   /// no pool is attached. Elements use uint8_t, not bool: parallel writers
   /// need one addressable byte per index.
   std::vector<uint8_t> VerifyBatch(const std::vector<VerifyJob>& jobs);
-  std::vector<uint8_t> VerifyProofBatch(
-      const std::vector<ProofVerifyJob>& jobs);
 
-  /// Attaches the pool batch entry points fan out on (nullptr = serial).
-  /// Implementations' Verify/VerifyProof must be safe to call concurrently
-  /// once a pool is attached (both shipped providers are).
+  /// Attaches the pool VerifyBatch fans out on (nullptr = serial).
+  /// Implementations' Verify must be safe to call concurrently once a pool
+  /// is attached (both shipped providers' are).
   void SetTaskPool(runtime::TaskPool* pool) { pool_ = pool; }
   runtime::TaskPool* task_pool() const { return pool_; }
 

@@ -60,8 +60,6 @@ void SimNetwork::EnableMetrics(obs::MetricsRegistry* registry,
         "net.dropped_messages", {{"reason", "sender_crashed"}});
     dropped_receiver_crashed_ = metrics_->GetCounter(
         "net.dropped_messages", {{"reason", "receiver_crashed"}});
-    dropped_filter_ = metrics_->GetCounter("net.dropped_messages",
-                                           {{"reason", "drop_filter"}});
     dropped_fault_ = metrics_->GetCounter("net.dropped_messages",
                                           {{"reason", "fault_injected"}});
     delivered_counter_ = metrics_->GetCounter("net.delivered_messages");
@@ -72,7 +70,6 @@ void SimNetwork::EnableMetrics(obs::MetricsRegistry* registry,
   } else {
     dropped_sender_crashed_ = nullptr;
     dropped_receiver_crashed_ = nullptr;
-    dropped_filter_ = nullptr;
     dropped_fault_ = nullptr;
     delivered_counter_ = nullptr;
     queue_up_hist_ = nullptr;
@@ -173,10 +170,6 @@ void SimNetwork::Send(Message msg) {
     Drop(dropped_receiver_crashed_);
     return;
   }
-  if (drop_filter_ && drop_filter_(msg)) {
-    Drop(dropped_filter_);
-    return;
-  }
   FaultDecision fault;
   if (fault_hook_) fault = fault_hook_(msg);
   if (fault.drop) {
@@ -196,7 +189,6 @@ void SimNetwork::Send(Message msg) {
 void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
   if (prepare_hook_) msg.prepared = prepare_hook_(msg);
   NodeState& sender = nodes_[msg.from];
-  sender.stats.bytes_sent += msg.wire_size;
 
   const SimTime now = events_->now();
   const double up_bps = std::max(sender.link.uplink_bps, 1.0);
@@ -273,7 +265,6 @@ void SimNetwork::Transmit(Message msg, SimTime extra_delay) {
         Settle(msg);
         return;
       }
-      receiver.stats.bytes_received += msg.wire_size;
       if (metrics_ != nullptr) {
         KindCounters& counters = CountersFor(receiver, msg.kind);
         counters.recv_bytes->Add(msg.wire_size);

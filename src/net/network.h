@@ -57,13 +57,6 @@ struct LinkSpec {
   double downlink_bps = 1e6;
 };
 
-/// Byte totals per node. The per-kind and per-phase split lives in the
-/// registry's net.sent_bytes / net.recv_bytes series (EnableMetrics).
-struct TrafficStats {
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
-};
-
 /// Cumulative per-node link ledger: bytes moved, plus *queueing delay*
 /// (time a transmission waited for `uplink_free_at` / `downlink_free_at`)
 /// accounted separately from *busy time* (the serialization time the link
@@ -72,8 +65,8 @@ struct TrafficStats {
 /// entries are charged when the send is admitted; downlink entries when
 /// the message reserves the receiver's downlink (arrival), whether or not
 /// the final delivery still finds the receiver alive — the ledger tracks
-/// link occupancy, not application receipt (TrafficStats tracks the
-/// latter, at delivery).
+/// link occupancy, not application receipt. The per-kind and per-phase
+/// split lives in the registry's net.* series (EnableMetrics).
 struct LinkActivity {
   uint64_t bytes_up = 0;
   uint64_t bytes_down = 0;
@@ -101,14 +94,12 @@ struct FaultDecision {
 ///   deliver = max(arrive, receiver downlink free) + wire_size / downlink_bps
 ///
 /// Each node registers a handler; delivery invokes it at the computed time.
-/// Crashed nodes neither send nor receive. A drop filter lets adversarial
-/// actors (malicious storage nodes) censor traffic.
+/// Crashed nodes neither send nor receive; a fault hook may drop, duplicate
+/// or delay any other send.
 class SimNetwork {
  public:
   using Handler = std::function<void(const Message&)>;
-  /// Returns true if the message must be silently dropped.
-  using DropFilter = std::function<bool(const Message&)>;
-  /// Consulted per send (after crash/filter checks) by a fault injector.
+  /// Consulted per send (after the crash checks) by a fault injector.
   using FaultHook = std::function<FaultDecision(const Message&)>;
   /// Called for each copy a send transmits; what it returns rides in the
   /// copy's Message::prepared to delivery.
@@ -140,8 +131,7 @@ class SimNetwork {
   /// net.downlink_queue_us / net.downlink_busy_us, same labels),
   /// net.queue_delay_seconds histograms labelled {dir}, per-role
   /// net.inflight_hwm gauges, plus net.dropped_messages labelled by
-  /// {reason} (sender_crashed, receiver_crashed, drop_filter,
-  /// fault_injected). The
+  /// {reason} (sender_crashed, receiver_crashed, fault_injected). The
   /// `kind_name` / `phase_name` callbacks translate raw message kinds to
   /// stable label values so the export is protocol-aware without the net
   /// layer knowing any protocol enum. Passing nullptr disables mirroring.
@@ -150,7 +140,6 @@ class SimNetwork {
                      std::function<std::string(uint16_t)> phase_name = {});
 
   void SetHandler(NodeId node, Handler handler);
-  void SetDropFilter(DropFilter filter) { drop_filter_ = std::move(filter); }
   /// Installs (or clears) the fault-injection hook. At most one is active;
   /// a FaultInjector (net/fault.h) installs itself here.
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
@@ -181,9 +170,6 @@ class SimNetwork {
   void SetCrashed(NodeId node, bool crashed);
   bool IsCrashed(NodeId node) const { return nodes_[node].crashed; }
 
-  const TrafficStats& StatsFor(NodeId node) const {
-    return nodes_[node].stats;
-  }
   /// Cumulative link ledger for one node; window readers (the per-round
   /// critical-path analyzer) snapshot this and difference snapshots.
   const LinkActivity& ActivityFor(NodeId node) const {
@@ -211,7 +197,6 @@ class SimNetwork {
     bool crashed = false;
     SimTime uplink_free_at = 0;
     SimTime downlink_free_at = 0;
-    TrafficStats stats;
     LinkActivity activity;
     uint32_t class_idx = 0;
     uint32_t role_idx = 0;
@@ -254,7 +239,6 @@ class SimNetwork {
   std::vector<uint64_t> inflight_;      // Per role, currently in flight.
   std::vector<uint64_t> inflight_hwm_;  // Per role, since last reset.
   std::vector<obs::Gauge*> inflight_gauges_;  // Per role (lazy, nullable).
-  DropFilter drop_filter_;
   FaultHook fault_hook_;
   PrepareHook prepare_hook_;
   SimTime latency_base_ = FromMillis(0.5);  // Paper: 0.5 ms node<->storage.
@@ -268,7 +252,6 @@ class SimNetwork {
   // attribute loss; messages_dropped() stays the cross-reason aggregate.
   obs::Counter* dropped_sender_crashed_ = nullptr;
   obs::Counter* dropped_receiver_crashed_ = nullptr;
-  obs::Counter* dropped_filter_ = nullptr;
   obs::Counter* dropped_fault_ = nullptr;
   obs::Counter* delivered_counter_ = nullptr;
   obs::Histogram* queue_up_hist_ = nullptr;

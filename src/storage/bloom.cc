@@ -1,9 +1,5 @@
 #include "storage/bloom.h"
 
-#include <algorithm>
-
-#include "runtime/task_pool.h"
-
 namespace porygon::storage {
 
 uint64_t BloomHash(ByteView key) {
@@ -26,16 +22,6 @@ void BloomFilterBuilder::Add(ByteView key) {
   key_hashes_.push_back(BloomHash(key));
 }
 
-size_t BloomFilterBuilder::PartitionCount(size_t keys) {
-  // ~8K hashes per task; one task for small filters, capped fan-out for
-  // huge ones. Depends only on the key count so the task schedule (and any
-  // counter fed from it) is identical for every thread configuration.
-  constexpr size_t kKeysPerTask = 8192;
-  constexpr size_t kMaxTasks = 16;
-  const size_t parts = (keys + kKeysPerTask - 1) / kKeysPerTask;
-  return std::max<size_t>(1, std::min(parts, kMaxTasks));
-}
-
 Bytes BloomFilterBuilder::Finish() {
   // k = bits_per_key * ln(2), clamped to [1, 30].
   int k = static_cast<int>(bits_per_key_ * 0.69);
@@ -47,35 +33,13 @@ Bytes BloomFilterBuilder::Finish() {
   size_t bytes = (bits + 7) / 8;
   bits = bytes * 8;
 
-  auto set_bits = [&](Bytes* dst, size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      uint64_t h = key_hashes_[j];
-      uint64_t delta = (h >> 33) | (h << 31);  // Second hash via rotation.
-      for (int i = 0; i < k; ++i) {
-        uint64_t bit = h % bits;
-        (*dst)[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-        h += delta;
-      }
-    }
-  };
-
   Bytes out(bytes + 1, 0);
-  const size_t parts = PartitionCount(key_hashes_.size());
-  if (pool_ == nullptr || parts <= 1) {
-    set_bits(&out, 0, key_hashes_.size());
-  } else {
-    // Each slice sets bits in its own array; OR-merge on the caller. The
-    // result is bit-for-bit the serial filter.
-    const size_t per = (key_hashes_.size() + parts - 1) / parts;
-    std::vector<Bytes> local(parts);
-    pool_->ParallelFor(parts, [&](size_t p) {
-      local[p].assign(bytes, 0);
-      const size_t begin = p * per;
-      const size_t end = std::min(begin + per, key_hashes_.size());
-      set_bits(&local[p], begin, end);
-    });
-    for (const Bytes& l : local) {
-      for (size_t b = 0; b < bytes; ++b) out[b] |= l[b];
+  for (uint64_t h : key_hashes_) {
+    uint64_t delta = (h >> 33) | (h << 31);  // Second hash via rotation.
+    for (int i = 0; i < k; ++i) {
+      uint64_t bit = h % bits;
+      out[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+      h += delta;
     }
   }
   out[bytes] = static_cast<uint8_t>(k);

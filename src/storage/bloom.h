@@ -2,12 +2,9 @@
 #define PORYGON_STORAGE_BLOOM_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/bytes.h"
-
-namespace porygon::runtime {
-class TaskPool;
-}  // namespace porygon::runtime
 
 namespace porygon::storage {
 
@@ -21,26 +18,11 @@ class BloomFilterBuilder {
   void Add(ByteView key);
 
   /// Serializes the filter (bit array + k in the last byte).
-  ///
-  /// With a pool attached, bit-setting fans out: the key hashes are split
-  /// into `PartitionCount(keys)` slices, each slice ORs into its own local
-  /// bit array, and the slices are OR-merged on the caller. OR is
-  /// commutative, so the serialized bytes are identical to the serial
-  /// build for any thread count.
   Bytes Finish();
-
-  /// Fans Finish() out on `pool` (nullptr = serial build).
-  void set_pool(runtime::TaskPool* pool) { pool_ = pool; }
-
-  /// Number of pool tasks Finish() uses for `keys` hashes. Pure function of
-  /// the key count (never of the thread count), so task counters derived
-  /// from it stay deterministic.
-  static size_t PartitionCount(size_t keys);
 
  private:
   int bits_per_key_;
   std::vector<uint64_t> key_hashes_;
-  runtime::TaskPool* pool_ = nullptr;
 };
 
 /// Read-side view over a serialized filter.

@@ -1,10 +1,9 @@
 #include "storage/db.h"
 
 #include <algorithm>
+#include <cstdio>
 
-#include "common/log.h"
 #include "common/wire.h"
-#include "runtime/task_pool.h"
 
 namespace porygon::storage {
 
@@ -19,53 +18,7 @@ std::string TableFileName(uint64_t number) {
 
 Db::Db(Env* env, std::string dir, DbOptions options)
     : env_(env), dir_(std::move(dir)), options_(std::move(options)),
-      memtable_(new MemTable()) {
-  if (options_.metrics != nullptr) {
-    obs::Labels labels;
-    if (!options_.metrics_node.empty()) {
-      labels.emplace_back("node", options_.metrics_node);
-    }
-    wal_bytes_ = options_.metrics->GetCounter("db.wal_bytes", labels);
-    wal_records_ = options_.metrics->GetCounter("db.wal_records", labels);
-    flushes_ = options_.metrics->GetCounter("db.flushes", labels);
-    compactions_ = options_.metrics->GetCounter("db.compactions", labels);
-    bloom_checks_ = options_.metrics->GetCounter("db.bloom_checks", labels);
-    bloom_negatives_ =
-        options_.metrics->GetCounter("db.bloom_negatives", labels);
-    l0_gauge_ = options_.metrics->GetGauge("db.l0_tables", labels);
-    // Pool phases aggregate across nodes (no node label), matching the
-    // system-level runtime.tasks series. Task counts are deterministic;
-    // wall time is volatile and excluded from exports.
-    runtime_compact_tasks_ =
-        options_.metrics->GetCounter("runtime.tasks", {{"phase", "compact"}});
-    runtime_bloom_tasks_ =
-        options_.metrics->GetCounter("runtime.tasks", {{"phase", "bloom"}});
-    runtime_compact_wall_us_ = options_.metrics->GetVolatileGauge(
-        "runtime.wall_us", {{"phase", "compact"}});
-    runtime_bloom_wall_us_ = options_.metrics->GetVolatileGauge(
-        "runtime.wall_us", {{"phase", "bloom"}});
-  }
-}
-
-uint64_t Db::PoolWallUs() const {
-  return options_.pool != nullptr ? options_.pool->wall_us() : 0;
-}
-
-void Db::RecordPoolWall(obs::Gauge* gauge, uint64_t wall_before) const {
-  if (gauge != nullptr && options_.pool != nullptr) {
-    gauge->Add(static_cast<double>(options_.pool->wall_us() - wall_before));
-  }
-}
-
-void Db::AttachTableMetrics(SstableReader* reader) const {
-  reader->set_bloom_metrics(bloom_checks_, bloom_negatives_);
-}
-
-void Db::UpdateTableGauge() {
-  if (l0_gauge_ != nullptr) {
-    l0_gauge_->Set(static_cast<double>(l0_.size()));
-  }
-}
+      memtable_(new MemTable()) {}
 
 Db::~Db() = default;
 
@@ -95,7 +48,6 @@ Status Db::Recover() {
       PORYGON_RETURN_IF_ERROR(r.Varint(&level).Varint(&number).status());
       PORYGON_ASSIGN_OR_RETURN(auto reader,
                                SstableReader::Open(env_, TablePath(number)));
-      AttachTableMetrics(reader.get());
       auto handle = std::make_unique<TableHandle>();
       handle->number = number;
       handle->reader = std::move(reader);
@@ -122,8 +74,6 @@ Status Db::Recover() {
     PORYGON_RETURN_IF_ERROR(FlushLocked());
   }
   PORYGON_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env_, WalPath()));
-  wal_->set_metrics(wal_bytes_, wal_records_);
-  UpdateTableGauge();
   return Status::Ok();
 }
 
@@ -275,11 +225,9 @@ Status Db::Scan(ByteView start, ByteView end,
 
 Status Db::FlushLocked() {
   if (memtable_->EntryCount() == 0) return Status::Ok();
-  if (flushes_ != nullptr) flushes_->Increment();
 
   uint64_t number = next_table_number_++;
   SstableBuilder builder(env_, TablePath(number));
-  builder.set_pool(options_.pool);
   // The memtable orders same-key versions newest-first; emit only the first.
   Bytes last_key;
   bool have_last = false;
@@ -295,25 +243,16 @@ Status Db::FlushLocked() {
     }
     it.Next();
   }
-  const uint64_t wall_before = PoolWallUs();
   PORYGON_RETURN_IF_ERROR(builder.Finish());
-  RecordPoolWall(runtime_bloom_wall_us_, wall_before);
-  if (runtime_bloom_tasks_ != nullptr) {
-    runtime_bloom_tasks_->Add(
-        BloomFilterBuilder::PartitionCount(builder.entries_added()));
-  }
 
   PORYGON_ASSIGN_OR_RETURN(auto reader,
                            SstableReader::Open(env_, TablePath(number)));
-  AttachTableMetrics(reader.get());
   l0_.push_back(TableHandle{number, std::move(reader)});
-  UpdateTableGauge();
   PORYGON_RETURN_IF_ERROR(WriteManifest());
 
   // The flushed data is durable; start a fresh memtable and WAL.
   memtable_ = std::make_unique<MemTable>();
   PORYGON_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env_, WalPath()));
-  wal_->set_metrics(wal_bytes_, wal_records_);
   return MaybeCompact();
 }
 
@@ -328,65 +267,30 @@ Status Db::MaybeCompact() {
 
 Status Db::CompactAll() {
   if (l0_.empty() && !l1_) return Status::Ok();
-  if (compactions_ != nullptr) compactions_->Increment();
 
-  // Extract every table's entries, fanning out one task per table when a
-  // pool is attached — readers are immutable and disjoint, and MemEnv
-  // serves finished tables lock-free, so concurrent ForEach is safe. The
-  // newest-wins merge stays serial: sequence numbers arbitrate, so the
-  // merged map is identical regardless of extraction order.
-  std::vector<const SstableReader*> tables;
-  if (l1_) tables.push_back(l1_->reader.get());
-  for (const auto& t : l0_) tables.push_back(t.reader.get());
-  std::vector<std::vector<SstableReader::Entry>> extracted(tables.size());
-  std::vector<Status> extract_status(tables.size(), Status::Ok());
-  auto extract = [&](size_t i) {
-    extract_status[i] =
-        tables[i]->ForEach([&](const SstableReader::Entry& e) {
-          extracted[i].push_back(e);
-          return true;
-        });
-  };
-  const uint64_t wall_before = PoolWallUs();
-  if (options_.pool != nullptr) {
-    options_.pool->ParallelFor(tables.size(), extract);
-  } else {
-    for (size_t i = 0; i < tables.size(); ++i) extract(i);
-  }
-  RecordPoolWall(runtime_compact_wall_us_, wall_before);
-  if (runtime_compact_tasks_ != nullptr) {
-    runtime_compact_tasks_->Add(tables.size());
-  }
-  for (const Status& s : extract_status) PORYGON_RETURN_IF_ERROR(s);
-
-  // Merge newest-wins across all tables; a full compaction may drop
-  // tombstones because nothing older remains underneath.
+  // Merge newest-wins across all tables (sequence numbers arbitrate, so
+  // the order tables are read in does not matter); a full compaction may
+  // drop tombstones because nothing older remains underneath.
   std::map<Bytes, std::pair<uint64_t, std::pair<ValueType, Bytes>>> merged;
-  for (const auto& entries : extracted) {
-    for (const SstableReader::Entry& e : entries) {
-      auto it = merged.find(e.key);
-      if (it == merged.end() || it->second.first < e.sequence) {
-        merged[e.key] = {e.sequence, {e.type, e.value}};
-      }
+  auto merge = [&](const SstableReader::Entry& e) {
+    auto it = merged.find(e.key);
+    if (it == merged.end() || it->second.first < e.sequence) {
+      merged[e.key] = {e.sequence, {e.type, e.value}};
     }
-  }
+    return true;
+  };
+  if (l1_) PORYGON_RETURN_IF_ERROR(l1_->reader->ForEach(merge));
+  for (const auto& t : l0_) PORYGON_RETURN_IF_ERROR(t.reader->ForEach(merge));
 
   uint64_t number = next_table_number_++;
   SstableBuilder builder(env_, TablePath(number));
-  builder.set_pool(options_.pool);
   for (const auto& [key, versioned] : merged) {
     if (versioned.second.first == ValueType::kDeletion) continue;
     PORYGON_RETURN_IF_ERROR(builder.Add(key, versioned.first,
                                         ValueType::kValue,
                                         versioned.second.second));
   }
-  const uint64_t bloom_wall_before = PoolWallUs();
   PORYGON_RETURN_IF_ERROR(builder.Finish());
-  RecordPoolWall(runtime_bloom_wall_us_, bloom_wall_before);
-  if (runtime_bloom_tasks_ != nullptr) {
-    runtime_bloom_tasks_->Add(
-        BloomFilterBuilder::PartitionCount(builder.entries_added()));
-  }
 
   std::vector<uint64_t> obsolete;
   for (const auto& t : l0_) obsolete.push_back(t.number);
@@ -395,11 +299,9 @@ Status Db::CompactAll() {
 
   PORYGON_ASSIGN_OR_RETURN(auto reader,
                            SstableReader::Open(env_, TablePath(number)));
-  AttachTableMetrics(reader.get());
   l1_ = std::make_unique<TableHandle>();
   l1_->number = number;
   l1_->reader = std::move(reader);
-  UpdateTableGauge();
   PORYGON_RETURN_IF_ERROR(WriteManifest());
 
   for (uint64_t n : obsolete) {

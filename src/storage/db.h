@@ -9,15 +9,10 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "storage/env.h"
 #include "storage/memtable.h"
 #include "storage/sstable.h"
 #include "storage/wal.h"
-
-namespace porygon::runtime {
-class TaskPool;
-}  // namespace porygon::runtime
 
 namespace porygon::storage {
 
@@ -28,24 +23,14 @@ struct DbOptions {
   int l0_compaction_trigger = 4;
   /// fsync the WAL on every write (off in simulations; MemEnv is lossless).
   bool sync_writes = false;
-  /// Optional registry receiving engine counters (db.wal_bytes, db.flushes,
-  /// db.compactions, db.bloom_checks, ...). Series carry a {node:
-  /// metrics_node} label so multiple Db instances stay distinguishable.
-  obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_node;
-  /// Optional compute pool: SSTable compaction extraction and bloom-filter
-  /// builds fan out on it at the sim-time of the triggering event. All
-  /// on-disk bytes are identical with or without a pool (and for any thread
-  /// count) — see src/runtime/task_pool.h for the determinism contract.
-  runtime::TaskPool* pool = nullptr;
 };
 
-/// Embedded LSM key/value store: the per-storage-node database that replaces
-/// the paper's MySQL instance. Two-level layout (L0 overlapping tables +
-/// one L1 sorted run), WAL-backed crash recovery, bloom-filtered reads.
+/// Embedded LSM key/value store: the block store of the ByShard baseline's
+/// full nodes (Fig 9a) and the engine the state micro-benchmarks time.
+/// Two-level layout (L0 overlapping tables + one L1 sorted run), WAL-backed
+/// crash recovery, bloom-filtered reads.
 ///
-/// Not internally synchronized: each simulated storage node owns one Db and
-/// the discrete-event engine serializes accesses.
+/// Not internally synchronized: each owner serializes its accesses.
 class Db {
  public:
   /// Opens (and recovers) a database rooted at `dir` inside `env`.
@@ -107,16 +92,6 @@ class Db {
  private:
   Db(Env* env, std::string dir, DbOptions options);
 
-  /// Hands the bloom counters to a freshly opened table reader and refreshes
-  /// the db.l0_tables gauge; no-ops without a registry.
-  void AttachTableMetrics(SstableReader* reader) const;
-  void UpdateTableGauge();
-
-  // Volatile wall-clock accounting around pool fan-outs (no-ops without a
-  // pool or registry).
-  uint64_t PoolWallUs() const;
-  void RecordPoolWall(obs::Gauge* gauge, uint64_t wall_before) const;
-
   Status Recover();
   Status FlushLocked();
   Status MaybeCompact();
@@ -147,22 +122,6 @@ class Db {
   };
   std::vector<TableHandle> l0_;  // Oldest first; search newest first.
   std::unique_ptr<TableHandle> l1_;
-
-  // Engine counters, resolved once in the constructor (null when
-  // options_.metrics is unset).
-  obs::Counter* wal_bytes_ = nullptr;
-  obs::Counter* wal_records_ = nullptr;
-  obs::Counter* flushes_ = nullptr;
-  obs::Counter* compactions_ = nullptr;
-  obs::Counter* bloom_checks_ = nullptr;
-  obs::Counter* bloom_negatives_ = nullptr;
-  obs::Gauge* l0_gauge_ = nullptr;
-  // Pool instrumentation: deterministic task counts per phase, plus the
-  // volatile (never-exported) per-phase wall-clock gauges.
-  obs::Counter* runtime_compact_tasks_ = nullptr;
-  obs::Counter* runtime_bloom_tasks_ = nullptr;
-  obs::Gauge* runtime_compact_wall_us_ = nullptr;
-  obs::Gauge* runtime_bloom_wall_us_ = nullptr;
 };
 
 }  // namespace porygon::storage

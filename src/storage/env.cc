@@ -1,152 +1,12 @@
 #include "storage/env.h"
 
-#include <cstdio>
-#include <filesystem>
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 
 namespace porygon::storage {
-
-namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// POSIX Env
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class PosixWritableFile : public WritableFile {
- public:
-  explicit PosixWritableFile(std::FILE* f) : f_(f) {}
-  ~PosixWritableFile() override {
-    if (f_ != nullptr) std::fclose(f_);
-  }
-
-  Status Append(ByteView data) override {
-    if (f_ == nullptr) return Status::FailedPrecondition("file closed");
-    if (std::fwrite(data.data(), 1, data.size(), f_) != data.size()) {
-      return Status::Internal("short write");
-    }
-    return Status::Ok();
-  }
-
-  Status Sync() override {
-    if (f_ == nullptr) return Status::FailedPrecondition("file closed");
-    if (std::fflush(f_) != 0) return Status::Internal("fflush failed");
-    return Status::Ok();
-  }
-
-  Status Close() override {
-    if (f_ == nullptr) return Status::Ok();
-    int rc = std::fclose(f_);
-    f_ = nullptr;
-    return rc == 0 ? Status::Ok() : Status::Internal("fclose failed");
-  }
-
- private:
-  std::FILE* f_;
-};
-
-class PosixRandomAccessFile : public RandomAccessFile {
- public:
-  explicit PosixRandomAccessFile(std::string path) : path_(std::move(path)) {}
-
-  Status Read(uint64_t offset, size_t n, Bytes* out) const override {
-    std::FILE* f = std::fopen(path_.c_str(), "rb");
-    if (f == nullptr) return Status::NotFound("open failed: " + path_);
-    if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
-      std::fclose(f);
-      return Status::Internal("seek failed");
-    }
-    out->resize(n);
-    size_t got = std::fread(out->data(), 1, n, f);
-    std::fclose(f);
-    out->resize(got);
-    return Status::Ok();
-  }
-
-  Result<uint64_t> Size() const override {
-    std::error_code ec;
-    auto size = fs::file_size(path_, ec);
-    if (ec) return Status::NotFound("stat failed: " + path_);
-    return static_cast<uint64_t>(size);
-  }
-
- private:
-  std::string path_;
-};
-
-class PosixEnv : public Env {
- public:
-  Result<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path) override {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return Status::Internal("open for write failed: " + path);
-    return std::unique_ptr<WritableFile>(new PosixWritableFile(f));
-  }
-
-  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
-      const std::string& path) override {
-    if (!fs::exists(path)) return Status::NotFound("no such file: " + path);
-    return std::unique_ptr<RandomAccessFile>(new PosixRandomAccessFile(path));
-  }
-
-  Result<Bytes> ReadFile(const std::string& path) override {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return Status::NotFound("open failed: " + path);
-    Bytes out;
-    uint8_t buf[1 << 16];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      out.insert(out.end(), buf, buf + got);
-    }
-    std::fclose(f);
-    return out;
-  }
-
-  bool FileExists(const std::string& path) override { return fs::exists(path); }
-
-  Status RemoveFile(const std::string& path) override {
-    std::error_code ec;
-    fs::remove(path, ec);
-    return ec ? Status::Internal("remove failed: " + path) : Status::Ok();
-  }
-
-  Status RenameFile(const std::string& from, const std::string& to) override {
-    std::error_code ec;
-    fs::rename(from, to, ec);
-    return ec ? Status::Internal("rename failed") : Status::Ok();
-  }
-
-  Status CreateDirIfMissing(const std::string& path) override {
-    std::error_code ec;
-    fs::create_directories(path, ec);
-    return ec ? Status::Internal("mkdir failed: " + path) : Status::Ok();
-  }
-
-  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
-    std::error_code ec;
-    std::vector<std::string> names;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      names.push_back(entry.path().filename().string());
-    }
-    if (ec) return Status::NotFound("listdir failed: " + dir);
-    return names;
-  }
-};
-
-}  // namespace
-
-Env* Env::Default() {
-  static PosixEnv* env = new PosixEnv();  // Never destroyed (trivial state).
-  return env;
-}
-
-// ---------------------------------------------------------------------------
-// In-memory Env
-// ---------------------------------------------------------------------------
 
 struct MemEnv::Impl {
   mutable std::mutex mu;

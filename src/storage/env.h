@@ -29,9 +29,7 @@ class RandomAccessFile {
 };
 
 /// File-system abstraction in the LevelDB/RocksDB tradition. The database is
-/// written against `Env` so that unit tests and the many storage-node
-/// instances inside a simulation run on the in-memory implementation, while
-/// examples that want durability use the POSIX one.
+/// written against `Env`; every caller runs it on the in-memory `MemEnv`.
 class Env {
  public:
   virtual ~Env() = default;
@@ -49,13 +47,9 @@ class Env {
   virtual Status CreateDirIfMissing(const std::string& path) = 0;
   /// Lists file names (not paths) directly under `dir`.
   virtual Result<std::vector<std::string>> ListDir(const std::string& dir) = 0;
-
-  /// Process-wide POSIX environment.
-  static Env* Default();
 };
 
-/// Fully in-memory Env; each instance is an isolated namespace. Used by
-/// every storage node in simulations and by most tests.
+/// Fully in-memory Env; each instance is an isolated namespace.
 class MemEnv : public Env {
  public:
   MemEnv();

@@ -150,10 +150,7 @@ Result<Bytes> SstableReader::Get(ByteView key, bool* found_tombstone) const {
   *found_tombstone = false;
   if (index_entries_.empty()) return Status::NotFound("empty table");
 
-  BloomFilterReader bloom(bloom_raw_);
-  if (bloom_checks_ != nullptr) bloom_checks_->Increment();
-  if (!bloom.MayContain(key)) {
-    if (bloom_negatives_ != nullptr) bloom_negatives_->Increment();
+  if (!BloomFilterReader(bloom_raw_).MayContain(key)) {
     return Status::NotFound("bloom miss");
   }
 

@@ -9,7 +9,6 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "common/wire.h"
-#include "obs/metrics.h"
 #include "storage/bloom.h"
 #include "storage/env.h"
 #include "storage/memtable.h"
@@ -41,13 +40,6 @@ class SstableBuilder {
 
   /// Writes index/bloom/footer and closes the file.
   Status Finish();
-
-  /// Fans the bloom-filter build inside Finish() out on `pool` (nullptr =
-  /// serial; output bytes are identical either way).
-  void set_pool(runtime::TaskPool* pool) { bloom_.set_pool(pool); }
-
-  size_t entries_added() const { return entry_count_; }
-  uint64_t file_size() const { return offset_; }
 
  private:
   Env* env_;
@@ -85,14 +77,6 @@ class SstableReader {
   size_t entry_count() const { return entry_count_; }
   uint64_t data_size() const { return index_offset_; }
 
-  /// Mirrors bloom-filter effectiveness into registry counters (lookups
-  /// consulting the filter, and lookups it short-circuited). Either pointer
-  /// may be null. The hit rate is `1 - negatives / checks`.
-  void set_bloom_metrics(obs::Counter* checks, obs::Counter* negatives) {
-    bloom_checks_ = checks;
-    bloom_negatives_ = negatives;
-  }
-
  private:
   SstableReader() = default;
 
@@ -100,8 +84,6 @@ class SstableReader {
   static Status ParseEntry(const Bytes& data, size_t* offset, Entry* out);
 
   std::unique_ptr<RandomAccessFile> file_;
-  obs::Counter* bloom_checks_ = nullptr;
-  obs::Counter* bloom_negatives_ = nullptr;
   uint64_t index_offset_ = 0;
   size_t entry_count_ = 0;
   Bytes bloom_raw_;

@@ -32,14 +32,11 @@ Status WalWriter::AddBatchRecord(uint64_t first_sequence,
 }
 
 Status WalWriter::AppendFramed(ByteView payload) {
-  const Bytes frame = wire::Writer()
-                          .U32(Crc32cMask(Crc32c(payload)))
-                          .U32(static_cast<uint32_t>(payload.size()))
-                          .Raw(payload)
-                          .Take();
-  if (bytes_counter_ != nullptr) bytes_counter_->Add(frame.size());
-  if (records_counter_ != nullptr) records_counter_->Increment();
-  return file_->Append(frame);
+  return file_->Append(wire::Writer()
+                           .U32(Crc32cMask(Crc32c(payload)))
+                           .U32(static_cast<uint32_t>(payload.size()))
+                           .Raw(payload)
+                           .Take());
 }
 
 Status WalWriter::Sync() { return file_->Sync(); }

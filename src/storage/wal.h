@@ -7,7 +7,6 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "storage/env.h"
 #include "storage/memtable.h"
 
@@ -42,14 +41,6 @@ class WalWriter {
 
   Status Sync();
 
-  /// Mirrors append volume into registry counters (framed bytes written and
-  /// records appended). Either pointer may be null; the Db re-attaches these
-  /// after every WAL rotation.
-  void set_metrics(obs::Counter* bytes, obs::Counter* records) {
-    bytes_counter_ = bytes;
-    records_counter_ = records;
-  }
-
  private:
   explicit WalWriter(std::unique_ptr<WritableFile> file)
       : file_(std::move(file)) {}
@@ -57,8 +48,6 @@ class WalWriter {
   Status AppendFramed(ByteView payload);
 
   std::unique_ptr<WritableFile> file_;
-  obs::Counter* bytes_counter_ = nullptr;
-  obs::Counter* records_counter_ = nullptr;
 };
 
 /// One recovered mutation.

@@ -194,17 +194,8 @@ std::string Spec::ToString() const {
 
 std::unique_ptr<TrafficModel> Spec::BuildModel() const {
   switch (model) {
-    case Model::kUniform: {
-      WorkloadOptions opt;
-      opt.num_accounts = num_accounts;
-      opt.shard_bits = shard_bits;
-      opt.cross_shard_ratio = cross_shard_ratio;
-      opt.zipf_s = zipf_s;
-      opt.amount_min = amount_min;
-      opt.amount_max = amount_max;
-      opt.seed = seed;
-      return std::make_unique<WorkloadGenerator>(opt);
-    }
+    case Model::kUniform:
+      return std::make_unique<WorkloadGenerator>(*this);
     case Model::kZipf:
       return std::make_unique<ZipfTrafficModel>(*this);
     case Model::kFlashCrowd:

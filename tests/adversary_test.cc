@@ -223,18 +223,19 @@ TEST(AdversaryOptionsTest, ValidateEnforcesPaperBounds) {
   }
 }
 
-// --- Network drop filter (satellite) --------------------------------------
+// --- Network fault-hook drops ---------------------------------------------
 
 TEST(AdversaryNetTest, DropFilterCountsReasonLabelledDrops) {
   PorygonSystem sys(Opts());
   sys.CreateAccounts(40, 10'000);
   uint64_t filtered = 0;
-  sys.network()->SetDropFilter([&](const net::Message& msg) {
+  sys.network()->SetFaultHook([&](const net::Message& msg) {
+    net::FaultDecision d;
     if (msg.kind == kMsgWitnessUpload && filtered < 5) {
       ++filtered;
-      return true;
+      d.drop = true;
     }
-    return false;
+    return d;
   });
   for (uint64_t f = 1; f <= 8; ++f) {
     sys.SubmitTransaction(Transfer(f, f + 20, 1, 0));
@@ -242,7 +243,7 @@ TEST(AdversaryNetTest, DropFilterCountsReasonLabelledDrops) {
   sys.Run(4, net::FromSeconds(600));
   EXPECT_EQ(filtered, 5u);
   const auto* dropped = sys.metrics_registry()->FindCounter(
-      "net.dropped_messages", {{"reason", "drop_filter"}});
+      "net.dropped_messages", {{"reason", "fault_injected"}});
   ASSERT_NE(dropped, nullptr);
   EXPECT_EQ(dropped->value(), filtered);
   EXPECT_EQ(sys.metrics().replay_mismatches(), 0u);
@@ -358,7 +359,7 @@ TEST(AdversaryTest, FastModeStateRepliesCarryOnlyTheirBill) {
   // Accounts asked for, by (requester, round, shard).
   std::map<std::tuple<net::NodeId, uint64_t, uint32_t>, size_t> asked;
   uint64_t replies = 0, tampered = 0;
-  sys.network()->SetDropFilter([&](const net::Message& m) {
+  sys.network()->SetFaultHook([&](const net::Message& m) {
     if (m.kind == kMsgStateRequest) {
       auto req = StateRequest::Decode(m.payload);
       EXPECT_TRUE(req.ok());
@@ -368,19 +369,19 @@ TEST(AdversaryTest, FastModeStateRepliesCarryOnlyTheirBill) {
     } else if (m.kind == kMsgStateResponse) {
       auto resp = StateResponse::Decode(m.payload);
       EXPECT_TRUE(resp.ok());
-      if (!resp.ok()) return false;
+      if (!resp.ok()) return net::FaultDecision{};
       EXPECT_TRUE(resp->entries.empty());
       EXPECT_TRUE(resp->proofs.empty());
       auto it = asked.find({m.to, resp->round, resp->shard});
       EXPECT_NE(it, asked.end());
-      if (it == asked.end()) return false;
+      if (it == asked.end()) return net::FaultDecision{};
       EXPECT_GT(it->second, 0u);
       EXPECT_EQ(m.wire_size, 12 + 145 * it->second);
       EXPECT_EQ(resp->WireSize(), m.wire_size);
       ++replies;
       if (tamperers.count(m.from) > 0) ++tampered;
     }
-    return false;
+    return net::FaultDecision{};
   });
   sys.CreateAccounts(120, 10'000);
   for (uint64_t f = 1; f <= 12; ++f) {

@@ -180,7 +180,7 @@ TEST(WorkloadTest, NoncesAreConsecutivePerSender) {
 }
 
 TEST(WorkloadTest, CrossShardRatioIsRespected) {
-  WorkloadOptions opt;
+  Spec opt;
   opt.num_accounts = 10'000;
   opt.shard_bits = 2;
   opt.seed = 3;
@@ -197,7 +197,7 @@ TEST(WorkloadTest, CrossShardRatioIsRespected) {
 }
 
 TEST(WorkloadTest, ZipfSkewsSenders) {
-  WorkloadOptions opt;
+  Spec opt;
   opt.num_accounts = 1000;
   opt.zipf_s = 1.1;
   opt.seed = 5;

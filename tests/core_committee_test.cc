@@ -77,6 +77,12 @@ TEST_F(SortitionTest, VerificationAcceptsHonestAndRejectsForged) {
   // A proof for a different round fails.
   EXPECT_FALSE(Sortition::Verify(&provider_, kp.public_key, 10, PrevHash(3),
                                  0.2, 0.7, 3, a));
+
+  // A tampered VRF output fails.
+  Assignment tampered = a;
+  tampered.proof.output[0] ^= 1;
+  EXPECT_FALSE(Sortition::Verify(&provider_, kp.public_key, 9, PrevHash(3),
+                                 0.2, 0.7, 3, tampered));
 }
 
 TEST_F(SortitionTest, CommitteeSizesMatchThresholds) {

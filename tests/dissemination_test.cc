@@ -343,7 +343,7 @@ TEST(DisseminationTest, TreeExportsAreThreadInvariant) {
   EXPECT_EQ(HexEncode(serial->canonical_state().GlobalRoot()),
             "36f412263b3a25ee820a27ea81dd0bacc9b250b2fd340d0ec07a3d5e698c2266");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(metrics))),
-            "6a85854a7417a0f55a4c10598e3153c5cf01e46e2e5f1d0b4c96127c112579d6");
+            "c133ec38132a1b9ca1a0b0663d2530fb371c4deb5576cf5dc70a153a36c58a48");
   for (int threads : {1, 4}) {
     auto run = RunWith("tree", "", "", threads);
     EXPECT_EQ(run->metrics().ToJson(), metrics) << threads << " threads";
@@ -376,7 +376,7 @@ TEST(DisseminationTest, EquivocatingRelayLeavesEvidenceWithoutBreakingSafety) {
             clean->canonical_state().GlobalRoot());
   EXPECT_EQ(adv->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*adv),
-            "888474df8f2ca9d69e740a7b090d2e7c5acc8b6ccbdb6dc6b62b268040a004bd");
+            "416e74676181f6e17c3044032e9c8d52122e81a7742bad7a8dcf6f2f71a08e36");
 }
 
 // Withholding relays (silent strategy drops every message, including relay
@@ -394,7 +394,7 @@ TEST(DisseminationTest, SilentRelaysDegradeToDirectWithoutStalling) {
             direct->canonical_state().GlobalRoot());
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*tree),
-            "9a229de0a92d42249a8608cda1b70e010c873639ad9169334e57f03bc54df1e1");
+            "b2abd08492549ef0e9d4d8a09545af6a10e467f2989262d46c77efe0a15888d5");
 }
 
 // Crashed stateless nodes (which may hold relay elections for their shard)
@@ -406,7 +406,7 @@ TEST(DisseminationTest, CrashedRelayFallsBackToDirectPaths) {
   EXPECT_GT(tree->metrics().committed_txs(), 0u);
   EXPECT_EQ(tree->metrics().replay_mismatches(), 0u);
   EXPECT_EQ(MetricsDigest(*tree),
-            "880996c5e276c82d52ce43938f36e7428ac4fce0d979c9bcb12c88c2fbd4e5c2");
+            "a7d1312edadee947c5d9048397fe99cbc8537e8d297675783a5a22edd543c9cd");
 }
 
 }  // namespace

@@ -204,7 +204,7 @@ TEST(EpochTest, LeaderHandOffUnderLoadIsPinned) {
   EXPECT_EQ(HexEncode(sys.canonical_state().GlobalRoot()),
             "b4678bff663ee03331cabbe22f688d1d53f093c14f66beddc68617d27e30f4f7");
   EXPECT_EQ(HexEncode(crypto::Sha256::Hash(ToBytes(sys.metrics().ToJson()))),
-            "5f9adfa4b158cbc02bb6dc180999e803de73555d633b5fd40f21aff77b46e6f1");
+            "7cc5b813ce98222f9c8f0e1d3356996825fcae1aca4638f53a099c6ab35d0fb3");
 }
 
 TEST(EpochAdversaryTest, PlacementIsRedrawnWithinBoundsEachEpoch) {

@@ -153,8 +153,10 @@ TEST(FaultInjectionTest, DropFilterCensorshipDegradesButDoesNotCorrupt) {
   PorygonSystem sys(Opts());
   sys.CreateAccounts(10'000, 100'000);
   Rng drop_rng(99);
-  sys.network()->SetDropFilter([&drop_rng](const net::Message& m) {
-    return m.kind == kMsgWitnessUpload && drop_rng.NextBernoulli(0.2);
+  sys.network()->SetFaultHook([&drop_rng](const net::Message& m) {
+    net::FaultDecision d;
+    d.drop = m.kind == kMsgWitnessUpload && drop_rng.NextBernoulli(0.2);
+    return d;
   });
   workload::WorkloadGenerator gen(
       {.num_accounts = 10'000, .shard_bits = 1, .seed = 17});

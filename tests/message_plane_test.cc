@@ -74,14 +74,14 @@ TEST(MessagePlaneTest, RelayFanOutSharesOneInnerBuffer) {
   vote.voter = sender->public_key();
   const Bytes inner = vote.Encode();
 
-  // The drop filter sees every send: record the storage node's forwards.
+  // The fault hook sees every send: record the storage node's forwards.
   std::vector<net::Message> forwards;
-  sys.network()->SetDropFilter([&](const net::Message& m) {
+  sys.network()->SetFaultHook([&](const net::Message& m) {
     if (m.from == sender->primary_storage() && m.kind == kMsgVote &&
         ByteView(m.payload) == ByteView(inner)) {
       forwards.push_back(m);
     }
-    return false;
+    return net::FaultDecision{};
   });
   Relay relay;
   relay.target = Relay::kToOrderingCommittee;

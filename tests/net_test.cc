@@ -162,7 +162,11 @@ TEST_F(NetFixture, DropFilterCensorsSelectedKinds) {
   NodeId b = network_.AddNode({1e6, 1e6});
   int received = 0;
   network_.SetHandler(b, [&](const Message&) { ++received; });
-  network_.SetDropFilter([](const Message& m) { return m.kind == 13; });
+  network_.SetFaultHook([](const Message& m) {
+    FaultDecision d;
+    d.drop = m.kind == 13;
+    return d;
+  });
 
   network_.Send(a, b, 13, ToBytes("censored"));
   network_.Send(a, b, 14, ToBytes("allowed"));
@@ -181,10 +185,10 @@ TEST_F(NetFixture, TrafficAccountingByKind) {
   network_.Send(a, b, 1, {}, 200);
   events_.RunUntilIdle();
 
-  EXPECT_EQ(network_.StatsFor(a).bytes_sent, 1000u);
+  EXPECT_EQ(network_.ActivityFor(a).bytes_up, 1000u);
   EXPECT_EQ(SentBytes(1), 700u);
   EXPECT_EQ(SentBytes(2), 300u);
-  EXPECT_EQ(network_.StatsFor(b).bytes_received, 1000u);
+  EXPECT_EQ(network_.ActivityFor(b).bytes_down, 1000u);
 }
 
 TEST_F(NetFixture, SendOverloadBillsThePayloadAndCarriesTheTrace) {
@@ -211,7 +215,7 @@ TEST_F(NetFixture, SendOverloadBillsThePayloadAndCarriesTheTrace) {
   EXPECT_FALSE(received[1].trace.active());
   EXPECT_EQ(SentBytes(4), 7u);
   EXPECT_EQ(SentBytes(5), 90u);
-  EXPECT_EQ(network_.StatsFor(a).bytes_sent, 97u);
+  EXPECT_EQ(network_.ActivityFor(a).bytes_up, 97u);
 }
 
 TEST_F(NetFixture, SharedPayloadFansOutFromOneAllocation) {
@@ -238,8 +242,7 @@ TEST_F(NetFixture, SharedPayloadFansOutFromOneAllocation) {
 TEST_F(NetFixture, SharedPayloadIsReleasedOnEveryPath) {
   // One payload per path; each buffer must be freed once the network is
   // done with every copy of it: delivered, dropped at a receiver that
-  // crashed in flight, censored by the drop filter, or duplicated by the
-  // fault hook and delivered twice.
+  // crashed in flight, or dropped or duplicated by the fault hook.
   NodeId a = network_.AddNode({1e6, 1e6});
   NodeId delivered = network_.AddNode({1e6, 1e6});
   NodeId crashes = network_.AddNode({1e6, 1e6});
@@ -249,9 +252,9 @@ TEST_F(NetFixture, SharedPayloadIsReleasedOnEveryPath) {
   for (NodeId n : {delivered, crashes, censored, duplicated}) {
     network_.SetHandler(n, [&](const Message& m) { ++deliveries[m.to]; });
   }
-  network_.SetDropFilter([&](const Message& m) { return m.to == censored; });
   network_.SetFaultHook([&](const Message& m) {
     FaultDecision d;
+    d.drop = m.to == censored;
     d.duplicate = m.to == duplicated;
     return d;
   });

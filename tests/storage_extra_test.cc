@@ -1,10 +1,9 @@
-// Additional storage-engine coverage: Env implementations, SSTable edge
+// Additional storage-engine coverage: the in-memory Env, SSTable edge
 // cases, Db statistics, and failure paths.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "common/rng.h"
 #include "storage/db.h"
@@ -79,47 +78,6 @@ TEST(MemEnvTest, TotalBytesTracksContent) {
   auto f = env.NewWritableFile("f");
   ASSERT_TRUE((*f)->Append(ToBytes("12345")).ok());
   EXPECT_EQ(env.TotalBytes(), 5u);
-}
-
-TEST(PosixEnvTest, RoundTripInTempDir) {
-  Env* env = Env::Default();
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "porygon_env_test").string();
-  ASSERT_TRUE(env->CreateDirIfMissing(dir).ok());
-  std::string path = dir + "/file";
-  {
-    auto f = env->NewWritableFile(path);
-    ASSERT_TRUE(f.ok());
-    ASSERT_TRUE((*f)->Append(ToBytes("posix")).ok());
-    ASSERT_TRUE((*f)->Close().ok());
-  }
-  auto data = env->ReadFile(path);
-  ASSERT_TRUE(data.ok());
-  EXPECT_EQ(*data, ToBytes("posix"));
-  auto listing = env->ListDir(dir);
-  ASSERT_TRUE(listing.ok());
-  EXPECT_EQ(listing->size(), 1u);
-  ASSERT_TRUE(env->RemoveFile(path).ok());
-}
-
-TEST(PosixEnvTest, DbWorksOnRealFiles) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "porygon_db_test").string();
-  std::filesystem::remove_all(dir);
-  {
-    auto db = Db::Open(Env::Default(), dir);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    ASSERT_TRUE((*db)->Put(ToBytes("durable"), ToBytes("yes")).ok());
-    ASSERT_TRUE((*db)->Flush().ok());
-  }
-  {
-    auto db = Db::Open(Env::Default(), dir);
-    ASSERT_TRUE(db.ok());
-    auto v = (*db)->Get(ToBytes("durable"));
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(*v, ToBytes("yes"));
-  }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SstableTest, ForEachEarlyStop) {

@@ -570,9 +570,14 @@ TEST(SystemIntegrationTest, MetricsExportIsDeterministic) {
   // The export covers all instrumented layers.
   EXPECT_NE(a.find("net.sent_bytes"), std::string::npos);
   EXPECT_NE(a.find("porygon.phase_seconds"), std::string::npos);
-  EXPECT_NE(a.find("db.wal_bytes"), std::string::npos);
   EXPECT_NE(a.find("consensus.decisions"), std::string::npos);
   EXPECT_NE(a.find("\"p99\""), std::string::npos);
+  // Storage nodes keep no engine of their own, and the network has one
+  // drop hook: no engine series, no engine pool phases, no filter drops.
+  EXPECT_EQ(a.find("\"name\":\"db."), std::string::npos);
+  EXPECT_EQ(a.find("\"phase\":\"compact\""), std::string::npos);
+  EXPECT_EQ(a.find("\"phase\":\"bloom\""), std::string::npos);
+  EXPECT_EQ(a.find("\"reason\":\"drop_filter\""), std::string::npos);
 }
 
 }  // namespace

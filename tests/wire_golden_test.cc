@@ -154,11 +154,11 @@ Bytes FirstGossipPayload() {
   PorygonSystem sys(opt);
   sys.CreateAccounts(100, 1000);
   Bytes first;
-  sys.network()->SetDropFilter([&first](const net::Message& m) {
+  sys.network()->SetFaultHook([&first](const net::Message& m) {
     if (m.kind == kMsgGossip && first.empty()) {
       first = ByteView(m.payload).ToBytes();
     }
-    return false;
+    return net::FaultDecision{};
   });
   sys.Run(1);
   return first;
